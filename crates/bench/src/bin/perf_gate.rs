@@ -14,75 +14,59 @@
 //! * in-process CPU benches get `--threshold-pct` (default 100, i.e.
 //!   fail beyond 2× the baseline — generous because baselines are
 //!   machine-relative);
-//! * wall-clock thread benches (names starting with `rt_`, and the
-//!   `log_volume_commit/` committer fan-out) get twice that, since
-//!   thread scheduling adds real variance.
+//! * the wall-clock thread benches (the `log_volume_commit/` committer
+//!   fan-out) get twice that, since thread scheduling adds real
+//!   variance.
 //!
 //! Without `--strict` regressions are printed as warnings and the exit
 //! code stays 0 (the local workflow); with `--strict` any regression —
 //! or a baseline benchmark missing from the fresh run — exits 1 (the CI
 //! workflow, wired up in `scripts/ci.sh`).
 
+use gryphon_sim::codec::{self, Field, Record};
 use std::process::ExitCode;
 
-/// One `(name, ns_per_iter)` measurement from a criterion JSON file.
-#[derive(Debug, Clone, PartialEq)]
+/// One measurement from a criterion JSON file: a line of the shape the
+/// criterion stub's `CRITERION_JSON` hook writes.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Measurement {
     name: String,
     ns_per_iter: f64,
+    iters: Option<u64>,
 }
 
-/// Extracts the string value of `"key": "..."` from one JSON object.
-fn json_str_field(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => out.push(chars.next()?),
-            '"' => return Some(out),
-            c => out.push(c),
-        }
-    }
-    None
+impl Record for Measurement {
+    const STREAM: &'static str = "criterion";
+    const FIELDS: &'static [Field<Self>] = &[
+        Field::Str(
+            "name",
+            |m| &m.name,
+            |m, v| {
+                m.name = v;
+                true
+            },
+        ),
+        Field::F64("ns_per_iter", |m| m.ns_per_iter, |m, v| m.ns_per_iter = v),
+        Field::OptU64("iters", |m| m.iters, |m, v| m.iters = Some(v)),
+    ];
 }
 
-/// Extracts the numeric value of `"key": N` from one JSON object.
-fn json_num_field(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    num.parse().ok()
-}
-
-/// Parses a criterion JSON array (`[{...}, {...}]`) into measurements.
-/// Tolerant of whitespace and line breaks; objects missing either field
-/// are skipped.
+/// Parses criterion JSON — an array (`[{...},{...}]`, the checked-in
+/// baselines) or one object per line (a fresh run) — into measurements.
+/// The records are flat, so each `{`…`}` is one object; objects the
+/// shared codec rejects (a missing name or time) are skipped.
 fn parse_bench_json(body: &str) -> Vec<Measurement> {
     let mut out = Vec::new();
     let mut rest = body;
     while let Some(start) = rest.find('{') {
-        let Some(end) = rest[start..].find('}') else {
+        let Some(len) = rest[start..].find('}') else {
             break;
         };
-        let obj = &rest[start..start + end + 1];
-        if let (Some(name), Some(ns)) = (
-            json_str_field(obj, "name"),
-            json_num_field(obj, "ns_per_iter"),
-        ) {
-            out.push(Measurement {
-                name,
-                ns_per_iter: ns,
-            });
+        let mut obj = &rest[start..start + len + 1];
+        if let Ok(m) = codec::decode::<Measurement>(&mut obj) {
+            out.push(m);
         }
-        rest = &rest[start + end + 1..];
+        rest = &rest[start + len + 1..];
     }
     out
 }
@@ -99,10 +83,10 @@ struct Verdict {
 }
 
 /// Per-benchmark regression threshold: wall-clock thread benches (the
-/// `rt_*` groups and the `log_volume_commit` committer fan-out both run
-/// real threads) are allowed twice the slack of in-process CPU benches.
+/// `log_volume_commit` committer fan-out runs real threads) are allowed
+/// twice the slack of in-process CPU benches.
 fn limit_for(name: &str, base_threshold_pct: f64) -> f64 {
-    if name.starts_with("rt_") || name.starts_with("log_volume_commit/") {
+    if name.starts_with("log_volume_commit/") {
         base_threshold_pct * 2.0
     } else {
         base_threshold_pct
@@ -257,17 +241,25 @@ mod tests {
         Measurement {
             name: name.to_owned(),
             ns_per_iter: ns,
+            iters: None,
         }
     }
 
     #[test]
     fn parses_bench_sh_output_shape() {
-        let body = "[\n{\"name\":\"rt_pipeline/burst\",\"ns_per_iter\":33127681.4,\"iters\":8},\
+        let body = "[\n{\"name\":\"log_volume_commit/group_commit/file8\",\"ns_per_iter\":33127681.4,\"iters\":8},\
                     {\"name\":\"matching/hot\",\"ns_per_iter\":512.3,\"iters\":97000}\n]\n";
         let parsed = parse_bench_json(body);
+        let with_iters = |name, ns, iters| Measurement {
+            iters: Some(iters),
+            ..m(name, ns)
+        };
         assert_eq!(
             parsed,
-            vec![m("rt_pipeline/burst", 33127681.4), m("matching/hot", 512.3)]
+            vec![
+                with_iters("log_volume_commit/group_commit/file8", 33127681.4, 8),
+                with_iters("matching/hot", 512.3, 97000)
+            ]
         );
     }
 
@@ -289,11 +281,19 @@ mod tests {
 
     #[test]
     fn wall_clock_benches_get_double_slack() {
-        let baseline = vec![m("rt_pipeline/burst", 100.0)];
-        // +150% would fail a CPU bench at threshold 100, but rt_* gets 200.
-        let v = evaluate(&baseline, &[m("rt_pipeline/burst", 250.0)], 100.0);
+        let baseline = vec![m("log_volume_commit/group_commit/file8", 100.0)];
+        // +150% would fail a CPU bench at threshold 100; thread benches get 200.
+        let v = evaluate(
+            &baseline,
+            &[m("log_volume_commit/group_commit/file8", 250.0)],
+            100.0,
+        );
         assert!(!v[0].regressed);
-        let v = evaluate(&baseline, &[m("rt_pipeline/burst", 350.0)], 100.0);
+        let v = evaluate(
+            &baseline,
+            &[m("log_volume_commit/group_commit/file8", 350.0)],
+            100.0,
+        );
         assert!(v[0].regressed, "+250% exceeds even the doubled limit");
     }
 

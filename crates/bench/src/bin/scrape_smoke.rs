@@ -6,8 +6,8 @@
 //! pushes a burst of publishes through, then fetches `/metrics` over
 //! TCP **while the net is still running** (the curl-equivalent) and
 //! prints the response body to stdout. CI pipes that body through the
-//! same awk Prometheus-grammar validator it applies to `xp --prom-out`
-//! snapshots. Also probes `/healthz` (must answer 200 with an `alerts N`
+//! same awk Prometheus-grammar validator it applies to a bundle's
+//! `snapshot.prom`. Also probes `/healthz` (must answer 200 with an `alerts N`
 //! body) and, after `net.stop()`, asserts the endpoint actually went
 //! away — the accept thread is joined, not leaked. Exits non-zero if
 //! the pipeline delivers nothing, a fetch fails, or the body is missing

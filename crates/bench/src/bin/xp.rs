@@ -1,12 +1,10 @@
 //! `xp` — regenerates the paper's tables and figures.
 //!
 //! ```text
-//! xp [--quick] [--csv DIR] [--trace] [--metrics-out DIR] [--prom-out DIR]
-//!    [--flight-dir DIR] [--telemetry-out DIR] [--sample-interval MS]
-//!    [--metrics-addr ADDR] [--bundle-out DIR] [--chrome-trace DIR]
-//!    [--seed-offset N] [--degrade] [--slow-sub] [--subs N] [--churn-pct P]
-//!    <experiment>|all|list
-//! xp doctor inspect BUNDLE [--exemplars]
+//! xp [--quick] [--csv DIR] [--trace] [--bundle-out DIR] [--sample-interval MS]
+//!    [--metrics-addr ADDR] [--seed-offset N] [--degrade] [--slow-sub]
+//!    [--subs N] [--churn-pct P] <experiment>|all|list
+//! xp doctor inspect BUNDLE [--exemplars] [--topk] [--json]
 //! xp doctor check BUNDLE
 //! xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]
 //! xp doctor export-trace BUNDLE -o trace.json
@@ -19,171 +17,92 @@
 //!   files for plotting;
 //! * `--trace` prints the full structured trace ring after each report
 //!   (the report itself only shows the tail);
-//! * `--metrics-out DIR` writes each experiment's metrics snapshot as
-//!   `<id>.metrics.csv` and `<id>.metrics.json` (see DESIGN.md
-//!   "Observability" for the name registry);
-//! * `--prom-out DIR` writes each experiment's metrics snapshot as
-//!   `<id>.prom` in Prometheus text exposition format;
-//! * `--flight-dir DIR` arms the violation flight recorder: any watchdog
-//!   or delivery-ledger violation dumps a post-mortem file
-//!   (`postmortem-N.txt`) with the offending event's lineage, a metrics
-//!   snapshot, and the trace-ring tail (see DESIGN.md §12);
+//! * `--bundle-out DIR` writes a complete self-describing run bundle per
+//!   experiment under `DIR/<id>/` — manifest, metrics (CSV + JSON),
+//!   telemetry timeline, alerts, tail exemplars, busy intervals, top-K
+//!   snapshots, Prometheus snapshot, report, flight-recorder
+//!   post-mortems (DESIGN.md §9). It is the one output flag: it arms the
+//!   sampler (500 ms unless `--sample-interval` says otherwise), the
+//!   online health engine and the flight recorder, and everything else —
+//!   a Chrome trace included — is read back out of a bundle with
+//!   `xp doctor`;
 //! * `--sample-interval MS` arms the windowed telemetry sampler on every
-//!   simulator at the given virtual-time interval (milliseconds; see
-//!   DESIGN.md §13) — reports then include a sparkline timeline section;
-//! * `--telemetry-out DIR` writes each experiment's telemetry timeline
-//!   as `<id>.telemetry.ndjson` and `<id>.telemetry.csv` (implies
-//!   `--sample-interval 500` unless one was given);
+//!   simulator at the given virtual-time interval (milliseconds) —
+//!   reports then include a sparkline timeline section;
 //! * `--metrics-addr ADDR` serves the most recent experiment's
 //!   Prometheus snapshot live at `http://ADDR/metrics` (e.g.
 //!   `127.0.0.1:9090`) until xp exits;
-//! * `--bundle-out DIR` writes a complete self-describing run bundle per
-//!   experiment under `DIR/<id>/` (manifest, metrics, timeline, alerts,
-//!   Prometheus snapshot, report, flight recorder — DESIGN.md §14). It
-//!   subsumes the scattered `--*-out` flags, arms the sampler (500 ms
-//!   unless `--sample-interval` says otherwise) and the online health
-//!   engine, and points the flight recorder into the bundle;
-//! * `--chrome-trace DIR` writes each experiment's forensics streams as
-//!   `<id>.trace.json` in Chrome trace-event format — open it in
-//!   Perfetto or chrome://tracing (implies `--sample-interval 500`
-//!   unless one was given; see DESIGN.md §17);
 //! * `--seed-offset N` shifts every simulator seed by N (same workload,
 //!   different randomness — for A/B bundles fed to `xp doctor diff`);
 //! * `--degrade` deliberately worsens broker latency/batching config
 //!   (CI uses it to prove `xp doctor diff` catches real regressions);
+//! * `--slow-sub` plants one slow consumer in `mega_subs`;
 //! * `--subs N` overrides the `mega_subs` durable-subscription
 //!   population (default 10^6, or 20 000 under `--quick`);
 //! * `--churn-pct P` overrides the `mega_subs` churn percentage
 //!   (default 1);
-//! * `xp doctor inspect|diff|check` analyses bundles offline — see
-//!   `gryphon_harness::doctor`.
+//! * `xp doctor inspect|diff|check|export-trace` analyses bundles
+//!   offline — see `gryphon_harness::doctor`.
 
+use gryphon_harness::RunOptions;
 use std::io::Write;
+
+const USAGE: &str = "usage: xp [--quick] [--csv DIR] [--trace] [--bundle-out DIR] \
+     [--sample-interval MS] [--metrics-addr ADDR] [--seed-offset N] [--degrade] \
+     [--slow-sub] [--subs N] [--churn-pct P] <experiment>|all|list\n\
+     \x20      xp doctor inspect BUNDLE [--exemplars] [--topk] [--json]\n\
+     \x20      xp doctor check BUNDLE\n\
+     \x20      xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]\n\
+     \x20      xp doctor export-trace BUNDLE -o trace.json";
+
+/// The value of flag `flag`, parsed; exits with a usage error without one.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} requires {what} argument");
+        std::process::exit(2);
+    })
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("doctor") {
         std::process::exit(gryphon_harness::doctor::run(&argv[1..]));
     }
-    let mut quick = false;
+    let mut run = RunOptions::default();
     let mut trace = false;
     let mut csv_dir: Option<String> = None;
-    let mut metrics_dir: Option<String> = None;
-    let mut prom_dir: Option<String> = None;
-    let mut flight_dir: Option<String> = None;
-    let mut telemetry_dir: Option<String> = None;
     let mut bundle_dir: Option<String> = None;
-    let mut chrome_trace_dir: Option<String> = None;
-    let mut sample_interval_ms: Option<u64> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut seed_offset: u64 = 0;
-    let mut degrade = false;
-    let mut slow_sub = false;
-    let mut subs: Option<u64> = None;
-    let mut churn_pct: Option<f64> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" | "-q" => quick = true,
+            "--quick" | "-q" => run.quick = true,
             "--trace" => trace = true,
-            "--telemetry-out" => {
-                telemetry_dir = args.next();
-                if telemetry_dir.is_none() {
-                    eprintln!("--telemetry-out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
+            "--csv" => csv_dir = Some(value(&mut args, "--csv", "a directory")),
+            "--bundle-out" => bundle_dir = Some(value(&mut args, "--bundle-out", "a directory")),
             "--sample-interval" => {
-                sample_interval_ms = args.next().and_then(|v| v.parse().ok());
-                if sample_interval_ms.is_none() {
-                    eprintln!("--sample-interval requires a milliseconds argument");
-                    std::process::exit(2);
-                }
+                let ms: u64 = value(&mut args, "--sample-interval", "a milliseconds");
+                run.sample_interval_us = Some(ms.saturating_mul(1_000).max(1));
             }
             "--metrics-addr" => {
-                metrics_addr = args.next();
-                if metrics_addr.is_none() {
-                    eprintln!("--metrics-addr requires an address argument (e.g. 127.0.0.1:9090)");
-                    std::process::exit(2);
-                }
+                metrics_addr = Some(value(
+                    &mut args,
+                    "--metrics-addr",
+                    "an address (e.g. 127.0.0.1:9090)",
+                ));
             }
-            "--csv" => {
-                csv_dir = args.next();
-                if csv_dir.is_none() {
-                    eprintln!("--csv requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--metrics-out" => {
-                metrics_dir = args.next();
-                if metrics_dir.is_none() {
-                    eprintln!("--metrics-out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--prom-out" => {
-                prom_dir = args.next();
-                if prom_dir.is_none() {
-                    eprintln!("--prom-out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--flight-dir" => {
-                flight_dir = args.next();
-                if flight_dir.is_none() {
-                    eprintln!("--flight-dir requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--bundle-out" => {
-                bundle_dir = args.next();
-                if bundle_dir.is_none() {
-                    eprintln!("--bundle-out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--chrome-trace" => {
-                chrome_trace_dir = args.next();
-                if chrome_trace_dir.is_none() {
-                    eprintln!("--chrome-trace requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--seed-offset" => {
-                let Some(n) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed-offset requires an integer argument");
-                    std::process::exit(2);
-                };
-                seed_offset = n;
-            }
-            "--degrade" => degrade = true,
-            "--slow-sub" => slow_sub = true,
-            "--subs" => {
-                let Some(n) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--subs requires an integer argument");
-                    std::process::exit(2);
-                };
-                subs = Some(n);
-            }
-            "--churn-pct" => {
-                let Some(p) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--churn-pct requires a numeric argument");
-                    std::process::exit(2);
-                };
-                churn_pct = Some(p);
-            }
+            "--seed-offset" => run.seed_offset = value(&mut args, "--seed-offset", "an integer"),
+            "--degrade" => run.degrade = true,
+            "--slow-sub" => run.slow_sub = true,
+            "--subs" => run.mega_subs = Some(value(&mut args, "--subs", "an integer")),
+            "--churn-pct" => run.churn_pct = Some(value(&mut args, "--churn-pct", "a numeric")),
             "--help" | "-h" => {
-                println!(
-                    "usage: xp [--quick] [--csv DIR] [--trace] [--metrics-out DIR] \
-                     [--prom-out DIR] [--flight-dir DIR] [--bundle-out DIR] \
-                     [--chrome-trace DIR] [--seed-offset N] [--degrade] [--slow-sub] \
-                     [--subs N] [--churn-pct P] <experiment>|all|list\n\
-                     \x20      xp doctor inspect BUNDLE [--exemplars] [--topk] [--json]\n\
-                     \x20      xp doctor check BUNDLE\n\
-                     \x20      xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]\n\
-                     \x20      xp doctor export-trace BUNDLE -o trace.json"
-                );
+                println!("{USAGE}");
                 print_catalog();
                 return;
             }
@@ -191,35 +110,17 @@ fn main() {
         }
     }
     if targets.is_empty() {
-        eprintln!(
-            "usage: xp [--quick] [--csv DIR] [--trace] [--metrics-out DIR] [--prom-out DIR] \
-             [--flight-dir DIR] <experiment>|all|list"
-        );
+        eprintln!("{USAGE}");
         print_catalog();
         std::process::exit(2);
     }
-    gryphon_harness::topology::set_default_flight_dir(
-        flight_dir.as_deref().map(std::path::PathBuf::from),
-    );
-    // --telemetry-out / --bundle-out without an explicit interval still
-    // need the sampler armed; 500 ms windows match the experiments'
-    // timescales. A bundle additionally arms the online health engine.
-    if (telemetry_dir.is_some() || bundle_dir.is_some() || chrome_trace_dir.is_some())
-        && sample_interval_ms.is_none()
-    {
-        sample_interval_ms = Some(500);
-    }
+    // A bundle needs the sampler armed even without an explicit
+    // interval (500 ms windows match the experiments' timescales), and
+    // additionally arms the online health engine.
     if bundle_dir.is_some() {
-        gryphon_harness::topology::set_default_health(true);
+        run.sample_interval_us.get_or_insert(500_000);
+        run.health = true;
     }
-    gryphon_harness::topology::set_default_seed_offset(seed_offset);
-    gryphon_harness::topology::set_default_degrade(degrade);
-    gryphon_harness::topology::set_default_slow_sub(slow_sub);
-    gryphon_harness::topology::set_default_mega_subs(subs);
-    gryphon_harness::topology::set_default_churn_pct(churn_pct);
-    gryphon_harness::topology::set_default_sample_interval(
-        sample_interval_ms.map(|ms| ms.saturating_mul(1_000).max(1)),
-    );
     // Live scrape endpoint: serves the latest completed experiment's
     // Prometheus snapshot (empty until the first one finishes).
     let live_prom: std::sync::Arc<std::sync::Mutex<String>> = Default::default();
@@ -239,18 +140,10 @@ fn main() {
         server
     });
     let opts = Options {
-        quick,
+        run,
         trace,
         csv_dir,
-        metrics_dir,
-        prom_dir,
-        telemetry_dir,
         bundle_dir,
-        chrome_trace_dir,
-        explicit_flight_dir: flight_dir.is_some(),
-        seed_offset,
-        degrade,
-        sample_interval_ms,
         live_prom,
     };
     for target in targets {
@@ -267,18 +160,10 @@ fn main() {
 }
 
 struct Options {
-    quick: bool,
+    run: RunOptions,
     trace: bool,
     csv_dir: Option<String>,
-    metrics_dir: Option<String>,
-    prom_dir: Option<String>,
-    telemetry_dir: Option<String>,
     bundle_dir: Option<String>,
-    chrome_trace_dir: Option<String>,
-    explicit_flight_dir: bool,
-    seed_offset: u64,
-    degrade: bool,
-    sample_interval_ms: Option<u64>,
     live_prom: std::sync::Arc<std::sync::Mutex<String>>,
 }
 
@@ -303,16 +188,15 @@ fn write_file(dir: &str, name: &str, contents: &str) -> std::path::PathBuf {
 
 fn run_one(id: &str, opts: &Options) {
     let started = std::time::Instant::now();
+    let mut run = opts.run.clone();
     if let Some(root) = opts.bundle_dir.as_deref() {
-        // Flight-recorder post-mortems belong inside this run's bundle
-        // (unless the user pinned them elsewhere with --flight-dir).
-        if !opts.explicit_flight_dir {
-            gryphon_harness::topology::set_default_flight_dir(Some(
-                gryphon_harness::bundle::flight_dir(std::path::Path::new(root), id),
-            ));
-        }
+        // Flight-recorder post-mortems belong inside this run's bundle.
+        run.flight_dir = Some(gryphon_harness::bundle::flight_dir(
+            std::path::Path::new(root),
+            id,
+        ));
     }
-    match gryphon_harness::run(id, opts.quick) {
+    match gryphon_harness::run(id, &run) {
         Ok(report) => {
             println!("{}", report.render());
             if opts.trace && !report.trace.is_empty() {
@@ -325,7 +209,7 @@ fn run_one(id: &str, opts: &Options) {
                 "[{} completed in {:.1} s wall{}]\n",
                 id,
                 started.elapsed().as_secs_f64(),
-                if opts.quick { ", --quick" } else { "" }
+                if run.quick { ", --quick" } else { "" }
             );
             if let Some(dir) = opts.csv_dir.as_deref() {
                 if !report.series.is_empty() {
@@ -333,68 +217,12 @@ fn run_one(id: &str, opts: &Options) {
                     println!("[series written to {}]", path.display());
                 }
             }
-            if let Some(dir) = opts.metrics_dir.as_deref() {
-                let csv = write_file(dir, &format!("{id}.metrics.csv"), &report.metrics_csv());
-                let json = write_file(dir, &format!("{id}.metrics.json"), &report.metrics_json());
-                println!(
-                    "[metrics written to {} and {}]",
-                    csv.display(),
-                    json.display()
-                );
-            }
-            if let Some(dir) = opts.prom_dir.as_deref() {
-                if let Some(prom) = report.prom.as_deref() {
-                    let path = write_file(dir, &format!("{id}.prom"), prom);
-                    println!("[prometheus snapshot written to {}]", path.display());
-                }
-            }
-            if let Some(dir) = opts.telemetry_dir.as_deref() {
-                if report.telemetry.is_some() {
-                    let nd = write_file(
-                        dir,
-                        &format!("{id}.telemetry.ndjson"),
-                        &report.telemetry_ndjson(),
-                    );
-                    let csv =
-                        write_file(dir, &format!("{id}.telemetry.csv"), &report.telemetry_csv());
-                    println!(
-                        "[telemetry written to {} and {}]",
-                        nd.display(),
-                        csv.display()
-                    );
-                }
-            }
-            if let Some(dir) = opts.chrome_trace_dir.as_deref() {
-                let (intervals, exemplars): (Vec<_>, Vec<_>) = report
-                    .telemetry
-                    .as_ref()
-                    .map(|t| {
-                        (
-                            t.intervals().copied().collect(),
-                            t.exemplars().cloned().collect(),
-                        )
-                    })
-                    .unwrap_or_default();
-                let json = gryphon_harness::trace_export::chrome_trace_json(
-                    &intervals,
-                    &exemplars,
-                    report.alerts(),
-                );
-                let path = write_file(dir, &format!("{id}.trace.json"), &json);
-                println!(
-                    "[chrome trace written to {} — open in https://ui.perfetto.dev]",
-                    path.display()
-                );
-            }
             if let Some(root) = opts.bundle_dir.as_deref() {
                 let meta = gryphon_harness::bundle::BundleMeta {
-                    quick: opts.quick,
-                    interval_us: opts
-                        .sample_interval_ms
-                        .map(|ms| ms.saturating_mul(1_000).max(1))
-                        .unwrap_or(0),
-                    seed_offset: opts.seed_offset,
-                    degrade: opts.degrade,
+                    quick: run.quick,
+                    interval_us: run.sample_interval_us.unwrap_or(0),
+                    seed_offset: run.seed_offset,
+                    degrade: run.degrade,
                 };
                 match gryphon_harness::bundle::write_bundle(
                     std::path::Path::new(root),

@@ -5,8 +5,9 @@
 //! * the `xp` binary — regenerates every table and figure of the paper's
 //!   evaluation (`cargo run -p gryphon-bench --release --bin xp -- all`);
 //! * the Criterion benches (`cargo bench -p gryphon-bench`) covering the
-//!   matching engine, log volume, PFS-vs-event-logging, knowledge-stream
-//!   algebra, metadata group commit, and the threaded broker pipeline.
+//!   layers `perf_gate` guards — the matching engine, the log volume and
+//!   its group commit, the SHB subscriber slab. End-to-end numbers on the
+//!   threaded runtime come from `benchmark/`, not from here.
 
 /// Standard workload constants shared by benches (the paper's §5.1.2
 /// microbenchmark setup).

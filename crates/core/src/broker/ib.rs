@@ -10,7 +10,7 @@
 use super::{now_ticks, Broker};
 use crate::timer::{self, Kind};
 use gryphon_matching::{Filter, SubscriptionIndex};
-use gryphon_sim::{count_metric, names, observe_metric, trace_event, NodeCtx, TraceEvent};
+use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_streams::push_coalesced;
 use gryphon_types::{
     CuriosityMsg, KnowledgeMsg, KnowledgePart, NetMsg, NodeId, PubendId, ReleaseMsg,
@@ -345,17 +345,12 @@ impl Broker {
         batch: PendingBatch,
         ctx: &mut dyn NodeCtx,
     ) {
-        observe_metric!(
-            ctx,
-            names::IB_KNOWLEDGE_BATCH_PARTS,
-            batch.parts.len() as f64
-        );
-        observe_metric!(
-            ctx,
+        traced!(ctx.observe(names::IB_KNOWLEDGE_BATCH_PARTS, batch.parts.len() as f64));
+        traced!(ctx.observe(
             names::IB_KNOWLEDGE_FLUSH_WAIT_US,
             ctx.now_us().saturating_sub(batch.since_us) as f64
-        );
-        count_metric!(ctx, names::IB_KNOWLEDGE_BATCHES, 1.0);
+        ));
+        traced!(ctx.count(names::IB_KNOWLEDGE_BATCHES, 1.0));
         note_ib_forward(p, &batch.parts, ctx);
         ctx.send(
             child,
@@ -454,17 +449,14 @@ impl Broker {
                 .map(|&(_, t)| t)
                 .max()
                 .unwrap_or(Timestamp::ZERO);
-            trace_event!(
-                ctx,
-                TraceEvent::NackConsolidated {
-                    pubend: p,
-                    from: span_from,
-                    to: span_to,
-                    fan_in,
-                }
-            );
-            observe_metric!(ctx, names::CURIOSITY_NACK_FANIN, fan_in as f64);
-            count_metric!(ctx, names::CURIOSITY_NACKS_SENT, 1.0);
+            traced!(ctx.trace(TraceEvent::NackConsolidated {
+                pubend: p,
+                from: span_from,
+                to: span_to,
+                fan_in,
+            }));
+            traced!(ctx.observe(names::CURIOSITY_NACK_FANIN, fan_in as f64));
+            traced!(ctx.count(names::CURIOSITY_NACKS_SENT, 1.0));
             ctx.send(
                 parent,
                 NetMsg::Curiosity(CuriosityMsg {
@@ -728,14 +720,11 @@ impl Broker {
                 };
                 if let Some(lost) = advanced {
                     ctx.count("phb.early_release_advances", 1.0);
-                    trace_event!(
-                        ctx,
-                        TraceEvent::LConverted {
-                            pubend: p,
-                            upto: lost
-                        }
-                    );
-                    count_metric!(ctx, names::RELEASE_L_CONVERSIONS, 1.0);
+                    traced!(ctx.trace(TraceEvent::LConverted {
+                        pubend: p,
+                        upto: lost
+                    }));
+                    traced!(ctx.count(names::RELEASE_L_CONVERSIONS, 1.0));
                     if let Some(shb) = self.shb.state.as_mut() {
                         let _ = shb.meta.put_u64(&format!("lost/{}", p.0), lost.0);
                     }
@@ -747,14 +736,11 @@ impl Broker {
                     let pl = self.pipeline_mut(p);
                     if released > pl.last_release_reported {
                         pl.last_release_reported = released;
-                        trace_event!(
-                            ctx,
-                            TraceEvent::ReleaseAdvanced {
-                                pubend: p,
-                                released
-                            }
-                        );
-                        count_metric!(ctx, names::RELEASE_ADVANCES, 1.0);
+                        traced!(ctx.trace(TraceEvent::ReleaseAdvanced {
+                            pubend: p,
+                            released
+                        }));
+                        traced!(ctx.count(names::RELEASE_ADVANCES, 1.0));
                     }
                 }
             } else if self.parent.is_some() {
@@ -840,13 +826,10 @@ impl Broker {
 fn note_ib_forward(p: PubendId, parts: &[KnowledgePart], ctx: &mut dyn NodeCtx) {
     for part in parts {
         if let KnowledgePart::Data(e) = part {
-            trace_event!(
-                ctx,
-                TraceEvent::IbForwarded {
-                    pubend: p,
-                    ts: e.ts
-                }
-            );
+            traced!(ctx.trace(TraceEvent::IbForwarded {
+                pubend: p,
+                ts: e.ts
+            }));
         }
     }
 }
@@ -856,13 +839,10 @@ fn note_ib_forward(p: PubendId, parts: &[KnowledgePart], ctx: &mut dyn NodeCtx) 
 fn note_shb_ingest(p: PubendId, parts: &[KnowledgePart], ctx: &mut dyn NodeCtx) {
     for part in parts {
         if let KnowledgePart::Data(e) = part {
-            trace_event!(
-                ctx,
-                TraceEvent::ShbIngested {
-                    pubend: p,
-                    ts: e.ts
-                }
-            );
+            traced!(ctx.trace(TraceEvent::ShbIngested {
+                pubend: p,
+                ts: e.ts
+            }));
         }
     }
 }

@@ -45,7 +45,7 @@ pub use sub_table::{ParkedStream, PubendMap, SubState, SubscriberTable};
 use crate::config::BrokerConfig;
 use crate::timer::{self, Kind};
 use gryphon_matching::MatchScratch;
-use gryphon_sim::{names, trace_event, Node, NodeCtx, TimerKey, TraceEvent};
+use gryphon_sim::{names, traced, Node, NodeCtx, TimerKey, TraceEvent};
 use gryphon_storage::{CommitPipeline, EventLog, MediaFactory, VolumeConfig};
 use gryphon_types::{NetMsg, NodeId, PubendId, Timestamp};
 use ib::IbRole;
@@ -275,7 +275,7 @@ impl Node for Broker {
                 // Brokers never expect server-bound messages; a silent
                 // drop here once hid misrouted traffic entirely.
                 ctx.count(names::BROKER_UNEXPECTED_MSG, 1.0);
-                trace_event!(ctx, TraceEvent::UnexpectedMsg { tag: m.tag() });
+                traced!(ctx.trace(TraceEvent::UnexpectedMsg { tag: m.tag() }));
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use super::{now_ticks, Broker};
 use crate::timer::{self, Kind};
-use gryphon_sim::{count_metric, names, observe_metric, trace_event, NodeCtx, TraceEvent};
+use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_storage::{CommitPipeline, EventLog};
 use gryphon_types::{KnowledgePart, PubendId, PublishMsg};
 
@@ -36,13 +36,10 @@ impl Broker {
             return;
         };
         let event = pe.publish(msg, now);
-        trace_event!(
-            ctx,
-            TraceEvent::PubendTimestamped {
-                pubend: p,
-                ts: event.ts,
-            }
-        );
+        traced!(ctx.trace(TraceEvent::PubendTimestamped {
+            pubend: p,
+            ts: event.ts,
+        }));
         ctx.work(self.config.costs.event_log_append_us);
         ctx.count("phb.published", 1.0);
         if pe.needs_commit() {
@@ -88,17 +85,12 @@ impl Broker {
             .iter()
             .filter(|part| matches!(part, KnowledgePart::Data(_)))
             .count();
-        observe_metric!(ctx, names::STORAGE_COMMIT_BATCH_RECORDS, records as f64);
-        observe_metric!(
-            ctx,
-            names::STORAGE_COMMIT_GROUP_SIZE,
-            receipt.group_size as f64
-        );
-        observe_metric!(
-            ctx,
+        traced!(ctx.observe(names::STORAGE_COMMIT_BATCH_RECORDS, records as f64));
+        traced!(ctx.observe(names::STORAGE_COMMIT_GROUP_SIZE, receipt.group_size as f64));
+        traced!(ctx.observe(
             names::STORAGE_COMMIT_SYNC_WAIT_US,
             receipt.sync_wait_us as f64
-        );
+        ));
         // Leader/follower split: the group leader pays the fsync, the
         // followers pay only the wait. Separating the two histograms is
         // what lets the exported trace tell queueing from device time.
@@ -107,8 +99,8 @@ impl Broker {
         } else {
             names::STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US
         };
-        observe_metric!(ctx, wait_name, receipt.sync_wait_us as f64);
-        observe_metric!(ctx, names::STORAGE_COMMIT_FSYNC_US, receipt.fsync_us as f64);
+        traced!(ctx.observe(wait_name, receipt.sync_wait_us as f64));
+        traced!(ctx.observe(names::STORAGE_COMMIT_FSYNC_US, receipt.fsync_us as f64));
         ctx.interval(
             gryphon_sim::forensics::KIND_COMMIT,
             self.config.phb_commit_latency_us.max(receipt.fsync_us),
@@ -119,16 +111,13 @@ impl Broker {
         for part in &parts {
             if let KnowledgePart::Data(e) = part {
                 let bytes = e.encoded_len();
-                trace_event!(
-                    ctx,
-                    TraceEvent::EventLogged {
-                        pubend: p,
-                        ts: e.ts,
-                        bytes,
-                    }
-                );
-                count_metric!(ctx, names::PHB_LOG_BYTES, bytes as f64);
-                count_metric!(ctx, names::PHB_LOG_EVENTS, 1.0);
+                traced!(ctx.trace(TraceEvent::EventLogged {
+                    pubend: p,
+                    ts: e.ts,
+                    bytes,
+                }));
+                traced!(ctx.count(names::PHB_LOG_BYTES, bytes as f64));
+                traced!(ctx.count(names::PHB_LOG_EVENTS, 1.0));
             }
         }
         // Locally originated knowledge confirms nothing about the parent

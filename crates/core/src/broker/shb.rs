@@ -12,10 +12,7 @@ use super::sub_table::{ParkedStream, SubscriberTable};
 use crate::config::BrokerConfig;
 use crate::pfs::{Pfs, PfsMode};
 use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
-use gryphon_sim::{
-    count_metric, gauge_metric, names, observe_metric, record_metric, trace_event, DeliveryPath,
-    NodeCtx, TraceEvent,
-};
+use gryphon_sim::{names, traced, DeliveryPath, NodeCtx, TraceEvent};
 use gryphon_storage::{MediaFactory, SharedMetaTable, TableConfig};
 use gryphon_streams::KnowledgeStream;
 use gryphon_types::{
@@ -512,7 +509,7 @@ impl Shb {
                     st.stats.bytes_delivered += wire;
                     *self.pubend_bytes.entry(p).or_default() += wire;
                     ctx.count("shb.delivered", 1.0);
-                    count_metric!(ctx, names::SHB_CONSTREAM_DELIVERED, 1.0);
+                    traced!(ctx.count(names::SHB_CONSTREAM_DELIVERED, 1.0));
                     let msg = DeliveryMsg {
                         pubend: p,
                         kind: DeliveryKind::Event(event.clone()),
@@ -525,28 +522,22 @@ impl Shb {
             // The constream must advance over a contiguous prefix: the
             // gap-free watchdog (paper §4.1) checks that each advance
             // starts exactly where the previous one ended.
-            trace_event!(
-                ctx,
-                TraceEvent::ConstreamGapCheck {
-                    pubend: p,
-                    prev: con.processed_to,
-                    new_to: dh,
-                }
-            );
-            trace_event!(
-                ctx,
-                TraceEvent::DoubtAdvanced {
-                    pubend: p,
-                    horizon: dh,
-                }
-            );
+            traced!(ctx.trace(TraceEvent::ConstreamGapCheck {
+                pubend: p,
+                prev: con.processed_to,
+                new_to: dh,
+            }));
+            traced!(ctx.trace(TraceEvent::DoubtAdvanced {
+                pubend: p,
+                horizon: dh,
+            }));
             con.processed_to = dh;
             self.con.insert(p, con);
         }
         let width = max_seen.saturating_sub(con.processed_to) as f64;
-        record_metric!(ctx, names::SHB_DOUBT_WIDTH, width);
+        traced!(ctx.record(names::SHB_DOUBT_WIDTH, width));
         let node = ctx.me().0;
-        gauge_metric!(ctx, self.gauges.doubt_width(node, p), width);
+        traced!(ctx.gauge(self.gauges.doubt_width(node, p), width));
         self.update_telemetry_gauges(ctx);
         if max_seen > con.processed_to {
             cache.q_ranges(con.processed_to, max_seen)
@@ -577,7 +568,7 @@ impl Shb {
         total
     }
 
-    /// Refreshes this SHB's telemetry gauges (DESIGN.md §13): catchup
+    /// Refreshes this SHB's telemetry gauges (DESIGN.md §9): catchup
     /// backlog and active catchup-stream count, published under this
     /// node's `.n<id>` shard suffix so several SHBs sharing one metrics
     /// sink stay distinct (the sampler derives the unsuffixed sum).
@@ -586,8 +577,8 @@ impl Shb {
         let streams = self.catchup_streams() as f64;
         let node = ctx.me().0;
         self.gauges.ensure(node);
-        gauge_metric!(ctx, &self.gauges.backlog, backlog);
-        gauge_metric!(ctx, &self.gauges.streams, streams);
+        traced!(ctx.gauge(&self.gauges.backlog, backlog));
+        traced!(ctx.gauge(&self.gauges.streams, streams));
     }
 
     /// Publishes the slab-memory gauges (`telemetry.shb.slab_bytes`,
@@ -599,17 +590,16 @@ impl Shb {
         let idle = self.idle_subs();
         let node = ctx.me().0;
         self.gauges.ensure(node);
-        gauge_metric!(ctx, &self.gauges.slab_bytes, bytes as f64);
-        gauge_metric!(
-            ctx,
+        traced!(ctx.gauge(&self.gauges.slab_bytes, bytes as f64));
+        traced!(ctx.gauge(
             &self.gauges.bytes_per_idle,
             bytes as f64 / idle.max(1) as f64
-        );
+        ));
     }
 
     /// Sweeps the subscriber slab, draining the per-slot attribution
     /// counters into the population sketch via [`NodeCtx::attribute`]
-    /// (DESIGN.md §18):
+    /// (DESIGN.md §9):
     ///
     /// * `slowest_subs_by_lag` — connected subscribers only, weighted by
     ///   the age of their oldest live catchup stream (0 when caught up).
@@ -852,14 +842,11 @@ impl Shb {
             conn.last_sent.insert(p, resume);
             // Ledger session boundary: anything at or below `resume`
             // arriving later would be a duplicate across this reconnect.
-            trace_event!(
-                ctx,
-                TraceEvent::SubResumed {
-                    sub,
-                    pubend: p,
-                    at: resume,
-                }
-            );
+            traced!(ctx.trace(TraceEvent::SubResumed {
+                sub,
+                pubend: p,
+                at: resume,
+            }));
             if anywhere {
                 // The migrated subscription only holds release back from
                 // its own checkpoint, not this SHB's cursor.
@@ -872,14 +859,11 @@ impl Shb {
                 // Catchup needed. Reconnect-anywhere streams skip the PFS
                 // (no history here): mark its coverage exhausted so every
                 // unknown tick is nacked — authoritatively — instead.
-                trace_event!(
-                    ctx,
-                    TraceEvent::CatchupStarted {
-                        pubend: p,
-                        sub,
-                        from: resume.next(),
-                    }
-                );
+                traced!(ctx.trace(TraceEvent::CatchupStarted {
+                    pubend: p,
+                    sub,
+                    from: resume.next(),
+                }));
                 conn.catchup.insert(
                     p,
                     Catchup {
@@ -1055,25 +1039,22 @@ impl Shb {
                 Ok(receipt) => {
                     ctx.count("shb.ct_commits", 1.0);
                     ctx.count("shb.ct_commit_updates", batch.len() as f64);
-                    observe_metric!(ctx, names::STORAGE_COMMIT_BATCH_RECORDS, batch.len() as f64);
-                    observe_metric!(
-                        ctx,
-                        names::STORAGE_COMMIT_GROUP_SIZE,
-                        receipt.group_size as f64
+                    traced!(ctx.observe(names::STORAGE_COMMIT_BATCH_RECORDS, batch.len() as f64));
+                    traced!(
+                        ctx.observe(names::STORAGE_COMMIT_GROUP_SIZE, receipt.group_size as f64)
                     );
-                    observe_metric!(
-                        ctx,
+                    traced!(ctx.observe(
                         names::STORAGE_COMMIT_SYNC_WAIT_US,
                         receipt.sync_wait_us as f64
-                    );
+                    ));
                     // Leader pays the device flush; followers only wait.
                     let wait_name = if receipt.leader {
                         names::STORAGE_COMMIT_SYNC_WAIT_LEADER_US
                     } else {
                         names::STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US
                     };
-                    observe_metric!(ctx, wait_name, receipt.sync_wait_us as f64);
-                    observe_metric!(ctx, names::STORAGE_COMMIT_FSYNC_US, receipt.fsync_us as f64);
+                    traced!(ctx.observe(wait_name, receipt.sync_wait_us as f64));
+                    traced!(ctx.observe(names::STORAGE_COMMIT_FSYNC_US, receipt.fsync_us as f64));
                     ctx.interval(
                         gryphon_sim::forensics::KIND_COMMIT,
                         receipt.sync_wait_us + receipt.fsync_us,
@@ -1413,15 +1394,12 @@ impl Shb {
             conn.last_sent.insert(p, cu.delivered_to);
             needs.switched = true;
             let latency_us = ctx.now_us().saturating_sub(cu.started_at_us);
-            trace_event!(
-                ctx,
-                TraceEvent::Switchover {
-                    pubend: p,
-                    sub,
-                    latency_us,
-                }
-            );
-            observe_metric!(ctx, names::SHB_SWITCHOVER_LATENCY_US, latency_us as f64);
+            traced!(ctx.trace(TraceEvent::Switchover {
+                pubend: p,
+                sub,
+                latency_us,
+            }));
+            traced!(ctx.observe(names::SHB_SWITCHOVER_LATENCY_US, latency_us as f64));
             if conn.catchup.is_empty() {
                 let dur_us = ctx.now_us().saturating_sub(conn.connected_at_us);
                 ctx.record("shb.catchup_duration_ms", dur_us as f64 / 1_000.0);
@@ -1502,25 +1480,19 @@ fn deliver(
 ) {
     match &msg.kind {
         DeliveryKind::Event(e) => {
-            trace_event!(
-                ctx,
-                TraceEvent::Delivered {
-                    pubend: msg.pubend,
-                    ts: e.ts,
-                    sub,
-                    path,
-                }
-            );
+            traced!(ctx.trace(TraceEvent::Delivered {
+                pubend: msg.pubend,
+                ts: e.ts,
+                sub,
+                path,
+            }));
         }
         DeliveryKind::Gap(upto) => {
-            trace_event!(
-                ctx,
-                TraceEvent::GapDelivered {
-                    pubend: msg.pubend,
-                    sub,
-                    upto: *upto,
-                }
-            );
+            traced!(ctx.trace(TraceEvent::GapDelivered {
+                pubend: msg.pubend,
+                sub,
+                upto: *upto,
+            }));
         }
         DeliveryKind::Silence(_) => {}
     }

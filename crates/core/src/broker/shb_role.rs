@@ -9,7 +9,7 @@
 
 use super::{Broker, Shb};
 use crate::timer::{self, Kind};
-use gryphon_sim::{names, observe_metric, trace_event, NodeCtx, TraceEvent};
+use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_types::{
     CheckpointToken, ClientMsg, NodeId, PubendId, SubSlot, SubscriberId, SubscriptionSpec,
     Timestamp,
@@ -138,18 +138,15 @@ impl Broker {
         if full {
             ctx.count("shb.pfs_full_reads", 1.0);
         }
-        trace_event!(
-            ctx,
-            TraceEvent::PfsBatchRead {
-                pubend: p,
-                sub,
-                records: visited,
-                q_ticks,
-                full,
-            }
-        );
-        observe_metric!(ctx, names::PFS_BATCH_READ_RECORDS, visited as f64);
-        observe_metric!(ctx, names::PFS_BATCH_READ_QTICKS, q_ticks as f64);
+        traced!(ctx.trace(TraceEvent::PfsBatchRead {
+            pubend: p,
+            sub,
+            records: visited,
+            q_ticks,
+            full,
+        }));
+        traced!(ctx.observe(names::PFS_BATCH_READ_RECORDS, visited as f64));
+        traced!(ctx.observe(names::PFS_BATCH_READ_QTICKS, q_ticks as f64));
         let latency =
             self.config.pfs_read_base_us + self.config.pfs_read_per_record_us * visited as u64;
         // The timer parameter carries only the bare slab index (32 bits —

@@ -166,7 +166,7 @@ pub struct ParkedStream {
     pub doubt_floor: Timestamp,
 }
 
-/// Per-slot population-attribution counters (DESIGN.md §18).
+/// Per-slot population-attribution counters (DESIGN.md §9).
 ///
 /// Bumped with plain adds on the hot delivery/catchup paths and drained
 /// as window deltas by the SHB's periodic slab sweep, which feeds them

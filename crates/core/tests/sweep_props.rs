@@ -2,7 +2,7 @@
 //! populations (idle / connected / parked mixes with arbitrary window
 //! counters), `sweep_population` must report exactly what a naive
 //! recount of the slab says, attribute exactly the non-zero window
-//! deltas in slot order, and leave the counters drained (DESIGN.md §18).
+//! deltas in slot order, and leave the counters drained (DESIGN.md §9).
 
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;

@@ -13,8 +13,9 @@
 //! (exactly the crash-recovery replay the constream performs), so the
 //! PFS write is an idempotent no-op and deliveries still flow.
 //!
-//! Single `#[test]` on purpose: the counter is process-wide and the
-//! default harness is multi-threaded, so sibling tests would be noise.
+//! The counter only counts while the measuring thread has set its
+//! thread-local `MEASURING` flag: the allocator is process-wide, and
+//! libtest's own threads allocate whenever they like.
 
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;
@@ -25,10 +26,32 @@ use gryphon_types::{Event, NetMsg, NodeId, PubendId, SubscriberId, Timestamp};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set by the measuring thread around the measured burst.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_measuring() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs `burst` with this thread's allocations counted; returns how many
+/// it made.
+fn allocations_in(burst: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    MEASURING.with(|m| m.set(true));
+    burst();
+    MEASURING.with(|m| m.set(false));
+    ALLOCS.load(Ordering::SeqCst) - before
+}
 
 struct CountingAlloc;
 
@@ -36,7 +59,7 @@ struct CountingAlloc;
 // on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         unsafe { System.alloc(layout) }
     }
 
@@ -45,7 +68,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -138,9 +161,9 @@ fn constream_deliver_allocates_nothing_after_warmup() {
     reconnect_all(&mut shb, SUBS, &config, &mut ctx);
     ctx.sent.clear(); // capacity retained from the warm-up pass
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    shb.constream_advance(P, &cache, Timestamp(TICKS), &config, &mut ctx);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let allocated = allocations_in(|| {
+        shb.constream_advance(P, &cache, Timestamp(TICKS), &config, &mut ctx);
+    });
 
     assert_eq!(
         shb.delivered,
@@ -148,8 +171,7 @@ fn constream_deliver_allocates_nothing_after_warmup() {
         "measured pass must re-deliver the full span"
     );
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "constream deliver path allocated on the warm path"
     );
 }

@@ -1,5 +1,5 @@
 //! Run bundles: self-describing artifact directories for one `xp` run
-//! (DESIGN.md §14).
+//! (DESIGN.md §9).
 //!
 //! A bundle is everything a later diagnosis needs, in one directory:
 //!
@@ -21,10 +21,13 @@
 //!
 //! `xp --bundle-out DIR` writes one bundle per experiment and `xp
 //! doctor` reads them back ([`crate::doctor`]). The formats are the
-//! pinned ones the report already exports; the manifest is a flat JSON
-//! object (no nesting) so the offline reader needs no JSON library.
+//! pinned ones the report already exports, all written and read through
+//! the one record codec ([`gryphon_sim::codec`]); the manifest is a flat
+//! JSON object (no nesting).
 
 use crate::report::Report;
+use gryphon_sim::codec;
+use gryphon_sim::telemetry::Timeline;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -71,22 +74,8 @@ fn git_describe() -> String {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the flat manifest object: one `"key": value` pair per line,
-/// string and numeric/bool values only — the shape
-/// [`parse_flat_json`] reads back.
+/// Renders the flat manifest object ([`codec::flat_object`]): string and
+/// numeric/bool values only — the shape [`read_manifest`] reads back.
 fn render_manifest(report: &Report, meta: &BundleMeta) -> String {
     let firing = report
         .alerts()
@@ -103,51 +92,34 @@ fn render_manifest(report: &Report, meta: &BundleMeta) -> String {
         .as_ref()
         .map(|t| t.series_names().len())
         .unwrap_or(0);
-    let mut out = String::from("{\n");
-    let mut field = |k: &str, v: String| {
-        out.push_str(&format!("  \"{k}\": {v},\n"));
-    };
-    field("schema", format!("\"{}\"", json_escape(SCHEMA)));
-    field("experiment", format!("\"{}\"", json_escape(&report.id)));
-    field("version", format!("\"{}\"", env!("CARGO_PKG_VERSION")));
-    field("git", format!("\"{}\"", json_escape(&git_describe())));
-    field("quick", meta.quick.to_string());
-    field("interval_us", meta.interval_us.to_string());
-    field("seed_offset", meta.seed_offset.to_string());
-    field("degrade", meta.degrade.to_string());
-    field("counters", counters.to_string());
-    field("histograms", histograms.to_string());
-    field("series", series.to_string());
-    field("timeline_series", timeline_series.to_string());
-    field("alerts", report.alerts().len().to_string());
-    field("alerts_firing", firing.to_string());
-    // Close without a trailing comma: the last field is rewritten.
-    let trimmed = out.trim_end_matches(",\n").to_owned();
-    format!("{trimmed}\n}}\n")
+    let text = |key, v: &str| (key, v.to_owned(), true);
+    let bare = |key, v: &dyn std::fmt::Display| (key, v.to_string(), false);
+    let fields = [
+        text("schema", SCHEMA),
+        text("experiment", &report.id),
+        text("version", env!("CARGO_PKG_VERSION")),
+        text("git", &git_describe()),
+        bare("quick", &meta.quick),
+        bare("interval_us", &meta.interval_us),
+        bare("seed_offset", &meta.seed_offset),
+        bare("degrade", &meta.degrade),
+        bare("counters", &counters),
+        bare("histograms", &histograms),
+        bare("series", &series),
+        bare("timeline_series", &timeline_series),
+        bare("alerts", &report.alerts().len()),
+        bare("alerts_firing", &firing),
+    ];
+    codec::flat_object(&fields)
 }
 
-/// Parses the flat JSON object [`render_manifest`] writes (and nothing
-/// fancier): one `"key": value` pair per line, values either quoted
-/// strings or bare tokens. Returned values are unquoted raw strings.
-pub fn parse_flat_json(s: &str) -> Result<BTreeMap<String, String>, String> {
-    let mut out = BTreeMap::new();
-    for line in s.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "{" || line == "}" {
-            continue;
-        }
-        let rest = line
-            .strip_prefix('"')
-            .ok_or_else(|| format!("manifest: expected key line, got {line}"))?;
-        let (key, rest) = rest
-            .split_once("\": ")
-            .ok_or_else(|| format!("manifest: malformed pair {line}"))?;
-        let value = rest
-            .strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-            .unwrap_or(rest);
-        out.insert(key.to_owned(), value.to_owned());
-    }
+/// Parses a `manifest.json` into unquoted raw strings.
+///
+/// # Errors
+///
+/// Returns what was malformed, or that the schema tag is not [`SCHEMA`].
+pub fn read_manifest(s: &str) -> Result<BTreeMap<String, String>, String> {
+    let out = codec::parse_flat_object(s).map_err(|e| format!("manifest: {e}"))?;
     if out.get("schema").map(String::as_str) != Some(SCHEMA) {
         return Err(format!(
             "manifest: schema {:?} is not {SCHEMA}",
@@ -178,12 +150,15 @@ pub fn write_bundle(root: &Path, report: &Report, meta: &BundleMeta) -> std::io:
     write("manifest.json", &render_manifest(report, meta))?;
     write("metrics.csv", &report.metrics_csv())?;
     write("metrics.json", &report.metrics_json())?;
-    write("timeline.ndjson", &report.telemetry_ndjson())?;
-    write("timeline.csv", &report.telemetry_csv())?;
-    write("alerts.ndjson", &report.alerts_ndjson())?;
-    write("exemplars.ndjson", &report.exemplars_ndjson())?;
-    write("intervals.ndjson", &report.intervals_ndjson())?;
-    write("topk.ndjson", &report.topks_ndjson())?;
+    // A run without a sampler still writes every stream, empty.
+    let unsampled = Timeline::default();
+    let timeline = report.telemetry.as_ref().unwrap_or(&unsampled);
+    write("timeline.ndjson", &timeline.to_ndjson())?;
+    write("timeline.csv", &timeline.to_csv())?;
+    write("alerts.ndjson", &timeline.alerts_ndjson())?;
+    write("exemplars.ndjson", &timeline.exemplars_ndjson())?;
+    write("intervals.ndjson", &timeline.intervals_ndjson())?;
+    write("topk.ndjson", &timeline.topks_ndjson())?;
     write("snapshot.prom", report.prom.as_deref().unwrap_or(""))?;
     write("report.txt", &report.render())?;
     Ok(dir)
@@ -192,7 +167,6 @@ pub fn write_bundle(root: &Path, report: &Report, meta: &BundleMeta) -> std::io:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gryphon_sim::telemetry::Timeline;
     use gryphon_sim::Metrics;
 
     fn sample_report() -> Report {
@@ -241,7 +215,7 @@ mod tests {
         }
         assert!(dir.join("flight").is_dir());
         let manifest =
-            parse_flat_json(&std::fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap();
+            read_manifest(&std::fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap();
         assert_eq!(manifest["experiment"], "demo");
         assert_eq!(manifest["quick"], "true");
         assert_eq!(manifest["interval_us"], "500000");
@@ -259,8 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_json_parser_rejects_wrong_schema() {
-        assert!(parse_flat_json("{\n  \"schema\": \"other/9\"\n}\n").is_err());
-        assert!(parse_flat_json("not json").is_err());
+    fn manifest_reader_rejects_wrong_schema() {
+        assert!(read_manifest("{\n  \"schema\": \"other/9\"\n}\n").is_err());
+        assert!(read_manifest("not json").is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! `xp doctor` — offline diagnosis over run bundles (DESIGN.md §14).
+//! `xp doctor` — offline diagnosis over run bundles (DESIGN.md §9).
 //!
 //! Three verbs, all reading the bundle directories
 //! [`crate::bundle::write_bundle`] produces:
@@ -21,8 +21,9 @@
 //! * `export-trace BUNDLE -o OUT.json` — Chrome/Perfetto trace-event
 //!   export of the forensics streams ([`crate::trace_export`]).
 
-use crate::bundle::parse_flat_json;
+use crate::bundle::read_manifest;
 use crate::report::HistogramSummary;
+use gryphon_sim::codec::{self, json_escape, json_num};
 use gryphon_sim::forensics::BusyInterval;
 use gryphon_sim::telemetry::{sparkline, Timeline};
 use gryphon_sim::{default_rules, AlertRecord, AlertState, Exemplar, HealthEngine, TopKSnapshot};
@@ -93,7 +94,7 @@ fn csv_fields(line: &str) -> Vec<String> {
 ///
 /// Returns a description of the first missing or malformed artifact.
 pub fn load_bundle(dir: &Path) -> Result<Bundle, String> {
-    let manifest = parse_flat_json(&read(dir, "manifest.json")?)?;
+    let manifest = read_manifest(&read(dir, "manifest.json")?)?;
     let interval_us: u64 = manifest
         .get("interval_us")
         .and_then(|v| v.parse().ok())
@@ -138,21 +139,13 @@ pub fn load_bundle(dir: &Path) -> Result<Bundle, String> {
         }
     }
     let timeline = Timeline::from_ndjson(&read(dir, "timeline.ndjson")?, interval_us)?;
-    let alerts = Timeline::alerts_from_ndjson(&read(dir, "alerts.ndjson")?)?;
+    let alerts = codec::from_ndjson(&read(dir, "alerts.ndjson")?)?;
     // Forensics artifacts are newer than the bundle schema itself:
-    // tolerate their absence (pre-§17 bundles) but not malformation.
-    let exemplars = match std::fs::read_to_string(dir.join("exemplars.ndjson")) {
-        Ok(s) => Timeline::exemplars_from_ndjson(&s)?,
-        Err(_) => Vec::new(),
-    };
-    let intervals = match std::fs::read_to_string(dir.join("intervals.ndjson")) {
-        Ok(s) => Timeline::intervals_from_ndjson(&s)?,
-        Err(_) => Vec::new(),
-    };
-    let topks = match std::fs::read_to_string(dir.join("topk.ndjson")) {
-        Ok(s) => Timeline::topks_from_ndjson(&s)?,
-        Err(_) => Vec::new(),
-    };
+    // tolerate their absence (older bundles) but not malformation.
+    let optional = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap_or_default();
+    let exemplars = codec::from_ndjson(&optional("exemplars.ndjson"))?;
+    let intervals = codec::from_ndjson(&optional("intervals.ndjson"))?;
+    let topks = codec::from_ndjson(&optional("topk.ndjson"))?;
     Ok(Bundle {
         dir: dir.to_path_buf(),
         manifest,
@@ -189,6 +182,16 @@ pub fn replay_health(timeline: &Timeline) -> Vec<AlertRecord> {
 /// Entry point for `xp doctor <verb> …`; returns the process exit code
 /// (0 healthy, 1 regression/alerts found, 2 usage or read error).
 pub fn run(args: &[String]) -> i32 {
+    // Loads the bundle at `path` and hands it to `verb`; a bundle that
+    // does not load is a usage error.
+    let with_bundle = |path: &str, verb: &dyn Fn(&Bundle) -> i32| match load_bundle(Path::new(path))
+    {
+        Ok(b) => verb(&b),
+        Err(e) => {
+            eprintln!("error: {e}");
+            2
+        }
+    };
     match args.first().map(String::as_str) {
         Some("inspect") if args.len() >= 2 => {
             let mut full_exemplars = false;
@@ -205,59 +208,32 @@ pub fn run(args: &[String]) -> i32 {
                     }
                 }
             }
-            match load_bundle(Path::new(&args[1])) {
-                Ok(b) => {
-                    if json {
-                        print!("{}", inspect_json(&b));
-                    } else {
-                        print!("{}", inspect(&b, full_exemplars, full_topk));
-                    }
-                    0
+            with_bundle(&args[1], &|b| {
+                if json {
+                    print!("{}", inspect_json(b));
+                } else {
+                    print!("{}", inspect(b, full_exemplars, full_topk));
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    2
-                }
-            }
+                0
+            })
         }
-        Some("export-trace") if args.len() == 4 && args[2] == "-o" => {
-            match load_bundle(Path::new(&args[1])) {
-                Ok(b) => {
-                    let json = crate::trace_export::chrome_trace_json(
-                        &b.intervals,
-                        &b.exemplars,
-                        &b.alerts,
-                    );
-                    match std::fs::write(&args[3], json) {
-                        Ok(()) => {
-                            println!(
-                                "wrote {} ({} intervals, {} exemplars, {} alerts)",
-                                args[3],
-                                b.intervals.len(),
-                                b.exemplars.len(),
-                                b.alerts.len()
-                            );
-                            0
-                        }
-                        Err(e) => {
-                            eprintln!("error: cannot write {}: {e}", args[3]);
-                            2
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    2
-                }
+        Some("export-trace") if args.len() == 4 && args[2] == "-o" => with_bundle(&args[1], &|b| {
+            let json =
+                crate::trace_export::chrome_trace_json(&b.intervals, &b.exemplars, &b.alerts);
+            if let Err(e) = std::fs::write(&args[3], json) {
+                eprintln!("error: cannot write {}: {e}", args[3]);
+                return 2;
             }
-        }
-        Some("check") if args.len() == 2 => match load_bundle(Path::new(&args[1])) {
-            Ok(b) => check(&b),
-            Err(e) => {
-                eprintln!("error: {e}");
-                2
-            }
-        },
+            println!(
+                "wrote {} ({} intervals, {} exemplars, {} alerts)",
+                args[3],
+                b.intervals.len(),
+                b.exemplars.len(),
+                b.alerts.len()
+            );
+            0
+        }),
+        Some("check") if args.len() == 2 => with_bundle(&args[1], &check),
         Some("diff") if args.len() >= 3 => {
             let mut threshold_pct = 25.0;
             let mut abs_floor_us = 1_000.0;
@@ -273,17 +249,9 @@ pub fn run(args: &[String]) -> i32 {
                     }
                 }
             }
-            let (a, b) = match (
-                load_bundle(Path::new(&args[1])),
-                load_bundle(Path::new(&args[2])),
-            ) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
-            diff(&a, &b, threshold_pct, abs_floor_us)
+            with_bundle(&args[1], &|a| {
+                with_bundle(&args[2], &|b| diff(a, b, threshold_pct, abs_floor_us))
+            })
         }
         _ => {
             eprintln!(
@@ -390,7 +358,7 @@ pub fn inspect(b: &Bundle, full_exemplars: bool, full_topk: bool) -> String {
         }
     }
 
-    // Per-entity attribution (DESIGN.md §18): the latest window's
+    // Per-entity attribution (DESIGN.md §9): the latest window's
     // top-K snapshot per dimension answers "who" the way the stage
     // table answers "where".
     let latest = latest_topks(b);
@@ -478,22 +446,11 @@ pub fn inspect(b: &Bundle, full_exemplars: bool, full_topk: bool) -> String {
     out
 }
 
-/// A finite f64 as a bare JSON number, non-finite as `null` (NaN from
-/// a malformed CSV cell must not produce invalid JSON).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Renders the machine-readable `inspect --json` object: the manifest,
 /// the slowest latency stages, the alert log, and the latest top-K
 /// attribution snapshot per dimension — the same facts as the human
 /// summary, for scripts that would otherwise scrape its tables.
 pub fn inspect_json(b: &Bundle) -> String {
-    use crate::bundle::json_escape;
     let mut out = String::from("{\n  \"manifest\": {");
     for (i, (k, v)) in b.manifest.iter().enumerate() {
         if i > 0 {
@@ -630,7 +587,7 @@ const GUARDED_SERIES: &[&str] = &["telemetry.shb.bytes_per_idle_sub"];
 /// Sketch gauge series whose regression `diff` attributes to a named
 /// entity: each maps to the top-K dimension whose leading entry in
 /// bundle B's latest snapshot is the population member driving the
-/// gauge (DESIGN.md §18).
+/// gauge (DESIGN.md §9).
 const ATTRIBUTED_SERIES: &[(&str, &str)] = &[
     (
         gryphon_sim::names::SKETCH_LAG_P99_US,

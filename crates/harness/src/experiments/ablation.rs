@@ -1,7 +1,7 @@
 //! Ablations of the design decisions DESIGN.md calls out.
 
 use crate::report::{fmt_rate, Report, Table};
-use crate::topology::{System, TopologySpec};
+use crate::topology::{RunOptions, System, TopologySpec};
 use crate::workload::Workload;
 use gryphon::{Pfs, PfsMode, SubscriberConfig};
 use gryphon_storage::MemFactory;
@@ -11,8 +11,8 @@ use gryphon_types::{PubendId, SubscriberId, Timestamp};
 /// are all served by the constream sustains ≈2× the rate of one where
 /// every subscriber runs a private catchup stream (paper: 20 K vs 10 K
 /// ev/s).
-pub fn run_consolidation(quick: bool) -> Report {
-    let run_us = if quick { 12_000_000 } else { 40_000_000 };
+pub fn run_consolidation(opts: &RunOptions) -> Report {
+    let run_us = if opts.quick { 12_000_000 } else { 40_000_000 };
     let mut report = Report::new("ablation_consol");
     let mut t = Table::new(
         "Stream consolidation (paper: ~20K ev/s constream-only vs ~10K all-catchup)",
@@ -28,6 +28,7 @@ pub fn run_consolidation(quick: bool) -> Report {
     for (label, disconnecting) in [("all constream", false), ("perpetual catchup", true)] {
         let spec = TopologySpec {
             seed: 61,
+            run: opts.clone(),
             n_shbs: 1,
             ..TopologySpec::default()
         };
@@ -87,8 +88,8 @@ pub fn run_consolidation(quick: bool) -> Report {
 /// retention window against a fixed 10 s absence: a cache covering the
 /// absence answers catchup locally; a smaller one pushes recovery to the
 /// pubend (visible as PHB work and longer catchup).
-pub fn run_cache_sweep(quick: bool) -> Report {
-    let run_us: u64 = if quick { 30_000_000 } else { 90_000_000 };
+pub fn run_cache_sweep(opts: &RunOptions) -> Report {
+    let run_us: u64 = if opts.quick { 30_000_000 } else { 90_000_000 };
     let mut report = Report::new("ablation_cache");
     let mut t = Table::new(
         "Future-work sweep: SHB cache window vs catchup behaviour (10 s absences)",
@@ -103,6 +104,7 @@ pub fn run_cache_sweep(quick: bool) -> Report {
     for &(label, window_ticks) in &[("2 s", 2_000u64), ("5 s", 5_000), ("60 s", 60_000)] {
         let spec = TopologySpec {
             seed: 64,
+            run: opts.clone(),
             n_shbs: 1,
             broker_config: gryphon::BrokerConfig {
                 cache_window_ticks: window_ticks,
@@ -161,8 +163,8 @@ pub fn run_cache_sweep(quick: bool) -> Report {
 
 /// Extension ablation — precise vs imprecise PFS (paper §4.2 mentions the
 /// trade-off; its implementation is precise).
-pub fn run_pfs_mode(quick: bool) -> Report {
-    let events: u64 = if quick { 4_000 } else { 80_000 };
+pub fn run_pfs_mode(opts: &RunOptions) -> Report {
+    let events: u64 = if opts.quick { 4_000 } else { 80_000 };
     let subscribers = 100u64;
     let classes = 4u64;
     let mut report = Report::new("ablation_pfs_mode");

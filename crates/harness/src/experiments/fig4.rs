@@ -13,7 +13,7 @@
 //! ≈20 K ev/s).
 
 use crate::report::{fmt_rate, Report, Table};
-use crate::topology::{System, TopologySpec};
+use crate::topology::{RunOptions, System, TopologySpec};
 use crate::workload::Workload;
 
 struct Cell {
@@ -32,11 +32,13 @@ fn run_config(
     disconnecting: bool,
     run_us: u64,
     label: &'static str,
+    opts: &RunOptions,
 ) -> (Cell, System) {
     let spec = TopologySpec {
         seed,
         combined,
         n_shbs,
+        run: opts.clone(),
         ..TopologySpec::default()
     };
     let workload = if disconnecting {
@@ -78,8 +80,8 @@ fn run_config(
 }
 
 /// Runs the Figure 4 reproduction.
-pub fn run(quick: bool) -> Report {
-    let run_us = if quick { 12_000_000 } else { 60_000_000 };
+pub fn run(opts: &RunOptions) -> Report {
+    let run_us = if opts.quick { 12_000_000 } else { 60_000_000 };
     let configs: Vec<(&'static str, bool, usize)> = vec![
         ("1 broker", true, 1),
         ("1 SHB", false, 1),
@@ -114,6 +116,7 @@ pub fn run(quick: bool) -> Report {
                 disconnecting,
                 run_us,
                 label,
+                opts,
             );
             last_sys = Some(sys);
             t.row(&[

@@ -11,14 +11,15 @@
 //!   jumps on acknowledgment.
 
 use crate::report::{Report, Table};
-use crate::topology::{System, TopologySpec};
+use crate::topology::{RunOptions, System, TopologySpec};
 use crate::workload::Workload;
 
-fn shared_run(quick: bool) -> (System, u64) {
-    let run_us: u64 = if quick { 40_000_000 } else { 150_000_000 };
-    let period = if quick { 20_000_000 } else { 30_000_000 };
+fn shared_run(opts: &RunOptions) -> (System, u64) {
+    let run_us: u64 = if opts.quick { 40_000_000 } else { 150_000_000 };
+    let period = if opts.quick { 20_000_000 } else { 30_000_000 };
     let spec = TopologySpec {
         seed: 56,
+        run: opts.clone(),
         n_shbs: 1,
         // Catchup delivery is bounded by the per-client link (the paper's
         // flow control keeps catchup from overwhelming the client):
@@ -37,8 +38,8 @@ fn shared_run(quick: bool) -> (System, u64) {
 }
 
 /// Figure 5: catchup duration distribution.
-pub fn run_fig5(quick: bool) -> Report {
-    let (sys, _run_us) = shared_run(quick);
+pub fn run_fig5(opts: &RunOptions) -> Report {
+    let (sys, _run_us) = shared_run(opts);
     let mut report = Report::new("fig5");
     let mut durations: Vec<(f64, f64)> = Vec::new();
     for &(h, _) in &sys.subscribers {
@@ -73,8 +74,8 @@ pub fn run_fig5(quick: bool) -> Report {
 }
 
 /// Figure 6: `latestDelivered(p)` / `released(p)` advance rates.
-pub fn run_fig6(quick: bool) -> Report {
-    let (sys, run_us) = shared_run(quick);
+pub fn run_fig6(opts: &RunOptions) -> Report {
+    let (sys, run_us) = shared_run(opts);
     let mut report = Report::new("fig6");
     // The SHB is broker id 1 in this topology; pubend 0 is representative
     // (as in the paper's "1 of the 4 pubends").

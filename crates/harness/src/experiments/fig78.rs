@@ -19,7 +19,7 @@
 //!   moves (nack consolidation).
 
 use crate::report::{Report, Table};
-use crate::topology::{System, TopologySpec};
+use crate::topology::{RunOptions, System, TopologySpec};
 use crate::workload::Workload;
 use gryphon::SubscriberConfig;
 
@@ -30,8 +30,8 @@ struct CrashRun {
     run_us: u64,
 }
 
-fn crash_run(quick: bool) -> CrashRun {
-    let (warmup, crash_dur, tail) = if quick {
+fn crash_run(opts: &RunOptions) -> CrashRun {
+    let (warmup, crash_dur, tail) = if opts.quick {
         (10_000_000u64, 10_000_000u64, 60_000_000u64)
     } else {
         (30_000_000, 25_000_000, 180_000_000)
@@ -40,6 +40,7 @@ fn crash_run(quick: bool) -> CrashRun {
     let run_us = warmup + crash_dur + tail;
     let spec = TopologySpec {
         seed: 78,
+        run: opts.clone(),
         n_shbs: 1,
         // PHB→SHB uplink: nominal knowledge traffic ≈ 800 ev/s × 330 B ≈
         // 260 KB/s; 5× headroom reproduces the paper's ≈5× recovery slope.
@@ -116,8 +117,8 @@ fn recovery_slope(series: &[(u64, f64)], restart_us: u64) -> f64 {
 }
 
 /// Figure 7: `latestDelivered` / `released` through the crash.
-pub fn run_fig7(quick: bool) -> Report {
-    let run = crash_run(quick);
+pub fn run_fig7(opts: &RunOptions) -> Report {
+    let run = crash_run(opts);
     let mut report = Report::new("fig7");
     let ld = run.sys.sim.metrics().series("shb1.ld.0").to_vec();
     let rel = run.sys.sim.metrics().series("shb1.released.0").to_vec();
@@ -175,8 +176,8 @@ pub fn run_fig7(quick: bool) -> Report {
 }
 
 /// Figure 8: per-client-machine rates and CPU idle through the crash.
-pub fn run_fig8(quick: bool) -> Report {
-    let run = crash_run(quick);
+pub fn run_fig8(opts: &RunOptions) -> Report {
+    let run = crash_run(opts);
     let mut report = Report::new("fig8");
     let crash_end = run.crash_at_us + run.crash_dur_us;
 

@@ -7,6 +7,7 @@
 //! into one transaction (4 threads, subscriber-hashed).
 
 use crate::report::{fmt_rate, Report, Table};
+use crate::topology::RunOptions;
 use gryphon::{Broker, BrokerConfig, PublisherClient, SubscriberClient, SubscriberConfig};
 use gryphon_sim::Sim;
 use gryphon_storage::MemFactory;
@@ -19,9 +20,9 @@ struct JmsCell {
     mean_batch: f64,
 }
 
-fn run_jms(seed: u64, n_subs: usize, run_us: u64) -> (JmsCell, Sim) {
+fn run_jms(seed: u64, n_subs: usize, run_us: u64, opts: &RunOptions) -> (JmsCell, Sim) {
     let mut sim = Sim::new(seed);
-    crate::topology::apply_sim_defaults(&mut sim);
+    opts.arm(&mut sim);
     let b = sim.add_typed_node(
         "broker",
         Broker::new(0, Box::new(MemFactory::new()), BrokerConfig::default())
@@ -67,8 +68,8 @@ fn run_jms(seed: u64, n_subs: usize, run_us: u64) -> (JmsCell, Sim) {
 }
 
 /// Runs the JMS experiment.
-pub fn run(quick: bool) -> Report {
-    let run_us = if quick { 8_000_000 } else { 30_000_000 };
+pub fn run(opts: &RunOptions) -> Report {
+    let run_us = if opts.quick { 8_000_000 } else { 30_000_000 };
     let mut report = Report::new("jms");
     let mut t = Table::new(
         "§5.2 JMS auto-acknowledge peak rate (paper: 25 subs → 4K ev/s, 200 subs → 7.6K ev/s)",
@@ -82,7 +83,7 @@ pub fn run(quick: bool) -> Report {
     let mut cells = Vec::new();
     let mut last_sim: Option<Sim> = None;
     for (i, &n) in [25usize, 200].iter().enumerate() {
-        let (cell, sim) = run_jms(90 + i as u64, n, run_us);
+        let (cell, sim) = run_jms(90 + i as u64, n, run_us, opts);
         last_sim = Some(sim);
         t.row(&[
             cell.subs.to_string(),

@@ -9,15 +9,16 @@
 //! forwarding — the design the paper argues against.
 
 use crate::report::{Report, Table};
+use crate::topology::RunOptions;
 use gryphon::{Broker, BrokerConfig, PublisherClient, SubscriberClient, SubscriberConfig};
 use gryphon_baseline::{SfConfig, SfSubscriber, StoreForwardBroker};
 use gryphon_sim::Sim;
 use gryphon_storage::MemFactory;
 use gryphon_types::{PubendId, SubscriberId};
 
-fn gryphon_chain_latency(run_us: u64) -> (f64, u64, Sim) {
+fn gryphon_chain_latency(run_us: u64, opts: &RunOptions) -> (f64, u64, Sim) {
     let mut sim = Sim::new(11);
-    crate::topology::apply_sim_defaults(&mut sim);
+    opts.arm(&mut sim);
     let config = BrokerConfig::default();
     let phb = sim.add_typed_node(
         "phb",
@@ -97,13 +98,13 @@ fn baseline_chain_latency(run_us: u64) -> (f64, u64) {
 }
 
 /// Runs the latency experiment.
-pub fn run(quick: bool) -> Report {
-    let run_us = if quick { 5_000_000 } else { 20_000_000 };
+pub fn run(opts: &RunOptions) -> Report {
+    let run_us = if opts.quick { 5_000_000 } else { 20_000_000 };
     let config = BrokerConfig::default();
     let logging_ms =
         (config.phb_commit_latency_us + config.phb_commit_interval_us / 2) as f64 / 1_000.0;
 
-    let (gry_ms, gry_events, gry_sim) = gryphon_chain_latency(run_us);
+    let (gry_ms, gry_events, gry_sim) = gryphon_chain_latency(run_us, opts);
     let (sf_ms, sf_events) = baseline_chain_latency(run_us);
 
     let mut report = Report::new("latency");

@@ -28,12 +28,12 @@
 //! so run bundles carry it and `xp doctor diff` can guard it.
 
 use crate::report::{Report, Table};
-use crate::topology;
+use crate::topology::RunOptions;
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;
-use gryphon_sim::sketch::{PopulationSketch, SketchConfig, DIM_SUB_BYTES, DIM_SUB_LAG};
+use gryphon_sim::sketch::{SketchConfig, DIM_SUB_LAG};
 use gryphon_sim::telemetry::Sampler;
-use gryphon_sim::{default_rules, names, AlertState, HealthEngine, Metrics, NodeCtx, TimerKey};
+use gryphon_sim::{default_rules, AlertState, HealthEngine, NodeCtx, Observers, TimerKey};
 use gryphon_storage::MemFactory;
 use gryphon_streams::KnowledgeStream;
 use gryphon_types::{
@@ -62,16 +62,15 @@ struct WorkloadSpec {
     churn_pct: f64,
 }
 
-/// Direct-drive context: counters/gauges land in a [`Metrics`] the
-/// report snapshots, everything else is inert. `me()` is node 1, so the
-/// gauge shards match a single-broker run (`telemetry.shb.*.n1`).
+/// Direct-drive context: counters, gauges and sketch attributions land
+/// in an [`Observers`] (the owner the runtimes embed, so each census
+/// closes its window exactly as they do); sends, timers and trace events
+/// go nowhere. `me()` is node 1, so the gauge shards match a
+/// single-broker run (`telemetry.shb.*.n1`).
 struct DriveCtx {
     now_us: u64,
-    metrics: Metrics,
+    obs: Observers,
     rng: SmallRng,
-    /// Population sketch fed by [`Shb::sweep_population`] through the
-    /// `attribute` hook and drained at each census (DESIGN.md §18).
-    sketch: PopulationSketch,
 }
 
 impl NodeCtx for DriveCtx {
@@ -88,20 +87,19 @@ impl NodeCtx for DriveCtx {
     }
     fn work(&mut self, _cost_us: u64) {}
     fn record(&mut self, series: &str, value: f64) {
-        let now = self.now_us;
-        self.metrics.record(now, series, value);
+        self.obs.record(self.now_us, series, value);
     }
     fn count(&mut self, counter: &str, delta: f64) {
-        self.metrics.count(counter, delta);
+        self.obs.count(counter, delta);
     }
     fn observe(&mut self, name: &str, value: f64) {
-        self.metrics.observe(name, value);
+        self.obs.observe(name, value);
     }
     fn gauge(&mut self, name: &str, value: f64) {
-        self.metrics.set_gauge(name, value);
+        self.obs.gauge(name, value);
     }
     fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        self.sketch.attribute(dim, entity, weight);
+        self.obs.attribute(dim, entity, weight);
     }
 }
 
@@ -142,47 +140,17 @@ fn census(
     sampler: &mut Sampler,
     health: Option<&mut HealthEngine>,
 ) -> f64 {
-    // Publish through the broker's own gauge path, then sample the
+    // Publish through the broker's own gauge path, then close the
     // timeline window — the bundle carries exactly what a live broker
     // would publish on its meta-persist timer. The population sweep
     // runs first (the live broker runs it on the same timer), so the
-    // window's sample carries the per-entity attribution it produced,
-    // in the same drain→gauges→sample→alerts→topk order as the
-    // simulator's sampler loop.
+    // window's sample carries the per-entity attribution it produced.
     ctx.now_us += 500_000;
     shb.sweep_population(ctx);
     shb.update_telemetry_gauges(ctx);
     shb.update_memory_gauges(ctx);
-    let (snaps, stats) = ctx.sketch.drain(ctx.now_us);
-    if let Some(stats) = stats {
-        ctx.metrics
-            .set_gauge(names::SKETCH_LAG_POPULATION, stats.population as f64);
-        ctx.metrics
-            .set_gauge(names::SKETCH_LAG_P50_US, stats.p50_us as f64);
-        ctx.metrics
-            .set_gauge(names::SKETCH_LAG_P99_US, stats.p99_us as f64);
-        ctx.metrics
-            .set_gauge(names::SKETCH_LAG_MAX_US, stats.max_us as f64);
-        ctx.metrics.set_gauge(names::SKETCH_LAG_SKEW, stats.skew());
-    }
-    if let Some(bytes) = snaps.iter().find(|s| s.dim == DIM_SUB_BYTES) {
-        ctx.metrics
-            .set_gauge(names::SKETCH_DOMINANCE_SHARE, bytes.alarm_share());
-    }
-    sampler.sample(ctx.now_us, &ctx.metrics);
-    if let Some(engine) = health {
-        for mut alert in engine.evaluate(ctx.now_us, sampler.timeline()) {
-            gryphon_sim::sketch::name_culprit(&mut alert.detail, &alert.series, &snaps);
-            if alert.state == AlertState::Firing {
-                ctx.metrics
-                    .count(&format!("health.alert.{}", alert.rule), 1.0);
-            }
-            sampler.timeline_mut().push_alert(alert);
-        }
-    }
-    for snap in snaps {
-        sampler.timeline_mut().push_topk(snap);
-    }
+    ctx.obs
+        .close_window(ctx.now_us, ctx.now_us, sampler, health);
     let bytes = shb.slab_bytes();
     let idle = shb.idle_subs().max(1);
     let per_idle = bytes as f64 / idle as f64;
@@ -200,24 +168,29 @@ fn census(
 }
 
 /// Runs the workload. `--subs` / `--churn-pct` override the defaults
-/// (see [`topology::default_mega_subs`]).
-pub fn run(quick: bool) -> Report {
+/// ([`RunOptions::mega_subs`], [`RunOptions::churn_pct`]).
+pub fn run(opts: &RunOptions) -> Report {
+    let quick = opts.quick;
     let spec = WorkloadSpec {
-        subs: topology::default_mega_subs().unwrap_or(if quick { 20_000 } else { 1_000_000 }),
+        subs: opts
+            .mega_subs
+            .unwrap_or(if quick { 20_000 } else { 1_000_000 }),
         connected: if quick { 256 } else { 512 },
         storm: if quick { 128 } else { 256 },
         ticks: if quick { 128 } else { 256 },
         classes: if quick { 128 } else { 256 },
-        churn_pct: topology::default_churn_pct().unwrap_or(1.0),
+        churn_pct: opts.churn_pct.unwrap_or(1.0),
     };
     let config = BrokerConfig::default();
+    // No trace ring: nothing here emits trace events.
+    let mut obs = Observers::new(0);
+    obs.arm_sketch(SketchConfig::default());
     let mut ctx = DriveCtx {
         now_us: 0,
-        metrics: Metrics::default(),
+        obs,
         rng: SmallRng::seed_from_u64(7),
-        sketch: PopulationSketch::new(SketchConfig::default()),
     };
-    let slow_sub_mode = topology::default_slow_sub();
+    let slow_sub_mode = opts.slow_sub;
     // The health engine arms only for the slow-sub drill: the storm
     // phase legitimately opens short-lived catchup streams whose lag
     // would read as skew, and the drill is about the planted laggard.
@@ -487,14 +460,14 @@ pub fn run(quick: bool) -> Report {
     // The attribution layer's memory is O(K) per dimension no matter
     // how large the population is — the acceptance bound for running
     // this sketch at 10^6 subscribers.
-    let sketch_bytes = ctx.sketch.approx_heap_bytes();
+    let sketch_bytes = ctx.obs.sketch().map_or(0, |s| s.approx_heap_bytes());
     assert!(
         sketch_bytes <= 4 * 1024,
         "population sketch must stay O(K): {sketch_bytes} B for {} subs",
         spec.subs
     );
 
-    let rehydrations = ctx.metrics.counter("shb.stream_rehydrations");
+    let rehydrations = ctx.obs.metrics().counter("shb.stream_rehydrations");
     let mut report = Report::new("mega_subs");
     report.table(t);
     report.note(format!(
@@ -521,7 +494,7 @@ pub fn run(quick: bool) -> Report {
     if let Some(n) = slow_note {
         report.note(n);
     }
-    report.attach_metrics(&ctx.metrics);
+    report.attach_metrics(ctx.obs.metrics());
     report.attach_telemetry(sampler.into_timeline());
     report
 }

@@ -12,6 +12,7 @@
 //! (std::fs with `sync_data`) through the same `Media` abstraction.
 
 use crate::report::{Report, Table};
+use crate::topology::RunOptions;
 use gryphon::{Pfs, PfsMode};
 use gryphon_baseline::PerSubscriberLog;
 use gryphon_storage::{FileFactory, MediaFactory};
@@ -103,9 +104,9 @@ fn run_event_log(dir: &std::path::Path, spec: &WorkloadSpec) -> (f64, u64, u64) 
 }
 
 /// Runs the microbenchmark on real files.
-pub fn run(quick: bool) -> Report {
+pub fn run(opts: &RunOptions) -> Report {
     let spec = WorkloadSpec {
-        seconds: if quick { 5 } else { 100 },
+        seconds: if opts.quick { 5 } else { 100 },
         input_rate: 800,
         subscribers: 100,
         classes: 4,

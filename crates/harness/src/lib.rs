@@ -38,7 +38,7 @@ pub mod experiments {
 }
 
 pub use report::{Report, Table};
-pub use topology::{System, TopologySpec};
+pub use topology::{RunOptions, System, TopologySpec};
 pub use workload::Workload;
 
 /// Every experiment id known to the harness, with a one-line summary.
@@ -100,20 +100,20 @@ pub fn catalog() -> Vec<(&'static str, &'static str)> {
 /// # Errors
 ///
 /// Returns an error string for unknown ids.
-pub fn run(id: &str, quick: bool) -> Result<Report, String> {
+pub fn run(id: &str, opts: &RunOptions) -> Result<Report, String> {
     match id {
-        "latency" => Ok(experiments::latency::run(quick)),
-        "fig4" => Ok(experiments::fig4::run(quick)),
-        "fig5" => Ok(experiments::fig56::run_fig5(quick)),
-        "fig6" => Ok(experiments::fig56::run_fig6(quick)),
-        "pfs_micro" => Ok(experiments::pfs_micro::run(quick)),
-        "jms" => Ok(experiments::jms::run(quick)),
-        "fig7" => Ok(experiments::fig78::run_fig7(quick)),
-        "fig8" => Ok(experiments::fig78::run_fig8(quick)),
-        "ablation_consol" => Ok(experiments::ablation::run_consolidation(quick)),
-        "ablation_pfs_mode" => Ok(experiments::ablation::run_pfs_mode(quick)),
-        "ablation_cache" => Ok(experiments::ablation::run_cache_sweep(quick)),
-        "mega_subs" => Ok(experiments::mega_subs::run(quick)),
+        "latency" => Ok(experiments::latency::run(opts)),
+        "fig4" => Ok(experiments::fig4::run(opts)),
+        "fig5" => Ok(experiments::fig56::run_fig5(opts)),
+        "fig6" => Ok(experiments::fig56::run_fig6(opts)),
+        "pfs_micro" => Ok(experiments::pfs_micro::run(opts)),
+        "jms" => Ok(experiments::jms::run(opts)),
+        "fig7" => Ok(experiments::fig78::run_fig7(opts)),
+        "fig8" => Ok(experiments::fig78::run_fig8(opts)),
+        "ablation_consol" => Ok(experiments::ablation::run_consolidation(opts)),
+        "ablation_pfs_mode" => Ok(experiments::ablation::run_pfs_mode(opts)),
+        "ablation_cache" => Ok(experiments::ablation::run_cache_sweep(opts)),
+        "mega_subs" => Ok(experiments::mega_subs::run(opts)),
         other => Err(format!(
             "unknown experiment '{other}'; known: {}",
             catalog()
@@ -127,18 +127,25 @@ pub fn run(id: &str, quick: bool) -> Result<Report, String> {
 
 #[cfg(test)]
 mod tests {
+    fn quick() -> super::RunOptions {
+        super::RunOptions {
+            quick: true,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn catalog_ids_all_run() {
         for (id, _) in super::catalog() {
             // Quick mode keeps this test affordable; the point is that
             // every catalogued id dispatches.
-            let report = super::run(id, true).unwrap_or_else(|e| panic!("{id}: {e}"));
+            let report = super::run(id, &quick()).unwrap_or_else(|e| panic!("{id}: {e}"));
             assert!(!report.tables.is_empty(), "{id} produced no tables");
         }
     }
 
     #[test]
     fn unknown_id_is_an_error() {
-        assert!(super::run("nope", true).is_err());
+        assert!(super::run("nope", &quick()).is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! Printable experiment reports.
 
+use gryphon_sim::codec::{json_escape, json_num};
 use gryphon_sim::telemetry::{sparkline, Timeline};
 use gryphon_sim::Metrics;
 
@@ -10,32 +11,6 @@ fn csv_escape(field: &str) -> String {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
         field.to_owned()
-    }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON number (JSON has no NaN/Infinity).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
     }
 }
 
@@ -187,14 +162,13 @@ pub struct Report {
     /// [`Report::attach_metrics`]).
     pub metrics: Option<MetricsSection>,
     /// Prometheus text-format rendering of the same metrics snapshot
-    /// (the `xp --prom-out` export; set by [`Report::attach_metrics`]).
+    /// (the bundle's `snapshot.prom`; set by [`Report::attach_metrics`]).
     pub prom: Option<String>,
     /// Rendered trace lines (attach with [`Report::attach_trace`]).
     pub trace: Vec<String>,
     /// Time-resolved telemetry timeline (attach with
-    /// [`Report::attach_telemetry`]); rendered as sparklines and
-    /// exported via [`Report::telemetry_ndjson`] /
-    /// [`Report::telemetry_csv`].
+    /// [`Report::attach_telemetry`]); rendered as sparklines, and
+    /// exported stream by stream into a run bundle.
     pub telemetry: Option<Timeline>,
 }
 
@@ -238,7 +212,7 @@ impl Report {
     /// latest top-K snapshots onto the Prometheus snapshot, replacing
     /// any block a previous attach left (both attach orders work, and
     /// re-attaching never duplicates). Cardinality is bounded at K
-    /// label pairs per dimension by the sketch itself (DESIGN.md §18):
+    /// label pairs per dimension by the sketch itself (DESIGN.md §9):
     /// this is the one place the exporter emits per-entity labels, and
     /// it can never exceed `dims × K` series.
     fn append_topk_prom(&mut self) {
@@ -300,66 +274,12 @@ impl Report {
         self
     }
 
-    /// Dumps the attached telemetry timeline as ndjson (one
-    /// `{"series": ..., "t_us": ..., "value": ...}` object per sample).
-    /// Empty when no timeline is attached.
-    pub fn telemetry_ndjson(&self) -> String {
-        self.telemetry
-            .as_ref()
-            .map(Timeline::to_ndjson)
-            .unwrap_or_default()
-    }
-
-    /// Dumps the attached telemetry timeline as CSV
-    /// (`series,t_us,value`). Header-only when no timeline is attached.
-    pub fn telemetry_csv(&self) -> String {
-        self.telemetry
-            .as_ref()
-            .map(Timeline::to_csv)
-            .unwrap_or_else(|| "series,t_us,value\n".to_owned())
-    }
-
     /// The health-alert transitions recorded on the attached timeline
     /// (empty when no timeline is attached or nothing fired).
     pub fn alerts(&self) -> &[gryphon_sim::AlertRecord] {
         self.telemetry
             .as_ref()
             .map(|t| t.alerts())
-            .unwrap_or_default()
-    }
-
-    /// Dumps the alert log as ndjson (the bundle's `alerts.ndjson`).
-    pub fn alerts_ndjson(&self) -> String {
-        self.telemetry
-            .as_ref()
-            .map(Timeline::alerts_ndjson)
-            .unwrap_or_default()
-    }
-
-    /// Dumps the tail-exemplar log as ndjson (the bundle's
-    /// `exemplars.ndjson`; empty when forensics was disarmed).
-    pub fn exemplars_ndjson(&self) -> String {
-        self.telemetry
-            .as_ref()
-            .map(Timeline::exemplars_ndjson)
-            .unwrap_or_default()
-    }
-
-    /// Dumps the busy-interval log as ndjson (the bundle's
-    /// `intervals.ndjson`; empty when forensics was disarmed).
-    pub fn intervals_ndjson(&self) -> String {
-        self.telemetry
-            .as_ref()
-            .map(Timeline::intervals_ndjson)
-            .unwrap_or_default()
-    }
-
-    /// Dumps the per-window top-K attribution snapshots as ndjson (the
-    /// bundle's `topk.ndjson`; empty when the sketch was disarmed).
-    pub fn topks_ndjson(&self) -> String {
-        self.telemetry
-            .as_ref()
-            .map(Timeline::topks_ndjson)
             .unwrap_or_default()
     }
 
@@ -756,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_section_renders_sparklines_and_exports() {
+    fn telemetry_section_renders_sparklines() {
         let mut t = Timeline::new(500_000);
         for (i, v) in [0.0, 2.0, 9.0, 3.0, 1.0].iter().enumerate() {
             t.record((i as u64 + 1) * 500_000, "telemetry.queue_depth", *v);
@@ -768,16 +688,6 @@ mod tests {
         assert!(text.contains("telemetry.queue_depth"));
         assert!(text.contains("max 9.0"));
         assert!(text.contains('█'), "sparkline glyphs present: {text}");
-        let nd = r.telemetry_ndjson();
-        assert_eq!(nd.lines().count(), 5);
-        assert!(nd.contains("\"series\":\"telemetry.queue_depth\""));
-        let csv = r.telemetry_csv();
-        assert!(csv.starts_with("series,t_us,value\n"));
-        assert_eq!(csv.lines().count(), 6);
-        // Unattached reports export empty shapes, not panics.
-        let bare = Report::new("none");
-        assert_eq!(bare.telemetry_ndjson(), "");
-        assert_eq!(bare.telemetry_csv(), "series,t_us,value\n");
     }
 
     #[test]
@@ -802,7 +712,6 @@ mod tests {
         assert!(text.contains("FIRING"), "{text}");
         assert!(text.contains("catchup_backlog"), "{text}");
         assert_eq!(r.alerts().len(), 1);
-        assert_eq!(r.alerts_ndjson().lines().count(), 1);
 
         // Armed-but-quiet: primed counters alone produce the section.
         let mut m = Metrics::default();
@@ -816,7 +725,7 @@ mod tests {
         // Engine off: no section at all.
         let off = Report::new("off");
         assert!(!off.render().contains("## ALERTS"));
-        assert_eq!(off.alerts_ndjson(), "");
+        assert!(off.alerts().is_empty());
     }
 
     #[test]

@@ -10,160 +10,64 @@ use gryphon::{Broker, BrokerConfig, PublisherClient, SubscriberClient};
 use gryphon_sim::{Handle, LinkParams, Sim};
 use gryphon_storage::MemFactory;
 use gryphon_types::{NodeId, PubendId, SubscriberId};
-use std::sync::Mutex;
 
-/// Locks `m`, recovering the data if a previous holder panicked — the
-/// process-wide defaults below are shared across the whole test binary,
-/// and one panicking test must not poison them into cascading failures.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Everything about a run that `xp`'s flags decide, in one value: passed
+/// to [`crate::run`], carried on [`TopologySpec::run`] into every
+/// [`System::build`], and applied to a freshly built simulator by
+/// [`RunOptions::arm`]. The default is what a test wants: a full-length,
+/// unobserved, undegraded run.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Shortened virtual-time version of each experiment (`--quick`).
+    pub quick: bool,
+    /// Flight-recorder directory: any watchdog or ledger violation dumps
+    /// a post-mortem there (`None` disables it). `xp --bundle-out` points
+    /// it inside the bundle.
+    pub flight_dir: Option<std::path::PathBuf>,
+    /// Telemetry sampling interval in virtual µs (`--sample-interval`,
+    /// implied by `--bundle-out`); `None` disables the windowed sampler
+    /// and, with it, tail forensics and the population sketch.
+    pub sample_interval_us: Option<u64>,
+    /// Arm the default health rules on the sampler (`--bundle-out`).
+    pub health: bool,
+    /// Added to every [`TopologySpec::seed`] at build time
+    /// (`--seed-offset`): two runs of one experiment that differ only in
+    /// their RNG stream.
+    pub seed_offset: u64,
+    /// Deliberately worsen the broker configuration — tripled PHB commit
+    /// latency and a huge, slow-flushing knowledge batch budget — so
+    /// latency percentiles regress measurably (`--degrade`). Exists to
+    /// give `xp doctor diff` a known-bad bundle to flag in CI.
+    pub degrade: bool,
+    /// `mega_subs` subscriber population (`--subs`); `None` = built-in
+    /// scale (10^6, or 20 000 under `--quick`).
+    pub mega_subs: Option<u64>,
+    /// `mega_subs` churn percentage (`--churn-pct`); `None` = 1 %.
+    pub churn_pct: Option<f64>,
+    /// Plant one deliberately slow consumer in `mega_subs` so the top-K
+    /// attribution path has a known entity to name (`--slow-sub`).
+    pub slow_sub: bool,
 }
 
-/// Process-wide flight-recorder directory applied to every [`Sim`] built
-/// by [`System::build`] — the `xp --flight-dir` plumbing. `None` (the
-/// default) disables post-mortem dumps.
-static DEFAULT_FLIGHT_DIR: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
-
-/// Sets the flight-recorder directory future [`System::build`] calls
-/// hand to their simulator.
-pub fn set_default_flight_dir(dir: Option<std::path::PathBuf>) {
-    *lock_recover(&DEFAULT_FLIGHT_DIR) = dir;
-}
-
-/// Process-wide telemetry sampling interval (virtual µs) applied to
-/// every [`Sim`] built by [`System::build`] — the `xp --sample-interval`
-/// plumbing. `None` (the default) disables the windowed sampler.
-static DEFAULT_SAMPLE_INTERVAL: Mutex<Option<u64>> = Mutex::new(None);
-
-/// Sets the telemetry sampling interval future [`System::build`] calls
-/// enable on their simulator (`None` disables sampling).
-pub fn set_default_sample_interval(interval_us: Option<u64>) {
-    *lock_recover(&DEFAULT_SAMPLE_INTERVAL) = interval_us;
-}
-
-/// The current process-wide sampling interval (`None` = sampling off).
-pub fn default_sample_interval() -> Option<u64> {
-    *lock_recover(&DEFAULT_SAMPLE_INTERVAL)
-}
-
-/// Process-wide seed offset added to every [`TopologySpec::seed`] at
-/// build time — the `xp --seed-offset` plumbing that lets two runs of
-/// the same experiment differ only in their RNG stream.
-static DEFAULT_SEED_OFFSET: Mutex<u64> = Mutex::new(0);
-
-/// Sets the seed offset future [`System::build`] calls add to the
-/// spec's seed.
-pub fn set_default_seed_offset(offset: u64) {
-    *lock_recover(&DEFAULT_SEED_OFFSET) = offset;
-}
-
-/// The current process-wide seed offset.
-pub fn default_seed_offset() -> u64 {
-    *lock_recover(&DEFAULT_SEED_OFFSET)
-}
-
-/// Process-wide degrade switch (the `xp --degrade` plumbing): when set,
-/// [`System::build`] deliberately worsens the broker configuration —
-/// tripled PHB commit latency and a huge, slow-flushing knowledge batch
-/// budget — so latency percentiles regress measurably. Exists to give
-/// `xp doctor diff` a known-bad bundle to flag in CI.
-static DEFAULT_DEGRADE: Mutex<bool> = Mutex::new(false);
-
-/// Arms or disarms the deliberate config degrade.
-pub fn set_default_degrade(on: bool) {
-    *lock_recover(&DEFAULT_DEGRADE) = on;
-}
-
-/// Whether the deliberate config degrade is armed.
-pub fn default_degrade() -> bool {
-    *lock_recover(&DEFAULT_DEGRADE)
-}
-
-/// Process-wide subscriber-population override for the `mega_subs`
-/// workload — the `xp --subs` plumbing. `None` (the default) uses the
-/// workload's built-in scale (10^6, or 20 000 under `--quick`).
-static DEFAULT_MEGA_SUBS: Mutex<Option<u64>> = Mutex::new(None);
-
-/// Overrides the `mega_subs` subscriber population (`None` restores the
-/// built-in default).
-pub fn set_default_mega_subs(subs: Option<u64>) {
-    *lock_recover(&DEFAULT_MEGA_SUBS) = subs;
-}
-
-/// The current `mega_subs` population override, if any.
-pub fn default_mega_subs() -> Option<u64> {
-    *lock_recover(&DEFAULT_MEGA_SUBS)
-}
-
-/// Process-wide churn-percentage override for the `mega_subs` workload
-/// — the `xp --churn-pct` plumbing. `None` (the default) churns 1% of
-/// the population.
-static DEFAULT_CHURN_PCT: Mutex<Option<f64>> = Mutex::new(None);
-
-/// Overrides the `mega_subs` churn percentage (`None` restores the
-/// built-in default).
-pub fn set_default_churn_pct(pct: Option<f64>) {
-    *lock_recover(&DEFAULT_CHURN_PCT) = pct;
-}
-
-/// The current `mega_subs` churn-percentage override, if any.
-pub fn default_churn_pct() -> Option<f64> {
-    *lock_recover(&DEFAULT_CHURN_PCT)
-}
-
-/// Process-wide slow-subscriber switch for the `mega_subs` workload —
-/// the `xp --slow-sub` plumbing. When set, the workload plants one
-/// deliberately slow consumer in the population so the top-K
-/// attribution path (DESIGN.md §18) has a known entity to name.
-static DEFAULT_SLOW_SUB: Mutex<bool> = Mutex::new(false);
-
-/// Arms or disarms the planted slow consumer in `mega_subs`.
-pub fn set_default_slow_sub(on: bool) {
-    *lock_recover(&DEFAULT_SLOW_SUB) = on;
-}
-
-/// Whether the planted slow consumer is armed.
-pub fn default_slow_sub() -> bool {
-    *lock_recover(&DEFAULT_SLOW_SUB)
-}
-
-/// Process-wide health-engine switch: when set (and sampling is
-/// enabled), every [`Sim`] the harness builds arms the default health
-/// rule set (`gryphon_sim::default_rules`).
-static DEFAULT_HEALTH: Mutex<bool> = Mutex::new(false);
-
-/// Arms or disarms the online health engine on future builds.
-pub fn set_default_health(on: bool) {
-    *lock_recover(&DEFAULT_HEALTH) = on;
-}
-
-/// Whether the online health engine is armed for future builds.
-pub fn default_health() -> bool {
-    *lock_recover(&DEFAULT_HEALTH)
-}
-
-/// Applies the process-wide observability defaults (flight-recorder
-/// directory, telemetry sampling interval, health engine) to a freshly
-/// built [`Sim`]. [`System::build`] calls this; experiments that
-/// assemble a raw `Sim` themselves (latency, jms) call it too so `xp
-/// --flight-dir` / `--sample-interval` / `--bundle-out` cover every
-/// simulator a run builds.
-pub fn apply_sim_defaults(sim: &mut Sim) {
-    sim.set_flight_dir(lock_recover(&DEFAULT_FLIGHT_DIR).clone());
-    if let Some(interval_us) = default_sample_interval() {
-        sim.enable_telemetry(interval_us);
-        if default_health() {
-            sim.enable_health(gryphon_sim::default_rules());
+impl RunOptions {
+    /// Applies the observability options to a freshly built [`Sim`].
+    /// [`System::build`] calls this; experiments that assemble a raw
+    /// `Sim` themselves (latency, jms) call it too, so a bundle covers
+    /// every simulator a run builds.
+    pub fn arm(&self, sim: &mut Sim) {
+        sim.set_flight_dir(self.flight_dir.clone());
+        if let Some(interval_us) = self.sample_interval_us {
+            sim.enable_telemetry(interval_us);
+            if self.health {
+                sim.enable_health(gryphon_sim::default_rules());
+            }
+            // Tail forensics and the population sketch ride on the
+            // sampler — they drain into the timeline as each window
+            // closes — so any sampled run can export a Perfetto trace
+            // and carries topk.ndjson.
+            sim.enable_forensics(gryphon_sim::ForensicsConfig::default());
+            sim.enable_sketch(gryphon_sim::sketch::SketchConfig::default());
         }
-        // Tail forensics ride on the sampler: exemplar reservoirs and
-        // the contention-profiler interval ring drain into the timeline
-        // each window, so any sampled run can export a Perfetto trace.
-        sim.enable_forensics(gryphon_sim::ForensicsConfig::default());
-        // The population sketch rides the same cadence: per-entity
-        // top-K attribution drains into the timeline each window
-        // (DESIGN.md §18), so bundles carry topk.ndjson whenever a run
-        // samples.
-        sim.enable_sketch(gryphon_sim::sketch::SketchConfig::default());
     }
 }
 
@@ -191,6 +95,8 @@ pub struct TopologySpec {
     /// Bandwidth of SHB→client links (bounds catchup delivery rates; the
     /// paper's flow-control effect).
     pub client_bw: Option<u64>,
+    /// What `xp`'s flags ask of the run; the default asks for nothing.
+    pub run: RunOptions,
 }
 
 impl Default for TopologySpec {
@@ -206,6 +112,7 @@ impl Default for TopologySpec {
             broker_bw: None,
             client_latency_us: 500,
             client_bw: None,
+            run: RunOptions::default(),
         }
     }
 }
@@ -229,14 +136,14 @@ pub struct System {
 }
 
 impl System {
-    /// Builds the system. The process-wide defaults apply here: the
-    /// seed offset shifts the RNG stream, and the degrade switch swaps
-    /// in a deliberately worsened broker configuration (see
-    /// [`set_default_degrade`]).
+    /// Builds the system. [`TopologySpec::run`] applies here: the seed
+    /// offset shifts the RNG stream, and the degrade switch swaps in a
+    /// deliberately worsened broker configuration (see
+    /// [`RunOptions::degrade`]).
     pub fn build(spec: &TopologySpec, workload: &Workload) -> System {
-        let mut sim = Sim::new(spec.seed.wrapping_add(default_seed_offset()));
-        apply_sim_defaults(&mut sim);
-        let broker_config = if default_degrade() {
+        let mut sim = Sim::new(spec.seed.wrapping_add(spec.run.seed_offset));
+        spec.run.arm(&mut sim);
+        let broker_config = if spec.run.degrade {
             let mut c = spec.broker_config.clone();
             c.phb_commit_latency_us *= 3;
             c.knowledge_flush_interval_us = c.knowledge_flush_interval_us.max(1) * 200;
@@ -457,7 +364,7 @@ impl System {
         let dumps = self.sim.flight_dumps();
         if dumps > 0 {
             report.note(format!(
-                "FLIGHT RECORDER: {dumps} post-mortem file(s) written — see the --flight-dir directory"
+                "FLIGHT RECORDER: {dumps} post-mortem file(s) written — see the bundle's flight/ directory"
             ));
         }
     }

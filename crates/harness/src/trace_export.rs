@@ -1,8 +1,8 @@
-//! Chrome/Perfetto trace-event export for run bundles (DESIGN.md §17).
+//! Chrome/Perfetto trace-event export for run bundles (DESIGN.md §9).
 //!
-//! `xp doctor export-trace BUNDLE -o trace.json` (and `xp
-//! --chrome-trace`) turn a run's forensics streams into the [trace
-//! event format] both `chrome://tracing` and [Perfetto] open directly:
+//! `xp doctor export-trace BUNDLE -o trace.json` turns a run's forensics
+//! streams into the [trace event format] both `chrome://tracing` and
+//! [Perfetto] open directly:
 //!
 //! * each contention-profiler busy interval becomes a complete (`X`)
 //!   slice on its worker's thread track (`tid` = track id, named via
@@ -21,24 +21,12 @@
 //! [trace event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //! [Perfetto]: https://ui.perfetto.dev
 
+use gryphon_sim::codec::json_escape as esc;
 use gryphon_sim::forensics::{BusyInterval, Exemplar};
 use gryphon_sim::AlertRecord;
 
 /// The single process id all tracks live under.
 const PID: u32 = 1;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the full trace-event JSON array from a bundle's forensics
 /// streams. Timestamps are already µs — the native trace-event unit —

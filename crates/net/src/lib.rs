@@ -2,10 +2,10 @@
 //!
 //! The same [`Node`] state machines that run under the
 //! deterministic simulator run here on **real OS threads** connected by
-//! crossbeam channels, with wall-clock timers. The paper's wall-clock
-//! microbenchmarks and the `rt_pipeline`/`rt_shard` benches use this
-//! runtime; the figure reproductions use the simulator (deterministic
-//! virtual time).
+//! crossbeam channels, with wall-clock timers. The repo's end-to-end
+//! benchmark (`benchmark/`) and the wall-clock integration tests use
+//! this runtime; the figure reproductions use the simulator
+//! (deterministic virtual time).
 //!
 //! Differences from the simulator, by design:
 //!
@@ -29,25 +29,35 @@
 //! crossbeam channels are FIFO per producer and a pubend never changes
 //! shards.
 //!
-//! Each worker owns its own [`Metrics`] and protocol
-//! [`Watchdogs`](gryphon_sim::Watchdogs) (no shared lock on the hot
-//! path); [`RunningNet::counter`] sums the live per-worker counters and
-//! [`RunningNet::stop`] merges everything into one [`NetResult`].
+//! # Observers
 //!
-//! # Telemetry
+//! Each worker embeds its own [`Observers`] — the same owner the
+//! simulator embeds (DESIGN.md §9) — behind one lock that the worker
+//! takes **once per dispatch** and holds for the whole callback, so a
+//! callback's observations cost no further synchronisation. Readers from
+//! other threads ([`RunningNet::counter`],
+//! [`RunningNet::metrics_snapshot`], the sampler) therefore wait for at
+//! most one callback per shard they visit. The watchdogs and the
+//! exactly-once ledger see every trace event; no trace records are
+//! retained (the ring has capacity zero: this runtime is for throughput,
+//! and the flight recorder that prints a ring lives with the simulator).
 //!
-//! [`RunningNet::start_sampler`] arms the wall-clock twin of the
-//! simulator's windowed [`Sampler`]: a background thread probes each
-//! worker's channel occupancy (`telemetry.queue_depth.w<i>`) and
-//! busy/idle utilization (`telemetry.worker_utilization.w<i>`) every
-//! interval and records them — plus all protocol gauges and counter
-//! rates — into a [`Timeline`] returned via [`RunningNet::telemetry`]
-//! and [`NetResult::telemetry`]. Arming telemetry also turns on
-//! per-dispatch service-time histograms (`telemetry.service_time_us`).
-//! [`RunningNet::serve_metrics`] exposes the same merged snapshot live
-//! as Prometheus text over a tiny blocking-TCP endpoint, and
-//! [`RunningNet::metrics_snapshot`] gives programmatic mid-run access
-//! with documented merge semantics.
+//! [`RunningNet::start_sampler`] arms telemetry: a background thread
+//! that, every interval, publishes each worker's channel occupancy
+//! (`telemetry.queue_depth.w<i>`) and busy/idle utilization
+//! (`telemetry.worker_utilization.w<i>`), absorbs the workers' shards
+//! into its own `Observers` in worker-index order, and closes the window
+//! with the simulator's [`Observers::close_window`] — so the
+//! [`Timeline`] behind [`RunningNet::telemetry`] and
+//! [`NetResult::telemetry`] carries the same streams, alerts included,
+//! as a simulator bundle. Arming also turns on tail forensics, the
+//! population sketch and per-dispatch timing
+//! (`telemetry.service_time_us`, `net.queue_wait_us`) on every worker;
+//! until then a dispatch reads no clock and nothing runs per window.
+//! [`RunningNet::stop`] closes one last window. Without a sampler there
+//! is no window to close, and what the sketch collected is dropped.
+//! [`RunningNet::serve_metrics`] exposes the merged snapshot live as
+//! Prometheus text over a tiny blocking-TCP endpoint.
 //!
 //! # Examples
 //!
@@ -73,23 +83,23 @@
 //! assert_eq!(result.node::<Counter>(h).0, 10);
 //! ```
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use gryphon_sim::forensics::{self, BusyInterval, Exemplar, ExemplarReservoir, IntervalRing};
-use gryphon_sim::sketch::DIM_SUB_BYTES;
+use crossbeam::channel::{bounded, Sender, TrySendError};
+use gryphon_sim::forensics::{BusyInterval, KIND_DISPATCH, KIND_QUEUE};
 use gryphon_sim::telemetry::{Sampler, TextServer, Timeline};
 use gryphon_sim::{
-    names, Executor, ForensicsConfig, Lineage, Metrics, Node, NodeCtx, PopulationSketch,
-    SketchConfig, TimerKey, TraceEvent, TraceRecord, Watchdogs,
+    names, AnyNode, ForensicsConfig, HealthEngine, Lineage, Metrics, Node, NodeCtx, Observers,
+    SketchConfig, TimerKey, TraceEvent, TraceRecord,
 };
 use gryphon_types::{NetMsg, NodeId};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::any::TypeId;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+pub use gryphon_sim::Handle;
 
 /// Storage profile for threaded-runtime processes: real files — and real
 /// fsyncs through the group-commit pipeline — when `GRYPHON_STORAGE_DIR`
@@ -113,146 +123,133 @@ pub fn storage_factory(tag: &str) -> Box<dyn gryphon_storage::MediaFactory> {
     }
 }
 
-enum Ev {
-    /// A message plus its enqueue instant (stamped only while telemetry
-    /// is armed, so the un-profiled hot path never reads the clock) —
-    /// the dequeuing worker turns the stamp into `net.queue_wait_us`
-    /// and a `queue` interval on its forensics track.
-    Msg(NodeId, NetMsg, Option<Instant>),
+/// A message plus its enqueue instant (stamped only while telemetry is
+/// armed, so the un-profiled hot path never reads the clock) — the
+/// dequeuing worker turns the stamp into `net.queue_wait_us` and a
+/// `queue` interval on its forensics track.
+struct Ev(NodeId, NetMsg, Option<Instant>);
+
+/// What every thread of a net shares, indexed by worker.
+struct Shared {
+    senders: Vec<Sender<Ev>>,
+    /// For each logical node, the workers backing it.
+    logical: Vec<Vec<usize>>,
+    /// Each worker's observer stack. The worker holds its lock for the
+    /// length of a dispatch; everyone else visits briefly.
+    shards: Vec<Mutex<Observers>>,
+    /// Wall-clock nanoseconds each worker has spent inside node
+    /// callbacks (the sampler derives utilization from the deltas).
+    active_ns: Vec<AtomicU64>,
+    /// Wall-clock zero; every timestamp is microseconds since it.
+    epoch: Instant,
+    /// Set once [`RunningNet::start_sampler`] arms telemetry; gates the
+    /// enqueue stamps and the per-dispatch clock reads.
+    profiling: AtomicBool,
 }
 
-/// Typed handle to a node registered with [`NetBuilder::add_node`] or
-/// [`NetBuilder::add_sharded_node`]. The id is the *logical* node id.
-pub struct Handle<T> {
-    id: NodeId,
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<T> Clone for Handle<T> {
-    fn clone(&self) -> Self {
-        *self
+impl Shared {
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
-}
-impl<T> Copy for Handle<T> {}
 
-impl<T> Handle<T> {
-    /// The logical node id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-}
-
-impl<T> std::fmt::Debug for Handle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Handle({})", self.id)
-    }
-}
-
-struct Typed<T>(T);
-
-impl<T: Node + 'static> Node for Typed<T> {
-    fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        self.0.on_start(ctx)
-    }
-    fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut dyn NodeCtx) {
-        self.0.on_message(from, msg, ctx)
-    }
-    fn on_timer(&mut self, key: TimerKey, ctx: &mut dyn NodeCtx) {
-        self.0.on_timer(key, ctx)
-    }
-    fn on_restart(&mut self, ctx: &mut dyn NodeCtx) {
-        self.0.on_restart(ctx)
-    }
-}
-
-/// One logical node: the worker threads backing it and its handle type.
-struct LogicalEntry {
-    workers: Vec<usize>,
-    type_id: TypeId,
-}
-
-/// Routes messages addressed to logical nodes onto worker channels.
-#[derive(Clone)]
-struct Router {
-    senders: Arc<Vec<Sender<Ev>>>,
-    logical: Arc<Vec<LogicalEntry>>,
-    /// Shared with [`RunningNet`]: when armed, sends carry an enqueue
-    /// stamp so queue-wait can be attributed at dequeue.
-    tel_enabled: Arc<AtomicBool>,
-}
-
-impl Router {
     /// Delivers `msg` to logical node `to` (see the module docs for the
     /// shard-routing policy). `blocking` selects backpressure (harness
     /// injection) vs best-effort (node-to-node sends, where a full
     /// channel behaves like a saturated TCP connection and the
-    /// protocols recover via nacks).
-    fn deliver(&self, from: NodeId, to: NodeId, msg: NetMsg, blocking: bool) {
-        let Some(entry) = self.logical.get(to.0 as usize) else {
-            return;
+    /// protocols recover via nacks). Returns how many copies a full
+    /// channel refused.
+    fn deliver(&self, from: NodeId, to: NodeId, msg: NetMsg, blocking: bool) -> usize {
+        let Some(workers) = self.logical.get(to.0 as usize) else {
+            return 0;
         };
-        let n = entry.workers.len();
+        let n = workers.len();
         let target = if n == 1 {
-            Some(entry.workers[0])
+            Some(workers[0])
         } else {
             match msg.pubend_key() {
-                Some(p) => Some(entry.workers[p.0 as usize % n]),
+                Some(p) => Some(workers[p.0 as usize % n]),
                 // Subscription interest and client control traffic is
                 // relevant to every shard (each shard matches it against
                 // its own pubends); duplicate ConnectOk/Ack handling is
                 // idempotent on the client side.
                 None => match &msg {
                     NetMsg::Client(_) | NetMsg::SubInterest(_) => None,
-                    _ => Some(entry.workers[0]),
+                    _ => Some(workers[0]),
                 },
             }
         };
         match target {
             Some(w) => self.send_to(w, from, msg, blocking),
-            None => {
-                for &w in &entry.workers {
-                    self.send_to(w, from, msg.clone(), blocking);
-                }
-            }
+            None => workers
+                .iter()
+                .map(|&w| self.send_to(w, from, msg.clone(), blocking))
+                .sum(),
         }
     }
 
-    fn send_to(&self, w: usize, from: NodeId, msg: NetMsg, blocking: bool) {
-        if let Some(tx) = self.senders.get(w) {
-            let enq = self.tel_enabled.load(Ordering::Relaxed).then(Instant::now);
-            if blocking {
-                let _ = tx.send(Ev::Msg(from, msg, enq));
-            } else {
-                let _ = tx.try_send(Ev::Msg(from, msg, enq));
-            }
+    fn send_to(&self, w: usize, from: NodeId, msg: NetMsg, blocking: bool) -> usize {
+        let enq = self.profiling.load(Ordering::Relaxed).then(Instant::now);
+        let ev = Ev(from, msg, enq);
+        if blocking {
+            let _ = self.senders[w].send(ev);
+            return 0;
         }
+        matches!(self.senders[w].try_send(ev), Err(TrySendError::Full(_))) as usize
+    }
+
+    /// Merges the worker shards' metrics — and the sampler's own, when
+    /// one is armed — into one consistent snapshot.
+    ///
+    /// * shards are merged **in worker-index order**: counters and
+    ///   histograms sum, series concatenate, same-named gauges add;
+    /// * each shard's lock is held only while that shard is copied, so a
+    ///   snapshot is per-shard-atomic: it never tears an individual
+    ///   counter, but shards are copied at slightly different instants
+    ///   (unavoidable without a stop-the-world pause, and fine for
+    ///   monotone counters), each after the callback its worker was in;
+    /// * the sampler's shard merges **last**, and the momentary
+    ///   queue-depth gauges are re-probed and overwritten after the
+    ///   merge, so gauges reflect "now", not the sampler's last window.
+    fn metrics_snapshot(&self, telemetry: Option<&Mutex<Telemetry>>) -> Metrics {
+        let mut merged = Metrics::default();
+        for shard in &self.shards {
+            merged.merge(shard.lock().metrics());
+        }
+        if let Some(t) = telemetry {
+            merged.merge(t.lock().hub.metrics());
+        }
+        let mut total = 0usize;
+        for (i, tx) in self.senders.iter().enumerate() {
+            let depth = tx.len();
+            total += depth;
+            merged.set_gauge(
+                &format!("{}.w{i}", names::TELEMETRY_QUEUE_DEPTH),
+                depth as f64,
+            );
+        }
+        // set_gauge (not merge-add) so the aggregate overwrites whatever
+        // stale sum the per-shard merge produced.
+        merged.set_gauge(names::TELEMETRY_QUEUE_DEPTH, total as f64);
+        merged
     }
 }
 
 /// Builder: register nodes, then [`NetBuilder::start`].
+#[derive(Default)]
 pub struct NetBuilder {
-    workers: Vec<(String, Box<dyn Node>)>,
-    logical: Vec<LogicalEntry>,
-}
-
-impl Default for NetBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
+    workers: Vec<(String, AnyNode)>,
+    logical: Vec<Vec<usize>>,
 }
 
 impl NetBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
-        NetBuilder {
-            workers: Vec::new(),
-            logical: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Registers a node; its logical id is its registration order.
     pub fn add_node<T: Node + 'static>(&mut self, name: &str, node: T) -> Handle<T> {
-        self.add_entry(name, vec![Box::new(Typed(node))], TypeId::of::<Typed<T>>())
+        self.add_sharded_node(name, vec![node])
     }
 
     /// Registers a logical node backed by one worker thread per element
@@ -264,19 +261,6 @@ impl NetBuilder {
             !shards.is_empty(),
             "a sharded node needs at least one shard"
         );
-        let boxed: Vec<Box<dyn Node>> = shards
-            .into_iter()
-            .map(|s| Box::new(Typed(s)) as Box<dyn Node>)
-            .collect();
-        self.add_entry(name, boxed, TypeId::of::<Typed<T>>())
-    }
-
-    fn add_entry<T>(
-        &mut self,
-        name: &str,
-        shards: Vec<Box<dyn Node>>,
-        type_id: TypeId,
-    ) -> Handle<T> {
         let n = shards.len();
         let mut workers = Vec::with_capacity(n);
         for (i, node) in shards.into_iter().enumerate() {
@@ -286,131 +270,61 @@ impl NetBuilder {
                 format!("{name}.{i}")
             };
             workers.push(self.workers.len());
-            self.workers.push((wname, node));
+            self.workers.push((wname, AnyNode::typed(node)));
         }
         let id = NodeId(self.logical.len() as u32);
-        self.logical.push(LogicalEntry { workers, type_id });
-        Handle {
-            id,
-            _marker: std::marker::PhantomData,
-        }
+        self.logical.push(workers);
+        Handle::new(id)
     }
 
     /// Spawns one thread per worker and starts them (running `on_start`).
     pub fn start(self) -> RunningNet {
         let n = self.workers.len();
-        let stop = Arc::new(AtomicBool::new(false));
-        let epoch = Instant::now();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<Ev>(65_536);
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        // Telemetry probes: queue-depth sampling needs each worker's
-        // channel occupancy, so keep receiver clones around (they only
-        // ever call `len()`, never `recv`).
-        let probe_receivers: Vec<Receiver<Ev>> = receivers.iter().map(Receiver::clone).collect();
-        // `GRYPHON_PROFILE=1` arms the contention profiler from the very
-        // first dispatch (bench baselines run with it on); otherwise
-        // profiling turns on when `start_sampler` arms telemetry.
-        let profile_env = std::env::var_os("GRYPHON_PROFILE").is_some_and(|v| v != "0");
-        let tel_enabled = Arc::new(AtomicBool::new(profile_env));
-        let active_ns: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let forensics_cfg = ForensicsConfig::default();
-        let intervals: Vec<Arc<Mutex<IntervalRing>>> = (0..n)
-            .map(|_| {
-                Arc::new(Mutex::new(IntervalRing::new(
-                    forensics_cfg.interval_capacity,
-                )))
-            })
-            .collect();
-        // Always-on population attribution: one O(K) sketch shard per
-        // worker (same discipline as the lineage exemplar reservoirs),
-        // merged in worker-index order at stop. Attributions arrive at
-        // sweep cadence, not per delivery, so each shard's lock is
-        // uncontended in steady state.
-        let sketches: Vec<Arc<Mutex<PopulationSketch>>> = (0..n)
-            .map(|_| Arc::new(Mutex::new(PopulationSketch::new(SketchConfig::default()))))
-            .collect();
-        let senders = Arc::new(senders);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| bounded::<Ev>(65_536)).unzip();
         // Worker → logical-id map for event attribution.
         let mut owner = vec![NodeId(0); n];
-        for (lid, entry) in self.logical.iter().enumerate() {
-            for &w in &entry.workers {
+        for (lid, workers) in self.logical.iter().enumerate() {
+            for &w in workers {
                 owner[w] = NodeId(lid as u32);
             }
         }
-        let logical = Arc::new(self.logical);
-        let router = Router {
-            senders: Arc::clone(&senders),
-            logical: Arc::clone(&logical),
-            tel_enabled: Arc::clone(&tel_enabled),
-        };
-        let metrics: Vec<Arc<Mutex<Metrics>>> = (0..n)
-            .map(|_| Arc::new(Mutex::new(Metrics::default())))
-            .collect();
-        // Always-on tail forensics: every worker's lineage shard carries
-        // an exemplar reservoir from the start (offers are two compares
-        // against a cached threshold in steady state), so the slowest
-        // end-to-end spans of any run are attributable after the fact.
-        let lineages: Vec<Arc<Mutex<Lineage>>> = (0..n)
-            .map(|_| {
-                let mut l = Lineage::default();
-                l.arm_exemplars(ExemplarReservoir::new(&forensics_cfg));
-                Arc::new(Mutex::new(l))
-            })
-            .collect();
+        let shared = Arc::new(Shared {
+            senders,
+            logical: self.logical,
+            // Capacity zero: this runtime retains no trace records.
+            shards: (0..n).map(|_| Mutex::new(Observers::new(0))).collect(),
+            active_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            epoch: Instant::now(),
+            profiling: AtomicBool::new(false),
+        });
+        let stop = Arc::new(AtomicBool::new(false));
         let mut joins = Vec::with_capacity(n);
         for (i, ((name, mut node), rx)) in self.workers.into_iter().zip(receivers).enumerate() {
             let stop = Arc::clone(&stop);
-            let metrics = Arc::clone(&metrics[i]);
-            let lineage = Arc::clone(&lineages[i]);
-            let router = router.clone();
-            let me = owner[i];
-            let tel_enabled = Arc::clone(&tel_enabled);
-            let active_ns = Arc::clone(&active_ns[i]);
-            let intervals = Arc::clone(&intervals[i]);
-            let sketch = Arc::clone(&sketches[i]);
+            let mut worker = Worker {
+                me: owner[i],
+                index: i,
+                shared: Arc::clone(&shared),
+                timers: BinaryHeap::new(),
+                rng: SmallRng::seed_from_u64(i as u64),
+            };
             joins.push(
                 std::thread::Builder::new()
                     .name(name)
                     .spawn(move || {
-                        let mut worker = Worker {
-                            me,
-                            index: i as u32,
-                            router,
-                            metrics,
-                            watchdogs: Watchdogs::default(),
-                            lineage,
-                            epoch,
-                            timers: BinaryHeap::new(),
-                            rng: SmallRng::seed_from_u64(i as u64),
-                            busy_us: 0,
-                            tel_enabled,
-                            active_ns,
-                            intervals,
-                            sketch,
-                        };
-                        worker.with_ctx(|node, ctx| node.on_start(ctx), node.as_mut());
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
+                        worker.dispatch(None, node.as_dyn(), |node, ctx| node.on_start(ctx));
+                        while !stop.load(Ordering::Relaxed) {
                             let timeout = worker.next_deadline(Duration::from_millis(20));
                             match rx.recv_timeout(timeout) {
-                                Ok(Ev::Msg(from, msg, enq)) => {
-                                    worker.note_queue_wait(enq);
-                                    worker.with_ctx(
-                                        |node, ctx| node.on_message(from, msg, ctx),
-                                        node.as_mut(),
-                                    );
+                                Ok(Ev(from, msg, enq)) => {
+                                    worker.dispatch(enq, node.as_dyn(), |node, ctx| {
+                                        node.on_message(from, msg, ctx)
+                                    });
                                 }
                                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
                             }
-                            worker.fire_due(node.as_mut());
+                            worker.fire_due(node.as_dyn());
                         }
                         node
                     })
@@ -418,20 +332,10 @@ impl NetBuilder {
             );
         }
         RunningNet {
-            router,
+            shared,
             stop,
             joins,
-            metrics,
-            lineages,
-            logical,
-            epoch,
-            receivers: probe_receivers,
-            tel_enabled,
-            active_ns,
-            intervals,
-            sketches,
-            tel_metrics: Arc::new(Mutex::new(Metrics::default())),
-            sampler: None,
+            telemetry: None,
             scrape: None,
         }
     }
@@ -457,35 +361,12 @@ impl PartialOrd for TimerEntry {
 struct Worker {
     /// Logical id of the node this worker backs (shared by all shards).
     me: NodeId,
-    /// Worker-thread index — the forensics track id in exported traces.
-    index: u32,
-    router: Router,
-    /// This worker's private metrics shard (uncontended in steady state;
-    /// [`RunningNet::counter`] locks it briefly to read).
-    metrics: Arc<Mutex<Metrics>>,
-    /// Per-worker protocol watchdogs fed from this shard's trace stream.
-    watchdogs: Watchdogs,
-    /// Per-worker delivery-lineage shard, merged deterministically (in
-    /// worker-index order) at [`RunningNet::stop`] like the metrics.
-    lineage: Arc<Mutex<Lineage>>,
-    epoch: Instant,
+    /// Worker-thread index: this worker's slot in [`Shared`] and its
+    /// forensics track id in exported traces.
+    index: usize,
+    shared: Arc<Shared>,
     timers: BinaryHeap<TimerEntry>,
     rng: SmallRng,
-    busy_us: u64,
-    /// Set once [`RunningNet::start_sampler`] arms telemetry; gates the
-    /// per-dispatch timing below so the hot path pays nothing otherwise.
-    tel_enabled: Arc<AtomicBool>,
-    /// Wall-clock nanoseconds this worker spent inside node callbacks
-    /// (shared with the sampler thread, which derives per-window
-    /// busy/idle utilization from its deltas).
-    active_ns: Arc<AtomicU64>,
-    /// Bounded per-worker busy-interval ring (dispatch/queue slices for
-    /// the exported trace); drained at [`RunningNet::stop`].
-    intervals: Arc<Mutex<IntervalRing>>,
-    /// This worker's population-sketch shard (O(K) memory), fed by
-    /// [`NodeCtx::attribute`] and merged in worker-index order at
-    /// [`RunningNet::stop`].
-    sketch: Arc<Mutex<PopulationSketch>>,
 }
 
 impl Worker {
@@ -507,67 +388,64 @@ impl Worker {
                 break;
             }
             let key = self.timers.pop().expect("peeked").key;
-            self.with_ctx(|n, ctx| n.on_timer(key, ctx), node);
+            self.dispatch(None, node, |n, ctx| n.on_timer(key, ctx));
         }
     }
 
-    /// Attributes the time a just-dequeued message spent in this
-    /// worker's channel: the `net.queue_wait_us` histogram plus a
-    /// `queue` slice on the worker's forensics track. No-op for
-    /// unstamped messages (telemetry was off at enqueue).
-    fn note_queue_wait(&mut self, enq: Option<Instant>) {
-        let Some(t0) = enq else {
-            return;
-        };
-        let wait = t0.elapsed();
-        self.metrics
-            .lock()
-            .observe(names::NET_QUEUE_WAIT_US, wait.as_secs_f64() * 1e6);
-        let start_us = t0.duration_since(self.epoch).as_micros() as u64;
-        let dur_us = wait.as_micros() as u64;
-        if dur_us > 0 {
-            self.intervals.lock().push(BusyInterval {
-                track: self.index,
-                kind: forensics::KIND_QUEUE,
-                start_us,
-                dur_us,
+    /// Runs one node callback under this worker's observer lock, taken
+    /// here once and held until the callback returns. While telemetry is
+    /// armed the dispatch is also timed: `enq` (a message's enqueue
+    /// stamp) becomes `net.queue_wait_us` plus a `queue` interval, the
+    /// callback itself `telemetry.service_time_us` plus a `dispatch`
+    /// interval on this worker's forensics track.
+    fn dispatch(
+        &mut self,
+        enq: Option<Instant>,
+        node: &mut dyn Node,
+        f: impl FnOnce(&mut dyn Node, &mut dyn NodeCtx),
+    ) {
+        let shared = &*self.shared;
+        let track = self.index as u32;
+        let since_epoch = |t: Instant| t.duration_since(shared.epoch).as_micros() as u64;
+        let mut obs = shared.shards[self.index].lock();
+        if let Some(t0) = enq {
+            let wait = t0.elapsed();
+            obs.observe(names::NET_QUEUE_WAIT_US, wait.as_secs_f64() * 1e6);
+            obs.interval(BusyInterval {
+                track,
+                kind: KIND_QUEUE,
+                start_us: since_epoch(t0),
+                dur_us: wait.as_micros() as u64,
             });
         }
-    }
-
-    fn with_ctx(&mut self, f: impl FnOnce(&mut dyn Node, &mut dyn NodeCtx), node: &mut dyn Node) {
-        // Service-time probe: only timed once telemetry is armed (an
-        // `Instant::now()` pair per dispatch is cheap but not free, so
-        // the un-sampled hot path skips it entirely).
-        let timed = self.tel_enabled.load(Ordering::Relaxed);
-        let started = timed.then(Instant::now);
-        // Split borrows: move timers out so the ctx can push new ones.
-        let mut pending_timers = Vec::new();
-        {
-            let mut ctx = ThreadCtx {
-                worker: self,
-                new_timers: &mut pending_timers,
-            };
-            f(node, &mut ctx);
-        }
+        // An `Instant::now()` pair per dispatch is cheap but not free, so
+        // the un-sampled hot path skips it entirely.
+        let started = shared.profiling.load(Ordering::Relaxed).then(Instant::now);
+        let mut new_timers = Vec::new();
+        f(
+            node,
+            &mut ThreadCtx {
+                me: self.me,
+                track,
+                shared,
+                rng: &mut self.rng,
+                obs: &mut obs,
+                new_timers: &mut new_timers,
+            },
+        );
         if let Some(t0) = started {
             let dt = t0.elapsed();
-            self.active_ns
-                .fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-            self.metrics
-                .lock()
-                .observe(names::TELEMETRY_SERVICE_TIME_US, dt.as_secs_f64() * 1e6);
-            let dur_us = dt.as_micros() as u64;
-            if dur_us > 0 {
-                self.intervals.lock().push(BusyInterval {
-                    track: self.index,
-                    kind: forensics::KIND_DISPATCH,
-                    start_us: t0.duration_since(self.epoch).as_micros() as u64,
-                    dur_us,
-                });
-            }
+            shared.active_ns[self.index].fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
+            obs.observe(names::TELEMETRY_SERVICE_TIME_US, dt.as_secs_f64() * 1e6);
+            obs.interval(BusyInterval {
+                track,
+                kind: KIND_DISPATCH,
+                start_us: since_epoch(t0),
+                dur_us: dt.as_micros() as u64,
+            });
         }
-        for (delay, key) in pending_timers {
+        drop(obs);
+        for (delay, key) in new_timers {
             self.timers.push(TimerEntry {
                 deadline: Instant::now() + Duration::from_micros(delay),
                 key,
@@ -576,25 +454,34 @@ impl Worker {
     }
 }
 
+/// The context of one dispatch: the worker's state plus its observer
+/// stack, already locked.
 struct ThreadCtx<'a> {
-    worker: &'a mut Worker,
+    me: NodeId,
+    track: u32,
+    shared: &'a Shared,
+    rng: &'a mut SmallRng,
+    obs: &'a mut Observers,
     new_timers: &'a mut Vec<(u64, TimerKey)>,
 }
 
 impl NodeCtx for ThreadCtx<'_> {
     fn now_us(&self) -> u64 {
-        self.worker.epoch.elapsed().as_micros() as u64
+        self.shared.now_us()
     }
 
     fn me(&self) -> NodeId {
-        self.worker.me
+        self.me
     }
 
     fn send(&mut self, to: NodeId, msg: NetMsg) {
         // Best-effort: a full channel drops the message, like a
         // saturated TCP connection with a dead reader; the protocols
-        // recover via nacks.
-        self.worker.router.deliver(self.worker.me, to, msg, false);
+        // recover via nacks. Counted, so overload is never silent.
+        let refused = self.shared.deliver(self.me, to, msg, false);
+        if refused > 0 {
+            self.obs.count(names::NET_DROPPED, refused as f64);
+        }
     }
 
     fn set_timer(&mut self, delay_us: u64, key: TimerKey) {
@@ -602,54 +489,45 @@ impl NodeCtx for ThreadCtx<'_> {
     }
 
     fn rng(&mut self) -> &mut SmallRng {
-        &mut self.worker.rng
+        self.rng
     }
 
-    fn work(&mut self, cost_us: u64) {
-        self.worker.busy_us += cost_us;
+    fn work(&mut self, _cost_us: u64) {
+        // Modeled CPU cost drives the simulator's CPU-idle plots; here
+        // the work is real and the clock measures it.
     }
 
     fn record(&mut self, series: &str, value: f64) {
-        let now = self.now_us();
-        self.worker.metrics.lock().record(now, series, value);
+        self.obs.record(self.shared.now_us(), series, value);
     }
 
     fn count(&mut self, counter: &str, delta: f64) {
-        self.worker.metrics.lock().count(counter, delta);
+        self.obs.count(counter, delta);
     }
 
     fn observe(&mut self, name: &str, value: f64) {
-        self.worker.metrics.lock().observe(name, value);
+        self.obs.observe(name, value);
     }
 
     fn gauge(&mut self, name: &str, value: f64) {
-        self.worker.metrics.lock().set_gauge(name, value);
+        self.obs.gauge(name, value);
     }
 
     fn trace(&mut self, event: TraceEvent) {
-        // No ring buffer here (the threaded runtime is for throughput,
-        // not post-mortems), but the protocol watchdogs still consume
-        // every event so invariant violations surface as watchdog.*
-        // counters — exactly what the sharded-net tests assert on.
-        let rec = TraceRecord {
-            t_us: self.worker.epoch.elapsed().as_micros() as u64,
-            node: self.worker.me,
+        // An armed watchdog panics inside this call, at the point of
+        // detection; a ledger violation is counted and surfaces as
+        // `NetResult::ledger_violations`.
+        self.obs.trace(TraceRecord {
+            t_us: self.shared.now_us(),
+            node: self.me,
             event,
-        };
-        let mut m = self.worker.metrics.lock();
-        self.worker.watchdogs.observe(&rec, &mut m);
-        // The lineage lock is this worker's own — uncontended except
-        // during a stop()-time merge.
-        self.worker.lineage.lock().observe(&rec, &mut m);
+        });
     }
 
     fn interval(&mut self, kind: &'static str, dur_us: u64) {
-        if dur_us == 0 || !self.worker.tel_enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = self.worker.epoch.elapsed().as_micros() as u64;
-        self.worker.intervals.lock().push(BusyInterval {
-            track: self.worker.index,
+        let now = self.shared.now_us();
+        self.obs.interval(BusyInterval {
+            track: self.track,
             kind,
             start_us: now.saturating_sub(dur_us),
             dur_us,
@@ -657,95 +535,79 @@ impl NodeCtx for ThreadCtx<'_> {
     }
 
     fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        self.worker.sketch.lock().attribute(dim, entity, weight);
+        self.obs.attribute(dim, entity, weight);
     }
 }
 
-/// The background sampler thread started by [`RunningNet::start_sampler`].
-struct SamplerHandle {
-    /// Shared with the sampler thread; [`RunningNet::telemetry`] and
-    /// [`RunningNet::stop`] read the timeline out of it.
-    sampler: Arc<Mutex<Sampler>>,
+/// What the sampler thread owns: the window's owner, into which the
+/// worker shards are absorbed, and the sampler and health engine that
+/// each window close feeds.
+struct Telemetry {
+    hub: Observers,
+    sampler: Sampler,
+    health: HealthEngine,
+    /// Per-worker `active_ns` and the wall clock at the last close.
+    last_active: Vec<u64>,
+    last_wall: Instant,
+}
+
+impl Telemetry {
+    /// Closes the window ending now: publishes the runtime gauges only
+    /// this runtime has, absorbs the worker shards, and hands over to
+    /// the close both runtimes share.
+    fn close_window(&mut self, shared: &Shared) {
+        let now = Instant::now();
+        let window_ns = now.duration_since(self.last_wall).as_nanos() as u64;
+        self.last_wall = now;
+        for (i, tx) in shared.senders.iter().enumerate() {
+            self.hub.gauge(
+                &format!("{}.w{i}", names::TELEMETRY_QUEUE_DEPTH),
+                tx.len() as f64,
+            );
+        }
+        for (i, a) in shared.active_ns.iter().enumerate() {
+            let cur = a.load(Ordering::Relaxed);
+            let busy = cur.saturating_sub(self.last_active[i]);
+            self.last_active[i] = cur;
+            let util = if window_ns > 0 {
+                (busy as f64 / window_ns as f64).min(1.0)
+            } else {
+                0.0
+            };
+            self.hub.gauge(
+                &format!("{}.w{i}", names::TELEMETRY_WORKER_UTILIZATION),
+                util,
+            );
+        }
+        self.hub
+            .absorb(shared.shards.len(), |i| shared.shards[i].lock());
+        let t_us = shared.now_us();
+        self.hub
+            .close_window(t_us, t_us, &mut self.sampler, Some(&mut self.health));
+    }
+}
+
+/// The background thread started by [`RunningNet::start_sampler`].
+struct SamplerThread {
+    state: Arc<Mutex<Telemetry>>,
     stop: Arc<AtomicBool>,
     join: std::thread::JoinHandle<()>,
 }
 
 /// A started network; inject messages, then [`RunningNet::stop`].
 pub struct RunningNet {
-    router: Router,
+    shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
-    joins: Vec<std::thread::JoinHandle<Box<dyn Node>>>,
-    metrics: Vec<Arc<Mutex<Metrics>>>,
-    lineages: Vec<Arc<Mutex<Lineage>>>,
-    logical: Arc<Vec<LogicalEntry>>,
-    /// Wall-clock zero shared with every worker; telemetry windows are
-    /// stamped as microseconds since this instant.
-    epoch: Instant,
-    /// Receiver clones kept solely for occupancy probes (`len()`).
-    receivers: Vec<Receiver<Ev>>,
-    tel_enabled: Arc<AtomicBool>,
-    active_ns: Vec<Arc<AtomicU64>>,
-    /// Per-worker forensics interval rings, drained into the telemetry
-    /// timeline (worker-index order) at [`RunningNet::stop`].
-    intervals: Vec<Arc<Mutex<IntervalRing>>>,
-    /// Per-worker population-sketch shards, merged (worker-index order)
-    /// and drained into the telemetry timeline at [`RunningNet::stop`].
-    sketches: Vec<Arc<Mutex<PopulationSketch>>>,
-    /// Runtime-health gauges owned by the sampler thread (queue depth,
-    /// worker utilization) — a separate shard so the sampler never
-    /// writes into a worker's private metrics.
-    tel_metrics: Arc<Mutex<Metrics>>,
-    sampler: Option<SamplerHandle>,
+    joins: Vec<std::thread::JoinHandle<AnyNode>>,
+    telemetry: Option<SamplerThread>,
     scrape: Option<TextServer>,
-}
-
-/// Merges per-worker metric shards into one consistent snapshot.
-///
-/// Mid-run merge semantics (the live `/metrics` endpoint and
-/// [`RunningNet::metrics_snapshot`] both use this, so a scrape never
-/// sees half-merged values):
-///
-/// * shards are merged **in worker-index order**, same as the final
-///   [`RunningNet::stop`] merge — counters and histograms sum, series
-///   concatenate, same-named gauges add;
-/// * each shard's lock is held only while that shard is copied, so a
-///   snapshot is per-shard-atomic: it never tears an individual
-///   counter, but shards are copied at slightly different instants
-///   (unavoidable without a stop-the-world pause, and fine for
-///   monotone counters);
-/// * the telemetry shard (`tel_metrics`) merges **last**, and the
-///   momentary queue-depth gauges are re-probed and overwritten after
-///   the merge, so gauges reflect "now", not the sampler's last window.
-fn merged_snapshot(
-    metrics: &[Arc<Mutex<Metrics>>],
-    tel_metrics: &Arc<Mutex<Metrics>>,
-    receivers: &[Receiver<Ev>],
-) -> Metrics {
-    let mut merged = Metrics::default();
-    for m in metrics {
-        merged.merge(&m.lock());
-    }
-    merged.merge(&tel_metrics.lock());
-    let mut total = 0usize;
-    for (i, rx) in receivers.iter().enumerate() {
-        let depth = rx.len();
-        total += depth;
-        merged.set_gauge(
-            &format!("{}.w{i}", names::TELEMETRY_QUEUE_DEPTH),
-            depth as f64,
-        );
-    }
-    // set_gauge (not merge-add) so the aggregate overwrites whatever
-    // stale sum the per-shard merge produced.
-    merged.set_gauge(names::TELEMETRY_QUEUE_DEPTH, total as f64);
-    merged
 }
 
 impl RunningNet {
     /// Injects a message from the harness (sender =
     /// [`gryphon_sim::CONTROL_NODE`]), with backpressure.
     pub fn inject(&self, to: NodeId, msg: NetMsg) {
-        self.router
+        self.shared
             .deliver(gryphon_sim::CONTROL_NODE, to, msg, true);
     }
 
@@ -755,112 +617,77 @@ impl RunningNet {
     }
 
     /// Live value of counter `name`, summed across worker shards —
-    /// lets harnesses poll for progress without stopping the net.
+    /// lets harnesses poll for progress without stopping the net. Waits,
+    /// per shard, for at most the callback its worker is in.
     pub fn counter(&self, name: &str) -> f64 {
-        self.metrics.iter().map(|m| m.lock().counter(name)).sum()
+        self.shared
+            .shards
+            .iter()
+            .map(|s| s.lock().metrics().counter(name))
+            .sum()
     }
 
     /// A consistent mid-run snapshot of all metric kinds (counters,
     /// gauges, histograms, series) merged across every worker shard —
-    /// see `merged_snapshot` for the exact semantics. Safe to call at
-    /// any point; the live `/metrics` endpoint serves exactly this.
+    /// see `Shared::metrics_snapshot` for the exact semantics. Safe to
+    /// call at any point; the live `/metrics` endpoint serves exactly
+    /// this.
     pub fn metrics_snapshot(&self) -> Metrics {
-        merged_snapshot(&self.metrics, &self.tel_metrics, &self.receivers)
+        self.shared
+            .metrics_snapshot(self.telemetry.as_ref().map(|t| &*t.state))
     }
 
-    /// Arms telemetry and spawns a background sampler thread that every
-    /// `interval` probes each worker's channel occupancy
-    /// (`telemetry.queue_depth.w<i>`) and busy/idle utilization
-    /// (`telemetry.worker_utilization.w<i>`, fraction of the window
-    /// spent inside node callbacks), then feeds a merged snapshot to a
-    /// [`Sampler`] — the wall-clock twin of the simulator's
-    /// virtual-time sampler. Also enables per-dispatch service-time
-    /// histograms on every worker. Idempotent: a second call is a
-    /// no-op.
+    /// Arms telemetry (see the module docs) and spawns the sampler
+    /// thread, which closes a window every `interval`, judged by the
+    /// default health rules. Idempotent: a second call is a no-op.
     pub fn start_sampler(&mut self, interval: Duration) {
-        if self.sampler.is_some() {
+        if self.telemetry.is_some() {
             return;
         }
-        self.tel_enabled.store(true, Ordering::Relaxed);
         let interval = interval.max(Duration::from_micros(1));
-        let sampler = Arc::new(Mutex::new(Sampler::new(interval.as_micros() as u64)));
-        // Wall-clock twin of the simulator's health engine: judge every
-        // window with the default rule set, counters primed so the
-        // `health.alert.*` family is visible even when nothing fires.
-        let mut health = gryphon_sim::HealthEngine::new(gryphon_sim::default_rules());
-        health.prime(&mut self.tel_metrics.lock());
+        let arm = |obs: &mut Observers| {
+            obs.arm_forensics(&ForensicsConfig::default());
+            obs.arm_sketch(SketchConfig::default());
+        };
+        let mut hub = Observers::new(0);
+        arm(&mut hub);
+        for shard in &self.shared.shards {
+            arm(&mut shard.lock());
+        }
+        // Counters primed so the `health.alert.*` family is visible even
+        // when nothing fires.
+        let health = HealthEngine::new(gryphon_sim::default_rules());
+        health.prime(hub.metrics_mut());
+        self.shared.profiling.store(true, Ordering::Relaxed);
+        let state = Arc::new(Mutex::new(Telemetry {
+            hub,
+            sampler: Sampler::new(interval.as_micros() as u64),
+            health,
+            last_active: vec![0; self.shared.shards.len()],
+            last_wall: Instant::now(),
+        }));
         let stop = Arc::new(AtomicBool::new(false));
-        let thread_sampler = Arc::clone(&sampler);
-        let thread_stop = Arc::clone(&stop);
-        let metrics = self.metrics.clone();
-        let tel_metrics = Arc::clone(&self.tel_metrics);
-        let receivers: Vec<Receiver<Ev>> = self.receivers.iter().map(Receiver::clone).collect();
-        let active_ns: Vec<Arc<AtomicU64>> = self.active_ns.iter().map(Arc::clone).collect();
-        let epoch = self.epoch;
+        let (thread_state, thread_stop) = (Arc::clone(&state), Arc::clone(&stop));
+        let shared = Arc::clone(&self.shared);
         let join = std::thread::Builder::new()
             .name("telemetry-sampler".into())
-            .spawn(move || {
-                let mut last_active: Vec<u64> = vec![0; active_ns.len()];
-                let mut last_wall = Instant::now();
-                loop {
-                    std::thread::sleep(interval);
-                    if thread_stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let now = Instant::now();
-                    let window_ns = now.duration_since(last_wall).as_nanos() as u64;
-                    last_wall = now;
-                    {
-                        let mut tm = tel_metrics.lock();
-                        for (i, rx) in receivers.iter().enumerate() {
-                            tm.set_gauge(
-                                &format!("{}.w{i}", names::TELEMETRY_QUEUE_DEPTH),
-                                rx.len() as f64,
-                            );
-                        }
-                        for (i, a) in active_ns.iter().enumerate() {
-                            let cur = a.load(Ordering::Relaxed);
-                            let busy = cur.saturating_sub(last_active[i]);
-                            last_active[i] = cur;
-                            let util = if window_ns > 0 {
-                                (busy as f64 / window_ns as f64).min(1.0)
-                            } else {
-                                0.0
-                            };
-                            tm.set_gauge(
-                                &format!("{}.w{i}", names::TELEMETRY_WORKER_UTILIZATION),
-                                util,
-                            );
-                        }
-                    }
-                    let snapshot = merged_snapshot(&metrics, &tel_metrics, &receivers);
-                    let t_us = epoch.elapsed().as_micros() as u64;
-                    let mut s = thread_sampler.lock();
-                    s.sample(t_us, &snapshot);
-                    for alert in health.evaluate(t_us, s.timeline()) {
-                        if alert.state == gryphon_sim::AlertState::Firing {
-                            tel_metrics
-                                .lock()
-                                .count(&format!("health.alert.{}", alert.rule), 1.0);
-                        }
-                        s.timeline_mut().push_alert(alert);
-                    }
+            .spawn(move || loop {
+                std::thread::sleep(interval);
+                if thread_stop.load(Ordering::Relaxed) {
+                    break;
                 }
+                thread_state.lock().close_window(&shared);
             })
             .expect("spawn telemetry sampler");
-        self.sampler = Some(SamplerHandle {
-            sampler,
-            stop,
-            join,
-        });
+        self.telemetry = Some(SamplerThread { state, stop, join });
     }
 
     /// The telemetry timeline collected so far (a clone; `None` until
     /// [`RunningNet::start_sampler`] has been called).
     pub fn telemetry(&self) -> Option<Timeline> {
-        self.sampler
+        self.telemetry
             .as_ref()
-            .map(|h| h.sampler.lock().timeline().clone())
+            .map(|t| t.state.lock().sampler.timeline().clone())
     }
 
     /// Serves the merged metrics snapshot as Prometheus text over a tiny
@@ -871,24 +698,20 @@ impl RunningNet {
     ///
     /// Returns the bind error if `addr` cannot be bound.
     pub fn serve_metrics(&mut self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        let metrics = self.metrics.clone();
-        let tel_metrics = Arc::clone(&self.tel_metrics);
-        let receivers: Vec<Receiver<Ev>> = self.receivers.iter().map(Receiver::clone).collect();
         // `/healthz` reports the live alert count — arm the sampler
         // before serving if health-rule evaluation should feed it.
-        let health_sampler = self.sampler.as_ref().map(|h| Arc::clone(&h.sampler));
+        let state = self.telemetry.as_ref().map(|t| Arc::clone(&t.state));
+        let (shared, health_state) = (Arc::clone(&self.shared), state.clone());
         let server = TextServer::serve_with_health(
             addr,
             move || {
-                gryphon_sim::lineage::prometheus_text(&merged_snapshot(
-                    &metrics,
-                    &tel_metrics,
-                    &receivers,
-                ))
+                gryphon_sim::lineage::prometheus_text(&shared.metrics_snapshot(state.as_deref()))
             },
-            move || match &health_sampler {
-                Some(s) => format!("alerts {}\n", s.lock().timeline().alerts().len()),
-                None => "alerts 0\n".to_owned(),
+            move || {
+                let alerts = health_state
+                    .as_ref()
+                    .map_or(0, |s| s.lock().sampler.timeline().alerts().len());
+                format!("alerts {alerts}\n")
             },
         )?;
         let bound = server.local_addr();
@@ -896,116 +719,49 @@ impl RunningNet {
         Ok(bound)
     }
 
-    /// Stops all node threads and returns their final states.
+    /// Stops all node threads and returns their final states. When a
+    /// sampler ran, one last window is closed over what the workers
+    /// collected after the sampler's final tick.
     pub fn stop(mut self) -> NetResult {
         // Scrape endpoint and sampler go down first so neither observes
         // a half-stopped net.
         drop(self.scrape.take());
-        let mut telemetry = self.sampler.take().map(|h| {
-            h.stop.store(true, Ordering::Relaxed);
-            let _ = h.join.join();
-            Arc::try_unwrap(h.sampler)
-                .map(|m| m.into_inner().into_timeline())
-                .unwrap_or_else(|arc| arc.lock().timeline().clone())
+        let telemetry = self.telemetry.take().map(|t| {
+            t.stop.store(true, Ordering::Relaxed);
+            let _ = t.join.join();
+            t.state
         });
         self.stop.store(true, Ordering::Relaxed);
-        let workers: Vec<Box<dyn Node>> = self
+        let workers: Vec<AnyNode> = self
             .joins
             .drain(..)
             .map(|j| j.join().expect("node thread"))
             .collect();
-        let mut merged = Metrics::default();
-        for m in &self.metrics {
-            merged.merge(&m.lock());
-        }
-        // The sampler's runtime-health gauges merge after the worker
-        // shards, same position they hold in live snapshots.
-        merged.merge(&self.tel_metrics.lock());
+        let timeline = telemetry.as_ref().map(|state| {
+            let mut t = state.lock();
+            t.close_window(&self.shared);
+            t.sampler.timeline().clone()
+        });
         // Lineage shards merge in worker-index order — the same
         // deterministic discipline as the metrics merge, so repeated
         // runs of a deterministic workload produce identical ledgers.
-        // The merge also absorbs every worker's exemplar reservoir.
         let mut lineage = Lineage::default();
-        for l in &self.lineages {
-            lineage.merge(&l.lock());
-        }
-        // Drain forensics into the timeline: exemplars resolve against
-        // the *merged* lineage (a span whose stages ran on different
-        // workers still renders end-to-end), intervals drain in
-        // worker-index order. Shed records surface as counters.
-        if let Some(t) = telemetry.as_mut() {
-            let mut dropped = 0;
-            let drained = match lineage.exemplars_mut() {
-                Some(r) => {
-                    dropped += r.take_dropped();
-                    r.drain_sorted()
-                }
-                None => Vec::new(),
-            };
-            for s in drained {
-                let ex = Exemplar::resolve(&s, lineage.span(s.key));
-                dropped += t.push_exemplar(ex);
-            }
-            if dropped > 0 {
-                merged.count(names::FORENSICS_EXEMPLAR_DROPPED, dropped as f64);
-            }
-            let mut dropped = 0;
-            for ring in &self.intervals {
-                let mut ring = ring.lock();
-                dropped += ring.take_dropped();
-                for iv in ring.drain() {
-                    dropped += t.push_interval(iv);
-                }
-            }
-            if dropped > 0 {
-                merged.count(names::FORENSICS_INTERVAL_DROPPED, dropped as f64);
-            }
-        }
-        // Population-sketch shards merge in worker-index order, then the
-        // merged sketch drains once — the wall-clock twin of the
-        // simulator's per-window drain. Snapshots land on the timeline
-        // when a sampler ran; the spectrum/dominance gauges always land
-        // in the merged metrics.
-        let mut sketch = PopulationSketch::new(SketchConfig::default());
-        for s in &self.sketches {
-            sketch.absorb(&s.lock());
-        }
-        if !sketch.is_empty() {
-            let t_us = self.epoch.elapsed().as_micros() as u64;
-            let (snaps, stats) = sketch.drain(t_us);
-            if let Some(stats) = stats {
-                merged.set_gauge(names::SKETCH_LAG_POPULATION, stats.population as f64);
-                merged.set_gauge(names::SKETCH_LAG_P50_US, stats.p50_us as f64);
-                merged.set_gauge(names::SKETCH_LAG_P99_US, stats.p99_us as f64);
-                merged.set_gauge(names::SKETCH_LAG_MAX_US, stats.max_us as f64);
-                merged.set_gauge(names::SKETCH_LAG_SKEW, stats.skew());
-            }
-            if let Some(bytes) = snaps.iter().find(|s| s.dim == DIM_SUB_BYTES) {
-                merged.set_gauge(names::SKETCH_DOMINANCE_SHARE, bytes.alarm_share());
-            }
-            if let Some(t) = telemetry.as_mut() {
-                let mut dropped = 0;
-                for snap in snaps {
-                    dropped += t.push_topk(snap);
-                }
-                if dropped > 0 {
-                    merged.count(names::FORENSICS_TOPK_DROPPED, dropped as f64);
-                }
-            }
+        for shard in &self.shared.shards {
+            lineage.merge(shard.lock().lineage());
         }
         NetResult {
             workers,
-            metrics: merged,
+            metrics: self.shared.metrics_snapshot(telemetry.as_deref()),
             lineage,
-            telemetry,
-            logical: Arc::clone(&self.logical),
+            telemetry: timeline,
+            shared: Arc::clone(&self.shared),
         }
     }
 }
 
 /// Final node states and metrics after [`RunningNet::stop`].
 pub struct NetResult {
-    workers: Vec<Box<dyn Node>>,
+    workers: Vec<AnyNode>,
     /// Per-worker metrics merged into one run-wide view.
     pub metrics: Metrics,
     /// Per-worker delivery-lineage shards merged into one run-wide
@@ -1014,7 +770,7 @@ pub struct NetResult {
     /// Wall-clock telemetry timeline, present when
     /// [`RunningNet::start_sampler`] ran during the net's lifetime.
     pub telemetry: Option<Timeline>,
-    logical: Arc<Vec<LogicalEntry>>,
+    shared: Arc<Shared>,
 }
 
 impl NetResult {
@@ -1034,23 +790,13 @@ impl NetResult {
     ///
     /// Panics on a type mismatch or an out-of-range shard index.
     pub fn shard<T: Node + 'static>(&self, h: Handle<T>, shard: usize) -> &T {
-        let entry = &self.logical[h.id.0 as usize];
-        assert_eq!(
-            entry.type_id,
-            TypeId::of::<Typed<T>>(),
-            "handle type mismatch"
-        );
-        let node = self.workers[entry.workers[shard]].as_ref();
-        let typed: &Typed<T> = unsafe {
-            // SAFETY: TypeId verified above; nodes are never replaced.
-            &*(node as *const dyn Node as *const Typed<T>)
-        };
-        &typed.0
+        let worker = self.shared.logical[h.id().0 as usize][shard];
+        self.workers[worker].downcast_ref()
     }
 
     /// Number of worker shards backing logical node `h`.
     pub fn shard_count<T>(&self, h: Handle<T>) -> usize {
-        self.logical[h.id.0 as usize].workers.len()
+        self.shared.logical[h.id().0 as usize].len()
     }
 
     /// Total protocol-watchdog violations across all workers (gap-free
@@ -1065,94 +811,6 @@ impl NetResult {
     /// all workers.
     pub fn ledger_violations(&self) -> u64 {
         self.lineage.violations()
-    }
-}
-
-/// [`Executor`] adapter over the threaded runtime: spawn nodes while
-/// building, then the first `inject`/`advance_us` starts the threads.
-///
-/// `connect` is a no-op (the net is fully connected); `advance_us`
-/// sleeps wall-clock time. Call [`NetExecutor::finish`] to stop the
-/// threads and obtain the merged [`NetResult`].
-pub struct NetExecutor {
-    state: ExecState,
-}
-
-enum ExecState {
-    Building(NetBuilder),
-    Running(Box<RunningNet>),
-    Done,
-}
-
-impl Default for NetExecutor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NetExecutor {
-    /// An empty, not-yet-started executor.
-    pub fn new() -> Self {
-        NetExecutor {
-            state: ExecState::Building(NetBuilder::new()),
-        }
-    }
-
-    /// Marker type for nodes spawned type-erased via [`Executor::spawn`]
-    /// (they cannot be downcast back out of a [`NetResult`]).
-    fn ensure_running(&mut self) -> &RunningNet {
-        if let ExecState::Building(_) = self.state {
-            let ExecState::Building(b) = std::mem::replace(&mut self.state, ExecState::Done) else {
-                unreachable!()
-            };
-            self.state = ExecState::Running(Box::new(b.start()));
-        }
-        match &self.state {
-            ExecState::Running(r) => r,
-            _ => panic!("NetExecutor already finished"),
-        }
-    }
-
-    /// Stops the threads (starting them first if nothing ever ran) and
-    /// returns the final states + merged metrics.
-    pub fn finish(mut self) -> NetResult {
-        self.ensure_running();
-        match std::mem::replace(&mut self.state, ExecState::Done) {
-            ExecState::Running(r) => r.stop(),
-            _ => unreachable!("ensure_running left executor running"),
-        }
-    }
-}
-
-/// Type-erased registration marker (see [`NetExecutor::ensure_running`]).
-struct Opaque;
-
-impl Executor for NetExecutor {
-    fn spawn(&mut self, name: &str, node: Box<dyn Node>) -> NodeId {
-        let ExecState::Building(b) = &mut self.state else {
-            panic!("NetExecutor::spawn after start — register all nodes before injecting");
-        };
-        b.add_entry::<Opaque>(name, vec![node], TypeId::of::<Opaque>())
-            .id()
-    }
-
-    fn connect(&mut self, _a: NodeId, _b: NodeId) {
-        // Fully connected already.
-    }
-
-    fn inject(&mut self, to: NodeId, msg: NetMsg) {
-        self.ensure_running().inject(to, msg);
-    }
-
-    fn advance_us(&mut self, us: u64) {
-        self.ensure_running().run_for(Duration::from_micros(us));
-    }
-
-    fn counter(&self, name: &str) -> f64 {
-        match &self.state {
-            ExecState::Building(_) | ExecState::Done => 0.0,
-            ExecState::Running(r) => r.counter(name),
-        }
     }
 }
 
@@ -1371,34 +1029,5 @@ mod tests {
             "got: {resp}"
         );
         net.stop();
-    }
-
-    #[test]
-    fn net_executor_runs_nodes() {
-        let mut ex = NetExecutor::new();
-        let a = Executor::spawn(
-            &mut ex,
-            "a",
-            Box::new(Echo {
-                got: 0,
-                timer_fired: false,
-            }),
-        );
-        let b = Executor::spawn(
-            &mut ex,
-            "b",
-            Box::new(Echo {
-                got: 0,
-                timer_fired: false,
-            }),
-        );
-        ex.connect(a, b);
-        for _ in 0..5 {
-            Executor::inject(&mut ex, a, dummy());
-        }
-        ex.advance_us(50_000);
-        assert_eq!(ex.counter("echo.got"), 5.0);
-        let result = ex.finish();
-        assert_eq!(result.metrics.counter("echo.got"), 5.0);
     }
 }

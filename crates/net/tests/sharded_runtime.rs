@@ -104,6 +104,11 @@ fn run(shards: usize) -> Deliveries {
         0.0,
         "protocol watchdogs must stay silent under {shards} shards"
     );
+    assert_eq!(
+        result.metrics.counter(gryphon_sim::names::NET_DROPPED),
+        0.0,
+        "no node-to-node send may hit a full channel under {shards} shards"
+    );
     let mut published = 0;
     for h in &publishers {
         published += result.node(*h).published();

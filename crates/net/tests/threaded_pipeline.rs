@@ -61,6 +61,11 @@ fn publish_to_delivery_over_threads() {
         "order must hold under threads"
     );
     assert_eq!(client.gaps_received(), 0);
+    assert_eq!(
+        result.metrics.counter(gryphon_sim::names::NET_DROPPED),
+        0.0,
+        "no node-to-node send may hit a full channel at this load"
+    );
     assert!(
         client.events_received() > 100,
         "delivery across threads: {} events of {published} published",

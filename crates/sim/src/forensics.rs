@@ -1,4 +1,4 @@
-//! Tail-latency forensics (DESIGN.md §17): bounded exemplar reservoirs
+//! Tail-latency forensics (DESIGN.md §9): bounded exemplar reservoirs
 //! that tie histogram tail samples back to concrete lineage spans, and
 //! bounded busy-interval rings behind the Perfetto trace export.
 //!
@@ -13,10 +13,10 @@
 //!   win. The runtime drains the reservoir each sampler window,
 //!   resolves every surviving [`TailSample`] against the live lineage
 //!   span, and appends the resulting [`Exemplar`] to the timeline.
-//! * [`IntervalRing`] — a flight-recorder ring of [`BusyInterval`]
-//!   records (dispatch CPU time, modeled work, commit/fsync slices,
-//!   queue waits). Oldest entries are evicted first, so the ring always
-//!   holds the most recent history.
+//! * [`BusyInterval`] — one record of the contention profiler (dispatch
+//!   CPU time, modeled work, commit/fsync slices, queue waits), kept in a
+//!   bounded ring (`ring::Ring`): oldest entries are evicted first, so
+//!   the ring always holds the most recent history.
 //!
 //! Both structures are strictly bounded and count what they shed
 //! (`forensics.exemplar_dropped` / `forensics.interval_dropped`), and
@@ -27,7 +27,6 @@
 use crate::lineage::Span;
 use crate::metrics::Metrics;
 use gryphon_types::LineageKey;
-use std::collections::VecDeque;
 
 /// Observations a cached tail threshold serves before it is recomputed
 /// from the live histogram — a percentile scan walks every bucket, too
@@ -183,13 +182,19 @@ impl ExemplarReservoir {
         self.dropped += 1;
     }
 
-    /// Folds another reservoir's samples into this one (worker-shard
-    /// merge at stop, in worker-index order).
-    pub fn absorb(&mut self, other: &ExemplarReservoir) {
-        for s in &other.samples {
-            self.push(*s);
+    /// Moves another reservoir's samples and drop count into this one
+    /// (worker shards into the window's owner, in worker-index order),
+    /// leaving `other` empty.
+    pub fn absorb(&mut self, other: &mut ExemplarReservoir) {
+        for s in std::mem::take(&mut other.samples) {
+            self.push(s);
         }
-        self.dropped += other.dropped;
+        self.dropped += other.take_dropped();
+    }
+
+    /// The samples currently held, in arrival order.
+    pub fn samples(&self) -> &[TailSample] {
+        &self.samples
     }
 
     /// Takes all held samples in canonical `(t_us, series, value)`
@@ -225,7 +230,7 @@ impl ExemplarReservoir {
 /// A tail sample resolved against its lineage span: self-contained (no
 /// live span needed to read it back from a bundle), one per line in
 /// `exemplars.ndjson`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Exemplar {
     /// Stage-completion time of the captured observation.
     pub t_us: u64,
@@ -330,7 +335,7 @@ pub fn intern_kind(s: &str) -> &'static str {
 
 /// One busy/wait interval on a track (simulator: node id; threaded
 /// runtime: worker index). `Copy` — recording must not allocate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusyInterval {
     /// Track the slice belongs to (rendered as a Perfetto thread).
     pub track: u32,
@@ -340,61 +345,6 @@ pub struct BusyInterval {
     pub start_us: u64,
     /// Interval length.
     pub dur_us: u64,
-}
-
-/// Bounded flight-recorder ring of [`BusyInterval`]s: oldest evicted
-/// first, evictions counted. Capacity is preallocated so pushes never
-/// allocate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalRing {
-    cap: usize,
-    buf: VecDeque<BusyInterval>,
-    dropped: u64,
-}
-
-impl IntervalRing {
-    /// An empty ring holding at most `cap` intervals.
-    pub fn new(cap: usize) -> IntervalRing {
-        let cap = cap.max(1);
-        IntervalRing {
-            cap,
-            buf: VecDeque::with_capacity(cap),
-            dropped: 0,
-        }
-    }
-
-    /// Records one interval, evicting (and counting) the oldest when
-    /// full.
-    pub fn push(&mut self, iv: BusyInterval) {
-        if self.buf.len() >= self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(iv);
-    }
-
-    /// Takes all held intervals in record order, leaving the ring empty
-    /// (capacity retained).
-    pub fn drain(&mut self) -> Vec<BusyInterval> {
-        let out: Vec<BusyInterval> = self.buf.iter().copied().collect();
-        self.buf.clear();
-        out
-    }
-
-    /// Takes (and resets) the count of intervals evicted under pressure.
-    pub fn take_dropped(&mut self) -> u64 {
-        std::mem::take(&mut self.dropped)
-    }
-
-    /// Intervals currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no intervals are held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -489,31 +439,12 @@ mod tests {
         a.offer(1, SERIES, 60_000.0, key(1), &m);
         b.offer(2, SERIES, 70_000.0, key(2), &m);
         b.offer(3, SERIES, 80_000.0, key(3), &m);
-        a.absorb(&b);
+        a.absorb(&mut b);
+        assert!(b.is_empty(), "absorb moves the samples");
         assert_eq!(a.len(), 2);
         assert_eq!(a.take_dropped(), 1, "merge sheds the smallest");
         let vals: Vec<f64> = a.drain_sorted().iter().map(|s| s.value).collect();
         assert_eq!(vals, vec![70_000.0, 80_000.0]);
-    }
-
-    /// The bounded-memory pin for the interval ring: oldest out first,
-    /// evictions counted, capacity never exceeded.
-    #[test]
-    fn interval_ring_evicts_oldest_and_counts() {
-        let mut ring = IntervalRing::new(3);
-        for i in 0..8u64 {
-            ring.push(BusyInterval {
-                track: 0,
-                kind: KIND_BUSY,
-                start_us: i,
-                dur_us: 1,
-            });
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.take_dropped(), 5);
-        let starts: Vec<u64> = ring.drain().iter().map(|iv| iv.start_us).collect();
-        assert_eq!(starts, vec![5, 6, 7], "newest history survives");
-        assert!(ring.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Online health engine: declarative rules over the telemetry timeline
-//! (DESIGN.md §14).
+//! (DESIGN.md §9).
 //!
 //! The windowed [`Sampler`](crate::telemetry::Sampler) turns raw metrics
 //! into a [`Timeline`]; this module *judges* that timeline. A
@@ -26,9 +26,10 @@
 use crate::telemetry::Timeline;
 
 /// Which side of a hysteresis transition an [`AlertRecord`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AlertState {
     /// The rule's predicate started holding this window.
+    #[default]
     Firing,
     /// The rule's predicate stopped holding this window.
     Cleared,
@@ -42,12 +43,21 @@ impl AlertState {
             AlertState::Cleared => "cleared",
         }
     }
+
+    /// The inverse of [`as_str`](AlertState::as_str).
+    pub fn parse(s: &str) -> Option<AlertState> {
+        match s {
+            "firing" => Some(AlertState::Firing),
+            "cleared" => Some(AlertState::Cleared),
+            _ => None,
+        }
+    }
 }
 
 /// One hysteresis transition of one rule: the structured alert record
 /// stored on the [`Timeline`], exported into run bundles, and mirrored
 /// into the trace stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlertRecord {
     /// Sample-window time of the transition (virtual µs under the
     /// simulator, wall µs since net start under `gryphon-net`).
@@ -213,7 +223,7 @@ pub fn default_rules() -> Vec<HealthRule> {
                 windows: 8,
             },
         ),
-        // Lag-spectrum skew (DESIGN.md §18): the population's p99
+        // Lag-spectrum skew (DESIGN.md §9): the population's p99
         // delivery lag diverging from its p50 means a minority of
         // subscribers is falling far behind the median — the slow
         // consumers the top-K sketch then names. The spectrum buckets

@@ -19,12 +19,14 @@
 //!
 //! # Observability
 //!
-//! With the default `trace` feature, the runtime also collects a bounded
-//! ring of structured [`trace::TraceEvent`]s emitted by nodes (via the
-//! [`trace_event!`] macro), feeds them through the protocol-invariant
-//! [`trace::Watchdogs`], and supports fixed-bucket [`Histogram`]s with
-//! [`Metrics::percentile`]. Building with `--no-default-features`
-//! compiles the instrumentation out of every hot path.
+//! Everything that observes a run — metrics, a bounded ring of structured
+//! [`trace::TraceEvent`]s, the protocol-invariant [`trace::Watchdogs`],
+//! the delivery-lineage ledger, tail forensics, the population sketch —
+//! has one owner, [`Observers`], which both runtimes embed (DESIGN.md
+//! §9). Nodes report through [`NodeCtx`]; instrumentation sites wrap the
+//! call in [`traced!`], so building with `--no-default-features` (the
+//! `trace` feature off) compiles the instrumentation out of every hot
+//! path.
 //!
 //! # Examples
 //!
@@ -50,24 +52,26 @@
 //! assert!(sim.metrics().series("echoed").len() >= 2); // ping-pongs until time runs out
 //! ```
 
-mod executor;
+pub mod codec;
 pub mod forensics;
 pub mod health;
 pub mod lineage;
 mod metrics;
+mod observers;
+mod ring;
 mod runtime;
 pub mod sketch;
 pub mod telemetry;
 pub mod trace;
 
-pub use executor::Executor;
-pub use forensics::{BusyInterval, Exemplar, ExemplarReservoir, ForensicsConfig, IntervalRing};
+pub use forensics::{BusyInterval, Exemplar, ExemplarReservoir, ForensicsConfig};
 pub use health::{default_rules, AlertRecord, AlertState, HealthEngine, HealthRule, RuleKind};
 pub use lineage::{LedgerAudit, Lineage, Span};
 pub use metrics::{names, Histogram, Metrics};
-pub use runtime::{Handle, LinkParams, Node, NodeCtx, Sim, TimerKey, CONTROL_NODE};
+pub use observers::{Observers, Oracle};
+pub use runtime::{AnyNode, Handle, LinkParams, Node, NodeCtx, Sim, TimerKey, CONTROL_NODE};
 pub use sketch::{
     LagSpectrum, PopulationSketch, SketchConfig, SpaceSaving, SpectrumStats, TopKEntry,
     TopKSnapshot,
 };
-pub use trace::{DeliveryPath, Severity, TraceBuffer, TraceEvent, TraceRecord, Watchdogs};
+pub use trace::{DeliveryPath, Severity, TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};

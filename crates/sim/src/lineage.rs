@@ -79,7 +79,7 @@ impl Span {
         self.birth_us.is_some() && self.log_us.is_some() && !self.ingest_us.is_empty()
     }
 
-    fn merge(&mut self, other: &Span) {
+    pub(crate) fn merge(&mut self, other: &Span) {
         // Anchors: first-wins across a merge too, except birth where a
         // later (re-timestamping) anchor should already agree because
         // spans are sharded by pubend; keep self's when present.
@@ -190,7 +190,7 @@ pub struct Lineage {
     reconnect_duplicates: u64,
     gap_beyond_release: u64,
     last_violation: Option<String>,
-    /// Tail-exemplar reservoir (DESIGN.md §17); `None` until armed via
+    /// Tail-exemplar reservoir (DESIGN.md §9); `None` until armed via
     /// [`Lineage::arm_exemplars`]. Pure observer: arming it changes no
     /// span, ledger, or histogram state.
     exemplars: Option<ExemplarReservoir>,
@@ -551,11 +551,13 @@ impl Lineage {
     }
 
     /// Folds another lineage into `self`. Used by the threaded runtime
-    /// to merge per-worker lineage state at stop, **in worker-index
+    /// to merge per-worker ledgers once, in `stop()`, **in worker-index
     /// order** so the result is deterministic. Per-pubend sharding means
     /// span and ledger keys are essentially disjoint across workers;
     /// where control-traffic broadcast duplicated a session header, the
-    /// owner shard's session (the one that saw deliveries) wins.
+    /// owner shard's session (the one that saw deliveries) wins. Tail
+    /// exemplars are window state, not ledger state: they travel through
+    /// [`Observers::absorb`](crate::Observers::absorb) instead.
     pub fn merge(&mut self, other: &Lineage) {
         for (&k, s) in &other.spans {
             self.spans.entry(k).or_default().merge(s);
@@ -596,11 +598,6 @@ impl Lineage {
                 .entry(p)
                 .or_default()
                 .extend(set.iter().copied());
-        }
-        match (self.exemplars.as_mut(), other.exemplars.as_ref()) {
-            (Some(mine), Some(theirs)) => mine.absorb(theirs),
-            (None, Some(theirs)) => self.exemplars = Some(theirs.clone()),
-            _ => {}
         }
         self.full_audit |= other.full_audit;
         self.violations += other.violations;

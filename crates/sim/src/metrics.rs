@@ -107,7 +107,7 @@ pub mod names {
     /// scheduler's outstanding-event count at each sample; in the
     /// threaded runtime each worker publishes its bounded-channel
     /// occupancy under a `.w<i>` shard suffix and the sampler derives
-    /// the unsuffixed aggregate (see DESIGN.md §13).
+    /// the unsuffixed aggregate (see DESIGN.md §9).
     pub const TELEMETRY_QUEUE_DEPTH: &str = "telemetry.queue_depth";
     /// Gauge: fraction of wall time a threaded-runtime worker spent
     /// processing messages/timers over the last sample window
@@ -143,7 +143,7 @@ pub mod names {
     /// gate.
     pub const TELEMETRY_SHB_BYTES_PER_IDLE_SUB: &str = "telemetry.shb.bytes_per_idle_sub";
     /// Counter family: firing transitions of health-engine rules
-    /// (DESIGN.md §14). Each rule `<r>` bumps `health.alert.<r>`; the
+    /// (DESIGN.md §9). Each rule `<r>` bumps `health.alert.<r>`; the
     /// constants below register the default rule set so exporters and
     /// the registry test see the family even when it never fires.
     pub const HEALTH_ALERT_CATCHUP_BACKLOG: &str = "health.alert.catchup_backlog";
@@ -179,7 +179,7 @@ pub mod names {
     /// the covering flush themselves (group-commit **leaders**). The
     /// leader's wait is the device flush plus the group window, so the
     /// leader/follower split attributes commit latency to contention vs
-    /// the device (DESIGN.md §17).
+    /// the device (DESIGN.md §9).
     pub const STORAGE_COMMIT_SYNC_WAIT_LEADER_US: &str = "storage.commit.sync_wait_leader_us";
     /// Histogram: `sync_wait_us` restricted to commits that rode on
     /// another committer's flush (group-commit **followers**) — pure
@@ -189,8 +189,13 @@ pub mod names {
     /// worker's bounded channel between enqueue and dispatch. Only
     /// recorded while the telemetry sampler is armed; together with
     /// `telemetry.service_time_us` it splits worker latency into
-    /// queueing vs CPU time (DESIGN.md §17).
+    /// queueing vs CPU time (DESIGN.md §9).
     pub const NET_QUEUE_WAIT_US: &str = "net.queue_wait_us";
+    /// Counter: messages lost in transit between nodes. In the simulator
+    /// a lossy link dropped a knowledge or curiosity message; in the
+    /// threaded runtime a node-to-node send found the destination
+    /// worker's channel full.
+    pub const NET_DROPPED: &str = "net.dropped";
     /// Counter: tail exemplars rejected because the per-window reservoir
     /// was full — the forensics layer bounds memory by dropping (and
     /// counting) instead of growing.
@@ -203,7 +208,7 @@ pub mod names {
     /// exemplar/interval streams.
     pub const FORENSICS_TOPK_DROPPED: &str = "forensics.topk_dropped";
     /// Gauge: subscribers covered by the last slab sweep feeding the
-    /// lag spectrum (DESIGN.md §18).
+    /// lag spectrum (DESIGN.md §9).
     pub const SKETCH_LAG_POPULATION: &str = "sketch.sub_lag.population";
     /// Gauge: median per-subscriber delivery lag from the last swept
     /// window's lag spectrum (bucket upper bound, µs).
@@ -290,6 +295,7 @@ pub mod names {
             STORAGE_COMMIT_SYNC_WAIT_LEADER_US,
             STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US,
             NET_QUEUE_WAIT_US,
+            NET_DROPPED,
             FORENSICS_EXEMPLAR_DROPPED,
             FORENSICS_INTERVAL_DROPPED,
             FORENSICS_TOPK_DROPPED,
@@ -500,18 +506,33 @@ pub struct Metrics {
     gauges: BTreeMap<String, f64>,
 }
 
+/// Applies `f` to the entry for `name`, created on first sight. Looks up
+/// by `&str` first: a name that already exists — every observation but a
+/// metric's first — costs one lookup and no allocation.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_default()),
+    }
+}
+
 impl Metrics {
+    /// True when nothing of any kind has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.series.is_empty()
+            && self.counters.is_empty()
+            && self.histograms.is_empty()
+            && self.gauges.is_empty()
+    }
+
     /// Appends a `(t_us, value)` sample to `name`.
     pub fn record(&mut self, t_us: u64, name: &str, value: f64) {
-        self.series
-            .entry(name.to_owned())
-            .or_default()
-            .push((t_us, value));
+        upsert(&mut self.series, name, |s| s.push((t_us, value)));
     }
 
     /// Adds `delta` to counter `name`.
     pub fn count(&mut self, name: &str, delta: f64) {
-        *self.counters.entry(name.to_owned()).or_insert(0.0) += delta;
+        upsert(&mut self.counters, name, |c| *c += delta);
     }
 
     /// The samples of series `name` (empty slice if never recorded).
@@ -526,10 +547,7 @@ impl Metrics {
 
     /// Records one sample into histogram `name`.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(value);
+        upsert(&mut self.histograms, name, |h| h.observe(value));
     }
 
     /// The `q`-quantile of histogram `name` (`None` when absent/empty).
@@ -557,11 +575,7 @@ impl Metrics {
     /// backlog width — snapshotted by the telemetry sampler, unlike
     /// series which append every write.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_owned(), value);
-        }
+        upsert(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Current value of gauge `name` (`None` if never set).

@@ -1,0 +1,370 @@
+//! The observer stack's one owner (DESIGN.md §9).
+//!
+//! A runtime that hosts [`Node`](crate::Node)s embeds an [`Observers`]
+//! and routes the observation half of [`NodeCtx`](crate::NodeCtx) to it.
+//! The owner holds the metrics registry, the trace ring, the invariant
+//! watchdogs, the lineage assembler with its exactly-once ledger and tail
+//! reservoir, the busy-interval ring and the population sketch, and has
+//! three entry points:
+//!
+//! * **observe** — `record`, `count`, `observe`, `gauge`, `trace`,
+//!   `interval`, `attribute`: what a node callback reports;
+//! * **absorb** — fold worker shards into this owner, in worker-index
+//!   order;
+//! * **close_window** — the only code that turns what the observers
+//!   collected into timeline records, gauges, alerts and drop counters.
+//!
+//! The simulator embeds one and closes a window per due sample. The
+//! threaded runtime embeds one per worker plus one on its sampler thread,
+//! which absorbs the workers' and closes the same window. The runtimes
+//! differ in *when* a window closes and in which runtime gauges they set
+//! beforehand, never in what closing does.
+
+use crate::forensics::{BusyInterval, Exemplar, ExemplarReservoir, ForensicsConfig};
+use crate::health::{AlertState, HealthEngine};
+use crate::lineage::{Lineage, Span};
+use crate::metrics::{names, Metrics};
+use crate::ring::Ring;
+use crate::runtime::CONTROL_NODE;
+use crate::sketch::{self, PopulationSketch, SketchConfig, DIM_SUB_BYTES};
+use crate::telemetry::Sampler;
+use crate::trace::{TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};
+use gryphon_types::LineageKey;
+use std::collections::BTreeMap;
+
+/// Which correctness oracle a trace record tripped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Oracle {
+    /// One of the three protocol-invariant [`Watchdogs`].
+    Watchdog,
+    /// The exactly-once delivery ledger in [`Lineage`].
+    Ledger,
+}
+
+/// The observer stack. See the [module docs](self).
+#[derive(Debug)]
+pub struct Observers {
+    metrics: Metrics,
+    /// Sum of the metrics of the shards absorbed since the last close
+    /// (stays empty in an owner that absorbs nothing).
+    absorbed: Metrics,
+    ring: Ring<TraceRecord>,
+    watchdogs: Watchdogs,
+    lineage: Lineage,
+    /// Contention-profiler ring (`None` = disarmed).
+    intervals: Option<Ring<BusyInterval>>,
+    /// Population sketch (`None` = disarmed).
+    sketch: Option<PopulationSketch>,
+    /// Spans copied from absorbed shards for the tail samples of the
+    /// open window; an owner's own ledger answers for the rest.
+    window_spans: BTreeMap<LineageKey, Span>,
+}
+
+impl Observers {
+    /// A stack that retains the last `trace_capacity` trace records
+    /// (`0` retains none; the watchdogs and the ledger still see every
+    /// record). Forensics and the sketch start disarmed.
+    pub fn new(trace_capacity: usize) -> Observers {
+        Observers {
+            metrics: Metrics::default(),
+            absorbed: Metrics::default(),
+            ring: Ring::new(trace_capacity),
+            watchdogs: Watchdogs::default(),
+            lineage: Lineage::default(),
+            intervals: None,
+            sketch: None,
+            window_spans: BTreeMap::new(),
+        }
+    }
+
+    /// Arms tail forensics: the exemplar reservoir on the lineage stage
+    /// histograms and the bounded busy-interval ring. Both drain into the
+    /// timeline when a window closes.
+    pub fn arm_forensics(&mut self, cfg: &ForensicsConfig) {
+        self.lineage.arm_exemplars(ExemplarReservoir::new(cfg));
+        self.intervals = Some(Ring::new(cfg.interval_capacity));
+    }
+
+    /// Arms the population sketch: per-entity top-K attribution plus the
+    /// subscriber lag spectrum, drained when a window closes.
+    pub fn arm_sketch(&mut self, cfg: SketchConfig) {
+        self.sketch = Some(PopulationSketch::new(cfg));
+    }
+
+    /// The metrics registry.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Mutable metrics access, for a harness recording ground truth
+    /// beside what the nodes report.
+    pub fn metrics_mut(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+
+    /// The lineage assembler and delivery ledger.
+    pub fn lineage(&self) -> &Lineage {
+        &self.lineage
+    }
+
+    /// Mutable ledger access (audit mode).
+    pub fn lineage_mut(&mut self) -> &mut Lineage {
+        &mut self.lineage
+    }
+
+    /// The population sketch, while armed.
+    pub fn sketch(&self) -> Option<&PopulationSketch> {
+        self.sketch.as_ref()
+    }
+
+    /// The invariant watchdogs.
+    pub fn watchdogs(&self) -> &Watchdogs {
+        &self.watchdogs
+    }
+
+    /// Mutable watchdog access (panic policy).
+    pub fn watchdogs_mut(&mut self) -> &mut Watchdogs {
+        &mut self.watchdogs
+    }
+
+    /// The retained trace records, oldest first.
+    pub fn trace_records(&self) -> impl DoubleEndedIterator<Item = &TraceRecord> {
+        self.ring.iter()
+    }
+
+    /// Resizes the trace ring; records evicted by a shrink are counted
+    /// like any other eviction.
+    pub fn set_trace_capacity(&mut self, capacity: usize) {
+        self.ring.set_capacity(capacity);
+        self.count_trace_drops();
+    }
+
+    fn count_trace_drops(&mut self) {
+        let evicted = self.ring.take_dropped();
+        if evicted > 0 {
+            self.metrics.count(names::TRACE_DROPPED, evicted as f64);
+        }
+    }
+
+    /// Appends a sample to a metrics series.
+    pub fn record(&mut self, t_us: u64, series: &str, value: f64) {
+        self.metrics.record(t_us, series, value);
+    }
+
+    /// Bumps a counter.
+    pub fn count(&mut self, counter: &str, delta: f64) {
+        self.metrics.count(counter, delta);
+    }
+
+    /// Records one histogram sample.
+    pub fn observe(&mut self, name: &str, value: f64) {
+        self.metrics.observe(name, value);
+    }
+
+    /// Sets a gauge.
+    pub fn gauge(&mut self, name: &str, value: f64) {
+        self.metrics.set_gauge(name, value);
+    }
+
+    /// Feeds one trace record through the watchdogs and the ledger —
+    /// every record, whatever the ring retains — then into the ring.
+    /// Returns the oracle the record tripped, with a copy of the record
+    /// for the runtime's post-mortem. An armed watchdog that is not
+    /// deferring its panic unwinds from here. Without the `trace` feature
+    /// the whole trace stream is compiled out and this does nothing.
+    pub fn trace(&mut self, rec: TraceRecord) -> Option<(Oracle, TraceRecord)> {
+        if !TRACE_ENABLED {
+            return None;
+        }
+        let (watchdog, ledger) = (self.watchdogs.violations(), self.lineage.violations());
+        self.watchdogs.observe(&rec, &mut self.metrics);
+        self.lineage.observe(&rec, &mut self.metrics);
+        let tripped = if self.watchdogs.violations() > watchdog {
+            Some((Oracle::Watchdog, rec.clone()))
+        } else if self.lineage.violations() > ledger {
+            Some((Oracle::Ledger, rec.clone()))
+        } else {
+            None
+        };
+        // A ring of capacity zero is retention switched off, not a ring
+        // that drops everything: nothing to count.
+        if self.ring.capacity() > 0 {
+            self.ring.push(rec);
+            self.count_trace_drops();
+        }
+        tripped
+    }
+
+    /// Records a busy interval (no-op while forensics is disarmed, and
+    /// for empty intervals).
+    pub fn interval(&mut self, iv: BusyInterval) {
+        if iv.dur_us == 0 {
+            return;
+        }
+        if let Some(ring) = self.intervals.as_mut() {
+            ring.push(iv);
+        }
+    }
+
+    /// Attributes `weight` to `entity` on a sketch dimension (no-op while
+    /// the sketch is disarmed).
+    pub fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
+        if let Some(sketch) = self.sketch.as_mut() {
+            sketch.attribute(dim, entity, weight);
+        }
+    }
+
+    /// Folds `shards` worker shards into this owner, in worker-index
+    /// order, taking each shard's lock (through `lock`) for one short
+    /// visit at a time. Metrics are summed (the rule of
+    /// [`Metrics::merge`]: they stay with the shard, whose reservoir
+    /// thresholds read them). What a shard collected since the last
+    /// window — sketch, busy intervals, tail samples — is moved out of
+    /// it. A second visit copies, from each shard's ledger, only the
+    /// spans those tail samples name: an event's stages run on several
+    /// workers, and the ledgers themselves are too large to merge per
+    /// window.
+    pub fn absorb<G>(&mut self, shards: usize, lock: impl Fn(usize) -> G)
+    where
+        G: std::ops::DerefMut<Target = Observers>,
+    {
+        for i in 0..shards {
+            let mut guard = lock(i);
+            let shard = &mut *guard;
+            self.absorbed.merge(&shard.metrics);
+            if let (Some(mine), Some(theirs)) = (self.sketch.as_mut(), shard.sketch.as_mut()) {
+                mine.absorb(theirs);
+                theirs.clear();
+            }
+            if let (Some(mine), Some(theirs)) = (self.intervals.as_mut(), shard.intervals.as_mut())
+            {
+                mine.absorb(theirs);
+            }
+            if let (Some(mine), Some(theirs)) =
+                (self.lineage.exemplars_mut(), shard.lineage.exemplars_mut())
+            {
+                mine.absorb(theirs);
+            }
+        }
+        let keys: Vec<LineageKey> = match self.lineage.exemplars_mut() {
+            Some(r) => r.samples().iter().map(|s| s.key).collect(),
+            None => Vec::new(),
+        };
+        if keys.is_empty() {
+            return;
+        }
+        for i in 0..shards {
+            let shard = lock(i);
+            for &key in &keys {
+                if let Some(span) = shard.lineage.span(key) {
+                    self.window_spans.entry(key).or_default().merge(span);
+                }
+            }
+        }
+    }
+
+    /// Closes the sampler window ending at `at_us`. One fixed order:
+    ///
+    /// 1. drain the sketch and publish its `sketch.*` gauges, so this
+    ///    window's sample reflects this window's sweep;
+    /// 2. take the sample;
+    /// 3. let the health engine judge the timeline so far; name the
+    ///    culprit entity in each transition, count firings, mirror the
+    ///    transition into the trace stream (stamped `now_us`, the
+    ///    runtime's clock) and append it to the timeline;
+    /// 4. append the top-K snapshots;
+    /// 5. drain the tail reservoir, resolving each sample against its
+    ///    lineage span, and append the exemplars;
+    /// 6. drain the busy-interval ring and append the intervals.
+    ///
+    /// Whatever a bounded stage shed is counted into its
+    /// `forensics.*_dropped` counter — after the sample, so a window's
+    /// drops show in the next window's rates.
+    pub fn close_window(
+        &mut self,
+        now_us: u64,
+        at_us: u64,
+        sampler: &mut Sampler,
+        health: Option<&mut HealthEngine>,
+    ) {
+        let (snaps, stats) = match self.sketch.as_mut() {
+            Some(sk) => sk.drain(at_us),
+            None => (Vec::new(), None),
+        };
+        if let Some(stats) = stats {
+            self.gauge(names::SKETCH_LAG_POPULATION, stats.population as f64);
+            self.gauge(names::SKETCH_LAG_P50_US, stats.p50_us as f64);
+            self.gauge(names::SKETCH_LAG_P99_US, stats.p99_us as f64);
+            self.gauge(names::SKETCH_LAG_MAX_US, stats.max_us as f64);
+            self.gauge(names::SKETCH_LAG_SKEW, stats.skew());
+        }
+        if let Some(bytes) = snaps.iter().find(|s| s.dim == DIM_SUB_BYTES) {
+            self.gauge(names::SKETCH_DOMINANCE_SHARE, bytes.alarm_share());
+        }
+
+        let absorbed = std::mem::take(&mut self.absorbed);
+        if absorbed.is_empty() {
+            sampler.sample(at_us, &self.metrics);
+        } else {
+            let mut all = absorbed;
+            all.merge(&self.metrics);
+            sampler.sample(at_us, &all);
+        }
+
+        if let Some(engine) = health {
+            for mut alert in engine.evaluate(at_us, sampler.timeline()) {
+                sketch::name_culprit(&mut alert.detail, &alert.series, &snaps);
+                let firing = alert.state == AlertState::Firing;
+                if firing {
+                    self.count(&format!("health.alert.{}", alert.rule), 1.0);
+                }
+                self.trace(TraceRecord {
+                    t_us: now_us,
+                    node: CONTROL_NODE,
+                    event: TraceEvent::HealthAlert {
+                        rule: alert.rule.clone(),
+                        series: alert.series.clone(),
+                        firing,
+                    },
+                });
+                sampler.timeline_mut().push_alert(alert);
+            }
+        }
+
+        let mut dropped = 0;
+        for snap in snaps {
+            dropped += sampler.timeline_mut().push_topk(snap);
+        }
+        self.count_dropped(names::FORENSICS_TOPK_DROPPED, dropped);
+
+        let (tail, mut dropped) = match self.lineage.exemplars_mut() {
+            Some(reservoir) => (reservoir.drain_sorted(), reservoir.take_dropped()),
+            None => (Vec::new(), 0),
+        };
+        for s in tail {
+            let span = self
+                .window_spans
+                .get(&s.key)
+                .or_else(|| self.lineage.span(s.key));
+            dropped += sampler
+                .timeline_mut()
+                .push_exemplar(Exemplar::resolve(&s, span));
+        }
+        self.count_dropped(names::FORENSICS_EXEMPLAR_DROPPED, dropped);
+        self.window_spans.clear();
+
+        if let Some(ring) = self.intervals.as_mut() {
+            let mut dropped = ring.take_dropped();
+            for iv in ring.drain() {
+                dropped += sampler.timeline_mut().push_interval(iv);
+            }
+            self.count_dropped(names::FORENSICS_INTERVAL_DROPPED, dropped);
+        }
+    }
+
+    fn count_dropped(&mut self, counter: &str, dropped: u64) {
+        if dropped > 0 {
+            self.metrics.count(counter, dropped as f64);
+        }
+    }
+}

@@ -1,9 +1,17 @@
 //! The discrete-event scheduler, links, timers and fault injection.
 
+use crate::forensics::{BusyInterval, ForensicsConfig, KIND_BUSY};
+use crate::health::{HealthEngine, HealthRule};
+use crate::lineage::{LedgerAudit, Lineage};
+use crate::observers::{Observers, Oracle};
+use crate::sketch::SketchConfig;
+use crate::telemetry::{Sampler, Timeline};
+use crate::trace::{TraceEvent, TraceRecord, DEFAULT_TRACE_CAPACITY};
 use crate::Metrics;
 use gryphon_types::{NetMsg, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::any::TypeId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -46,14 +54,14 @@ pub trait NodeCtx {
     /// [`crate::metrics::names`] for the registry). Default: discarded.
     fn observe(&mut self, _name: &str, _value: f64) {}
     /// Sets a metrics gauge to its current level (telemetry samplers
-    /// snapshot gauges each window; see DESIGN.md §13). Publishers that
+    /// snapshot gauges each window; see DESIGN.md §9). Publishers that
     /// exist per entity append a shard suffix (`.n<node>`, `.p<pubend>`,
     /// `.w<worker>`) to the registered base name. Default: discarded.
     fn gauge(&mut self, _name: &str, _value: f64) {}
     /// Emits a structured trace event attributed to this node. Default:
-    /// discarded. Instrumentation sites should go through
-    /// [`trace_event!`](crate::trace_event) rather than calling this
-    /// directly, so the `trace` feature can compile the overhead out.
+    /// discarded. Instrumentation sites should wrap the call in
+    /// [`traced!`](crate::traced) so the `trace` feature can compile the
+    /// overhead out.
     fn trace(&mut self, _event: crate::trace::TraceEvent) {}
     /// Records a busy interval of `dur_us` ending *now* on this node's
     /// timeline track, tagged with a forensics kind (one of the
@@ -63,7 +71,7 @@ pub trait NodeCtx {
     fn interval(&mut self, _kind: &'static str, _dur_us: u64) {}
     /// Attributes `weight` to `entity` on a population-sketch dimension
     /// (one of the `DIM_*` constants in [`crate::sketch`]): per-entity
-    /// heavy-hitter accounting in O(K) memory (DESIGN.md §18). Pure
+    /// heavy-hitter accounting in O(K) memory (DESIGN.md §9). Pure
     /// observation — the armed sketch drains into `topk.ndjson` each
     /// sampler window and never affects scheduling. Default: discarded
     /// (also when the sketch is disarmed).
@@ -155,20 +163,10 @@ impl Ord for Scheduled {
 }
 
 struct NodeSlot {
-    node: Option<Box<dyn Node>>,
+    node: Option<AnyNode>,
     name: String,
     up: bool,
     busy_us: u64,
-    type_id: Option<std::any::TypeId>,
-}
-
-/// Armed tail-forensics state: the interval ring collecting per-node
-/// busy/commit/fsync slices between sampler windows. The exemplar
-/// reservoir itself lives inside the lineage assembler (where the stage
-/// histograms are observed); this only holds the profiler side.
-struct ForensicsState {
-    config: crate::forensics::ForensicsConfig,
-    intervals: crate::forensics::IntervalRing,
 }
 
 /// The deterministic simulator. See the [crate docs](crate) for an
@@ -184,21 +182,15 @@ pub struct Sim {
     /// Bandwidth serialization: when each directed link frees up.
     link_busy_until: HashMap<(NodeId, NodeId), u64>,
     rng: SmallRng,
-    metrics: Metrics,
-    #[cfg(feature = "trace")]
-    trace: crate::trace::TraceBuffer,
-    #[cfg(feature = "trace")]
-    watchdogs: crate::trace::Watchdogs,
-    #[cfg(feature = "trace")]
-    lineage: crate::lineage::Lineage,
+    /// Everything that observes the run (metrics, trace ring, watchdogs,
+    /// ledger, forensics, sketch). Pure observers: arming any of them
+    /// leaves traces and deliveries bit-identical.
+    obs: Observers,
     /// Directory for flight-recorder post-mortems (`None` = disabled).
-    #[cfg(feature = "trace")]
     flight_dir: Option<std::path::PathBuf>,
-    #[cfg(feature = "trace")]
     flight_dumps: u32,
     /// Panic on delivery-ledger violations (default: armed under
     /// `cfg(debug_assertions)`, like the watchdogs).
-    #[cfg(feature = "trace")]
     ledger_panic: bool,
     /// Fixed CPU charge per delivered message/timer (µs).
     pub base_event_cost_us: u64,
@@ -206,22 +198,10 @@ pub struct Sim {
     /// Windowed telemetry sampler (`None` = disabled). Fires between
     /// scheduler events, never through them, so enabling it cannot
     /// perturb protocol ordering.
-    telemetry: Option<crate::telemetry::Sampler>,
-    /// Online health engine (`None` = disabled). Evaluated right after
-    /// each telemetry sample against the timeline so far; a pure
-    /// observer like the sampler itself.
-    health: Option<crate::health::HealthEngine>,
-    /// Tail-forensics profiler (`None` = disarmed). Collects bounded
-    /// busy-interval records and (with the `trace` feature) arms the
-    /// lineage exemplar reservoir; both drain into the telemetry
-    /// timeline each sampler window. Pure observer: arming it leaves
-    /// traces and deliveries bit-identical.
-    forensics: Option<ForensicsState>,
-    /// Population sketch (`None` = disarmed): per-entity top-K
-    /// attribution and the subscriber lag spectrum, fed through
-    /// [`NodeCtx::attribute`] and drained into the telemetry timeline
-    /// each sampler window. Pure observer like the sampler itself.
-    sketch: Option<crate::sketch::PopulationSketch>,
+    telemetry: Option<Sampler>,
+    /// Online health engine (`None` = disabled), evaluated as part of
+    /// each window close.
+    health: Option<HealthEngine>,
 }
 
 impl std::fmt::Debug for Sim {
@@ -238,6 +218,10 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// Creates an empty simulation with a deterministic seed.
     pub fn new(seed: u64) -> Self {
+        let mut obs = Observers::new(DEFAULT_TRACE_CAPACITY);
+        // Deferred panics let the flight recorder dump a post-mortem
+        // before the process dies.
+        obs.watchdogs_mut().defer_panic = true;
         Sim {
             now: 0,
             seq: 0,
@@ -247,44 +231,30 @@ impl Sim {
             last_arrival: HashMap::new(),
             link_busy_until: HashMap::new(),
             rng: SmallRng::seed_from_u64(seed),
-            metrics: Metrics::default(),
-            #[cfg(feature = "trace")]
-            trace: crate::trace::TraceBuffer::new(),
-            #[cfg(feature = "trace")]
-            watchdogs: {
-                // Deferred panics let the flight recorder dump a
-                // post-mortem before the process dies.
-                let mut w = crate::trace::Watchdogs::default();
-                w.defer_panic = true;
-                w
-            },
-            #[cfg(feature = "trace")]
-            lineage: crate::lineage::Lineage::default(),
-            #[cfg(feature = "trace")]
+            obs,
             flight_dir: None,
-            #[cfg(feature = "trace")]
             flight_dumps: 0,
-            #[cfg(feature = "trace")]
             ledger_panic: cfg!(debug_assertions),
             base_event_cost_us: 0,
             events_processed: 0,
             telemetry: None,
             health: None,
-            forensics: None,
-            sketch: None,
         }
     }
 
     /// Registers `node` under a human-readable `name`, returning its id.
     /// `on_start` runs at the current virtual time.
     pub fn add_node(&mut self, name: &str, node: Box<dyn Node>) -> NodeId {
+        self.add_any(name, AnyNode::erased(node))
+    }
+
+    fn add_any(&mut self, name: &str, node: AnyNode) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeSlot {
             node: Some(node),
             name: name.to_owned(),
             up: true,
             busy_us: 0,
-            type_id: None,
         });
         self.with_node(id, |node, ctx| node.on_start(ctx));
         id
@@ -388,24 +358,24 @@ impl Sim {
 
     /// Enables the windowed telemetry sampler at a fixed virtual-time
     /// `interval_us` (see [`crate::telemetry`]). Each due sample fires
-    /// between scheduler events: it snapshots the scheduler's
+    /// between scheduler events: it publishes the scheduler's
     /// outstanding-event count as the
     /// [`telemetry.queue_depth`](crate::names::TELEMETRY_QUEUE_DEPTH)
-    /// gauge, then lets the sampler read all gauges and counter rates.
+    /// gauge, then closes the window ([`Observers::close_window`]).
     /// Sampling appends only to metrics — traces and deliveries are
     /// bit-identical with the sampler on or off.
     pub fn enable_telemetry(&mut self, interval_us: u64) {
-        self.telemetry = Some(crate::telemetry::Sampler::new(interval_us));
+        self.telemetry = Some(Sampler::new(interval_us));
     }
 
     /// The telemetry timeline collected so far (`None` when disabled).
-    pub fn telemetry(&self) -> Option<&crate::telemetry::Timeline> {
+    pub fn telemetry(&self) -> Option<&Timeline> {
         self.telemetry.as_ref().map(|s| s.timeline())
     }
 
     /// Takes the telemetry timeline out of the sim (disabling further
     /// sampling), e.g. to attach it to a report.
-    pub fn take_telemetry(&mut self) -> Option<crate::telemetry::Timeline> {
+    pub fn take_telemetry(&mut self) -> Option<Timeline> {
         self.telemetry.take().map(|s| s.into_timeline())
     }
 
@@ -414,180 +384,44 @@ impl Sim {
     /// judges the sampler's timeline and is evaluated once per sample
     /// window. Each rule's `health.alert.<rule>` counter is registered
     /// at zero immediately so exports show the armed rule set even when
-    /// nothing ever fires. Like the sampler, the engine is a pure
-    /// observer: it never touches the event queue, and on a clean run it
-    /// emits no trace events at all.
-    pub fn enable_health(&mut self, rules: Vec<crate::health::HealthRule>) {
-        let engine = crate::health::HealthEngine::new(rules);
-        engine.prime(&mut self.metrics);
+    /// nothing ever fires. On a clean run the engine emits no trace
+    /// events at all.
+    pub fn enable_health(&mut self, rules: Vec<HealthRule>) {
+        let engine = HealthEngine::new(rules);
+        engine.prime(self.obs.metrics_mut());
         self.health = Some(engine);
     }
 
-    /// The armed health engine (`None` when disabled).
-    pub fn health(&self) -> Option<&crate::health::HealthEngine> {
-        self.health.as_ref()
-    }
-
     /// Arms tail forensics: an exemplar reservoir on the lineage stage
-    /// histograms (with the `trace` feature) and a bounded busy-interval
-    /// recorder fed by [`Sim::charge`] / [`NodeCtx::interval`]. Both
-    /// streams drain into the telemetry timeline once per sampler window
-    /// (so telemetry should be enabled too; without it the interval ring
-    /// simply fills and evicts). Pure observer — see DESIGN.md §17.
-    pub fn enable_forensics(&mut self, cfg: crate::forensics::ForensicsConfig) {
-        #[cfg(feature = "trace")]
-        self.lineage
-            .arm_exemplars(crate::forensics::ExemplarReservoir::new(&cfg));
-        self.forensics = Some(ForensicsState {
-            intervals: crate::forensics::IntervalRing::new(cfg.interval_capacity),
-            config: cfg,
-        });
-    }
-
-    /// `true` when the tail-forensics profiler is armed.
-    pub fn forensics_enabled(&self) -> bool {
-        self.forensics.is_some()
-    }
-
-    /// The armed forensics configuration (`None` when disarmed).
-    pub fn forensics_config(&self) -> Option<&crate::forensics::ForensicsConfig> {
-        self.forensics.as_ref().map(|f| &f.config)
+    /// histograms and a bounded busy-interval recorder fed by modeled
+    /// work and [`NodeCtx::interval`]. Both streams drain into the
+    /// telemetry timeline once per sampler window (so telemetry should be
+    /// enabled too; without it the interval ring simply fills and
+    /// evicts).
+    pub fn enable_forensics(&mut self, cfg: ForensicsConfig) {
+        self.obs.arm_forensics(&cfg);
     }
 
     /// Arms the population sketch: per-entity top-K attribution
     /// ([`NodeCtx::attribute`]) plus the subscriber lag spectrum, in
     /// O(K) memory per dimension. Drained into top-K snapshots on the
     /// telemetry timeline once per sampler window (so telemetry should
-    /// be enabled too; without it attributions simply accumulate). Pure
-    /// observer — see DESIGN.md §18.
-    pub fn enable_sketch(&mut self, cfg: crate::sketch::SketchConfig) {
-        self.sketch = Some(crate::sketch::PopulationSketch::new(cfg));
+    /// be enabled too; without it attributions simply accumulate).
+    pub fn enable_sketch(&mut self, cfg: SketchConfig) {
+        self.obs.arm_sketch(cfg);
     }
 
-    /// `true` when the population sketch is armed.
-    pub fn sketch_enabled(&self) -> bool {
-        self.sketch.is_some()
-    }
-
-    /// The armed sketch configuration (`None` when disarmed).
-    pub fn sketch_config(&self) -> Option<crate::sketch::SketchConfig> {
-        self.sketch.as_ref().map(|s| s.config())
-    }
-
-    /// Fires every telemetry sample due at or before `upto_us`, then
-    /// lets the health engine judge each new window.
+    /// Closes every telemetry window due at or before `upto_us`.
     fn fire_due_samples(&mut self, upto_us: u64) {
-        let Some(mut sampler) = self.telemetry.take() else {
+        let Some(sampler) = self.telemetry.as_mut() else {
             return;
         };
-        let mut health = self.health.take();
         while sampler.next_at_us() <= upto_us {
             let at = sampler.next_at_us();
-            self.metrics
-                .set_gauge(crate::names::TELEMETRY_QUEUE_DEPTH, self.queue.len() as f64);
-            let sketch_out = self.sketch.as_mut().map(|sk| sk.drain(at));
-            if let Some((snaps, stats)) = &sketch_out {
-                // Gauges land before `sample` so this window's snapshot
-                // reflects this window's sweep, mirroring queue depth.
-                if let Some(stats) = stats {
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_POPULATION, stats.population as f64);
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_P50_US, stats.p50_us as f64);
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_P99_US, stats.p99_us as f64);
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_MAX_US, stats.max_us as f64);
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_SKEW, stats.skew());
-                }
-                if let Some(bytes) = snaps.iter().find(|s| s.dim == crate::sketch::DIM_SUB_BYTES) {
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_DOMINANCE_SHARE, bytes.alarm_share());
-                }
-            }
-            sampler.sample(at, &self.metrics);
-            if let Some(engine) = health.as_mut() {
-                for mut alert in engine.evaluate(at, sampler.timeline()) {
-                    if let Some((snaps, _)) = &sketch_out {
-                        crate::sketch::name_culprit(&mut alert.detail, &alert.series, snaps);
-                    }
-                    if alert.state == crate::health::AlertState::Firing {
-                        self.metrics
-                            .count(&format!("health.alert.{}", alert.rule), 1.0);
-                    }
-                    #[cfg(feature = "trace")]
-                    self.push_trace(
-                        CONTROL_NODE,
-                        crate::trace::TraceEvent::HealthAlert {
-                            rule: alert.rule.clone(),
-                            series: alert.series.clone(),
-                            firing: alert.state == crate::health::AlertState::Firing,
-                        },
-                    );
-                    sampler.timeline_mut().push_alert(alert);
-                }
-            }
-            if let Some((snaps, _)) = sketch_out {
-                let mut dropped = 0;
-                for snap in snaps {
-                    dropped += sampler.timeline_mut().push_topk(snap);
-                }
-                if dropped > 0 {
-                    self.metrics.count(
-                        crate::metrics::names::FORENSICS_TOPK_DROPPED,
-                        dropped as f64,
-                    );
-                }
-            }
-            self.drain_forensics(&mut sampler);
-        }
-        self.health = health;
-        self.telemetry = Some(sampler);
-    }
-
-    /// Moves everything the forensics observers collected this window
-    /// into the telemetry timeline: tail exemplars (resolved against
-    /// their assembled lineage spans) and busy intervals. Drops shed by
-    /// the bounded reservoir/ring/timeline are surfaced as the
-    /// `forensics.*_dropped` counters.
-    fn drain_forensics(&mut self, sampler: &mut crate::telemetry::Sampler) {
-        if self.forensics.is_none() {
-            return;
-        }
-        #[cfg(feature = "trace")]
-        {
-            let mut dropped = 0;
-            let drained = match self.lineage.exemplars_mut() {
-                Some(r) => {
-                    dropped += r.take_dropped();
-                    r.drain_sorted()
-                }
-                None => Vec::new(),
-            };
-            for s in drained {
-                let ex = crate::forensics::Exemplar::resolve(&s, self.lineage.span(s.key));
-                dropped += sampler.timeline_mut().push_exemplar(ex);
-            }
-            if dropped > 0 {
-                self.metrics.count(
-                    crate::metrics::names::FORENSICS_EXEMPLAR_DROPPED,
-                    dropped as f64,
-                );
-            }
-        }
-        let Some(f) = self.forensics.as_mut() else {
-            return;
-        };
-        let mut dropped = f.intervals.take_dropped();
-        for iv in f.intervals.drain() {
-            dropped += sampler.timeline_mut().push_interval(iv);
-        }
-        if dropped > 0 {
-            self.metrics.count(
-                crate::metrics::names::FORENSICS_INTERVAL_DROPPED,
-                dropped as f64,
-            );
+            self.obs
+                .gauge(crate::names::TELEMETRY_QUEUE_DEPTH, self.queue.len() as f64);
+            self.obs
+                .close_window(self.now, at, sampler, self.health.as_mut());
         }
     }
 
@@ -618,8 +452,7 @@ impl Sim {
                 }
                 // Watchdog delivery state for the node resets here, before
                 // `on_restart` rebuilds from persistent storage.
-                #[cfg(feature = "trace")]
-                self.push_trace(node, crate::trace::TraceEvent::NodeRestarted);
+                self.push_trace(node, TraceEvent::NodeRestarted);
                 self.with_node(node, |n, ctx| n.on_restart(ctx));
             }
         }
@@ -633,24 +466,18 @@ impl Sim {
         if let Some(slot) = self.nodes.get_mut(id.0 as usize) {
             slot.busy_us += cost;
         }
-        if cost > 0 {
-            self.push_interval(id, crate::forensics::KIND_BUSY, cost);
-        }
+        self.record_interval(id, KIND_BUSY, cost);
     }
 
     /// Records a busy interval of `dur_us` ending at the current virtual
-    /// time on `id`'s timeline track (no-op while forensics is
-    /// disarmed). Never touches the event queue.
-    fn push_interval(&mut self, id: NodeId, kind: &'static str, dur_us: u64) {
-        let now = self.now;
-        if let Some(f) = self.forensics.as_mut() {
-            f.intervals.push(crate::forensics::BusyInterval {
-                track: id.0,
-                kind,
-                start_us: now.saturating_sub(dur_us),
-                dur_us,
-            });
-        }
+    /// time on `id`'s timeline track. Never touches the event queue.
+    fn record_interval(&mut self, id: NodeId, kind: &'static str, dur_us: u64) {
+        self.obs.interval(BusyInterval {
+            track: id.0,
+            kind,
+            start_us: self.now.saturating_sub(dur_us),
+            dur_us,
+        });
     }
 
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut dyn NodeCtx)) {
@@ -661,7 +488,7 @@ impl Sim {
             return; // re-entrant dispatch is impossible; defensive
         };
         let mut ctx = SimCtx { sim: self, me: id };
-        f(node.as_mut(), &mut ctx);
+        f(node.as_dyn(), &mut ctx);
         self.nodes[id.0 as usize].node = Some(node);
     }
 
@@ -672,13 +499,13 @@ impl Sim {
 
     /// Metrics recorded so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        self.obs.metrics()
     }
 
     /// Mutable metrics access for the harness (e.g. recording workload
     /// ground truth alongside node-recorded series).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        self.obs.metrics_mut()
     }
 
     /// Accumulated CPU work of `node` (µs).
@@ -702,38 +529,24 @@ impl Sim {
     }
 }
 
-/// Trace-stream and watchdog access (only with the `trace` feature,
-/// which is on by default).
-#[cfg(feature = "trace")]
+/// Trace stream, oracles and the flight recorder.
 impl Sim {
-    fn push_trace(&mut self, node: NodeId, event: crate::trace::TraceEvent) {
-        let rec = crate::trace::TraceRecord {
+    fn push_trace(&mut self, node: NodeId, event: TraceEvent) {
+        let rec = TraceRecord {
             t_us: self.now,
             node,
             event,
         };
-        let wd_before = self.watchdogs.violations();
-        let ledger_before = self.lineage.violations();
-        self.watchdogs.observe(&rec, &mut self.metrics);
-        self.lineage.observe(&rec, &mut self.metrics);
-        let wd_hit = self.watchdogs.violations() > wd_before;
-        let ledger_hit = self.lineage.violations() > ledger_before;
-        if wd_hit || ledger_hit {
-            self.flight_dump(&rec, wd_hit);
-        }
-        let before = self.trace.dropped();
-        self.trace.push(rec);
-        let evicted = self.trace.dropped() - before;
-        if evicted > 0 {
-            self.metrics
-                .count(crate::metrics::names::TRACE_DROPPED, evicted as f64);
-        }
+        let Some((oracle, rec)) = self.obs.trace(rec) else {
+            return;
+        };
+        self.flight_dump(&rec, oracle);
         // Panics were deferred across the dump; raise them now.
-        if let Some(detail) = self.watchdogs.take_deferred_panic() {
+        if let Some(detail) = self.obs.watchdogs_mut().take_deferred_panic() {
             panic!("invariant watchdog: {detail}");
         }
-        if ledger_hit && self.ledger_panic {
-            let detail = self.lineage.last_violation().unwrap_or("?").to_owned();
+        if oracle == Oracle::Ledger && self.ledger_panic {
+            let detail = self.obs.lineage().last_violation().unwrap_or("?");
             panic!("delivery ledger: {detail}");
         }
     }
@@ -741,10 +554,12 @@ impl Sim {
     /// Writes a post-mortem for the violation just observed on `rec`:
     /// the reason, the offending record, that event's reconstructed
     /// lineage span, a metrics snapshot (Prometheus text) and the tail
-    /// of the trace ring. Bounded to [`Self::MAX_FLIGHT_DUMPS`] files
-    /// per run; a disabled recorder (`flight_dir == None`) costs one
-    /// branch.
-    fn flight_dump(&mut self, rec: &crate::trace::TraceRecord, watchdog: bool) {
+    /// of the trace ring, which ends with the offending record. Bounded
+    /// to [`Self::MAX_FLIGHT_DUMPS`] files per run; a disabled recorder
+    /// (`flight_dir == None`) costs one branch. The flight recorder
+    /// lives here, not in [`Observers`]: it prints node names, which
+    /// only the runtime knows.
+    fn flight_dump(&mut self, rec: &TraceRecord, oracle: Oracle) {
         const TRACE_TAIL: usize = 256;
         let Some(dir) = self.flight_dir.clone() else {
             return;
@@ -754,12 +569,16 @@ impl Sim {
         }
         let seq = self.flight_dumps;
         self.flight_dumps += 1;
-        self.metrics
-            .count(crate::metrics::names::LINEAGE_FLIGHT_DUMPS, 1.0);
-        let reason = if watchdog {
-            format!("watchdog: {}", self.watchdogs.last_detail().unwrap_or("?"))
-        } else {
-            format!("ledger: {}", self.lineage.last_violation().unwrap_or("?"))
+        self.obs.count(crate::names::LINEAGE_FLIGHT_DUMPS, 1.0);
+        let reason = match oracle {
+            Oracle::Watchdog => format!(
+                "watchdog: {}",
+                self.obs.watchdogs().last_detail().unwrap_or("?")
+            ),
+            Oracle::Ledger => format!(
+                "ledger: {}",
+                self.obs.lineage().last_violation().unwrap_or("?")
+            ),
         };
         let mut out = String::new();
         out.push_str(&format!(
@@ -773,17 +592,17 @@ impl Sim {
         ));
         out.push_str("## lineage of offending event\n");
         match rec.event.lineage_key() {
-            Some(key) => match self.lineage.span(key) {
+            Some(key) => match self.obs.lineage().span(key) {
                 Some(span) => out.push_str(&span.render(key)),
                 None => out.push_str(&format!("{key}: no span assembled\n")),
             },
             None => out.push_str("(event carries no lineage key)\n"),
         }
         out.push_str("\n## metrics snapshot\n");
-        out.push_str(&crate::lineage::prometheus_text(&self.metrics));
+        out.push_str(&crate::lineage::prometheus_text(self.obs.metrics()));
         out.push_str(&format!("\n## trace ring tail (last {TRACE_TAIL})\n"));
-        let len = self.trace.iter().count();
-        for r in self.trace.iter().skip(len.saturating_sub(TRACE_TAIL)) {
+        let tail: Vec<&TraceRecord> = self.obs.trace_records().rev().take(TRACE_TAIL).collect();
+        for r in tail.into_iter().rev() {
             out.push_str(&format!("{} {} {:?}\n", r.t_us, r.node, r.event));
         }
         let path = dir.join(format!("postmortem-{seq}.txt"));
@@ -793,35 +612,30 @@ impl Sim {
     }
 
     /// The retained trace records, oldest first.
-    pub fn trace_records(&self) -> impl Iterator<Item = &crate::trace::TraceRecord> {
-        self.trace.iter()
-    }
-
-    /// The trace ring buffer (for capacity/drop introspection).
-    pub fn trace_buffer(&self) -> &crate::trace::TraceBuffer {
-        &self.trace
+    pub fn trace_records(&self) -> impl Iterator<Item = &TraceRecord> {
+        self.obs.trace_records()
     }
 
     /// Resizes the trace ring (`0` retains nothing; watchdogs still run).
     pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace.set_capacity(capacity);
+        self.obs.set_trace_capacity(capacity);
     }
 
     /// Arms or disarms panicking on watchdog violations (default:
     /// armed under `cfg(debug_assertions)`).
     pub fn set_watchdog_panic(&mut self, panic_on_violation: bool) {
-        self.watchdogs.panic_on_violation = panic_on_violation;
+        self.obs.watchdogs_mut().panic_on_violation = panic_on_violation;
     }
 
     /// Total invariant violations the watchdogs have flagged.
     pub fn watchdog_violations(&self) -> u64 {
-        self.watchdogs.violations()
+        self.obs.watchdogs().violations()
     }
 
     /// Feeds a synthetic trace event through the buffer and watchdogs as
     /// if `node` emitted it now — the corruption hook fault-injection
     /// tests use to prove the watchdogs actually bite.
-    pub fn inject_trace(&mut self, node: NodeId, event: crate::trace::TraceEvent) {
+    pub fn inject_trace(&mut self, node: NodeId, event: TraceEvent) {
         self.push_trace(node, event);
     }
 
@@ -830,8 +644,8 @@ impl Sim {
     pub const MAX_FLIGHT_DUMPS: u32 = 8;
 
     /// The delivery-lineage assembler/ledger fed by every trace event.
-    pub fn lineage(&self) -> &crate::lineage::Lineage {
-        &self.lineage
+    pub fn lineage(&self) -> &Lineage {
+        self.obs.lineage()
     }
 
     /// Arms or disarms panicking on delivery-ledger violations
@@ -844,7 +658,7 @@ impl Sim {
     /// delivered sets so [`Sim::ledger_audit`] can compute *missing*
     /// deliveries; only meaningful under match-all filters).
     pub fn set_full_audit(&mut self, on: bool) {
-        self.lineage.set_full_audit(on);
+        self.obs.lineage_mut().set_full_audit(on);
     }
 
     /// Directory where the flight recorder writes post-mortems on any
@@ -860,71 +674,21 @@ impl Sim {
 
     /// Exactly-once violations the delivery ledger has flagged.
     pub fn ledger_violations(&self) -> u64 {
-        self.lineage.violations()
+        self.obs.lineage().violations()
     }
 
     /// Offline exactly-once audit over everything observed so far.
-    pub fn ledger_audit(&self) -> crate::lineage::LedgerAudit {
-        self.lineage.audit()
+    pub fn ledger_audit(&self) -> LedgerAudit {
+        self.obs.lineage().audit()
     }
 }
 
-/// Inert stand-ins for the trace/watchdog API when the `trace` feature
-/// is disabled, so downstream code compiles identically in both
-/// configurations (no records are ever collected, no invariant ever
-/// flagged).
-#[cfg(not(feature = "trace"))]
-impl Sim {
-    /// Always empty without the `trace` feature.
-    pub fn trace_records(&self) -> impl Iterator<Item = &crate::trace::TraceRecord> {
-        std::iter::empty()
-    }
-
-    /// No-op without the `trace` feature.
-    pub fn set_trace_capacity(&mut self, _capacity: usize) {}
-
-    /// No-op without the `trace` feature.
-    pub fn set_watchdog_panic(&mut self, _panic_on_violation: bool) {}
-
-    /// Always zero without the `trace` feature.
-    pub fn watchdog_violations(&self) -> u64 {
-        0
-    }
-
-    /// Dropped without the `trace` feature.
-    pub fn inject_trace(&mut self, _node: NodeId, _event: crate::trace::TraceEvent) {}
-
-    /// No-op without the `trace` feature.
-    pub fn set_ledger_panic(&mut self, _panic_on_violation: bool) {}
-
-    /// No-op without the `trace` feature.
-    pub fn set_full_audit(&mut self, _on: bool) {}
-
-    /// No-op without the `trace` feature.
-    pub fn set_flight_dir(&mut self, _dir: Option<std::path::PathBuf>) {}
-
-    /// Always zero without the `trace` feature.
-    pub fn flight_dumps(&self) -> u32 {
-        0
-    }
-
-    /// Always zero without the `trace` feature.
-    pub fn ledger_violations(&self) -> u64 {
-        0
-    }
-
-    /// Always clean without the `trace` feature.
-    pub fn ledger_audit(&self) -> crate::lineage::LedgerAudit {
-        crate::lineage::LedgerAudit::default()
-    }
-}
-
-/// Typed handle to a node for harness-side inspection.
+/// Typed handle to a node, for harness-side inspection.
 ///
-/// [`Sim::add_node`] erases the concrete type; experiments that need to
-/// read a node's state between events (e.g. a client's received-message
-/// log) register it through [`Sim::add_typed_node`] and keep the returned
-/// [`Handle`], which can borrow the node back from the sim.
+/// Registering a node erases its concrete type; a harness that needs to
+/// read a node's state back (e.g. a client's received-message log)
+/// registers it through `Sim::add_typed_node` or `NetBuilder::add_node`
+/// and keeps the returned handle, which borrows the node back as a `T`.
 pub struct Handle<T> {
     id: NodeId,
     _marker: std::marker::PhantomData<fn() -> T>,
@@ -938,6 +702,15 @@ impl<T> Clone for Handle<T> {
 impl<T> Copy for Handle<T> {}
 
 impl<T> Handle<T> {
+    /// A handle naming node `id` as a `T`. Borrowing through a handle
+    /// checks the type, so a wrong `T` panics there rather than here.
+    pub fn new(id: NodeId) -> Self {
+        Handle {
+            id,
+            _marker: std::marker::PhantomData,
+        }
+    }
+
     /// The node id this handle refers to.
     pub fn id(&self) -> NodeId {
         self.id
@@ -950,20 +723,66 @@ impl<T> std::fmt::Debug for Handle<T> {
     }
 }
 
-struct Typed<T>(T);
+/// A boxed node that remembers its concrete type, so a [`Handle`] can
+/// borrow it back. Both runtimes store their nodes as this.
+pub struct AnyNode {
+    node: Box<dyn Node>,
+    /// `None` for a node registered type-erased.
+    type_id: Option<TypeId>,
+}
 
-impl<T: Node + 'static> Node for Typed<T> {
-    fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        self.0.on_start(ctx)
+impl AnyNode {
+    /// Wraps a node whose type is already erased.
+    pub fn erased(node: Box<dyn Node>) -> AnyNode {
+        AnyNode {
+            node,
+            type_id: None,
+        }
     }
-    fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut dyn NodeCtx) {
-        self.0.on_message(from, msg, ctx)
+
+    /// Wraps a node, remembering that it is a `T`.
+    pub fn typed<T: Node + 'static>(node: T) -> AnyNode {
+        AnyNode {
+            node: Box::new(node),
+            type_id: Some(TypeId::of::<T>()),
+        }
     }
-    fn on_timer(&mut self, key: TimerKey, ctx: &mut dyn NodeCtx) {
-        self.0.on_timer(key, ctx)
+
+    /// The node, for dispatch.
+    pub fn as_dyn(&mut self) -> &mut dyn Node {
+        self.node.as_mut()
     }
-    fn on_restart(&mut self, ctx: &mut dyn NodeCtx) {
-        self.0.on_restart(ctx)
+
+    fn check<T: 'static>(&self) {
+        assert_eq!(
+            self.type_id,
+            Some(TypeId::of::<T>()),
+            "handle type mismatch"
+        );
+    }
+
+    /// Borrows the node as a `T`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the node was wrapped by [`AnyNode::typed`] as a `T`.
+    pub fn downcast_ref<T: Node + 'static>(&self) -> &T {
+        self.check::<T>();
+        // SAFETY: `type_id` is written only by `typed::<T>`, together
+        // with the box it describes, and neither is replaced afterwards;
+        // the check above proves the box holds exactly a `T`.
+        unsafe { &*(self.node.as_ref() as *const dyn Node as *const T) }
+    }
+
+    /// Mutably borrows the node as a `T`.
+    ///
+    /// # Panics
+    ///
+    /// As [`AnyNode::downcast_ref`].
+    pub fn downcast_mut<T: Node + 'static>(&mut self) -> &mut T {
+        self.check::<T>();
+        // SAFETY: as in `downcast_ref`.
+        unsafe { &mut *(self.node.as_mut() as *mut dyn Node as *mut T) }
     }
 }
 
@@ -971,12 +790,7 @@ impl Sim {
     /// Like [`Sim::add_node`] but preserves the concrete type for later
     /// inspection via [`Sim::node`] / [`Sim::node_ref`].
     pub fn add_typed_node<T: Node + 'static>(&mut self, name: &str, node: T) -> Handle<T> {
-        let id = self.add_node(name, Box::new(Typed(node)));
-        self.nodes[id.0 as usize].type_id = Some(std::any::TypeId::of::<Typed<T>>());
-        Handle {
-            id,
-            _marker: std::marker::PhantomData,
-        }
+        Handle::new(self.add_any(name, AnyNode::typed(node)))
     }
 
     /// Mutable access to a typed node between events.
@@ -990,18 +804,8 @@ impl Sim {
             .nodes
             .get_mut(h.id.0 as usize)
             .expect("handle from this sim");
-        assert_eq!(
-            slot.type_id,
-            Some(std::any::TypeId::of::<Typed<T>>()),
-            "handle type mismatch"
-        );
         let node = slot.node.as_mut().expect("node() called during dispatch");
-        let typed: &mut Typed<T> = unsafe {
-            // SAFETY: the TypeId check above proves the concrete type in
-            // this slot is exactly Typed<T>, and slots are never replaced.
-            &mut *(node.as_mut() as *mut dyn Node as *mut Typed<T>)
-        };
-        &mut typed.0
+        node.downcast_mut()
     }
 
     /// Shared access to a typed node between events.
@@ -1014,20 +818,11 @@ impl Sim {
             .nodes
             .get(h.id.0 as usize)
             .expect("handle from this sim");
-        assert_eq!(
-            slot.type_id,
-            Some(std::any::TypeId::of::<Typed<T>>()),
-            "handle type mismatch"
-        );
         let node = slot
             .node
             .as_ref()
             .expect("node_ref() called during dispatch");
-        let typed: &Typed<T> = unsafe {
-            // SAFETY: as in `node`.
-            &*(node.as_ref() as *const dyn Node as *const Typed<T>)
-        };
-        &typed.0
+        node.downcast_ref()
     }
 }
 
@@ -1056,7 +851,7 @@ impl NodeCtx for SimCtx<'_> {
         // message kinds are subject to loss.
         let lossy_kind = matches!(msg, NetMsg::Knowledge(_) | NetMsg::Curiosity(_));
         if lossy_kind && params.loss > 0.0 && self.sim.rng.gen::<f64>() < params.loss {
-            self.sim.metrics.count("net.dropped", 1.0);
+            self.sim.obs.count(crate::names::NET_DROPPED, 1.0);
             return;
         }
         let jitter = if params.jitter_us > 0 {
@@ -1107,37 +902,31 @@ impl NodeCtx for SimCtx<'_> {
     }
 
     fn record(&mut self, series: &str, value: f64) {
-        let now = self.sim.now;
-        self.sim.metrics.record(now, series, value);
+        self.sim.obs.record(self.sim.now, series, value);
     }
 
     fn count(&mut self, counter: &str, delta: f64) {
-        self.sim.metrics.count(counter, delta);
+        self.sim.obs.count(counter, delta);
     }
 
     fn observe(&mut self, name: &str, value: f64) {
-        self.sim.metrics.observe(name, value);
+        self.sim.obs.observe(name, value);
     }
 
     fn gauge(&mut self, name: &str, value: f64) {
-        self.sim.metrics.set_gauge(name, value);
+        self.sim.obs.gauge(name, value);
     }
 
-    #[cfg(feature = "trace")]
-    fn trace(&mut self, event: crate::trace::TraceEvent) {
+    fn trace(&mut self, event: TraceEvent) {
         self.sim.push_trace(self.me, event);
     }
 
     fn interval(&mut self, kind: &'static str, dur_us: u64) {
-        if dur_us > 0 {
-            self.sim.push_interval(self.me, kind, dur_us);
-        }
+        self.sim.record_interval(self.me, kind, dur_us);
     }
 
     fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        if let Some(sketch) = self.sim.sketch.as_mut() {
-            sketch.attribute(dim, entity, weight);
-        }
+        self.sim.obs.attribute(dim, entity, weight);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Population observability (DESIGN.md §18): Space-Saving top-K
+//! Population observability (DESIGN.md §9): Space-Saving top-K
 //! heavy-hitter sketches and the bucketed subscriber lag spectrum.
 //!
 //! Aggregate telemetry (histograms, timelines, exemplars) says *how*
@@ -71,7 +71,7 @@ impl Default for SketchConfig {
 /// One tracked entity in a [`SpaceSaving`] sketch (and one element of a
 /// [`TopKSnapshot`]). `count` overestimates the entity's true offered
 /// weight by at most `err`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TopKEntry {
     /// The attributed entity (subscriber id or pubend id).
     pub entity: u64,
@@ -140,8 +140,8 @@ impl SpaceSaving {
         };
     }
 
-    /// Folds another sketch into this one (worker-shard merge at stop,
-    /// in worker-index order). Entries arrive in canonical ranked order
+    /// Folds another sketch into this one (worker shards into the
+    /// window's owner, in worker-index order). Entries arrive in canonical ranked order
     /// so the merge is deterministic; shared entities sum counts and
     /// error bounds, new entities displace minima as a plain offer
     /// would, additionally inheriting the incoming error bound.
@@ -333,7 +333,7 @@ impl SpectrumStats {
 
 /// One window's ranked top-K for one dimension — one line in
 /// `topk.ndjson`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopKSnapshot {
     /// Window end (sampler timestamp).
     pub t_us: u64,
@@ -407,8 +407,8 @@ pub fn name_culprit(detail: &mut String, series: &str, snaps: &[TopKSnapshot]) {
 /// The armed per-runtime sketch state: one [`SpaceSaving`] per
 /// attribution dimension plus the lag spectrum. Fed through
 /// [`NodeCtx::attribute`](crate::runtime::NodeCtx::attribute); drained
-/// once per sampler window (simulator) or at stop (threaded runtime,
-/// after the worker-index-order shard merge).
+/// once per sampler window, on both runtimes (on the threaded one after
+/// the worker shards were absorbed in worker-index order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSketch {
     config: SketchConfig,
@@ -461,6 +461,20 @@ impl PopulationSketch {
         self.pubends.absorb(&other.pubends);
         self.nacks.absorb(&other.nacks);
         self.spectrum.absorb(&other.spectrum);
+    }
+
+    /// Forgets everything attributed so far (capacity retained) — what
+    /// is left of a shard once the window's owner has absorbed it.
+    pub fn clear(&mut self) {
+        for sk in [
+            &mut self.lag,
+            &mut self.bytes,
+            &mut self.pubends,
+            &mut self.nacks,
+        ] {
+            sk.clear();
+        }
+        self.spectrum.clear();
     }
 
     /// True when nothing was attributed this window (drain emits no

@@ -1,5 +1,5 @@
 //! Time-resolved telemetry: windowed sampling of gauges and counter
-//! rates into a deterministic in-memory timeline (DESIGN.md §13).
+//! rates into a deterministic in-memory timeline (DESIGN.md §9).
 //!
 //! End-of-run snapshots (metrics, lineage, Prometheus dumps) cannot
 //! show the paper's *dynamics* — doubt-horizon width, catchup backlog
@@ -30,151 +30,66 @@ use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::forensics::{intern_kind, BusyInterval, Exemplar};
-use crate::health::{AlertRecord, AlertState};
+use crate::codec;
+use crate::forensics::{BusyInterval, Exemplar};
+use crate::health::AlertRecord;
 use crate::metrics::{Histogram, Metrics};
-use crate::sketch::{intern_dim, TopKEntry, TopKSnapshot};
+use crate::ring::Ring;
+use crate::sketch::TopKSnapshot;
 
-/// Default bound on resolved tail exemplars a timeline retains (oldest
-/// evicted first; see [`Timeline::push_exemplar`]). Overridable at
-/// runtime via [`TimelineCaps`].
+/// Bound on resolved tail exemplars a timeline retains (oldest evicted
+/// first; see [`Timeline::push_exemplar`]).
 pub const TIMELINE_EXEMPLAR_CAP: usize = 4_096;
 
-/// Default bound on busy intervals a timeline retains (oldest evicted
-/// first; see [`Timeline::push_interval`]). Overridable at runtime via
-/// [`TimelineCaps`].
+/// Bound on busy intervals a timeline retains (oldest evicted first; see
+/// [`Timeline::push_interval`]).
 pub const TIMELINE_INTERVAL_CAP: usize = 131_072;
 
-/// Default bound on top-K snapshots a timeline retains (oldest evicted
-/// first; see [`Timeline::push_topk`]). Overridable at runtime via
-/// [`TimelineCaps`].
+/// Bound on top-K snapshots a timeline retains (oldest evicted first;
+/// see [`Timeline::push_topk`]).
 pub const TIMELINE_TOPK_CAP: usize = 8_192;
 
-/// Environment variable overriding the timeline retention caps, e.g.
-/// `GRYPHON_TIMELINE_CAPS=exemplars=1024,intervals=65536,topks=512`
-/// (any subset; unnamed caps keep their compiled defaults).
-pub const TIMELINE_CAPS_ENV: &str = "GRYPHON_TIMELINE_CAPS";
-
-/// Runtime-configurable retention bounds for the timeline's forensics
-/// streams. The compiled `TIMELINE_*_CAP` constants are the defaults;
-/// deployments tune them per run via [`TIMELINE_CAPS_ENV`] or topology
-/// defaults without recompiling. Caps only bound observer-side
-/// retention, so overriding them cannot perturb a run (the
-/// `golden_determinism` suite pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineCaps {
-    /// Bound on resolved tail exemplars (oldest evicted first).
-    pub exemplars: usize,
-    /// Bound on busy intervals (oldest evicted first).
-    pub intervals: usize,
-    /// Bound on top-K snapshots (oldest evicted first).
-    pub topks: usize,
-}
-
-impl Default for TimelineCaps {
-    fn default() -> TimelineCaps {
-        TimelineCaps {
-            exemplars: TIMELINE_EXEMPLAR_CAP,
-            intervals: TIMELINE_INTERVAL_CAP,
-            topks: TIMELINE_TOPK_CAP,
-        }
-    }
-}
-
-impl TimelineCaps {
-    /// Parses a `key=value,key=value` override string (keys:
-    /// `exemplars`, `intervals`, `topks`; any subset, each clamped to
-    /// ≥ 1). Unknown keys and malformed values are errors so a typo in
-    /// an env override fails loudly instead of silently keeping the
-    /// default.
-    pub fn parse(s: &str) -> Result<TimelineCaps, String> {
-        let mut caps = TimelineCaps::default();
-        for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("timeline caps: missing '=' in {part:?}"))?;
-            let n: usize = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("timeline caps: bad value in {part:?}"))?;
-            let n = n.max(1);
-            match key.trim() {
-                "exemplars" => caps.exemplars = n,
-                "intervals" => caps.intervals = n,
-                "topks" => caps.topks = n,
-                other => return Err(format!("timeline caps: unknown key {other:?}")),
-            }
-        }
-        Ok(caps)
-    }
-
-    /// The caps in effect for new timelines: [`TIMELINE_CAPS_ENV`] when
-    /// set and well-formed, otherwise the compiled defaults (a
-    /// malformed override is reported on stderr once per call rather
-    /// than silently shrinking retention).
-    pub fn resolved() -> TimelineCaps {
-        match std::env::var(TIMELINE_CAPS_ENV) {
-            Ok(s) => match TimelineCaps::parse(&s) {
-                Ok(caps) => caps,
-                Err(e) => {
-                    eprintln!("ignoring {TIMELINE_CAPS_ENV}: {e}");
-                    TimelineCaps::default()
-                }
-            },
-            Err(_) => TimelineCaps::default(),
-        }
-    }
+/// One point of a sample series: a line of `timeline.ndjson`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Sample {
+    pub(crate) series: String,
+    pub(crate) t_us: u64,
+    pub(crate) value: f64,
 }
 
 /// A deterministic in-memory time series store: one sample vector per
 /// series name, ordered by sample time, plus the structured health
 /// alerts raised while the timeline was collected (kept separate from
-/// the sample series so sample exports stay pure), plus the forensics
-/// streams (tail exemplars and busy intervals, DESIGN.md §17) — also
-/// separate, so `to_ndjson`/`to_csv` stay sample-only.
-#[derive(Debug, Clone, Default)]
+/// the sample series so sample exports stay pure), plus the bounded
+/// forensics streams (tail exemplars, busy intervals, top-K snapshots) —
+/// also separate, so `to_ndjson`/`to_csv` stay sample-only.
+#[derive(Debug, Clone)]
 pub struct Timeline {
     interval_us: u64,
-    caps: TimelineCaps,
     series: BTreeMap<String, Vec<(u64, f64)>>,
     alerts: Vec<AlertRecord>,
-    exemplars: std::collections::VecDeque<Exemplar>,
-    intervals: std::collections::VecDeque<BusyInterval>,
-    topks: std::collections::VecDeque<TopKSnapshot>,
+    exemplars: Ring<Exemplar>,
+    intervals: Ring<BusyInterval>,
+    topks: Ring<TopKSnapshot>,
+}
+
+impl Default for Timeline {
+    fn default() -> Timeline {
+        Timeline::new(0)
+    }
 }
 
 impl Timeline {
-    /// An empty timeline tagged with its sampling interval, bounded by
-    /// the process-resolved retention caps ([`TimelineCaps::resolved`]).
+    /// An empty timeline tagged with its sampling interval.
     pub fn new(interval_us: u64) -> Timeline {
-        Timeline::with_caps(interval_us, TimelineCaps::resolved())
-    }
-
-    /// An empty timeline with explicit retention caps (tests and
-    /// topology defaults; [`Timeline::new`] resolves them from the
-    /// environment).
-    pub fn with_caps(interval_us: u64, caps: TimelineCaps) -> Timeline {
         Timeline {
             interval_us,
-            caps,
             series: BTreeMap::new(),
             alerts: Vec::new(),
-            exemplars: std::collections::VecDeque::new(),
-            intervals: std::collections::VecDeque::new(),
-            topks: std::collections::VecDeque::new(),
+            exemplars: Ring::new(TIMELINE_EXEMPLAR_CAP),
+            intervals: Ring::new(TIMELINE_INTERVAL_CAP),
+            topks: Ring::new(TIMELINE_TOPK_CAP),
         }
-    }
-
-    /// The retention caps in effect for this timeline.
-    pub fn caps(&self) -> TimelineCaps {
-        self.caps
-    }
-
-    /// Replaces the retention caps (topology defaults apply theirs
-    /// after construction); an over-cap backlog is trimmed oldest-first
-    /// on the next push.
-    pub fn set_caps(&mut self, caps: TimelineCaps) {
-        self.caps = caps;
     }
 
     /// The sampling interval this timeline was collected at.
@@ -213,17 +128,11 @@ impl Timeline {
         &self.alerts
     }
 
-    /// Appends a resolved tail exemplar, evicting the oldest past the
-    /// exemplar cap; returns the number evicted (0 or 1) so the runtime
-    /// can count it into `forensics.exemplar_dropped`.
+    /// Appends a resolved tail exemplar; returns the number evicted past
+    /// [`TIMELINE_EXEMPLAR_CAP`] (0 or 1) for `forensics.exemplar_dropped`.
     pub fn push_exemplar(&mut self, ex: Exemplar) -> u64 {
-        self.exemplars.push_back(ex);
-        if self.exemplars.len() > self.caps.exemplars {
-            self.exemplars.pop_front();
-            1
-        } else {
-            0
-        }
+        self.exemplars.push(ex);
+        self.exemplars.take_dropped()
     }
 
     /// The resolved tail exemplars, oldest first.
@@ -231,17 +140,11 @@ impl Timeline {
         self.exemplars.iter()
     }
 
-    /// Appends a busy interval, evicting the oldest past the interval
-    /// cap; returns the number evicted (0 or 1) so the runtime can
-    /// count it into `forensics.interval_dropped`.
+    /// Appends a busy interval; returns the number evicted past
+    /// [`TIMELINE_INTERVAL_CAP`] (0 or 1) for `forensics.interval_dropped`.
     pub fn push_interval(&mut self, iv: BusyInterval) -> u64 {
-        self.intervals.push_back(iv);
-        if self.intervals.len() > self.caps.intervals {
-            self.intervals.pop_front();
-            1
-        } else {
-            0
-        }
+        self.intervals.push(iv);
+        self.intervals.take_dropped()
     }
 
     /// The recorded busy intervals, oldest first.
@@ -249,17 +152,11 @@ impl Timeline {
         self.intervals.iter()
     }
 
-    /// Appends one window's top-K snapshot, evicting the oldest past
-    /// the top-K cap; returns the number evicted (0 or 1) so the
-    /// runtime can count it into `forensics.topk_dropped`.
+    /// Appends one window's top-K snapshot; returns the number evicted
+    /// past [`TIMELINE_TOPK_CAP`] (0 or 1) for `forensics.topk_dropped`.
     pub fn push_topk(&mut self, snap: TopKSnapshot) -> u64 {
-        self.topks.push_back(snap);
-        if self.topks.len() > self.caps.topks {
-            self.topks.pop_front();
-            1
-        } else {
-            0
-        }
+        self.topks.push(snap);
+        self.topks.take_dropped()
     }
 
     /// The recorded top-K snapshots, oldest first.
@@ -294,27 +191,17 @@ impl Timeline {
         }
         self.alerts.extend(other.alerts.iter().cloned());
         self.alerts.sort_by_key(|a| a.t_us);
-        self.exemplars.extend(other.exemplars.iter().cloned());
         self.exemplars
-            .make_contiguous()
-            .sort_by(|a, b| a.t_us.cmp(&b.t_us).then_with(|| a.series.cmp(&b.series)));
-        while self.exemplars.len() > self.caps.exemplars {
-            self.exemplars.pop_front();
-        }
-        self.intervals.extend(other.intervals.iter().copied());
+            .merge_by(other.exemplars.iter().cloned(), |a, b| {
+                a.t_us.cmp(&b.t_us).then_with(|| a.series.cmp(&b.series))
+            });
         self.intervals
-            .make_contiguous()
-            .sort_by_key(|iv| (iv.start_us, iv.track));
-        while self.intervals.len() > self.caps.intervals {
-            self.intervals.pop_front();
-        }
-        self.topks.extend(other.topks.iter().cloned());
-        self.topks
-            .make_contiguous()
-            .sort_by_key(|s| (s.t_us, s.dim));
-        while self.topks.len() > self.caps.topks {
-            self.topks.pop_front();
-        }
+            .merge_by(other.intervals.iter().copied(), |a, b| {
+                (a.start_us, a.track).cmp(&(b.start_us, b.track))
+            });
+        self.topks.merge_by(other.topks.iter().cloned(), |a, b| {
+            (a.t_us, a.dim).cmp(&(b.t_us, b.dim))
+        });
     }
 
     /// Renders every sample as one JSON object per line, sorted by
@@ -322,13 +209,14 @@ impl Timeline {
     pub fn to_ndjson(&self) -> String {
         let mut out = String::new();
         for (name, samples) in &self.series {
-            for &(t, v) in samples {
-                out.push_str(&format!(
-                    "{{\"series\":\"{}\",\"t_us\":{},\"value\":{}}}\n",
-                    json_escape(name),
-                    t,
-                    json_num(v)
-                ));
+            let mut rec = Sample {
+                series: name.clone(),
+                ..Sample::default()
+            };
+            for &(t_us, value) in samples {
+                (rec.t_us, rec.value) = (t_us, value);
+                codec::encode(&rec, &mut out);
+                out.push('\n');
             }
         }
         out
@@ -353,484 +241,40 @@ impl Timeline {
     }
 
     /// Parses a timeline back from [`to_ndjson`](Timeline::to_ndjson)
-    /// output — the doctor's bundle-reader path. The writer pins the
-    /// exact line shape (`{"series":"…","t_us":N,"value":V}`) and Rust's
-    /// float `Display` is shortest-round-trip, so a parse of an export
-    /// reproduces the original samples bit-for-bit (`null` values come
-    /// back as NaN, matching what `to_ndjson` collapsed them from).
+    /// output — the doctor's bundle-reader path. Rust's float `Display`
+    /// is shortest-round-trip, so a parse of an export reproduces the
+    /// original samples bit-for-bit (`null` values come back as NaN,
+    /// matching what `to_ndjson` collapsed them from).
     ///
     /// `interval_us` is not stored in the ndjson stream; callers supply
     /// it from the bundle manifest.
     pub fn from_ndjson(s: &str, interval_us: u64) -> Result<Timeline, String> {
         let mut t = Timeline::new(interval_us);
-        for (ln, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |what: &str| format!("timeline ndjson line {}: {what}: {line}", ln + 1);
-            let rest = line
-                .strip_prefix("{\"series\":\"")
-                .ok_or_else(|| err("missing series prefix"))?;
-            let (name, rest) = take_json_string(rest).ok_or_else(|| err("unterminated series"))?;
-            let rest = rest
-                .strip_prefix(",\"t_us\":")
-                .ok_or_else(|| err("missing t_us"))?;
-            let digits_end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            let t_us: u64 = rest[..digits_end].parse().map_err(|_| err("bad t_us"))?;
-            let rest = rest[digits_end..]
-                .strip_prefix(",\"value\":")
-                .ok_or_else(|| err("missing value"))?;
-            let num = rest.strip_suffix('}').ok_or_else(|| err("missing }"))?;
-            let value = if num == "null" {
-                f64::NAN
-            } else {
-                num.parse().map_err(|_| err("bad value"))?
-            };
-            t.record(t_us, &name, value);
+        for sample in codec::from_ndjson::<Sample>(s)? {
+            t.record(sample.t_us, &sample.series, sample.value);
         }
         Ok(t)
     }
 
-    /// Parses a timeline back from [`to_csv`](Timeline::to_csv) output
-    /// (the `series,t_us,value` header plus one row per sample; series
-    /// names containing `,`/`"`/newline arrive RFC-4180 quoted).
-    pub fn from_csv(s: &str, interval_us: u64) -> Result<Timeline, String> {
-        let mut t = Timeline::new(interval_us);
-        let mut lines = s.lines().enumerate();
-        match lines.next() {
-            Some((_, "series,t_us,value")) => {}
-            other => return Err(format!("timeline csv: bad header {other:?}")),
-        }
-        for (ln, line) in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let err = |what: &str| format!("timeline csv line {}: {what}: {line}", ln + 1);
-            let (name, rest) = if let Some(q) = line.strip_prefix('"') {
-                // Quoted name: scan for the closing quote, un-doubling "".
-                let mut name = String::new();
-                let mut chars = q.chars();
-                loop {
-                    match chars.next() {
-                        Some('"') => match chars.clone().next() {
-                            Some('"') => {
-                                chars.next();
-                                name.push('"');
-                            }
-                            _ => break,
-                        },
-                        Some(c) => name.push(c),
-                        None => return Err(err("unterminated quote")),
-                    }
-                }
-                let rest = chars.as_str();
-                let rest = rest.strip_prefix(',').ok_or_else(|| err("missing comma"))?;
-                (name, rest)
-            } else {
-                let (name, rest) = line.split_once(',').ok_or_else(|| err("missing comma"))?;
-                (name.to_owned(), rest)
-            };
-            let (t_str, v_str) = rest.split_once(',').ok_or_else(|| err("missing value"))?;
-            let t_us: u64 = t_str.parse().map_err(|_| err("bad t_us"))?;
-            let value: f64 = v_str.parse().map_err(|_| err("bad value"))?;
-            t.record(t_us, &name, value);
-        }
-        Ok(t)
-    }
-
-    /// Renders the alert log as one JSON object per line in time order:
-    /// `{"t_us":…,"rule":"…","series":"…","value":…,"threshold":…,
-    /// "state":"firing"|"cleared","detail":"…"}`.
+    /// The alert log, one JSON object per line in time order (the
+    /// bundle's `alerts.ndjson`).
     pub fn alerts_ndjson(&self) -> String {
-        let mut out = String::new();
-        for a in &self.alerts {
-            out.push_str(&format!(
-                "{{\"t_us\":{},\"rule\":\"{}\",\"series\":\"{}\",\"value\":{},\
-                 \"threshold\":{},\"state\":\"{}\",\"detail\":\"{}\"}}\n",
-                a.t_us,
-                json_escape(&a.rule),
-                json_escape(&a.series),
-                json_num(a.value),
-                json_num(a.threshold),
-                a.state.as_str(),
-                json_escape(&a.detail)
-            ));
-        }
-        out
+        codec::to_ndjson(&self.alerts)
     }
 
-    /// Parses an alert log back from
-    /// [`alerts_ndjson`](Timeline::alerts_ndjson) output.
-    pub fn alerts_from_ndjson(s: &str) -> Result<Vec<AlertRecord>, String> {
-        let mut out = Vec::new();
-        for (ln, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |what: &str| format!("alerts ndjson line {}: {what}: {line}", ln + 1);
-            let rest = line
-                .strip_prefix("{\"t_us\":")
-                .ok_or_else(|| err("missing t_us"))?;
-            let digits_end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            let t_us: u64 = rest[..digits_end].parse().map_err(|_| err("bad t_us"))?;
-            let rest = rest[digits_end..]
-                .strip_prefix(",\"rule\":\"")
-                .ok_or_else(|| err("missing rule"))?;
-            let (rule, rest) = take_json_string(rest).ok_or_else(|| err("unterminated rule"))?;
-            let rest = rest
-                .strip_prefix(",\"series\":\"")
-                .ok_or_else(|| err("missing series"))?;
-            let (series, rest) =
-                take_json_string(rest).ok_or_else(|| err("unterminated series"))?;
-            let rest = rest
-                .strip_prefix(",\"value\":")
-                .ok_or_else(|| err("missing value"))?;
-            let (value, rest) = take_json_number(rest).ok_or_else(|| err("bad value"))?;
-            let rest = rest
-                .strip_prefix(",\"threshold\":")
-                .ok_or_else(|| err("missing threshold"))?;
-            let (threshold, rest) = take_json_number(rest).ok_or_else(|| err("bad threshold"))?;
-            let rest = rest
-                .strip_prefix(",\"state\":\"")
-                .ok_or_else(|| err("missing state"))?;
-            let (state_str, rest) =
-                take_json_string(rest).ok_or_else(|| err("unterminated state"))?;
-            let state = match state_str.as_str() {
-                "firing" => AlertState::Firing,
-                "cleared" => AlertState::Cleared,
-                _ => return Err(err("unknown state")),
-            };
-            let rest = rest
-                .strip_prefix(",\"detail\":\"")
-                .ok_or_else(|| err("missing detail"))?;
-            let (detail, rest) =
-                take_json_string(rest).ok_or_else(|| err("unterminated detail"))?;
-            if rest != "}" {
-                return Err(err("trailing content"));
-            }
-            out.push(AlertRecord {
-                t_us,
-                rule,
-                series,
-                value,
-                threshold,
-                state,
-                detail,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Renders the exemplar log as one JSON object per line in retained
-    /// order: `{"t_us":…,"series":"…","value":…,"pubend":…,"ts":…}`
-    /// followed by whichever of `birth_us`/`log_us`/`forward_us`/
-    /// `ingest_us` anchors resolved (absent anchors are omitted).
+    /// The exemplar log in retained order (`exemplars.ndjson`).
     pub fn exemplars_ndjson(&self) -> String {
-        let mut out = String::new();
-        for e in &self.exemplars {
-            out.push_str(&format!(
-                "{{\"t_us\":{},\"series\":\"{}\",\"value\":{},\"pubend\":{},\"ts\":{}",
-                e.t_us,
-                json_escape(&e.series),
-                json_num(e.value),
-                e.pubend,
-                e.ts
-            ));
-            for (k, v) in [
-                ("birth_us", e.birth_us),
-                ("log_us", e.log_us),
-                ("forward_us", e.forward_us),
-                ("ingest_us", e.ingest_us),
-            ] {
-                if let Some(v) = v {
-                    out.push_str(&format!(",\"{k}\":{v}"));
-                }
-            }
-            out.push_str("}\n");
-        }
-        out
+        codec::to_ndjson(self.exemplars.iter())
     }
 
-    /// Parses an exemplar log back from
-    /// [`exemplars_ndjson`](Timeline::exemplars_ndjson) output.
-    pub fn exemplars_from_ndjson(s: &str) -> Result<Vec<Exemplar>, String> {
-        let mut out = Vec::new();
-        for (ln, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |what: &str| format!("exemplars ndjson line {}: {what}: {line}", ln + 1);
-            let rest = line
-                .strip_prefix("{\"t_us\":")
-                .ok_or_else(|| err("missing t_us"))?;
-            let (t_us, rest) = take_u64(rest).ok_or_else(|| err("bad t_us"))?;
-            let rest = rest
-                .strip_prefix(",\"series\":\"")
-                .ok_or_else(|| err("missing series"))?;
-            let (series, rest) =
-                take_json_string(rest).ok_or_else(|| err("unterminated series"))?;
-            let rest = rest
-                .strip_prefix(",\"value\":")
-                .ok_or_else(|| err("missing value"))?;
-            let (value, rest) = take_json_number(rest).ok_or_else(|| err("bad value"))?;
-            let rest = rest
-                .strip_prefix(",\"pubend\":")
-                .ok_or_else(|| err("missing pubend"))?;
-            let (pubend, rest) = take_u64(rest).ok_or_else(|| err("bad pubend"))?;
-            let rest = rest
-                .strip_prefix(",\"ts\":")
-                .ok_or_else(|| err("missing ts"))?;
-            let (ts, rest) = take_u64(rest).ok_or_else(|| err("bad ts"))?;
-            let mut rest = rest;
-            let mut anchors = [None; 4];
-            for (i, k) in ["birth_us", "log_us", "forward_us", "ingest_us"]
-                .iter()
-                .enumerate()
-            {
-                let prefix = format!(",\"{k}\":");
-                if let Some(r) = rest.strip_prefix(prefix.as_str()) {
-                    let (v, r) = take_u64(r).ok_or_else(|| err("bad anchor"))?;
-                    anchors[i] = Some(v);
-                    rest = r;
-                }
-            }
-            if rest != "}" {
-                return Err(err("trailing content"));
-            }
-            out.push(Exemplar {
-                t_us,
-                series,
-                value,
-                pubend: pubend as u32,
-                ts,
-                birth_us: anchors[0],
-                log_us: anchors[1],
-                forward_us: anchors[2],
-                ingest_us: anchors[3],
-            });
-        }
-        Ok(out)
-    }
-
-    /// Renders the busy-interval log as one JSON object per line in
-    /// retained order:
-    /// `{"track":…,"kind":"…","start_us":…,"dur_us":…}`.
+    /// The busy-interval log in retained order (`intervals.ndjson`).
     pub fn intervals_ndjson(&self) -> String {
-        let mut out = String::new();
-        for iv in &self.intervals {
-            out.push_str(&format!(
-                "{{\"track\":{},\"kind\":\"{}\",\"start_us\":{},\"dur_us\":{}}}\n",
-                iv.track,
-                json_escape(iv.kind),
-                iv.start_us,
-                iv.dur_us
-            ));
-        }
-        out
+        codec::to_ndjson(self.intervals.iter())
     }
 
-    /// Parses a busy-interval log back from
-    /// [`intervals_ndjson`](Timeline::intervals_ndjson) output; unknown
-    /// kinds collapse to `"other"` rather than failing.
-    pub fn intervals_from_ndjson(s: &str) -> Result<Vec<BusyInterval>, String> {
-        let mut out = Vec::new();
-        for (ln, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |what: &str| format!("intervals ndjson line {}: {what}: {line}", ln + 1);
-            let rest = line
-                .strip_prefix("{\"track\":")
-                .ok_or_else(|| err("missing track"))?;
-            let (track, rest) = take_u64(rest).ok_or_else(|| err("bad track"))?;
-            let rest = rest
-                .strip_prefix(",\"kind\":\"")
-                .ok_or_else(|| err("missing kind"))?;
-            let (kind, rest) = take_json_string(rest).ok_or_else(|| err("unterminated kind"))?;
-            let rest = rest
-                .strip_prefix(",\"start_us\":")
-                .ok_or_else(|| err("missing start_us"))?;
-            let (start_us, rest) = take_u64(rest).ok_or_else(|| err("bad start_us"))?;
-            let rest = rest
-                .strip_prefix(",\"dur_us\":")
-                .ok_or_else(|| err("missing dur_us"))?;
-            let (dur_us, rest) = take_u64(rest).ok_or_else(|| err("bad dur_us"))?;
-            if rest != "}" {
-                return Err(err("trailing content"));
-            }
-            out.push(BusyInterval {
-                track: track as u32,
-                kind: intern_kind(&kind),
-                start_us,
-                dur_us,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Renders the top-K snapshot log as one JSON object per line in
-    /// retained order: `{"t_us":…,"dim":"…","total":…,"entries":
-    /// [{"entity":…,"count":…,"err":…},…]}` with entries in ranked
-    /// order (count descending, entity ascending on ties).
+    /// The top-K snapshot log in retained order (`topk.ndjson`).
     pub fn topks_ndjson(&self) -> String {
-        let mut out = String::new();
-        for s in &self.topks {
-            out.push_str(&format!(
-                "{{\"t_us\":{},\"dim\":\"{}\",\"total\":{},\"entries\":[",
-                s.t_us,
-                json_escape(s.dim),
-                s.total
-            ));
-            for (i, e) in s.entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"entity\":{},\"count\":{},\"err\":{}}}",
-                    e.entity, e.count, e.err
-                ));
-            }
-            out.push_str("]}\n");
-        }
-        out
-    }
-
-    /// Parses a top-K snapshot log back from
-    /// [`topks_ndjson`](Timeline::topks_ndjson) output; unknown
-    /// dimensions collapse to `"other"` rather than failing (same
-    /// policy as interval kinds).
-    pub fn topks_from_ndjson(s: &str) -> Result<Vec<TopKSnapshot>, String> {
-        let mut out = Vec::new();
-        for (ln, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |what: &str| format!("topk ndjson line {}: {what}: {line}", ln + 1);
-            let rest = line
-                .strip_prefix("{\"t_us\":")
-                .ok_or_else(|| err("missing t_us"))?;
-            let (t_us, rest) = take_u64(rest).ok_or_else(|| err("bad t_us"))?;
-            let rest = rest
-                .strip_prefix(",\"dim\":\"")
-                .ok_or_else(|| err("missing dim"))?;
-            let (dim, rest) = take_json_string(rest).ok_or_else(|| err("unterminated dim"))?;
-            let rest = rest
-                .strip_prefix(",\"total\":")
-                .ok_or_else(|| err("missing total"))?;
-            let (total, rest) = take_u64(rest).ok_or_else(|| err("bad total"))?;
-            let mut rest = rest
-                .strip_prefix(",\"entries\":[")
-                .ok_or_else(|| err("missing entries"))?;
-            let mut entries = Vec::new();
-            while let Some(r) = rest.strip_prefix("{\"entity\":") {
-                let (entity, r) = take_u64(r).ok_or_else(|| err("bad entity"))?;
-                let r = r
-                    .strip_prefix(",\"count\":")
-                    .ok_or_else(|| err("missing count"))?;
-                let (count, r) = take_u64(r).ok_or_else(|| err("bad count"))?;
-                let r = r
-                    .strip_prefix(",\"err\":")
-                    .ok_or_else(|| err("missing err"))?;
-                let (e, r) = take_u64(r).ok_or_else(|| err("bad err"))?;
-                entries.push(TopKEntry {
-                    entity,
-                    count,
-                    err: e,
-                });
-                rest = r
-                    .strip_prefix('}')
-                    .ok_or_else(|| err("unterminated entry"))?;
-                if let Some(r) = rest.strip_prefix(',') {
-                    rest = r;
-                }
-            }
-            if rest != "]}" {
-                return Err(err("trailing content"));
-            }
-            out.push(TopKSnapshot {
-                t_us,
-                dim: intern_dim(&dim),
-                total,
-                entries,
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// Consumes a leading run of ASCII digits as a `u64`, yielding the
-/// remainder (used by the fixed-order ndjson parsers above).
-fn take_u64(s: &str) -> Option<(u64, &str)> {
-    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
-    s[..end].parse().ok().map(|v| (v, &s[end..]))
-}
-
-/// Consumes an escaped JSON string body up to its closing quote,
-/// returning the unescaped content and the remainder after the quote.
-/// Only the escapes [`json_escape`] emits are understood.
-fn take_json_string(s: &str) -> Option<(String, &str)> {
-    let mut out = String::new();
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &s[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.1.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Consumes a JSON number (or the `null` that [`json_num`] writes for
-/// non-finite values, returned as NaN), yielding the remainder.
-fn take_json_number(s: &str) -> Option<(f64, &str)> {
-    if let Some(rest) = s.strip_prefix("null") {
-        return Some((f64::NAN, rest));
-    }
-    let end = s
-        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(s.len());
-    s[..end].parse().ok().map(|v| (v, &s[end..]))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
+        codec::to_ndjson(self.topks.iter())
     }
 }
 
@@ -1264,12 +708,12 @@ mod tests {
         assert_eq!(sparkline(&wide, 60).chars().count(), 60);
     }
 
-    /// The bundle-format pin (ISSUE 6 satellite): a populated timeline
-    /// exported to ndjson and CSV must re-parse — the doctor's reader
-    /// path — into the identical sample store, byte-for-byte on
-    /// re-export.
+    /// The bundle-format pin: a timeline populated by the sampler and
+    /// exported to ndjson re-parses — the doctor's reader path — into
+    /// the identical sample store, byte-for-byte on re-export. (The line
+    /// format itself is pinned by the codec's table-driven test.)
     #[test]
-    fn timeline_ndjson_and_csv_round_trip() {
+    fn sampled_timeline_round_trips_through_ndjson() {
         let mut m = Metrics::default();
         m.set_gauge("telemetry.queue_depth.w0", 3.0);
         m.set_gauge("telemetry.queue_depth.w1", 5.0);
@@ -1292,34 +736,14 @@ mod tests {
         for name in original.series_names() {
             assert_eq!(parsed.series(name), original.series(name), "series {name}");
         }
-        // Byte-for-byte: re-export of the parse equals the export.
         assert_eq!(parsed.to_ndjson(), nd);
-
-        let csv = original.to_csv();
-        let from_csv = Timeline::from_csv(&csv, original.interval_us()).unwrap();
-        assert_eq!(from_csv.to_csv(), csv);
-        assert_eq!(from_csv.to_ndjson(), nd);
-    }
-
-    #[test]
-    fn timeline_parsers_reject_garbage_and_handle_quoting() {
-        assert!(Timeline::from_ndjson("{\"nope\":1}\n", 500).is_err());
-        assert!(Timeline::from_csv("wrong,header\n", 500).is_err());
-        // Awkward series names survive both formats.
+        // The CSV twin quotes awkward names and has one row per sample.
         let mut t = Timeline::new(250);
         t.record(250, "weird \"name\", with, commas", 1.5);
-        t.record(500, "tab\tseries", -0.75);
-        let nd = t.to_ndjson();
-        let parsed = Timeline::from_ndjson(&nd, 250).unwrap();
-        assert_eq!(parsed.to_ndjson(), nd);
-        let csv = t.to_csv();
-        let parsed_csv = Timeline::from_csv(&csv, 250).unwrap();
-        assert_eq!(parsed_csv.to_ndjson(), nd);
-        // Non-finite values collapse to null and come back NaN.
-        let mut nan = Timeline::new(250);
-        nan.record(250, "x", f64::NAN);
-        let back = Timeline::from_ndjson(&nan.to_ndjson(), 250).unwrap();
-        assert!(back.series("x")[0].1.is_nan());
+        assert_eq!(
+            t.to_csv(),
+            "series,t_us,value\n\"weird \"\"name\"\", with, commas\",250,1.5\n"
+        );
     }
 
     #[test]
@@ -1347,252 +771,75 @@ mod tests {
         assert_eq!(t.series("lat_us.q99").len(), 2);
     }
 
+    /// The four record streams live beside the sample series: sample
+    /// exports stay sample-only, each stream is bounded by its cap with
+    /// evictions reported, and `merge` carries all of them across in
+    /// time order.
     #[test]
-    fn alerts_live_beside_samples_and_round_trip() {
-        use crate::health::{AlertRecord, AlertState};
+    fn streams_live_beside_samples_stay_bounded_and_merge() {
+        use crate::forensics::{KIND_COMMIT, KIND_DISPATCH};
+        use crate::health::AlertState;
+        use crate::sketch::DIM_SUB_LAG;
         let mut t = Timeline::new(500);
         t.record(500, "g", 1.0);
-        t.push_alert(AlertRecord {
-            t_us: 500,
-            rule: "queue_depth".into(),
-            series: "telemetry.queue_depth".into(),
-            value: 2e6,
-            threshold: 1e6,
-            state: AlertState::Firing,
-            detail: "level 2000000 > ceiling 1000000".into(),
-        });
-        t.push_alert(AlertRecord {
-            t_us: 1_000,
-            rule: "queue_depth".into(),
-            series: "telemetry.queue_depth".into(),
-            value: 10.0,
-            threshold: 0.0,
-            state: AlertState::Cleared,
-            detail: "back \"within\" bounds".into(),
-        });
-        // Sample exports stay alert-free.
-        assert_eq!(t.to_ndjson().lines().count(), 1);
-        assert_eq!(t.len(), 1);
-        let nd = t.alerts_ndjson();
-        assert_eq!(nd.lines().count(), 2);
-        let parsed = Timeline::alerts_from_ndjson(&nd).unwrap();
-        assert_eq!(parsed, t.alerts());
-        // Merge carries alerts across and keeps time order.
-        let mut merged = Timeline::new(0);
-        merged.merge(&t);
-        assert_eq!(merged.alerts().len(), 2);
-        assert!(merged.alerts()[0].t_us <= merged.alerts()[1].t_us);
-        assert!(Timeline::alerts_from_ndjson("{\"bogus\":1}").is_err());
-    }
-
-    /// The forensics streams (exemplars, busy intervals) live beside
-    /// the sample series, export as their own ndjson files, re-parse
-    /// byte-for-byte, and stay strictly bounded.
-    #[test]
-    fn exemplars_and_intervals_round_trip_and_stay_bounded() {
-        use crate::forensics::{BusyInterval, Exemplar, KIND_COMMIT, KIND_DISPATCH};
-        let mut t = Timeline::new(500);
-        t.record(500, "g", 1.0);
+        for (t_us, state) in [(1_000, AlertState::Cleared), (500, AlertState::Firing)] {
+            t.push_alert(AlertRecord {
+                t_us,
+                rule: "queue_depth".into(),
+                series: "telemetry.queue_depth".into(),
+                state,
+                ..AlertRecord::default()
+            });
+        }
         assert_eq!(
             t.push_exemplar(Exemplar {
                 t_us: 900,
                 series: "lineage.stage.deliver_us".into(),
-                value: 1_250.5,
-                pubend: 3,
-                ts: 41,
-                birth_us: Some(100),
-                log_us: Some(400),
-                forward_us: None,
-                ingest_us: Some(700),
+                ..Exemplar::default()
             }),
             0
         );
-        t.push_interval(BusyInterval {
-            track: 2,
-            kind: KIND_COMMIT,
-            start_us: 650,
-            dur_us: 250,
-        });
-        t.push_interval(BusyInterval {
+        let interval = |kind, start_us| BusyInterval {
             track: 0,
-            kind: KIND_DISPATCH,
-            start_us: 700,
-            dur_us: 10,
-        });
-        // Sample exports stay sample-only.
+            kind,
+            start_us,
+            dur_us: 1,
+        };
+        t.push_interval(interval(KIND_DISPATCH, 700));
+        t.push_interval(interval(KIND_COMMIT, 650));
+        let topk = |t_us| TopKSnapshot {
+            t_us,
+            dim: DIM_SUB_LAG,
+            total: 1,
+            entries: vec![],
+        };
+        t.push_topk(topk(500));
         assert_eq!(t.to_ndjson().lines().count(), 1);
-        let ex_nd = t.exemplars_ndjson();
-        assert!(!ex_nd.contains("\"forward_us\""), "{ex_nd}");
-        let parsed = Timeline::exemplars_from_ndjson(&ex_nd).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0], *t.exemplars().next().unwrap());
-        let iv_nd = t.intervals_ndjson();
-        let parsed_iv = Timeline::intervals_from_ndjson(&iv_nd).unwrap();
-        assert_eq!(parsed_iv.len(), 2);
-        assert_eq!(parsed_iv[0].kind, KIND_COMMIT);
-        // Re-export of the parse equals the export.
-        let mut back = Timeline::new(500);
-        for e in parsed {
-            back.push_exemplar(e);
-        }
-        for iv in parsed_iv {
-            back.push_interval(iv);
-        }
-        assert_eq!(back.exemplars_ndjson(), ex_nd);
-        assert_eq!(back.intervals_ndjson(), iv_nd);
-        // Unknown kinds collapse to "other"; garbage is rejected.
-        let odd = Timeline::intervals_from_ndjson(
-            "{\"track\":1,\"kind\":\"weird\",\"start_us\":1,\"dur_us\":2}\n",
-        )
-        .unwrap();
-        assert_eq!(odd[0].kind, "other");
-        assert!(Timeline::exemplars_from_ndjson("{\"bogus\":1}\n").is_err());
-        assert!(Timeline::intervals_from_ndjson("{\"bogus\":1}\n").is_err());
-        // Bounded: pushes past the cap evict the oldest and report it.
-        let mut full = Timeline::new(1);
-        let mut evicted = 0u64;
-        for i in 0..(TIMELINE_INTERVAL_CAP as u64 + 10) {
-            evicted += full.push_interval(BusyInterval {
-                track: 0,
-                kind: KIND_DISPATCH,
-                start_us: i,
-                dur_us: 1,
-            });
-        }
-        assert_eq!(full.intervals().len(), TIMELINE_INTERVAL_CAP);
-        assert_eq!(evicted, 10);
-        assert_eq!(full.intervals().next().unwrap().start_us, 10);
-        // Caps are runtime-configurable (ISSUE 10 satellite): an
-        // override string tightens the same bound without recompiling.
-        let caps = TimelineCaps::parse("intervals=16, exemplars=8,topks=4").unwrap();
-        assert_eq!(
-            caps,
-            TimelineCaps {
-                exemplars: 8,
-                intervals: 16,
-                topks: 4
-            }
-        );
-        let mut tight = Timeline::with_caps(1, caps);
-        let mut evicted = 0u64;
-        for i in 0..20u64 {
-            evicted += tight.push_interval(BusyInterval {
-                track: 0,
-                kind: KIND_DISPATCH,
-                start_us: i,
-                dur_us: 1,
-            });
-        }
-        assert_eq!(tight.intervals().len(), 16);
-        assert_eq!(evicted, 4);
-        // Partial overrides keep compiled defaults; garbage is loud.
-        let partial = TimelineCaps::parse("exemplars=100").unwrap();
-        assert_eq!(partial.intervals, TIMELINE_INTERVAL_CAP);
-        assert_eq!(partial.topks, TIMELINE_TOPK_CAP);
-        assert_eq!(TimelineCaps::parse("").unwrap(), TimelineCaps::default());
-        assert!(TimelineCaps::parse("exemplars=lots").is_err());
-        assert!(TimelineCaps::parse("mystery=4").is_err());
-        assert!(TimelineCaps::parse("exemplars").is_err());
-        // Zero clamps to 1 (a cap of 0 would make every push a drop).
-        assert_eq!(TimelineCaps::parse("topks=0").unwrap().topks, 1);
-        // Merge carries both streams across.
-        let mut merged = Timeline::new(0);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.alerts_ndjson().lines().count(), 2);
+        assert_eq!(t.exemplars_ndjson().lines().count(), 1);
+        assert_eq!(t.intervals_ndjson().lines().count(), 2);
+        assert_eq!(t.topks_ndjson().lines().count(), 1);
+
+        let mut merged = Timeline::default();
         merged.merge(&t);
+        assert_eq!(merged.interval_us(), 500);
         assert_eq!(merged.exemplars().len(), 1);
-        assert_eq!(merged.intervals().len(), 2);
+        assert_eq!(merged.topks().len(), 1);
+        assert_eq!(merged.alerts()[0].state, AlertState::Firing, "time order");
         assert_eq!(
             merged.intervals().next().unwrap().kind,
             KIND_COMMIT,
             "sorted by start_us"
         );
-    }
 
-    /// The top-K stream (ISSUE 10): snapshots live beside the sample
-    /// series, export as their own ndjson file, re-parse byte-for-byte,
-    /// stay bounded, and merge deterministically.
-    #[test]
-    fn topk_snapshots_round_trip_and_stay_bounded() {
-        use crate::sketch::{TopKEntry, TopKSnapshot, DIM_SUB_BYTES, DIM_SUB_LAG};
-        let mut t = Timeline::with_caps(
-            500,
-            TimelineCaps {
-                topks: 3,
-                ..TimelineCaps::default()
-            },
-        );
-        t.record(500, "g", 1.0);
-        assert_eq!(
-            t.push_topk(TopKSnapshot {
-                t_us: 500,
-                dim: DIM_SUB_LAG,
-                total: 5_010,
-                entries: vec![
-                    TopKEntry {
-                        entity: 42,
-                        count: 5_000,
-                        err: 0
-                    },
-                    TopKEntry {
-                        entity: 7,
-                        count: 10,
-                        err: 2
-                    },
-                ],
-            }),
-            0
-        );
-        t.push_topk(TopKSnapshot {
-            t_us: 500,
-            dim: DIM_SUB_BYTES,
-            total: 0,
-            entries: vec![],
-        });
-        // Sample exports stay sample-only.
-        assert_eq!(t.to_ndjson().lines().count(), 1);
-        let nd = t.topks_ndjson();
-        assert!(
-            nd.starts_with(
-                "{\"t_us\":500,\"dim\":\"slowest_subs_by_lag\",\"total\":5010,\
-                 \"entries\":[{\"entity\":42,\"count\":5000,\"err\":0},"
-            ),
-            "{nd}"
-        );
-        let parsed = Timeline::topks_from_ndjson(&nd).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0], *t.topks().next().unwrap());
-        let mut back = Timeline::new(500);
-        for s in parsed {
-            back.push_topk(s);
+        let mut evicted = 0;
+        for i in 0..(TIMELINE_TOPK_CAP as u64 + 4) {
+            evicted += t.push_topk(topk(1_000 + i));
         }
-        assert_eq!(back.topks_ndjson(), nd);
-        // Unknown dims collapse to "other"; garbage is rejected.
-        let odd = Timeline::topks_from_ndjson(
-            "{\"t_us\":1,\"dim\":\"weird\",\"total\":1,\
-             \"entries\":[{\"entity\":1,\"count\":1,\"err\":0}]}\n",
-        )
-        .unwrap();
-        assert_eq!(odd[0].dim, "other");
-        assert!(Timeline::topks_from_ndjson("{\"bogus\":1}\n").is_err());
-        // Bounded: pushes past the cap evict the oldest and report it.
-        let mut evicted = 0u64;
-        for i in 0..5u64 {
-            evicted += t.push_topk(TopKSnapshot {
-                t_us: 1_000 + i,
-                dim: DIM_SUB_LAG,
-                total: 1,
-                entries: vec![],
-            });
-        }
-        assert_eq!(t.topks().len(), 3);
-        assert_eq!(evicted, 4);
-        // Merge carries the stream across sorted by (t_us, dim).
-        let mut merged = Timeline::new(0);
-        merged.merge(&t);
-        assert_eq!(merged.topks().len(), 3);
-        assert!(merged
-            .topks()
-            .zip(merged.topks().skip(1))
-            .all(|(a, b)| a.t_us <= b.t_us));
+        assert_eq!(t.topks().len(), TIMELINE_TOPK_CAP);
+        assert_eq!(evicted, 5);
+        assert_eq!(t.topks().next().unwrap().t_us, 1_004);
     }
 
     /// The `/healthz` satellite: liveness route answers 200 with the

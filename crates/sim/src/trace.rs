@@ -15,10 +15,10 @@
 //! ## Cost model
 //!
 //! Tracing is compiled out when the `trace` feature of `gryphon-sim` is
-//! disabled: the [`trace_event!`](crate::trace_event) macro's expansion
-//! becomes dead code (events are never constructed) and [`Sim`] carries
-//! no buffer. With the feature enabled, a push is an enum move into a
-//! `VecDeque` plus an O(1) watchdog lookup.
+//! disabled: the [`traced!`](crate::traced) macro's expansion becomes
+//! dead code (events are never constructed). With the feature enabled, a
+//! push is an enum move into a bounded ring (`ring::Ring`) plus an
+//! O(1) watchdog lookup.
 //!
 //! ## Watchdogs
 //!
@@ -42,115 +42,22 @@
 use crate::Metrics;
 use gryphon_types::{NodeId, PubendId, SubscriberId, Timestamp};
 
-/// Emits a [`TraceEvent`] through a [`NodeCtx`](crate::NodeCtx).
-///
-/// With the `trace` feature of `gryphon-sim` disabled this expands to
-/// dead code: the event expression is still type-checked but never
-/// constructed, so instrumented hot paths carry zero runtime cost.
-#[cfg(feature = "trace")]
-#[macro_export]
-macro_rules! trace_event {
-    ($ctx:expr, $ev:expr) => {
-        $ctx.trace($ev)
-    };
-}
+/// Whether instrumentation is compiled in: the `trace` feature of
+/// `gryphon-sim`, evaluated here so that [`traced!`](crate::traced) call
+/// sites in other crates need no feature of their own.
+pub const TRACE_ENABLED: bool = cfg!(feature = "trace");
 
-/// Disabled-variant of [`trace_event!`]: type-checks, compiles to nothing.
-#[cfg(not(feature = "trace"))]
+/// Wraps one observation call on a [`NodeCtx`](crate::NodeCtx) —
+/// `traced!(ctx.trace(event))`, `traced!(ctx.observe(name, v))`, likewise
+/// `count`, `record` and `gauge` — so that it is compiled out when the
+/// `trace` feature of `gryphon-sim` is disabled: the condition is a
+/// constant, so the call is type-checked but its arguments are never
+/// built and instrumented hot paths carry no cost.
 #[macro_export]
-macro_rules! trace_event {
-    ($ctx:expr, $ev:expr) => {
-        if false {
-            $ctx.trace($ev);
-        }
-    };
-}
-
-/// Records a histogram sample through a [`NodeCtx`](crate::NodeCtx);
-/// compiled out alongside tracing when the `trace` feature is disabled
-/// so instrumentation adds no cost to benchmark builds.
-#[cfg(feature = "trace")]
-#[macro_export]
-macro_rules! observe_metric {
-    ($ctx:expr, $name:expr, $v:expr) => {
-        $ctx.observe($name, $v)
-    };
-}
-
-/// Disabled-variant of [`observe_metric!`]: type-checks, compiles to
-/// nothing.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! observe_metric {
-    ($ctx:expr, $name:expr, $v:expr) => {
-        if false {
-            $ctx.observe($name, $v);
-        }
-    };
-}
-
-/// Appends a time-series sample through a [`NodeCtx`](crate::NodeCtx);
-/// compiled out with the `trace` feature like [`observe_metric!`].
-#[cfg(feature = "trace")]
-#[macro_export]
-macro_rules! record_metric {
-    ($ctx:expr, $name:expr, $v:expr) => {
-        $ctx.record($name, $v)
-    };
-}
-
-/// Disabled-variant of [`record_metric!`]: type-checks, compiles to
-/// nothing.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! record_metric {
-    ($ctx:expr, $name:expr, $v:expr) => {
-        if false {
-            $ctx.record($name, $v);
-        }
-    };
-}
-
-/// Bumps a counter through a [`NodeCtx`](crate::NodeCtx); compiled out
-/// with the `trace` feature like [`observe_metric!`].
-#[cfg(feature = "trace")]
-#[macro_export]
-macro_rules! count_metric {
-    ($ctx:expr, $name:expr, $v:expr) => {
-        $ctx.count($name, $v)
-    };
-}
-
-/// Disabled-variant of [`count_metric!`]: type-checks, compiles to
-/// nothing.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! count_metric {
-    ($ctx:expr, $name:expr, $v:expr) => {
-        if false {
-            $ctx.count($name, $v);
-        }
-    };
-}
-
-/// Sets a telemetry gauge through a [`NodeCtx`](crate::NodeCtx);
-/// compiled out with the `trace` feature like [`observe_metric!`].
-#[cfg(feature = "trace")]
-#[macro_export]
-macro_rules! gauge_metric {
-    ($ctx:expr, $name:expr, $v:expr) => {
-        $ctx.gauge($name, $v)
-    };
-}
-
-/// Disabled-variant of [`gauge_metric!`]: type-checks, compiles to
-/// nothing.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! gauge_metric {
-    ($ctx:expr, $name:expr, $v:expr) => {
-        if false {
-            $ctx.gauge($name, $v);
+macro_rules! traced {
+    ($call:expr) => {
+        if $crate::TRACE_ENABLED {
+            $call;
         }
     };
 }
@@ -343,7 +250,7 @@ pub enum TraceEvent {
         /// Wire tag of the dropped message (see `NetMsg::tag`).
         tag: &'static str,
     },
-    /// The online health engine transitioned a rule (DESIGN.md §14).
+    /// The online health engine transitioned a rule (DESIGN.md §9).
     /// Attributed to the control pseudo-node; clean runs emit none of
     /// these, so arming the engine never perturbs a healthy golden run.
     HealthAlert {
@@ -424,74 +331,8 @@ impl TraceRecord {
     }
 }
 
-/// Bounded ring buffer of [`TraceRecord`]s.
-///
-/// When full, the oldest record is dropped and counted; experiments that
-/// only need the tail (the usual case for post-mortem inspection) keep a
-/// small capacity, and tests that need everything raise it.
-#[derive(Debug, Default)]
-pub struct TraceBuffer {
-    records: std::collections::VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-/// Default ring capacity (records).
+/// Default capacity of the simulator's trace ring (records).
 pub const DEFAULT_TRACE_CAPACITY: usize = 16_384;
-
-impl TraceBuffer {
-    /// An empty buffer with [`DEFAULT_TRACE_CAPACITY`].
-    pub fn new() -> Self {
-        TraceBuffer {
-            records: std::collections::VecDeque::new(),
-            capacity: DEFAULT_TRACE_CAPACITY,
-            dropped: 0,
-        }
-    }
-
-    /// Changes capacity; `0` disables retention entirely (watchdogs still
-    /// see every event — they observe on push, before the ring).
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.records.len() > capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-    }
-
-    /// Appends a record, evicting the oldest when full.
-    pub fn push(&mut self, rec: TraceRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.records.len() >= self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
-    }
-
-    /// Retained records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records evicted (or rejected at zero capacity) so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
 
 /// Online invariant checkers fed from the trace stream.
 ///
@@ -690,27 +531,6 @@ mod tests {
             panic_on_violation: false,
             ..Watchdogs::default()
         }
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut buf = TraceBuffer::new();
-        buf.set_capacity(2);
-        for i in 0..5u64 {
-            buf.push(TraceRecord {
-                t_us: i,
-                node: N,
-                event: TraceEvent::NodeRestarted,
-            });
-        }
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf.dropped(), 3);
-        let kept: Vec<u64> = buf.iter().map(|r| r.t_us).collect();
-        assert_eq!(kept, vec![3, 4]);
-        buf.set_capacity(0);
-        assert!(buf.is_empty());
-        buf.push(rec(TraceEvent::NodeRestarted));
-        assert!(buf.is_empty());
     }
 
     #[test]

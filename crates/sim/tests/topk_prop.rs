@@ -1,6 +1,6 @@
 //! Property tests for the Space-Saving top-K sketch: estimates must obey
 //! the classic guarantees against an exact-counting oracle for arbitrary
-//! weighted update sequences (DESIGN.md §18).
+//! weighted update sequences (DESIGN.md §9).
 
 use gryphon_sim::sketch::SpaceSaving;
 use proptest::prelude::*;

@@ -7,15 +7,38 @@
 //! asserts a burst of reads leaves the process-wide allocation counter
 //! untouched.
 //!
-//! Single `#[test]` on purpose: the counter is process-wide and the
-//! default harness is multi-threaded, so sibling tests would be noise
-//! (same pattern as `zero_alloc_deliver.rs` in crates/core).
+//! The counter only counts while the measuring thread has set its
+//! thread-local `MEASURING` flag: the allocator is process-wide, and
+//! libtest's own threads allocate whenever they like (same pattern as
+//! `zero_alloc_deliver.rs` in crates/core).
 
 use gryphon_storage::{LogIndex, LogVolume, MemFactory, StreamId, VolumeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set by the measuring thread around the measured burst.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_measuring() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs `burst` with this thread's allocations counted; returns how many
+/// it made.
+fn allocations_in(burst: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    MEASURING.with(|m| m.set(true));
+    burst();
+    MEASURING.with(|m| m.set(false));
+    ALLOCS.load(Ordering::SeqCst) - before
+}
 
 struct CountingAlloc;
 
@@ -23,7 +46,7 @@ struct CountingAlloc;
 // on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -71,20 +94,19 @@ fn sealed_segment_reads_allocate_nothing() {
     }
     assert!(vol.cached_segment_count() > 0, "cache must have engaged");
 
-    let before = ALLOCS.load(Ordering::SeqCst);
     let mut read_bytes = 0u64;
-    for _round in 0..50 {
-        for i in 0..SEALED_PREFIX {
-            let b = vol.read(s, LogIndex(i)).unwrap().expect("record");
-            read_bytes += b.len() as u64;
+    let allocated = allocations_in(|| {
+        for _round in 0..50 {
+            for i in 0..SEALED_PREFIX {
+                let b = vol.read(s, LogIndex(i)).unwrap().expect("record");
+                read_bytes += b.len() as u64;
+            }
         }
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    });
 
     assert_eq!(read_bytes, warm * 50, "workload must match");
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "cached sealed-segment reads allocated on the warm path"
     );
 }

@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Regenerates the checked-in hot-path bench baselines.
 #
-# Runs the matching ablation and the threaded pipeline benches with the
-# criterion stub's CRITERION_JSON hook enabled, then assembles the NDJSON
-# lines into two JSON arrays at the repo root:
+# Runs the layer benches perf_gate guards with the criterion stub's
+# CRITERION_JSON hook enabled, then assembles the NDJSON lines into JSON
+# arrays at the repo root (end-to-end numbers on the threaded runtime
+# come from benchmark/run.sh instead — see BENCHMARK.json):
 #
 #   BENCH_matching.json     — matching + matching_hot (interned scratch
 #                             index vs the legacy per-event HashMap
 #                             counter, plus naive-scan reference)
-#   BENCH_rt_pipeline.json  — publish→delivery burst, single child and
-#                             2-way fan-out with/without knowledge batching
 #   BENCH_shb_scale.json    — SHB slab hot paths (steady delivery,
 #                             park/rehydrate, slot-recycling churn) at
 #                             10k and 100k idle durable subscriptions
@@ -23,11 +22,6 @@
 # the files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# Baselines are recorded with the contention profiler armed, so its
-# (bounded) overhead is inside every threshold the perf gate enforces —
-# "always-on" profiling can never silently regress the hot paths.
-export GRYPHON_PROFILE=1
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -47,12 +41,6 @@ CRITERION_JSON="$tmp/matching.ndjson" \
   cargo bench -p gryphon-bench --bench matching --bench matching_hot
 ndjson_to_array "$tmp/matching.ndjson" BENCH_matching.json
 
-echo "== rt_pipeline bench =="
-: >"$tmp/rt_pipeline.ndjson"
-CRITERION_JSON="$tmp/rt_pipeline.ndjson" \
-  cargo bench -p gryphon-bench --bench rt_pipeline
-ndjson_to_array "$tmp/rt_pipeline.ndjson" BENCH_rt_pipeline.json
-
 echo "== shb_scale bench =="
 : >"$tmp/shb_scale.ndjson"
 CRITERION_JSON="$tmp/shb_scale.ndjson" \
@@ -65,4 +53,4 @@ CRITERION_JSON="$tmp/log_volume.ndjson" \
   cargo bench -p gryphon-bench --bench log_volume --bench log_volume_commit
 ndjson_to_array "$tmp/log_volume.ndjson" BENCH_log_volume.json
 
-echo "wrote BENCH_matching.json, BENCH_rt_pipeline.json, BENCH_shb_scale.json and BENCH_log_volume.json"
+echo "wrote BENCH_matching.json, BENCH_shb_scale.json and BENCH_log_volume.json"

@@ -1,4 +1,4 @@
-//! Acceptance test for the online health engine (DESIGN.md §14): the
+//! Acceptance test for the online health engine (DESIGN.md §9): the
 //! engine armed with the default rules must stay silent on a clean
 //! PHB → IB → 2-SHB run, and on the same run with an SHB crash it must
 //! raise the `catchup_backlog` sustained-growth alert during the

@@ -202,8 +202,8 @@ fn injected_duplicate_trips_ledger_once_and_dumps_flight_recorder() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `xp --flight-dir` plumbing: arming the harness-wide default
-/// flight directory reaches the simulator every topology builds.
+/// The `xp --bundle-out` plumbing: the flight directory in a spec's
+/// `RunOptions` reaches the simulator the topology builds.
 #[test]
 fn default_flight_dir_arms_built_systems() {
     let dir = std::env::temp_dir().join(format!(
@@ -212,9 +212,14 @@ fn default_flight_dir_arms_built_systems() {
         "topo"
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    gryphon_harness::topology::set_default_flight_dir(Some(dir.clone()));
-    let mut sys = System::build(&TopologySpec::default(), &Workload::default());
-    gryphon_harness::topology::set_default_flight_dir(None);
+    let spec = TopologySpec {
+        run: gryphon_harness::RunOptions {
+            flight_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+        ..TopologySpec::default()
+    };
+    let mut sys = System::build(&spec, &Workload::default());
 
     sys.sim.set_watchdog_panic(false);
     sys.sim.set_ledger_panic(false);

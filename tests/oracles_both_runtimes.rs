@@ -1,0 +1,123 @@
+//! The correctness oracles — the exactly-once delivery ledger and the
+//! protocol watchdogs — observe every `ctx.trace` event on **both**
+//! runtimes. A node that plants a violation through nothing but
+//! `NodeCtx::trace` must be caught under the simulator and on a
+//! threaded-runtime worker alike; these tests fail if either runtime's
+//! context stops feeding either oracle, which is what guarantees no CPU
+//! was ever saved by disconnecting a check.
+
+#![cfg(feature = "trace")]
+
+use gryphon_net::NetBuilder;
+use gryphon_sim::{DeliveryPath, Node, NodeCtx, Sim, TimerKey, TraceEvent};
+use gryphon_types::{NetMsg, NodeId, PubendId, SubInterestMsg, SubscriberId, Timestamp};
+use std::time::Duration;
+
+const P: PubendId = PubendId(0);
+
+fn poke() -> NetMsg {
+    NetMsg::SubInterest(SubInterestMsg {
+        subs: vec![],
+        version: 0,
+    })
+}
+
+/// Emits `events` through `ctx.trace` on the first message it receives.
+struct Planter {
+    events: Vec<TraceEvent>,
+}
+
+impl Node for Planter {
+    fn on_message(&mut self, _: NodeId, _: NetMsg, ctx: &mut dyn NodeCtx) {
+        for event in self.events.drain(..) {
+            ctx.trace(event);
+        }
+    }
+    fn on_timer(&mut self, _: TimerKey, _: &mut dyn NodeCtx) {}
+}
+
+/// The same delivery twice within one session: exactly one ledger
+/// violation.
+fn duplicate_delivery() -> Planter {
+    let delivered = TraceEvent::Delivered {
+        pubend: P,
+        ts: Timestamp(5),
+        sub: SubscriberId(1),
+        path: DeliveryPath::Constream,
+    };
+    Planter {
+        events: vec![delivered.clone(), delivered],
+    }
+}
+
+/// A constream advance that does not start where the previous one ended
+/// (a hole at (10, 12]): exactly one gap-watchdog violation.
+fn constream_gap() -> Planter {
+    let advance = |prev, new_to| TraceEvent::ConstreamGapCheck {
+        pubend: P,
+        prev: Timestamp(prev),
+        new_to: Timestamp(new_to),
+    };
+    Planter {
+        events: vec![advance(0, 10), advance(12, 20)],
+    }
+}
+
+#[test]
+fn duplicate_delivery_trips_the_ledger_under_the_simulator() {
+    let mut sim = Sim::new(1);
+    sim.set_ledger_panic(false);
+    let node = sim.add_node("planter", Box::new(duplicate_delivery()));
+    sim.inject_ctrl(0, node, poke());
+    sim.run_to_quiescence();
+    assert_eq!(sim.ledger_violations(), 1);
+    assert_eq!(sim.watchdog_violations(), 0);
+}
+
+#[test]
+fn duplicate_delivery_trips_the_ledger_on_a_net_worker() {
+    let mut builder = NetBuilder::new();
+    let node = builder.add_node("planter", duplicate_delivery());
+    let net = builder.start();
+    net.inject(node.id(), poke());
+    net.run_for(Duration::from_millis(50));
+    let result = net.stop();
+    assert_eq!(result.ledger_violations(), 1);
+    assert_eq!(result.watchdog_violations(), 0.0);
+    assert!(result.node(node).events.is_empty(), "the planter ran");
+}
+
+#[test]
+fn constream_gap_trips_the_watchdog_under_the_simulator() {
+    let mut sim = Sim::new(1);
+    sim.set_watchdog_panic(false);
+    let node = sim.add_node("planter", Box::new(constream_gap()));
+    sim.inject_ctrl(0, node, poke());
+    sim.run_to_quiescence();
+    assert_eq!(sim.watchdog_violations(), 1);
+    assert_eq!(sim.ledger_violations(), 0);
+}
+
+/// The threaded runtime has no switch to disarm its watchdogs: under
+/// `debug_assertions` the worker panics at the point of detection (and
+/// `stop()` reports the dead thread); in a release build the violation
+/// is counted.
+#[test]
+fn constream_gap_trips_the_watchdog_on_a_net_worker() {
+    let mut builder = NetBuilder::new();
+    let node = builder.add_node("planter", constream_gap());
+    let net = builder.start();
+    net.inject(node.id(), poke());
+    net.run_for(Duration::from_millis(50));
+    let stopped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.stop()));
+    if cfg!(debug_assertions) {
+        assert!(
+            stopped.is_err(),
+            "an armed watchdog must have killed the worker"
+        );
+    } else {
+        let result = stopped.expect("disarmed watchdogs only count");
+        assert_eq!(result.watchdog_violations(), 1.0);
+        assert_eq!(result.ledger_violations(), 0);
+    }
+}
