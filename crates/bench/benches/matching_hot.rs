@@ -1,82 +1,11 @@
-//! Hot-path matching ablation: the interned, generation-stamped counting
-//! index against a faithful in-file copy of the previous implementation
-//! (per-event `HashMap<SubscriberId, usize>` counter, `(String, AttrValue)`
-//! equality keys). The delta between `interned_scratch` and `legacy_hashmap`
-//! is the headline number recorded in `BENCH_matching.json`.
+//! Hot-path matching: the interned, generation-stamped counting index
+//! with a reused `MatchScratch`, on owned events at 1 000 and 10 000
+//! subscriptions (recorded in `BENCH_matching.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gryphon_bench::bench_event;
-use gryphon_matching::{Filter, MatchScratch, Op, SubscriptionIndex};
-use gryphon_types::{AttrValue, Event, SubscriberId};
-use std::collections::HashMap;
-
-/// The pre-interning index, reproduced verbatim in spirit: string-keyed
-/// equality probes that must build an owned `(String, AttrValue)` pair per
-/// event attribute, and a fresh per-event `HashMap` counter.
-#[derive(Default)]
-struct LegacyIndex {
-    subs: HashMap<SubscriberId, (Filter, usize)>,
-    eq_index: HashMap<(String, AttrValue), Vec<SubscriberId>>,
-    attr_index: HashMap<String, Vec<(SubscriberId, usize)>>,
-    match_all: Vec<SubscriberId>,
-}
-
-impl LegacyIndex {
-    fn insert(&mut self, sub: SubscriberId, filter: Filter) {
-        let total = filter.predicates().len();
-        if total == 0 {
-            self.match_all.push(sub);
-        } else {
-            for (i, p) in filter.predicates().iter().enumerate() {
-                if p.op == Op::Eq {
-                    self.eq_index
-                        .entry((p.attr.as_str().to_owned(), p.value.clone()))
-                        .or_default()
-                        .push(sub);
-                } else {
-                    self.attr_index
-                        .entry(p.attr.as_str().to_owned())
-                        .or_default()
-                        .push((sub, i));
-                }
-            }
-        }
-        self.subs.insert(sub, (filter, total));
-    }
-
-    fn matches_into(&self, event: &Event, out: &mut Vec<SubscriberId>) {
-        out.clear();
-        out.extend_from_slice(&self.match_all);
-        if self.subs.len() == self.match_all.len() {
-            return;
-        }
-        let mut counts: HashMap<SubscriberId, usize> = HashMap::new();
-        let mut key = (String::new(), AttrValue::Bool(false));
-        for (attr, value) in &event.attrs {
-            key.0.clear();
-            key.0.push_str(attr.as_str());
-            key.1 = value.clone();
-            if let Some(subs) = self.eq_index.get(&key) {
-                for &s in subs {
-                    *counts.entry(s).or_insert(0) += 1;
-                }
-            }
-            if let Some(cands) = self.attr_index.get(attr.as_str()) {
-                for &(s, pi) in cands {
-                    let pred = &self.subs[&s].0.predicates()[pi];
-                    if pred.eval_value(value) {
-                        *counts.entry(s).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        for (s, n) in counts {
-            if n == self.subs[&s].1 {
-                out.push(s);
-            }
-        }
-    }
-}
+use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
+use gryphon_types::{Event, SubscriberId};
 
 fn filters(n: u64) -> Vec<(SubscriberId, Filter)> {
     (0..n)
@@ -94,10 +23,8 @@ fn filters(n: u64) -> Vec<(SubscriberId, Filter)> {
 fn bench_matching_hot(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching_hot");
     for &n in &[1_000u64, 10_000] {
-        let subs = filters(n);
+        let index: SubscriptionIndex = filters(n).into_iter().collect();
         let events: Vec<Event> = (0..64).map(|i| Event::clone(&bench_event(i))).collect();
-
-        let index: SubscriptionIndex = subs.iter().cloned().collect();
         group.bench_with_input(BenchmarkId::new("interned_scratch", n), &n, |b, _| {
             let mut out = Vec::new();
             let mut scratch = MatchScratch::new();
@@ -108,32 +35,6 @@ fn bench_matching_hot(c: &mut Criterion) {
                 std::hint::black_box(out.len())
             });
         });
-
-        let mut legacy = LegacyIndex::default();
-        for (s, f) in &subs {
-            legacy.insert(*s, f.clone());
-        }
-        group.bench_with_input(BenchmarkId::new("legacy_hashmap", n), &n, |b, _| {
-            let mut out = Vec::new();
-            let mut i = 0usize;
-            b.iter(|| {
-                legacy.matches_into(&events[i % events.len()], &mut out);
-                i += 1;
-                std::hint::black_box(out.len())
-            });
-        });
-
-        // Cross-check once per size: identical hit sets (legacy order is
-        // unspecified, the interned index emits ascending ids).
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        let mut scratch = MatchScratch::new();
-        for e in &events {
-            index.matches_into(e, &mut scratch, &mut a);
-            legacy.matches_into(e, &mut b);
-            b.sort_unstable();
-            assert_eq!(a, b, "legacy and interned index disagree");
-        }
     }
     group.finish();
 }

@@ -19,11 +19,11 @@ pub(crate) struct PhbRole {
     pub(crate) declared: Vec<PubendId>,
     /// The only-once event log shared by all hosted pubends, behind the
     /// group-commit pipeline: every durability point goes through
-    /// [`CommitPipeline::commit_with`], so concurrent committers (the
-    /// threaded runtime processes different pubends on different
-    /// workers) share one device flush per round-trip. In the
-    /// single-threaded simulator the pipeline degenerates to exactly one
-    /// flush per batch — deterministic, timing fields zero.
+    /// [`CommitPipeline::commit_with`]. Nothing commits to it
+    /// concurrently: every `Broker` — and every shard of a sharded one —
+    /// opens its own log behind its own pipeline and runs on one thread,
+    /// so under both runtimes a group is exactly one batch and one
+    /// flush (deterministic, timing fields zero).
     pub(crate) log: Option<CommitPipeline<EventLog>>,
 }
 

@@ -113,9 +113,9 @@ impl Pubend {
     /// The append half of [`finish_commit`]: appends the oldest in-flight
     /// batch and builds its knowledge parts **without** syncing. The
     /// caller owns the durability point — the PHB runs this inside a
-    /// [`CommitPipeline`](gryphon_storage::CommitPipeline) so one device
-    /// flush covers every pubend that committed in the same window, and
-    /// must not emit the parts downstream until that flush returns.
+    /// [`CommitPipeline`](gryphon_storage::CommitPipeline), one flush per
+    /// call, and must not emit the parts downstream until that flush
+    /// returns.
     ///
     /// # Errors
     ///

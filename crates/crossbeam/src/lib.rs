@@ -1,96 +1,67 @@
-//! Offline stand-in for `crossbeam`.
+//! Offline stand-in for `crossbeam`: a facade over `std::sync::mpsc`.
 //!
-//! Implements the one piece this workspace uses: `channel::bounded` MPMC
-//! channels with `send` / `try_send` / `recv_timeout`, on top of a
-//! `Mutex<VecDeque>` + two `Condvar`s. Slower than real crossbeam under
-//! heavy contention, but semantically equivalent — `Sender` and
-//! `Receiver` are both `Clone + Send + Sync`, and disconnection is
-//! reported once every peer on the other side is dropped.
+//! Since Rust 1.67 std's channel *is* crossbeam-channel's list flavour:
+//! lock-free, allocating a block at a time as the queue fills, waking a
+//! receiver only when one is parked. Storage, FIFO order (per producer),
+//! parking, wake-ups and disconnection are std's. This crate adds the
+//! two things std's unbounded channel lacks and the workspace uses:
+//! the **bound** of `channel::bounded` and `len()`, both kept in one
+//! shared depth counter.
+//!
+//! What it no longer offers: `Receiver` is not `Clone` — the channels
+//! are multi-producer **single**-consumer, which is all any caller in
+//! the workspace ever used.
 
-/// Multi-producer multi-consumer channels.
+/// Bounded multi-producer single-consumer channels.
 pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
-    struct State<T> {
-        queue: VecDeque<T>,
+    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TrySendError};
+    use TrySendError::{Disconnected, Full};
+
+    /// The bound and the occupancy gauge. `Relaxed` throughout: the
+    /// counter publishes no data (the message itself crosses on mpsc's
+    /// own synchronisation, which also orders a slot's reservation
+    /// before its release), and read-modify-writes on one atomic are
+    /// totally ordered whatever the ordering.
+    struct Depth {
+        /// Slots reserved: messages queued plus sends between reserving
+        /// and pushing. Never above `cap`.
+        len: AtomicUsize,
         cap: usize,
-        senders: usize,
-        receivers: usize,
+        /// Set when the receiver drops, so a sender that finds the
+        /// channel full can still tell `Disconnected` from `Full`.
+        receiver_gone: AtomicBool,
     }
-
-    struct Shared<T> {
-        state: Mutex<State<T>>,
-        /// Signalled when the queue gains an item or all senders leave.
-        not_empty: Condvar,
-        /// Signalled when the queue loses an item or all receivers leave.
-        not_full: Condvar,
-    }
-
-    /// Error returned by [`Sender::send`]: the message could not be
-    /// delivered because every receiver was dropped.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is at capacity.
-        Full(T),
-        /// Every receiver was dropped.
-        Disconnected(T),
-    }
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub enum RecvTimeoutError {
-        /// The wait elapsed with the channel still empty.
-        Timeout,
-        /// The channel is empty and every sender was dropped.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv`]: channel empty and every
-    /// sender dropped.
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub struct RecvError;
 
     /// The sending half of a channel.
     pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
+        tx: mpsc::Sender<T>,
+        depth: Arc<Depth>,
     }
 
     /// The receiving half of a channel.
     pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
+        rx: mpsc::Receiver<T>,
+        depth: Arc<Depth>,
     }
 
     /// Creates a bounded channel holding at most `cap` messages.
+    ///
+    /// Built on `mpsc::channel()`, not `sync_channel(cap)`: the latter
+    /// allocates and writes all `cap` slots up front (megabytes per
+    /// worker at the runtime's 65 536), the former grows as it fills.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                cap: cap.max(1),
-                senders: 1,
-                receivers: 1,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+        let (tx, rx) = mpsc::channel();
+        let depth = Arc::new(Depth {
+            len: AtomicUsize::new(0),
+            cap: cap.max(1),
+            receiver_gone: AtomicBool::new(false),
         });
-        (
-            Sender {
-                shared: shared.clone(),
-            },
-            Receiver { shared },
-        )
-    }
-
-    fn lock<T>(shared: &Shared<T>) -> std::sync::MutexGuard<'_, State<T>> {
-        match shared.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+        let d = depth.clone();
+        (Sender { tx, depth: d }, Receiver { rx, depth })
     }
 
     impl<T> Sender<T> {
@@ -98,22 +69,19 @@ pub mod channel {
         ///
         /// # Errors
         ///
-        /// Returns the message if every receiver was dropped.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            let mut st = lock(&self.shared);
+        /// Returns the message if the receiver was dropped.
+        pub fn send(&self, mut msg: T) -> Result<(), SendError<T>> {
+            // Sleep-and-retry rather than a `not_full` condvar: the one
+            // blocking caller is harness injection, which fills a queue
+            // only when it outruns a worker by the whole capacity, and a
+            // condvar would put a wake-up check on every `recv`.
             loop {
-                if st.receivers == 0 {
-                    return Err(SendError(msg));
+                match self.try_send(msg) {
+                    Ok(()) => return Ok(()),
+                    Err(Disconnected(m)) => return Err(SendError(m)),
+                    Err(Full(m)) => msg = m,
                 }
-                if st.queue.len() < st.cap {
-                    st.queue.push_back(msg);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-                st = match self.shared.not_full.wait(st) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
+                std::thread::sleep(Duration::from_micros(50));
             }
         }
 
@@ -123,22 +91,22 @@ pub mod channel {
         ///
         /// Returns the message if the channel is full or disconnected.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut st = lock(&self.shared);
-            if st.receivers == 0 {
-                return Err(TrySendError::Disconnected(msg));
+            let depth = &*self.depth;
+            let reserve = |n| (n < depth.cap).then_some(n + 1);
+            if depth.len.fetch_update(Relaxed, Relaxed, reserve).is_err() {
+                let gone = depth.receiver_gone.load(Relaxed);
+                return Err(if gone { Disconnected(msg) } else { Full(msg) });
             }
-            if st.queue.len() >= st.cap {
-                return Err(TrySendError::Full(msg));
-            }
-            st.queue.push_back(msg);
-            self.shared.not_empty.notify_one();
-            Ok(())
+            self.tx.send(msg).map_err(|SendError(m)| {
+                depth.len.fetch_sub(1, Relaxed);
+                Disconnected(m)
+            })
         }
 
         /// Messages currently queued (a momentary occupancy snapshot —
         /// telemetry probes sample this as channel queue depth).
         pub fn len(&self) -> usize {
-            lock(&self.shared).queue.len()
+            self.depth.len.load(Relaxed)
         }
 
         /// `true` when no messages are queued right now.
@@ -151,7 +119,7 @@ pub mod channel {
         /// Messages currently queued (a momentary occupancy snapshot —
         /// telemetry probes sample this as channel queue depth).
         pub fn len(&self) -> usize {
-            lock(&self.shared).queue.len()
+            self.depth.len.load(Relaxed)
         }
 
         /// `true` when no messages are queued right now.
@@ -165,20 +133,7 @@ pub mod channel {
         ///
         /// Returns an error once the channel is empty and senderless.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = lock(&self.shared);
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = match self.shared.not_empty.wait(st) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-            }
+            self.rx.recv().inspect(|_| self.release())
         }
 
         /// Receives a message, waiting at most `timeout`.
@@ -188,74 +143,27 @@ pub mod channel {
         /// [`RecvTimeoutError::Timeout`] if the wait elapsed, or
         /// [`RecvTimeoutError::Disconnected`] once empty and senderless.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut st = lock(&self.shared);
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (g, res) = match self.shared.not_empty.wait_timeout(st, deadline - now) {
-                    Ok((g, res)) => (g, res),
-                    Err(p) => {
-                        let (g, res) = p.into_inner();
-                        (g, res)
-                    }
-                };
-                st = g;
-                if res.timed_out() && st.queue.is_empty() {
-                    return if st.senders == 0 {
-                        Err(RecvTimeoutError::Disconnected)
-                    } else {
-                        Err(RecvTimeoutError::Timeout)
-                    };
-                }
-            }
+            self.rx.recv_timeout(timeout).inspect(|_| self.release())
+        }
+
+        /// Gives back the slot of a message just popped.
+        fn release(&self) {
+            self.depth.len.fetch_sub(1, Relaxed);
         }
     }
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            lock(&self.shared).senders += 1;
             Sender {
-                shared: self.shared.clone(),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            lock(&self.shared).receivers += 1;
-            Receiver {
-                shared: self.shared.clone(),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut st = lock(&self.shared);
-            st.senders -= 1;
-            if st.senders == 0 {
-                self.shared.not_empty.notify_all();
+                tx: self.tx.clone(),
+                depth: self.depth.clone(),
             }
         }
     }
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut st = lock(&self.shared);
-            st.receivers -= 1;
-            if st.receivers == 0 {
-                self.shared.not_full.notify_all();
-            }
+            self.depth.receiver_gone.store(true, Relaxed);
         }
     }
 
@@ -332,6 +240,84 @@ pub mod channel {
             }
             h.join().unwrap();
             assert_eq!(got, (0..100).collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn racing_producers_never_exceed_the_bound() {
+            const CAP: usize = 8;
+            const PRODUCERS: usize = 4;
+            const EACH: usize = 2_000;
+            let (tx, rx) = bounded::<(usize, usize)>(CAP);
+            let saw_full = AtomicBool::new(false);
+            let got = std::thread::scope(|s| {
+                for p in 0..PRODUCERS {
+                    let (tx, saw_full) = (tx.clone(), &saw_full);
+                    s.spawn(move || {
+                        for i in 0..EACH {
+                            while let Err(e) = tx.try_send((p, i)) {
+                                assert!(matches!(e, Full(m) if m == (p, i)));
+                                saw_full.store(true, Relaxed);
+                                std::thread::yield_now();
+                            }
+                            assert!(tx.len() <= CAP);
+                        }
+                    });
+                }
+                drop(tx);
+                // Drain only once a producer has been refused, so the
+                // bound is known to have been hit, and then slowly.
+                while !saw_full.load(Relaxed) {
+                    std::thread::yield_now();
+                }
+                assert_eq!(rx.len(), CAP);
+                let mut got = vec![Vec::new(); PRODUCERS];
+                while let Ok((p, i)) = rx.recv() {
+                    assert!(rx.len() <= CAP);
+                    got[p].push(i);
+                    std::thread::yield_now();
+                }
+                got
+            });
+            // Exactly once, and in each producer's own order.
+            for seq in got {
+                assert_eq!(seq, (0..EACH).collect::<Vec<_>>());
+            }
+            assert_eq!(rx.len(), 0);
+        }
+
+        #[test]
+        fn blocked_send_completes_after_one_recv() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let returned = AtomicBool::new(false);
+            let (started, sender_started) = mpsc::channel();
+            std::thread::scope(|s| {
+                let blocked = s.spawn(|| {
+                    started.send(()).unwrap();
+                    let sent = tx.send(2);
+                    returned.store(true, Relaxed);
+                    sent
+                });
+                sender_started.recv().unwrap();
+                assert!(!returned.load(Relaxed), "no slot is free yet");
+                assert_eq!(rx.recv(), Ok(1));
+                assert_eq!(blocked.join().unwrap(), Ok(()));
+            });
+            assert_eq!(rx.recv(), Ok(2));
+        }
+
+        #[test]
+        fn blocked_send_returns_the_message_when_the_receiver_drops() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            std::thread::scope(|s| {
+                let blocked = s.spawn(|| tx.send(2));
+                // Full until the receiver goes: whether the drop lands
+                // before the send's first try or between two retries, the
+                // message must come back.
+                drop(rx);
+                assert_eq!(blocked.join().unwrap(), Err(SendError(2)));
+            });
         }
     }
 }

@@ -488,7 +488,7 @@ pub fn run(opts: &RunOptions) -> Report {
     ));
     report.note(format!(
         "population sketch: {sketch_bytes} B of attribution state for {} subscribers (O(K) \
-         per dimension; DESIGN.md §18)",
+         per dimension; DESIGN.md §9)",
         spec.subs
     ));
     if let Some(n) = slow_note {

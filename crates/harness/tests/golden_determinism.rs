@@ -300,7 +300,7 @@ fn forensics_do_not_perturb_golden_run() {
 }
 
 /// The population sketch (top-K attribution + lag spectrum, DESIGN.md
-/// §18) is the newest pure observer: arming it cannot perturb traces or
+/// §9) is the newest pure observer: arming it cannot perturb traces or
 /// deliveries, every non-sketch sample series is byte-identical with it
 /// on or off, and the topk stream itself replays bit-identically across
 /// armed runs.

@@ -2,7 +2,8 @@
 //!
 //! The same [`Node`] state machines that run under the
 //! deterministic simulator run here on **real OS threads** connected by
-//! crossbeam channels, with wall-clock timers. The repo's end-to-end
+//! bounded std `mpsc` channels (the in-tree `crossbeam` facade adds the
+//! bound), with wall-clock timers. The repo's end-to-end
 //! benchmark (`benchmark/`) and the wall-clock integration tests use
 //! this runtime; the figure reproductions use the simulator
 //! (deterministic virtual time).
@@ -26,7 +27,7 @@
 //! exactly one owner), client/interest control traffic is broadcast to
 //! every shard, and anything else lands on shard 0. Cross-pubend work
 //! runs in parallel; per-pubend FIFO order is preserved because
-//! crossbeam channels are FIFO per producer and a pubend never changes
+//! the channels are FIFO per producer and a pubend never changes
 //! shards.
 //!
 //! # Observers

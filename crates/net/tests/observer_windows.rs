@@ -1,11 +1,12 @@
 //! The threaded runtime closes the same window the simulator closes,
 //! while it runs — not once at `stop()` — and counts what it drops.
 
-use gryphon_net::NetBuilder;
+use gryphon_net::{Handle, NetBuilder};
 use gryphon_sim::sketch::{DIM_SUB_BYTES, DIM_SUB_LAG};
 use gryphon_sim::telemetry::Timeline;
 use gryphon_sim::{names, AlertState, Node, NodeCtx, TimerKey};
 use gryphon_types::{NetMsg, NodeId, SubInterestMsg};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -130,17 +131,13 @@ impl Node for Stalled {
     fn on_timer(&mut self, _: TimerKey, _: &mut dyn NodeCtx) {}
 }
 
-/// A node-to-node send that finds the destination's channel full is
-/// dropped — and counted under `net.dropped`, the name the simulator
-/// uses for link loss. At the parent commit it vanished without a trace.
-#[test]
-fn sends_into_a_full_channel_are_counted() {
-    const CHANNEL: usize = 65_536;
-    const EXCESS: usize = 100;
+/// Registers a [`Stalled`] node: its handle, the signal that its first
+/// callback has begun, and the sender that lets that callback return.
+fn add_stalled(
+    builder: &mut NetBuilder,
+) -> (Handle<Stalled>, mpsc::Receiver<()>, mpsc::Sender<()>) {
     let (entered, stall_entered) = mpsc::channel();
     let (release, stall_release) = mpsc::channel();
-    let (done, flood_done) = mpsc::channel();
-    let mut builder = NetBuilder::new();
     let stalled = builder.add_node(
         "stalled",
         Stalled {
@@ -149,6 +146,19 @@ fn sends_into_a_full_channel_are_counted() {
             got: 0,
         },
     );
+    (stalled, stall_entered, release)
+}
+
+/// A node-to-node send that finds the destination's channel full is
+/// dropped — and counted under `net.dropped`, the name the simulator
+/// uses for link loss. At the parent commit it vanished without a trace.
+#[test]
+fn sends_into_a_full_channel_are_counted() {
+    const CHANNEL: usize = 65_536;
+    const EXCESS: usize = 100;
+    let (done, flood_done) = mpsc::channel();
+    let mut builder = NetBuilder::new();
+    let (stalled, stall_entered, release) = add_stalled(&mut builder);
     let flooder = builder.add_node(
         "flooder",
         Flooder {
@@ -171,4 +181,51 @@ fn sends_into_a_full_channel_are_counted() {
     let result = net.stop();
     assert_eq!(result.metrics.counter(names::NET_DROPPED), EXCESS as f64);
     assert!(result.node(stalled).got >= 1);
+}
+
+/// Harness injection is the blocking path: into a full channel it waits
+/// for a slot instead of dropping, so every injected message is seen.
+#[test]
+fn inject_into_a_full_channel_waits_for_a_slot() {
+    const CHANNEL: usize = 65_536;
+    const EXCESS: usize = 100;
+    let mut builder = NetBuilder::new();
+    let (stalled, stall_entered, release) = add_stalled(&mut builder);
+    let net = builder.start();
+    let wait = Duration::from_secs(30);
+    net.inject(stalled.id(), ping());
+    stall_entered.recv_timeout(wait).expect("stall entered");
+    let injected = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..CHANNEL + EXCESS {
+                net.inject(stalled.id(), ping());
+                injected.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // CHANNEL injections fit behind the stalled callback; the next
+        // one cannot return until the node takes a message.
+        let deadline = Instant::now() + wait;
+        while injected.load(Ordering::SeqCst) < CHANNEL {
+            assert!(
+                Instant::now() < deadline,
+                "injector never filled the channel"
+            );
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(injected.load(Ordering::SeqCst), CHANNEL);
+        release.send(()).expect("stalled node is waiting");
+    });
+    // Every message is on the channel or already seen; let the node
+    // finish the backlog before stopping it.
+    let total = (1 + CHANNEL + EXCESS) as u64;
+    let deadline = Instant::now() + wait;
+    let backlog = || net.metrics_snapshot().gauge(names::TELEMETRY_QUEUE_DEPTH);
+    while backlog() != Some(0.0) && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let result = net.stop();
+    assert_eq!(result.metrics.counter(names::NET_DROPPED), 0.0);
+    assert_eq!(result.node(stalled).got, total);
 }

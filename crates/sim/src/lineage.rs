@@ -231,12 +231,6 @@ impl Lineage {
         self.full_audit = on;
     }
 
-    /// Bounds the live-span map (oldest `(pubend, ts)` evicted first,
-    /// counted as `lineage.spans_evicted`).
-    pub fn set_max_spans(&mut self, max: usize) {
-        self.max_spans = max.max(1);
-    }
-
     /// Arms tail-exemplar capture: every stage-histogram observation is
     /// offered to `reservoir`, and samples above its cached tail
     /// quantile survive for the runtime to drain each sampler window.
@@ -1129,8 +1123,10 @@ mod tests {
     /// the oldest key.
     #[test]
     fn span_eviction_is_bounded_and_deterministic() {
-        let mut lin = Lineage::default();
-        lin.set_max_spans(2);
+        let mut lin = Lineage {
+            max_spans: 2,
+            ..Lineage::default()
+        };
         let mut m = Metrics::default();
         for ts in 1..=4u64 {
             lin.observe(

@@ -315,14 +315,6 @@ impl<T: Commitable> CommitPipeline<T> {
         self.inner.state.lock().expect("state lock").stats
     }
 
-    /// Unwraps the target if this is the last handle.
-    pub fn try_into_inner(self) -> Result<T, Self> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => Ok(inner.target.into_inner().expect("target lock")),
-            Err(inner) => Err(CommitPipeline { inner }),
-        }
-    }
-
     fn now(&self) -> Option<Instant> {
         self.inner.measure_time.then(Instant::now)
     }

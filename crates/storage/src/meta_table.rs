@@ -606,22 +606,6 @@ impl SharedMetaTable {
         })
     }
 
-    /// Like [`SharedMetaTable::open`] but with wall-clock timing of waits
-    /// and flushes in the [`CommitReceipt`]s (threaded runtime only).
-    ///
-    /// # Errors
-    ///
-    /// See [`MetaTable::open`].
-    pub fn open_with_timing(
-        factory: Box<dyn MediaFactory>,
-        name: &str,
-        config: TableConfig,
-    ) -> Result<Self, StorageError> {
-        Ok(SharedMetaTable {
-            pipe: CommitPipeline::with_timing(MetaTable::open(factory, name, config)?),
-        })
-    }
-
     /// Commits a batch through the group-commit pipeline: the batch is
     /// staged under the table lock and this call returns once a flush —
     /// ours or a concurrent committer's — covers it.

@@ -7,8 +7,7 @@
 # come from benchmark/run.sh instead — see BENCHMARK.json):
 #
 #   BENCH_matching.json     — matching + matching_hot (interned scratch
-#                             index vs the legacy per-event HashMap
-#                             counter, plus naive-scan reference)
+#                             index, plus naive-scan reference)
 #   BENCH_shb_scale.json    — SHB slab hot paths (steady delivery,
 #                             park/rehydrate, slot-recycling churn) at
 #                             10k and 100k idle durable subscriptions

@@ -16,7 +16,10 @@ cargo test -q
 echo "== tests (every crate's own suite) =="
 # `cargo test` at the root runs only the root package; the crates' unit
 # tests and their tests/ directories (golden_determinism,
-# churn_equivalence, sharded_runtime, threaded_pipeline, ...) run here.
+# churn_equivalence, sharded_runtime, threaded_pipeline, ...) run here,
+# the counting-allocator tests among them (core zero_alloc_deliver,
+# matching zero_alloc, sim zero_alloc_observe, storage zero_copy_read,
+# crossbeam lazy_alloc).
 # The harness's unit tests run every experiment in quick mode, which
 # takes over twenty minutes unoptimised, so those alone run in the
 # release profile; its tests/ keep the debug profile, which arms the
@@ -26,10 +29,16 @@ cargo test -q -p gryphon-harness --release --lib
 cargo test -q -p gryphon-harness --test '*' --no-fail-fast
 cargo test -q -p gryphon-harness --doc
 
+echo "== the channel is std's: no hand-written queue beside the facade =="
+if grep -n 'Condvar' crates/crossbeam/src/*.rs; then
+  echo "crates/crossbeam is a facade over std::sync::mpsc; a Condvar there is a second queue"; exit 1
+fi
+
 echo "== durability: crash recovery + codec fuzz =="
 # The on-disk format gate: torn-tail / bit-flip recovery property tests
 # and the codec truncation/garbage fuzz (storage lib proptests), real-file
-# kill-style recovery, the ≥3× group-commit win, and the broker-level
+# kill-style recovery, the ≥3× group-commit win (ratio of medians over
+# interleaved rounds), and the broker-level
 # "a chopped or lost tick is never answered S after recovery" acceptance
 # test. Runs a second time here so a failure is attributed to the
 # durability engine even if an earlier suite also trips over it.

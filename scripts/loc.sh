@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The tracked code-size number (ROADMAP aim 2): per crate, lines of
 # `src/**/*.rs` that are neither blank nor comment-only, not counting
-# `#[cfg(test)]` modules (every one in this workspace runs from its
-# attribute to the end of its file). `tests/` and `benches/` are outside
-# `src/` and so are not counted either.
+# `#[cfg(test)]` modules (every one in this workspace, indented or not,
+# runs from its attribute to the end of its file). `tests/` and
+# `benches/` are outside `src/` and so are not counted either.
 #
 #   scripts/loc.sh                 every crate under crates/
 #   scripts/loc.sh sim net         only those crates, plus their total
@@ -19,7 +19,7 @@ total=0
 for c in "${crates[@]}"; do
   n=$(find "crates/$c/src" -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
-    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests { next }
     /^[[:space:]]*$/ { next }
     /^[[:space:]]*\/\// { next }
