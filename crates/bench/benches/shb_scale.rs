@@ -117,7 +117,7 @@ fn bench_shb_scale(c: &mut Criterion) {
         };
 
         // The idle mass: n durable subscriptions, CONNECTED of them live.
-        let mut shb = Shb::open(&MemFactory::new(), "scale", &config);
+        let mut shb = Shb::open(&MemFactory::new(), "scale");
         for i in 0..n {
             shb.register_spec(
                 SubscriberId(i + 1),

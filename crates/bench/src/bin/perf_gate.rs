@@ -9,14 +9,8 @@
 //! `{"name": ..., "ns_per_iter": ..., "iters": ...}` records (the shape
 //! `scripts/bench.sh` writes). For every benchmark present in the
 //! baseline, the gate computes the per-iteration slowdown and compares
-//! it against a per-benchmark threshold:
-//!
-//! * in-process CPU benches get `--threshold-pct` (default 100, i.e.
-//!   fail beyond 2× the baseline — generous because baselines are
-//!   machine-relative);
-//! * the wall-clock thread benches (the `log_volume_commit/` committer
-//!   fan-out) get twice that, since thread scheduling adds real
-//!   variance.
+//! it against `--threshold-pct` (default 100, i.e. fail beyond 2× the
+//! baseline — generous because baselines are machine-relative).
 //!
 //! Without `--strict` regressions are printed as warnings and the exit
 //! code stays 0 (the local workflow); with `--strict` any regression —
@@ -82,50 +76,36 @@ struct Verdict {
     regressed: bool,
 }
 
-/// Per-benchmark regression threshold: wall-clock thread benches (the
-/// `log_volume_commit` committer fan-out runs real threads) are allowed
-/// twice the slack of in-process CPU benches.
-fn limit_for(name: &str, base_threshold_pct: f64) -> f64 {
-    if name.starts_with("log_volume_commit/") {
-        base_threshold_pct * 2.0
-    } else {
-        base_threshold_pct
-    }
-}
-
 /// Compares `fresh` against `baseline`; one verdict per baseline entry.
 /// A baseline benchmark absent from the fresh run is reported as
 /// regressed (a silently vanished benchmark must not pass a gate).
-fn evaluate(baseline: &[Measurement], fresh: &[Measurement], threshold_pct: f64) -> Vec<Verdict> {
+fn evaluate(baseline: &[Measurement], fresh: &[Measurement], limit_pct: f64) -> Vec<Verdict> {
     baseline
         .iter()
-        .map(|b| {
-            let limit_pct = limit_for(&b.name, threshold_pct);
-            match fresh.iter().find(|f| f.name == b.name) {
-                Some(f) => {
-                    let delta_pct = if b.ns_per_iter > 0.0 {
-                        (f.ns_per_iter - b.ns_per_iter) / b.ns_per_iter * 100.0
-                    } else {
-                        0.0
-                    };
-                    Verdict {
-                        name: b.name.clone(),
-                        baseline_ns: b.ns_per_iter,
-                        fresh_ns: Some(f.ns_per_iter),
-                        delta_pct,
-                        limit_pct,
-                        regressed: delta_pct > limit_pct,
-                    }
-                }
-                None => Verdict {
+        .map(|b| match fresh.iter().find(|f| f.name == b.name) {
+            Some(f) => {
+                let delta_pct = if b.ns_per_iter > 0.0 {
+                    (f.ns_per_iter - b.ns_per_iter) / b.ns_per_iter * 100.0
+                } else {
+                    0.0
+                };
+                Verdict {
                     name: b.name.clone(),
                     baseline_ns: b.ns_per_iter,
-                    fresh_ns: None,
-                    delta_pct: f64::INFINITY,
+                    fresh_ns: Some(f.ns_per_iter),
+                    delta_pct,
                     limit_pct,
-                    regressed: true,
-                },
+                    regressed: delta_pct > limit_pct,
+                }
             }
+            None => Verdict {
+                name: b.name.clone(),
+                baseline_ns: b.ns_per_iter,
+                fresh_ns: None,
+                delta_pct: f64::INFINITY,
+                limit_pct,
+                regressed: true,
+            },
         })
         .collect()
 }
@@ -247,7 +227,8 @@ mod tests {
 
     #[test]
     fn parses_bench_sh_output_shape() {
-        let body = "[\n{\"name\":\"log_volume_commit/group_commit/file8\",\"ns_per_iter\":33127681.4,\"iters\":8},\
+        let body =
+            "[\n{\"name\":\"log_volume/read_by_index\",\"ns_per_iter\":33127681.4,\"iters\":8},\
                     {\"name\":\"matching/hot\",\"ns_per_iter\":512.3,\"iters\":97000}\n]\n";
         let parsed = parse_bench_json(body);
         let with_iters = |name, ns, iters| Measurement {
@@ -257,7 +238,7 @@ mod tests {
         assert_eq!(
             parsed,
             vec![
-                with_iters("log_volume_commit/group_commit/file8", 33127681.4, 8),
+                with_iters("log_volume/read_by_index", 33127681.4, 8),
                 with_iters("matching/hot", 512.3, 97000)
             ]
         );
@@ -280,21 +261,11 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_benches_get_double_slack() {
-        let baseline = vec![m("log_volume_commit/group_commit/file8", 100.0)];
-        // +150% would fail a CPU bench at threshold 100; thread benches get 200.
-        let v = evaluate(
-            &baseline,
-            &[m("log_volume_commit/group_commit/file8", 250.0)],
-            100.0,
-        );
-        assert!(!v[0].regressed);
-        let v = evaluate(
-            &baseline,
-            &[m("log_volume_commit/group_commit/file8", 350.0)],
-            100.0,
-        );
-        assert!(v[0].regressed, "+250% exceeds even the doubled limit");
+    fn every_benchmark_gets_the_flat_threshold() {
+        let baseline = vec![m("log_volume/append_408B", 100.0)];
+        let v = evaluate(&baseline, &[m("log_volume/append_408B", 250.0)], 100.0);
+        assert!(v[0].regressed, "+150% exceeds the 100% threshold");
+        assert!((v[0].limit_pct - 100.0).abs() < 1e-9);
     }
 
     #[test]

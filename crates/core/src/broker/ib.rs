@@ -8,10 +8,11 @@
 //! plumbing that makes subscription starts causally safe.
 
 use super::{now_ticks, Broker};
+use crate::config::NACK_RESPONSE_CHUNK_TICKS;
 use crate::timer::{self, Kind};
 use gryphon_matching::{Filter, SubscriptionIndex};
 use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
-use gryphon_streams::push_coalesced;
+use gryphon_streams::{push_coalesced, RetryPolicy};
 use gryphon_types::{
     CuriosityMsg, KnowledgeMsg, KnowledgePart, NetMsg, NodeId, PubendId, ReleaseMsg,
     SubInterestMsg, SubscriberId, SubscriptionSpec, Timestamp,
@@ -389,14 +390,13 @@ impl Broker {
         parts: Vec<KnowledgePart>,
         ctx: &mut dyn NodeCtx,
     ) {
-        let chunk = self.config.nack_response_chunk_ticks.max(1);
         let mut batch: Vec<KnowledgePart> = Vec::new();
         let mut batch_ticks = 0u64;
         for part in parts {
             let (f, t) = part.range();
             batch_ticks += t.saturating_sub(f) + 1;
             batch.push(part);
-            if batch_ticks >= chunk {
+            if batch_ticks >= NACK_RESPONSE_CHUNK_TICKS {
                 self.send_filtered(child, p, &std::mem::take(&mut batch), true, ctx);
                 batch_ticks = 0;
             }
@@ -480,7 +480,7 @@ impl Broker {
         holes: Vec<(Timestamp, Timestamp)>,
         ctx: &mut dyn NodeCtx,
     ) {
-        let window = self.config.nack_response_chunk_ticks.max(1);
+        let window = NACK_RESPONSE_CHUNK_TICKS;
         if self.parent.is_none() && self.hosts(p) {
             // A root broker hosting `p` has no upstream to nack, so it
             // answers its own constream holes authoritatively from the
@@ -789,7 +789,7 @@ impl Broker {
 
     pub(crate) fn on_retry_nacks(&mut self, ctx: &mut dyn NodeCtx) {
         let now = ctx.now_us();
-        let retry = self.config.retry;
+        let retry = RetryPolicy::default();
         if let Some(parent) = self.parent {
             let mut msgs = Vec::new();
             for (&p, pl) in self.pipelines.iter_mut() {

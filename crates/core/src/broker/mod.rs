@@ -42,11 +42,12 @@ pub use route::Route;
 pub use shb::{CatchupNeeds, Con, Conn, Shb};
 pub use sub_table::{ParkedStream, PubendMap, SubState, SubscriberTable};
 
-use crate::config::BrokerConfig;
+use crate::config::{BrokerConfig, CLIENT_SILENCE_INTERVAL_US, META_PERSIST_INTERVAL_US};
 use crate::timer::{self, Kind};
 use gryphon_matching::MatchScratch;
 use gryphon_sim::{names, traced, Node, NodeCtx, TimerKey, TraceEvent};
 use gryphon_storage::{CommitPipeline, EventLog, MediaFactory, VolumeConfig};
+use gryphon_streams::RetryPolicy;
 use gryphon_types::{NetMsg, NodeId, PubendId, Timestamp};
 use ib::IbRole;
 use phb::PhbRole;
@@ -176,9 +177,6 @@ impl Broker {
                 VolumeConfig::default(),
             )
             .expect("PHB event log must open");
-            // Deterministic pipeline (no wall-clock timing): the
-            // simulator's golden tests hash metric output, and timing
-            // fields are zero without `with_timing`.
             self.phb.log = Some(CommitPipeline::new(log));
             let declared = self.phb.declared.clone();
             for p in declared {
@@ -194,11 +192,7 @@ impl Broker {
             }
         }
         if self.shb.hosts_subscribers {
-            self.shb.state = Some(Shb::open(
-                self.factory.as_ref(),
-                &format!("b{}", self.id),
-                &self.config,
-            ));
+            self.shb.state = Some(Shb::open(self.factory.as_ref(), &format!("b{}", self.id)));
         }
         // PHB brokers without an SHB still need the lost prefix durable;
         // they reuse an SHB-style meta table lazily. To keep things
@@ -234,7 +228,7 @@ impl Broker {
         );
         ctx.set_timer(1_000_000, timer::pack(Kind::CacheTrim, e, 0, 0));
         ctx.set_timer(
-            self.config.retry.timeout_us,
+            RetryPolicy::default().timeout_us,
             timer::pack(Kind::RetryNacks, e, 0, 0),
         );
         if self.shb.hosts_subscribers {
@@ -243,11 +237,11 @@ impl Broker {
                 timer::pack(Kind::PfsSync, e, 0, 0),
             );
             ctx.set_timer(
-                self.config.meta_persist_interval_us,
+                META_PERSIST_INTERVAL_US,
                 timer::pack(Kind::MetaPersist, e, 0, 0),
             );
             ctx.set_timer(
-                self.config.client_silence_interval_us,
+                CLIENT_SILENCE_INTERVAL_US,
                 timer::pack(Kind::ClientSilence, e, 0, 0),
             );
         }
@@ -302,7 +296,7 @@ impl Node for Broker {
                     shb.meta_persist(ctx);
                 }
                 ctx.set_timer(
-                    self.config.meta_persist_interval_us,
+                    META_PERSIST_INTERVAL_US,
                     timer::pack(Kind::MetaPersist, self.epoch, 0, 0),
                 );
             }
@@ -321,7 +315,7 @@ impl Node for Broker {
                     shb.client_silence(ctx);
                 }
                 ctx.set_timer(
-                    self.config.client_silence_interval_us,
+                    CLIENT_SILENCE_INTERVAL_US,
                     timer::pack(Kind::ClientSilence, self.epoch, 0, 0),
                 );
             }

@@ -17,13 +17,11 @@ use gryphon_types::{KnowledgePart, PubendId, PublishMsg};
 pub(crate) struct PhbRole {
     /// Pubends this broker hosts (instantiated lazily at start/restart).
     pub(crate) declared: Vec<PubendId>,
-    /// The only-once event log shared by all hosted pubends, behind the
-    /// group-commit pipeline: every durability point goes through
-    /// [`CommitPipeline::commit_with`]. Nothing commits to it
-    /// concurrently: every `Broker` — and every shard of a sharded one —
-    /// opens its own log behind its own pipeline and runs on one thread,
-    /// so under both runtimes a group is exactly one batch and one
-    /// flush (deterministic, timing fields zero).
+    /// The only-once event log shared by all hosted pubends. Every
+    /// durability point is one [`CommitPipeline::commit_with`]: a
+    /// pubend's batch appended, then one flush. Each `Broker`, and each
+    /// shard of a sharded one, opens its own log and commits to it from
+    /// one thread.
     pub(crate) log: Option<CommitPipeline<EventLog>>,
 }
 
@@ -67,13 +65,13 @@ impl Broker {
     /// The disk write became durable: log, emit knowledge, and open the
     /// next batch if publishes accumulated meanwhile.
     pub(crate) fn on_phb_commit_done(&mut self, p: PubendId, ctx: &mut dyn NodeCtx) {
-        let (parts, receipt) = {
+        let parts = {
             let pe = self.pipelines.get_mut(&p).and_then(|pl| pl.pubend.as_mut());
             let (Some(pe), Some(pipe)) = (pe, self.phb.log.as_ref()) else {
                 return;
             };
             match pipe.commit_with(|log| pe.finish_commit_appends(log)) {
-                Ok(pr) => pr,
+                Ok(parts) => parts,
                 Err(_) => {
                     ctx.count("phb.commit_err", 1.0);
                     return;
@@ -86,28 +84,14 @@ impl Broker {
             .filter(|part| matches!(part, KnowledgePart::Data(_)))
             .count();
         traced!(ctx.observe(names::STORAGE_COMMIT_BATCH_RECORDS, records as f64));
-        traced!(ctx.observe(names::STORAGE_COMMIT_GROUP_SIZE, receipt.group_size as f64));
-        traced!(ctx.observe(
-            names::STORAGE_COMMIT_SYNC_WAIT_US,
-            receipt.sync_wait_us as f64
-        ));
-        // Leader/follower split: the group leader pays the fsync, the
-        // followers pay only the wait. Separating the two histograms is
-        // what lets the exported trace tell queueing from device time.
-        let wait_name = if receipt.leader {
-            names::STORAGE_COMMIT_SYNC_WAIT_LEADER_US
-        } else {
-            names::STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US
-        };
-        traced!(ctx.observe(wait_name, receipt.sync_wait_us as f64));
-        traced!(ctx.observe(names::STORAGE_COMMIT_FSYNC_US, receipt.fsync_us as f64));
+        // Always 1, since each commit pays its own flush; still observed
+        // because the benchmark reports its mean as
+        // `storage.group_size_mean`.
+        traced!(ctx.observe(names::STORAGE_COMMIT_GROUP_SIZE, 1.0));
         ctx.interval(
             gryphon_sim::forensics::KIND_COMMIT,
-            self.config.phb_commit_latency_us.max(receipt.fsync_us),
+            self.config.phb_commit_latency_us,
         );
-        if receipt.leader && receipt.fsync_us > 0 {
-            ctx.interval(gryphon_sim::forensics::KIND_FSYNC, receipt.fsync_us);
-        }
         for part in &parts {
             if let KnowledgePart::Data(e) = part {
                 let bytes = e.encoded_len();

@@ -112,10 +112,10 @@ impl Pubend {
 
     /// The append half of [`finish_commit`]: appends the oldest in-flight
     /// batch and builds its knowledge parts **without** syncing. The
-    /// caller owns the durability point — the PHB runs this inside a
-    /// [`CommitPipeline`](gryphon_storage::CommitPipeline), one flush per
-    /// call, and must not emit the parts downstream until that flush
-    /// returns.
+    /// caller owns the durability point — the PHB runs this inside
+    /// [`CommitPipeline::commit_with`](gryphon_storage::CommitPipeline::commit_with),
+    /// which flushes once after it returns, and must not emit the parts
+    /// downstream until that flush returns.
     ///
     /// # Errors
     ///

@@ -9,7 +9,7 @@
 //! carries a [`SubSlot`] and indexes the slab directly.
 
 use super::sub_table::{ParkedStream, SubscriberTable};
-use crate::config::BrokerConfig;
+use crate::config::{BrokerConfig, CT_COMMIT_BASE_US, CT_COMMIT_PER_UPDATE_US, CT_COMMIT_WORKERS};
 use crate::pfs::{Pfs, PfsMode};
 use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
 use gryphon_sim::{names, traced, DeliveryPath, NodeCtx, TraceEvent};
@@ -182,9 +182,9 @@ pub struct Shb {
     name: String,
     /// Durable tables: `ld/{p}`, `rel/{sub}/{p}`, `spec/{sub}`,
     /// `gated/{sub}`, `jct/{sub}/{p}`, `lost/{p}` (PHB side shares it).
-    /// Behind the group-commit pipeline: JMS checkpoint-transaction
-    /// workers committing concurrently (threaded runtime) share device
-    /// flushes instead of serializing on their own.
+    /// Each batch is one [`SharedMetaTable::commit`]: one append, one
+    /// flush. The checkpoint-commit workers are modeled latencies on this
+    /// broker's one thread, so no two commits ever run at once.
     pub meta: SharedMetaTable,
     /// The persistent filtering subsystem.
     pub pfs: Pfs,
@@ -237,7 +237,7 @@ impl Shb {
     /// Panics if persistent storage fails — a broker cannot run without
     /// its durable state (mirrors a database-less DB2 broker refusing to
     /// boot).
-    pub fn open(factory: &dyn MediaFactory, name: &str, config: &BrokerConfig) -> Self {
+    pub fn open(factory: &dyn MediaFactory, name: &str) -> Self {
         let meta = SharedMetaTable::open(
             factory.clone_box(),
             &format!("{name}-meta"),
@@ -255,7 +255,7 @@ impl Shb {
             dirty_released: false,
             con: BTreeMap::new(),
             connected: BTreeMap::new(),
-            workers: (0..config.ct_commit_workers.max(1))
+            workers: (0..CT_COMMIT_WORKERS)
                 .map(|_| CtWorker::default())
                 .collect(),
             delivered: 0,
@@ -1003,17 +1003,14 @@ impl Shb {
     /// Starts a commit transaction on worker `w`; returns the modeled
     /// duration (schedule the `CtCommit` timer for it), or `None` when
     /// idle.
-    pub fn ct_commit_start(&mut self, w: usize, config: &BrokerConfig) -> Option<u64> {
+    pub fn ct_commit_start(&mut self, w: usize) -> Option<u64> {
         let worker = self.workers.get_mut(w)?;
         if worker.busy || worker.queue.is_empty() {
             return None;
         }
         worker.committing = std::mem::take(&mut worker.queue);
         worker.busy = true;
-        Some(
-            config.ct_commit_base_us
-                + config.ct_commit_per_update_us * worker.committing.len() as u64,
-        )
+        Some(CT_COMMIT_BASE_US + CT_COMMIT_PER_UPDATE_US * worker.committing.len() as u64)
     }
 
     /// Completes the commit on worker `w`: persists the checkpoints and
@@ -1036,32 +1033,12 @@ impl Shb {
         }
         if !batch.is_empty() {
             match self.meta.commit(&batch) {
-                Ok(receipt) => {
+                Ok(()) => {
                     ctx.count("shb.ct_commits", 1.0);
                     ctx.count("shb.ct_commit_updates", batch.len() as f64);
                     traced!(ctx.observe(names::STORAGE_COMMIT_BATCH_RECORDS, batch.len() as f64));
-                    traced!(
-                        ctx.observe(names::STORAGE_COMMIT_GROUP_SIZE, receipt.group_size as f64)
-                    );
-                    traced!(ctx.observe(
-                        names::STORAGE_COMMIT_SYNC_WAIT_US,
-                        receipt.sync_wait_us as f64
-                    ));
-                    // Leader pays the device flush; followers only wait.
-                    let wait_name = if receipt.leader {
-                        names::STORAGE_COMMIT_SYNC_WAIT_LEADER_US
-                    } else {
-                        names::STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US
-                    };
-                    traced!(ctx.observe(wait_name, receipt.sync_wait_us as f64));
-                    traced!(ctx.observe(names::STORAGE_COMMIT_FSYNC_US, receipt.fsync_us as f64));
-                    ctx.interval(
-                        gryphon_sim::forensics::KIND_COMMIT,
-                        receipt.sync_wait_us + receipt.fsync_us,
-                    );
-                    if receipt.leader && receipt.fsync_us > 0 {
-                        ctx.interval(gryphon_sim::forensics::KIND_FSYNC, receipt.fsync_us);
-                    }
+                    // One commit, one flush: see `on_phb_commit_done`.
+                    traced!(ctx.observe(names::STORAGE_COMMIT_GROUP_SIZE, 1.0));
                 }
                 Err(_) => ctx.count("shb.meta_err", 1.0),
             }

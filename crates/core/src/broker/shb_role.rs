@@ -8,6 +8,7 @@
 //! client-facing message handlers.
 
 use super::{Broker, Shb};
+use crate::config::{CATCHUP_READ_BUFFER, PFS_READ_BASE_US, PFS_READ_PER_RECORD_US};
 use crate::timer::{self, Kind};
 use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_types::{
@@ -125,8 +126,8 @@ impl Broker {
         let Some(shb) = self.shb.state.as_mut() else {
             return;
         };
-        let buffer = self.config.catchup_read_buffer;
-        let Some((visited, q_ticks, full)) = shb.start_pfs_read(slot, p, buffer) else {
+        let Some((visited, q_ticks, full)) = shb.start_pfs_read(slot, p, CATCHUP_READ_BUFFER)
+        else {
             return;
         };
         let sub = shb
@@ -147,8 +148,7 @@ impl Broker {
         }));
         traced!(ctx.observe(names::PFS_BATCH_READ_RECORDS, visited as f64));
         traced!(ctx.observe(names::PFS_BATCH_READ_QTICKS, q_ticks as f64));
-        let latency =
-            self.config.pfs_read_base_us + self.config.pfs_read_per_record_us * visited as u64;
+        let latency = PFS_READ_BASE_US + PFS_READ_PER_RECORD_US * visited as u64;
         // The timer parameter carries only the bare slab index (32 bits —
         // no room for the generation). If the slot is recycled before the
         // timer fires, the new tenant's own pending read (if any) is
@@ -390,7 +390,7 @@ impl Broker {
         let Some(shb) = self.shb.state.as_mut() else {
             return;
         };
-        if let Some(duration) = shb.ct_commit_start(w, &self.config) {
+        if let Some(duration) = shb.ct_commit_start(w) {
             ctx.set_timer(
                 duration,
                 timer::pack(Kind::CtCommit, self.epoch, 0, w as u32),

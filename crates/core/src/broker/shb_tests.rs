@@ -2,7 +2,7 @@
 //! stub context (no simulator).
 
 use super::shb::{CatchupNeeds, Shb};
-use crate::config::BrokerConfig;
+use crate::config::{BrokerConfig, CT_COMMIT_BASE_US};
 use gryphon_sim::{NodeCtx, TimerKey};
 use gryphon_storage::MemFactory;
 use gryphon_streams::KnowledgeStream;
@@ -84,7 +84,7 @@ const CLIENT: NodeId = NodeId(9);
 
 fn fresh_shb() -> (Shb, BrokerConfig, StubCtx) {
     let config = BrokerConfig::default();
-    let shb = Shb::open(&MemFactory::new(), "t", &config);
+    let shb = Shb::open(&MemFactory::new(), "t");
     (shb, config, StubCtx::new())
 }
 
@@ -358,8 +358,8 @@ fn gated_subscriber_serializes_on_commit_workers() {
             &CheckpointToken::from_pairs([(P, Timestamp(3))]),
         )
         .expect("worker should start");
-    let dur = shb.ct_commit_start(w, &config).expect("commit batch");
-    assert!(dur >= config.ct_commit_base_us);
+    let dur = shb.ct_commit_start(w).expect("commit batch");
+    assert!(dur >= CT_COMMIT_BASE_US);
     shb.ct_commit_done(w, &mut ctx);
     let events: Vec<u64> = ctx
         .deliveries(CLIENT)
@@ -376,7 +376,7 @@ fn post_restart_resumes_from_durable_cursor() {
     let config = BrokerConfig::default();
     let mut ctx = StubCtx::new();
     {
-        let mut shb = Shb::open(&factory, "t", &config);
+        let mut shb = Shb::open(&factory, "t");
         shb.connect(
             SubscriberId(1),
             CLIENT,
@@ -399,7 +399,7 @@ fn post_restart_resumes_from_durable_cursor() {
         );
         shb.meta_persist(&mut ctx);
     } // crash
-    let mut shb = Shb::open(&factory, "t", &config);
+    let mut shb = Shb::open(&factory, "t");
     shb.post_restart();
     assert_eq!(shb.latest_delivered(P), Timestamp(10));
     assert_eq!(shb.con_entry(P).processed_to, Timestamp(10));

@@ -1,7 +1,5 @@
 //! Broker tuning knobs and the CPU-cost calibration model.
 
-use gryphon_streams::RetryPolicy;
-
 /// CPU work charged to a broker per operation, in microseconds.
 ///
 /// The simulator does not slow message processing down by these costs; it
@@ -44,12 +42,34 @@ impl Default for CostModel {
     }
 }
 
+/// Maximum ticks of knowledge answered per nack-response message;
+/// bounds burst sizes during recovery.
+pub const NACK_RESPONSE_CHUNK_TICKS: u64 = 2_000;
+/// Period for persisting `released(s, p)` / `latestDelivered(p)` to the
+/// metadata table (250 ms in the paper).
+pub const META_PERSIST_INTERVAL_US: u64 = 250_000;
+/// Period for sending silence messages to idle subscribers (keeps their
+/// checkpoint tokens advancing).
+pub const CLIENT_SILENCE_INTERVAL_US: u64 = 100_000;
+/// PFS read buffer size in Q ticks (5000 in the paper's experiments).
+pub const CATCHUP_READ_BUFFER: usize = 5_000;
+/// Modeled base latency of one PFS batch read.
+pub const PFS_READ_BASE_US: u64 = 2_000;
+/// Modeled additional PFS read latency per record visited.
+pub const PFS_READ_PER_RECORD_US: u64 = 1;
+/// Number of parallel commit workers for broker-managed (JMS-style)
+/// checkpoint tokens (4 in the paper's JMS experiment).
+pub const CT_COMMIT_WORKERS: usize = 4;
+/// Modeled latency of one checkpoint-commit transaction: base cost...
+pub const CT_COMMIT_BASE_US: u64 = 2_000;
+/// ...plus this much per checkpoint update batched into it.
+pub const CT_COMMIT_PER_UPDATE_US: u64 = 500;
+
 /// Configuration for a [`Broker`](crate::Broker).
 ///
 /// Defaults follow the paper's experimental setup where it states one
-/// (44 ms PHB group-commit latency, 250 ms `released(s)` persistence
-/// period, 5000-tick PFS read buffer) and sensible middleware values
-/// elsewhere.
+/// (44 ms PHB group-commit latency) and sensible middleware values
+/// elsewhere. Values no caller varies are the constants above.
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
     // ---- PHB / pubend ----
@@ -68,9 +88,6 @@ pub struct BrokerConfig {
     /// stream time); `None` disables early release (the paper's
     /// experiments disable it too).
     pub max_retain_ticks: Option<u64>,
-    /// Maximum ticks of knowledge answered per nack-response message;
-    /// bounds burst sizes during recovery.
-    pub nack_response_chunk_ticks: u64,
 
     // ---- release protocol ----
     /// Period of upward `(released, latestDelivered)` aggregation and of
@@ -81,8 +98,6 @@ pub struct BrokerConfig {
     /// How many ticks of knowledge an intermediate/SHB cache retains for
     /// answering nacks locally.
     pub cache_window_ticks: u64,
-    /// Retry policy for upstream nacks.
-    pub retry: RetryPolicy,
     /// How long the IB may hold a child's accumulated fresh knowledge
     /// before flushing it downstream as one message (the paper's silence
     /// consolidation amortizes per-message overhead at the cost of this
@@ -99,30 +114,9 @@ pub struct BrokerConfig {
     /// PFS group-commit interval: constream advances `latestDelivered`
     /// only at these sync points.
     pub pfs_sync_interval_us: u64,
-    /// Period for persisting `released(s, p)` / `latestDelivered(p)` to
-    /// the metadata table (250 ms in the paper).
-    pub meta_persist_interval_us: u64,
-    /// Period for sending silence messages to idle subscribers (keeps
-    /// their checkpoint tokens advancing).
-    pub client_silence_interval_us: u64,
-    /// PFS read buffer size in Q ticks (5000 in the paper's experiments).
-    pub catchup_read_buffer: usize,
     /// Flow control: maximum outstanding nacked ticks per catchup stream
     /// (the paper's scheme that avoids overwhelming the client).
     pub catchup_window_ticks: u64,
-    /// Modeled base latency of one PFS batch read.
-    pub pfs_read_base_us: u64,
-    /// Modeled additional PFS read latency per record visited.
-    pub pfs_read_per_record_us: u64,
-
-    // ---- JMS-style broker-managed checkpoints ----
-    /// Number of parallel commit workers for broker-managed checkpoint
-    /// tokens (4 in the paper's JMS experiment).
-    pub ct_commit_workers: usize,
-    /// Modeled latency of one checkpoint-commit transaction: base cost...
-    pub ct_commit_base_us: u64,
-    /// ...plus this much per checkpoint update batched into it.
-    pub ct_commit_per_update_us: u64,
 
     /// CPU cost calibration.
     pub costs: CostModel,
@@ -135,22 +129,12 @@ impl Default for BrokerConfig {
             phb_commit_latency_us: 44_000,
             pubend_silence_interval_us: 20_000,
             max_retain_ticks: None,
-            nack_response_chunk_ticks: 2_000,
             release_interval_us: 250_000,
             cache_window_ticks: 60_000,
-            retry: RetryPolicy::default(),
             knowledge_flush_interval_us: 1_000,
             knowledge_batch_max_parts: 64,
             pfs_sync_interval_us: 5_000,
-            meta_persist_interval_us: 250_000,
-            client_silence_interval_us: 100_000,
-            catchup_read_buffer: 5_000,
             catchup_window_ticks: 2_000,
-            pfs_read_base_us: 2_000,
-            pfs_read_per_record_us: 1,
-            ct_commit_workers: 4,
-            ct_commit_base_us: 2_000,
-            ct_commit_per_update_us: 500,
             costs: CostModel::default(),
         }
     }
@@ -164,9 +148,9 @@ mod tests {
     fn defaults_match_paper_constants() {
         let c = BrokerConfig::default();
         assert_eq!(c.phb_commit_latency_us, 44_000);
-        assert_eq!(c.meta_persist_interval_us, 250_000);
-        assert_eq!(c.catchup_read_buffer, 5_000);
-        assert_eq!(c.ct_commit_workers, 4);
+        assert_eq!(META_PERSIST_INTERVAL_US, 250_000);
+        assert_eq!(CATCHUP_READ_BUFFER, 5_000);
+        assert_eq!(CT_COMMIT_WORKERS, 4);
         assert!(c.max_retain_ticks.is_none(), "early release off by default");
     }
 

@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn sweep_matches_a_naive_slab_recount(shapes in shapes()) {
         let config = BrokerConfig::default();
-        let mut shb = Shb::open(&MemFactory::new(), "prop", &config);
+        let mut shb = Shb::open(&MemFactory::new(), "prop");
         let mut ctx = RecordingCtx::at(1_000_000);
 
         // Build the population. Slot order is registration order, which

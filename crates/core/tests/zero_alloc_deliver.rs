@@ -131,7 +131,7 @@ fn constream_deliver_allocates_nothing_after_warmup() {
         sent: Vec::new(),
         rng: SmallRng::seed_from_u64(0),
     };
-    let mut shb = Shb::open(&MemFactory::new(), "t", &config);
+    let mut shb = Shb::open(&MemFactory::new(), "t");
     const SUBS: u64 = 48;
     const TICKS: u64 = 200;
     reconnect_all(&mut shb, SUBS, &config, &mut ctx);

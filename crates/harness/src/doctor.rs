@@ -938,10 +938,6 @@ mod tests {
         for name in [
             gryphon_sim::names::STORAGE_COMMIT_BATCH_RECORDS,
             gryphon_sim::names::STORAGE_COMMIT_GROUP_SIZE,
-            gryphon_sim::names::STORAGE_COMMIT_SYNC_WAIT_US,
-            gryphon_sim::names::STORAGE_COMMIT_SYNC_WAIT_LEADER_US,
-            gryphon_sim::names::STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US,
-            gryphon_sim::names::STORAGE_COMMIT_FSYNC_US,
         ] {
             m.observe(name, 42.0);
         }
@@ -950,7 +946,7 @@ mod tests {
         r.attach_telemetry(gryphon_sim::telemetry::Timeline::new(500_000));
         let dir = write_bundle(&root, &r, &BundleMeta::default()).unwrap();
         let text = inspect(&load_bundle(&dir).unwrap(), false, false);
-        for name in ["storage.commit.batch_records", "storage.commit.fsync_us"] {
+        for name in ["storage.commit.batch_records", "storage.commit.group_size"] {
             assert!(text.contains(name), "{name} missing from:\n{text}");
         }
         let _ = std::fs::remove_dir_all(&root);

@@ -196,7 +196,7 @@ pub fn run(opts: &RunOptions) -> Report {
     // would read as skew, and the drill is about the planted laggard.
     let mut health = slow_sub_mode.then(|| HealthEngine::new(default_rules()));
     let mut sampler = Sampler::new(500_000);
-    let mut shb = Shb::open(&MemFactory::new(), "mega", &config);
+    let mut shb = Shb::open(&MemFactory::new(), "mega");
     let mut t = Table::new(
         format!(
             "§15 subscriber memory model ({} durable subs, {} classes, churn {:.1}%)",

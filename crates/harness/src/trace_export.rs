@@ -118,7 +118,7 @@ fn push_exemplar_span(ev: &mut Vec<String>, ex: &Exemplar) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gryphon_sim::forensics::{KIND_BUSY, KIND_FSYNC};
+    use gryphon_sim::forensics::{KIND_BUSY, KIND_COMMIT};
     use gryphon_sim::{AlertState, Exemplar};
 
     fn sample_exemplar() -> Exemplar {
@@ -146,7 +146,7 @@ mod tests {
             },
             BusyInterval {
                 track: 2,
-                kind: KIND_FSYNC,
+                kind: KIND_COMMIT,
                 start_us: 400,
                 dur_us: 0, // clamped to 1 µs so viewers render it
             },

@@ -103,7 +103,7 @@ use std::time::{Duration, Instant};
 pub use gryphon_sim::Handle;
 
 /// Storage profile for threaded-runtime processes: real files — and real
-/// fsyncs through the group-commit pipeline — when `GRYPHON_STORAGE_DIR`
+/// fsyncs through the commit pipeline — when `GRYPHON_STORAGE_DIR`
 /// is set, heap-backed media otherwise.
 ///
 /// The simulator always builds its brokers on

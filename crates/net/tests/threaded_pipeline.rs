@@ -20,7 +20,7 @@ fn publish_to_delivery_over_threads() {
     // Ids are assigned in registration order: phb=0, shb=1, sub=2, pub=3.
     let mut builder = NetBuilder::new();
     // `storage_factory`: heap media by default; real files + real fsyncs
-    // through the group-commit pipeline with GRYPHON_STORAGE_DIR set.
+    // through the commit pipeline with GRYPHON_STORAGE_DIR set.
     let mut phb_node =
         Broker::new(0, storage_factory("tp-phb"), config.clone()).hosting_pubends([PubendId(0)]);
     phb_node.add_child(NodeId(1));

@@ -313,10 +313,8 @@ impl Exemplar {
 pub const KIND_DISPATCH: &str = "dispatch";
 /// Interval kind: modeled work charged via `NodeCtx::work` (simulator).
 pub const KIND_BUSY: &str = "busy";
-/// Interval kind: a group-commit round trip (batch close → durable).
+/// Interval kind: a PHB commit round trip (batch close → durable).
 pub const KIND_COMMIT: &str = "commit";
-/// Interval kind: the leader's device flush inside a commit.
-pub const KIND_FSYNC: &str = "fsync";
 /// Interval kind: time a message waited in a worker's channel.
 pub const KIND_QUEUE: &str = "queue";
 
@@ -327,7 +325,6 @@ pub fn intern_kind(s: &str) -> &'static str {
         "dispatch" => KIND_DISPATCH,
         "busy" => KIND_BUSY,
         "commit" => KIND_COMMIT,
-        "fsync" => KIND_FSYNC,
         "queue" => KIND_QUEUE,
         _ => "other",
     }
@@ -484,13 +481,7 @@ mod tests {
 
     #[test]
     fn kind_interning_round_trips() {
-        for k in [
-            KIND_DISPATCH,
-            KIND_BUSY,
-            KIND_COMMIT,
-            KIND_FSYNC,
-            KIND_QUEUE,
-        ] {
+        for k in [KIND_DISPATCH, KIND_BUSY, KIND_COMMIT, KIND_QUEUE] {
             assert_eq!(intern_kind(k), k);
         }
         assert_eq!(intern_kind("mystery"), "other");

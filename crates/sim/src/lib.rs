@@ -74,4 +74,4 @@ pub use sketch::{
     LagSpectrum, PopulationSketch, SketchConfig, SpaceSaving, SpectrumStats, TopKEntry,
     TopKSnapshot,
 };
-pub use trace::{DeliveryPath, Severity, TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};
+pub use trace::{DeliveryPath, TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};

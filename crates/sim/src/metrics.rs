@@ -159,32 +159,13 @@ pub mod names {
     pub const HEALTH_ALERT_LEDGER_DUPLICATE: &str = "health.alert.ledger_duplicate";
     /// Counter: firing transitions of the delivery-latency SLO burn rule.
     pub const HEALTH_ALERT_DELIVER_SLO: &str = "health.alert.deliver_slo";
-    /// Histogram: records appended by one group-committed batch through
-    /// the storage `CommitPipeline` (PHB event batches, JMS checkpoint
+    /// Histogram: records appended by one commit through the storage
+    /// `CommitPipeline` (PHB event batches, JMS checkpoint
     /// transactions).
     pub const STORAGE_COMMIT_BATCH_RECORDS: &str = "storage.commit.batch_records";
-    /// Histogram: commits made durable by the single device flush that
-    /// covered this commit (group-commit coalescing factor; 1 = the
-    /// commit paid its own flush).
+    /// Histogram: commits made durable by the device flush that covered
+    /// this commit. Every commit pays its own flush, so it reads 1.
     pub const STORAGE_COMMIT_GROUP_SIZE: &str = "storage.commit.group_size";
-    /// Histogram: wall-clock µs a committer waited from append completion
-    /// to durability (zero in deterministic simulator runs — the pipeline
-    /// only measures time under `with_timing`).
-    pub const STORAGE_COMMIT_SYNC_WAIT_US: &str = "storage.commit.sync_wait_us";
-    /// Histogram: wall-clock µs the covering device flush took (zero in
-    /// deterministic simulator runs and for followers that joined after
-    /// the flush completed).
-    pub const STORAGE_COMMIT_FSYNC_US: &str = "storage.commit.fsync_us";
-    /// Histogram: `sync_wait_us` restricted to commits that performed
-    /// the covering flush themselves (group-commit **leaders**). The
-    /// leader's wait is the device flush plus the group window, so the
-    /// leader/follower split attributes commit latency to contention vs
-    /// the device (DESIGN.md §9).
-    pub const STORAGE_COMMIT_SYNC_WAIT_LEADER_US: &str = "storage.commit.sync_wait_leader_us";
-    /// Histogram: `sync_wait_us` restricted to commits that rode on
-    /// another committer's flush (group-commit **followers**) — pure
-    /// queueing/contention time, no device work of their own.
-    pub const STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US: &str = "storage.commit.sync_wait_follower_us";
     /// Histogram: wall-clock µs a threaded-runtime message waited in a
     /// worker's bounded channel between enqueue and dispatch. Only
     /// recorded while the telemetry sampler is armed; together with
@@ -290,10 +271,6 @@ pub mod names {
             HEALTH_ALERT_DELIVER_SLO,
             STORAGE_COMMIT_BATCH_RECORDS,
             STORAGE_COMMIT_GROUP_SIZE,
-            STORAGE_COMMIT_SYNC_WAIT_US,
-            STORAGE_COMMIT_FSYNC_US,
-            STORAGE_COMMIT_SYNC_WAIT_LEADER_US,
-            STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US,
             NET_QUEUE_WAIT_US,
             NET_DROPPED,
             FORENSICS_EXEMPLAR_DROPPED,
@@ -770,8 +747,6 @@ mod tests {
         // The tail-forensics family (PR 9) must be registered so the
         // doctor-coverage test in gryphon-harness can see it.
         for forensics in [
-            names::STORAGE_COMMIT_SYNC_WAIT_LEADER_US,
-            names::STORAGE_COMMIT_SYNC_WAIT_FOLLOWER_US,
             names::NET_QUEUE_WAIT_US,
             names::FORENSICS_EXEMPLAR_DROPPED,
             names::FORENSICS_INTERVAL_DROPPED,

@@ -192,8 +192,6 @@ pub struct Sim {
     /// Panic on delivery-ledger violations (default: armed under
     /// `cfg(debug_assertions)`, like the watchdogs).
     ledger_panic: bool,
-    /// Fixed CPU charge per delivered message/timer (µs).
-    pub base_event_cost_us: u64,
     events_processed: u64,
     /// Windowed telemetry sampler (`None` = disabled). Fires between
     /// scheduler events, never through them, so enabling it cannot
@@ -235,7 +233,6 @@ impl Sim {
             flight_dir: None,
             flight_dumps: 0,
             ledger_panic: cfg!(debug_assertions),
-            base_event_cost_us: 0,
             events_processed: 0,
             telemetry: None,
             health: None,
@@ -431,14 +428,12 @@ impl Sim {
                 if !self.slot(to).map(|s| s.up).unwrap_or(false) {
                     return;
                 }
-                self.charge(to, self.base_event_cost_us);
                 self.with_node(to, |node, ctx| node.on_message(from, msg, ctx));
             }
             EventKind::Timer { node, key } => {
                 if !self.slot(node).map(|s| s.up).unwrap_or(false) {
                     return;
                 }
-                self.charge(node, self.base_event_cost_us);
                 self.with_node(node, |n, ctx| n.on_timer(key, ctx));
             }
             EventKind::Crash { node } => {

@@ -73,17 +73,6 @@ pub enum DeliveryPath {
     Catchup,
 }
 
-/// Importance of a trace event, for filtering dumps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// High-frequency bookkeeping (constream advances, PFS reads).
-    Debug,
-    /// Lifecycle transitions worth seeing in a normal dump.
-    Info,
-    /// Disruptions: crash recovery, conversions to L.
-    Warn,
-}
-
 /// One structured, typed trace event. Variants mirror the paper's
 /// protocol transitions; all are attributed to the emitting node by the
 /// surrounding [`TraceRecord`].
@@ -279,36 +268,6 @@ impl TraceEvent {
                 Some(gryphon_types::LineageKey::new(pubend, upto))
             }
             _ => None,
-        }
-    }
-
-    /// The event's severity class.
-    pub fn severity(&self) -> Severity {
-        match self {
-            TraceEvent::PubendTimestamped { .. }
-            | TraceEvent::ConstreamGapCheck { .. }
-            | TraceEvent::DoubtAdvanced { .. }
-            | TraceEvent::PfsBatchRead { .. }
-            | TraceEvent::IbForwarded { .. }
-            | TraceEvent::ShbIngested { .. }
-            | TraceEvent::Delivered { .. }
-            | TraceEvent::EventLogged { .. } => Severity::Debug,
-            TraceEvent::CatchupStarted { .. }
-            | TraceEvent::Switchover { .. }
-            | TraceEvent::NackConsolidated { .. }
-            | TraceEvent::SubResumed { .. }
-            | TraceEvent::ReleaseAdvanced { .. } => Severity::Info,
-            TraceEvent::LConverted { .. }
-            | TraceEvent::GapDelivered { .. }
-            | TraceEvent::NodeRestarted
-            | TraceEvent::UnexpectedMsg { .. } => Severity::Warn,
-            TraceEvent::HealthAlert { firing, .. } => {
-                if *firing {
-                    Severity::Warn
-                } else {
-                    Severity::Info
-                }
-            }
         }
     }
 }
@@ -668,28 +627,6 @@ mod tests {
                 horizon: Timestamp(2),
             }),
             &mut m,
-        );
-    }
-
-    #[test]
-    fn severities_cover_taxonomy() {
-        assert_eq!(TraceEvent::NodeRestarted.severity(), Severity::Warn);
-        assert_eq!(
-            TraceEvent::Switchover {
-                pubend: P,
-                sub: SubscriberId(1),
-                latency_us: 5
-            }
-            .severity(),
-            Severity::Info
-        );
-        assert!(
-            TraceEvent::PubendTimestamped {
-                pubend: P,
-                ts: Timestamp(1)
-            }
-            .severity()
-                < Severity::Warn
         );
     }
 }

@@ -10,9 +10,9 @@
 //!   by timestamp (the *only* place an event is persistently logged);
 //! * [`MetaTable`] — a durable key-value table standing in for the DB2
 //!   tables that hold `latestDelivered(p)`, `released(s, p)`, PFS metadata
-//!   and JMS checkpoint tokens, with **group commit** (many updates, one
-//!   sync) because the JMS auto-acknowledge experiment is bottlenecked on
-//!   exactly that.
+//!   and JMS checkpoint tokens, committing a whole batch of updates with
+//!   one sync because the JMS auto-acknowledge experiment is bottlenecked
+//!   on exactly that.
 //!
 //! All three sit on a [`Media`] abstraction with a real-file backend
 //! ([`FileFactory`]) for wall-clock microbenchmarks and an in-memory
@@ -48,7 +48,7 @@ mod prop_tests;
 mod segment;
 
 pub use codec::{decode_event, encode_event, CodecError};
-pub use commit::{CommitPipeline, CommitPipelineStats, CommitReceipt, Commitable};
+pub use commit::{CommitPipeline, CommitPipelineStats, Commitable};
 pub use event_log::EventLog;
 pub use log_volume::{LogIndex, LogVolume, StreamId, VolumeConfig, VolumeStats};
 pub use media::{FileFactory, Media, MediaFactory, MediaStats, MemFactory};

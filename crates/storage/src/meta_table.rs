@@ -6,9 +6,9 @@
 //! experiment (paper §5.2) is bottlenecked on *commit throughput* of this
 //! table, and improves when many waiting updates are batched into one
 //! transaction — so [`MetaTable::commit`] takes a batch and performs
-//! exactly one sync, and [`MetaTable::stage`] lets a
-//! [`CommitPipeline`](crate::CommitPipeline) (see [`SharedMetaTable`])
-//! fold many batches into one flush.
+//! exactly one sync, and [`MetaTable::stage`] is the append half a
+//! [`CommitPipeline`](crate::CommitPipeline) runs before its one flush
+//! (see [`SharedMetaTable`]).
 //!
 //! Atomicity: a batch is applied on recovery only if its commit marker was
 //! durable; a torn tail (crash between append and sync) rolls the whole
@@ -22,7 +22,7 @@
 //! churn (the `shb_scale` bench) off the old O(population)-per-window
 //! rewrite cliff.
 
-use crate::commit::{CommitPipeline, CommitPipelineStats, CommitReceipt};
+use crate::commit::{CommitPipeline, CommitPipelineStats};
 use crate::media::{Media, MediaFactory};
 use crate::{crc32c, StorageError};
 use std::collections::{BTreeMap, HashMap};
@@ -316,8 +316,8 @@ impl MetaTable {
     }
 
     /// Appends a batch of updates (`None` deletes the key) to the WAL and
-    /// applies it in memory **without flushing** — the building block a
-    /// [`CommitPipeline`] uses to fold many batches into one sync. The
+    /// applies it in memory **without flushing** — the append half a
+    /// [`CommitPipeline`] runs before its one flush. The
     /// batch becomes durable at the next [`MetaTable::sync_wal`]; a crash
     /// before that rolls the whole batch back atomically.
     ///
@@ -577,21 +577,16 @@ impl MetaTable {
     }
 }
 
-/// A [`MetaTable`] behind a [`CommitPipeline`]: concurrent committers
-/// stage batches and share device flushes (leader/follower group commit).
-/// Cloning shares the table.
-///
-/// Single-threaded callers get the same semantics as a bare table — every
-/// commit is a group of one — so the simulator can use it without losing
-/// determinism.
-#[derive(Clone, Debug)]
+/// A [`MetaTable`] behind a [`CommitPipeline`]: each commit stages its
+/// batch and flushes once under the table lock, and a failed flush
+/// refuses every later commit.
+#[derive(Debug)]
 pub struct SharedMetaTable {
     pipe: CommitPipeline<MetaTable>,
 }
 
 impl SharedMetaTable {
-    /// Opens (recovering) or creates the shared table named `name` with
-    /// timing disabled (deterministic receipts).
+    /// Opens (recovering) or creates the shared table named `name`.
     ///
     /// # Errors
     ///
@@ -606,20 +601,15 @@ impl SharedMetaTable {
         })
     }
 
-    /// Commits a batch through the group-commit pipeline: the batch is
-    /// staged under the table lock and this call returns once a flush —
-    /// ours or a concurrent committer's — covers it.
+    /// Commits a batch: stages it under the table lock, then flushes
+    /// once; returns once the batch is durable.
     ///
     /// # Errors
     ///
     /// See [`MetaTable::commit`] and
     /// [`CommitPipeline::commit_with`](crate::CommitPipeline::commit_with).
-    pub fn commit(
-        &self,
-        batch: &[(String, Option<Vec<u8>>)],
-    ) -> Result<CommitReceipt, StorageError> {
-        let ((), receipt) = self.pipe.commit_with(|t| t.stage(batch))?;
-        Ok(receipt)
+    pub fn commit(&self, batch: &[(String, Option<Vec<u8>>)]) -> Result<(), StorageError> {
+        self.pipe.commit_with(|t| t.stage(batch))
     }
 
     /// Single-key set through the pipeline.
@@ -627,7 +617,7 @@ impl SharedMetaTable {
     /// # Errors
     ///
     /// See [`SharedMetaTable::commit`].
-    pub fn put(&self, key: &str, value: Vec<u8>) -> Result<CommitReceipt, StorageError> {
+    pub fn put(&self, key: &str, value: Vec<u8>) -> Result<(), StorageError> {
         self.commit(&[(key.to_owned(), Some(value))])
     }
 
@@ -636,7 +626,7 @@ impl SharedMetaTable {
     /// # Errors
     ///
     /// See [`SharedMetaTable::commit`].
-    pub fn put_u64(&self, key: &str, value: u64) -> Result<CommitReceipt, StorageError> {
+    pub fn put_u64(&self, key: &str, value: u64) -> Result<(), StorageError> {
         self.put(key, value.to_le_bytes().to_vec())
     }
 
@@ -645,7 +635,7 @@ impl SharedMetaTable {
     /// # Errors
     ///
     /// See [`SharedMetaTable::commit`].
-    pub fn delete(&self, key: &str) -> Result<CommitReceipt, StorageError> {
+    pub fn delete(&self, key: &str) -> Result<(), StorageError> {
         self.commit(&[(key.to_owned(), None)])
     }
 
@@ -670,7 +660,7 @@ impl SharedMetaTable {
         self.pipe.with(|t| t.stats())
     }
 
-    /// Group-commit pipeline counters.
+    /// Commit pipeline counters.
     pub fn commit_stats(&self) -> CommitPipelineStats {
         self.pipe.stats()
     }
@@ -991,27 +981,19 @@ mod tests {
         let f = MemFactory::with_sync_latency_us(200);
         let shared =
             SharedMetaTable::open(Box::new(f.clone()), "t", TableConfig::default()).unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|th| {
-                let shared = shared.clone();
-                std::thread::spawn(move || {
+        std::thread::scope(|s| {
+            for th in 0..4 {
+                let shared = &shared;
+                s.spawn(move || {
                     for i in 0..20u64 {
                         shared.put_u64(&format!("k/{th}/{i}"), i).unwrap();
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         let cs = shared.commit_stats();
         assert_eq!(cs.commits, 80);
-        assert!(
-            cs.fsyncs < cs.commits,
-            "grouping expected: {} fsyncs for {} commits",
-            cs.fsyncs,
-            cs.commits
-        );
+        assert_eq!(cs.fsyncs, cs.commits, "every commit pays its own flush");
         drop(shared);
         // Everything committed is durable.
         let t = reopen(&f);

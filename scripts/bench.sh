@@ -11,10 +11,7 @@
 #   BENCH_shb_scale.json    — SHB slab hot paths (steady delivery,
 #                             park/rehydrate, slot-recycling churn) at
 #                             10k and 100k idle durable subscriptions
-#   BENCH_log_volume.json   — segmented-volume read/append/chop paths plus
-#                             the group-commit fan-out: 8 concurrent
-#                             committers vs serialized per-caller sync on
-#                             a modeled-latency device and on real files
+#   BENCH_log_volume.json   — segmented-volume read/append/chop paths
 #
 # Numbers are machine-relative: compare against the baseline re-run on the
 # same machine, not across machines. See EXPERIMENTS.md for how to read
@@ -49,7 +46,7 @@ ndjson_to_array "$tmp/shb_scale.ndjson" BENCH_shb_scale.json
 echo "== log_volume benches =="
 : >"$tmp/log_volume.ndjson"
 CRITERION_JSON="$tmp/log_volume.ndjson" \
-  cargo bench -p gryphon-bench --bench log_volume --bench log_volume_commit
+  cargo bench -p gryphon-bench --bench log_volume
 ndjson_to_array "$tmp/log_volume.ndjson" BENCH_log_volume.json
 
 echo "wrote BENCH_matching.json, BENCH_shb_scale.json and BENCH_log_volume.json"

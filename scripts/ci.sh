@@ -37,13 +37,12 @@ fi
 echo "== durability: crash recovery + codec fuzz =="
 # The on-disk format gate: torn-tail / bit-flip recovery property tests
 # and the codec truncation/garbage fuzz (storage lib proptests), real-file
-# kill-style recovery, the ≥3× group-commit win (ratio of medians over
-# interleaved rounds), and the broker-level
+# kill-style recovery, and the broker-level
 # "a chopped or lost tick is never answered S after recovery" acceptance
 # test. Runs a second time here so a failure is attributed to the
 # durability engine even if an earlier suite also trips over it.
 cargo test -q -p gryphon-storage --lib prop_tests
-cargo test -q -p gryphon-storage --test file_kill --test group_commit_speedup
+cargo test -q -p gryphon-storage --test file_kill
 cargo test -q -p gryphon --test recovery_answer
 
 echo "== full stack with delivery ledger armed =="
@@ -216,7 +215,7 @@ CRITERION_JSON="$PWD/target/ci-bench/matching.ndjson" \
 CRITERION_JSON="$PWD/target/ci-bench/shb_scale.ndjson" \
   cargo bench -p gryphon-bench --bench shb_scale >/dev/null
 CRITERION_JSON="$PWD/target/ci-bench/log_volume.ndjson" \
-  cargo bench -p gryphon-bench --bench log_volume --bench log_volume_commit >/dev/null
+  cargo bench -p gryphon-bench --bench log_volume >/dev/null
 cargo run -q --release -p gryphon-bench --bin perf_gate -- --strict \
   BENCH_matching.json target/ci-bench/matching.ndjson \
   BENCH_shb_scale.json target/ci-bench/shb_scale.ndjson \
