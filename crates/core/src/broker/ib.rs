@@ -14,8 +14,8 @@ use gryphon_matching::{Filter, SubscriptionIndex};
 use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_streams::{push_coalesced, RetryPolicy};
 use gryphon_types::{
-    CuriosityMsg, KnowledgeMsg, KnowledgePart, NetMsg, NodeId, PubendId, ReleaseMsg,
-    SubInterestMsg, SubscriberId, SubscriptionSpec, Timestamp,
+    CuriosityMsg, InterestChange, KnowledgeMsg, KnowledgePart, NetMsg, NodeId, PubendId,
+    ReleaseMsg, SubInterestMsg, SubscriberId, SubscriptionSpec, Timestamp,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -35,17 +35,26 @@ pub(crate) struct IbRole {
     /// Highest interest version the parent has confirmed via knowledge
     /// stamps.
     pub(crate) upstream_confirmed: u64,
+    /// Set by a restart: the parent's copy of our interest may hold
+    /// entries we no longer know about, so the next change goes up as a
+    /// snapshot instead of a delta.
+    pub(crate) resync: bool,
 }
+
+/// A net interest change: entries added (or whose filter changed) and
+/// ids removed.
+type Change = (Vec<(SubscriberId, SubscriptionSpec)>, Vec<SubscriberId>);
 
 /// Per-child subscription and interest-version state.
 #[derive(Default)]
 pub(crate) struct ChildState {
     /// Aggregate subscription filter of the child's subtree (for D→S
-    /// downgrades); `None` until the first interest message arrives.
+    /// downgrades), changed in place by each interest message; `None`
+    /// until the first one applies.
     pub(crate) index: Option<SubscriptionIndex>,
     /// The raw specs behind `index`, re-aggregated upstream.
-    pub(crate) specs: Vec<(SubscriberId, SubscriptionSpec)>,
-    /// Latest interest version received from the child.
+    pub(crate) specs: BTreeMap<SubscriberId, SubscriptionSpec>,
+    /// The child's interest version applied here.
     pub(crate) version: u64,
     /// Highest child interest version known to be causally upstream.
     pub(crate) confirmed: u64,
@@ -54,6 +63,62 @@ pub(crate) struct ChildState {
     pub(crate) pending: Vec<(u64, u64)>,
     /// Fresh knowledge accumulated for this child, awaiting a flush.
     pub(crate) batcher: KnowledgeBatcher,
+}
+
+impl ChildState {
+    /// Applies one interest message from the child in place and returns
+    /// the net change, or `None` when nothing applies: a delta on a base
+    /// other than the applied version (a gap, healed by the child's next
+    /// snapshot) or a snapshot of a version already applied. Only new or
+    /// changed filters are parsed: one per entry the change adds.
+    fn apply(&mut self, msg: SubInterestMsg) -> Option<Change> {
+        if self.index.is_some() && msg.version <= self.version {
+            return None;
+        }
+        let (added, removed) = match msg.change {
+            InterestChange::Delta {
+                base,
+                added,
+                removed,
+            } => {
+                if base != self.version {
+                    return None;
+                }
+                (added, removed)
+            }
+            InterestChange::Snapshot(subs) => {
+                // Later entries win, as they would by re-inserting.
+                let next: BTreeMap<SubscriberId, SubscriptionSpec> = subs.into_iter().collect();
+                let removed = self
+                    .specs
+                    .keys()
+                    .filter(|sub| !next.contains_key(sub))
+                    .copied()
+                    .collect();
+                let added = next
+                    .into_iter()
+                    .filter(|(sub, spec)| self.specs.get(sub) != Some(spec))
+                    .collect();
+                (added, removed)
+            }
+        };
+        let index = self.index.get_or_insert_with(Default::default);
+        for sub in &removed {
+            self.specs.remove(sub);
+            index.remove(*sub);
+        }
+        for (sub, spec) in &added {
+            match Filter::parse(spec.expr()) {
+                Ok(filter) => index.insert(*sub, filter),
+                Err(_) => {
+                    index.remove(*sub);
+                }
+            }
+            self.specs.insert(*sub, spec.clone());
+        }
+        self.version = msg.version;
+        Some((added, removed))
+    }
 }
 
 /// Per-child knowledge batcher: fresh (non-nack) knowledge accumulates
@@ -98,7 +163,7 @@ impl Broker {
     ) {
         if interest_stamp > self.ib.upstream_confirmed {
             self.ib.upstream_confirmed = interest_stamp;
-            self.promote_child_confirmations();
+            self.promote_child_confirmations(ctx);
             self.complete_parked(ctx);
         }
         if parts.is_empty() {
@@ -582,21 +647,15 @@ impl Broker {
         if !self.ib.children.contains(&from) {
             return;
         }
-        let mut index = SubscriptionIndex::new();
-        for (sub, spec) in &msg.subs {
-            if let Ok(filter) = Filter::parse(spec.expr()) {
-                index.insert(*sub, filter);
-            }
-        }
         let v_child = msg.version;
-        {
-            let state = self.ib.child.entry(from).or_default();
-            state.index = Some(index);
-            state.specs = msg.subs;
-            state.version = state.version.max(v_child);
+        let Some((added, removed)) = self.ib.child.entry(from).or_default().apply(msg) else {
+            return;
+        };
+        if !added.is_empty() {
+            ctx.count(names::IB_INTEREST_FILTERS_PARSED, added.len() as f64);
         }
         if self.parent.is_some() {
-            let v_up = self.bump_and_send_interest(ctx);
+            let v_up = self.bump_and_send_interest(added, removed, ctx);
             self.ib
                 .child
                 .entry(from)
@@ -607,16 +666,24 @@ impl Broker {
             // Root: the interest is applied here and now.
             let state = self.ib.child.entry(from).or_default();
             state.confirmed = state.confirmed.max(v_child);
+            self.confirm_child(from, ctx);
         }
     }
 
-    /// Promotes per-child confirmations from `upstream_confirmed`.
-    pub(crate) fn promote_child_confirmations(&mut self) {
+    /// Promotes per-child confirmations from `upstream_confirmed`, and
+    /// confirms at once to every child whose confirmation rose.
+    pub(crate) fn promote_child_confirmations(&mut self, ctx: &mut dyn NodeCtx) {
         let upstream = self.ib.upstream_confirmed;
-        for state in self.ib.child.values_mut() {
-            let ChildState {
+        // Attachment order, not map order: the confirmations are sends.
+        for i in 0..self.ib.children.len() {
+            let child = self.ib.children[i];
+            let Some(ChildState {
                 confirmed, pending, ..
-            } = state;
+            }) = self.ib.child.get_mut(&child)
+            else {
+                continue;
+            };
+            let before = *confirmed;
             pending.retain(|&(v_child, v_up)| {
                 if v_up <= upstream {
                     *confirmed = (*confirmed).max(v_child);
@@ -625,18 +692,100 @@ impl Broker {
                     true
                 }
             });
+            if *confirmed > before {
+                self.confirm_child(child, ctx);
+            }
         }
     }
 
-    /// Sends the current interest set upward under a fresh version.
-    /// Versions are virtual timestamps: monotone across crashes.
-    pub(crate) fn bump_and_send_interest(&mut self, ctx: &mut dyn NodeCtx) -> u64 {
-        self.ib.my_interest_version = (self.ib.my_interest_version + 1).max(ctx.now_us());
-        self.send_interest_upstream(ctx);
+    /// Tells `child` its interest is confirmed without waiting for fresh
+    /// knowledge to carry the stamp: flushes the knowledge batched for it
+    /// (filtered under its older interest — the link is FIFO, so those
+    /// batches must arrive first), then sends a stamp-only knowledge
+    /// message. With no pipeline to stamp on, the next knowledge forwarded
+    /// to `child` carries the stamp instead.
+    fn confirm_child(&mut self, child: NodeId, ctx: &mut dyn NodeCtx) {
+        let Some(&p) = self.pipelines.keys().min_by_key(|p| p.0) else {
+            return;
+        };
+        let Some(state) = self.ib.child.get_mut(&child) else {
+            return;
+        };
+        let stamp = state.confirmed.min(state.version);
+        let pending = std::mem::take(&mut state.batcher.pending);
+        for (q, batch) in pending {
+            self.send_batch(child, q, batch, ctx);
+        }
+        ctx.send(
+            child,
+            NetMsg::Knowledge(KnowledgeMsg {
+                pubend: p,
+                parts: Vec::new(),
+                nack_response: false,
+                interest_version: stamp,
+            }),
+        );
+    }
+
+    /// Moves this broker's interest to a fresh version and reports the
+    /// change upward: as a delta on the version the parent last saw, or,
+    /// after a restart, as a snapshot. Versions are virtual timestamps:
+    /// monotone across crashes.
+    pub(crate) fn bump_and_send_interest(
+        &mut self,
+        mut added: Vec<(SubscriberId, SubscriptionSpec)>,
+        removed: Vec<SubscriberId>,
+        ctx: &mut dyn NodeCtx,
+    ) -> u64 {
+        let base = self.ib.my_interest_version;
+        self.ib.my_interest_version = (base + 1).max(ctx.now_us());
+        if std::mem::take(&mut self.ib.resync) {
+            self.send_interest_snapshot(ctx);
+        } else if let Some(parent) = self.parent {
+            // The parent keeps one spec per subscription id: an id that
+            // another child or a local subscriber still holds stays
+            // upstream, under that holder's spec.
+            let removed = removed
+                .into_iter()
+                .filter(|&sub| match self.upward_spec(sub) {
+                    Some(spec) => {
+                        added.push((sub, spec));
+                        false
+                    }
+                    None => true,
+                })
+                .collect();
+            ctx.send(
+                parent,
+                NetMsg::SubInterest(SubInterestMsg {
+                    version: self.ib.my_interest_version,
+                    change: InterestChange::Delta {
+                        base,
+                        added,
+                        removed,
+                    },
+                }),
+            );
+        }
         self.ib.my_interest_version
     }
 
-    pub(crate) fn send_interest_upstream(&mut self, ctx: &mut dyn NodeCtx) {
+    /// The spec under which `sub` is still part of this broker's upward
+    /// interest, if a local subscriber or a child holds it.
+    fn upward_spec(&self, sub: SubscriberId) -> Option<SubscriptionSpec> {
+        if let Some(spec) = self.shb.state.as_ref().and_then(|shb| shb.spec_of(sub)) {
+            return Some(spec.clone());
+        }
+        self.ib
+            .children
+            .iter()
+            .find_map(|c| self.ib.child.get(c)?.specs.get(&sub).cloned())
+    }
+
+    /// Sends this broker's whole interest set upward under its current
+    /// version: the resync that heals a parent which lost a delta or
+    /// restarted. A parent that already applied the version skips it.
+    pub(crate) fn send_interest_snapshot(&mut self, ctx: &mut dyn NodeCtx) {
         let Some(parent) = self.parent else {
             return;
         };
@@ -645,7 +794,12 @@ impl Broker {
         let mut child_ids: Vec<NodeId> = self.ib.child.keys().copied().collect();
         child_ids.sort_by_key(|n| n.0);
         for id in child_ids {
-            subs.extend(self.ib.child[&id].specs.iter().cloned());
+            subs.extend(
+                self.ib.child[&id]
+                    .specs
+                    .iter()
+                    .map(|(&sub, spec)| (sub, spec.clone())),
+            );
         }
         if let Some(shb) = &self.shb.state {
             subs.extend(shb.interest());
@@ -653,8 +807,8 @@ impl Broker {
         ctx.send(
             parent,
             NetMsg::SubInterest(SubInterestMsg {
-                subs,
                 version: self.ib.my_interest_version,
+                change: InterestChange::Snapshot(subs),
             }),
         );
     }
@@ -762,9 +916,9 @@ impl Broker {
                 ctx.record(&format!("shb{}.released.{}", self.id, p.0), rel.0 as f64);
             }
         }
-        // Periodic interest refresh keeps parents correct across their
-        // restarts (same version: content unchanged).
-        self.send_interest_upstream(ctx);
+        // Periodic interest refresh heals a parent that restarted or lost
+        // a delta (same version: a parent that kept up skips it).
+        self.send_interest_snapshot(ctx);
         self.expire_parked(ctx);
         ctx.set_timer(
             self.config.release_interval_us,

@@ -330,10 +330,12 @@ impl Node for Broker {
         self.epoch = self.epoch.wrapping_add(1);
         // Volatile state is rebuilt from persistent storage. The
         // interest version deliberately survives (virtual-timestamp
-        // monotonicity across crashes).
+        // monotonicity across crashes); the parent's copy of our interest
+        // may now be stale, so the next change goes up as a snapshot.
         self.pipelines.clear();
         self.ib.child.clear();
         self.ib.upstream_confirmed = 0;
+        self.ib.resync = true;
         self.shb.parked.clear();
         self.phb.log = None;
         self.shb.state = None;
@@ -357,7 +359,7 @@ impl Node for Broker {
             for (p, ld) in pubends {
                 self.resolve_for_constream(p, vec![(ld.next(), Timestamp::MAX)], ctx);
             }
-            self.send_interest_upstream(ctx);
+            self.bump_and_send_interest(Vec::new(), Vec::new(), ctx);
         }
     }
 }

@@ -397,6 +397,12 @@ impl Shb {
             .collect()
     }
 
+    /// The filter `sub` is registered under, if it is registered.
+    pub fn spec_of(&self, sub: SubscriberId) -> Option<&SubscriptionSpec> {
+        let slot = self.table.slot_of(sub)?;
+        self.table.get(slot).map(|st| &st.spec)
+    }
+
     /// Edge lookup: the slab slot of `sub`, if registered.
     pub fn slot_of_sub(&self, sub: SubscriberId) -> Option<SubSlot> {
         self.table.slot_of(sub)

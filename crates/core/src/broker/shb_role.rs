@@ -47,12 +47,12 @@ pub(crate) struct ParkedConnect {
 
 impl Broker {
     /// Resolution path for catchup holes: answer from local authority or
-    /// cache (feeding the stream immediately), push the rest upstream.
-    /// `needs_authoritative` (reconnect-anywhere) bypasses caches — they
-    /// may hold knowledge filtered without this subscription.
+    /// cache (feeding every catchup stream on `p` immediately), push the
+    /// rest upstream. `needs_authoritative` (reconnect-anywhere) bypasses
+    /// caches — they may hold knowledge filtered without the
+    /// subscription.
     pub(crate) fn resolve_for_catchup(
         &mut self,
-        slot: SubSlot,
         p: PubendId,
         holes: Vec<(Timestamp, Timestamp)>,
         needs_authoritative: bool,
@@ -71,14 +71,9 @@ impl Broker {
         }
         if !local_parts.is_empty() {
             if let Some(shb) = self.shb.state.as_mut() {
-                // Feed only this subscriber's stream; other streams will
-                // pull the same ranges when they need them.
-                let filtered: Vec<SubSlot> = shb
-                    .distribute_to_catchup(p, &local_parts)
-                    .into_iter()
-                    .filter(|&s| s == slot)
-                    .collect();
-                let _ = filtered;
+                // The caller drives the stream that asked; the others
+                // use the parts the next time they are driven.
+                shb.distribute_to_catchup(p, &local_parts);
             }
         }
         self.nack_upstream(p, upstream, needs_authoritative, ctx);
@@ -99,7 +94,7 @@ impl Broker {
             return;
         }
         if !needs.holes.is_empty() {
-            self.resolve_for_catchup(slot, p, needs.holes.clone(), needs.authoritative, ctx);
+            self.resolve_for_catchup(p, needs.holes.clone(), needs.authoritative, ctx);
             // Local answers may have unblocked delivery immediately.
             let again = {
                 let shb = self.shb.state.as_mut().expect("checked");
@@ -317,7 +312,8 @@ impl Broker {
                     if registered.is_err() {
                         return;
                     }
-                    let version = self.bump_and_send_interest(ctx);
+                    let added = spec.iter().map(|s| (sub, s.clone())).collect();
+                    let version = self.bump_and_send_interest(added, Vec::new(), ctx);
                     self.shb.parked.push(ParkedConnect {
                         sub,
                         client: from,
@@ -343,9 +339,6 @@ impl Broker {
                     Some(anywhere),
                     ctx,
                 );
-                if is_new {
-                    self.send_interest_upstream(ctx);
-                }
             }
             ClientMsg::Ack { sub, ct } => {
                 let start_worker = {
@@ -380,8 +373,12 @@ impl Broker {
                 ctx.count("shb.disconnects", 1.0);
             }
             ClientMsg::Unsubscribe { sub } => {
-                self.shb.state.as_mut().expect("checked").unsubscribe(sub);
-                self.send_interest_upstream(ctx);
+                let shb = self.shb.state.as_mut().expect("checked");
+                let registered = !shb.is_new_subscription(sub);
+                shb.unsubscribe(sub);
+                if registered {
+                    self.bump_and_send_interest(Vec::new(), vec![sub], ctx);
+                }
             }
         }
     }

@@ -65,7 +65,7 @@
 //! ```
 //! use gryphon_net::NetBuilder;
 //! use gryphon_sim::{Node, NodeCtx, TimerKey};
-//! use gryphon_types::{NetMsg, NodeId, SubInterestMsg};
+//! use gryphon_types::{InterestChange, NetMsg, NodeId, SubInterestMsg};
 //!
 //! struct Counter(u64);
 //! impl Node for Counter {
@@ -77,7 +77,7 @@
 //! let h = net.add_node("counter", Counter(0));
 //! let running = net.start();
 //! for _ in 0..10 {
-//!     running.inject(h.id(), NetMsg::SubInterest(SubInterestMsg { subs: vec![], version: 0 }));
+//!     running.inject(h.id(), NetMsg::SubInterest(SubInterestMsg { version: 0, change: InterestChange::Snapshot(vec![]) }));
 //! }
 //! running.run_for(std::time::Duration::from_millis(50));
 //! let result = running.stop();
@@ -818,7 +818,7 @@ impl NetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gryphon_types::{PubendId, PublishMsg, SubInterestMsg};
+    use gryphon_types::{InterestChange, PubendId, PublishMsg, SubInterestMsg};
 
     struct Echo {
         got: u64,
@@ -844,8 +844,8 @@ mod tests {
 
     fn dummy() -> NetMsg {
         NetMsg::SubInterest(SubInterestMsg {
-            subs: vec![],
             version: 0,
+            change: InterestChange::Snapshot(vec![]),
         })
     }
 

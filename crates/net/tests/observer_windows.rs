@@ -5,15 +5,15 @@ use gryphon_net::{Handle, NetBuilder};
 use gryphon_sim::sketch::{DIM_SUB_BYTES, DIM_SUB_LAG};
 use gryphon_sim::telemetry::Timeline;
 use gryphon_sim::{names, AlertState, Node, NodeCtx, TimerKey};
-use gryphon_types::{NetMsg, NodeId, SubInterestMsg};
+use gryphon_types::{InterestChange, NetMsg, NodeId, SubInterestMsg};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn ping() -> NetMsg {
     NetMsg::SubInterest(SubInterestMsg {
-        subs: vec![],
         version: 0,
+        change: InterestChange::Snapshot(vec![]),
     })
 }
 

@@ -103,6 +103,11 @@ pub mod names {
     pub const IB_KNOWLEDGE_FLUSH_WAIT_US: &str = "ib.knowledge_flush_wait_us";
     /// Counter: batched knowledge messages flushed downstream.
     pub const IB_KNOWLEDGE_BATCHES: &str = "ib.knowledge_batches";
+    /// Counter: subscription filters parsed from children's interest
+    /// messages. Interest travels as deltas and is applied in place, so
+    /// each filter is parsed once per hop it crosses; a periodic refresh
+    /// of an already-applied version parses nothing.
+    pub const IB_INTEREST_FILTERS_PARSED: &str = "ib.interest_filters_parsed";
     /// Gauge: runtime queue depth. In the simulator this is the
     /// scheduler's outstanding-event count at each sample; in the
     /// threaded runtime each worker publishes its bounded-channel
@@ -254,6 +259,7 @@ pub mod names {
             IB_KNOWLEDGE_BATCH_PARTS,
             IB_KNOWLEDGE_FLUSH_WAIT_US,
             IB_KNOWLEDGE_BATCHES,
+            IB_INTEREST_FILTERS_PARSED,
             TELEMETRY_QUEUE_DEPTH,
             TELEMETRY_WORKER_UTILIZATION,
             TELEMETRY_SERVICE_TIME_US,
@@ -769,6 +775,9 @@ mod tests {
         ] {
             assert!(seen.contains(sketch), "{sketch} not registered");
         }
+        // The interest-propagation cost counter backs the
+        // parse-once-per-hop registration test in gryphon core.
+        assert!(seen.contains(names::IB_INTEREST_FILTERS_PARSED));
         assert!(
             names::SKETCH_LAG_SKEW.starts_with("sketch.")
                 && names::SKETCH_DOMINANCE_SHARE.starts_with("sketch."),

@@ -928,12 +928,12 @@ impl NodeCtx for SimCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gryphon_types::SubInterestMsg;
+    use gryphon_types::{InterestChange, SubInterestMsg};
 
     fn dummy_msg() -> NetMsg {
         NetMsg::SubInterest(SubInterestMsg {
-            subs: vec![],
             version: 0,
+            change: InterestChange::Snapshot(vec![]),
         })
     }
 

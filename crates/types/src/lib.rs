@@ -38,8 +38,8 @@ pub use event::{AttrValue, Attributes, Event, EventRef};
 pub use ids::{BrokerId, NodeId, PubendId, SubSlot, SubscriberId};
 pub use lineage::LineageKey;
 pub use msg::{
-    ClientMsg, CuriosityMsg, DeliveryKind, DeliveryMsg, KnowledgeMsg, KnowledgePart, NetMsg,
-    PublishMsg, ReleaseMsg, ServerMsg, SubInterestMsg, SubscriptionSpec,
+    ClientMsg, CuriosityMsg, DeliveryKind, DeliveryMsg, InterestChange, KnowledgeMsg,
+    KnowledgePart, NetMsg, PublishMsg, ReleaseMsg, ServerMsg, SubInterestMsg, SubscriptionSpec,
 };
 pub use symbol::{AttrName, SymbolId};
 pub use tick::TickKind;

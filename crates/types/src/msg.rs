@@ -161,23 +161,66 @@ pub struct ReleaseMsg {
     pub latest_delivered: Timestamp,
 }
 
-/// Aggregate subscription interest a child broker reports to its parent.
+/// A change to the subscription interest a child broker reports to its
+/// parent.
 ///
 /// Parents filter knowledge per child: a data tick matching no subscription
 /// in the child's subtree is forwarded as silence, preserving the paper's
 /// "filtering at intermediate nodes improves network utilization" property.
-/// The message carries the child's complete current set (replacement
-/// semantics), which keeps the protocol trivially idempotent.
+/// Interest travels as changes, so a registration costs one entry per hop,
+/// not the whole set:
+///
+/// * a [`InterestChange::Delta`] names the entries added and the ids
+///   removed since version `base`. A child sends one per first connect and
+///   per unsubscribe. The parent applies it only on top of `base`; any
+///   other base is a gap (the parent restarted, or a message was lost) and
+///   the parent ignores it;
+/// * a [`InterestChange::Snapshot`] is the child's complete set and
+///   replaces what the parent holds. A child sends one after it restarts
+///   and on its periodic refresh, which heals any gap. A parent skips a
+///   snapshot whose version it has already applied.
 #[derive(Debug, Clone)]
 pub struct SubInterestMsg {
-    /// All durable subscriptions in the sender's subtree.
-    pub subs: Vec<(SubscriberId, SubscriptionSpec)>,
-    /// Monotone version of the sender's interest set. The parent echoes
-    /// the version it filtered under on every [`KnowledgeMsg`], which is
-    /// how a subscriber-hosting broker learns when a *new* subscription's
-    /// filter is causally upstream (and thus where the subscription may
-    /// safely start).
+    /// Monotone version of the sender's interest set after this change.
+    /// The parent echoes the version it filtered under on every
+    /// [`KnowledgeMsg`], which is how a subscriber-hosting broker learns
+    /// when a *new* subscription's filter is causally upstream (and thus
+    /// where the subscription may safely start).
     pub version: u64,
+    /// What changed.
+    pub change: InterestChange,
+}
+
+/// The body of a [`SubInterestMsg`].
+#[derive(Debug, Clone)]
+pub enum InterestChange {
+    /// All durable subscriptions in the sender's subtree (replaces the
+    /// parent's copy).
+    Snapshot(Vec<(SubscriberId, SubscriptionSpec)>),
+    /// The change since the sender's version `base`.
+    Delta {
+        /// The version this change applies on top of.
+        base: u64,
+        /// Subscriptions added (or whose filter changed).
+        added: Vec<(SubscriberId, SubscriptionSpec)>,
+        /// Subscriptions removed.
+        removed: Vec<SubscriberId>,
+    },
+}
+
+impl InterestChange {
+    /// Approximate wire size of the entries this change carries.
+    fn size_hint(&self) -> usize {
+        let entries = |subs: &[(SubscriberId, SubscriptionSpec)]| {
+            subs.iter()
+                .map(|(_, spec)| 12 + spec.expr().len())
+                .sum::<usize>()
+        };
+        match self {
+            InterestChange::Snapshot(subs) => entries(subs),
+            InterestChange::Delta { added, removed, .. } => 8 + entries(added) + 8 * removed.len(),
+        }
+    }
 }
 
 /// Messages a client sends to the broker it attaches to.
@@ -329,13 +372,7 @@ impl NetMsg {
             NetMsg::Knowledge(k) => k.size_hint(),
             NetMsg::Curiosity(c) => 16 + 16 * c.ranges.len(),
             NetMsg::Release(_) => 24,
-            NetMsg::SubInterest(s) => {
-                16 + s
-                    .subs
-                    .iter()
-                    .map(|(_, spec)| 12 + spec.expr().len())
-                    .sum::<usize>()
-            }
+            NetMsg::SubInterest(s) => 16 + s.change.size_hint(),
             NetMsg::Client(_) => 64,
             NetMsg::Server(ServerMsg::Deliver { msg, .. }) => match &msg.kind {
                 DeliveryKind::Event(e) => 32 + e.encoded_len(),
@@ -445,8 +482,8 @@ mod tests {
                 latest_delivered: Timestamp(0),
             }),
             NetMsg::SubInterest(SubInterestMsg {
-                subs: vec![],
                 version: 0,
+                change: InterestChange::Snapshot(vec![]),
             }),
             NetMsg::Client(ClientMsg::Disconnect {
                 sub: SubscriberId(0),
@@ -503,8 +540,8 @@ mod tests {
         }
         let unscoped: Vec<NetMsg> = vec![
             NetMsg::SubInterest(SubInterestMsg {
-                subs: vec![],
                 version: 0,
+                change: InterestChange::Snapshot(vec![]),
             }),
             NetMsg::Client(ClientMsg::Disconnect {
                 sub: SubscriberId(0),

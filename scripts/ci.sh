@@ -34,6 +34,11 @@ if grep -n 'Condvar' crates/crossbeam/src/*.rs; then
   echo "crates/crossbeam is a facade over std::sync::mpsc; a Condvar there is a second queue"; exit 1
 fi
 
+echo "== interest is applied in place: no index rebuilt per interest message =="
+if grep -n 'SubscriptionIndex::new()' crates/core/src/broker/ib.rs; then
+  echo "ib.rs keeps one index per child and applies deltas to it; a fresh index per message re-parses every filter (O(N^2) registration)"; exit 1
+fi
+
 echo "== durability: crash recovery + codec fuzz =="
 # The on-disk format gate: torn-tail / bit-flip recovery property tests
 # and the codec truncation/garbage fuzz (storage lib proptests), real-file

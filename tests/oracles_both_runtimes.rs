@@ -10,15 +10,17 @@
 
 use gryphon_net::NetBuilder;
 use gryphon_sim::{DeliveryPath, Node, NodeCtx, Sim, TimerKey, TraceEvent};
-use gryphon_types::{NetMsg, NodeId, PubendId, SubInterestMsg, SubscriberId, Timestamp};
+use gryphon_types::{
+    InterestChange, NetMsg, NodeId, PubendId, SubInterestMsg, SubscriberId, Timestamp,
+};
 use std::time::Duration;
 
 const P: PubendId = PubendId(0);
 
 fn poke() -> NetMsg {
     NetMsg::SubInterest(SubInterestMsg {
-        subs: vec![],
         version: 0,
+        change: InterestChange::Snapshot(vec![]),
     })
 }
 

@@ -19,7 +19,9 @@ use gryphon_net::NetBuilder;
 use gryphon_sim::forensics::KIND_COMMIT;
 use gryphon_sim::sketch::{DIM_SUB_BYTES, DIM_SUB_LAG};
 use gryphon_sim::{DeliveryPath, Node, NodeCtx, Sim, TimerKey, TraceEvent};
-use gryphon_types::{NetMsg, NodeId, PubendId, SubInterestMsg, SubscriberId, Timestamp};
+use gryphon_types::{
+    InterestChange, NetMsg, NodeId, PubendId, SubInterestMsg, SubscriberId, Timestamp,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -31,8 +33,8 @@ const SLOW_EVERY: u64 = 100;
 
 fn carrier() -> NetMsg {
     NetMsg::SubInterest(SubInterestMsg {
-        subs: vec![],
         version: 0,
+        change: InterestChange::Snapshot(vec![]),
     })
 }
 
