@@ -1,4 +1,4 @@
-//! Matching-engine benchmarks: counting index vs naive scan (the
+//! Matching-engine benchmarks: access-predicate index vs naive scan (the
 //! substrate ablation for Aguilera et al.-style matching).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -25,12 +25,11 @@ fn bench_matching(c: &mut Criterion) {
     for &n in &[100u64, 1_000, 10_000] {
         let index = build_index(n);
         let events: Vec<_> = (0..64).map(bench_event).collect();
-        group.bench_with_input(BenchmarkId::new("counting_index", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("access_index", n), &n, |b, _| {
             let mut out = Vec::new();
-            let mut scratch = MatchScratch::new();
             let mut i = 0usize;
             b.iter(|| {
-                index.matches_into(&events[i % events.len()], &mut scratch, &mut out);
+                index.matches_into(&events[i % events.len()], &mut MatchScratch, &mut out);
                 i += 1;
                 std::hint::black_box(out.len())
             });

@@ -10,7 +10,7 @@
 use super::{now_ticks, Broker};
 use crate::config::NACK_RESPONSE_CHUNK_TICKS;
 use crate::timer::{self, Kind};
-use gryphon_matching::{Filter, SubscriptionIndex};
+use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
 use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_streams::{push_coalesced, RetryPolicy};
 use gryphon_types::{
@@ -248,51 +248,43 @@ impl Broker {
         ctx: &mut dyn NodeCtx,
     ) {
         let hosted = self.hosts(p);
-        // Borrow-split: the scratch leaves `self` while the child's index
-        // (a shared borrow of `self.ib`) drives matching. `take` on a
-        // warmed scratch moves vectors, it does not allocate.
-        let mut scratch = std::mem::take(&mut self.match_scratch);
-        let (out, stamp) = {
-            let state = self.ib.child.get(&child);
-            // Until a child's interest is known (fresh boot / just
-            // restarted), forward unfiltered: over-delivery is safe,
-            // silent downgrades of a subscription's events are not.
-            let index = state.and_then(|c| c.index.as_ref());
-            // The stamp: for locally hosted pubends the child's interest
-            // is applied the moment it arrives; for routed pubends it
-            // must also be confirmed upstream (everything this broker
-            // forwards was filtered up there too).
-            let stamp = match state {
-                Some(c) if hosted => c.version,
-                Some(c) => c.confirmed.min(c.version),
-                None => 0,
-            };
-            let mut out: Vec<KnowledgePart> = Vec::with_capacity(parts.len());
-            for part in parts {
-                match part {
-                    KnowledgePart::Data(e) => {
-                        ctx.work(self.config.costs.match_us);
-                        let relevant = index.map(|i| i.any_match(e, &mut scratch)).unwrap_or(true);
-                        if relevant {
-                            out.push(KnowledgePart::Data(e.clone()));
-                        } else {
-                            // Downgrade to silence; adjacent downgrades
-                            // coalesce into one run.
-                            push_coalesced(
-                                &mut out,
-                                KnowledgePart::Silence {
-                                    from: e.ts,
-                                    to: e.ts,
-                                },
-                            );
-                        }
-                    }
-                    other => push_coalesced(&mut out, other.clone()),
-                }
-            }
-            (out, stamp)
+        let state = self.ib.child.get(&child);
+        // Until a child's interest is known (fresh boot / just
+        // restarted), forward unfiltered: over-delivery is safe,
+        // silent downgrades of a subscription's events are not.
+        let index = state.and_then(|c| c.index.as_ref());
+        // The stamp: for locally hosted pubends the child's interest
+        // is applied the moment it arrives; for routed pubends it
+        // must also be confirmed upstream (everything this broker
+        // forwards was filtered up there too).
+        let stamp = match state {
+            Some(c) if hosted => c.version,
+            Some(c) => c.confirmed.min(c.version),
+            None => 0,
         };
-        self.match_scratch = scratch;
+        let mut out: Vec<KnowledgePart> = Vec::with_capacity(parts.len());
+        for part in parts {
+            match part {
+                KnowledgePart::Data(e) => {
+                    ctx.work(self.config.costs.match_us);
+                    let relevant = index.is_none_or(|i| i.any_match(e, &mut MatchScratch));
+                    if relevant {
+                        out.push(KnowledgePart::Data(e.clone()));
+                    } else {
+                        // Downgrade to silence; adjacent downgrades
+                        // coalesce into one run.
+                        push_coalesced(
+                            &mut out,
+                            KnowledgePart::Silence {
+                                from: e.ts,
+                                to: e.ts,
+                            },
+                        );
+                    }
+                }
+                other => push_coalesced(&mut out, other.clone()),
+            }
+        }
         if out.is_empty() {
             return;
         }

@@ -44,7 +44,6 @@ pub use sub_table::{ParkedStream, PubendMap, SubState, SubscriberTable};
 
 use crate::config::{BrokerConfig, CLIENT_SILENCE_INTERVAL_US, META_PERSIST_INTERVAL_US};
 use crate::timer::{self, Kind};
-use gryphon_matching::MatchScratch;
 use gryphon_sim::{names, traced, Node, NodeCtx, TimerKey, TraceEvent};
 use gryphon_storage::{CommitPipeline, EventLog, MediaFactory, VolumeConfig};
 use gryphon_streams::RetryPolicy;
@@ -77,9 +76,6 @@ pub struct Broker {
     shb: ShbRole,
     /// All per-pubend state, one pipeline per pubend.
     pipelines: HashMap<PubendId, PubendPipeline>,
-    /// Reusable matching scratch for the IB filtering path (zero
-    /// allocations per event once warmed up).
-    match_scratch: MatchScratch,
 }
 
 impl std::fmt::Debug for Broker {
@@ -112,7 +108,6 @@ impl Broker {
             ib: IbRole::default(),
             shb: ShbRole::default(),
             pipelines: HashMap::new(),
-            match_scratch: MatchScratch::new(),
         }
     }
 

@@ -209,8 +209,6 @@ pub struct Shb {
     /// [`Shb::sweep_population`]. A `BTreeMap` for deterministic
     /// ascending-pubend drain order.
     pubend_bytes: BTreeMap<PubendId, u64>,
-    /// Reusable matching scratch for the constream hot path.
-    match_scratch: MatchScratch,
     /// Reusable match-result buffer (slab indices) for the hot path.
     match_buf: Vec<u32>,
     /// Reusable event buffer (`Arc` clones) for the hot path.
@@ -260,7 +258,6 @@ impl Shb {
                 .collect(),
             delivered: 0,
             pubend_bytes: BTreeMap::new(),
-            match_scratch: MatchScratch::new(),
             match_buf: Vec::new(),
             event_buf: Vec::new(),
             gauges: GaugeNames::default(),
@@ -474,7 +471,7 @@ impl Shb {
             for event in &events {
                 ctx.work(config.costs.match_us);
                 self.index
-                    .matches_slots_into(event, &mut self.match_scratch, &mut matched);
+                    .matches_slots_into(event, &mut MatchScratch, &mut matched);
                 if matched.is_empty() {
                     continue;
                 }

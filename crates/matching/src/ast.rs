@@ -136,13 +136,7 @@ impl Predicate {
 }
 
 fn same_type(a: &AttrValue, b: &AttrValue) -> bool {
-    matches!(
-        (a, b),
-        (AttrValue::Int(_), AttrValue::Int(_))
-            | (AttrValue::Float(_), AttrValue::Float(_))
-            | (AttrValue::Str(_), AttrValue::Str(_))
-            | (AttrValue::Bool(_), AttrValue::Bool(_))
-    )
+    std::mem::discriminant(a) == std::mem::discriminant(b)
 }
 
 impl std::fmt::Display for Predicate {
@@ -314,6 +308,19 @@ mod tests {
         let printed = f.to_string();
         let reparsed = Filter::parse(&printed).expect("display should reparse");
         assert_eq!(f, reparsed);
+    }
+
+    #[test]
+    fn whole_number_floats_roundtrip_as_floats() {
+        for text in ["x = 1500.0", "x = 0.0", "x > -0.0", "x = 1e20"] {
+            let f = Filter::parse(text).unwrap();
+            let reparsed = Filter::parse(&f.to_string()).unwrap();
+            assert_eq!(f, reparsed, "{text} printed as {f}");
+        }
+        assert_eq!(
+            Filter::parse("x = 1500.0").unwrap().to_string(),
+            "x = 1500.0"
+        );
     }
 
     #[test]

@@ -1,28 +1,32 @@
-//! Counting-based subscription index.
+//! Access-predicate subscription index.
 //!
-//! The index generalizes the matching-tree idea of Aguilera et al.: each
-//! subscription is a conjunction with `n` predicates; matching an event
-//! means finding, per subscription, how many of its predicates the event
-//! satisfies, and selecting those where the count reaches `n`. Equality
-//! predicates — the overwhelmingly common kind in partitioned workloads —
-//! are satisfied via a single hash lookup per event attribute, so the cost
-//! of matching is proportional to the event's attribute count plus the
-//! number of *candidate* subscriptions, not the total subscription count.
+//! Each subscription is filed under exactly one **access predicate**,
+//! chosen when it is linked. A filter with equality predicates is filed
+//! under the one whose `(attribute, value)` the fewest live filters hold
+//! (ties go to the earliest); a filter with none is filed under its first
+//! predicate's attribute; the empty filter matches everything. Matching an
+//! event probes, per event attribute, only the bucket filed under it and
+//! evaluates the candidates' remaining predicates. The cost is
+//! proportional to the event's attribute count plus the number of
+//! *candidates*, not the total subscription count — the sub-linear
+//! property the matching tree of Aguilera et al. gives Gryphon's brokers.
+//!
+//! The choice is never revisited: if the population's selectivity shifts
+//! later, an old filter may sit in a larger bucket than it would now pick,
+//! which costs speed, never correctness (it is still visited exactly when
+//! its access predicate holds).
 //!
 //! # Hot-path memory model
 //!
 //! Subscriptions live in dense **slots** (`u32` indices recycled through a
-//! free list), so the per-event satisfied-predicate counters are a flat
-//! array indexed by slot, not a hash map keyed by subscriber. The counter
-//! array lives in a caller-owned [`MatchScratch`] and is invalidated
-//! between events by a generation stamp rather than being cleared, so
-//! [`SubscriptionIndex::matches_into`] performs **zero heap allocations
-//! per event** once the scratch has warmed up to the index size. Attribute
-//! names are interned [`AttrName`]s and the equality index is keyed
-//! `name → value → slots`, so probing it borrows the event's own key and
-//! value — no per-event key construction either.
+//! free list). Attribute names are interned [`AttrName`]s and the buckets
+//! are keyed `name → value → slots`, so probing borrows the event's own
+//! key and value. Because a slot sits in exactly one bucket and an event
+//! holds each attribute once, a slot is visited at most once per event:
+//! there are no per-event counters to reset, and matching performs **zero
+//! heap allocations** once the caller's output buffer has warmed up.
 
-use crate::{Filter, Op};
+use crate::{Filter, Op, Predicate};
 use gryphon_types::{AttrName, AttrValue, Event, SubscriberId};
 use std::collections::HashMap;
 
@@ -30,16 +34,14 @@ use std::collections::HashMap;
 struct Slot {
     sub: SubscriberId,
     filter: Filter,
-    /// Number of predicates that must be satisfied.
-    total: u32,
+    /// Index of the predicate the filter is filed under (unused for the
+    /// empty filter, which is filed in `match_all`).
+    access: usize,
 }
 
-/// Caller-owned scratch for [`SubscriptionIndex::matches_into`].
-///
-/// Holds the generation-stamped counter array. Reusing one scratch across
-/// events amortizes its (rare) growth: after it has seen the index's
-/// current size once, matching allocates nothing. A scratch is not tied to
-/// a particular index — it resizes to whatever index it is used with.
+/// An empty placeholder: the access-predicate index keeps no per-event
+/// state, so matching needs no scratch. The matching signatures still
+/// take one so that existing callers keep compiling; any value works.
 ///
 /// # Examples
 ///
@@ -49,53 +51,45 @@ struct Slot {
 ///
 /// let mut idx = SubscriptionIndex::new();
 /// idx.insert(SubscriberId(1), Filter::parse("class = 1").unwrap());
-/// let mut scratch = MatchScratch::new();
 /// let mut out = Vec::new();
 /// let e = Event::builder(PubendId(0)).attr("class", 1i64).build(Timestamp(1));
-/// idx.matches_into(&e, &mut scratch, &mut out);
+/// idx.matches_into(&e, &mut MatchScratch::new(), &mut out);
 /// assert_eq!(out, vec![SubscriberId(1)]);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct MatchScratch {
-    /// Satisfied-predicate count per slot; valid only where the stamp
-    /// matches the current generation.
-    counts: Vec<u32>,
-    /// Generation stamp per slot; `stamps[i] == generation` means
-    /// `counts[i]` belongs to the event currently being matched.
-    stamps: Vec<u64>,
-    /// Slots touched while matching the current event.
-    touched: Vec<u32>,
-    generation: u64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MatchScratch;
 
 impl MatchScratch {
-    /// Creates an empty scratch; it grows to the index size on first use.
+    /// Creates a scratch (it holds nothing).
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
+}
 
-    fn begin(&mut self, slots: usize) {
-        if self.counts.len() < slots {
-            self.counts.resize(slots, 0);
-            self.stamps.resize(slots, 0);
-        }
-        self.generation += 1;
-        self.touched.clear();
-    }
+/// The filters filed under one `attr = value` access predicate.
+#[derive(Debug, Clone, Default)]
+struct EqBucket {
+    /// Live filters holding the predicate, filed here or elsewhere — the
+    /// selectivity estimate the access choice minimises.
+    holders: u32,
+    /// Slots filed under the predicate.
+    slots: Vec<u32>,
+}
 
-    /// Counts one satisfied predicate for `slot`; returns the new count.
-    #[inline]
-    fn bump(&mut self, slot: u32) -> u32 {
-        let i = slot as usize;
-        if self.stamps[i] == self.generation {
-            self.counts[i] += 1;
-        } else {
-            self.stamps[i] = self.generation;
-            self.counts[i] = 1;
-            self.touched.push(slot);
-        }
-        self.counts[i]
-    }
+/// Everything filed under one attribute.
+#[derive(Debug, Clone, Default)]
+struct AttrBuckets {
+    /// `value → bucket` for equality access predicates on the attribute.
+    eq: HashMap<AttrValue, EqBucket>,
+    /// Slots of filters without an equality predicate whose first
+    /// predicate is on the attribute: visited whenever it is present.
+    scan: Vec<u32>,
+}
+
+/// An equality predicate usable as a hash key: `NaN` equals nothing, not
+/// even itself, so a `x = NaN` predicate could never be found again.
+fn keyed(p: &Predicate) -> bool {
+    p.op == Op::Eq && !matches!(p.value, AttrValue::Float(v) if v.is_nan())
 }
 
 /// An index over many subscriptions answering "which subscriptions match
@@ -128,12 +122,9 @@ pub struct SubscriptionIndex {
     slots: Vec<Option<Slot>>,
     /// Recycled slot indices.
     free: Vec<u32>,
-    /// name → value → slots holding an equality predicate on it. Two
-    /// levels so the hot path can probe with the event's own borrowed
-    /// `(AttrName, &AttrValue)` instead of building an owned pair key.
-    eq_index: HashMap<AttrName, HashMap<AttrValue, Vec<u32>>>,
-    /// name → (slot, predicate index) for non-equality predicates.
-    attr_index: HashMap<AttrName, Vec<(u32, u32)>>,
+    /// Access buckets by attribute. Two levels so the hot path can probe
+    /// with the event's own borrowed `(AttrName, &AttrValue)`.
+    buckets: HashMap<AttrName, AttrBuckets>,
     /// Slots with an empty conjunction (match everything).
     match_all: Vec<u32>,
 }
@@ -201,8 +192,8 @@ impl SubscriptionIndex {
     /// let mut idx = SubscriptionIndex::new();
     /// idx.insert_at(7, SubscriberId(42), Filter::parse("a = 1").unwrap());
     /// let e = Event::builder(PubendId(0)).attr("a", 1i64).build(Timestamp(1));
-    /// let (mut scratch, mut out) = (MatchScratch::new(), Vec::new());
-    /// idx.matches_slots_into(&e, &mut scratch, &mut out);
+    /// let mut out = Vec::new();
+    /// idx.matches_slots_into(&e, &mut MatchScratch::new(), &mut out);
     /// assert_eq!(out, vec![7]);
     /// assert_eq!(idx.sub_at(7), Some(SubscriberId(42)));
     /// ```
@@ -217,64 +208,87 @@ impl SubscriptionIndex {
         self.link(slot, sub, filter);
     }
 
-    /// Links a compiled filter into the predicate indexes at `slot`
-    /// (which must be empty).
+    /// Live filters holding the equality predicate `p`.
+    fn holders(&self, p: &Predicate) -> u32 {
+        self.buckets
+            .get(&p.attr)
+            .and_then(|b| b.eq.get(&p.value))
+            .map_or(0, |e| e.holders)
+    }
+
+    /// Files a filter at `slot` (which must be empty) under its access
+    /// predicate, and counts its equality predicates' holders.
     fn link(&mut self, slot: u32, sub: SubscriberId, filter: Filter) {
         debug_assert!(self.slots[slot as usize].is_none(), "occupied slot");
-        let total = filter.predicates().len() as u32;
-        if total == 0 {
-            self.match_all.push(slot);
-        } else {
-            for (i, p) in filter.predicates().iter().enumerate() {
-                if p.op == Op::Eq {
-                    self.eq_index
-                        .entry(p.attr)
-                        .or_default()
-                        .entry(p.value.clone())
-                        .or_default()
-                        .push(slot);
-                } else {
-                    self.attr_index
-                        .entry(p.attr)
-                        .or_default()
-                        .push((slot, i as u32));
-                }
+        let preds = filter.predicates();
+        // `min_by_key` keeps the first of equal minima: ties go to the
+        // earliest predicate.
+        let access = preds
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| keyed(p))
+            .min_by_key(|(_, p)| self.holders(p))
+            .map_or(0, |(i, _)| i);
+        for (i, p) in preds.iter().enumerate().filter(|(_, p)| keyed(p)) {
+            let by_value = &mut self.buckets.entry(p.attr).or_default().eq;
+            let bucket = by_value.entry(p.value.clone()).or_default();
+            bucket.holders += 1;
+            if i == access {
+                bucket.slots.push(slot);
             }
         }
-        self.slots[slot as usize] = Some(Slot { sub, filter, total });
+        match preds.get(access) {
+            None => self.match_all.push(slot),
+            Some(p) if !keyed(p) => self.buckets.entry(p.attr).or_default().scan.push(slot),
+            Some(_) => {}
+        }
+        self.slots[slot as usize] = Some(Slot {
+            sub,
+            filter,
+            access,
+        });
         self.slot_of.insert(sub, slot);
     }
 
     /// Unlinks whatever occupies `slot` without recycling the index —
     /// the caller owns slot assignment (see [`Self::insert_at`]).
     fn detach(&mut self, slot: u32) -> Option<Filter> {
-        let compiled = self.slots.get_mut(slot as usize)?.take()?;
-        self.slot_of.remove(&compiled.sub);
-        if compiled.total == 0 {
-            self.match_all.retain(|&s| s != slot);
-        } else {
-            for p in compiled.filter.predicates() {
-                if p.op == Op::Eq {
-                    if let Some(by_value) = self.eq_index.get_mut(&p.attr) {
-                        if let Some(v) = by_value.get_mut(&p.value) {
-                            v.retain(|&s| s != slot);
-                            if v.is_empty() {
-                                by_value.remove(&p.value);
-                            }
-                        }
-                        if by_value.is_empty() {
-                            self.eq_index.remove(&p.attr);
-                        }
-                    }
-                } else if let Some(v) = self.attr_index.get_mut(&p.attr) {
-                    v.retain(|&(s, _)| s != slot);
-                    if v.is_empty() {
-                        self.attr_index.remove(&p.attr);
-                    }
-                }
+        let s = self.slots.get_mut(slot as usize)?.take()?;
+        self.slot_of.remove(&s.sub);
+        let preds = s.filter.predicates();
+        match preds.get(s.access) {
+            None => self.match_all.retain(|&x| x != slot),
+            Some(p) if !keyed(p) => {
+                let b = self.buckets.get_mut(&p.attr).expect("filed attribute");
+                b.scan.retain(|&x| x != slot);
+                self.prune(p.attr);
+            }
+            Some(_) => {}
+        }
+        for (i, p) in preds.iter().enumerate().filter(|(_, p)| keyed(p)) {
+            let by_value = &mut self.buckets.get_mut(&p.attr).expect("held attribute").eq;
+            let bucket = by_value.get_mut(&p.value).expect("held value");
+            bucket.holders -= 1;
+            if i == s.access {
+                bucket.slots.retain(|&x| x != slot);
+            }
+            if bucket.holders == 0 {
+                by_value.remove(&p.value);
+                self.prune(p.attr);
             }
         }
-        Some(compiled.filter)
+        Some(s.filter)
+    }
+
+    /// Drops `attr`'s entry once nothing is filed or held under it.
+    fn prune(&mut self, attr: AttrName) {
+        if self
+            .buckets
+            .get(&attr)
+            .is_some_and(|b| b.eq.is_empty() && b.scan.is_empty())
+        {
+            self.buckets.remove(&attr);
+        }
     }
 
     /// Removes `sub`; returns its filter if it was registered.
@@ -310,22 +324,49 @@ impl SubscriptionIndex {
             .map(|s| (s.sub, &s.filter))
     }
 
+    /// Calls `stop(slot, access_holds)` on every slot filed under one of
+    /// `event`'s attributes, each at most once: the slots under
+    /// `attr = value` (their access predicate holds) and the attribute's
+    /// scan list (theirs is still to be evaluated). Returns `true` as soon
+    /// as `stop` does.
+    fn candidates(&self, event: &Event, mut stop: impl FnMut(u32, bool) -> bool) -> bool {
+        event.attrs.iter().any(|(attr, value)| {
+            let Some(b) = self.buckets.get(attr) else {
+                return false;
+            };
+            let filed = b.eq.get(value).map_or(&[][..], |e| e.slots.as_slice());
+            filed.iter().any(|&slot| stop(slot, true))
+                || b.scan.iter().any(|&slot| stop(slot, false))
+        })
+    }
+
+    /// The visitor behind every matching entry point: calls `stop` on the
+    /// match-all slots, then on each candidate whose other predicates
+    /// hold too. Returns `true` as soon as `stop` does.
+    fn visit(&self, event: &Event, mut stop: impl FnMut(u32) -> bool) -> bool {
+        self.match_all.iter().any(|&slot| stop(slot))
+            || self.candidates(event, |slot, access_holds| {
+                let s = self.slot(slot);
+                let mut preds = s.filter.predicates().iter().enumerate();
+                preds.all(|(i, p)| (access_holds && i == s.access) || p.eval(event)) && stop(slot)
+            })
+    }
+
     /// All subscriptions matching `event`, in ascending subscriber order.
     ///
-    /// Convenience wrapper that allocates a fresh scratch and output
-    /// vector; hot paths should hold a [`MatchScratch`] and use
-    /// [`SubscriptionIndex::matches_into`].
+    /// Convenience wrapper that allocates the output vector; hot paths
+    /// reuse one through [`SubscriptionIndex::matches_into`].
     pub fn matches(&self, event: &Event) -> Vec<SubscriberId> {
-        let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
-        self.matches_into(event, &mut scratch, &mut out);
+        self.matches_into(event, &mut MatchScratch, &mut out);
         out
     }
 
-    /// Like [`SubscriptionIndex::matches`] but reuses caller-owned scratch
-    /// and output buffers — the hot path for brokers matching hundreds of
+    /// Like [`SubscriptionIndex::matches`] but reuses a caller-owned
+    /// output buffer — the hot path for brokers matching hundreds of
     /// thousands of events per second. Performs no heap allocation once
-    /// `scratch` and `out` have grown to the index's size.
+    /// `out` has grown to the largest result set. `_scratch` is unused
+    /// (see [`MatchScratch`]).
     ///
     /// `out` is cleared and then filled in ascending [`SubscriberId`]
     /// order (a stable, specified order: broker emission must not depend
@@ -333,38 +374,14 @@ impl SubscriptionIndex {
     pub fn matches_into(
         &self,
         event: &Event,
-        scratch: &mut MatchScratch,
+        _scratch: &mut MatchScratch,
         out: &mut Vec<SubscriberId>,
     ) {
         out.clear();
-        for &slot in &self.match_all {
+        self.visit(event, |slot| {
             out.push(self.slot(slot).sub);
-        }
-        if self.slot_of.len() > self.match_all.len() {
-            scratch.begin(self.slots.len());
-            for (attr, value) in &event.attrs {
-                if let Some(slots) = self.eq_index.get(attr).and_then(|m| m.get(value)) {
-                    for &slot in slots {
-                        scratch.bump(slot);
-                    }
-                }
-                if let Some(cands) = self.attr_index.get(attr) {
-                    for &(slot, pi) in cands {
-                        let s = self.slot(slot);
-                        if s.filter.predicates()[pi as usize].eval_value(value) {
-                            scratch.bump(slot);
-                        }
-                    }
-                }
-            }
-            for i in 0..scratch.touched.len() {
-                let slot = scratch.touched[i];
-                let s = self.slot(slot);
-                if scratch.counts[slot as usize] == s.total {
-                    out.push(s.sub);
-                }
-            }
-        }
+            false
+        });
         out.sort_unstable();
     }
 
@@ -378,39 +395,18 @@ impl SubscriptionIndex {
     /// the slots' tenants — the same specified emission order as
     /// [`Self::matches_into`], so downstream delivery order stays
     /// independent of slot recycling history. Performs no heap allocation
-    /// once `scratch` and `out` have warmed up to the index size.
+    /// once `out` has warmed up.
     pub fn matches_slots_into(
         &self,
         event: &Event,
-        scratch: &mut MatchScratch,
+        _scratch: &mut MatchScratch,
         out: &mut Vec<u32>,
     ) {
         out.clear();
-        out.extend_from_slice(&self.match_all);
-        if self.slot_of.len() > self.match_all.len() {
-            scratch.begin(self.slots.len());
-            for (attr, value) in &event.attrs {
-                if let Some(slots) = self.eq_index.get(attr).and_then(|m| m.get(value)) {
-                    for &slot in slots {
-                        scratch.bump(slot);
-                    }
-                }
-                if let Some(cands) = self.attr_index.get(attr) {
-                    for &(slot, pi) in cands {
-                        let s = self.slot(slot);
-                        if s.filter.predicates()[pi as usize].eval_value(value) {
-                            scratch.bump(slot);
-                        }
-                    }
-                }
-            }
-            for i in 0..scratch.touched.len() {
-                let slot = scratch.touched[i];
-                if scratch.counts[slot as usize] == self.slot(slot).total {
-                    out.push(slot);
-                }
-            }
-        }
+        self.visit(event, |slot| {
+            out.push(slot);
+            false
+        });
         out.sort_unstable_by_key(|&slot| self.slot(slot).sub);
     }
 
@@ -432,36 +428,10 @@ impl SubscriptionIndex {
 
     /// `true` when *any* registered subscription matches `event` — the
     /// question intermediate brokers ask when deciding whether to forward
-    /// a data tick or downgrade it to silence. Allocation-free given a
-    /// warmed-up `scratch`, and exits as soon as one conjunction fills.
-    pub fn any_match(&self, event: &Event, scratch: &mut MatchScratch) -> bool {
-        if !self.match_all.is_empty() {
-            return true;
-        }
-        if self.slot_of.is_empty() {
-            return false;
-        }
-        scratch.begin(self.slots.len());
-        for (attr, value) in &event.attrs {
-            if let Some(slots) = self.eq_index.get(attr).and_then(|m| m.get(value)) {
-                for &slot in slots {
-                    if scratch.bump(slot) == self.slot(slot).total {
-                        return true;
-                    }
-                }
-            }
-            if let Some(cands) = self.attr_index.get(attr) {
-                for &(slot, pi) in cands {
-                    let s = self.slot(slot);
-                    if s.filter.predicates()[pi as usize].eval_value(value)
-                        && scratch.bump(slot) == s.total
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+    /// a data tick or downgrade it to silence. Allocation-free, and exits
+    /// at the first match.
+    pub fn any_match(&self, event: &Event, _scratch: &mut MatchScratch) -> bool {
+        self.visit(event, |_| true)
     }
 }
 
@@ -540,8 +510,7 @@ mod tests {
         assert!(idx.remove(SubscriberId(1)).is_none());
         assert!(idx.matches(&event(1, 20)).is_empty());
         assert!(idx.is_empty());
-        assert!(idx.eq_index.is_empty());
-        assert!(idx.attr_index.is_empty());
+        assert!(idx.buckets.is_empty());
     }
 
     #[test]
@@ -651,7 +620,7 @@ mod tests {
     fn output_order_is_ascending_and_stable() {
         // Insert in descending id order with a mix of match-all, equality
         // and range filters: output must still be ascending by id, and
-        // identical across repeated calls with a shared scratch.
+        // identical across repeated calls.
         let mut idx = SubscriptionIndex::new();
         idx.insert(SubscriberId(30), Filter::match_all());
         idx.insert(SubscriberId(20), Filter::parse("price >= 0").unwrap());
@@ -676,21 +645,111 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reusable_across_indexes() {
-        let mut a = SubscriptionIndex::new();
-        a.insert(SubscriberId(1), Filter::parse("class = 1").unwrap());
-        let mut big = SubscriptionIndex::new();
-        for i in 0..64 {
-            big.insert(
-                SubscriberId(i),
-                Filter::parse(&format!("class = {}", i % 4)).unwrap(),
-            );
+    fn signed_zero_equality_matches_through_the_index() {
+        let mut idx = SubscriptionIndex::new();
+        idx.insert(SubscriberId(1), Filter::parse("x = 0.0").unwrap());
+        idx.insert(SubscriberId(2), Filter::parse("x = -0.0").unwrap());
+        for x in [0.0, -0.0] {
+            let e = Event::builder(PubendId(0)).attr("x", x).build(Timestamp(1));
+            assert_eq!(idx.matches(&e), vec![SubscriberId(1), SubscriberId(2)]);
+            assert_eq!(idx.matches(&e), idx.matches_naive(&e));
         }
-        let mut scratch = MatchScratch::new();
-        let mut out = Vec::new();
-        big.matches_into(&event(1, 0), &mut scratch, &mut out);
-        assert_eq!(out.len(), 16);
-        a.matches_into(&event(1, 0), &mut scratch, &mut out);
-        assert_eq!(out, vec![SubscriberId(1)]);
+    }
+
+    fn access_of(idx: &SubscriptionIndex, sub: u64) -> usize {
+        idx.slot(idx.slot_of[&SubscriberId(sub)]).access
+    }
+
+    #[test]
+    fn access_is_the_least_held_equality_predicate() {
+        let mut idx = SubscriptionIndex::new();
+        // A tie (nothing held yet) goes to the earliest predicate.
+        idx.insert(SubscriberId(1), Filter::parse("a = 1 && b = 2").unwrap());
+        assert_eq!(access_of(&idx, 1), 0);
+        // `a = 1` is now held once, `b = 3` never: file under `b`.
+        idx.insert(
+            SubscriberId(2),
+            Filter::parse("price > 3 && a = 1 && b = 3").unwrap(),
+        );
+        assert_eq!(access_of(&idx, 2), 2);
+        // No equality predicate: the first predicate's attribute.
+        idx.insert(
+            SubscriberId(3),
+            Filter::parse("price > 3 && a != 1").unwrap(),
+        );
+        assert_eq!(access_of(&idx, 3), 0);
+        // Holders count every live filter holding the pair, wherever it
+        // is filed: `b = 3` (held by sub 2) beats `a = 1` (subs 1 and 2).
+        idx.insert(SubscriberId(4), Filter::parse("a = 1 && b = 3").unwrap());
+        assert_eq!(access_of(&idx, 4), 1);
+        for sub in 1..=4 {
+            idx.remove(SubscriberId(sub));
+        }
+        assert!(idx.buckets.is_empty(), "holder counts must drain");
+    }
+
+    #[test]
+    fn nan_equality_is_filed_on_the_scan_list_and_removed_cleanly() {
+        let mut idx = SubscriptionIndex::new();
+        let nan = Filter::new(vec![crate::Predicate::new(
+            "x",
+            Op::Eq,
+            AttrValue::Float(f64::NAN),
+        )]);
+        idx.insert(SubscriberId(1), nan);
+        let e = Event::builder(PubendId(0))
+            .attr("x", f64::NAN)
+            .build(Timestamp(1));
+        assert!(idx.matches(&e).is_empty());
+        idx.remove(SubscriberId(1));
+        assert!(idx.buckets.is_empty());
+    }
+
+    /// The `selective` workload's filter shape at `n` subscribers: 20
+    /// per symbol, four regions, a price threshold each.
+    fn selective(n: u32) -> (SubscriptionIndex, Vec<Event>) {
+        let syms = n / 20;
+        let mut idx = SubscriptionIndex::new();
+        for j in 0..n {
+            let f = format!(
+                "sym = 'S{}' && price > {} && region = {}",
+                j % syms,
+                j % 100,
+                j % 4
+            );
+            idx.insert_at(j, SubscriberId(j as u64 + 1), Filter::parse(&f).unwrap());
+        }
+        let events = (0..64)
+            .map(|k: u32| {
+                Event::builder(PubendId(0))
+                    .attr("sym", format!("S{}", k * 7 % syms))
+                    .attr("price", (k * 13 % 100) as i64)
+                    .attr("region", (k % 4) as i64)
+                    .attr("volume", k as i64)
+                    .attr("exch", "NYSE")
+                    .build(Timestamp(k as u64 + 1))
+            })
+            .collect();
+        (idx, events)
+    }
+
+    #[test]
+    fn selective_candidates_per_event_do_not_grow_with_subscribers() {
+        for n in [1_000, 10_000] {
+            let (idx, events) = selective(n);
+            let mut out = Vec::new();
+            for e in &events {
+                // Only the event's symbol bucket is visited: `region`
+                // holds 250× more filters and `price` files none.
+                let mut visited = 0;
+                idx.candidates(e, |_, _| {
+                    visited += 1;
+                    false
+                });
+                assert_eq!(visited, 20, "n = {n}");
+                idx.matches_into(e, &mut MatchScratch, &mut out);
+                assert_eq!(out, idx.matches_naive(e));
+            }
+        }
     }
 }

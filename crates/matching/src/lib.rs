@@ -8,11 +8,11 @@
 //! * a [`Filter`] AST: a conjunction of [`Predicate`]s over attributes;
 //! * a text grammar and [parser](Filter::parse):
 //!   `class = 2 && price > 10.5 && symbol =p 'IB'`;
-//! * [`SubscriptionIndex`], a counting-based matcher that evaluates one
-//!   event against *all* registered subscriptions far faster than a linear
-//!   scan when subscriptions share equality predicates (the common case in
-//!   the paper's workloads, where subscribers partition on a `class`
-//!   attribute).
+//! * [`SubscriptionIndex`], an access-predicate matcher: each subscription
+//!   is filed under one of its predicates (its least-shared equality
+//!   predicate when it has one), and an event visits only the
+//!   subscriptions filed under its own attribute values, so matching costs
+//!   per *candidate*, not per registered subscription.
 //!
 //! # Examples
 //!

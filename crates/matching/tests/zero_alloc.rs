@@ -1,10 +1,10 @@
 //! Proves `matches_into` allocates nothing per event after warm-up.
 //!
 //! A counting global allocator wraps the system allocator; after warming
-//! the index, scratch and output buffer, a burst of matching calls must
-//! leave the allocation counter untouched. This is the load-bearing
-//! property behind the broker's per-event cost model: matching cost is
-//! hash probes and counter bumps, never allocator traffic.
+//! the index and output buffer, a burst of matching calls must leave the
+//! allocation counter untouched. This is the load-bearing property behind
+//! the broker's per-event cost model: matching cost is hash probes and
+//! predicate evaluations, never allocator traffic.
 //!
 //! The file contains a single `#[test]` on purpose: the default test
 //! harness runs tests on multiple threads and the counter is process-wide,
@@ -51,7 +51,7 @@ fn mk_event(seq: i64) -> Event {
 #[test]
 fn matches_into_allocates_nothing_after_warmup() {
     // A paper-style workload: equality partition on `class`, plus some
-    // range and prefix predicates that exercise the attr_index path, plus
+    // range and prefix predicates that exercise the scan-list path, plus
     // match-all subscriptions.
     let mut idx = SubscriptionIndex::new();
     for i in 0..64u64 {
@@ -68,8 +68,8 @@ fn matches_into_allocates_nothing_after_warmup() {
     let mut scratch = MatchScratch::new();
     let mut out = Vec::new();
 
-    // Warm-up: grows scratch to the index size and `out` to the largest
-    // result set; also faults in the interner's read path.
+    // Warm-up: grows `out` to the largest result set; also faults in the
+    // interner's read path.
     let mut warm_hits = 0usize;
     for e in &events {
         idx.matches_into(e, &mut scratch, &mut out);

@@ -69,6 +69,8 @@ impl std::hash::Hash for AttrValue {
             }
             AttrValue::Float(v) => {
                 1u8.hash(state);
+                // `0.0 == -0.0`, so both zeros must hash alike.
+                let v = if *v == 0.0 { 0.0f64 } else { *v };
                 v.to_bits().hash(state);
             }
             AttrValue::Str(v) => {
@@ -84,10 +86,10 @@ impl std::hash::Hash for AttrValue {
 }
 
 // Hash/Eq consistency: `eq` only holds within one variant and delegates to
-// the inner value; Float uses bit-equality for hashing, and f64::eq on
-// distinct bit patterns that compare equal (0.0 vs -0.0) is accepted as a
-// benign collision-miss (equality-indexed predicates on floats are rare; the
-// range path handles them).
+// the inner value. Float hashes its bits with the two zeros folded into one,
+// so equal floats hash equally; `NaN` equals nothing, not even itself (the
+// one way this `Eq` is not reflexive), so it is never found by hash lookup —
+// which is also what `NaN never matches` asks for.
 impl Eq for AttrValue {}
 
 impl From<i64> for AttrValue {
@@ -120,7 +122,9 @@ impl std::fmt::Display for AttrValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AttrValue::Int(v) => write!(f, "{v}"),
-            AttrValue::Float(v) => write!(f, "{v}"),
+            // `Debug` keeps the point (`1500.0`, `1e20`), so a printed
+            // float reparses as a float, not an integer.
+            AttrValue::Float(v) => write!(f, "{v:?}"),
             AttrValue::Str(v) => write!(f, "'{v}'"),
             AttrValue::Bool(v) => write!(f, "{v}"),
         }
@@ -299,6 +303,25 @@ mod tests {
         let nan = AttrValue::Float(f64::NAN);
         assert!(nan.partial_cmp(&AttrValue::Float(0.0)).is_none());
         assert_ne!(nan, AttrValue::Float(f64::NAN));
+    }
+
+    #[test]
+    fn equal_zeros_hash_equally() {
+        use std::hash::{BuildHasher, RandomState};
+        let h = RandomState::new();
+        assert_eq!(AttrValue::Float(0.0), AttrValue::Float(-0.0));
+        assert_eq!(
+            h.hash_one(AttrValue::Float(0.0)),
+            h.hash_one(AttrValue::Float(-0.0))
+        );
+    }
+
+    #[test]
+    fn whole_floats_display_with_a_point() {
+        assert_eq!(AttrValue::Float(1500.0).to_string(), "1500.0");
+        assert_eq!(AttrValue::Float(-0.0).to_string(), "-0.0");
+        assert_eq!(AttrValue::Float(10.5).to_string(), "10.5");
+        assert_eq!(AttrValue::Int(1500).to_string(), "1500");
     }
 
     #[test]

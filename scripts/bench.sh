@@ -6,8 +6,9 @@
 # arrays at the repo root (end-to-end numbers on the threaded runtime
 # come from benchmark/run.sh instead — see BENCHMARK.json):
 #
-#   BENCH_matching.json     — matching + matching_hot (interned scratch
-#                             index, plus naive-scan reference)
+#   BENCH_matching.json     — matching + matching_hot (access-predicate
+#                             index on class-partition and selective
+#                             filters, plus naive-scan reference)
 #   BENCH_shb_scale.json    — SHB slab hot paths (steady delivery,
 #                             park/rehydrate, slot-recycling churn) at
 #                             10k and 100k idle durable subscriptions
