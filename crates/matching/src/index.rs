@@ -1,9 +1,8 @@
 //! Access-predicate subscription index.
 //!
 //! Each subscription is filed under exactly one **access predicate**,
-//! chosen when it is linked. A filter with equality predicates is filed
-//! under the one whose `(attribute, value)` the fewest live filters hold
-//! (ties go to the earliest); a filter with none is filed under its first
+//! chosen when it is linked. A filter with an equality predicate is filed
+//! under its first one; a filter with none is filed under its first
 //! predicate's attribute; the empty filter matches everything. Matching an
 //! event probes, per event attribute, only the bucket filed under it and
 //! evaluates the candidates' remaining predicates. The cost is
@@ -11,8 +10,8 @@
 //! *candidates*, not the total subscription count — the sub-linear
 //! property the matching tree of Aguilera et al. gives Gryphon's brokers.
 //!
-//! The choice is never revisited: if the population's selectivity shifts
-//! later, an old filter may sit in a larger bucket than it would now pick,
+//! The choice ignores selectivity: a filter whose first equality
+//! predicate is common sits in a large bucket even if a later one is rare,
 //! which costs speed, never correctness (it is still visited exactly when
 //! its access predicate holds).
 //!
@@ -66,21 +65,11 @@ impl MatchScratch {
     }
 }
 
-/// The filters filed under one `attr = value` access predicate.
-#[derive(Debug, Clone, Default)]
-struct EqBucket {
-    /// Live filters holding the predicate, filed here or elsewhere — the
-    /// selectivity estimate the access choice minimises.
-    holders: u32,
-    /// Slots filed under the predicate.
-    slots: Vec<u32>,
-}
-
 /// Everything filed under one attribute.
 #[derive(Debug, Clone, Default)]
 struct AttrBuckets {
-    /// `value → bucket` for equality access predicates on the attribute.
-    eq: HashMap<AttrValue, EqBucket>,
+    /// `value → slots` filed under an `attr = value` access predicate.
+    eq: HashMap<AttrValue, Vec<u32>>,
     /// Slots of filters without an equality predicate whose first
     /// predicate is on the attribute: visited whenever it is present.
     scan: Vec<u32>,
@@ -208,39 +197,22 @@ impl SubscriptionIndex {
         self.link(slot, sub, filter);
     }
 
-    /// Live filters holding the equality predicate `p`.
-    fn holders(&self, p: &Predicate) -> u32 {
-        self.buckets
-            .get(&p.attr)
-            .and_then(|b| b.eq.get(&p.value))
-            .map_or(0, |e| e.holders)
-    }
-
     /// Files a filter at `slot` (which must be empty) under its access
-    /// predicate, and counts its equality predicates' holders.
+    /// predicate.
     fn link(&mut self, slot: u32, sub: SubscriberId, filter: Filter) {
         debug_assert!(self.slots[slot as usize].is_none(), "occupied slot");
         let preds = filter.predicates();
-        // `min_by_key` keeps the first of equal minima: ties go to the
-        // earliest predicate.
-        let access = preds
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| keyed(p))
-            .min_by_key(|(_, p)| self.holders(p))
-            .map_or(0, |(i, _)| i);
-        for (i, p) in preds.iter().enumerate().filter(|(_, p)| keyed(p)) {
-            let by_value = &mut self.buckets.entry(p.attr).or_default().eq;
-            let bucket = by_value.entry(p.value.clone()).or_default();
-            bucket.holders += 1;
-            if i == access {
-                bucket.slots.push(slot);
-            }
-        }
+        let access = preds.iter().position(keyed).unwrap_or(0);
         match preds.get(access) {
             None => self.match_all.push(slot),
-            Some(p) if !keyed(p) => self.buckets.entry(p.attr).or_default().scan.push(slot),
-            Some(_) => {}
+            Some(p) => {
+                let b = self.buckets.entry(p.attr).or_default();
+                if keyed(p) {
+                    b.eq.entry(p.value.clone()).or_default().push(slot);
+                } else {
+                    b.scan.push(slot);
+                }
+            }
         }
         self.slots[slot as usize] = Some(Slot {
             sub,
@@ -255,40 +227,25 @@ impl SubscriptionIndex {
     fn detach(&mut self, slot: u32) -> Option<Filter> {
         let s = self.slots.get_mut(slot as usize)?.take()?;
         self.slot_of.remove(&s.sub);
-        let preds = s.filter.predicates();
-        match preds.get(s.access) {
+        match s.filter.predicates().get(s.access) {
             None => self.match_all.retain(|&x| x != slot),
-            Some(p) if !keyed(p) => {
+            Some(p) => {
                 let b = self.buckets.get_mut(&p.attr).expect("filed attribute");
-                b.scan.retain(|&x| x != slot);
-                self.prune(p.attr);
-            }
-            Some(_) => {}
-        }
-        for (i, p) in preds.iter().enumerate().filter(|(_, p)| keyed(p)) {
-            let by_value = &mut self.buckets.get_mut(&p.attr).expect("held attribute").eq;
-            let bucket = by_value.get_mut(&p.value).expect("held value");
-            bucket.holders -= 1;
-            if i == s.access {
-                bucket.slots.retain(|&x| x != slot);
-            }
-            if bucket.holders == 0 {
-                by_value.remove(&p.value);
-                self.prune(p.attr);
+                if keyed(p) {
+                    let filed = b.eq.get_mut(&p.value).expect("filed value");
+                    filed.retain(|&x| x != slot);
+                    if filed.is_empty() {
+                        b.eq.remove(&p.value);
+                    }
+                } else {
+                    b.scan.retain(|&x| x != slot);
+                }
+                if b.eq.is_empty() && b.scan.is_empty() {
+                    self.buckets.remove(&p.attr);
+                }
             }
         }
         Some(s.filter)
-    }
-
-    /// Drops `attr`'s entry once nothing is filed or held under it.
-    fn prune(&mut self, attr: AttrName) {
-        if self
-            .buckets
-            .get(&attr)
-            .is_some_and(|b| b.eq.is_empty() && b.scan.is_empty())
-        {
-            self.buckets.remove(&attr);
-        }
     }
 
     /// Removes `sub`; returns its filter if it was registered.
@@ -334,7 +291,7 @@ impl SubscriptionIndex {
             let Some(b) = self.buckets.get(attr) else {
                 return false;
             };
-            let filed = b.eq.get(value).map_or(&[][..], |e| e.slots.as_slice());
+            let filed = b.eq.get(value).map_or(&[][..], Vec::as_slice);
             filed.iter().any(|&slot| stop(slot, true))
                 || b.scan.iter().any(|&slot| stop(slot, false))
         })
@@ -645,6 +602,25 @@ mod tests {
     }
 
     #[test]
+    fn scratch_is_reusable_across_indexes() {
+        let mut a = SubscriptionIndex::new();
+        a.insert(SubscriberId(1), Filter::parse("class = 1").unwrap());
+        let mut big = SubscriptionIndex::new();
+        for i in 0..64 {
+            big.insert(
+                SubscriberId(i),
+                Filter::parse(&format!("class = {}", i % 4)).unwrap(),
+            );
+        }
+        let mut scratch = MatchScratch::new();
+        let mut out = Vec::new();
+        big.matches_into(&event(1, 0), &mut scratch, &mut out);
+        assert_eq!(out.len(), 16);
+        a.matches_into(&event(1, 0), &mut scratch, &mut out);
+        assert_eq!(out, vec![SubscriberId(1)]);
+    }
+
+    #[test]
     fn signed_zero_equality_matches_through_the_index() {
         let mut idx = SubscriptionIndex::new();
         idx.insert(SubscriberId(1), Filter::parse("x = 0.0").unwrap());
@@ -661,31 +637,25 @@ mod tests {
     }
 
     #[test]
-    fn access_is_the_least_held_equality_predicate() {
+    fn access_is_the_first_equality_predicate() {
         let mut idx = SubscriptionIndex::new();
-        // A tie (nothing held yet) goes to the earliest predicate.
         idx.insert(SubscriberId(1), Filter::parse("a = 1 && b = 2").unwrap());
         assert_eq!(access_of(&idx, 1), 0);
-        // `a = 1` is now held once, `b = 3` never: file under `b`.
         idx.insert(
             SubscriberId(2),
             Filter::parse("price > 3 && a = 1 && b = 3").unwrap(),
         );
-        assert_eq!(access_of(&idx, 2), 2);
+        assert_eq!(access_of(&idx, 2), 1);
         // No equality predicate: the first predicate's attribute.
         idx.insert(
             SubscriberId(3),
             Filter::parse("price > 3 && a != 1").unwrap(),
         );
         assert_eq!(access_of(&idx, 3), 0);
-        // Holders count every live filter holding the pair, wherever it
-        // is filed: `b = 3` (held by sub 2) beats `a = 1` (subs 1 and 2).
-        idx.insert(SubscriberId(4), Filter::parse("a = 1 && b = 3").unwrap());
-        assert_eq!(access_of(&idx, 4), 1);
-        for sub in 1..=4 {
+        for sub in 1..=3 {
             idx.remove(SubscriberId(sub));
         }
-        assert!(idx.buckets.is_empty(), "holder counts must drain");
+        assert!(idx.buckets.is_empty(), "buckets must drain");
     }
 
     #[test]

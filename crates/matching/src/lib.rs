@@ -9,8 +9,8 @@
 //! * a text grammar and [parser](Filter::parse):
 //!   `class = 2 && price > 10.5 && symbol =p 'IB'`;
 //! * [`SubscriptionIndex`], an access-predicate matcher: each subscription
-//!   is filed under one of its predicates (its least-shared equality
-//!   predicate when it has one), and an event visits only the
+//!   is filed under one of its predicates (its first equality predicate
+//!   when it has one), and an event visits only the
 //!   subscriptions filed under its own attribute values, so matching costs
 //!   per *candidate*, not per registered subscription.
 //!

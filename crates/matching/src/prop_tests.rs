@@ -69,7 +69,8 @@ fn events_over(value: impl Strategy<Value = AttrValue>) -> impl Strategy<Value =
 
 /// Two to four equality predicates drawn from a pool of nine
 /// `(attr, value)` pairs, plus maybe one arbitrary predicate: filters
-/// share pairs, so which one each is filed under depends on history.
+/// share pairs, so one bucket holds several filters, some of which also
+/// hold another bucket's pair.
 fn arb_shared_filter() -> impl Strategy<Value = Filter> {
     (
         prop::collection::vec((0..3usize, 0..3i64), 2..5),
