@@ -121,7 +121,7 @@ impl PerSubscriberLog {
         for t in dead {
             map.remove(&t);
         }
-        self.volume.chop(stream, boundary)
+        self.volume.chop(stream, boundary, 0)
     }
 
     /// Reads `sub`'s logged events with `ts > from`, ascending — the

@@ -53,7 +53,8 @@ fn bench_log_volume(c: &mut Criterion) {
         b.iter(|| {
             let idx = vol.append(StreamId(0), &payload).expect("append");
             if idx.0 % 64 == 63 {
-                vol.chop(StreamId(0), LogIndex(idx.0 - 32)).expect("chop");
+                vol.chop(StreamId(0), LogIndex(idx.0 - 32), 0)
+                    .expect("chop");
             }
             std::hint::black_box(idx)
         });

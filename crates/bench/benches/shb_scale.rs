@@ -85,10 +85,10 @@ fn connect_one(
 fn bench_shb_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("shb_scale");
     // Long windows on purpose: churn and delivery both commit to the
-    // durable meta registry, whose WAL compacts (O(population)) every
+    // durable meta registry, whose log compacts (O(population)) every
     // ~13k commits. A 50 ms window catches 0-or-1 compactions and turns
     // the number bimodal; 1 s amortizes enough of them (at 100k subs a
-    // single compaction snapshots the whole registry) to keep the mean
+    // single compaction rewrites the whole registry) to keep the mean
     // well inside the perf gate's 2x slack run-to-run.
     group.measurement_time(std::time::Duration::from_secs(1));
     for &n in &[10_000u64, 100_000] {

@@ -861,8 +861,13 @@ impl Broker {
                     // sync whenever it deletes a segment file, and a chop
                     // frame still in the tail is allowed to be lost (the
                     // release decision is then forgotten atomically).
-                    log.with(|l| pe.apply_release(released, latest, now, &self.config, l))
-                        .unwrap_or(None)
+                    match log.with(|l| pe.apply_release(released, latest, now, &self.config, l)) {
+                        Ok(advanced) => advanced,
+                        Err(_) => {
+                            ctx.count("phb.chop_err", 1.0);
+                            None
+                        }
+                    }
                 };
                 if let Some(lost) = advanced {
                     ctx.count("phb.early_release_advances", 1.0);
@@ -872,7 +877,9 @@ impl Broker {
                     }));
                     traced!(ctx.count(names::RELEASE_L_CONVERSIONS, 1.0));
                     if let Some(shb) = self.shb.state.as_mut() {
-                        let _ = shb.meta.put_u64(&format!("lost/{}", p.0), lost.0);
+                        if shb.meta.put_u64(&format!("lost/{}", p.0), lost.0).is_err() {
+                            ctx.count("shb.meta_err", 1.0);
+                        }
                     }
                 }
                 // Report forward progress of the aggregated release point

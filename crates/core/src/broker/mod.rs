@@ -189,12 +189,10 @@ impl Broker {
         if self.shb.hosts_subscribers {
             self.shb.state = Some(Shb::open(self.factory.as_ref(), &format!("b{}", self.id)));
         }
-        // PHB brokers without an SHB still need the lost prefix durable;
-        // they reuse an SHB-style meta table lazily. To keep things
-        // simple every PHB gets an SHB meta only if it hosts subscribers;
-        // pure PHBs persist lost_to inside the event-log volume via a
-        // dedicated chop marker — the chop itself is the durable record,
-        // recovered as chopped_below. Restore from it:
+        // Every PHB, pure or not, keeps its lost prefix durable in the
+        // event log itself: each release chop's frame carries the chop
+        // boundary as its floor, which recovery returns as
+        // `chopped_below_ts`. Restore from it:
         if let Some(log) = &self.phb.log {
             for pl in self.pipelines.values_mut() {
                 let Some(pe) = pl.pubend.as_mut() else {

@@ -19,8 +19,8 @@
 //! where `prev_index` is the volume index of the previous record that
 //! contains this subscriber (the backpointer), or `⊥` for the first. The
 //! per-subscriber metadata `lastIndex(s)` / `lastTimestamp(p)` is held in
-//! memory and rebuilt by a scan on recovery; the chop floor is persisted
-//! in a private [`MetaTable`].
+//! memory and rebuilt by a scan on recovery; the chop floor rides in the
+//! stream's chop frames ([`LogVolume::chop_floor`]).
 //!
 //! ## Reading
 //!
@@ -39,8 +39,7 @@
 //! the correctness-preserving trade-off the paper describes.
 
 use gryphon_storage::{
-    LogIndex, LogVolume, MediaFactory, MetaTable, StorageError, StreamId, TableConfig,
-    VolumeConfig, VolumeStats,
+    LogIndex, LogVolume, MediaFactory, StorageError, StreamId, VolumeConfig, VolumeStats,
 };
 use gryphon_types::{PubendId, SubSlot, SubscriberId, Timestamp};
 use std::collections::{BTreeMap, HashMap};
@@ -119,7 +118,6 @@ struct SlotHead {
 /// ```
 pub struct Pfs {
     volume: LogVolume,
-    meta: MetaTable,
     mode: PfsMode,
     /// (pubend, sub) → (newest record index containing it, its ts).
     /// Chains are per log stream, i.e. per pubend, exactly as in the
@@ -129,8 +127,6 @@ pub struct Pfs {
     last_timestamp: HashMap<PubendId, Timestamp>,
     /// pubend → record-ts → volume index (for ts-based chopping).
     ts_index: HashMap<PubendId, BTreeMap<Timestamp, LogIndex>>,
-    /// pubend → everything at or below this tick may have been chopped.
-    floor: HashMap<PubendId, Timestamp>,
     /// Imprecise-mode buffered window per pubend.
     pending: HashMap<PubendId, PendingWindow>,
     /// pubend → dense per-slab-slot chain heads, generation-stamped.
@@ -169,20 +165,13 @@ impl Pfs {
         name: &str,
         mode: PfsMode,
     ) -> Result<Self, StorageError> {
-        let meta = MetaTable::open(
-            factory.clone_box(),
-            &format!("{name}-pfsmeta"),
-            TableConfig::default(),
-        )?;
         let volume = LogVolume::open(factory, &format!("{name}-pfs"), VolumeConfig::default())?;
         let mut pfs = Pfs {
             volume,
-            meta,
             mode,
             last_index: HashMap::new(),
             last_timestamp: HashMap::new(),
             ts_index: HashMap::new(),
-            floor: HashMap::new(),
             pending: HashMap::new(),
             slot_heads: HashMap::new(),
             scratch_pairs: Vec::new(),
@@ -210,20 +199,12 @@ impl Pfs {
                     .insert(rec.start, idx);
             }
         }
-        // Floors are persisted explicitly (chops are rare).
-        let floors: Vec<(PubendId, Timestamp)> = self
-            .meta
-            .iter_prefix("floor/")
-            .filter_map(|(k, v)| {
-                let p: u32 = k.strip_prefix("floor/")?.parse().ok()?;
-                let t = u64::from_le_bytes(v.try_into().ok()?);
-                Some((PubendId(p), Timestamp(t)))
-            })
-            .collect();
-        for (p, t) in floors {
-            self.floor.insert(p, t);
-        }
         Ok(())
+    }
+
+    /// Everything of `p` at or below this tick may have been chopped.
+    fn floor(&self, p: PubendId) -> Timestamp {
+        Timestamp(self.volume.chop_floor(stream_for(p)))
     }
 
     /// Records that `ts` on pubend `p` matched `subs` (must be non-empty;
@@ -473,8 +454,7 @@ impl Pfs {
         max_q: usize,
     ) -> Result<PfsReadResult, StorageError> {
         let max_q = max_q.max(1); // a zero-sized buffer still reads one tick
-        let floor = self.floor.get(&p).copied().unwrap_or(Timestamp::ZERO);
-        let mut known_from = from.max(floor);
+        let mut known_from = from.max(self.floor(p));
         let mut collected: Vec<Timestamp> = Vec::new(); // newest → oldest
         let mut visited = 0usize;
         let mut cursor = head;
@@ -538,33 +518,26 @@ impl Pfs {
     }
 
     /// Discards all records with timestamps `< below` for `p` (everything
-    /// there has been released by every durable subscriber). The floor is
-    /// persisted so reads after a crash stay conservative.
+    /// there has been released by every durable subscriber). The floor
+    /// rides in the chop frame, so reads after a crash stay conservative.
     ///
     /// # Errors
     ///
-    /// Returns an error if the underlying volume or meta table fails.
+    /// Returns an error if the underlying volume fails.
     pub fn chop_below(&mut self, p: PubendId, below: Timestamp) -> Result<(), StorageError> {
-        let cur = self.floor.get(&p).copied().unwrap_or(Timestamp::ZERO);
         let new_floor = below.prev();
-        if new_floor <= cur {
+        if new_floor <= self.floor(p) {
             return Ok(());
         }
-        let Some(map) = self.ts_index.get_mut(&p) else {
-            self.floor.insert(p, new_floor);
-            self.meta.put_u64(&format!("floor/{}", p.0), new_floor.0)?;
-            return Ok(());
-        };
-        let boundary = map
-            .range(below..)
-            .next()
-            .map(|(_, &i)| i)
-            .unwrap_or_else(|| self.volume.next_index(stream_for(p)));
-        let dead: Vec<Timestamp> = map.range(..below).map(|(&t, _)| t).collect();
-        for t in dead {
-            map.remove(&t);
+        let stream = stream_for(p);
+        let mut boundary = self.volume.next_index(stream);
+        if let Some(map) = self.ts_index.get_mut(&p) {
+            if let Some((_, &i)) = map.range(below..).next() {
+                boundary = i;
+            }
+            *map = map.split_off(&below);
         }
-        self.volume.chop(stream_for(p), boundary)?;
+        self.volume.chop(stream, boundary, new_floor.0)?;
         // Prune subscribers whose entire chain (on this pubend) is gone:
         // their newest record was below the chop, so every surviving tick
         // is S for them — exactly what an absent last_index means. The
@@ -580,8 +553,6 @@ impl Pfs {
                 }
             }
         }
-        self.floor.insert(p, new_floor);
-        self.meta.put_u64(&format!("floor/{}", p.0), new_floor.0)?;
         Ok(())
     }
 
@@ -833,6 +804,55 @@ mod tests {
             .unwrap();
         assert_eq!(r.known_from, Timestamp(2), "ticks ≤ floor undetermined");
         assert_eq!(r.q_ticks, vec![Timestamp(5)]);
+    }
+
+    #[test]
+    fn chop_on_a_pubend_with_no_records_keeps_its_floor() {
+        let f = MemFactory::new();
+        {
+            let mut pfs = Pfs::open(Box::new(f.clone()), "t", PfsMode::Precise).unwrap();
+            pfs.chop_below(P, Timestamp(10)).unwrap();
+            pfs.sync().unwrap();
+        }
+        let mut pfs = Pfs::open(Box::new(f), "t", PfsMode::Precise).unwrap();
+        let r = pfs
+            .read(P, S1, Timestamp::ZERO, Timestamp(20), 100)
+            .unwrap();
+        assert_eq!(r.known_from, Timestamp(9), "ticks ≤ floor undetermined");
+        assert!(r.q_ticks.is_empty());
+    }
+
+    #[test]
+    fn one_factory_holds_only_segment_files() {
+        use gryphon_storage::{EventLog, MediaFactory, SharedMetaTable, TableConfig};
+        use gryphon_types::Event;
+        let f = MemFactory::new();
+        let mut log =
+            EventLog::open(Box::new(f.clone()), "b0-events", VolumeConfig::default()).unwrap();
+        let mut pfs = Pfs::open(Box::new(f.clone()), "b0", PfsMode::Precise).unwrap();
+        let meta =
+            SharedMetaTable::open(Box::new(f.clone()), "b0-meta", TableConfig::default()).unwrap();
+        for ts in 1..=20u64 {
+            log.append(&Event::builder(P).build_ref(Timestamp(ts)))
+                .unwrap();
+            pfs.write(P, Timestamp(ts), &[S1]).unwrap();
+            meta.put_u64("ld/0", ts).unwrap();
+        }
+        log.sync().unwrap();
+        pfs.sync().unwrap();
+        log.chop_below(P, Timestamp(10)).unwrap();
+        pfs.chop_below(P, Timestamp(10)).unwrap();
+        pfs.chop_below(PubendId(1), Timestamp(10)).unwrap();
+        let mut names = f.list().unwrap();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "b0-events-00000000.seg",
+                "b0-meta-00000000.seg",
+                "b0-pfs-00000000.seg"
+            ]
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! One [`EventLog`] serves all pubends of a PHB by mapping each pubend to
 //! a [`LogVolume`] stream and keeping a timestamp → index map so nacks can
 //! be answered by timestamp range. The release protocol chops the prefix
-//! (`t ≤ Tr(p)` or early-released) which reclaims whole segments.
+//! (`t ≤ Tr(p)` or early-released) which reclaims whole segments. Each
+//! chop frame carries the timestamp boundary as its floor, so recovery
+//! knows the lost prefix (a chopped tick must answer `L`, never `S`).
 
 use crate::log_volume::{LogIndex, LogVolume, StreamId, VolumeConfig};
 use crate::{codec, StorageError};
@@ -13,10 +15,6 @@ use gryphon_types::Event;
 use gryphon_types::{EventRef, PubendId, Timestamp};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Reserved stream holding chop-boundary markers so the lost prefix is
-/// recoverable after a crash (a chopped tick must answer `L`, never `S`).
-const CHOP_META_STREAM: StreamId = StreamId(u32::MAX);
 
 /// Persistent, timestamp-indexed event streams for a PHB's pubends.
 ///
@@ -39,8 +37,6 @@ pub struct EventLog {
     volume: LogVolume,
     /// pubend → (timestamp → record index)
     by_ts: HashMap<PubendId, BTreeMap<Timestamp, LogIndex>>,
-    /// pubend → everything strictly below this timestamp is chopped.
-    chopped_below: HashMap<PubendId, Timestamp>,
 }
 
 impl std::fmt::Debug for EventLog {
@@ -53,7 +49,6 @@ impl std::fmt::Debug for EventLog {
 }
 
 fn stream_for(pubend: PubendId) -> StreamId {
-    debug_assert_ne!(pubend.0, u32::MAX, "pubend id reserved for chop markers");
     StreamId(pubend.0)
 }
 
@@ -72,33 +67,15 @@ impl EventLog {
         let mut log = EventLog {
             volume,
             by_ts: HashMap::new(),
-            chopped_below: HashMap::new(),
         };
         log.rebuild_index()?;
         Ok(log)
     }
 
+    /// Rebuilds the timestamp index from every stream the volume has
+    /// state for (the chop floors come back with the volume itself).
     fn rebuild_index(&mut self) -> Result<(), StorageError> {
-        // Chop markers first: they bound the lost prefix per pubend.
-        for (_, data) in self.volume.read_all(CHOP_META_STREAM)? {
-            if data.len() == 12 {
-                let p = PubendId(u32::from_le_bytes(data[..4].try_into().expect("len 4")));
-                let t = Timestamp(u64::from_le_bytes(data[4..12].try_into().expect("len 8")));
-                let e = self.chopped_below.entry(p).or_insert(Timestamp::ZERO);
-                *e = (*e).max(t);
-            }
-        }
-        // Streams present in the volume are discoverable by probing the
-        // pubend ids that have live records; LogVolume tracks streams
-        // internally, so scan all u32 streams it knows about via read_all
-        // on the ids we find. We reconstruct lazily: the volume exposes
-        // next_index per stream, so probe pubends 0..=max seen in records.
-        // Simpler and robust: iterate all streams by scanning every live
-        // record of every stream id the volume has state for.
         for stream in self.volume.stream_ids() {
-            if stream == CHOP_META_STREAM {
-                continue;
-            }
             let pubend = PubendId(stream.0);
             let records = self.volume.read_all(stream)?;
             let map = self.by_ts.entry(pubend).or_default();
@@ -190,49 +167,22 @@ impl EventLog {
     ///
     /// Returns an error if the underlying volume fails.
     pub fn chop_below(&mut self, pubend: PubendId, below: Timestamp) -> Result<(), StorageError> {
+        let stream = stream_for(pubend);
         let Some(map) = self.by_ts.get_mut(&pubend) else {
             return Ok(());
         };
-        let cur = self.chopped_below.entry(pubend).or_insert(Timestamp::ZERO);
-        if below <= *cur {
+        if below <= Timestamp(self.volume.chop_floor(stream)) {
             return Ok(());
         }
-        *cur = below;
-        // The first surviving record's index bounds the volume chop.
+        // The first surviving record's index bounds the volume chop. The
+        // boundary rides in the chop frame as its floor, so the events
+        // and the boundary are forgotten (or kept) together.
         let chop_to = map
             .range(below..)
             .next()
-            .map(|(_, &i)| i)
-            .unwrap_or_else(|| self.volume.next_index(stream_for(pubend)));
-        let dead: Vec<Timestamp> = map.range(..below).map(|(&t, _)| t).collect();
-        for t in dead {
-            map.remove(&t);
-        }
-        // Persist the boundary *before* the volume chop: if the chop GCs
-        // a whole segment it syncs first, and the marker must ride that
-        // sync — otherwise a crash leaves the events deleted but the
-        // boundary forgotten, and recovery would report the range as `S`
-        // instead of `L`.
-        let mut marker = Vec::with_capacity(12);
-        marker.extend_from_slice(&pubend.0.to_le_bytes());
-        marker.extend_from_slice(&below.0.to_le_bytes());
-        self.volume.append(CHOP_META_STREAM, &marker)?;
-        self.volume.chop(stream_for(pubend), chop_to)?;
-        // Bound marker-stream growth: re-emit the newest marker of every
-        // pubend, then drop everything older.
-        let boundary = self.volume.next_index(CHOP_META_STREAM);
-        if boundary.0 > 1024 {
-            let snapshot: Vec<(PubendId, Timestamp)> =
-                self.chopped_below.iter().map(|(&p, &t)| (p, t)).collect();
-            for (p, t) in snapshot {
-                let mut m = Vec::with_capacity(12);
-                m.extend_from_slice(&p.0.to_le_bytes());
-                m.extend_from_slice(&t.0.to_le_bytes());
-                self.volume.append(CHOP_META_STREAM, &m)?;
-            }
-            self.volume.chop(CHOP_META_STREAM, boundary)?;
-        }
-        Ok(())
+            .map_or_else(|| self.volume.next_index(stream), |(_, &i)| i);
+        *map = map.split_off(&below);
+        self.volume.chop(stream, chop_to, below.0)
     }
 
     /// Number of live (unchopped) events for `pubend`.
@@ -247,10 +197,7 @@ impl EventLog {
 
     /// Everything strictly below this timestamp has been chopped.
     pub fn chopped_below_ts(&self, pubend: PubendId) -> Timestamp {
-        self.chopped_below
-            .get(&pubend)
-            .copied()
-            .unwrap_or(Timestamp::ZERO)
+        Timestamp(self.volume.chop_floor(stream_for(pubend)))
     }
 
     /// Underlying volume counters (bytes logged, syncs, ...).
@@ -262,7 +209,7 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::media::MemFactory;
+    use crate::media::{MediaFactory, MemFactory};
 
     fn ev(p: u32, ts: u64) -> EventRef {
         Event::builder(PubendId(p))
@@ -343,6 +290,45 @@ mod tests {
         assert!(log.read_at(PubendId(0), Timestamp(2)).unwrap().is_none());
         let e = log.read_at(PubendId(0), Timestamp(4)).unwrap().unwrap();
         assert_eq!(e.attr("n"), Some(&gryphon_types::AttrValue::Int(4)));
+    }
+
+    #[test]
+    fn chop_moving_only_the_floor_survives_reopen() {
+        let f = MemFactory::new();
+        {
+            let mut log =
+                EventLog::open(Box::new(f.clone()), "el", VolumeConfig::default()).unwrap();
+            for ts in 1..=3u64 {
+                log.append(&ev(0, ts)).unwrap();
+            }
+            log.chop_below(PubendId(0), Timestamp(4)).unwrap();
+            // An idle pubend's silence: the floor moves, the index cannot.
+            log.chop_below(PubendId(0), Timestamp(10)).unwrap();
+            log.sync().unwrap();
+        }
+        let log = EventLog::open(Box::new(f), "el", VolumeConfig::default()).unwrap();
+        assert_eq!(log.chopped_below_ts(PubendId(0)), Timestamp(10));
+        assert_eq!(log.live_events(PubendId(0)), 0);
+    }
+
+    #[test]
+    fn chops_free_segments_as_they_go() {
+        let f = MemFactory::new();
+        let config = VolumeConfig {
+            segment_bytes: 4096,
+            ..VolumeConfig::default()
+        };
+        let mut log = EventLog::open(Box::new(f.clone()), "el", config).unwrap();
+        for round in 1..=500u64 {
+            for p in 0..4 {
+                log.append(&ev(p, round)).unwrap();
+            }
+            for p in 0..4 {
+                log.chop_below(PubendId(p), Timestamp(round)).unwrap();
+            }
+            let segs = f.list().unwrap();
+            assert!(segs.len() <= 2, "round {round}: {segs:?}");
+        }
     }
 
     #[test]

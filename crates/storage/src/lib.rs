@@ -1,20 +1,22 @@
 //! Storage substrates for the Gryphon durable-subscription reproduction.
 //!
-//! The paper relies on three storage subsystems, all rebuilt here:
+//! There is one durable format, [`LogVolume`] — the logger of Bagchi et
+//! al. \[8\]: multiple append-only *log streams* multiplexed onto
+//! segments of CRC-framed records, with per-record monotone indexes,
+//! prefix *chopping* (each chop frame carries the caller's floor), and
+//! efficient retrieval by index. Everything durable is built on it:
 //!
-//! * [`LogVolume`] — the logger of Bagchi et al. \[8\] used by the
-//!   Persistent Filtering Subsystem: multiple append-only *log streams*
-//!   multiplexed onto one volume, with per-record monotone indexes,
-//!   prefix *chopping*, and efficient retrieval by index;
+//! * the Persistent Filtering Subsystem (in the broker crate) — one
+//!   stream per pubend;
 //! * [`EventLog`] — the pubend's persistent ordered event stream, indexed
 //!   by timestamp (the *only* place an event is persistently logged);
 //! * [`MetaTable`] — a durable key-value table standing in for the DB2
-//!   tables that hold `latestDelivered(p)`, `released(s, p)`, PFS metadata
-//!   and JMS checkpoint tokens, committing a whole batch of updates with
-//!   one sync because the JMS auto-acknowledge experiment is bottlenecked
-//!   on exactly that.
+//!   tables that hold `latestDelivered(p)`, `released(s, p)` and JMS
+//!   checkpoint tokens: one stream, one record per batch, so a whole
+//!   batch of updates commits with one sync because the JMS
+//!   auto-acknowledge experiment is bottlenecked on exactly that.
 //!
-//! All three sit on a [`Media`] abstraction with a real-file backend
+//! The volume sits on a [`Media`] abstraction with a real-file backend
 //! ([`FileFactory`]) for wall-clock microbenchmarks and an in-memory
 //! durable backend ([`MemFactory`]) whose contents survive simulated
 //! crashes, so recovery paths are tested deterministically.
@@ -31,7 +33,7 @@
 //! let i1 = vol.append(s, b"world")?;
 //! vol.sync()?;
 //! assert_eq!(vol.read(s, i0)?.as_deref(), Some(&b"hello"[..]));
-//! vol.chop(s, i1)?; // discard records with index < i1
+//! vol.chop(s, i1, 0)?; // discard records with index < i1 (floor 0)
 //! assert_eq!(vol.read(s, i0)?, None);
 //! assert_eq!(vol.read(s, i1)?.as_deref(), Some(&b"world"[..]));
 //! # Ok::<(), gryphon_storage::StorageError>(())
@@ -68,12 +70,7 @@ impl Commitable for EventLog {
 
 impl Commitable for MetaTable {
     fn sync_commit(&mut self) -> Result<(), StorageError> {
-        self.sync_wal()?;
-        // Compaction rides the flush, never the staging path: an error
-        // from a committer's stage() therefore always means "batch not
-        // applied", and a compaction failure only surfaces (poisoning the
-        // pipeline) when the table itself became poisoned.
-        self.compact_if_needed()
+        self.sync()
     }
 }
 

@@ -6,7 +6,9 @@
 //! supports:
 //!
 //! * `append(record) → index` — indexes are unique and monotone per stream;
-//! * `chop(up_to)` — discard all records with smaller indexes;
+//! * `chop(up_to, floor)` — discard all records with smaller indexes and
+//!   record the caller's floor (an opaque monotone `u64`: the event log
+//!   and the PFS store a timestamp below which everything is gone);
 //! * `read(index)` — retrieve a record by index.
 //!
 //! Segments whose records are all chopped are deleted, so storage is
@@ -14,8 +16,12 @@
 //! produce (old filtering information becomes garbage as `released(p)`
 //! advances).
 //!
-//! Chops are themselves logged (tiny control frames), so recovery replays
-//! them and a crash never resurrects reclaimed records.
+//! Chops are themselves logged (tiny control frames carrying the floor),
+//! so recovery replays them and a crash never resurrects reclaimed
+//! records or forgets a floor. A stream's newest chop frame counts as a
+//! live record of its segment until the next chop of that stream
+//! supersedes it, so segment GC never deletes the frame that recovery
+//! needs.
 //!
 //! Rolling writes a synced [`seal footer`](crate::segment) into the old
 //! segment. Sealed segments are immutable, which recovery exploits
@@ -120,6 +126,10 @@ struct StreamState {
     next_index: u64,
     locs: BTreeMap<u64, RecLoc>,
     chopped_to: u64,
+    /// The caller's floor as of the newest chop.
+    floor: u64,
+    /// Segment holding the newest chop frame (a live record there).
+    chop_seg: Option<u64>,
 }
 
 /// A multiplexed, segmented, recoverable log volume.
@@ -298,7 +308,16 @@ impl LogVolume {
         let mut live = 0u64;
         let streams = &mut self.streams;
         let segments = &mut self.segments;
-        let end = scan(media.as_mut(), |frame| {
+        // A dead record of segment `no` (still being scanned) or of an
+        // earlier one.
+        let mut kill = |seg: u64, live: &mut u64| {
+            if seg == no {
+                *live -= 1;
+            } else if let Some(s) = segments.get_mut(&seg) {
+                s.live -= 1;
+            }
+        };
+        let end = scan(media.as_mut(), |frame, payload| {
             let state = streams.entry(frame.stream).or_default();
             match frame.ftype {
                 FRAME_DATA => {
@@ -318,16 +337,17 @@ impl LogVolume {
                 FRAME_CHOP => {
                     state.chopped_to = state.chopped_to.max(frame.index);
                     state.next_index = state.next_index.max(frame.index);
-                    // Remove resurrected earlier records (and fix live
-                    // counts in their segments).
-                    let dead: Vec<u64> = state.locs.range(..frame.index).map(|(&i, _)| i).collect();
-                    for i in dead {
-                        let loc = state.locs.remove(&i).expect("key from range");
-                        if loc.seg == no {
-                            live -= 1;
-                        } else if let Some(seg) = segments.get_mut(&loc.seg) {
-                            seg.live -= 1;
-                        }
+                    let floor = payload.try_into().map_or(0, u64::from_le_bytes);
+                    state.floor = state.floor.max(floor);
+                    // This frame supersedes the stream's previous one and
+                    // kills the records it chopped.
+                    if let Some(seg) = state.chop_seg.replace(no) {
+                        kill(seg, &mut live);
+                    }
+                    live += 1;
+                    let kept = state.locs.split_off(&frame.index);
+                    for loc in std::mem::replace(&mut state.locs, kept).into_values() {
+                        kill(loc.seg, &mut live);
                     }
                 }
                 _ => {} // seal footer carries no stream state
@@ -491,36 +511,46 @@ impl LogVolume {
         self.read_loc(loc).map(Some)
     }
 
-    /// Discards all records of `stream` with index `< up_to`.
+    /// Discards all records of `stream` with index `< up_to` and raises
+    /// the stream's [floor](LogVolume::chop_floor) to `floor`.
     ///
-    /// The chop is logged, so it survives crashes. Segments left without
-    /// any live record are deleted.
+    /// The chop is logged whenever either value advances — also on a
+    /// stream with no records — so it survives crashes. Segments left
+    /// without any live record are deleted.
     ///
     /// # Errors
     ///
     /// Returns an error if the underlying media fails.
-    pub fn chop(&mut self, stream: StreamId, up_to: LogIndex) -> Result<(), StorageError> {
-        let Some(state) = self.streams.get_mut(&stream.0) else {
-            return Ok(());
-        };
-        if up_to.0 <= state.chopped_to {
+    pub fn chop(
+        &mut self,
+        stream: StreamId,
+        up_to: LogIndex,
+        floor: u64,
+    ) -> Result<(), StorageError> {
+        let state = self.streams.entry(stream.0).or_default();
+        if up_to.0 <= state.chopped_to && floor <= state.floor {
             return Ok(());
         }
-        state.chopped_to = up_to.0;
-        state.next_index = state.next_index.max(up_to.0);
+        state.chopped_to = state.chopped_to.max(up_to.0);
+        state.floor = state.floor.max(floor);
+        state.next_index = state.next_index.max(state.chopped_to);
+        let (up_to, floor) = (state.chopped_to, state.floor);
         // Log the chop *before* touching live counts: a segment roll
         // inside this append may GC a fully-dead segment, and that is
         // only safe for deaths already on (durable) record.
-        self.write_frame(FRAME_CHOP, stream.0, up_to.0, &[])?;
-        let state = self.streams.get_mut(&stream.0).expect("checked above");
-        let dead: Vec<u64> = state.locs.range(..up_to.0).map(|(&i, _)| i).collect();
+        let (seg, _) = self.write_frame(FRAME_CHOP, stream.0, up_to, &floor.to_le_bytes())?;
+        self.segments.get_mut(&seg).expect("segment exists").live += 1;
+        let state = self.streams.get_mut(&stream.0).expect("inserted above");
+        let kept = state.locs.split_off(&up_to);
+        let dead = std::mem::replace(&mut state.locs, kept)
+            .into_values()
+            .map(|loc| loc.seg);
         let mut touched = Vec::new();
-        for i in dead {
-            let loc = state.locs.remove(&i).expect("key from range");
-            let seg = self.segments.get_mut(&loc.seg).expect("segment exists");
+        for no in state.chop_seg.replace(seg).into_iter().chain(dead) {
+            let seg = self.segments.get_mut(&no).expect("segment exists");
             seg.live -= 1;
-            if seg.live == 0 && loc.seg != self.active {
-                touched.push(loc.seg);
+            if seg.live == 0 && no != self.active {
+                touched.push(no);
             }
         }
         self.stats.chops += 1;
@@ -564,6 +594,12 @@ impl LogVolume {
                 .map(|s| s.next_index)
                 .unwrap_or(0),
         )
+    }
+
+    /// The floor `stream` was last [chopped](LogVolume::chop) with (0 if
+    /// never), restored by recovery.
+    pub fn chop_floor(&self, stream: StreamId) -> u64 {
+        self.streams.get(&stream.0).map_or(0, |s| s.floor)
     }
 
     /// The lowest index still readable for `stream` (`None` when empty).
@@ -658,7 +694,7 @@ mod tests {
         for i in 0..10u64 {
             vol.append(s, format!("r{i}").as_bytes()).unwrap();
         }
-        vol.chop(s, LogIndex(5)).unwrap();
+        vol.chop(s, LogIndex(5), 0).unwrap();
         assert_eq!(vol.read(s, LogIndex(4)).unwrap(), None);
         assert_eq!(
             vol.read(s, LogIndex(5)).unwrap().as_deref(),
@@ -683,7 +719,7 @@ mod tests {
         }
         assert!(vol.segment_count() > 1, "expected rolling");
         let before = f.list().unwrap().len();
-        vol.chop(s, last).unwrap();
+        vol.chop(s, last, 0).unwrap();
         let after = f.list().unwrap().len();
         assert!(
             after < before,
@@ -730,7 +766,7 @@ mod tests {
             vol.append(StreamId(0), b"x").unwrap();
             vol.append(StreamId(1), b"y").unwrap();
             vol.append(StreamId(0), b"z").unwrap();
-            vol.chop(StreamId(0), LogIndex(1)).unwrap();
+            vol.chop(StreamId(0), LogIndex(1), 0).unwrap();
             vol.sync().unwrap();
         }
         let mut vol = LogVolume::open(Box::new(f), "v", VolumeConfig::default()).unwrap();
@@ -903,7 +939,7 @@ mod tests {
         for i in 0..5u8 {
             vol.append(s, &[i]).unwrap();
         }
-        vol.chop(s, LogIndex(2)).unwrap();
+        vol.chop(s, LogIndex(2), 0).unwrap();
         let all = vol.read_all(s).unwrap();
         assert_eq!(all.len(), 3);
         assert_eq!(all[0].0, LogIndex(2));
@@ -920,6 +956,59 @@ mod tests {
         assert_eq!(vol.first_live_index(s), None);
         assert_eq!(vol.live_records(s), 0);
         assert!(vol.read_all(s).unwrap().is_empty());
-        vol.chop(s, LogIndex(100)).unwrap(); // chop on unknown stream is a no-op
+        // Chopping a stream with no records moves its next index.
+        vol.chop(s, LogIndex(100), 0).unwrap();
+        assert_eq!(vol.next_index(s), LogIndex(100));
+        assert_eq!(vol.live_records(s), 0);
+    }
+
+    #[test]
+    fn floor_survives_recovery_even_when_the_index_does_not_move() {
+        let f = MemFactory::new();
+        let (a, b) = (StreamId(0), StreamId(1));
+        {
+            let mut vol =
+                LogVolume::create(Box::new(f.clone()), "v", VolumeConfig::default()).unwrap();
+            vol.append(a, b"x").unwrap();
+            vol.chop(a, LogIndex(1), 5).unwrap();
+            vol.chop(a, LogIndex(1), 9).unwrap(); // floor only
+            vol.chop(b, LogIndex(0), 7).unwrap(); // no records at all
+            vol.chop(a, LogIndex(0), 3).unwrap(); // regression: ignored
+            assert_eq!(vol.stats().chops, 3);
+            vol.sync().unwrap();
+        }
+        let vol = LogVolume::open(Box::new(f), "v", VolumeConfig::default()).unwrap();
+        assert_eq!((vol.chop_floor(a), vol.chop_floor(b)), (9, 7));
+        assert_eq!(
+            (vol.next_index(a), vol.next_index(b)),
+            (LogIndex(1), LogIndex(0))
+        );
+        assert_eq!(vol.chop_floor(StreamId(2)), 0);
+    }
+
+    #[test]
+    fn newest_chop_frame_outlives_segment_gc() {
+        let f = MemFactory::new();
+        let config = VolumeConfig {
+            segment_bytes: 256,
+            ..VolumeConfig::default()
+        };
+        let (idle, busy) = (StreamId(0), StreamId(1));
+        {
+            let mut vol = LogVolume::create(Box::new(f.clone()), "v", config).unwrap();
+            vol.chop(idle, LogIndex(0), 42).unwrap();
+            // Superseded chop frames free their segments: the busy stream
+            // never holds more than its tail, the idle one its newest chop.
+            for i in 0..100u64 {
+                let idx = vol.append(busy, &[1u8; 40]).unwrap();
+                vol.chop(busy, idx, i).unwrap();
+                assert!(vol.segment_count() <= 3, "segments {}", vol.segment_count());
+            }
+            vol.sync().unwrap();
+        }
+        let vol = LogVolume::open(Box::new(f), "v", config).unwrap();
+        assert_eq!(vol.chop_floor(idle), 42, "the idle stream's floor was kept");
+        assert_eq!(vol.chop_floor(busy), 99);
+        assert_eq!(vol.live_records(busy), 1);
     }
 }

@@ -1,45 +1,58 @@
 //! A durable key-value table with group commit — the stand-in for the DB2
 //! tables of the paper.
 //!
-//! The SHB keeps `latestDelivered(p)`, `released(s, p)`, PFS metadata and
-//! (for JMS subscribers) checkpoint tokens here. The JMS auto-acknowledge
-//! experiment (paper §5.2) is bottlenecked on *commit throughput* of this
-//! table, and improves when many waiting updates are batched into one
-//! transaction — so [`MetaTable::commit`] takes a batch and performs
-//! exactly one sync, and [`MetaTable::stage`] is the append half a
-//! [`CommitPipeline`](crate::CommitPipeline) runs before its one flush
-//! (see [`SharedMetaTable`]).
+//! The SHB keeps `latestDelivered(p)`, `released(s, p)`, the lost prefix
+//! and (for JMS subscribers) checkpoint tokens here. The JMS
+//! auto-acknowledge experiment (paper §5.2) is bottlenecked on *commit
+//! throughput* of this table, and improves when many waiting updates are
+//! batched into one transaction — so [`MetaTable::commit`] takes a batch
+//! and performs exactly one sync, and [`MetaTable::stage`] is the append
+//! half a [`CommitPipeline`](crate::CommitPipeline) runs before its one
+//! flush (see [`SharedMetaTable`]).
 //!
-//! Atomicity: a batch is applied on recovery only if its commit marker was
-//! durable; a torn tail (crash between append and sync) rolls the whole
-//! batch back.
+//! The table is one [`LogVolume`] stream, and a batch is exactly **one**
+//! record of it: its operations back to back,
 //!
-//! Compaction is driven by **dirty bytes**, not WAL length: the table
-//! tracks how many WAL bytes have been superseded by later writes and
-//! only rewrites the snapshot once that garbage passes a threshold scaled
-//! to the live population. A workload that only *adds* keys never
-//! compacts (its WAL has no garbage), which is what keeps large-population
-//! churn (the `shb_scale` bench) off the old O(population)-per-window
-//! rewrite cliff.
+//! ```text
+//! set: 1 | klen: u16 LE | key | vlen: u32 LE | value
+//! del: 2 | klen: u16 LE | key
+//! ```
+//!
+//! so the record's frame CRC makes the batch atomic: a torn or
+//! bit-flipped batch fails its check and rolls back whole, never half
+//! applied and never misread. Recovery replays the stream in order.
+//!
+//! Compaction is driven by **dirty bytes**: the stream's payload bytes
+//! minus the encoded size of the live pairs. Once that garbage passes a
+//! threshold scaled to the live population, the table re-appends the
+//! live pairs as batch records, syncs, and chops the stream below the
+//! first of them; the volume's crash-ordered segment GC deletes what
+//! died. A crash at any point replays to the same map. A workload that
+//! only *adds* keys never compacts (its stream has no garbage), which is
+//! what keeps large-population churn (the `shb_scale` bench) off an
+//! O(population)-per-window rewrite cliff.
 
 use crate::commit::{CommitPipeline, CommitPipelineStats};
-use crate::media::{Media, MediaFactory};
-use crate::{crc32c, StorageError};
-use std::collections::{BTreeMap, HashMap};
+use crate::log_volume::{LogIndex, LogVolume, StreamId, VolumeConfig};
+use crate::media::MediaFactory;
+use crate::StorageError;
+use std::collections::BTreeMap;
 
 const OP_SET: u8 = 1;
 const OP_DEL: u8 = 2;
-const OP_COMMIT: u8 = 3;
-const SNAP_MAGIC: u8 = 0xC3;
+/// The table's one stream in its volume.
+const STREAM: StreamId = StreamId(0);
+/// Compaction cuts the live pairs into records of about this size.
+const COMPACT_RECORD_BYTES: usize = 64 * 1024;
 
 /// Tuning knobs for a [`MetaTable`].
 #[derive(Debug, Clone, Copy)]
 pub struct TableConfig {
-    /// Compact (snapshot + fresh WAL) once this many WAL bytes are
-    /// *garbage* — superseded by later writes or deletes. The effective
-    /// threshold is `max(compact_wal_bytes, live_bytes / 4)`, so a big
-    /// table amortizes its O(population) snapshot rewrite over
-    /// proportionally more reclaimed garbage.
+    /// Compact once this many stream bytes are *garbage* — superseded by
+    /// later writes or deletes. The effective threshold is
+    /// `max(compact_wal_bytes, live_bytes / 4)`, so a big table amortizes
+    /// its O(population) rewrite over proportionally more reclaimed
+    /// garbage.
     pub compact_wal_bytes: u64,
 }
 
@@ -58,13 +71,10 @@ pub struct TableStats {
     pub commits: u64,
     /// Individual key updates across all batches.
     pub updates: u64,
-    /// WAL bytes written (excluding snapshots).
-    pub wal_bytes: u64,
+    /// Batch record bytes written (excluding compaction rewrites).
+    pub batch_bytes: u64,
     /// Compactions performed.
     pub compactions: u64,
-    /// Compactions that failed before their generation switch. The table
-    /// stays consistent and retries at the next threshold crossing.
-    pub compaction_errors: u64,
 }
 
 /// A durable string-keyed map with atomic batched commits.
@@ -86,49 +96,49 @@ pub struct TableStats {
 /// # Ok::<(), gryphon_storage::StorageError>(())
 /// ```
 pub struct MetaTable {
-    factory: Box<dyn MediaFactory>,
-    name: String,
+    volume: LogVolume,
     config: TableConfig,
     map: BTreeMap<String, Vec<u8>>,
-    wal: Box<dyn Media>,
-    generation: u64,
-    /// Encoded size of every live pair (what a snapshot would write).
+    /// Encoded size of every live pair as a `set` (what compaction writes).
     live_bytes: u64,
-    /// WAL bytes superseded since the last compaction.
-    wal_garbage: u64,
-    /// key → size of its most recent entry in the *current* WAL, so an
-    /// overwrite knows how much garbage it creates.
-    wal_entry: HashMap<String, u32>,
-    /// Set when a compaction failed *after* its snapshot became durable:
-    /// recovery would prefer that snapshot and ignore the old WAL, so
-    /// further commits cannot be guaranteed to survive. All subsequent
-    /// staging fails until the table is reopened.
-    poisoned: bool,
+    /// Payload bytes of the stream's live records.
+    stream_bytes: u64,
     stats: TableStats,
 }
 
 impl std::fmt::Debug for MetaTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetaTable")
-            .field("name", &self.name)
+            .field("volume", &self.volume)
             .field("keys", &self.map.len())
-            .field("generation", &self.generation)
             .field("live_bytes", &self.live_bytes)
-            .field("wal_garbage", &self.wal_garbage)
-            .field("poisoned", &self.poisoned)
+            .field("stream_bytes", &self.stream_bytes)
             .field("stats", &self.stats)
             .finish()
     }
 }
 
-fn pair_bytes(key: &str, value: &[u8]) -> u64 {
-    2 + key.len() as u64 + 4 + value.len() as u64
+fn set_len(key_len: usize, value_len: usize) -> u64 {
+    (1 + 2 + key_len + 4 + value_len) as u64
 }
 
-fn poisoned_table_error() -> StorageError {
-    StorageError::Io(std::io::Error::other(
-        "meta table poisoned by a failed generation switch",
-    ))
+fn encode_op(record: &mut Vec<u8>, key: &str, value: Option<&[u8]>) {
+    record.push(if value.is_some() { OP_SET } else { OP_DEL });
+    record.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    record.extend_from_slice(key.as_bytes());
+    if let Some(v) = value {
+        record.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        record.extend_from_slice(v);
+    }
+}
+
+/// Splits a field with a `width`-byte little-endian length prefix off
+/// the front of `data`.
+fn split_field(data: &[u8], width: usize) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = data.split_at_checked(width)?;
+    let mut le = [0u8; 8];
+    le[..width].copy_from_slice(len);
+    rest.split_at_checked(u64::from_le_bytes(le) as usize)
 }
 
 impl MetaTable {
@@ -136,257 +146,137 @@ impl MetaTable {
     ///
     /// # Errors
     ///
-    /// Returns an error on I/O failure. Torn WAL tails and torn snapshots
-    /// are rolled back, not reported.
+    /// Returns an error on I/O failure or non-tail corruption. A torn or
+    /// corrupt tail batch is rolled back, not reported.
     pub fn open(
         factory: Box<dyn MediaFactory>,
         name: &str,
         config: TableConfig,
     ) -> Result<Self, StorageError> {
-        // Find the newest generation with a valid snapshot (gen 0 has an
-        // implicit empty snapshot).
-        let mut gens: Vec<u64> = factory
-            .list()?
-            .iter()
-            .filter_map(|n| {
-                n.strip_prefix(&format!("{name}-snap-"))
-                    .and_then(|g| g.parse().ok())
-            })
-            .collect();
-        gens.sort_unstable();
-        gens.reverse();
-        let mut map = BTreeMap::new();
-        let mut generation = 0;
-        for g in gens {
-            if let Some(snap) = Self::load_snapshot(factory.as_ref(), name, g)? {
-                map = snap;
-                generation = g;
-                break;
-            }
-        }
-        let wal_name = format!("{name}-wal-{generation}");
-        let mut wal = factory.open(&wal_name)?;
-        let mut wal_entry = HashMap::new();
-        let mut wal_garbage = 0;
-        Self::replay_wal(wal.as_mut(), &mut map, &mut wal_entry, &mut wal_garbage)?;
-        let live_bytes = map.iter().map(|(k, v)| pair_bytes(k, v)).sum();
+        // The in-memory map is the only reader: no segment cache.
+        let volume_config = VolumeConfig {
+            cached_segments: 0,
+            ..VolumeConfig::default()
+        };
         let mut table = MetaTable {
-            factory,
-            name: name.to_owned(),
+            volume: LogVolume::open(factory, name, volume_config)?,
             config,
-            map,
-            wal,
-            generation,
-            live_bytes,
-            wal_garbage,
-            wal_entry,
-            poisoned: false,
+            map: BTreeMap::new(),
+            live_bytes: 0,
+            stream_bytes: 0,
             stats: TableStats::default(),
         };
-        table.gc_stale_generations()?;
+        for (index, record) in table.volume.read_all(STREAM)? {
+            table.stream_bytes += record.len() as u64;
+            table.replay(&record).ok_or_else(|| StorageError::Corrupt {
+                media: name.to_owned(),
+                offset: index.0,
+                detail: "malformed meta-table batch".into(),
+            })?;
+        }
         Ok(table)
     }
 
-    fn load_snapshot(
-        factory: &dyn MediaFactory,
-        name: &str,
-        generation: u64,
-    ) -> Result<Option<BTreeMap<String, Vec<u8>>>, StorageError> {
-        let snap_name = format!("{name}-snap-{generation}");
-        if !factory.exists(&snap_name) {
-            return Ok(None);
-        }
-        let mut media = factory.open(&snap_name)?;
-        let len = media.len();
-        if len < 5 {
-            return Ok(None);
-        }
-        let mut body = vec![0u8; (len - 5) as usize];
-        media.read_at(0, &mut body)?;
-        let mut tail = [0u8; 5];
-        media.read_at(len - 5, &mut tail)?;
-        if tail[0] != SNAP_MAGIC
-            || u32::from_le_bytes(tail[1..5].try_into().expect("len 4")) != crc32c(&body)
-        {
-            return Ok(None); // torn snapshot: fall back to older generation
-        }
-        let mut map = BTreeMap::new();
-        let mut pos = 0usize;
-        while pos < body.len() {
-            let Some((key, value, next)) = Self::parse_pair(&body, pos) else {
-                return Ok(None);
-            };
-            map.insert(key, value);
-            pos = next;
-        }
-        Ok(Some(map))
-    }
-
-    fn parse_pair(data: &[u8], pos: usize) -> Option<(String, Vec<u8>, usize)> {
-        if pos + 2 > data.len() {
-            return None;
-        }
-        let klen = u16::from_le_bytes(data[pos..pos + 2].try_into().ok()?) as usize;
-        let kstart = pos + 2;
-        if kstart + klen + 4 > data.len() {
-            return None;
-        }
-        let key = String::from_utf8(data[kstart..kstart + klen].to_vec()).ok()?;
-        let vstart = kstart + klen + 4;
-        let vlen = u32::from_le_bytes(data[kstart + klen..vstart].try_into().ok()?) as usize;
-        if vstart + vlen > data.len() {
-            return None;
-        }
-        let value = data[vstart..vstart + vlen].to_vec();
-        Some((key, value, vstart + vlen))
-    }
-
-    fn replay_wal(
-        wal: &mut dyn Media,
-        map: &mut BTreeMap<String, Vec<u8>>,
-        wal_entry: &mut HashMap<String, u32>,
-        wal_garbage: &mut u64,
-    ) -> Result<(), StorageError> {
-        let len = wal.len();
-        if len == 0 {
-            return Ok(());
-        }
-        let mut data = vec![0u8; len as usize];
-        wal.read_at(0, &mut data)?;
-        let mut pos = 0usize;
-        let mut pending: Vec<(String, Option<Vec<u8>>, u32)> = Vec::new();
-        let mut committed_end = 0u64;
-        while pos < data.len() {
-            match data[pos] {
-                OP_COMMIT => {
-                    for (k, v, entry_size) in pending.drain(..) {
-                        match v {
-                            Some(v) => {
-                                if let Some(old) = wal_entry.insert(k.clone(), entry_size) {
-                                    *wal_garbage += old as u64;
-                                }
-                                map.insert(k, v);
-                            }
-                            None => {
-                                if let Some(old) = wal_entry.remove(&k) {
-                                    *wal_garbage += old as u64;
-                                }
-                                // The delete entry itself is garbage once
-                                // the key is gone from the snapshot view.
-                                *wal_garbage += entry_size as u64;
-                                map.remove(&k);
-                            }
-                        }
-                    }
-                    pos += 1;
-                    committed_end = pos as u64;
-                }
+    /// Applies one batch record read back from the stream.
+    fn replay(&mut self, mut record: &[u8]) -> Option<()> {
+        while let Some((&op, rest)) = record.split_first() {
+            let (key, rest) = split_field(rest, 2)?;
+            let key = std::str::from_utf8(key).ok()?.to_owned();
+            record = match op {
                 OP_SET => {
-                    let Some((key, value, next)) = Self::parse_pair(&data, pos + 1) else {
-                        break;
-                    };
-                    let entry_size = (next - pos) as u32;
-                    pending.push((key, Some(value), entry_size));
-                    pos = next;
+                    let (value, rest) = split_field(rest, 4)?;
+                    self.apply(key, Some(value.to_vec()));
+                    rest
                 }
                 OP_DEL => {
-                    let p = pos + 1;
-                    if p + 2 > data.len() {
-                        break;
-                    }
-                    let klen =
-                        u16::from_le_bytes(data[p..p + 2].try_into().expect("len 2")) as usize;
-                    if p + 2 + klen > data.len() {
-                        break;
-                    }
-                    let Ok(key) = String::from_utf8(data[p + 2..p + 2 + klen].to_vec()) else {
-                        break;
-                    };
-                    let entry_size = (1 + 2 + klen) as u32;
-                    pending.push((key, None, entry_size));
-                    pos = p + 2 + klen;
+                    self.apply(key, None);
+                    rest
                 }
-                _ => break, // torn/garbage tail
-            }
+                _ => return None,
+            };
         }
-        // Drop the uncommitted tail so future appends don't interleave
-        // with garbage.
-        wal.truncate(committed_end)?;
-        Ok(())
+        Some(())
     }
 
-    /// Appends a batch of updates (`None` deletes the key) to the WAL and
-    /// applies it in memory **without flushing** — the append half a
-    /// [`CommitPipeline`] runs before its one flush. The
-    /// batch becomes durable at the next [`MetaTable::sync_wal`]; a crash
-    /// before that rolls the whole batch back atomically.
+    fn apply(&mut self, key: String, value: Option<Vec<u8>>) {
+        let key_len = key.len();
+        let old = match value {
+            Some(v) => {
+                self.live_bytes += set_len(key_len, v.len());
+                self.map.insert(key, v)
+            }
+            None => self.map.remove(&key),
+        };
+        if let Some(old) = old {
+            self.live_bytes -= set_len(key_len, old.len());
+        }
+    }
+
+    /// Appends a batch of updates (`None` deletes the key) as one record
+    /// and applies it in memory **without flushing** — the append half a
+    /// [`CommitPipeline`] runs before its one flush. The batch becomes
+    /// durable at the next [`MetaTable::sync`]; a crash before that rolls
+    /// the whole batch back atomically.
     ///
     /// # Errors
     ///
-    /// Returns an error if the WAL write fails or the table is poisoned;
-    /// in both cases the batch was **not** applied (no compaction runs on
-    /// this path — see [`MetaTable::compact_if_needed`]).
+    /// Returns an error if the append fails; the batch was then **not**
+    /// applied.
     pub fn stage(&mut self, batch: &[(String, Option<Vec<u8>>)]) -> Result<(), StorageError> {
-        if self.poisoned {
-            return Err(poisoned_table_error());
-        }
-        let mut buf = Vec::new();
-        let mut entry_sizes = Vec::with_capacity(batch.len());
+        let mut record = Vec::new();
         for (k, v) in batch {
-            let start = buf.len();
-            match v {
-                Some(v) => {
-                    buf.push(OP_SET);
-                    buf.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                    buf.extend_from_slice(k.as_bytes());
-                    buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(v);
-                }
-                None => {
-                    buf.push(OP_DEL);
-                    buf.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                    buf.extend_from_slice(k.as_bytes());
-                }
-            }
-            entry_sizes.push((buf.len() - start) as u32);
+            encode_op(&mut record, k, v.as_deref());
         }
-        buf.push(OP_COMMIT);
-        self.wal.append(&buf)?;
+        self.volume.append(STREAM, &record)?;
+        self.stream_bytes += record.len() as u64;
         self.stats.commits += 1;
         self.stats.updates += batch.len() as u64;
-        self.stats.wal_bytes += buf.len() as u64;
-        for ((k, v), entry_size) in batch.iter().zip(entry_sizes) {
-            match v {
-                Some(v) => {
-                    if let Some(old) = self.wal_entry.insert(k.clone(), entry_size) {
-                        self.wal_garbage += old as u64;
-                    }
-                    self.live_bytes += pair_bytes(k, v);
-                    if let Some(old) = self.map.insert(k.clone(), v.clone()) {
-                        self.live_bytes -= pair_bytes(k, &old);
-                    }
-                }
-                None => {
-                    if let Some(old) = self.wal_entry.remove(k) {
-                        self.wal_garbage += old as u64;
-                    }
-                    self.wal_garbage += entry_size as u64;
-                    if let Some(old) = self.map.remove(k) {
-                        self.live_bytes -= pair_bytes(k, &old);
-                    }
-                }
-            }
+        self.stats.batch_bytes += record.len() as u64;
+        for (k, v) in batch {
+            self.apply(k.clone(), v.clone());
         }
         Ok(())
     }
 
-    /// Flushes all staged batches to durable storage.
+    /// Flushes all staged batches to durable storage, then compacts once
+    /// the garbage pays for the O(live) rewrite. Compaction rides the
+    /// flush, never the staging path, so an error from
+    /// [`MetaTable::stage`] always means the batch was not applied.
     ///
     /// # Errors
     ///
-    /// Returns an error if the flush fails.
-    pub fn sync_wal(&mut self) -> Result<(), StorageError> {
-        self.wal.sync()
+    /// Returns an error if the flush fails (staged batches not durable) or
+    /// the compaction fails (they are durable, and any crash replays to
+    /// the same map; a [`SharedMetaTable`] refuses later commits).
+    pub fn sync(&mut self) -> Result<(), StorageError> {
+        self.volume.sync()?;
+        if self.garbage_bytes() >= self.config.compact_wal_bytes.max(self.live_bytes / 4) {
+            let first = self.append_live()?;
+            self.volume.chop(STREAM, first, 0)?;
+            self.stats.compactions += 1;
+        }
+        Ok(())
+    }
+
+    /// Compaction's first half: re-appends every live pair, syncs, and
+    /// returns the index of the first re-appended record. Everything
+    /// below it is garbage from here on.
+    fn append_live(&mut self) -> Result<LogIndex, StorageError> {
+        let mut first = None;
+        let mut written = 0;
+        let mut record = Vec::new();
+        let mut pairs = self.map.iter().peekable();
+        while let Some((k, v)) = pairs.next() {
+            encode_op(&mut record, k, Some(v));
+            if record.len() >= COMPACT_RECORD_BYTES || pairs.peek().is_none() {
+                first.get_or_insert(self.volume.append(STREAM, &record)?);
+                written += record.len() as u64;
+                record.clear();
+            }
+        }
+        self.volume.sync()?;
+        self.stream_bytes = written;
+        Ok(first.unwrap_or_else(|| self.volume.next_index(STREAM)))
     }
 
     /// Atomically applies a batch of updates (`None` deletes the key) with
@@ -394,13 +284,10 @@ impl MetaTable {
     ///
     /// # Errors
     ///
-    /// Returns an error if the WAL write or sync fails (batch not
-    /// durable), or if the post-commit compaction poisoned the table — in
-    /// that case the batch *is* durable but the table must be reopened.
+    /// See [`MetaTable::stage`] and [`MetaTable::sync`].
     pub fn commit(&mut self, batch: &[(String, Option<Vec<u8>>)]) -> Result<(), StorageError> {
         self.stage(batch)?;
-        self.sync_wal()?;
-        self.compact_if_needed()
+        self.sync()
     }
 
     /// Convenience single-key set (its own commit).
@@ -468,112 +355,15 @@ impl MetaTable {
         self.stats
     }
 
-    /// Encoded size of the live population (what a snapshot would write).
+    /// Encoded size of the live population (what a compaction writes).
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes
     }
 
-    /// WAL bytes superseded since the last compaction — the quantity the
-    /// compaction policy watches.
-    pub fn wal_garbage_bytes(&self) -> u64 {
-        self.wal_garbage
-    }
-
-    /// Runs the dirty-bytes compaction policy: rewrite the snapshot once
-    /// the reclaimed garbage pays for the O(live) rewrite. Called *after*
-    /// a successful flush — never from the staging path — so an error
-    /// from [`MetaTable::stage`] always means the batch was not applied.
-    ///
-    /// A compaction failure before the generation switch leaves the table
-    /// fully consistent and is only counted
-    /// ([`TableStats::compaction_errors`]); the garbage threshold still
-    /// holds, so the next flush retries. A failure *after* the new
-    /// snapshot became durable poisons the table, and only that error is
-    /// returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only when the table became poisoned.
-    pub fn compact_if_needed(&mut self) -> Result<(), StorageError> {
-        if self.wal_garbage < self.config.compact_wal_bytes.max(self.live_bytes / 4) {
-            return Ok(());
-        }
-        match self.compact() {
-            Ok(()) => Ok(()),
-            Err(e) if self.poisoned => Err(e),
-            Err(_) => {
-                self.stats.compaction_errors += 1;
-                Ok(())
-            }
-        }
-    }
-
-    fn compact(&mut self) -> Result<(), StorageError> {
-        let next = self.generation + 1;
-        let snap_name = format!("{}-snap-{next}", self.name);
-        // A compaction that crashed mid-write can leave a partial file
-        // under this name (written-but-unsynced bytes survive a process
-        // kill on the file backend); appending after that garbage would
-        // make the snapshot permanently CRC-invalid. Clear it first.
-        self.factory.remove(&snap_name)?;
-        let mut snap = self.factory.open(&snap_name)?;
-        let mut body = Vec::new();
-        for (k, v) in &self.map {
-            body.extend_from_slice(&(k.len() as u16).to_le_bytes());
-            body.extend_from_slice(k.as_bytes());
-            body.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            body.extend_from_slice(v);
-        }
-        let crc = crc32c(&body);
-        body.push(SNAP_MAGIC);
-        body.extend_from_slice(&crc.to_le_bytes());
-        snap.append(&body)?;
-        snap.sync()?;
-        // Point of no return: the new snapshot is durable and recovery
-        // will prefer it. Failing to switch WALs now would send future
-        // commits to a WAL recovery ignores — poison the table rather
-        // than lose them silently.
-        let wal_name = format!("{}-wal-{next}", self.name);
-        self.wal = match self
-            .factory
-            .remove(&wal_name)
-            .and_then(|()| self.factory.open(&wal_name))
-        {
-            Ok(w) => w,
-            Err(e) => {
-                self.poisoned = true;
-                return Err(e);
-            }
-        };
-        self.generation = next;
-        self.wal_entry.clear();
-        self.wal_garbage = 0;
-        self.stats.compactions += 1;
-        // Best effort: stale files only cost space; the next open or
-        // compaction retries their removal.
-        let _ = self.gc_stale_generations();
-        Ok(())
-    }
-
-    /// Removes snapshot/WAL files of every generation other than the
-    /// current one: older generations are superseded, newer ones are
-    /// partial leftovers of a crashed compaction (a *valid* newer
-    /// snapshot would have been chosen at open).
-    fn gc_stale_generations(&mut self) -> Result<(), StorageError> {
-        let snap_prefix = format!("{}-snap-", self.name);
-        let wal_prefix = format!("{}-wal-", self.name);
-        for n in self.factory.list()? {
-            let stale = n
-                .strip_prefix(&snap_prefix)
-                .or_else(|| n.strip_prefix(&wal_prefix))
-                .and_then(|g| g.parse::<u64>().ok())
-                .map(|g| g != self.generation)
-                .unwrap_or(false);
-            if stale {
-                self.factory.remove(&n)?;
-            }
-        }
-        Ok(())
+    /// Stream bytes superseded since the last compaction — the quantity
+    /// the compaction policy watches.
+    pub fn garbage_bytes(&self) -> u64 {
+        self.stream_bytes - self.live_bytes
     }
 }
 
@@ -669,7 +459,11 @@ impl SharedMetaTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::media::MemFactory;
+    use crate::media::{MediaFactory, MemFactory};
+    use crate::segment::{encode_frame, FRAME_DATA, HEADER_LEN};
+
+    /// The table's only segment while it stays under 4 MiB.
+    const SEG: &str = "t-00000000.seg";
 
     fn fresh() -> (MemFactory, MetaTable) {
         let f = MemFactory::new();
@@ -679,6 +473,29 @@ mod tests {
 
     fn reopen(f: &MemFactory) -> MetaTable {
         MetaTable::open(Box::new(f.clone()), "t", TableConfig::default()).unwrap()
+    }
+
+    fn with_threshold(f: &MemFactory, compact_wal_bytes: u64) -> MetaTable {
+        MetaTable::open(Box::new(f.clone()), "t", TableConfig { compact_wal_bytes }).unwrap()
+    }
+
+    fn snapshot(t: &MetaTable) -> Vec<(String, Vec<u8>)> {
+        t.iter_prefix("")
+            .map(|(k, v)| (k.to_owned(), v.to_vec()))
+            .collect()
+    }
+
+    /// Churns `hot` under a never-compacting table so the stream carries
+    /// garbage next to the `cold` keys.
+    fn churned(f: &MemFactory) -> MetaTable {
+        let mut t = with_threshold(f, u64::MAX);
+        for i in 0..20u64 {
+            t.put_u64(&format!("cold-{i}"), i).unwrap();
+        }
+        for i in 0..50u64 {
+            t.put_u64("hot", i).unwrap();
+        }
+        t
     }
 
     #[test]
@@ -711,7 +528,7 @@ mod tests {
         t.stage(&[("x".into(), Some(vec![9]))]).unwrap();
         // Visible in memory immediately…
         assert_eq!(t.get("x"), Some(&[9][..]));
-        // …but a crash before sync_wal loses it atomically.
+        // …but a crash before sync loses it atomically.
         drop(t);
         f.crash_lose_unsynced();
         let t = reopen(&f);
@@ -720,11 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn staged_batch_survives_after_sync_wal() {
+    fn staged_batch_survives_after_sync() {
         let (f, mut t) = fresh();
         t.stage(&[("x".into(), Some(vec![1]))]).unwrap();
         t.stage(&[("y".into(), Some(vec![2]))]).unwrap();
-        t.sync_wal().unwrap();
+        t.sync().unwrap();
         drop(t);
         f.crash_lose_unsynced();
         let t = reopen(&f);
@@ -736,41 +553,69 @@ mod tests {
     fn torn_batch_rolls_back_atomically() {
         let (f, mut t) = fresh();
         t.put("stable", vec![7]).unwrap();
-        // Append a batch but crash before sync.
-        t.wal
-            .append(&{
-                let mut b = vec![OP_SET];
-                b.extend_from_slice(&1u16.to_le_bytes());
-                b.push(b'x');
-                b.extend_from_slice(&1u32.to_le_bytes());
-                b.push(9);
-                b // note: no OP_COMMIT
-            })
-            .unwrap();
         drop(t);
-        f.crash_lose_unsynced();
-        let t = reopen(&f);
+        // A two-key batch torn one byte short of its end, and *synced*:
+        // only the frame check can keep `x` from applying without `y`.
+        let mut record = Vec::new();
+        encode_op(&mut record, "x", Some(&[9]));
+        encode_op(&mut record, "y", Some(&[9]));
+        let frame = encode_frame(FRAME_DATA, STREAM.0, 1, &record);
+        let mut seg = f.open(SEG).unwrap();
+        seg.append(&frame[..frame.len() - 1]).unwrap();
+        seg.sync().unwrap();
+        let mut t = reopen(&f);
         assert_eq!(t.get("stable"), Some(&[7][..]));
-        assert_eq!(t.get("x"), None, "uncommitted batch must roll back");
+        assert_eq!(
+            (t.get("x"), t.get("y")),
+            (None, None),
+            "torn batch must roll back"
+        );
+        // The torn tail is truncated, so later commits land after `stable`.
+        t.put("z", vec![3]).unwrap();
+        drop(t);
+        assert_eq!(reopen(&f).get("z"), Some(&[3][..]));
     }
 
     #[test]
-    fn uncommitted_tail_without_marker_is_dropped() {
+    fn garbage_tail_is_dropped_and_table_stays_writable() {
         let (f, mut t) = fresh();
         t.put("a", vec![1]).unwrap();
-        // Synced but marker-less records also roll back (crash between the
-        // record sync and the commit marker does not exist in our format —
-        // marker is in the same batch — but garbage tails can).
-        t.wal.append(&[OP_SET, 0xFF]).unwrap();
-        t.wal.sync().unwrap();
         drop(t);
+        let mut seg = f.open(SEG).unwrap();
+        seg.append(&[OP_SET, 0xFF]).unwrap();
+        seg.sync().unwrap();
         let mut t = reopen(&f);
         assert_eq!(t.get("a"), Some(&[1][..]));
-        // And the table remains writable after tail truncation.
         t.put("b", vec![2]).unwrap();
         drop(t);
         let t = reopen(&f);
         assert_eq!(t.get("b"), Some(&[2][..]));
+    }
+
+    #[test]
+    fn corrupted_value_is_never_returned() {
+        let (f, mut t) = fresh();
+        t.put_u64("ld/0", 100).unwrap();
+        drop(t);
+        // Flip the low bit of the stored value, wherever the table keeps
+        // it: read back unchecked, 100 would become 101.
+        let mut flipped = 0;
+        for name in f.list().unwrap() {
+            let mut media = f.open(&name).unwrap();
+            let mut data = vec![0u8; media.len() as usize];
+            media.read_at(0, &mut data).unwrap();
+            if let Some(pos) = data.windows(8).position(|w| w == 100u64.to_le_bytes()) {
+                f.corrupt_bit(&name, pos as u64);
+                flipped += 1;
+            }
+        }
+        assert_eq!(flipped, 1);
+        let t = reopen(&f);
+        assert_ne!(
+            t.get_u64("ld/0"),
+            Some(101),
+            "a corrupted value was returned"
+        );
     }
 
     #[test]
@@ -788,164 +633,121 @@ mod tests {
     #[test]
     fn insert_only_workload_never_compacts() {
         let f = MemFactory::new();
-        let mut t = MetaTable::open(
-            Box::new(f.clone()),
-            "t",
-            TableConfig {
-                compact_wal_bytes: 64,
-            },
-        )
-        .unwrap();
-        // Distinct keys create no WAL garbage, so the dirty-bytes policy
-        // never pays the O(population) snapshot rewrite — this workload
-        // used to compact dozens of times under the old WAL-length policy.
+        let mut t = with_threshold(&f, 64);
+        // Distinct keys create no garbage, so the dirty-bytes policy
+        // never pays the O(population) rewrite.
         for i in 0..200u64 {
             t.put_u64(&format!("key-{i}"), i).unwrap();
         }
         assert_eq!(t.stats().compactions, 0);
-        assert_eq!(t.wal_garbage_bytes(), 0);
+        assert_eq!(t.garbage_bytes(), 0);
         assert!(t.live_bytes() > 0);
     }
 
     #[test]
-    fn churn_compacts_and_preserves_data_and_gcs_old_generations() {
+    fn churn_compacts_and_preserves_data_and_frees_old_records() {
         let f = MemFactory::new();
-        let mut t = MetaTable::open(
-            Box::new(f.clone()),
-            "t",
-            TableConfig {
-                compact_wal_bytes: 64,
-            },
-        )
-        .unwrap();
+        let mut t = with_threshold(&f, 64);
         for i in 0..20u64 {
             t.put_u64(&format!("cold-{i}"), i).unwrap();
         }
-        // Overwriting the same key turns earlier WAL entries into garbage;
+        // Overwriting the same key turns earlier records into garbage;
         // once past the dirty-bytes threshold the table compacts.
         for i in 0..200u64 {
             t.put_u64("hot", i).unwrap();
         }
         assert!(t.stats().compactions > 0);
+        assert!(t.garbage_bytes() < t.live_bytes());
+        // Compaction chopped the superseded records: the stream holds the
+        // rewrite and the few commits since.
+        assert!(t.volume.live_records(STREAM) < 20, "{t:?}");
         drop(t);
         let t = reopen(&f);
         assert_eq!(t.get_u64("hot"), Some(199));
         for i in 0..20u64 {
             assert_eq!(t.get_u64(&format!("cold-{i}")), Some(i), "cold-{i}");
         }
-        // Old generations are removed.
-        let names = f.list().unwrap();
-        let snaps = names.iter().filter(|n| n.contains("-snap-")).count();
-        assert_eq!(snaps, 1, "exactly one snapshot generation: {names:?}");
+        assert_eq!(f.list().unwrap(), vec![SEG.to_owned()], "segments only");
     }
 
     #[test]
     fn garbage_accounting_survives_reopen() {
         let f = MemFactory::new();
-        let mut t = MetaTable::open(
-            Box::new(f.clone()),
-            "t",
-            TableConfig {
-                compact_wal_bytes: u64::MAX,
-            },
-        )
-        .unwrap();
+        let mut t = with_threshold(&f, u64::MAX);
         for i in 0..10u64 {
             t.put_u64("hot", i).unwrap();
         }
         t.delete("hot").unwrap();
-        let garbage = t.wal_garbage_bytes();
+        let garbage = t.garbage_bytes();
         assert!(garbage > 0);
         let live = t.live_bytes();
         drop(t);
-        let t = MetaTable::open(
-            Box::new(f.clone()),
-            "t",
-            TableConfig {
-                compact_wal_bytes: u64::MAX,
-            },
-        )
-        .unwrap();
-        assert_eq!(t.wal_garbage_bytes(), garbage, "garbage rebuilt by replay");
+        let t = with_threshold(&f, u64::MAX);
+        assert_eq!(t.garbage_bytes(), garbage, "garbage rebuilt by replay");
         assert_eq!(t.live_bytes(), live);
     }
 
     #[test]
-    fn open_clears_stale_future_generation_files() {
+    fn crash_before_compaction_sync_replays_same_map() {
         let f = MemFactory::new();
-        let mut t = MetaTable::open(Box::new(f.clone()), "t", TableConfig::default()).unwrap();
-        t.put_u64("stable", 7).unwrap();
-        drop(t);
-        // A compaction that crashed mid-write leaves a partial (CRC-less)
-        // snapshot for the next generation; the file backend keeps
-        // written-but-unsynced bytes after a process kill.
-        f.open("t-snap-1")
-            .unwrap()
-            .append(b"partial snapshot garbage")
-            .unwrap();
-        f.open("t-wal-9").unwrap();
-        let t = MetaTable::open(Box::new(f.clone()), "t", TableConfig::default()).unwrap();
-        assert_eq!(t.get_u64("stable"), Some(7));
-        assert!(!f.exists("t-snap-1"), "stale future snapshot must be GC'd");
-        assert!(!f.exists("t-wal-9"), "stale future WAL must be GC'd");
-    }
-
-    #[test]
-    fn compaction_overwrites_stale_partial_snapshot() {
-        let f = MemFactory::new();
-        let mut t = MetaTable::open(
-            Box::new(f.clone()),
-            "t",
-            TableConfig {
-                compact_wal_bytes: 64,
-            },
-        )
-        .unwrap();
-        t.put_u64("stable", 7).unwrap();
-        // Simulate an in-process compaction that failed mid-write (after
-        // open's GC ran): the retry must not append after its garbage.
-        f.open("t-snap-1")
-            .unwrap()
-            .append(b"partial snapshot garbage")
-            .unwrap();
-        for i in 0..200u64 {
-            t.put_u64("hot", i).unwrap();
+        let mut t = churned(&f);
+        let want = snapshot(&t);
+        // The rewrite's records are appended but lost with the crash.
+        let mut record = Vec::new();
+        for (k, v) in &t.map {
+            encode_op(&mut record, k, Some(v));
         }
-        assert!(t.stats().compactions > 0, "churn must have compacted");
+        t.volume.append(STREAM, &record).unwrap();
         drop(t);
-        // The snapshot written over the stale file must be valid: nothing
-        // may be lost on reopen (before the fix the garbage prefix made
-        // every generation-1 snapshot permanently CRC-invalid while GC
-        // deleted generation 0, silently emptying the table).
-        let t = MetaTable::open(Box::new(f), "t", TableConfig::default()).unwrap();
-        assert_eq!(t.get_u64("stable"), Some(7));
-        assert_eq!(t.get_u64("hot"), Some(199));
+        f.crash_lose_unsynced();
+        assert_eq!(snapshot(&reopen(&f)), want);
     }
 
     #[test]
-    fn torn_snapshot_falls_back_to_previous_generation() {
+    fn crash_between_compaction_sync_and_chop_replays_same_map() {
         let f = MemFactory::new();
-        let mut t = MetaTable::open(
-            Box::new(f.clone()),
-            "t",
-            TableConfig {
-                compact_wal_bytes: 64,
-            },
-        )
-        .unwrap();
+        let mut t = churned(&f);
+        let want = snapshot(&t);
+        t.append_live().unwrap(); // synced, but never chopped
+        drop(t);
+        f.crash_lose_unsynced();
+        let mut t = with_threshold(&f, 64);
+        assert_eq!(snapshot(&t), want);
+        // The next flush finds the old records still counted as garbage
+        // and finishes the job.
+        t.put_u64("hot", 50).unwrap();
+        assert_eq!(t.stats().compactions, 1);
+        assert!(t.garbage_bytes() < t.live_bytes());
+        drop(t);
+        assert_eq!(reopen(&f).get_u64("hot"), Some(50));
+    }
+
+    #[test]
+    fn bit_flip_in_compacted_record_rolls_back_never_misreads() {
+        let f = MemFactory::new();
+        let mut t = with_threshold(&f, 64);
         for i in 0..50u64 {
             t.put_u64("hot", i).unwrap();
         }
         t.put_u64("stable", 7).unwrap();
-        let gen = t.generation;
-        assert!(gen > 0, "churn must have compacted");
+        assert!(t.stats().compactions > 0, "churn must have compacted");
+        let first = t.volume.first_live_index(STREAM).unwrap();
         drop(t);
-        // Corrupt the newest snapshot.
-        f.corrupt_bit(&format!("t-snap-{gen}"), 0);
+        // Flip a bit in the first live record (a compaction rewrite).
+        let mut seg = f.open(SEG).unwrap();
+        let mut data = vec![0u8; seg.len() as usize];
+        seg.read_at(0, &mut data).unwrap();
+        let header = [
+            &[FRAME_DATA][..],
+            &STREAM.0.to_le_bytes(),
+            &first.0.to_le_bytes(),
+        ]
+        .concat();
+        let at = data.windows(13).position(|w| w == header).unwrap() + HEADER_LEN;
+        f.corrupt_bit(SEG, at as u64);
+        // Everything from the bad frame on rolls back; what remains is
+        // either absent or a value that was really committed.
         let t = reopen(&f);
-        // Data from the corrupted generation's snapshot may be lost, but
-        // the table must open and be internally consistent (keys either
-        // present with correct value or absent).
         if let Some(v) = t.get_u64("stable") {
             assert_eq!(v, 7);
         }
@@ -973,7 +775,7 @@ mod tests {
         let s = t.stats();
         assert_eq!(s.commits, 2);
         assert_eq!(s.updates, 3);
-        assert!(s.wal_bytes > 0);
+        assert_eq!(s.batch_bytes, 3 * set_len(1, 0));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 enum VolOp {
     Append { stream: u8, len: u8 },
-    Chop { stream: u8, upto: u8 },
+    Chop { stream: u8, upto: u8, floor: u8 },
     Sync,
     CrashRecover,
 }
@@ -20,7 +20,8 @@ enum VolOp {
 fn arb_vol_op() -> impl Strategy<Value = VolOp> {
     prop_oneof![
         4 => (0u8..3, 1u8..60).prop_map(|(stream, len)| VolOp::Append { stream, len }),
-        1 => (0u8..3, 0u8..40).prop_map(|(stream, upto)| VolOp::Chop { stream, upto }),
+        1 => (0u8..3, 0u8..40, 0u8..40)
+            .prop_map(|(stream, upto, floor)| VolOp::Chop { stream, upto, floor }),
         1 => Just(VolOp::Sync),
         1 => Just(VolOp::CrashRecover),
     ]
@@ -31,7 +32,7 @@ proptest! {
 
     /// LogVolume ≡ a per-stream map model, including across
     /// crash-and-recover cycles (unsynced appends may be lost, but only
-    /// as a contiguous tail; chops and synced data survive).
+    /// as a contiguous tail; chops, their floors and synced data survive).
     #[test]
     fn log_volume_equals_model(ops in prop::collection::vec(arb_vol_op(), 1..60)) {
         let factory = MemFactory::new();
@@ -46,6 +47,7 @@ proptest! {
         let mut next: BTreeMap<u8, u64> = BTreeMap::new();
         let mut synced: BTreeMap<u8, u64> = BTreeMap::new(); // next idx at last sync
         let mut chopped: BTreeMap<u8, u64> = BTreeMap::new();
+        let mut floors: BTreeMap<u8, u64> = BTreeMap::new();
         for op in ops {
             match op {
                 VolOp::Append { stream, len } => {
@@ -55,12 +57,11 @@ proptest! {
                     model.entry(stream).or_default().insert(*n, vec![stream; len as usize]);
                     *n += 1;
                 }
-                VolOp::Chop { stream, upto } => {
-                    vol.chop(StreamId(stream as u32), LogIndex(upto as u64)).unwrap();
-                    if !next.contains_key(&stream) {
-                        // Chopping a stream that never existed is a no-op.
-                        continue;
-                    }
+                VolOp::Chop { stream, upto, floor } => {
+                    vol.chop(StreamId(stream as u32), LogIndex(upto as u64), floor as u64)
+                        .unwrap();
+                    let f = floors.entry(stream).or_insert(0);
+                    *f = (*f).max(floor as u64);
                     let c = chopped.entry(stream).or_insert(0);
                     if (upto as u64) > *c {
                         *c = upto as u64;
@@ -104,6 +105,11 @@ proptest! {
                     vol.next_index(StreamId(s as u32)).0,
                     next.get(&s).copied().unwrap_or(0),
                     "stream {} next index", s
+                );
+                prop_assert_eq!(
+                    vol.chop_floor(StreamId(s as u32)),
+                    floors.get(&s).copied().unwrap_or(0),
+                    "stream {} floor", s
                 );
             }
         }

@@ -14,7 +14,8 @@
 //! types:
 //!
 //! * [`FRAME_DATA`] — a record of `stream` at `index`;
-//! * [`FRAME_CHOP`] — a logged chop: `stream` discarded indexes `< index`;
+//! * [`FRAME_CHOP`] — a logged chop: `stream` discarded indexes `< index`,
+//!   and its payload is the caller's floor (`u64` LE) as of that chop;
 //! * [`FRAME_SEAL`] — the segment footer, written (and synced) when the
 //!   volume rolls to a new segment. `stream` and `index` are reserved
 //!   (zero). A sealed segment is immutable: recovery treats *any*
@@ -85,9 +86,9 @@ pub(crate) fn encode_frame(ftype: u8, stream: u32, index: u64, payload: &[u8]) -
 }
 
 /// Walks `media` frame by frame, invoking `on_frame` for every valid
-/// frame (including the seal footer, if present), and reports how the
-/// segment ends. Frames after a seal footer are reported as torn — a
-/// sealed segment never grows.
+/// frame (including the seal footer, if present) with its payload, and
+/// reports how the segment ends. Frames after a seal footer are reported
+/// as torn — a sealed segment never grows.
 ///
 /// # Errors
 ///
@@ -96,7 +97,7 @@ pub(crate) fn encode_frame(ftype: u8, stream: u32, index: u64, payload: &[u8]) -
 /// recoverable torn tail or hard corruption.
 pub(crate) fn scan(
     media: &mut dyn Media,
-    mut on_frame: impl FnMut(Frame),
+    mut on_frame: impl FnMut(Frame, &[u8]),
 ) -> Result<ScanEnd, StorageError> {
     let len = media.len();
     let mut offset = 0u64;
@@ -158,13 +159,16 @@ pub(crate) fn scan(
                 detail: "crc mismatch".into(),
             });
         }
-        on_frame(Frame {
-            ftype,
-            stream,
-            index,
-            payload_offset: offset + HEADER_LEN as u64,
-            payload_len: plen,
-        });
+        on_frame(
+            Frame {
+                ftype,
+                stream,
+                index,
+                payload_offset: offset + HEADER_LEN as u64,
+                payload_len: plen,
+            },
+            &payload,
+        );
         if ftype == FRAME_SEAL {
             sealed = true;
         }
@@ -179,7 +183,7 @@ mod tests {
 
     fn collect(media: &mut dyn Media) -> (Vec<Frame>, ScanEnd) {
         let mut frames = Vec::new();
-        let end = scan(media, |f| frames.push(f)).unwrap();
+        let end = scan(media, |f, _| frames.push(f)).unwrap();
         (frames, end)
     }
 
