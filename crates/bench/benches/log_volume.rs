@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gryphon_storage::{LogIndex, LogVolume, MemFactory, StreamId, VolumeConfig};
+use std::time::{Duration, Instant};
 
 fn bench_log_volume(c: &mut Criterion) {
     let mut group = c.benchmark_group("log_volume");
@@ -17,6 +18,34 @@ fn bench_log_volume(c: &mut Criterion) {
         .expect("volume");
         let payload = vec![7u8; 408]; // a 25-subscriber PFS record
         b.iter(|| std::hint::black_box(vol.append(StreamId(0), &payload).expect("append")));
+    });
+
+    group.bench_function("append_4KiB", |b| {
+        // A `large_payload` event: 4 KiB of attribute bytes plus its
+        // encoding, the frame the PHB logs per event there.
+        let payload = vec![7u8; 4_140];
+        b.iter_custom(|iters| {
+            // A fresh volume per 1 000 appends keeps the in-memory media
+            // at ~4 MiB; only the appends are timed.
+            let mut elapsed = Duration::ZERO;
+            let mut left = iters;
+            while left > 0 {
+                let n = left.min(1_000);
+                let mut vol = LogVolume::create(
+                    Box::new(MemFactory::new()),
+                    "bench",
+                    VolumeConfig::default(),
+                )
+                .expect("volume");
+                let t0 = Instant::now();
+                for _ in 0..n {
+                    std::hint::black_box(vol.append(StreamId(0), &payload).expect("append"));
+                }
+                elapsed += t0.elapsed();
+                left -= n;
+            }
+            elapsed
+        });
     });
 
     group.bench_function("read_by_index", |b| {

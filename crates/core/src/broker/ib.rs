@@ -908,7 +908,9 @@ impl Broker {
             }
             // SHB-side housekeeping + metrics.
             if let Some(shb) = self.shb.state.as_mut() {
-                shb.chop_pfs(p);
+                if shb.chop_pfs(p).is_err() {
+                    ctx.count("shb.chop_err", 1.0);
+                }
                 let ld = shb.latest_delivered(p);
                 let rel = shb.released_local(p);
                 ctx.record(&format!("shb{}.ld.{}", self.id, p.0), ld.0 as f64);

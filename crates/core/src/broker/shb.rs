@@ -13,7 +13,7 @@ use crate::config::{BrokerConfig, CT_COMMIT_BASE_US, CT_COMMIT_PER_UPDATE_US, CT
 use crate::pfs::{Pfs, PfsMode};
 use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
 use gryphon_sim::{names, traced, DeliveryPath, NodeCtx, TraceEvent};
-use gryphon_storage::{MediaFactory, SharedMetaTable, TableConfig};
+use gryphon_storage::{MediaFactory, SharedMetaTable, StorageError, TableConfig};
 use gryphon_streams::KnowledgeStream;
 use gryphon_types::{
     CheckpointToken, DeliveryKind, DeliveryMsg, EventRef, KnowledgePart, NodeId, PubendId,
@@ -1140,11 +1140,16 @@ impl Shb {
 
     /// Chops PFS state below `released(p)` (all hosted subscribers have
     /// acknowledged it).
-    pub fn chop_pfs(&mut self, p: PubendId) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the PFS volume's error if the chop frame cannot be written.
+    pub fn chop_pfs(&mut self, p: PubendId) -> Result<(), StorageError> {
         let rel = self.released_local(p);
         if rel > Timestamp::ZERO {
-            let _ = self.pfs.chop_below(p, rel);
+            self.pfs.chop_below(p, rel)?;
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------

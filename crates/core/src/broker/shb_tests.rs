@@ -2,9 +2,10 @@
 //! stub context (no simulator).
 
 use super::shb::{CatchupNeeds, Shb};
+use super::Broker;
 use crate::config::{BrokerConfig, CT_COMMIT_BASE_US};
-use gryphon_sim::{NodeCtx, TimerKey};
-use gryphon_storage::MemFactory;
+use gryphon_sim::{Node, NodeCtx, TimerKey};
+use gryphon_storage::{Media, MediaFactory, MediaStats, MemFactory, StorageError};
 use gryphon_streams::KnowledgeStream;
 use gryphon_types::{
     CheckpointToken, DeliveryKind, Event, NetMsg, NodeId, PubendId, ServerMsg, SubscriberId,
@@ -13,6 +14,8 @@ use gryphon_types::{
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Captures everything a node does to the outside world.
 struct StubCtx {
@@ -21,6 +24,7 @@ struct StubCtx {
     timers: Vec<(u64, TimerKey)>,
     rng: SmallRng,
     busy: u64,
+    counts: HashMap<String, f64>,
 }
 
 impl StubCtx {
@@ -31,6 +35,7 @@ impl StubCtx {
             timers: Vec::new(),
             rng: SmallRng::seed_from_u64(0),
             busy: 0,
+            counts: HashMap::new(),
         }
     }
 
@@ -76,7 +81,70 @@ impl NodeCtx for StubCtx {
         self.busy += cost_us;
     }
     fn record(&mut self, _series: &str, _value: f64) {}
-    fn count(&mut self, _counter: &str, _delta: f64) {}
+    fn count(&mut self, counter: &str, delta: f64) {
+        *self.counts.entry(counter.to_owned()).or_default() += delta;
+    }
+}
+
+/// A [`MemFactory`] whose media refuse every append once
+/// [`FailingDisk::fail_appends`] is called (a full or failed disk).
+#[derive(Clone, Default)]
+struct FailingDisk {
+    mem: MemFactory,
+    failing: Arc<AtomicBool>,
+}
+
+impl FailingDisk {
+    fn fail_appends(&self) {
+        self.failing.store(true, Ordering::Relaxed);
+    }
+}
+
+struct FailingMedia {
+    inner: Box<dyn Media>,
+    failing: Arc<AtomicBool>,
+}
+
+impl Media for FailingMedia {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn append(&mut self, data: &[u8]) -> Result<(), StorageError> {
+        if self.failing.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("disk failed").into());
+        }
+        self.inner.append(data)
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.inner.read_at(offset, buf)
+    }
+    fn sync(&mut self) -> Result<(), StorageError> {
+        self.inner.sync()
+    }
+    fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+        self.inner.truncate(len)
+    }
+    fn stats(&self) -> MediaStats {
+        self.inner.stats()
+    }
+}
+
+impl MediaFactory for FailingDisk {
+    fn clone_box(&self) -> Box<dyn MediaFactory> {
+        Box::new(self.clone())
+    }
+    fn open(&self, name: &str) -> Result<Box<dyn Media>, StorageError> {
+        Ok(Box::new(FailingMedia {
+            inner: self.mem.open(name)?,
+            failing: Arc::clone(&self.failing),
+        }))
+    }
+    fn remove(&self, name: &str) -> Result<(), StorageError> {
+        self.mem.remove(name)
+    }
+    fn list(&self) -> Result<Vec<String>, StorageError> {
+        self.mem.list()
+    }
 }
 
 const P: PubendId = PubendId(0);
@@ -500,4 +568,40 @@ fn client_silence_advances_idle_subscribers() {
     ctx.sent.clear();
     shb.client_silence(&mut ctx);
     assert!(ctx.deliveries(CLIENT).is_empty());
+}
+
+#[test]
+fn failing_pfs_chop_is_counted_by_the_release_timer() {
+    let disk = FailingDisk::default();
+    let config = BrokerConfig::default();
+    let mut broker = Broker::new(1, Box::new(disk.clone()), config.clone()).hosting_subscribers();
+    let mut ctx = StubCtx::new();
+    broker.on_start(&mut ctx);
+    let ack = |broker: &mut Broker, ts: u64| {
+        let shb = broker.shb_mut().expect("SHB role");
+        shb.ack(
+            SubscriberId(1),
+            &CheckpointToken::from_pairs([(P, Timestamp(ts))]),
+        );
+        assert_eq!(shb.released_local(P), Timestamp(ts));
+    };
+    {
+        let shb = broker.shb_mut().expect("SHB role");
+        connect(shb, &mut ctx, 1, None, &config);
+        let (cache, upto) = cache_with(&[2, 6], 10);
+        shb.constream_advance(P, &cache, upto, &config, &mut ctx);
+        shb.pfs_sync(&mut ctx);
+    }
+    broker.pipeline_mut(P);
+
+    // A healthy disk: the release timer chops the PFS below 4.
+    ack(&mut broker, 4);
+    broker.on_release_timer(&mut ctx);
+    assert_eq!(ctx.counts.get("shb.chop_err"), None);
+
+    // The disk fails: the next chop's frame cannot be written.
+    disk.fail_appends();
+    ack(&mut broker, 8);
+    broker.on_release_timer(&mut ctx);
+    assert_eq!(ctx.counts.get("shb.chop_err"), Some(&1.0));
 }

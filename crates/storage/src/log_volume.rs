@@ -30,7 +30,9 @@
 //! [`Bytes`] buffer and reads hand out zero-copy slices of it.
 
 use crate::media::{Media, MediaFactory};
-use crate::segment::{encode_frame, scan, ScanEnd, FRAME_CHOP, FRAME_DATA, HEADER_LEN};
+use crate::segment::{
+    encode_frame_into, scan, ScanEnd, FRAME_CHOP, FRAME_DATA, FRAME_SEAL, HEADER_LEN,
+};
 use crate::StorageError;
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -144,6 +146,9 @@ pub struct LogVolume {
     streams: HashMap<u32, StreamState>,
     cache_fifo: VecDeque<u64>,
     stats: VolumeStats,
+    /// Every frame is encoded here and appended from here, so writing a
+    /// record copies its payload once and allocates nothing.
+    frame_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for LogVolume {
@@ -182,6 +187,7 @@ impl LogVolume {
             streams: HashMap::new(),
             cache_fifo: VecDeque::new(),
             stats: VolumeStats::default(),
+            frame_buf: Vec::new(),
         };
         vol.open_segment(0)?;
         Ok(vol)
@@ -222,6 +228,7 @@ impl LogVolume {
             streams: HashMap::new(),
             cache_fifo: VecDeque::new(),
             stats: VolumeStats::default(),
+            frame_buf: Vec::new(),
         };
         let last = vol.active;
         for &no in &seg_nos {
@@ -388,11 +395,11 @@ impl LogVolume {
     /// segment is immutable from here on.
     fn seal_active(&mut self) -> Result<(), StorageError> {
         let seg = self.segments.get_mut(&self.active).expect("active segment");
-        let frame = encode_frame(crate::segment::FRAME_SEAL, 0, 0, &[]);
-        seg.media.append(&frame)?;
+        encode_frame_into(&mut self.frame_buf, FRAME_SEAL, 0, 0, &[]);
+        seg.media.append(&self.frame_buf)?;
         seg.media.sync()?;
         seg.sealed = true;
-        self.stats.total_bytes += frame.len() as u64;
+        self.stats.total_bytes += self.frame_buf.len() as u64;
         Ok(())
     }
 
@@ -422,11 +429,11 @@ impl LogVolume {
                 self.delete_segment(old)?;
             }
         }
-        let frame = encode_frame(ftype, stream, index, payload);
+        encode_frame_into(&mut self.frame_buf, ftype, stream, index, payload);
         let seg = self.segments.get_mut(&self.active).expect("active segment");
         let offset = seg.media.len();
-        seg.media.append(&frame)?;
-        self.stats.total_bytes += frame.len() as u64;
+        seg.media.append(&self.frame_buf)?;
+        self.stats.total_bytes += self.frame_buf.len() as u64;
         if self.config.sync_every_append {
             seg.media.sync()?;
             self.stats.syncs += 1;
@@ -786,6 +793,67 @@ mod tests {
         assert_eq!(vol.next_index(StreamId(0)), LogIndex(2));
         // New appends continue the index sequence.
         assert_eq!(vol.append(StreamId(0), b"w").unwrap(), LogIndex(2));
+    }
+
+    /// A frame encoded the way the format was first written: header and
+    /// payload glued into one buffer, checksummed one bit at a time.
+    fn bitwise_frame(ftype: u8, stream: u32, index: u64, payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![ftype];
+        frame.extend_from_slice(&stream.to_le_bytes());
+        frame.extend_from_slice(&index.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let mut crc_input = frame.clone();
+        crc_input.extend_from_slice(payload);
+        frame.extend_from_slice(&crate::crc::crc32c_bitwise(&crc_input).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn volume_written_with_the_bitwise_crc_reopens() {
+        use crate::segment::encode_frame;
+        let f = MemFactory::new();
+        let payload = |s: u32, i: u64| -> Vec<u8> {
+            let len = [0usize, 1, 7, 8, 9, 408, 1_053, 4_140][(i as usize + s as usize) % 8];
+            (0..len)
+                .map(|k| (k as u64 * 31 + i + u64::from(s)) as u8)
+                .collect()
+        };
+        // Segment 0: two streams, a chop of stream 0 below index 2 with
+        // floor 77, then the seal. Segment 1 (open): more records.
+        let mut frames = Vec::new();
+        for i in 0..6 {
+            frames.push((0, FRAME_DATA, 0, i, payload(0, i)));
+            frames.push((0, FRAME_DATA, 1, i, payload(1, i)));
+        }
+        frames.push((0, FRAME_CHOP, 0, 2, 77u64.to_le_bytes().to_vec()));
+        frames.push((0, FRAME_SEAL, 0, 0, Vec::new()));
+        for i in 6..10 {
+            frames.push((1, FRAME_DATA, 0, i, payload(0, i)));
+        }
+        for (seg, ftype, stream, index, body) in &frames {
+            let old = bitwise_frame(*ftype, *stream, *index, body);
+            assert_eq!(encode_frame(*ftype, *stream, *index, body), old);
+            let mut m = f.open(&format!("v-{seg:08}.seg")).unwrap();
+            m.append(&old).unwrap();
+            m.sync().unwrap();
+        }
+        let mut vol = LogVolume::open(Box::new(f), "v", VolumeConfig::default()).unwrap();
+        assert_eq!(vol.chop_floor(StreamId(0)), 77);
+        for i in 0..10 {
+            let want = (i >= 2).then(|| payload(0, i));
+            let got = vol.read(StreamId(0), LogIndex(i)).unwrap();
+            assert_eq!(got.as_deref(), want.as_deref(), "stream 0 index {i}");
+        }
+        for i in 0..6 {
+            let got = vol.read(StreamId(1), LogIndex(i)).unwrap();
+            assert_eq!(
+                got.as_deref(),
+                Some(&payload(1, i)[..]),
+                "stream 1 index {i}"
+            );
+        }
+        assert_eq!(vol.append(StreamId(0), b"next").unwrap(), LogIndex(10));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Two backends are provided:
 //!
-//! * [`FileFactory`] — real files in a directory, with `sync_data` on
-//!   [`Media::sync`] and a directory fsync after every file creation and
-//!   removal (so the namespace survives power loss, not just a process
-//!   kill); used by the wall-clock microbenchmarks;
+//! * [`FileFactory`] — real files in a directory, with positioned I/O
+//!   (one `pwrite` per append, one `pread` per read, no `seek`),
+//!   `sync_data` on [`Media::sync`] and a directory fsync after every
+//!   file creation and removal (so the namespace survives power loss, not
+//!   just a process kill); used by the wall-clock microbenchmarks;
 //! * [`MemFactory`] — named in-memory byte buffers that **outlive the
 //!   `Media` handle**: reopening a name after dropping the handle sees the
 //!   previously written bytes, which is exactly the durability model a
@@ -15,7 +16,7 @@ use crate::StorageError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -387,16 +388,14 @@ impl Media for FileMedia {
     }
 
     fn append(&mut self, data: &[u8]) -> Result<(), StorageError> {
-        self.file.seek(SeekFrom::Start(self.len))?;
-        self.file.write_all(data)?;
+        self.file.write_all_at(data, self.len)?;
         self.len += data.len() as u64;
         self.stats.bytes_written += data.len() as u64;
         Ok(())
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)?;
+        self.file.read_exact_at(buf, offset)?;
         Ok(())
     }
 

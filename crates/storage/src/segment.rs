@@ -10,8 +10,13 @@
 //! ```
 //!
 //! The CRC-32C covers the header fields (type, stream, index, len) and the
-//! payload, so a torn or bit-flipped frame is always detectable. Frame
-//! types:
+//! payload, so a torn or bit-flipped frame is always detectable. It is
+//! computed incrementally, header then payload (`crc32c_update`),
+//! so neither [`encode_frame_into`] nor [`scan`] glues the two into a
+//! scratch buffer: encoding copies the payload once, into the caller's
+//! reused frame buffer, and a scan reads every payload into one reused
+//! buffer. Which CRC implementation runs (SSE4.2 or tables) never changes
+//! a byte. Frame types:
 //!
 //! * [`FRAME_DATA`] — a record of `stream` at `index`;
 //! * [`FRAME_CHOP`] — a logged chop: `stream` discarded indexes `< index`,
@@ -27,7 +32,7 @@
 //! the last valid offset to truncate back to.
 
 use crate::media::Media;
-use crate::{crc32c, StorageError};
+use crate::{crc32c, crc32c_update, StorageError};
 
 pub(crate) const FRAME_DATA: u8 = 0xA7;
 pub(crate) const FRAME_CHOP: u8 = 0xA8;
@@ -70,18 +75,33 @@ pub(crate) enum ScanEnd {
     },
 }
 
-/// Encodes one frame (header + CRC + payload) ready to append.
+/// Encodes one frame (header + CRC + payload) into `out`, replacing its
+/// contents. The CRC runs over the header and then the payload in place,
+/// so the payload is copied exactly once: into `out`, which the caller
+/// keeps and reuses for the next frame.
+pub(crate) fn encode_frame_into(
+    out: &mut Vec<u8>,
+    ftype: u8,
+    stream: u32,
+    index: u64,
+    payload: &[u8],
+) {
+    out.clear();
+    out.reserve(HEADER_LEN + payload.len());
+    out.push(ftype);
+    out.extend_from_slice(&stream.to_le_bytes());
+    out.extend_from_slice(&index.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let crc = crc32c_update(crc32c(out), payload);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// [`encode_frame_into`] a fresh buffer.
+#[cfg(test)]
 pub(crate) fn encode_frame(ftype: u8, stream: u32, index: u64, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.push(ftype);
-    frame.extend_from_slice(&stream.to_le_bytes());
-    frame.extend_from_slice(&index.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(17 + payload.len());
-    crc_input.extend_from_slice(&frame);
-    crc_input.extend_from_slice(payload);
-    frame.extend_from_slice(&crc32c(&crc_input).to_le_bytes());
-    frame.extend_from_slice(payload);
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, ftype, stream, index, payload);
     frame
 }
 
@@ -102,6 +122,8 @@ pub(crate) fn scan(
     let len = media.len();
     let mut offset = 0u64;
     let mut sealed = false;
+    // One payload buffer for the whole scan, grown to the largest frame.
+    let mut payload = Vec::new();
     loop {
         if sealed {
             return if offset == len {
@@ -146,13 +168,9 @@ pub(crate) fn scan(
                 detail: "frame extends past segment".into(),
             });
         }
-        let mut payload = vec![0u8; plen as usize];
+        payload.resize(plen as usize, 0);
         media.read_at(offset + HEADER_LEN as u64, &mut payload)?;
-        let mut crc_input = Vec::with_capacity(17 + payload.len());
-        crc_input.push(ftype);
-        crc_input.extend_from_slice(&header[1..17]);
-        crc_input.extend_from_slice(&payload);
-        if crc32c(&crc_input) != crc {
+        if crc32c_update(crc32c(&header[..17]), &payload) != crc {
             return Ok(ScanEnd::Torn {
                 valid_end: offset,
                 offset,
@@ -185,6 +203,29 @@ mod tests {
         let mut frames = Vec::new();
         let end = scan(media, |f, _| frames.push(f)).unwrap();
         (frames, end)
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // The on-disk format, byte for byte: a change here breaks every
+        // volume already written.
+        let golden: &[u8] = &[
+            0xA7, // FRAME_DATA
+            0x07, 0x00, 0x00, 0x00, // stream 7
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // index 3
+            0x05, 0x00, 0x00, 0x00, // len 5
+            0x2D, 0xBA, 0x84, 0xB2, // CRC-32C 0xB284BA2D
+            b'h', b'e', b'l', b'l', b'o',
+        ];
+        assert_eq!(encode_frame(FRAME_DATA, 7, 3, b"hello"), golden);
+    }
+
+    #[test]
+    fn reused_buffer_encodes_each_frame_afresh() {
+        let mut buf = Vec::new();
+        encode_frame_into(&mut buf, FRAME_DATA, 1, 0, &[9u8; 4_000]);
+        encode_frame_into(&mut buf, FRAME_CHOP, 2, 5, b"floor");
+        assert_eq!(buf, encode_frame(FRAME_CHOP, 2, 5, b"floor"));
     }
 
     #[test]

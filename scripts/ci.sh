@@ -39,6 +39,32 @@ if grep -n 'SubscriptionIndex::new()' crates/core/src/broker/ib.rs; then
   echo "ib.rs keeps one index per child and applies deltas to it; a fresh index per message re-parses every filter (O(N^2) registration)"; exit 1
 fi
 
+echo "== unsafe is allow-listed: two sim downcasts, one CRC call =="
+# Every `unsafe` block, fn, impl, trait or extern in the workspace's
+# program code (src/, examples/, each crate's src/ and benches/; the
+# tests/ directories' counting allocators are test code, and benchmark/
+# is a package of its own), with whether a `// SAFETY:` comment sits
+# directly above it. Exactly three are allowed, each with its comment:
+# AnyNode's two downcasts and the SSE4.2 CRC-32C call.
+unsafe_sites=$(awk '
+  FNR == 1 { safety = 0 }
+  /^[[:space:]]*\/\/ SAFETY:/ { safety = 1; next }
+  /^[[:space:]]*\/\// { next }
+  /(^|[^A-Za-z0-9_])unsafe[[:space:]]*(\{|fn[[:space:]]|impl[[:space:]<]|trait[[:space:]]|extern[[:space:]])/ {
+    print FILENAME (safety ? "" : " (no SAFETY comment)")
+  }
+  { safety = 0 }
+' $(find src examples crates/*/src crates/*/benches -name '*.rs' | sort) | sort | uniq -c)
+expected="      2 crates/sim/src/runtime.rs
+      1 crates/storage/src/crc.rs"
+if [ "$unsafe_sites" != "$expected" ]; then
+  echo "unsafe sites (count, file) differ from the allow-list:"
+  echo "$unsafe_sites"
+  echo "expected:"
+  echo "$expected"
+  exit 1
+fi
+
 echo "== durability: crash recovery + codec fuzz =="
 # The on-disk format gate: torn-tail / bit-flip recovery property tests
 # and the codec truncation/garbage fuzz (storage lib proptests), real-file
