@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! xp [--quick] [--csv DIR] [--trace] [--bundle-out DIR] [--sample-interval MS]
-//!    [--metrics-addr ADDR] [--seed-offset N] [--degrade] [--slow-sub]
-//!    [--subs N] [--churn-pct P] <experiment>|all|list
-//! xp doctor inspect BUNDLE [--exemplars] [--topk] [--json]
+//!    [--seed-offset N] [--degrade] [--slow-sub] [--subs N] [--churn-pct P]
+//!    <experiment>|all|list
+//! xp doctor inspect BUNDLE [--exemplars] [--topk]
 //! xp doctor check BUNDLE
 //! xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]
 //! xp doctor export-trace BUNDLE -o trace.json
@@ -18,20 +18,16 @@
 //! * `--trace` prints the full structured trace ring after each report
 //!   (the report itself only shows the tail);
 //! * `--bundle-out DIR` writes a complete self-describing run bundle per
-//!   experiment under `DIR/<id>/` — manifest, metrics (CSV + JSON),
-//!   telemetry timeline, alerts, tail exemplars, busy intervals, top-K
-//!   snapshots, Prometheus snapshot, report, flight-recorder
-//!   post-mortems (DESIGN.md §9). It is the one output flag: it arms the
-//!   sampler (500 ms unless `--sample-interval` says otherwise), the
-//!   online health engine and the flight recorder, and everything else —
-//!   a Chrome trace included — is read back out of a bundle with
-//!   `xp doctor`;
+//!   experiment under `DIR/<id>/` — manifest, metrics CSV, telemetry
+//!   timeline, alerts, tail exemplars, busy intervals, top-K snapshots,
+//!   report, flight-recorder post-mortems (DESIGN.md §9). It is the one
+//!   output flag: it arms the sampler (500 ms unless `--sample-interval`
+//!   says otherwise), the online health engine and the flight recorder,
+//!   and everything else — a Chrome trace included — is read back out
+//!   of a bundle with `xp doctor`;
 //! * `--sample-interval MS` arms the windowed telemetry sampler on every
-//!   simulator at the given virtual-time interval (milliseconds) —
-//!   reports then include a sparkline timeline section;
-//! * `--metrics-addr ADDR` serves the most recent experiment's
-//!   Prometheus snapshot live at `http://ADDR/metrics` (e.g.
-//!   `127.0.0.1:9090`) until xp exits;
+//!   simulator at the given virtual-time interval (milliseconds, at
+//!   least 1) — reports then include a sparkline timeline section;
 //! * `--seed-offset N` shifts every simulator seed by N (same workload,
 //!   different randomness — for A/B bundles fed to `xp doctor diff`);
 //! * `--degrade` deliberately worsens broker latency/batching config
@@ -48,9 +44,9 @@ use gryphon_harness::RunOptions;
 use std::io::Write;
 
 const USAGE: &str = "usage: xp [--quick] [--csv DIR] [--trace] [--bundle-out DIR] \
-     [--sample-interval MS] [--metrics-addr ADDR] [--seed-offset N] [--degrade] \
-     [--slow-sub] [--subs N] [--churn-pct P] <experiment>|all|list\n\
-     \x20      xp doctor inspect BUNDLE [--exemplars] [--topk] [--json]\n\
+     [--sample-interval MS] [--seed-offset N] [--degrade] [--slow-sub] [--subs N] \
+     [--churn-pct P] <experiment>|all|list\n\
+     \x20      xp doctor inspect BUNDLE [--exemplars] [--topk]\n\
      \x20      xp doctor check BUNDLE\n\
      \x20      xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]\n\
      \x20      xp doctor export-trace BUNDLE -o trace.json";
@@ -76,7 +72,6 @@ fn main() {
     let mut trace = false;
     let mut csv_dir: Option<String> = None;
     let mut bundle_dir: Option<String> = None;
-    let mut metrics_addr: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
@@ -86,15 +81,9 @@ fn main() {
             "--csv" => csv_dir = Some(value(&mut args, "--csv", "a directory")),
             "--bundle-out" => bundle_dir = Some(value(&mut args, "--bundle-out", "a directory")),
             "--sample-interval" => {
-                let ms: u64 = value(&mut args, "--sample-interval", "a milliseconds");
-                run.sample_interval_us = Some(ms.saturating_mul(1_000).max(1));
-            }
-            "--metrics-addr" => {
-                metrics_addr = Some(value(
-                    &mut args,
-                    "--metrics-addr",
-                    "an address (e.g. 127.0.0.1:9090)",
-                ));
+                let ms: std::num::NonZeroU64 =
+                    value(&mut args, "--sample-interval", "a positive milliseconds");
+                run.sample_interval_us = Some(ms.get().saturating_mul(1_000));
             }
             "--seed-offset" => run.seed_offset = value(&mut args, "--seed-offset", "an integer"),
             "--degrade" => run.degrade = true,
@@ -121,30 +110,11 @@ fn main() {
         run.sample_interval_us.get_or_insert(500_000);
         run.health = true;
     }
-    // Live scrape endpoint: serves the latest completed experiment's
-    // Prometheus snapshot (empty until the first one finishes).
-    let live_prom: std::sync::Arc<std::sync::Mutex<String>> = Default::default();
-    let _scrape = metrics_addr.as_deref().map(|addr| {
-        let prom = std::sync::Arc::clone(&live_prom);
-        let server = gryphon_sim::telemetry::TextServer::serve(addr, move || {
-            prom.lock().map(|s| s.clone()).unwrap_or_default()
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("error: cannot bind --metrics-addr {addr}: {e}");
-            std::process::exit(1);
-        });
-        println!(
-            "[serving live metrics at http://{}/metrics]",
-            server.local_addr()
-        );
-        server
-    });
     let opts = Options {
         run,
         trace,
         csv_dir,
         bundle_dir,
-        live_prom,
     };
     for target in targets {
         match target.as_str() {
@@ -164,7 +134,6 @@ struct Options {
     trace: bool,
     csv_dir: Option<String>,
     bundle_dir: Option<String>,
-    live_prom: std::sync::Arc<std::sync::Mutex<String>>,
 }
 
 fn print_catalog() {
@@ -234,11 +203,6 @@ fn run_one(id: &str, opts: &Options) {
                         eprintln!("error: cannot write bundle for {id}: {e}");
                         std::process::exit(1);
                     }
-                }
-            }
-            if let Some(prom) = report.prom.as_deref() {
-                if let Ok(mut live) = opts.live_prom.lock() {
-                    *live = prom.to_owned();
                 }
             }
         }

@@ -7,27 +7,28 @@
 //! <root>/<experiment>/
 //!   manifest.json     # flat key/value run metadata + summary counts
 //!   metrics.csv       # counters / histogram percentiles / series means
-//!   metrics.json      # the same snapshot as JSON
-//!   timeline.ndjson   # the windowed telemetry timeline (exact samples)
-//!   timeline.csv      # the same timeline as CSV
+//!   timeline.ndjson   # the windowed telemetry timeline (exact samples,
+//!                     # every gauge included)
 //!   alerts.ndjson     # health-engine alert transitions (may be empty)
 //!   exemplars.ndjson  # tail exemplars with lineage anchors (may be empty)
 //!   intervals.ndjson  # contention-profiler busy intervals (may be empty)
 //!   topk.ndjson       # per-window top-K attribution snapshots (may be empty)
-//!   snapshot.prom     # Prometheus text exposition of the snapshot
 //!   report.txt        # the rendered human report
 //!   flight/           # flight-recorder post-mortems, when any fired
 //! ```
 //!
 //! `xp --bundle-out DIR` writes one bundle per experiment and `xp
-//! doctor` reads them back ([`crate::doctor`]). The formats are the
-//! pinned ones the report already exports, all written and read through
-//! the one record codec ([`gryphon_sim::codec`]); the manifest is a flat
-//! JSON object (no nesting).
+//! doctor` reads them back ([`crate::doctor`]). Each fact has one
+//! rendering, and every data file is one `doctor::load_bundle` reads;
+//! `report.txt` is for people. `metrics.csv` is
+//! [`gryphon_sim::MetricsSnapshot::to_csv`], the ndjson streams go
+//! through the one record codec ([`gryphon_sim::codec`]), and the
+//! manifest is a flat JSON object (no nesting).
 
 use crate::report::Report;
 use gryphon_sim::codec;
 use gryphon_sim::telemetry::Timeline;
+use gryphon_sim::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -148,18 +149,20 @@ pub fn write_bundle(root: &Path, report: &Report, meta: &BundleMeta) -> std::io:
         f.write_all(contents.as_bytes())
     };
     write("manifest.json", &render_manifest(report, meta))?;
-    write("metrics.csv", &report.metrics_csv())?;
-    write("metrics.json", &report.metrics_json())?;
-    // A run without a sampler still writes every stream, empty.
+    // A run without metrics or a sampler still writes every file: the
+    // CSV header alone, and empty streams.
+    let unmeasured = MetricsSnapshot::default();
+    write(
+        "metrics.csv",
+        &report.metrics.as_ref().unwrap_or(&unmeasured).to_csv(),
+    )?;
     let unsampled = Timeline::default();
     let timeline = report.telemetry.as_ref().unwrap_or(&unsampled);
     write("timeline.ndjson", &timeline.to_ndjson())?;
-    write("timeline.csv", &timeline.to_csv())?;
     write("alerts.ndjson", &timeline.alerts_ndjson())?;
     write("exemplars.ndjson", &timeline.exemplars_ndjson())?;
     write("intervals.ndjson", &timeline.intervals_ndjson())?;
     write("topk.ndjson", &timeline.topks_ndjson())?;
-    write("snapshot.prom", report.prom.as_deref().unwrap_or(""))?;
     write("report.txt", &report.render())?;
     Ok(dir)
 }
@@ -198,22 +201,39 @@ mod tests {
         };
         let dir = write_bundle(&root, &report, &meta).unwrap();
         assert_eq!(dir, root.join("demo"));
-        for f in [
-            "manifest.json",
-            "metrics.csv",
-            "metrics.json",
-            "timeline.ndjson",
-            "timeline.csv",
-            "alerts.ndjson",
-            "exemplars.ndjson",
-            "intervals.ndjson",
-            "topk.ndjson",
-            "snapshot.prom",
-            "report.txt",
-        ] {
-            assert!(dir.join(f).exists(), "missing {f}");
-        }
+        // Exactly these files: one rendering per fact.
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        written.sort();
+        assert_eq!(
+            written,
+            [
+                "alerts.ndjson",
+                "exemplars.ndjson",
+                "flight",
+                "intervals.ndjson",
+                "manifest.json",
+                "metrics.csv",
+                "report.txt",
+                "timeline.ndjson",
+                "topk.ndjson",
+            ]
+        );
         assert!(dir.join("flight").is_dir());
+        // The doctor loads it, and reads every data file: garbage in any
+        // one of them fails the load. Only the human report is not read.
+        let loaded = crate::doctor::load_bundle(&dir).unwrap();
+        assert_eq!(loaded.counters["shb.constream_delivered"], 500.0);
+        for f in written.iter().filter(|f| f.as_str() != "flight") {
+            let path = dir.join(f);
+            let original = std::fs::read(&path).unwrap();
+            std::fs::write(&path, "garbage\n").unwrap();
+            let load = crate::doctor::load_bundle(&dir);
+            assert_eq!(load.is_ok(), f == "report.txt", "{f}: {:?}", load.err());
+            std::fs::write(&path, original).unwrap();
+        }
         let manifest =
             read_manifest(&std::fs::read_to_string(dir.join("manifest.json")).unwrap()).unwrap();
         assert_eq!(manifest["experiment"], "demo");

@@ -3,12 +3,11 @@
 //! Three verbs, all reading the bundle directories
 //! [`crate::bundle::write_bundle`] produces:
 //!
-//! * `inspect BUNDLE [--exemplars] [--topk] [--json]` — human summary:
+//! * `inspect BUNDLE [--exemplars] [--topk]` — human summary:
 //!   manifest, slowest latency stages, the worst tail exemplars
 //!   rendered end-to-end stage-by-stage, per-entity top-K attribution
 //!   (`--topk` for the full ranked tables per dimension), key
-//!   telemetry sparklines, the alert log; `--json` emits the same
-//!   facts as one machine-readable JSON object instead;
+//!   telemetry sparklines, the alert log;
 //! * `diff A B` — per-histogram-percentile and per-counter deltas with
 //!   configurable thresholds; exits nonzero naming every regressed
 //!   series (the offline complement of `perf_gate`) plus the exemplar
@@ -22,11 +21,13 @@
 //!   export of the forensics streams ([`crate::trace_export`]).
 
 use crate::bundle::read_manifest;
-use crate::report::HistogramSummary;
-use gryphon_sim::codec::{self, json_escape, json_num};
+use gryphon_sim::codec;
 use gryphon_sim::forensics::BusyInterval;
 use gryphon_sim::telemetry::{sparkline, Timeline};
-use gryphon_sim::{default_rules, AlertRecord, AlertState, Exemplar, HealthEngine, TopKSnapshot};
+use gryphon_sim::{
+    default_rules, AlertRecord, AlertState, Exemplar, HealthEngine, HistogramSummary,
+    MetricsSnapshot, TopKSnapshot,
+};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -104,7 +105,7 @@ pub fn load_bundle(dir: &Path) -> Result<Bundle, String> {
     let metrics_csv = read(dir, "metrics.csv")?;
     let mut rows = metrics_csv.lines();
     match rows.next() {
-        Some("kind,name,count,value,min,p50,p95,p99,max") => {}
+        Some(MetricsSnapshot::CSV_HEADER) => {}
         other => return Err(format!("metrics.csv: bad header {other:?}")),
     }
     for line in rows {
@@ -196,12 +197,10 @@ pub fn run(args: &[String]) -> i32 {
         Some("inspect") if args.len() >= 2 => {
             let mut full_exemplars = false;
             let mut full_topk = false;
-            let mut json = false;
             for flag in &args[2..] {
                 match flag.as_str() {
                     "--exemplars" => full_exemplars = true,
                     "--topk" => full_topk = true,
-                    "--json" => json = true,
                     other => {
                         eprintln!("error: unknown inspect option {other}");
                         return 2;
@@ -209,11 +208,7 @@ pub fn run(args: &[String]) -> i32 {
                 }
             }
             with_bundle(&args[1], &|b| {
-                if json {
-                    print!("{}", inspect_json(b));
-                } else {
-                    print!("{}", inspect(b, full_exemplars, full_topk));
-                }
+                print!("{}", inspect(b, full_exemplars, full_topk));
                 0
             })
         }
@@ -255,7 +250,7 @@ pub fn run(args: &[String]) -> i32 {
         }
         _ => {
             eprintln!(
-                "usage: xp doctor inspect BUNDLE [--exemplars] [--topk] [--json]\n\
+                "usage: xp doctor inspect BUNDLE [--exemplars] [--topk]\n\
                  \x20      xp doctor check BUNDLE\n\
                  \x20      xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]\n\
                  \x20      xp doctor export-trace BUNDLE -o OUT.json"
@@ -443,92 +438,6 @@ pub fn inspect(b: &Bundle, full_exemplars: bool, full_topk: bool) -> String {
             a.detail
         ));
     }
-    out
-}
-
-/// Renders the machine-readable `inspect --json` object: the manifest,
-/// the slowest latency stages, the alert log, and the latest top-K
-/// attribution snapshot per dimension — the same facts as the human
-/// summary, for scripts that would otherwise scrape its tables.
-pub fn inspect_json(b: &Bundle) -> String {
-    let mut out = String::from("{\n  \"manifest\": {");
-    for (i, (k, v)) in b.manifest.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // The flat manifest parser unquotes everything; re-emit values
-        // that were bare JSON tokens (numbers, bools) as bare tokens.
-        let bare = v == "true" || v == "false" || v.parse::<f64>().is_ok();
-        if bare {
-            out.push_str(&format!("\n    \"{}\": {v}", json_escape(k)));
-        } else {
-            out.push_str(&format!(
-                "\n    \"{}\": \"{}\"",
-                json_escape(k),
-                json_escape(v)
-            ));
-        }
-    }
-    out.push_str("\n  },\n  \"stages\": [");
-    let mut stages: Vec<&HistogramSummary> = b
-        .histograms
-        .values()
-        .filter(|h| inspect_histogram(&h.name))
-        .collect();
-    stages.sort_by(|x, y| y.p99.total_cmp(&x.p99));
-    for (i, h) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"count\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-            json_escape(&h.name),
-            h.count,
-            json_num(h.p50),
-            json_num(h.p99),
-            json_num(h.max)
-        ));
-    }
-    out.push_str("\n  ],\n  \"alerts\": [");
-    for (i, a) in b.alerts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"t_us\": {}, \"state\": \"{}\", \"rule\": \"{}\", \"series\": \"{}\", \
-             \"detail\": \"{}\"}}",
-            a.t_us,
-            a.state.as_str(),
-            json_escape(&a.rule),
-            json_escape(&a.series),
-            json_escape(&a.detail)
-        ));
-    }
-    out.push_str("\n  ],\n  \"topk\": [");
-    for (i, snap) in latest_topks(b).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"t_us\": {}, \"dim\": \"{}\", \"total\": {}, \"dominance\": {}, \
-             \"entries\": [",
-            snap.t_us,
-            json_escape(snap.dim),
-            snap.total,
-            json_num(snap.dominance_share())
-        ));
-        for (j, e) in snap.entries.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"entity\": {}, \"count\": {}, \"err\": {}}}",
-                e.entity, e.count, e.err
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n  ]\n}\n");
     out
 }
 
@@ -1085,29 +994,6 @@ mod tests {
         assert!(full.contains("     100 "), "{full}");
         // The sketch gauge series joins the timeline sparklines.
         assert!(brief.contains("sketch.sub_lag.p99_us"), "{brief}");
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn inspect_json_emits_manifest_stages_alerts_and_topk() {
-        let (root, b) = topk_bundle("json", 1_000.0);
-        let json = inspect_json(&b);
-        for needle in [
-            "\"manifest\": {",
-            "\"experiment\": \"t\"",
-            "\"interval_us\": 500000",
-            "\"stages\": [",
-            "\"alerts\": [",
-            "\"topk\": [",
-            "\"dim\": \"slowest_subs_by_lag\"",
-            "{\"entity\": 42, \"count\": 800, \"err\": 0}",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
-        // Braces and brackets balance: the output is one closed object.
-        let count = |c: char| json.matches(c).count();
-        assert_eq!(count('{'), count('}'), "{json}");
-        assert_eq!(count('['), count(']'), "{json}");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,89 +1,8 @@
 //! Printable experiment reports.
 
-use gryphon_sim::codec::{json_escape, json_num};
+use gryphon_sim::codec::csv_escape;
 use gryphon_sim::telemetry::{sparkline, Timeline};
-use gryphon_sim::Metrics;
-
-/// Escapes one CSV field per RFC 4180: fields containing commas, quotes
-/// or newlines are quoted, with interior quotes doubled.
-fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_owned()
-    }
-}
-
-/// Summary of one histogram for the metrics section.
-#[derive(Debug, Clone)]
-pub struct HistogramSummary {
-    /// Metric name (see `gryphon_sim::names`).
-    pub name: String,
-    /// Sample count.
-    pub count: u64,
-    /// Exact smallest sample.
-    pub min: f64,
-    /// Median estimate.
-    pub p50: f64,
-    /// 95th percentile estimate.
-    pub p95: f64,
-    /// 99th percentile estimate.
-    pub p99: f64,
-    /// Exact largest sample.
-    pub max: f64,
-}
-
-/// A snapshot of a run's [`Metrics`], reduced to stable, sorted summaries
-/// for rendering and CSV/JSON export.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSection {
-    /// All counters, sorted by name.
-    pub counters: Vec<(String, f64)>,
-    /// All histograms, sorted by name.
-    pub histograms: Vec<HistogramSummary>,
-    /// All series reduced to `(name, samples, mean)`, sorted by name.
-    pub series: Vec<(String, usize, f64)>,
-}
-
-impl MetricsSection {
-    /// Snapshots `metrics` into sorted summaries.
-    pub fn from_metrics(metrics: &Metrics) -> Self {
-        let counters = metrics
-            .counter_names()
-            .into_iter()
-            .map(|n| (n.to_owned(), metrics.counter(n)))
-            .collect();
-        let histograms = metrics
-            .histogram_names()
-            .into_iter()
-            .filter_map(|n| {
-                let h = metrics.histogram(n)?;
-                Some(HistogramSummary {
-                    name: n.to_owned(),
-                    count: h.count(),
-                    min: h.min()?,
-                    p50: h.percentile(0.50)?,
-                    p95: h.percentile(0.95)?,
-                    p99: h.percentile(0.99)?,
-                    max: h.max()?,
-                })
-            })
-            .collect();
-        let series = metrics
-            .series_names()
-            .into_iter()
-            .map(|n| {
-                let s = metrics.series(n);
-                (n.to_owned(), s.len(), metrics.mean(n).unwrap_or(0.0))
-            })
-            .collect();
-        MetricsSection {
-            counters,
-            histograms,
-            series,
-        }
-    }
-}
+use gryphon_sim::{Metrics, MetricsSnapshot};
 
 /// One table of an experiment report.
 #[derive(Debug, Clone)]
@@ -159,11 +78,8 @@ pub struct Report {
     /// Raw `(name, samples)` series for plotting (virtual seconds, value).
     pub series: Vec<(String, Vec<(f64, f64)>)>,
     /// Snapshot of the run's metrics (attach with
-    /// [`Report::attach_metrics`]).
-    pub metrics: Option<MetricsSection>,
-    /// Prometheus text-format rendering of the same metrics snapshot
-    /// (the bundle's `snapshot.prom`; set by [`Report::attach_metrics`]).
-    pub prom: Option<String>,
+    /// [`Report::attach_metrics`]); a bundle writes it as `metrics.csv`.
+    pub metrics: Option<MetricsSnapshot>,
     /// Rendered trace lines (attach with [`Report::attach_trace`]).
     pub trace: Vec<String>,
     /// Time-resolved telemetry timeline (attach with
@@ -202,62 +118,8 @@ impl Report {
     /// Snapshots a run's metrics into the report (counters, histogram
     /// percentiles, series summaries).
     pub fn attach_metrics(&mut self, metrics: &Metrics) -> &mut Self {
-        self.metrics = Some(MetricsSection::from_metrics(metrics));
-        self.prom = Some(gryphon_sim::lineage::prometheus_text(metrics));
-        self.append_topk_prom();
+        self.metrics = Some(MetricsSnapshot::from_metrics(metrics));
         self
-    }
-
-    /// Appends the labeled `topk_*` gauges from the attached timeline's
-    /// latest top-K snapshots onto the Prometheus snapshot, replacing
-    /// any block a previous attach left (both attach orders work, and
-    /// re-attaching never duplicates). Cardinality is bounded at K
-    /// label pairs per dimension by the sketch itself (DESIGN.md §9):
-    /// this is the one place the exporter emits per-entity labels, and
-    /// it can never exceed `dims × K` series.
-    fn append_topk_prom(&mut self) {
-        // Doubles as the idempotence marker for truncate-and-reappend;
-        // a HELP comment so the block stays inside the exposition
-        // grammar the CI awk validator enforces.
-        const MARKER: &str =
-            "# HELP topk_weight top-K attribution weight (bounded-cardinality labels)\n";
-        let Some(prom) = self.prom.as_mut() else {
-            return;
-        };
-        if let Some(at) = prom.find(MARKER) {
-            prom.truncate(at);
-        }
-        let Some(timeline) = self.telemetry.as_ref() else {
-            return;
-        };
-        // Latest snapshot per dimension, in first-seen dimension order.
-        let mut latest: Vec<&gryphon_sim::TopKSnapshot> = Vec::new();
-        for snap in timeline.topks() {
-            match latest.iter_mut().find(|s| s.dim == snap.dim) {
-                Some(slot) => *slot = snap,
-                None => latest.push(snap),
-            }
-        }
-        if latest.is_empty() {
-            return;
-        }
-        prom.push_str(MARKER);
-        prom.push_str("# TYPE topk_weight gauge\n");
-        for snap in &latest {
-            for e in &snap.entries {
-                prom.push_str(&format!(
-                    "topk_weight{{dim=\"{}\",entity=\"{}\"}} {}\n",
-                    snap.dim, e.entity, e.count
-                ));
-            }
-        }
-        prom.push_str("# TYPE topk_total gauge\n");
-        for snap in &latest {
-            prom.push_str(&format!(
-                "topk_total{{dim=\"{}\"}} {}\n",
-                snap.dim, snap.total
-            ));
-        }
     }
 
     /// Attaches already-rendered trace lines.
@@ -270,7 +132,6 @@ impl Report {
     /// `NetResult::telemetry`).
     pub fn attach_telemetry(&mut self, timeline: Timeline) -> &mut Self {
         self.telemetry = Some(timeline);
-        self.append_topk_prom();
         self
     }
 
@@ -444,85 +305,6 @@ impl Report {
         }
         out
     }
-
-    /// Dumps the attached metrics snapshot as CSV: one row per metric
-    /// (`kind,name,count,value,min,p50,p95,p99,max` — unused cells empty),
-    /// sorted by kind then name. Empty when no metrics are attached.
-    pub fn metrics_csv(&self) -> String {
-        let mut out = String::from("kind,name,count,value,min,p50,p95,p99,max\n");
-        let Some(m) = &self.metrics else {
-            return out;
-        };
-        for (name, v) in &m.counters {
-            out.push_str(&format!("counter,{},,{v:.3},,,,,\n", csv_escape(name)));
-        }
-        for h in &m.histograms {
-            out.push_str(&format!(
-                "histogram,{},{},,{:.3},{:.3},{:.3},{:.3},{:.3}\n",
-                csv_escape(&h.name),
-                h.count,
-                h.min,
-                h.p50,
-                h.p95,
-                h.p99,
-                h.max
-            ));
-        }
-        for (name, n, mean) in &m.series {
-            out.push_str(&format!("series,{},{n},{mean:.3},,,,,\n", csv_escape(name)));
-        }
-        out
-    }
-
-    /// Dumps the attached metrics snapshot as a JSON object
-    /// (`{"experiment": ..., "counters": {...}, "histograms": {...},
-    /// "series": {...}}`). Hand-rolled — the workspace is offline and
-    /// carries no JSON dependency.
-    pub fn metrics_json(&self) -> String {
-        let empty = MetricsSection::default();
-        let m = self.metrics.as_ref().unwrap_or(&empty);
-        let mut out = format!("{{\n  \"experiment\": \"{}\",\n", json_escape(&self.id));
-        out.push_str("  \"counters\": {");
-        let counters: Vec<String> = m
-            .counters
-            .iter()
-            .map(|(n, v)| format!("\"{}\": {}", json_escape(n), json_num(*v)))
-            .collect();
-        out.push_str(&counters.join(", "));
-        out.push_str("},\n  \"histograms\": {");
-        let hists: Vec<String> = m
-            .histograms
-            .iter()
-            .map(|h| {
-                format!(
-                    "\"{}\": {{\"count\": {}, \"min\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-                    json_escape(&h.name),
-                    h.count,
-                    json_num(h.min),
-                    json_num(h.p50),
-                    json_num(h.p95),
-                    json_num(h.p99),
-                    json_num(h.max)
-                )
-            })
-            .collect();
-        out.push_str(&hists.join(", "));
-        out.push_str("},\n  \"series\": {");
-        let series: Vec<String> = m
-            .series
-            .iter()
-            .map(|(n, count, mean)| {
-                format!(
-                    "\"{}\": {{\"samples\": {count}, \"mean\": {}}}",
-                    json_escape(n),
-                    json_num(*mean)
-                )
-            })
-            .collect();
-        out.push_str(&series.join(", "));
-        out.push_str("}\n}\n");
-        out
-    }
 }
 
 /// Formats a float with thousands separators (rates in ev/s).
@@ -582,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_section_exports() {
+    fn metrics_section_renders() {
         let mut m = Metrics::default();
         m.count("phb.log_bytes", 1024.0);
         for v in [10.0, 20.0, 30.0] {
@@ -596,69 +378,6 @@ mod tests {
         assert!(text.contains("## metrics"));
         assert!(text.contains("phb.log_bytes"));
         assert!(text.contains("shb.switchover_latency_us"));
-
-        let csv = r.metrics_csv();
-        assert!(csv.starts_with("kind,name,count,value,min,p50,p95,p99,max\n"));
-        assert!(csv.contains("counter,phb.log_bytes,,1024.000"));
-        assert!(csv.contains("histogram,shb.switchover_latency_us,3,"));
-        assert!(csv.contains("series,shb.doubt_width,1,5.000"));
-
-        let json = r.metrics_json();
-        assert!(json.contains("\"experiment\": \"exp\""));
-        assert!(json.contains("\"phb.log_bytes\": 1024"));
-        assert!(json.contains("\"count\": 3"));
-    }
-
-    #[test]
-    fn empty_metrics_json_is_valid_shape() {
-        let r = Report::new("none");
-        let json = r.metrics_json();
-        assert!(json.contains("\"counters\": {}"));
-        assert!(json.contains("\"histograms\": {}"));
-        assert_eq!(
-            r.metrics_csv(),
-            "kind,name,count,value,min,p50,p95,p99,max\n"
-        );
-    }
-
-    #[test]
-    fn prom_snapshot_carries_labeled_topk_gauges_in_either_attach_order() {
-        use gryphon_sim::{TopKEntry, TopKSnapshot};
-        let mk_timeline = || {
-            let mut t = Timeline::new(500_000);
-            t.push_topk(TopKSnapshot {
-                t_us: 500_000,
-                dim: gryphon_sim::sketch::DIM_SUB_BYTES,
-                total: 900,
-                entries: vec![TopKEntry {
-                    entity: 42,
-                    count: 900,
-                    err: 0,
-                }],
-            });
-            t
-        };
-        let needle = "topk_weight{dim=\"hottest_subs_by_bytes\",entity=\"42\"} 900";
-        // metrics then telemetry (the common order).
-        let mut r = Report::new("p");
-        r.attach_metrics(&Metrics::default());
-        r.attach_telemetry(mk_timeline());
-        let prom = r.prom.clone().unwrap();
-        assert!(prom.contains(needle), "{prom}");
-        assert!(prom.contains("topk_total{dim=\"hottest_subs_by_bytes\"} 900"));
-        // Re-attaching must not duplicate the block.
-        r.attach_telemetry(mk_timeline());
-        assert_eq!(r.prom.as_ref().unwrap().matches(needle).count(), 1);
-        // telemetry then metrics also lands the block.
-        let mut r2 = Report::new("p2");
-        r2.attach_telemetry(mk_timeline());
-        r2.attach_metrics(&Metrics::default());
-        assert!(r2.prom.unwrap().contains(needle));
-        // No topks → no topk families at all.
-        let mut r3 = Report::new("p3");
-        r3.attach_metrics(&Metrics::default());
-        r3.attach_telemetry(Timeline::new(500_000));
-        assert!(!r3.prom.unwrap().contains("topk_"));
     }
 
     #[test]

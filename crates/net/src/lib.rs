@@ -57,8 +57,7 @@
 //! until then a dispatch reads no clock and nothing runs per window.
 //! [`RunningNet::stop`] closes one last window. Without a sampler there
 //! is no window to close, and what the sketch collected is dropped.
-//! [`RunningNet::serve_metrics`] exposes the merged snapshot live as
-//! Prometheus text over a tiny blocking-TCP endpoint.
+//! [`RunningNet::metrics_snapshot`] reads the merged metrics mid-run.
 //!
 //! # Examples
 //!
@@ -86,7 +85,7 @@
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use gryphon_sim::forensics::{BusyInterval, KIND_DISPATCH, KIND_QUEUE};
-use gryphon_sim::telemetry::{Sampler, TextServer, Timeline};
+use gryphon_sim::telemetry::{Sampler, Timeline};
 use gryphon_sim::{
     names, AnyNode, ForensicsConfig, HealthEngine, Lineage, Metrics, Node, NodeCtx, Observers,
     SketchConfig, TimerKey, TraceEvent, TraceRecord,
@@ -337,7 +336,6 @@ impl NetBuilder {
             stop,
             joins,
             telemetry: None,
-            scrape: None,
         }
     }
 }
@@ -601,7 +599,6 @@ pub struct RunningNet {
     stop: Arc<AtomicBool>,
     joins: Vec<std::thread::JoinHandle<AnyNode>>,
     telemetry: Option<SamplerThread>,
-    scrape: Option<TextServer>,
 }
 
 impl RunningNet {
@@ -631,8 +628,7 @@ impl RunningNet {
     /// A consistent mid-run snapshot of all metric kinds (counters,
     /// gauges, histograms, series) merged across every worker shard —
     /// see `Shared::metrics_snapshot` for the exact semantics. Safe to
-    /// call at any point; the live `/metrics` endpoint serves exactly
-    /// this.
+    /// call at any point.
     pub fn metrics_snapshot(&self) -> Metrics {
         self.shared
             .metrics_snapshot(self.telemetry.as_ref().map(|t| &*t.state))
@@ -691,42 +687,12 @@ impl RunningNet {
             .map(|t| t.state.lock().sampler.timeline().clone())
     }
 
-    /// Serves the merged metrics snapshot as Prometheus text over a tiny
-    /// blocking-TCP endpoint (e.g. `addr = "127.0.0.1:0"`); returns the
-    /// bound address. The endpoint stays up until [`RunningNet::stop`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error if `addr` cannot be bound.
-    pub fn serve_metrics(&mut self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        // `/healthz` reports the live alert count — arm the sampler
-        // before serving if health-rule evaluation should feed it.
-        let state = self.telemetry.as_ref().map(|t| Arc::clone(&t.state));
-        let (shared, health_state) = (Arc::clone(&self.shared), state.clone());
-        let server = TextServer::serve_with_health(
-            addr,
-            move || {
-                gryphon_sim::lineage::prometheus_text(&shared.metrics_snapshot(state.as_deref()))
-            },
-            move || {
-                let alerts = health_state
-                    .as_ref()
-                    .map_or(0, |s| s.lock().sampler.timeline().alerts().len());
-                format!("alerts {alerts}\n")
-            },
-        )?;
-        let bound = server.local_addr();
-        self.scrape = Some(server);
-        Ok(bound)
-    }
-
     /// Stops all node threads and returns their final states. When a
     /// sampler ran, one last window is closed over what the workers
     /// collected after the sampler's final tick.
     pub fn stop(mut self) -> NetResult {
-        // Scrape endpoint and sampler go down first so neither observes
-        // a half-stopped net.
-        drop(self.scrape.take());
+        // The sampler goes down first so it never observes a
+        // half-stopped net.
         let telemetry = self.telemetry.take().map(|t| {
             t.stop.store(true, Ordering::Relaxed);
             let _ = t.join.join();
@@ -997,38 +963,6 @@ mod tests {
         assert_eq!(snap.counter("echo.got"), 50.0);
         assert_eq!(snap.gauge("telemetry.queue_depth"), Some(0.0));
         assert_eq!(snap.gauge("telemetry.queue_depth.w0"), Some(0.0));
-        net.stop();
-    }
-
-    #[test]
-    fn serve_metrics_scrapes_prometheus_text_mid_run() {
-        use std::io::{Read as _, Write as _};
-        let mut b = NetBuilder::new();
-        let a = b.add_node(
-            "a",
-            Echo {
-                got: 0,
-                timer_fired: false,
-            },
-        );
-        let mut net = b.start();
-        let addr = net.serve_metrics("127.0.0.1:0").expect("bind scrape");
-        for _ in 0..25 {
-            net.inject(a.id(), dummy());
-        }
-        net.run_for(Duration::from_millis(50));
-        let mut sock = std::net::TcpStream::connect(addr).expect("connect scrape");
-        sock.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .expect("send request");
-        let mut resp = String::new();
-        sock.read_to_string(&mut resp).expect("read response");
-        assert!(resp.starts_with("HTTP/1.1 200 OK"), "got: {resp}");
-        assert!(resp.contains("# TYPE echo_got counter"), "got: {resp}");
-        assert!(resp.contains("echo_got 25"), "got: {resp}");
-        assert!(
-            resp.contains("# TYPE telemetry_queue_depth gauge"),
-            "got: {resp}"
-        );
         net.stop();
     }
 }

@@ -11,7 +11,8 @@
 //! omitted when absent, and one level of nested record arrays. The reader
 //! accepts exactly that and names the first field that does not fit, so a
 //! bundle re-parses byte-for-byte and garbage fails loudly. The workspace
-//! is offline and carries no JSON dependency.
+//! is offline and carries no JSON dependency. The CSV files escape their
+//! fields with [`csv_escape`].
 
 use crate::forensics::{intern_kind, BusyInterval, Exemplar};
 use crate::health::{AlertRecord, AlertState};
@@ -44,6 +45,16 @@ pub fn json_num(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_owned()
+    }
+}
+
+/// Escapes one CSV field per RFC 4180: a field containing a comma, a
+/// quote or a line break is quoted, with interior quotes doubled.
+pub fn csv_escape(field: &str) -> String {
+    if field.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", field.replace('"', "\"\""))
+    } else {
+        field.to_owned()
     }
 }
 

@@ -287,8 +287,8 @@ impl HealthEngine {
     }
 
     /// Registers every rule's `health.alert.<rule>` counter at zero so
-    /// snapshots and Prometheus exports show the armed rule set even on
-    /// clean runs.
+    /// a snapshot (a bundle's `metrics.csv`, a flight post-mortem) shows
+    /// the armed rule set even on clean runs.
     pub fn prime(&self, metrics: &mut crate::metrics::Metrics) {
         for rule in &self.rules {
             metrics.count(&rule.counter_name(), 0.0);

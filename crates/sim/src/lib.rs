@@ -67,7 +67,7 @@ pub mod trace;
 pub use forensics::{BusyInterval, Exemplar, ExemplarReservoir, ForensicsConfig};
 pub use health::{default_rules, AlertRecord, AlertState, HealthEngine, HealthRule, RuleKind};
 pub use lineage::{LedgerAudit, Lineage, Span};
-pub use metrics::{names, Histogram, Metrics};
+pub use metrics::{names, Histogram, HistogramSummary, Metrics, MetricsSnapshot};
 pub use observers::{Observers, Oracle};
 pub use runtime::{AnyNode, Handle, LinkParams, Node, NodeCtx, Sim, TimerKey, CONTROL_NODE};
 pub use sketch::{

@@ -1,6 +1,5 @@
 //! End-to-end delivery lineage: per-event stage spans, latency
-//! attribution, the exactly-once delivery ledger, and the Prometheus
-//! text exporter.
+//! attribution, and the exactly-once delivery ledger.
 //!
 //! ## Span model
 //!
@@ -604,82 +603,6 @@ impl Lineage {
     }
 }
 
-/// Sanitizes a metric name into the Prometheus name charset
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
-fn prom_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-fn prom_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "NaN".to_owned()
-    } else if v > 0.0 {
-        "+Inf".to_owned()
-    } else {
-        "-Inf".to_owned()
-    }
-}
-
-/// Renders a [`Metrics`] snapshot in the Prometheus text exposition
-/// format: counters as `counter`, gauges as `gauge`, histograms as
-/// `summary` (quantile series plus `_sum`/`_count`), series as `gauge`
-/// holding the last sample. Names are sanitized (`.` → `_`); output is
-/// sorted by name within each kind, so snapshots diff cleanly.
-pub fn prometheus_text(metrics: &Metrics) -> String {
-    let mut out = String::new();
-    for name in metrics.counter_names() {
-        let pn = prom_name(name);
-        out.push_str(&format!("# TYPE {pn} counter\n"));
-        out.push_str(&format!("{pn} {}\n", prom_num(metrics.counter(name))));
-    }
-    for name in metrics.gauge_names() {
-        let pn = prom_name(name);
-        out.push_str(&format!("# TYPE {pn} gauge\n"));
-        out.push_str(&format!(
-            "{pn} {}\n",
-            prom_num(metrics.gauge(name).unwrap_or(0.0))
-        ));
-    }
-    for name in metrics.histogram_names() {
-        let Some(h) = metrics.histogram(name) else {
-            continue;
-        };
-        let pn = prom_name(name);
-        out.push_str(&format!("# TYPE {pn} summary\n"));
-        for q in [0.5, 0.95, 0.99] {
-            if let Some(v) = h.percentile(q) {
-                out.push_str(&format!("{pn}{{quantile=\"{q}\"}} {}\n", prom_num(v)));
-            }
-        }
-        out.push_str(&format!("{pn}_sum {}\n", prom_num(h.sum())));
-        out.push_str(&format!("{pn}_count {}\n", h.count()));
-    }
-    for name in metrics.series_names() {
-        let Some(&(_, last)) = metrics.series(name).last() else {
-            continue;
-        };
-        let pn = prom_name(name);
-        out.push_str(&format!("# TYPE {pn} gauge\n"));
-        out.push_str(&format!("{pn} {}\n", prom_num(last)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1149,38 +1072,5 @@ mod tests {
             vec![Timestamp(3), Timestamp(4)],
             "oldest evicted first"
         );
-    }
-
-    #[test]
-    fn prometheus_text_renders_all_kinds() {
-        let mut m = Metrics::default();
-        m.count("shb.constream_delivered", 10.0);
-        for v in [5.0, 10.0, 15.0] {
-            m.observe("lineage.stage.deliver_us", v);
-        }
-        m.record(1_000, "lineage.lag.doubt_horizon_ticks", 4.0);
-        m.set_gauge("telemetry.queue_depth", 17.0);
-        let text = prometheus_text(&m);
-        assert!(text.contains("# TYPE shb_constream_delivered counter\n"));
-        assert!(text.contains("shb_constream_delivered 10\n"));
-        assert!(text.contains("# TYPE telemetry_queue_depth gauge\n"));
-        assert!(text.contains("telemetry_queue_depth 17\n"));
-        assert!(text.contains("# TYPE lineage_stage_deliver_us summary\n"));
-        assert!(text.contains("lineage_stage_deliver_us{quantile=\"0.5\"}"));
-        assert!(text.contains("lineage_stage_deliver_us_sum 30\n"));
-        assert!(text.contains("lineage_stage_deliver_us_count 3\n"));
-        assert!(text.contains("# TYPE lineage_lag_doubt_horizon_ticks gauge\n"));
-        // Every non-comment line is `name[{labels}] value`.
-        for line in text.lines() {
-            if line.starts_with('#') {
-                continue;
-            }
-            let (name, value) = line.split_once(' ').expect("name value");
-            let bare = name.split('{').next().unwrap();
-            assert!(bare
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'));
-            assert!(value.parse::<f64>().is_ok(), "value parses: {line}");
-        }
     }
 }

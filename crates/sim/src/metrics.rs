@@ -1,5 +1,6 @@
 //! Time-series, counter and histogram recording for experiments.
 
+use crate::codec::csv_escape;
 use std::collections::BTreeMap;
 
 /// The documented metric-name registry.
@@ -649,9 +650,135 @@ impl Metrics {
     }
 }
 
+/// Summary of one histogram in a [`MetricsSnapshot`].
+#[derive(Debug, Clone)]
+pub struct HistogramSummary {
+    /// Metric name (see [`names`]).
+    pub name: String,
+    /// Sample count.
+    pub count: u64,
+    /// Exact smallest sample.
+    pub min: f64,
+    /// Median estimate.
+    pub p50: f64,
+    /// 95th percentile estimate.
+    pub p95: f64,
+    /// 99th percentile estimate.
+    pub p99: f64,
+    /// Exact largest sample.
+    pub max: f64,
+}
+
+/// A [`Metrics`] snapshot reduced to stable, sorted summaries: what a
+/// report renders and what [`to_csv`](MetricsSnapshot::to_csv) writes
+/// as a bundle's `metrics.csv`. Gauges are left out; the telemetry
+/// sampler records each as a timeline series.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsSnapshot {
+    /// All counters, sorted by name.
+    pub counters: Vec<(String, f64)>,
+    /// All histograms, sorted by name.
+    pub histograms: Vec<HistogramSummary>,
+    /// All series reduced to `(name, samples, mean)`, sorted by name.
+    pub series: Vec<(String, usize, f64)>,
+}
+
+impl MetricsSnapshot {
+    /// The `metrics.csv` header row.
+    pub const CSV_HEADER: &'static str = "kind,name,count,value,min,p50,p95,p99,max";
+
+    /// Snapshots `metrics` into sorted summaries.
+    pub fn from_metrics(metrics: &Metrics) -> Self {
+        let counters = metrics
+            .counter_names()
+            .into_iter()
+            .map(|n| (n.to_owned(), metrics.counter(n)))
+            .collect();
+        let histograms = metrics
+            .histogram_names()
+            .into_iter()
+            .filter_map(|n| {
+                let h = metrics.histogram(n)?;
+                Some(HistogramSummary {
+                    name: n.to_owned(),
+                    count: h.count(),
+                    min: h.min()?,
+                    p50: h.percentile(0.50)?,
+                    p95: h.percentile(0.95)?,
+                    p99: h.percentile(0.99)?,
+                    max: h.max()?,
+                })
+            })
+            .collect();
+        let series = metrics
+            .series_names()
+            .into_iter()
+            .map(|n| {
+                let s = metrics.series(n);
+                (n.to_owned(), s.len(), metrics.mean(n).unwrap_or(0.0))
+            })
+            .collect();
+        MetricsSnapshot {
+            counters,
+            histograms,
+            series,
+        }
+    }
+
+    /// Renders the snapshot as CSV: the [`CSV_HEADER`](Self::CSV_HEADER)
+    /// row, then one row per metric (unused cells empty), counters then
+    /// histograms then series, each sorted by name.
+    pub fn to_csv(&self) -> String {
+        let mut out = format!("{}\n", Self::CSV_HEADER);
+        for (name, v) in &self.counters {
+            out.push_str(&format!("counter,{},,{v:.3},,,,,\n", csv_escape(name)));
+        }
+        for h in &self.histograms {
+            out.push_str(&format!(
+                "histogram,{},{},,{:.3},{:.3},{:.3},{:.3},{:.3}\n",
+                csv_escape(&h.name),
+                h.count,
+                h.min,
+                h.p50,
+                h.p95,
+                h.p99,
+                h.max
+            ));
+        }
+        for (name, n, mean) in &self.series {
+            out.push_str(&format!("series,{},{n},{mean:.3},,,,,\n", csv_escape(name)));
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_csv_rows_go_by_kind_then_name() {
+        let mut m = Metrics::default();
+        m.count("phb.log_bytes", 1024.0);
+        m.count("a,\"quoted\"", 1.0);
+        for v in [10.0, 20.0, 30.0] {
+            m.observe("shb.switchover_latency_us", v);
+        }
+        m.record(1_000, "shb.doubt_width", 5.0);
+        m.set_gauge("telemetry.queue_depth", 3.0);
+        assert_eq!(
+            MetricsSnapshot::from_metrics(&m).to_csv(),
+            "kind,name,count,value,min,p50,p95,p99,max\n\
+             counter,\"a,\"\"quoted\"\"\",,1.000,,,,,\n\
+             counter,phb.log_bytes,,1024.000,,,,,\n\
+             histogram,shb.switchover_latency_us,3,,10.000,20.827,30.000,30.000,30.000\n\
+             series,shb.doubt_width,1,5.000,,,,,\n"
+        );
+        assert_eq!(
+            MetricsSnapshot::default().to_csv(),
+            format!("{}\n", MetricsSnapshot::CSV_HEADER)
+        );
+    }
 
     #[test]
     fn windowed_sum_buckets_by_window_start() {
@@ -759,9 +886,8 @@ mod tests {
         ] {
             assert!(seen.contains(forensics), "{forensics} not registered");
         }
-        // The population-observability family (PR 10) must be
-        // registered so the Prometheus exporter and the doctor-coverage
-        // test can see it.
+        // The population-observability family must be registered so
+        // the doctor-coverage test can see it.
         for sketch in [
             names::FORENSICS_TOPK_DROPPED,
             names::SKETCH_LAG_POPULATION,

@@ -7,7 +7,7 @@ use crate::observers::{Observers, Oracle};
 use crate::sketch::SketchConfig;
 use crate::telemetry::{Sampler, Timeline};
 use crate::trace::{TraceEvent, TraceRecord, DEFAULT_TRACE_CAPACITY};
-use crate::Metrics;
+use crate::{Metrics, MetricsSnapshot};
 use gryphon_types::{NetMsg, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -548,7 +548,7 @@ impl Sim {
 
     /// Writes a post-mortem for the violation just observed on `rec`:
     /// the reason, the offending record, that event's reconstructed
-    /// lineage span, a metrics snapshot (Prometheus text) and the tail
+    /// lineage span, a metrics snapshot (`metrics.csv` rows) and the tail
     /// of the trace ring, which ends with the offending record. Bounded
     /// to [`Self::MAX_FLIGHT_DUMPS`] files per run; a disabled recorder
     /// (`flight_dir == None`) costs one branch. The flight recorder
@@ -594,7 +594,7 @@ impl Sim {
             None => out.push_str("(event carries no lineage key)\n"),
         }
         out.push_str("\n## metrics snapshot\n");
-        out.push_str(&crate::lineage::prometheus_text(self.obs.metrics()));
+        out.push_str(&MetricsSnapshot::from_metrics(self.obs.metrics()).to_csv());
         out.push_str(&format!("\n## trace ring tail (last {TRACE_TAIL})\n"));
         let tail: Vec<&TraceRecord> = self.obs.trace_records().rev().take(TRACE_TAIL).collect();
         for r in tail.into_iter().rev() {

@@ -1,14 +1,14 @@
 //! Time-resolved telemetry: windowed sampling of gauges and counter
 //! rates into a deterministic in-memory timeline (DESIGN.md §9).
 //!
-//! End-of-run snapshots (metrics, lineage, Prometheus dumps) cannot
+//! End-of-run snapshots (metrics, lineage, the `metrics.csv` rows) cannot
 //! show the paper's *dynamics* — doubt-horizon width, catchup backlog
 //! and queue depth all spike around failures and drain afterwards. The
 //! [`Sampler`] closes that gap: on a fixed interval (virtual time under
 //! [`Sim`](crate::Sim), wall time under `gryphon-net`) it snapshots
 //! every registered gauge and converts every counter into a per-window
-//! rate, appending to a [`Timeline`] that exports as ndjson, CSV, or an
-//! ASCII sparkline block.
+//! rate, appending to a [`Timeline`] that exports as ndjson or an ASCII
+//! sparkline block.
 //!
 //! Sampling never feeds back into the run: the simulator fires samples
 //! between scheduler events without enqueueing anything, so traces and
@@ -26,9 +26,6 @@
 //! present as the run-wide backlog no matter how many SHBs publish it.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use crate::codec;
 use crate::forensics::{BusyInterval, Exemplar};
@@ -62,7 +59,7 @@ pub(crate) struct Sample {
 /// alerts raised while the timeline was collected (kept separate from
 /// the sample series so sample exports stay pure), plus the bounded
 /// forensics streams (tail exemplars, busy intervals, top-K snapshots) —
-/// also separate, so `to_ndjson`/`to_csv` stay sample-only.
+/// also separate, so `to_ndjson` stays sample-only.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     interval_us: u64,
@@ -116,7 +113,7 @@ impl Timeline {
     }
 
     /// Appends a structured health-alert transition. Alerts live next
-    /// to — not inside — the sample series: `to_ndjson`/`to_csv` stay
+    /// to — not inside — the sample series: `to_ndjson` stays
     /// sample-only and alerts export via
     /// [`alerts_ndjson`](Timeline::alerts_ndjson).
     pub fn push_alert(&mut self, alert: AlertRecord) {
@@ -217,24 +214,6 @@ impl Timeline {
                 (rec.t_us, rec.value) = (t_us, value);
                 codec::encode(&rec, &mut out);
                 out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Renders the timeline as RFC-4180-ish CSV with a
-    /// `series,t_us,value` header, sorted like
-    /// [`to_ndjson`](Timeline::to_ndjson).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("series,t_us,value\n");
-        for (name, samples) in &self.series {
-            let quoted = if name.contains([',', '"', '\n']) {
-                format!("\"{}\"", name.replace('"', "\"\""))
-            } else {
-                name.clone()
-            };
-            for &(t, v) in samples {
-                out.push_str(&format!("{quoted},{t},{v}\n"));
             }
         }
         out
@@ -460,144 +439,6 @@ impl Sampler {
     }
 }
 
-/// A tiny blocking-TCP text endpoint: serves whatever `content()`
-/// returns to every HTTP GET, `Connection: close` per request, plus a
-/// `/healthz` liveness route answering with `health()` (an alert-count
-/// body). Used for the live `/metrics` scrape
-/// (`RunningNet::serve_metrics`) and `xp --metrics-addr`; shut down
-/// explicitly via [`TextServer::shutdown`] or implicitly on drop —
-/// either way the accept thread is joined, never leaked.
-pub struct TextServer {
-    local_addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TextServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and serves `content()` from a
-    /// background thread until the server is shut down. `/healthz`
-    /// reports zero alerts; use
-    /// [`serve_with_health`](TextServer::serve_with_health) to wire a
-    /// real alert count.
-    pub fn serve<F>(addr: &str, content: F) -> std::io::Result<TextServer>
-    where
-        F: Fn() -> String + Send + 'static,
-    {
-        Self::serve_with_health(addr, content, || "alerts 0\n".to_owned())
-    }
-
-    /// Like [`serve`](TextServer::serve), with a dedicated `health()`
-    /// closure answering `GET /healthz` (convention: `alerts <n>\n`,
-    /// always status 200 — liveness, not judgement; the body carries
-    /// the count for the caller to alert on).
-    pub fn serve_with_health<F, H>(addr: &str, content: F, health: H) -> std::io::Result<TextServer>
-    where
-        F: Fn() -> String + Send + 'static,
-        H: Fn() -> String + Send + 'static,
-    {
-        let listener = std::net::TcpListener::bind(addr)?;
-        // Nonblocking accept so the thread can observe the stop flag;
-        // each accepted socket is switched back to blocking I/O.
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let join = std::thread::Builder::new()
-            .name("telemetry-scrape".into())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((mut sock, _)) => {
-                            let _ = sock.set_nonblocking(false);
-                            let _ =
-                                sock.set_read_timeout(Some(std::time::Duration::from_millis(500)));
-                            match read_request_line(&mut sock) {
-                                Some((method, path)) if method == "GET" => {
-                                    let body =
-                                        if path == "/healthz" || path.starts_with("/healthz?") {
-                                            health()
-                                        } else {
-                                            content()
-                                        };
-                                    let head = format!(
-                                        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; \
-                                         version=0.0.4\r\nContent-Length: {}\r\nConnection: \
-                                         close\r\n\r\n",
-                                        body.len()
-                                    );
-                                    let _ = sock.write_all(head.as_bytes());
-                                    let _ = sock.write_all(body.as_bytes());
-                                }
-                                _ => {
-                                    let _ = sock.write_all(
-                                        b"HTTP/1.1 405 Method Not Allowed\r\nAllow: GET\r\n\
-                                          Content-Length: 0\r\nConnection: close\r\n\r\n",
-                                    );
-                                }
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(std::time::Duration::from_millis(10));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })?;
-        Ok(TextServer {
-            local_addr,
-            stop,
-            join: Some(join),
-        })
-    }
-
-    /// The bound address (resolves port 0 to the assigned port).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops the accept loop and joins the accept thread; the listening
-    /// socket is closed when this returns. Idempotent — `Drop` routes
-    /// through here too.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for TextServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Reads the request head until the header terminator, EOF, timeout, or
-/// a sanity cap, and returns the request-line `(method, path)` tokens
-/// (`None` on a garbled request, which the caller answers with 405).
-fn read_request_line(sock: &mut std::net::TcpStream) -> Option<(String, String)> {
-    let mut buf = [0u8; 1024];
-    let mut seen: Vec<u8> = Vec::new();
-    loop {
-        match sock.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                seen.extend_from_slice(&buf[..n]);
-                if seen.windows(4).any(|w| w == b"\r\n\r\n") || seen.len() > 8_192 {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let head = std::str::from_utf8(&seen).ok()?;
-    let request_line = head.lines().next()?;
-    let mut tokens = request_line.split_whitespace();
-    let method = tokens.next()?;
-    let path = tokens.next()?;
-    (!method.is_empty()).then(|| (method.to_owned(), path.to_owned()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,9 +516,6 @@ mod tests {
              {\"series\":\"b\",\"t_us\":250,\"value\":1.5}\n\
              {\"series\":\"b\",\"t_us\":500,\"value\":2.5}\n"
         );
-        let csv = t.to_csv();
-        assert!(csv.starts_with("series,t_us,value\n"));
-        assert!(csv.contains("b,250,1.5\n"));
     }
 
     #[test]
@@ -737,13 +575,6 @@ mod tests {
             assert_eq!(parsed.series(name), original.series(name), "series {name}");
         }
         assert_eq!(parsed.to_ndjson(), nd);
-        // The CSV twin quotes awkward names and has one row per sample.
-        let mut t = Timeline::new(250);
-        t.record(250, "weird \"name\", with, commas", 1.5);
-        assert_eq!(
-            t.to_csv(),
-            "series,t_us,value\n\"weird \"\"name\"\", with, commas\",250,1.5\n"
-        );
     }
 
     #[test]
@@ -840,83 +671,5 @@ mod tests {
         assert_eq!(t.topks().len(), TIMELINE_TOPK_CAP);
         assert_eq!(evicted, 5);
         assert_eq!(t.topks().next().unwrap().t_us, 1_004);
-    }
-
-    /// The `/healthz` satellite: liveness route answers 200 with the
-    /// alert-count body, and `shutdown` joins the accept thread and
-    /// closes the listener.
-    #[test]
-    fn text_server_healthz_and_shutdown() {
-        let mut srv = TextServer::serve_with_health(
-            "127.0.0.1:0",
-            || "metrics\n".to_owned(),
-            || "alerts 3\n".to_owned(),
-        )
-        .unwrap();
-        let addr = srv.local_addr();
-        let fetch = |path: &str| {
-            let mut sock = std::net::TcpStream::connect(addr).unwrap();
-            sock.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-                .unwrap();
-            let mut resp = String::new();
-            sock.read_to_string(&mut resp).unwrap();
-            resp
-        };
-        let health = fetch("/healthz");
-        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
-        assert!(health.ends_with("alerts 3\n"), "{health}");
-        let metrics = fetch("/metrics");
-        assert!(metrics.ends_with("metrics\n"), "{metrics}");
-        srv.shutdown();
-        srv.shutdown(); // idempotent
-        assert!(
-            std::net::TcpStream::connect(addr).is_err(),
-            "listener must close on shutdown"
-        );
-    }
-
-    #[test]
-    fn text_server_serves_scrapes() {
-        let srv = TextServer::serve("127.0.0.1:0", || "# TYPE up gauge\nup 1\n".into()).unwrap();
-        let addr = srv.local_addr();
-        for _ in 0..2 {
-            let mut sock = std::net::TcpStream::connect(addr).unwrap();
-            sock.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-                .unwrap();
-            let mut resp = String::new();
-            sock.read_to_string(&mut resp).unwrap();
-            assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
-            assert!(resp.contains("Content-Type: text/plain; version=0.0.4\r\n"));
-            assert!(resp.contains("Content-Length: "), "{resp}");
-            assert!(resp.ends_with("up 1\n"), "{resp}");
-        }
-    }
-
-    #[test]
-    fn text_server_rejects_non_get() {
-        let srv = TextServer::serve("127.0.0.1:0", || "secret\n".into()).unwrap();
-        let addr = srv.local_addr();
-        for req in [
-            "POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
-            "DELETE / HTTP/1.1\r\nHost: x\r\n\r\n",
-        ] {
-            let mut sock = std::net::TcpStream::connect(addr).unwrap();
-            sock.write_all(req.as_bytes()).unwrap();
-            let mut resp = String::new();
-            sock.read_to_string(&mut resp).unwrap();
-            assert!(
-                resp.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
-                "{resp}"
-            );
-            assert!(resp.contains("Allow: GET\r\n"), "{resp}");
-            assert!(!resp.contains("secret"), "body must not leak: {resp}");
-        }
-        // GET still works after rejected requests.
-        let mut sock = std::net::TcpStream::connect(addr).unwrap();
-        sock.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        let mut resp = String::new();
-        sock.read_to_string(&mut resp).unwrap();
-        assert!(resp.ends_with("secret\n"), "{resp}");
     }
 }

@@ -65,6 +65,25 @@ if [ "$unsafe_sites" != "$expected" ]; then
   exit 1
 fi
 
+echo "== non-test unwrap/expect: a ratchet =="
+# `.unwrap()`/`.expect(` in the non-test code of the crates that touch
+# disk and peer input, on the lines scripts/loc.sh counts (test items
+# and test-only files skipped). The count may fall, never rise: when a
+# site becomes a typed error, lower `max` with it.
+max=59
+ratchet_crates=(storage core net streams)
+sites() {
+  for c in "${ratchet_crates[@]}"; do scripts/code_lines.sh "$c"; done \
+    | { grep -E '\.unwrap\(\)|\.expect\(' || true; }
+}
+unwraps=$(sites | { grep -oE '\.unwrap\(\)|\.expect\(' || true; } | wc -l)
+if [ "$unwraps" -gt "$max" ]; then
+  echo "$unwraps unwrap/expect sites in ${ratchet_crates[*]}, above the pinned $max:"
+  sites
+  exit 1
+fi
+echo "ok: $unwraps unwrap/expect sites (at most $max)"
+
 echo "== durability: crash recovery + codec fuzz =="
 # The on-disk format gate: torn-tail / bit-flip recovery property tests
 # and the codec truncation/garbage fuzz (storage lib proptests), real-file
@@ -81,28 +100,6 @@ echo "== full stack with delivery ledger armed =="
 # duplicate or phantom delivery anywhere in these runs aborts the test.
 cargo test -q --test full_stack --test lineage
 
-# Validates Prometheus text exposition format: every line is a comment
-# (# HELP/# TYPE) or "name{labels} value"; every sample name must trace
-# back to a # TYPE declaration (summaries expose <name>_sum and
-# <name>_count series). Used for both a bundle's snapshot.prom and the
-# live mid-run scrape below.
-validate_prom() {
-  awk '
-    /^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* / { if ($2 == "TYPE") typed[$3]=1; next }
-    /^#/ { print "bad comment line " NR ": " $0; bad=1; next }
-    /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$/ {
-      name=$1; sub(/\{.*/, "", name);
-      base=name; sub(/_(sum|count)$/, "", base);
-      if (!(name in typed) && !(base in typed)) {
-        print "undeclared sample " NR ": " $0; bad=1
-      }
-      next
-    }
-    /./ { print "malformed line " NR ": " $0; bad=1 }
-    END { exit bad }
-  ' "$1"
-}
-
 echo "== run bundles and doctor =="
 # One flag writes a complete diagnosis bundle; the doctor then proves
 # the run healthy (check: replayed health rules fire nothing, invariant
@@ -111,20 +108,24 @@ echo "== run bundles and doctor =="
 # a deliberately degraded broker config (--degrade).
 rm -rf target/ci-bundles
 xp() { cargo run -q --release -p gryphon-bench --bin xp -- "$@"; }
+# A zero sampling interval is a usage error, not a 1 us sampler.
+code=0
+xp --quick --sample-interval 0 latency >/dev/null 2>&1 || code=$?
+[ "$code" -eq 2 ] || { echo "xp --sample-interval 0 exited $code, want 2"; exit 1; }
 xp --quick --bundle-out target/ci-bundles/clean latency fig4
 xp --quick --bundle-out target/ci-bundles/reseed --seed-offset 1 fig4
 xp --quick --bundle-out target/ci-bundles/degraded --degrade fig4
-for f in manifest.json metrics.csv timeline.ndjson snapshot.prom; do
-  test -s "target/ci-bundles/clean/latency/$f" || { echo "bundle missing $f"; exit 1; }
+# One rendering per fact: a bundle holds the files the doctor reads, the
+# human report and the flight directory, and nothing else.
+files=$(LC_ALL=C ls target/ci-bundles/clean/latency | tr '\n' ' ')
+expected="alerts.ndjson exemplars.ndjson flight intervals.ndjson manifest.json metrics.csv report.txt timeline.ndjson topk.ndjson "
+[ "$files" = "$expected" ] || { echo "bundle holds: $files"; echo "expected:     $expected"; exit 1; }
+for f in manifest.json metrics.csv timeline.ndjson; do
+  test -s "target/ci-bundles/clean/latency/$f" || { echo "bundle has an empty $f"; exit 1; }
 done
-# A clean run's alert log exists and is empty.
-test -e target/ci-bundles/clean/latency/alerts.ndjson || { echo "bundle missing alerts.ndjson"; exit 1; }
-for prom in target/ci-bundles/clean/{latency,fig4}/snapshot.prom; do
-  validate_prom "$prom"
-  echo "ok: $(grep -c '^# TYPE' "$prom") metric families in $prom"
-done
-grep -q '^health_alert_' target/ci-bundles/clean/latency/snapshot.prom \
-  || { echo "bundle snapshot missing health.alert.* families"; exit 1; }
+# The primed health.alert.* counters mark the armed rule set.
+grep -q '^counter,health\.alert\.' target/ci-bundles/clean/latency/metrics.csv \
+  || { echo "metrics.csv missing the primed health.alert.* counters"; exit 1; }
 xp doctor check target/ci-bundles/clean/latency
 xp doctor diff target/ci-bundles/clean/fig4 target/ci-bundles/reseed/fig4
 
@@ -148,8 +149,7 @@ echo "== top-K attribution: planted slow consumer =="
 # lag_skew fires then clears. Here the bundle is additionally checked
 # from the outside: the planted entity (id = --subs) is on the topk
 # timeline, both alert transitions landed in alerts.ndjson, and the
-# labeled topk_* gauges pass the same Prometheus grammar gate as every
-# other export.
+# doctor renders the attribution.
 xp --quick --slow-sub --subs 2000 --bundle-out target/ci-bundles/slow mega_subs
 slow=target/ci-bundles/slow/mega_subs
 grep -q '"dim":"slowest_subs_by_lag"' "$slow/topk.ndjson" \
@@ -160,15 +160,12 @@ grep -q '"rule":"lag_skew".*"state":"firing".*top slowest_subs_by_lag entity 200
   || { echo "firing lag_skew alert does not name the planted laggard"; exit 1; }
 grep -q '"rule":"lag_skew".*"state":"cleared"' "$slow/alerts.ndjson" \
   || { echo "lag_skew never cleared after recovery"; exit 1; }
-validate_prom "$slow/snapshot.prom"
-grep -q '^topk_weight{dim="slowest_subs_by_lag",entity="2000"}' "$slow/snapshot.prom" \
-  || { echo "snapshot.prom missing the labeled topk_weight gauge"; exit 1; }
 # (Through a file, not a pipe: `grep -q` exits at its first match and
 # would leave xp writing into a closed pipe.)
 xp doctor inspect "$slow" --topk >target/ci-bundles/inspect-topk.txt
 grep -q '^## top-k attribution' target/ci-bundles/inspect-topk.txt \
   || { echo "doctor inspect rendered no top-k section"; exit 1; }
-echo "ok: planted laggard attributed, alert fired+cleared, labeled gauges parse"
+echo "ok: planted laggard attributed, alert fired+cleared, doctor renders it"
 
 echo "== tail forensics: exemplars + chrome trace export =="
 # The degraded fig4 bundle is the interesting one: its inflated tail
@@ -215,16 +212,6 @@ xp doctor inspect target/ci-bundles/degraded/fig4 --exemplars >target/ci-bundles
 grep -q '^  exemplar ' target/ci-bundles/inspect-exemplars.txt \
   || { echo "doctor inspect --exemplars rendered no exemplars"; exit 1; }
 echo "ok: $(grep -c '"ph":"X"' "$trace") slices, $(grep -c '"ph":"b"' "$trace") span stages validated in $trace"
-
-echo "== live /metrics scrape (mid-run) =="
-# scrape_smoke runs a real threaded pipeline, fetches /metrics over TCP
-# while the net is still running, and prints the body; the same grammar
-# gate applies to the live endpoint as to the snapshot export.
-scrape="target/ci-bundles/scrape.prom"
-cargo run -q --release -p gryphon-bench --bin scrape_smoke >"$scrape"
-test -s "$scrape" || { echo "missing $scrape"; exit 1; }
-validate_prom "$scrape"
-echo "ok: $(grep -c '^# TYPE' "$scrape") metric families served live"
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

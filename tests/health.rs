@@ -4,7 +4,7 @@
 //! raise the `catchup_backlog` sustained-growth alert during the
 //! recovery transient and clear it by the tail — with the transitions
 //! visible in the timeline alert log, the rendered report's ALERTS
-//! section, and the Prometheus snapshot. Offline replay over the
+//! section, and the `metrics.csv` snapshot. Offline replay over the
 //! exported timeline (`xp doctor check`) must reproduce the online
 //! alert log exactly.
 #![cfg(feature = "trace")]
@@ -12,7 +12,7 @@
 use gryphon::SubscriberConfig;
 use gryphon_harness::{Report, System, TopologySpec, Workload};
 use gryphon_sim::telemetry::Timeline;
-use gryphon_sim::{default_rules, AlertState};
+use gryphon_sim::{default_rules, AlertState, MetricsSnapshot};
 
 const CRASH_AT_US: u64 = 10_000_000;
 const CRASH_DUR_US: u64 = 2_000_000;
@@ -54,25 +54,25 @@ fn build(crash: bool) -> (Timeline, f64, String) {
         .sim
         .metrics()
         .counter(gryphon_sim::names::HEALTH_ALERT_CATCHUP_BACKLOG);
-    let prom = gryphon_sim::lineage::prometheus_text(sys.sim.metrics());
+    let csv = MetricsSnapshot::from_metrics(sys.sim.metrics()).to_csv();
     let timeline = sys.sim.take_telemetry().expect("sampler was armed");
-    (timeline, counter, prom)
+    (timeline, counter, csv)
 }
 
 #[test]
 fn clean_run_raises_no_alerts() {
-    let (timeline, counter, prom) = build(false);
+    let (timeline, counter, csv) = build(false);
     assert!(
         timeline.alerts().is_empty(),
         "clean run must stay quiet, got {:?}",
         timeline.alerts()
     );
     assert_eq!(counter, 0.0, "alert counter must be primed at zero");
-    // Primed-at-zero counters keep the family visible in Prometheus so
-    // "no alerts" is an observable fact, not a missing series.
+    // Primed-at-zero counters keep the family visible in `metrics.csv`
+    // so "no alerts" is an observable fact, not a missing row.
     assert!(
-        prom.contains("health_alert_catchup_backlog 0"),
-        "prom snapshot must carry the primed alert counter"
+        csv.contains("\ncounter,health.alert.catchup_backlog,,0.000,"),
+        "metrics.csv must carry the primed alert counter"
     );
     // The report shows the engine as armed-but-quiet.
     let mut report = Report::new("health-clean");
@@ -84,7 +84,7 @@ fn clean_run_raises_no_alerts() {
 
 #[test]
 fn crash_fires_catchup_backlog_and_clears() {
-    let (timeline, counter, prom) = build(true);
+    let (timeline, counter, csv) = build(true);
     let alerts = timeline.alerts();
     let restart_us = CRASH_AT_US + CRASH_DUR_US;
 
@@ -117,19 +117,14 @@ fn crash_fires_catchup_backlog_and_clears() {
     );
     assert!(last.t_us > firing[0].t_us);
 
-    // The firing incremented the counter, which shows up in Prometheus.
+    // The firing incremented the counter, which shows up in `metrics.csv`.
     assert!(counter >= 1.0, "counter must count firings, got {counter}");
-    let prom_line = prom
+    let csv_line = csv
         .lines()
-        .find(|l| l.starts_with("health_alert_catchup_backlog "))
-        .expect("prom snapshot must carry the alert counter");
-    let value: f64 = prom_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    assert!(value >= 1.0, "{prom_line}");
+        .find(|l| l.starts_with("counter,health.alert.catchup_backlog,"))
+        .expect("metrics.csv must carry the alert counter");
+    let value: f64 = csv_line.split(',').nth(3).unwrap().parse().unwrap();
+    assert!(value >= 1.0, "{csv_line}");
 
     // The rendered report carries an ALERTS section with the firing.
     let mut report = Report::new("health-crash");

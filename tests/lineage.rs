@@ -196,7 +196,7 @@ fn injected_duplicate_trips_ledger_once_and_dumps_flight_recorder() {
         contents.contains("deliveries:  2"),
         "span should show both deliveries"
     );
-    assert!(contents.contains("## metrics snapshot"));
+    assert!(contents.contains("## metrics snapshot\nkind,name,count,value,min,p50,p95,p99,max\n"));
     assert!(contents.contains("## trace ring tail"));
 
     let _ = std::fs::remove_dir_all(&dir);
