@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! xp [--quick] [--csv DIR] [--trace] [--bundle-out DIR] [--sample-interval MS]
-//!    [--seed-offset N] [--degrade] [--slow-sub] [--subs N] [--churn-pct P]
-//!    <experiment>|all|list
+//!    [--seed-offset N] [--degrade] [--slow-sub] [--subs N] <experiment>|all|list
 //! xp doctor inspect BUNDLE [--exemplars] [--topk]
 //! xp doctor check BUNDLE
 //! xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]
@@ -35,8 +34,6 @@
 //! * `--slow-sub` plants one slow consumer in `mega_subs`;
 //! * `--subs N` overrides the `mega_subs` durable-subscription
 //!   population (default 10^6, or 20 000 under `--quick`);
-//! * `--churn-pct P` overrides the `mega_subs` churn percentage
-//!   (default 1);
 //! * `xp doctor inspect|diff|check|export-trace` analyses bundles
 //!   offline — see `gryphon_harness::doctor`.
 
@@ -45,7 +42,7 @@ use std::io::Write;
 
 const USAGE: &str = "usage: xp [--quick] [--csv DIR] [--trace] [--bundle-out DIR] \
      [--sample-interval MS] [--seed-offset N] [--degrade] [--slow-sub] [--subs N] \
-     [--churn-pct P] <experiment>|all|list\n\
+     <experiment>|all|list\n\
      \x20      xp doctor inspect BUNDLE [--exemplars] [--topk]\n\
      \x20      xp doctor check BUNDLE\n\
      \x20      xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]\n\
@@ -89,7 +86,6 @@ fn main() {
             "--degrade" => run.degrade = true,
             "--slow-sub" => run.slow_sub = true,
             "--subs" => run.mega_subs = Some(value(&mut args, "--subs", "an integer")),
-            "--churn-pct" => run.churn_pct = Some(value(&mut args, "--churn-pct", "a numeric")),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 print_catalog();

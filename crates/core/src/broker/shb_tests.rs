@@ -475,9 +475,12 @@ fn post_restart_resumes_from_durable_cursor() {
     assert_eq!(shb.sub_count(), 1, "subscription survived");
     assert_eq!(shb.connected_count(), 0, "connections did not");
     // The PFS chains survived too.
+    let slot = shb
+        .slot_of_sub(SubscriberId(1))
+        .expect("subscription survived");
     let r = shb
         .pfs
-        .read(P, SubscriberId(1), Timestamp::ZERO, Timestamp(10), 10)
+        .read_slot(P, slot, SubscriberId(1), Timestamp::ZERO, Timestamp(10), 10)
         .unwrap();
     assert_eq!(r.q_ticks, vec![Timestamp(4), Timestamp(8)]);
 }

@@ -556,7 +556,7 @@ fn unsubscribe_and_resubscribe_change_the_phb_filter_in_place() {
     );
     assert_eq!(sim.node_ref(tap).confirms(1_000_000, 3_000_000), 0);
 
-    sim.inject(
+    sim.inject_from(
         3_000_000,
         shb_id,
         two.id(),

@@ -1,11 +1,12 @@
 //! Property tests for the Persistent Filtering Subsystem: batch reads by
 //! backpointer walk must agree exactly with a reference replay of the
 //! write history, for any write pattern, read window, buffer size, chop
-//! schedule and crash point.
+//! schedule and crash point. Writes and reads go through the slot-keyed
+//! pair the SHB runs, with slab slot `s` holding subscriber `s`.
 
-use gryphon::{Pfs, PfsMode};
+use gryphon::{Pfs, PfsMode, PfsReadResult};
 use gryphon_storage::MemFactory;
-use gryphon_types::{PubendId, SubscriberId, Timestamp};
+use gryphon_types::{PubendId, SubSlot, SubscriberId, Timestamp};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -27,23 +28,56 @@ fn arb_history() -> impl Strategy<Value = Vec<WritePlan>> {
     )
 }
 
-/// Reference model: ts → set of matching subs.
-fn build(history: &[WritePlan]) -> (Pfs, MemFactory, BTreeMap<u64, u8>, Timestamp) {
-    let factory = MemFactory::new();
-    let mut pfs = Pfs::open(Box::new(factory.clone()), "t", PfsMode::Precise).unwrap();
-    let mut model = BTreeMap::new();
-    let mut ts = 0u64;
+fn open(factory: &MemFactory) -> Pfs {
+    Pfs::open(Box::new(factory.clone()), "t", PfsMode::Precise).unwrap()
+}
+
+/// Writes `history` after tick `ts` with every slot at `generation`,
+/// recording ts → matching-subscriber mask in `model`; returns the last
+/// tick written.
+fn write_history(
+    pfs: &mut Pfs,
+    model: &mut BTreeMap<u64, u8>,
+    history: &[WritePlan],
+    mut ts: u64,
+    generation: u32,
+) -> u64 {
     for w in history {
         ts += w.gap;
-        let subs: Vec<SubscriberId> = (0..SUBS)
+        let slots: Vec<u32> = (0..SUBS as u32)
             .filter(|s| w.mask & (1 << s) != 0)
-            .map(SubscriberId)
             .collect();
-        pfs.write(P, Timestamp(ts), &subs).unwrap();
+        pfs.write_slots(P, Timestamp(ts), &slots, |s| {
+            (SubscriberId(s.into()), generation)
+        })
+        .unwrap();
         model.insert(ts, w.mask);
     }
     pfs.sync().unwrap();
-    (pfs, factory, model, Timestamp(ts))
+    ts
+}
+
+/// Reference model: ts → set of matching subs.
+fn build(history: &[WritePlan]) -> (Pfs, MemFactory, BTreeMap<u64, u8>, Timestamp) {
+    let factory = MemFactory::new();
+    let mut pfs = open(&factory);
+    let mut model = BTreeMap::new();
+    let last = write_history(&mut pfs, &mut model, history, 0, 0);
+    (pfs, factory, model, Timestamp(last))
+}
+
+/// Reads subscriber `sub` (slot `sub` at `generation`) over `(from, to]`.
+fn read(
+    pfs: &mut Pfs,
+    sub: u64,
+    generation: u32,
+    from: Timestamp,
+    to: Timestamp,
+    max_q: usize,
+) -> PfsReadResult {
+    let slot = SubSlot::new(sub as u32, generation);
+    pfs.read_slot(P, slot, SubscriberId(sub), from, to, max_q)
+        .unwrap()
 }
 
 fn reference_q_ticks(model: &BTreeMap<u64, u8>, sub: u64, from: u64, to: u64) -> Vec<u64> {
@@ -52,6 +86,10 @@ fn reference_q_ticks(model: &BTreeMap<u64, u8>, sub: u64, from: u64, to: u64) ->
         .filter(|(_, &mask)| mask & (1 << sub) != 0)
         .map(|(&t, _)| t)
         .collect()
+}
+
+fn got(r: &PfsReadResult) -> Vec<u64> {
+    r.q_ticks.iter().map(|t| t.0).collect()
 }
 
 proptest! {
@@ -69,12 +107,11 @@ proptest! {
         let (mut pfs, _f, model, last) = build(&history);
         let from = (last.0 as f64 * from_frac) as u64;
         let to = from + ((last.0 - from.min(last.0)) as f64 * len_frac) as u64 + 1;
-        let r = pfs.read(P, SubscriberId(sub), Timestamp(from), Timestamp(to), usize::MAX).unwrap();
+        let r = read(&mut pfs, sub, 0, Timestamp(from), Timestamp(to), usize::MAX);
         prop_assert_eq!(r.known_from, Timestamp(from), "intact chain");
         prop_assert_eq!(r.covered_to, Timestamp(to));
         prop_assert!(r.full_read);
-        let got: Vec<u64> = r.q_ticks.iter().map(|t| t.0).collect();
-        prop_assert_eq!(got, reference_q_ticks(&model, sub, from, to));
+        prop_assert_eq!(got(&r), reference_q_ticks(&model, sub, from, to));
     }
 
     /// Saturated reads return the *oldest* `max_q` ticks and chain
@@ -90,9 +127,9 @@ proptest! {
         let mut collected = Vec::new();
         let mut from = Timestamp::ZERO;
         for _ in 0..200 {
-            let r = pfs.read(P, SubscriberId(sub), from, last, max_q).unwrap();
+            let r = read(&mut pfs, sub, 0, from, last, max_q);
             prop_assert!(r.q_ticks.len() <= max_q);
-            collected.extend(r.q_ticks.iter().map(|t| t.0));
+            collected.extend(got(&r));
             if r.full_read {
                 prop_assert_eq!(r.covered_to, last);
                 break;
@@ -110,10 +147,9 @@ proptest! {
     ) {
         let (pfs, factory, model, last) = build(&history);
         drop(pfs);
-        let mut pfs = Pfs::open(Box::new(factory), "t", PfsMode::Precise).unwrap();
-        let r = pfs.read(P, SubscriberId(sub), Timestamp::ZERO, last, usize::MAX).unwrap();
-        let got: Vec<u64> = r.q_ticks.iter().map(|t| t.0).collect();
-        prop_assert_eq!(got, reference_q_ticks(&model, sub, 0, last.0));
+        let mut pfs = open(&factory);
+        let r = read(&mut pfs, sub, 0, Timestamp::ZERO, last, usize::MAX);
+        prop_assert_eq!(got(&r), reference_q_ticks(&model, sub, 0, last.0));
     }
 
     /// Chopping below a released point never affects reads above it, and
@@ -129,47 +165,45 @@ proptest! {
         let chop_at = 1 + (last.0 as f64 * chop_frac) as u64;
         pfs.chop_below(P, Timestamp(chop_at)).unwrap();
         // Read entirely above the chop: exact.
-        let r = pfs.read(P, SubscriberId(sub), Timestamp(chop_at - 1), last, usize::MAX).unwrap();
-        let got: Vec<u64> = r.q_ticks.iter().map(|t| t.0).collect();
-        prop_assert_eq!(&got, &reference_q_ticks(&model, sub, chop_at - 1, last.0));
+        let r = read(&mut pfs, sub, 0, Timestamp(chop_at - 1), last, usize::MAX);
+        prop_assert_eq!(got(&r), reference_q_ticks(&model, sub, chop_at - 1, last.0));
         // Read from zero: the undetermined prefix must be reported.
-        let r = pfs.read(P, SubscriberId(sub), Timestamp::ZERO, last, usize::MAX).unwrap();
+        let r = read(&mut pfs, sub, 0, Timestamp::ZERO, last, usize::MAX);
         prop_assert!(r.known_from.0 >= chop_at.saturating_sub(1));
         // Above known_from, the result is still exact.
-        let got: Vec<u64> = r.q_ticks.iter().map(|t| t.0).collect();
-        prop_assert_eq!(got, reference_q_ticks(&model, sub, r.known_from.0, last.0));
+        prop_assert_eq!(got(&r), reference_q_ticks(&model, sub, r.known_from.0, last.0));
     }
 
-    /// The imprecise mode only ever widens the Q set (never drops a true
-    /// match) — the correctness condition of paper §4.2.
+    /// Writes that continue after a chop and a reopen find every chain
+    /// head through the recovered `lastIndex` map (the slot heads start
+    /// empty, and the slots come back at generation `generation`): reads
+    /// from the floor are exact above `known_from ≥ floor`, and stay so
+    /// across a second reopen.
     #[test]
-    fn imprecise_is_superset(
-        history in arb_history(),
+    fn writes_continue_after_chop_and_reopen(
+        before in arb_history(),
+        after in arb_history(),
         sub in 0u64..SUBS,
-        window in 2u64..32,
+        chop_frac in 0.0f64..1.0,
+        generation in 0u32..2,
     ) {
-        let factory = MemFactory::new();
-        let mut pfs = Pfs::open(
-            Box::new(factory),
-            "t",
-            PfsMode::Imprecise { window_ticks: window },
-        ).unwrap();
-        let mut model = BTreeMap::new();
-        let mut ts = 0u64;
-        for w in &history {
-            ts += w.gap;
-            let subs: Vec<SubscriberId> = (0..SUBS)
-                .filter(|s| w.mask & (1 << s) != 0)
-                .map(SubscriberId)
-                .collect();
-            pfs.write(P, Timestamp(ts), &subs).unwrap();
-            model.insert(ts, w.mask);
-        }
+        let (mut pfs, factory, mut model, last) = build(&before);
+        let chop_at = 1 + (last.0 as f64 * chop_frac) as u64;
+        let floor = Timestamp(chop_at - 1);
+        pfs.chop_below(P, Timestamp(chop_at)).unwrap();
         pfs.sync().unwrap();
-        let r = pfs.read(P, SubscriberId(sub), Timestamp::ZERO, Timestamp(ts), usize::MAX).unwrap();
-        let got: std::collections::BTreeSet<u64> = r.q_ticks.iter().map(|t| t.0).collect();
-        for t in reference_q_ticks(&model, sub, 0, ts) {
-            prop_assert!(got.contains(&t), "imprecise mode dropped true match at {t}");
+        drop(pfs);
+        let mut pfs = open(&factory);
+        let last = Timestamp(write_history(&mut pfs, &mut model, &after, last.0, generation));
+        for reopen in 0..2 {
+            if reopen == 1 {
+                drop(pfs);
+                pfs = open(&factory);
+            }
+            let r = read(&mut pfs, sub, generation, floor, last, usize::MAX);
+            prop_assert!(r.known_from >= floor);
+            prop_assert!(r.full_read);
+            prop_assert_eq!(got(&r), reference_q_ticks(&model, sub, r.known_from.0, last.0));
         }
     }
 }

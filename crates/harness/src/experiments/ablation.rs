@@ -3,9 +3,7 @@
 use crate::report::{fmt_rate, Report, Table};
 use crate::topology::{RunOptions, System, TopologySpec};
 use crate::workload::Workload;
-use gryphon::{Pfs, PfsMode, SubscriberConfig};
-use gryphon_storage::MemFactory;
-use gryphon_types::{PubendId, SubscriberId, Timestamp};
+use gryphon::SubscriberConfig;
 
 /// §5 summary point 3 — stream consolidation: an SHB whose subscribers
 /// are all served by the constream sustains ≈2× the rate of one where
@@ -158,76 +156,5 @@ pub fn run_cache_sweep(opts: &RunOptions) -> Report {
     if let Some(sys) = &last_sys {
         sys.attach_observability(&mut report);
     }
-    report
-}
-
-/// Extension ablation — precise vs imprecise PFS (paper §4.2 mentions the
-/// trade-off; its implementation is precise).
-pub fn run_pfs_mode(opts: &RunOptions) -> Report {
-    let events: u64 = if opts.quick { 4_000 } else { 80_000 };
-    let subscribers = 100u64;
-    let classes = 4u64;
-    let mut report = Report::new("ablation_pfs_mode");
-    let mut t = Table::new(
-        "PFS precision ablation: write volume vs read amplification",
-        &[
-            "mode",
-            "records",
-            "bytes",
-            "Q ticks returned for 1 sub",
-            "true matches",
-        ],
-    );
-    let mut metrics = gryphon_sim::Metrics::default();
-    for (label, mode) in [
-        ("precise (paper)", PfsMode::Precise),
-        ("imprecise w=16", PfsMode::Imprecise { window_ticks: 16 }),
-        ("imprecise w=64", PfsMode::Imprecise { window_ticks: 64 }),
-    ] {
-        let mut pfs = Pfs::open(Box::new(MemFactory::new()), "ab", mode).expect("pfs");
-        for seq in 0..events {
-            let ts = Timestamp(1 + seq * 1_250 / 1_000);
-            let subs: Vec<SubscriberId> = (0..subscribers)
-                .filter(|s| s % classes == seq % classes)
-                .map(SubscriberId)
-                .collect();
-            pfs.write(PubendId(0), ts, &subs).expect("write");
-        }
-        pfs.sync().expect("sync");
-        let stats = pfs.stats();
-        let last = pfs.last_timestamp(PubendId(0));
-        let read = pfs
-            .read(
-                PubendId(0),
-                SubscriberId(0),
-                Timestamp::ZERO,
-                last,
-                usize::MAX,
-            )
-            .expect("read");
-        let true_matches = (0..events).filter(|seq| seq % classes == 0).count();
-        metrics.observe(
-            gryphon_sim::names::PFS_BATCH_READ_RECORDS,
-            read.records_visited as f64,
-        );
-        metrics.observe(
-            gryphon_sim::names::PFS_BATCH_READ_QTICKS,
-            read.q_ticks.len() as f64,
-        );
-        t.row(&[
-            label.into(),
-            stats.records.to_string(),
-            stats.payload_bytes.to_string(),
-            read.q_ticks.len().to_string(),
-            true_matches.to_string(),
-        ]);
-    }
-    report.table(t);
-    report.note(
-        "imprecision writes fewer/larger records but inflates the Q set a catchup stream must \
-         nack (each nack is then refiltered at the SHB) — correctness is unaffected, as §4.2 \
-         argues",
-    );
-    report.attach_metrics(&metrics);
     report
 }

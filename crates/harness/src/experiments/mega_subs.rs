@@ -15,7 +15,7 @@
 //! 2. **traffic** — a small fraction connects and the constream
 //!    advances through a fully-known cache, proving delivery still
 //!    flows while the idle mass sits in the slab;
-//! 3. **churn** — `--churn-pct` percent of the population unsubscribes
+//! 3. **churn** — [`CHURN_PCT`] percent of the population unsubscribes
 //!    and re-registers, recycling slab slots (generation bumps);
 //! 4. **storm** — a reconnect storm: a batch of idle subscribers
 //!    connects with old checkpoints (catchup streams open), drops
@@ -46,6 +46,9 @@ use std::time::Instant;
 
 const P: PubendId = PubendId(0);
 const CLIENT: NodeId = NodeId(9);
+/// Percent of the population the churn phase unsubscribes and
+/// re-registers.
+const CHURN_PCT: f64 = 1.0;
 
 struct WorkloadSpec {
     /// Durable subscription population (`--subs`).
@@ -58,8 +61,6 @@ struct WorkloadSpec {
     ticks: u64,
     /// Filter classes (`class = i % classes`).
     classes: u64,
-    /// Percent of the population churned (`--churn-pct`).
-    churn_pct: f64,
 }
 
 /// Direct-drive context: counters, gauges and sketch attributions land
@@ -167,8 +168,8 @@ fn census(
     per_idle
 }
 
-/// Runs the workload. `--subs` / `--churn-pct` override the defaults
-/// ([`RunOptions::mega_subs`], [`RunOptions::churn_pct`]).
+/// Runs the workload. `--subs` overrides the population
+/// ([`RunOptions::mega_subs`]).
 pub fn run(opts: &RunOptions) -> Report {
     let quick = opts.quick;
     let spec = WorkloadSpec {
@@ -179,7 +180,6 @@ pub fn run(opts: &RunOptions) -> Report {
         storm: if quick { 128 } else { 256 },
         ticks: if quick { 128 } else { 256 },
         classes: if quick { 128 } else { 256 },
-        churn_pct: opts.churn_pct.unwrap_or(1.0),
     };
     let config = BrokerConfig::default();
     // No trace ring: nothing here emits trace events.
@@ -200,7 +200,7 @@ pub fn run(opts: &RunOptions) -> Report {
     let mut t = Table::new(
         format!(
             "§15 subscriber memory model ({} durable subs, {} classes, churn {:.1}%)",
-            spec.subs, spec.classes, spec.churn_pct
+            spec.subs, spec.classes, CHURN_PCT
         ),
         &[
             "phase",
@@ -274,7 +274,7 @@ pub fn run(opts: &RunOptions) -> Report {
     // Phase 3: churn — unsubscribe + re-register recycles slab slots
     // (generation bumps keep stale handles dead). Drawn from the idle
     // region above the connected/storm batches.
-    let churned = ((spec.subs as f64) * spec.churn_pct / 100.0) as u64;
+    let churned = ((spec.subs as f64) * CHURN_PCT / 100.0) as u64;
     let churn_base = spec.connected + spec.storm;
     let churned = churned.min(spec.subs.saturating_sub(churn_base));
     let start = Instant::now();

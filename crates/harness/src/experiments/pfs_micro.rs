@@ -42,10 +42,10 @@ fn event_at(seq: u64, spec: &WorkloadSpec) -> EventRef {
 }
 
 /// Subscribers matching event `seq`: the class partition (25 of 100).
-fn matching_subs(seq: u64, spec: &WorkloadSpec) -> Vec<SubscriberId> {
-    (0..spec.subscribers)
-        .filter(|s| s % spec.classes == seq % spec.classes)
-        .map(SubscriberId)
+/// Subscriber `s` sits in slab slot `s`.
+fn matching_slots(seq: u64, spec: &WorkloadSpec) -> Vec<u32> {
+    (0..spec.subscribers as u32)
+        .filter(|&s| u64::from(s) % spec.classes == seq % spec.classes)
         .collect()
 }
 
@@ -58,8 +58,9 @@ fn run_pfs(dir: &std::path::Path, spec: &WorkloadSpec) -> (f64, u64, u64) {
     let start = Instant::now();
     for seq in 0..total {
         let e = event_at(seq, spec);
-        let subs = matching_subs(seq, spec);
-        pfs.write(PubendId(0), e.ts, &subs).expect("pfs write");
+        let slots = matching_slots(seq, spec);
+        pfs.write_slots(PubendId(0), e.ts, &slots, |s| (SubscriberId(s.into()), 0))
+            .expect("pfs write");
         if (seq + 1) % sync_every == 0 {
             pfs.sync().expect("pfs sync");
             // Retention: drop information older than 5 s of stream time.
@@ -83,8 +84,8 @@ fn run_event_log(dir: &std::path::Path, spec: &WorkloadSpec) -> (f64, u64, u64) 
     let start = Instant::now();
     for seq in 0..total {
         let e = event_at(seq, spec);
-        for sub in matching_subs(seq, spec) {
-            log.append(sub, &e).expect("append");
+        for s in matching_slots(seq, spec) {
+            log.append(SubscriberId(s.into()), &e).expect("append");
         }
         if (seq + 1) % sync_every == 0 {
             log.sync().expect("sync");

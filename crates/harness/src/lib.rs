@@ -41,58 +41,75 @@ pub use report::{Report, Table};
 pub use topology::{RunOptions, System, TopologySpec};
 pub use workload::Workload;
 
+/// An experiment: its id, a one-line summary, and the function that
+/// runs it.
+type Experiment = (&'static str, &'static str, fn(&RunOptions) -> Report);
+
+/// Every experiment; [`catalog`] and [`run`] both read this one table.
+const EXPERIMENTS: &[Experiment] = &[
+    (
+        "latency",
+        "§5 result 1: 5-hop end-to-end latency; PHB logging dominates; vs store-and-forward",
+        experiments::latency::run,
+    ),
+    (
+        "fig4",
+        "Figure 4: peak event rate, 1 broker / 1–4 SHBs, with and without disconnections",
+        experiments::fig4::run,
+    ),
+    (
+        "fig5",
+        "Figure 5: catchup durations under periodic disconnection",
+        experiments::fig56::run_fig5,
+    ),
+    (
+        "fig6",
+        "Figure 6: latestDelivered/released advance rates under disconnection",
+        experiments::fig56::run_fig6,
+    ),
+    (
+        "pfs_micro",
+        "§5.1.2: PFS vs per-subscriber event logging microbenchmark (bytes + wall time)",
+        experiments::pfs_micro::run,
+    ),
+    (
+        "jms",
+        "§5.2: JMS auto-acknowledge peak rates, 25 vs 200 subscribers",
+        experiments::jms::run,
+    ),
+    (
+        "fig7",
+        "Figure 7: latestDelivered/released through SHB crash and recovery",
+        experiments::fig78::run_fig7,
+    ),
+    (
+        "fig8",
+        "Figure 8: per-client rates and CPU idle through SHB crash and recovery",
+        experiments::fig78::run_fig8,
+    ),
+    (
+        "ablation_consol",
+        "§5 summary 3: constream consolidation vs all-catchup SHB cost",
+        experiments::ablation::run_consolidation,
+    ),
+    (
+        "ablation_cache",
+        "paper §7 future work: cache window vs catchup rate and PHB load",
+        experiments::ablation::run_cache_sweep,
+    ),
+    (
+        "mega_subs",
+        "DESIGN.md §15: 10^6 durable subscriptions — slab bytes/idle sub, churn, reconnect storm",
+        experiments::mega_subs::run,
+    ),
+];
+
 /// Every experiment id known to the harness, with a one-line summary.
 pub fn catalog() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            "latency",
-            "§5 result 1: 5-hop end-to-end latency; PHB logging dominates; vs store-and-forward",
-        ),
-        (
-            "fig4",
-            "Figure 4: peak event rate, 1 broker / 1–4 SHBs, with and without disconnections",
-        ),
-        (
-            "fig5",
-            "Figure 5: catchup durations under periodic disconnection",
-        ),
-        (
-            "fig6",
-            "Figure 6: latestDelivered/released advance rates under disconnection",
-        ),
-        (
-            "pfs_micro",
-            "§5.1.2: PFS vs per-subscriber event logging microbenchmark (bytes + wall time)",
-        ),
-        (
-            "jms",
-            "§5.2: JMS auto-acknowledge peak rates, 25 vs 200 subscribers",
-        ),
-        (
-            "fig7",
-            "Figure 7: latestDelivered/released through SHB crash and recovery",
-        ),
-        (
-            "fig8",
-            "Figure 8: per-client rates and CPU idle through SHB crash and recovery",
-        ),
-        (
-            "ablation_consol",
-            "§5 summary 3: constream consolidation vs all-catchup SHB cost",
-        ),
-        (
-            "ablation_pfs_mode",
-            "extension: precise vs imprecise PFS write/read trade-off",
-        ),
-        (
-            "ablation_cache",
-            "paper §7 future work: cache window vs catchup rate and PHB load",
-        ),
-        (
-            "mega_subs",
-            "DESIGN.md §15: 10^6 durable subscriptions — slab bytes/idle sub, churn, reconnect storm",
-        ),
-    ]
+    EXPERIMENTS
+        .iter()
+        .map(|&(id, summary, _)| (id, summary))
+        .collect()
 }
 
 /// Runs one experiment by id.
@@ -101,24 +118,13 @@ pub fn catalog() -> Vec<(&'static str, &'static str)> {
 ///
 /// Returns an error string for unknown ids.
 pub fn run(id: &str, opts: &RunOptions) -> Result<Report, String> {
-    match id {
-        "latency" => Ok(experiments::latency::run(opts)),
-        "fig4" => Ok(experiments::fig4::run(opts)),
-        "fig5" => Ok(experiments::fig56::run_fig5(opts)),
-        "fig6" => Ok(experiments::fig56::run_fig6(opts)),
-        "pfs_micro" => Ok(experiments::pfs_micro::run(opts)),
-        "jms" => Ok(experiments::jms::run(opts)),
-        "fig7" => Ok(experiments::fig78::run_fig7(opts)),
-        "fig8" => Ok(experiments::fig78::run_fig8(opts)),
-        "ablation_consol" => Ok(experiments::ablation::run_consolidation(opts)),
-        "ablation_pfs_mode" => Ok(experiments::ablation::run_pfs_mode(opts)),
-        "ablation_cache" => Ok(experiments::ablation::run_cache_sweep(opts)),
-        "mega_subs" => Ok(experiments::mega_subs::run(opts)),
-        other => Err(format!(
-            "unknown experiment '{other}'; known: {}",
-            catalog()
+    match EXPERIMENTS.iter().find(|&&(known, _, _)| known == id) {
+        Some(&(_, _, run)) => Ok(run(opts)),
+        None => Err(format!(
+            "unknown experiment '{id}'; known: {}",
+            EXPERIMENTS
                 .iter()
-                .map(|(id, _)| *id)
+                .map(|&(id, _, _)| id)
                 .collect::<Vec<_>>()
                 .join(", ")
         )),

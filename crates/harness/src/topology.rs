@@ -42,8 +42,6 @@ pub struct RunOptions {
     /// `mega_subs` subscriber population (`--subs`); `None` = built-in
     /// scale (10^6, or 20 000 under `--quick`).
     pub mega_subs: Option<u64>,
-    /// `mega_subs` churn percentage (`--churn-pct`); `None` = 1 %.
-    pub churn_pct: Option<f64>,
     /// Plant one deliberately slow consumer in `mega_subs` so the top-K
     /// attribution path has a known entity to name (`--slow-sub`).
     pub slow_sub: bool,

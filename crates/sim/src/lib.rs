@@ -47,7 +47,7 @@
 //! let echo = sim.add_node("echo", Box::new(Echo));
 //! let probe = sim.add_node("probe", Box::new(Echo));
 //! sim.connect(echo, probe, 1_000); // 1 ms links both ways
-//! sim.inject(0, probe, echo, NetMsg::SubInterest(gryphon_types::SubInterestMsg { version: 0, change: gryphon_types::InterestChange::Snapshot(vec![]) }));
+//! sim.inject_from(0, probe, echo, NetMsg::SubInterest(gryphon_types::SubInterestMsg { version: 0, change: gryphon_types::InterestChange::Snapshot(vec![]) }));
 //! sim.run_until(10_000);
 //! assert!(sim.metrics().series("echoed").len() >= 2); // ping-pongs until time runs out
 //! ```

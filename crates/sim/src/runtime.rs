@@ -284,13 +284,6 @@ impl Sim {
         self.push(at_us, EventKind::Deliver { to, from, msg });
     }
 
-    /// Injects a control message (sender [`CONTROL_NODE`]).
-    pub fn inject(&mut self, at_us: u64, to: NodeId, from: NodeId, msg: NetMsg) {
-        // `from` kept for source attribution in tests; CONTROL injection
-        // uses `inject_ctrl`.
-        self.inject_from(at_us, to, from, msg);
-    }
-
     /// Injects a message whose sender is the harness itself.
     pub fn inject_ctrl(&mut self, at_us: u64, to: NodeId, msg: NetMsg) {
         self.inject_from(at_us, to, CONTROL_NODE, msg);
