@@ -24,9 +24,10 @@
 //!   says otherwise), the online health engine and the flight recorder,
 //!   and everything else — a Chrome trace included — is read back out
 //!   of a bundle with `xp doctor`;
-//! * `--sample-interval MS` arms the windowed telemetry sampler on every
-//!   simulator at the given virtual-time interval (milliseconds, at
-//!   least 1) — reports then include a sparkline timeline section;
+//! * `--sample-interval MS` arms the windowed telemetry sampler — with
+//!   the health engine, forensics and the sketch — on every simulator
+//!   at the given virtual-time interval (milliseconds, at least 1);
+//!   reports then include a sparkline timeline section;
 //! * `--seed-offset N` shifts every simulator seed by N (same workload,
 //!   different randomness — for A/B bundles fed to `xp doctor diff`);
 //! * `--degrade` deliberately worsens broker latency/batching config
@@ -100,11 +101,9 @@ fn main() {
         std::process::exit(2);
     }
     // A bundle needs the sampler armed even without an explicit
-    // interval (500 ms windows match the experiments' timescales), and
-    // additionally arms the online health engine.
+    // interval (500 ms windows match the experiments' timescales).
     if bundle_dir.is_some() {
         run.sample_interval_us.get_or_insert(500_000);
-        run.health = true;
     }
     let opts = Options {
         run,

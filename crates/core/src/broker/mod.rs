@@ -22,9 +22,9 @@
 //!
 //! All state scoped to a single pubend — the hosted [`Pubend`], the
 //! [`Route`], per-child release reports — lives in one
-//! [`pipeline::PubendPipeline`] keyed once per pubend, so a sharded
-//! runtime can process different pubends on different workers while
-//! everything for one pubend stays ordered (see `DESIGN.md`).
+//! [`pipeline::PubendPipeline`] keyed once per pubend, so a pubend's
+//! whole pipeline is created, restored or dropped as one unit (see
+//! `DESIGN.md` §10).
 
 mod ib;
 mod phb;

@@ -3,8 +3,7 @@
 //!
 //! The role owns the broker's declared pubends and the shared event log;
 //! the per-pubend `Pubend` state machines themselves live in each
-//! [`PubendPipeline`](super::pipeline::PubendPipeline) so a sharded
-//! runtime can split them across workers.
+//! [`PubendPipeline`](super::pipeline::PubendPipeline).
 
 use super::{now_ticks, Broker};
 use crate::timer::{self, Kind};
@@ -19,9 +18,8 @@ pub(crate) struct PhbRole {
     pub(crate) declared: Vec<PubendId>,
     /// The only-once event log shared by all hosted pubends. Every
     /// durability point is one [`CommitPipeline::commit_with`]: a
-    /// pubend's batch appended, then one flush. Each `Broker`, and each
-    /// shard of a sharded one, opens its own log and commits to it from
-    /// one thread.
+    /// pubend's batch appended, then one flush. Each `Broker` opens its
+    /// own log and commits to it from one thread.
     pub(crate) log: Option<CommitPipeline<EventLog>>,
 }
 

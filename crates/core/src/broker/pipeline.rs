@@ -5,9 +5,8 @@
 //! parallel maps (`pubends`, `routes`, `child_release`,
 //! `last_release_reported`), all keyed by [`PubendId`] and all looked up
 //! separately. Consolidating them means one lookup per message, no way
-//! for the maps to drift out of sync, and — crucially for the threaded
-//! runtime — a single ownable unit that a sharded executor can pin to
-//! one worker so all processing for a pubend stays ordered.
+//! for the maps to drift out of sync, and a single unit to create,
+//! restore or drop.
 
 use super::{Broker, Pubend, Route};
 use gryphon_types::{NodeId, PubendId, Timestamp};

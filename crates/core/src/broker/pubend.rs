@@ -93,26 +93,10 @@ impl Pubend {
         true
     }
 
-    /// Durability point for the oldest in-flight batch: appends and
-    /// syncs it, then returns the knowledge parts (`S` gaps + `D`
-    /// events) covering `(emitted_to, batch end]` for downstream
-    /// emission.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the log fails.
-    pub fn finish_commit(
-        &mut self,
-        log: &mut EventLog,
-    ) -> Result<Vec<KnowledgePart>, StorageError> {
-        let parts = self.finish_commit_appends(log)?;
-        log.sync()?;
-        Ok(parts)
-    }
-
-    /// The append half of [`finish_commit`]: appends the oldest in-flight
-    /// batch and builds its knowledge parts **without** syncing. The
-    /// caller owns the durability point — the PHB runs this inside
+    /// Appends the oldest in-flight batch and builds its knowledge
+    /// parts (`S` gaps + `D` events) covering `(emitted_to, batch end]`
+    /// **without** syncing. The caller owns the durability point — the
+    /// PHB runs this inside
     /// [`CommitPipeline::commit_with`](gryphon_storage::CommitPipeline::commit_with),
     /// which flushes once after it returns, and must not emit the parts
     /// downstream until that flush returns.
@@ -143,18 +127,6 @@ impl Pubend {
         }
         self.emitted_to = cursor;
         Ok(parts)
-    }
-
-    /// Test/compat helper: batch close + immediate durability.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the log fails.
-    pub fn commit(&mut self, log: &mut EventLog) -> Result<Vec<KnowledgePart>, StorageError> {
-        if !self.begin_commit() {
-            return Ok(Vec::new());
-        }
-        self.finish_commit(log)
     }
 
     /// Emits silence up to `now_ticks` for an idle pubend (no pending or
@@ -301,6 +273,15 @@ mod tests {
         )
     }
 
+    /// Closes the batch and makes it durable the way the PHB does:
+    /// `begin_commit`, the appends, then the log's sync.
+    fn commit(p: &mut Pubend, l: &mut EventLog) -> Vec<KnowledgePart> {
+        assert!(p.begin_commit());
+        let parts = p.finish_commit_appends(l).unwrap();
+        l.sync().unwrap();
+        parts
+    }
+
     fn kind_at(parts: &[KnowledgePart], t: u64) -> Option<TickKind> {
         for p in parts {
             let (f, to) = p.range();
@@ -332,7 +313,7 @@ mod tests {
         let mut l = log();
         publish(&mut p, 3);
         publish(&mut p, 7);
-        let parts = p.commit(&mut l).unwrap();
+        let parts = commit(&mut p, &mut l);
         assert_eq!(kind_at(&parts, 1), Some(TickKind::S));
         assert_eq!(kind_at(&parts, 2), Some(TickKind::S));
         assert_eq!(kind_at(&parts, 3), Some(TickKind::D));
@@ -366,7 +347,7 @@ mod tests {
         let mut p = Pubend::new(PubendId(0), Timestamp::ZERO);
         let mut l = log();
         publish(&mut p, 4);
-        p.commit(&mut l).unwrap();
+        commit(&mut p, &mut l);
         p.emit_silence(Timestamp(9));
         let parts = p.answer(Timestamp(1), Timestamp(20), &mut l).unwrap();
         assert_eq!(kind_at(&parts, 2), Some(TickKind::S));
@@ -382,7 +363,7 @@ mod tests {
         for now in [2u64, 4, 6] {
             publish(&mut p, now);
         }
-        p.commit(&mut l).unwrap();
+        commit(&mut p, &mut l);
         let cfg = BrokerConfig::default();
         let adv = p
             .apply_release(Timestamp(4), Timestamp(6), Timestamp(100), &cfg, &mut l)
@@ -401,7 +382,7 @@ mod tests {
         let mut l = log();
         publish(&mut p, 10);
         publish(&mut p, 50);
-        p.commit(&mut l).unwrap();
+        commit(&mut p, &mut l);
         let cfg = BrokerConfig {
             max_retain_ticks: Some(20),
             ..BrokerConfig::default()

@@ -109,7 +109,6 @@ pub struct SubscriberClient {
     voluntary_down: bool,
     last_traffic_us: u64,
     events: u64,
-    silences: u64,
     gaps: u64,
     order_violations: u64,
     received: Vec<Received>,
@@ -141,7 +140,6 @@ impl SubscriberClient {
             voluntary_down: false,
             last_traffic_us: 0,
             events: 0,
-            silences: 0,
             gaps: 0,
             order_violations: 0,
             received: Vec::new(),
@@ -155,11 +153,6 @@ impl SubscriberClient {
     /// Events received so far.
     pub fn events_received(&self) -> u64 {
         self.events
-    }
-
-    /// Silence messages received so far.
-    pub fn silences_received(&self) -> u64 {
-        self.silences
     }
 
     /// Gap messages received so far.
@@ -192,11 +185,6 @@ impl SubscriberClient {
     /// had to recover missed messages), in milliseconds.
     pub fn catchup_durations_ms(&self) -> &[f64] {
         &self.catchup_durations_ms
-    }
-
-    /// `true` while recovering missed messages after a reconnect.
-    pub fn is_catching_up(&self) -> bool {
-        self.catchup_since_us.is_some()
     }
 
     /// Seeds the client with a checkpoint token carried over from a
@@ -320,10 +308,7 @@ impl Node for SubscriberClient {
                         }
                         ("event", seq, sent)
                     }
-                    DeliveryKind::Silence(_) => {
-                        self.silences += 1;
-                        ("silence", None, None)
-                    }
+                    DeliveryKind::Silence(_) => ("silence", None, None),
                     DeliveryKind::Gap(_) => {
                         self.gaps += 1;
                         ctx.count("client.gaps", 1.0);

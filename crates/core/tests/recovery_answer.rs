@@ -52,6 +52,15 @@ fn kind_at(parts: &[KnowledgePart], t: u64) -> Option<TickKind> {
     None
 }
 
+/// Closes the open batch and makes it durable on the PHB's own path:
+/// `begin_commit`, the appends, then the log's sync (the flush
+/// `CommitPipeline::commit_with` runs after the appends return).
+fn commit(pe: &mut Pubend, log: &mut EventLog) {
+    assert!(pe.begin_commit());
+    pe.finish_commit_appends(log).unwrap();
+    log.sync().unwrap();
+}
+
 /// Rebuilds the pubend the way `Broker::boot` does after a crash:
 /// reopen the log, seed cursors at the (advanced) wall clock, restore
 /// the lost prefix from the recovered chop boundary.
@@ -79,7 +88,7 @@ fn crash_after_release_gc_answers_lost_not_silence() {
             for t in 1..=20 {
                 publish(&mut pe, t);
             }
-            pe.commit(&mut log).unwrap(); // durable + emitted
+            commit(&mut pe, &mut log); // durable + emitted
             let cfg = BrokerConfig::default();
             pe.apply_release(
                 Timestamp(chop_at),
@@ -129,7 +138,7 @@ fn crash_losing_whole_chop_forgets_it_atomically() {
         for t in 1..=10 {
             publish(&mut pe, t);
         }
-        pe.commit(&mut log).unwrap();
+        commit(&mut pe, &mut log);
         let cfg = BrokerConfig::default();
         pe.apply_release(Timestamp(6), Timestamp(10), Timestamp(15), &cfg, &mut log)
             .unwrap();
@@ -167,22 +176,14 @@ fn torn_uncommitted_tail_leaves_durable_answers_intact() {
         for t in 1..=8 {
             publish(&mut pe, t);
         }
-        pe.commit(&mut log).unwrap();
+        commit(&mut pe, &mut log);
         // Torn: appended to the log but never synced, never emitted.
         for t in 9..=11 {
             publish(&mut pe, t);
         }
         assert!(pe.begin_commit());
-        // The crash lands between the appends and the sync: replicate
-        // finish_commit's appends without its durability point.
-        for t in 9..=11u64 {
-            let e = std::sync::Arc::new(
-                gryphon_types::Event::builder(P)
-                    .payload(vec![t as u8; 16])
-                    .build(Timestamp(t)),
-            );
-            log.append(&e).unwrap();
-        }
+        // The crash lands between the appends and the sync.
+        pe.finish_commit_appends(&mut log).unwrap();
     }
     factory.crash_lose_unsynced();
 

@@ -21,12 +21,11 @@
 //!   export of the forensics streams ([`crate::trace_export`]).
 
 use crate::bundle::read_manifest;
-use gryphon_sim::codec;
 use gryphon_sim::forensics::BusyInterval;
 use gryphon_sim::telemetry::{sparkline, Timeline};
 use gryphon_sim::{
-    default_rules, AlertRecord, AlertState, Exemplar, HealthEngine, HistogramSummary,
-    MetricsSnapshot, TopKSnapshot,
+    codec, default_rules, sketch, AlertRecord, AlertState, Exemplar, HealthEngine,
+    HistogramSummary, MetricsSnapshot, TopKSnapshot,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -42,7 +41,9 @@ pub struct Bundle {
     pub counters: BTreeMap<String, f64>,
     /// Histogram percentile rows from `metrics.csv`.
     pub histograms: BTreeMap<String, HistogramSummary>,
-    /// The re-parsed telemetry timeline.
+    /// The re-parsed telemetry timeline: samples and the per-window
+    /// top-K attribution snapshots (none for bundles written before the
+    /// artifact existed, or with the population sketch disarmed).
     pub timeline: Timeline,
     /// The recorded alert log.
     pub alerts: Vec<AlertRecord>,
@@ -53,9 +54,6 @@ pub struct Bundle {
     /// Contention-profiler busy intervals (empty under the same
     /// conditions as the exemplars).
     pub intervals: Vec<BusyInterval>,
-    /// Per-window top-K attribution snapshots (empty under the same
-    /// conditions, or with the population sketch disarmed).
-    pub topks: Vec<TopKSnapshot>,
 }
 
 fn read(dir: &Path, name: &str) -> Result<String, String> {
@@ -139,14 +137,17 @@ pub fn load_bundle(dir: &Path) -> Result<Bundle, String> {
             other => return Err(format!("metrics.csv: unknown kind {other}")),
         }
     }
-    let timeline = Timeline::from_ndjson(&read(dir, "timeline.ndjson")?, interval_us)?;
-    let alerts = codec::from_ndjson(&read(dir, "alerts.ndjson")?)?;
     // Forensics artifacts are newer than the bundle schema itself:
     // tolerate their absence (older bundles) but not malformation.
     let optional = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap_or_default();
+    let timeline = parse_timeline(
+        &read(dir, "timeline.ndjson")?,
+        &optional("topk.ndjson"),
+        interval_us,
+    )?;
+    let alerts = codec::from_ndjson(&read(dir, "alerts.ndjson")?)?;
     let exemplars = codec::from_ndjson(&optional("exemplars.ndjson"))?;
     let intervals = codec::from_ndjson(&optional("intervals.ndjson"))?;
-    let topks = codec::from_ndjson(&optional("topk.ndjson"))?;
     Ok(Bundle {
         dir: dir.to_path_buf(),
         manifest,
@@ -156,14 +157,31 @@ pub fn load_bundle(dir: &Path) -> Result<Bundle, String> {
         alerts,
         exemplars,
         intervals,
-        topks,
     })
 }
 
+/// Parses a bundle's timeline from the two streams it is written as:
+/// the samples (`timeline.ndjson`) and the top-K snapshots
+/// (`topk.ndjson`), which name each alert's culprit on replay.
+///
+/// # Errors
+///
+/// Returns the first malformed line of either stream.
+pub fn parse_timeline(samples: &str, topks: &str, interval_us: u64) -> Result<Timeline, String> {
+    let mut timeline = Timeline::from_ndjson(samples, interval_us)?;
+    for snap in codec::from_ndjson(topks)? {
+        timeline.push_topk(snap);
+    }
+    Ok(timeline)
+}
+
 /// Replays the default health rules over a bundle's timeline at its
-/// recorded sample times, reproducing the online engine's alert log
-/// (the engine only ever reads samples at or before the evaluation
-/// time, so offline replay over the complete timeline is exact).
+/// recorded sample times, reproducing the online engine's alert log:
+/// the engine only ever reads samples at or before the evaluation time,
+/// so offline replay over the complete timeline is exact, and each
+/// transition names its culprit from the same window's top-K snapshots,
+/// as [`Observers::close_window`](gryphon_sim::Observers::close_window)
+/// does online.
 pub fn replay_health(timeline: &Timeline) -> Vec<AlertRecord> {
     let mut times: Vec<u64> = timeline
         .series_names()
@@ -175,7 +193,15 @@ pub fn replay_health(timeline: &Timeline) -> Vec<AlertRecord> {
     let mut engine = HealthEngine::new(default_rules());
     let mut out = Vec::new();
     for t in times {
-        out.extend(engine.evaluate(t, timeline));
+        let alerts = engine.evaluate(t, timeline);
+        if alerts.is_empty() {
+            continue;
+        }
+        let snaps: Vec<TopKSnapshot> = timeline.topks().filter(|s| s.t_us == t).cloned().collect();
+        for mut alert in alerts {
+            sketch::name_culprit(&mut alert.detail, &alert.series, &snaps);
+            out.push(alert);
+        }
     }
     out
 }
@@ -274,7 +300,7 @@ pub fn inspect_histogram(name: &str) -> bool {
 /// sketch's fixed dimension order).
 fn latest_topks(b: &Bundle) -> Vec<&TopKSnapshot> {
     let mut out: Vec<&TopKSnapshot> = Vec::new();
-    for snap in &b.topks {
+    for snap in b.timeline.topks() {
         match out.iter_mut().find(|s| s.dim == snap.dim) {
             Some(slot) => *slot = snap,
             None => out.push(snap),
@@ -360,7 +386,7 @@ pub fn inspect(b: &Bundle, full_exemplars: bool, full_topk: bool) -> String {
     if !latest.is_empty() {
         out.push_str(&format!(
             "\n## top-k attribution ({} snapshots{})\n",
-            b.topks.len(),
+            b.timeline.topks().len(),
             if full_topk {
                 ""
             } else {
@@ -510,10 +536,10 @@ const ATTRIBUTED_SERIES: &[(&str, &str)] = &[
 
 /// The leading entry of bundle `b`'s latest snapshot for `dim`.
 fn top_entity<'a>(b: &'a Bundle, dim: &str) -> Option<(&'a TopKSnapshot, u64, u64, u64)> {
-    b.topks
-        .iter()
-        .rev()
-        .find(|s| s.dim == dim)
+    b.timeline
+        .topks()
+        .filter(|s| s.dim == dim)
+        .last()
         .and_then(|s| s.entries.first().map(|e| (s, e.entity, e.count, e.err)))
 }
 
@@ -981,9 +1007,10 @@ mod tests {
     #[test]
     fn topk_round_trips_and_inspect_renders_ranked_tables() {
         let (root, b) = topk_bundle("topk", 1_000.0);
-        assert_eq!(b.topks.len(), 2);
-        assert_eq!(b.topks[0].dim, gryphon_sim::sketch::DIM_SUB_LAG);
-        assert_eq!(b.topks[0].entries[0].entity, 42);
+        assert_eq!(b.timeline.topks().len(), 2);
+        let first = b.timeline.topks().next().expect("two snapshots");
+        assert_eq!(first.dim, gryphon_sim::sketch::DIM_SUB_LAG);
+        assert_eq!(first.entries[0].entity, 42);
         let brief = inspect(&b, false, false);
         assert!(brief.contains("top-k attribution"), "{brief}");
         assert!(brief.contains("slowest_subs_by_lag"), "{brief}");

@@ -31,7 +31,7 @@ use crate::report::{Report, Table};
 use crate::topology::RunOptions;
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;
-use gryphon_sim::sketch::{SketchConfig, DIM_SUB_LAG};
+use gryphon_sim::sketch::DIM_SUB_LAG;
 use gryphon_sim::telemetry::Sampler;
 use gryphon_sim::{default_rules, AlertState, HealthEngine, NodeCtx, Observers, TimerKey};
 use gryphon_storage::MemFactory;
@@ -139,7 +139,7 @@ fn census(
     shb: &mut Shb,
     ctx: &mut DriveCtx,
     sampler: &mut Sampler,
-    health: Option<&mut HealthEngine>,
+    health: &mut HealthEngine,
 ) -> f64 {
     // Publish through the broker's own gauge path, then close the
     // timeline window — the bundle carries exactly what a live broker
@@ -151,7 +151,7 @@ fn census(
     shb.update_telemetry_gauges(ctx);
     shb.update_memory_gauges(ctx);
     ctx.obs
-        .close_window(ctx.now_us, ctx.now_us, sampler, health);
+        .close_window(ctx.now_us, ctx.now_us, sampler, Some(health));
     let bytes = shb.slab_bytes();
     let idle = shb.idle_subs().max(1);
     let per_idle = bytes as f64 / idle as f64;
@@ -184,17 +184,17 @@ pub fn run(opts: &RunOptions) -> Report {
     let config = BrokerConfig::default();
     // No trace ring: nothing here emits trace events.
     let mut obs = Observers::new(0);
-    obs.arm_sketch(SketchConfig::default());
+    obs.arm();
+    // Every census is judged by the default rules, as `xp doctor check`
+    // replays them over the bundle.
+    let mut health = HealthEngine::new(default_rules());
+    health.prime(obs.metrics_mut());
     let mut ctx = DriveCtx {
         now_us: 0,
         obs,
         rng: SmallRng::seed_from_u64(7),
     };
     let slow_sub_mode = opts.slow_sub;
-    // The health engine arms only for the slow-sub drill: the storm
-    // phase legitimately opens short-lived catchup streams whose lag
-    // would read as skew, and the drill is about the planted laggard.
-    let mut health = slow_sub_mode.then(|| HealthEngine::new(default_rules()));
     let mut sampler = Sampler::new(500_000);
     let mut shb = Shb::open(&MemFactory::new(), "mega");
     let mut t = Table::new(
@@ -235,7 +235,7 @@ pub fn run(opts: &RunOptions) -> Report {
         &mut shb,
         &mut ctx,
         &mut sampler,
-        None,
+        &mut health,
     );
 
     // Phase 2: a small fraction connects and traffic flows through the
@@ -268,7 +268,7 @@ pub fn run(opts: &RunOptions) -> Report {
         &mut shb,
         &mut ctx,
         &mut sampler,
-        None,
+        &mut health,
     );
 
     // Phase 3: churn — unsubscribe + re-register recycles slab slots
@@ -305,7 +305,7 @@ pub fn run(opts: &RunOptions) -> Report {
         &mut shb,
         &mut ctx,
         &mut sampler,
-        None,
+        &mut health,
     );
 
     // Phase 4: reconnect storm. A batch of idle subscribers presents an
@@ -354,7 +354,7 @@ pub fn run(opts: &RunOptions) -> Report {
         &mut shb,
         &mut ctx,
         &mut sampler,
-        None,
+        &mut health,
     );
 
     // Phase 5 (only under `--slow-sub`): plant one slow consumer and
@@ -386,7 +386,7 @@ pub fn run(opts: &RunOptions) -> Report {
             &mut shb,
             &mut ctx,
             &mut sampler,
-            health.as_mut(),
+            &mut health,
         );
         let (leader_entity, lag_us) = {
             let lag_top = sampler
@@ -416,7 +416,7 @@ pub fn run(opts: &RunOptions) -> Report {
             &mut shb,
             &mut ctx,
             &mut sampler,
-            health.as_mut(),
+            &mut health,
         );
         assert!(
             sampler
@@ -440,7 +440,7 @@ pub fn run(opts: &RunOptions) -> Report {
             &mut shb,
             &mut ctx,
             &mut sampler,
-            health.as_mut(),
+            &mut health,
         );
         assert!(
             sampler

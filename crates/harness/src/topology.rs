@@ -25,11 +25,10 @@ pub struct RunOptions {
     /// it inside the bundle.
     pub flight_dir: Option<std::path::PathBuf>,
     /// Telemetry sampling interval in virtual µs (`--sample-interval`,
-    /// implied by `--bundle-out`); `None` disables the windowed sampler
-    /// and, with it, tail forensics and the population sketch.
+    /// implied by `--bundle-out`); `None` disarms the windowed sampler
+    /// and, with it, the health engine, tail forensics and the
+    /// population sketch.
     pub sample_interval_us: Option<u64>,
-    /// Arm the default health rules on the sampler (`--bundle-out`).
-    pub health: bool,
     /// Added to every [`TopologySpec::seed`] at build time
     /// (`--seed-offset`): two runs of one experiment that differ only in
     /// their RNG stream.
@@ -56,15 +55,6 @@ impl RunOptions {
         sim.set_flight_dir(self.flight_dir.clone());
         if let Some(interval_us) = self.sample_interval_us {
             sim.enable_telemetry(interval_us);
-            if self.health {
-                sim.enable_health(gryphon_sim::default_rules());
-            }
-            // Tail forensics and the population sketch ride on the
-            // sampler — they drain into the timeline as each window
-            // closes — so any sampled run can export a Perfetto trace
-            // and carries topk.ndjson.
-            sim.enable_forensics(gryphon_sim::ForensicsConfig::default());
-            sim.enable_sketch(gryphon_sim::sketch::SketchConfig::default());
         }
     }
 }

@@ -41,7 +41,6 @@ struct RunOut {
 fn collect_run(mut sys: System, until_us: u64, observe: bool) -> RunOut {
     if observe {
         sys.sim.enable_telemetry(250_000);
-        sys.sim.enable_health(gryphon_sim::default_rules());
     }
     sys.sim.run_until(until_us);
     let traces = sys

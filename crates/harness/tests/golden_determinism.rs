@@ -8,58 +8,43 @@
 //! broker shows up here as a diff between the two runs.
 
 use gryphon_harness::{System, TopologySpec, Workload};
+use gryphon_sim::MetricsSnapshot;
 
 /// One delivery a subscriber saw: `(pubend, ts, kind, seq)`.
 type Delivery = (u32, u64, &'static str, Option<i64>);
 
+/// The metric families the armed observers write themselves: the health
+/// engine's primed alert counters, the forensics drop counters, the
+/// sketch gauges and the sampler's queue-depth gauge.
+const OBSERVER_FAMILIES: [&str; 4] = [
+    "health.alert.",
+    "forensics.",
+    "sketch.",
+    "telemetry.queue_depth",
+];
+
 /// Everything observable about one run that determinism must fix:
-/// rendered trace lines (in emission order) and, per subscriber, the
-/// exact delivery sequence.
+/// rendered trace lines (in emission order), per subscriber the exact
+/// delivery sequence, and every metric outside [`OBSERVER_FAMILIES`]
+/// (one rendered line per counter, histogram, series and gauge).
 #[derive(PartialEq, Debug)]
 struct Golden {
     traces: Vec<String>,
     deliveries: Vec<Vec<Delivery>>,
+    metrics: Vec<String>,
     events: u64,
     violations: u64,
     watchdogs: u64,
 }
 
 fn run_once(seed: u64) -> Golden {
-    run_with_sampler(seed, None).0
+    run_observed(seed, false).0
 }
 
-fn run_with_sampler(
-    seed: u64,
-    sample_interval_us: Option<u64>,
-) -> (Golden, Option<gryphon_sim::telemetry::Timeline>) {
-    run_observed(seed, sample_interval_us, false)
-}
-
-/// Runs the golden workload, optionally with the windowed telemetry
-/// sampler armed at `sample_interval_us` (and, on top of it, the online
-/// health engine), returning the observables and the collected timeline
-/// (if any).
-fn run_observed(
-    seed: u64,
-    sample_interval_us: Option<u64>,
-    health: bool,
-) -> (Golden, Option<gryphon_sim::telemetry::Timeline>) {
-    run_instrumented(seed, sample_interval_us, health, None).0
-}
-
-/// Like [`run_observed`] but optionally arming tail forensics (exemplar
-/// reservoirs + the contention-profiler interval ring) with the given
-/// config, and returning the final forensics drop counters
-/// `(exemplar_dropped, interval_dropped)` alongside.
-fn run_instrumented(
-    seed: u64,
-    sample_interval_us: Option<u64>,
-    health: bool,
-    forensics: Option<gryphon_sim::ForensicsConfig>,
-) -> (
-    (Golden, Option<gryphon_sim::telemetry::Timeline>),
-    (f64, f64),
-) {
+/// Runs the golden workload, with every observer window armed
+/// (`Sim::enable_telemetry`) when `armed`, returning the observables and
+/// the collected timeline (if any).
+fn run_observed(seed: u64, armed: bool) -> (Golden, Option<gryphon_sim::telemetry::Timeline>) {
     // Fig. 4-style tree: one PHB hosting four pubends, two SHBs, with
     // disconnecting subscribers so catchup/PFS paths execute too.
     let spec = TopologySpec {
@@ -73,14 +58,8 @@ fn run_instrumented(
         ..Workload::paper_disconnecting(3_000_000, 500_000)
     };
     let mut sys = System::build(&spec, &workload);
-    if let Some(interval) = sample_interval_us {
-        sys.sim.enable_telemetry(interval);
-    }
-    if health {
-        sys.sim.enable_health(gryphon_sim::default_rules());
-    }
-    if let Some(cfg) = forensics {
-        sys.sim.enable_forensics(cfg);
+    if armed {
+        sys.sim.enable_telemetry(250_000);
     }
     sys.sim.run_until(6_000_000);
     let traces = sys
@@ -100,22 +79,29 @@ fn run_instrumented(
                 .collect()
         })
         .collect();
+    let m = sys.sim.metrics();
+    let own = |name: &str| OBSERVER_FAMILIES.iter().any(|f| name.starts_with(f));
+    let mut metrics: Vec<String> = MetricsSnapshot::from_metrics(m)
+        .to_csv()
+        .lines()
+        .filter(|l| !own(l.split(',').nth(1).unwrap_or("")))
+        .map(str::to_owned)
+        .collect();
+    metrics.extend(
+        m.gauge_names()
+            .into_iter()
+            .filter(|n| !own(n))
+            .map(|n| format!("gauge,{n},{:?}", m.gauge(n))),
+    );
     let golden = Golden {
         traces,
         deliveries,
+        metrics,
         events: sys.total_events(),
         violations: sys.total_order_violations(),
         watchdogs: sys.sim.watchdog_violations(),
     };
-    let dropped = (
-        sys.sim
-            .metrics()
-            .counter(gryphon_sim::names::FORENSICS_EXEMPLAR_DROPPED),
-        sys.sim
-            .metrics()
-            .counter(gryphon_sim::names::FORENSICS_INTERVAL_DROPPED),
-    );
-    ((golden, sys.sim.take_telemetry()), dropped)
+    (golden, sys.sim.take_telemetry())
 }
 
 #[test]
@@ -143,70 +129,39 @@ fn same_seed_same_traces_and_deliveries() {
     assert_eq!(a, b, "same seed must replay bit-identically");
 }
 
-/// The sampler must be a pure observer: arming it cannot perturb the
-/// run (no scheduler events, no RNG draws), so traces and deliveries
-/// stay bit-identical with it on or off — and the timeline itself is
-/// deterministic across runs.
+/// The armed observers — sampler, health engine, tail forensics and the
+/// population sketch — must be pure: arming them cannot perturb the run
+/// (no scheduler events, no RNG draws), so traces, deliveries and every
+/// metric outside their own families stay identical armed or not, and
+/// every stream they write replays byte-identically across armed runs.
 #[test]
-fn sampler_does_not_perturb_golden_run() {
-    let (plain, no_timeline) = run_with_sampler(42, None);
+fn armed_observers_do_not_perturb_golden_run() {
+    let (plain, no_timeline) = run_observed(42, false);
     assert!(no_timeline.is_none());
-    let (sampled_a, timeline_a) = run_with_sampler(42, Some(250_000));
-    let (sampled_b, timeline_b) = run_with_sampler(42, Some(250_000));
+    let (armed_a, timeline_a) = run_observed(42, true);
+    let (armed_b, timeline_b) = run_observed(42, true);
 
+    for (i, (la, lb)) in plain.traces.iter().zip(&armed_a.traces).enumerate() {
+        assert_eq!(la, lb, "first armed/unarmed trace divergence at line {i}");
+    }
     assert_eq!(
-        plain, sampled_a,
-        "sampler on vs off must not change traces or deliveries"
+        plain, armed_a,
+        "arming must not change traces, deliveries or broker metrics"
     );
-    assert_eq!(sampled_a, sampled_b, "sampled runs must replay identically");
+    assert_eq!(armed_a, armed_b, "armed runs must replay identically");
     let ta = timeline_a.expect("sampler armed");
     let tb = timeline_b.expect("sampler armed");
     assert!(!ta.is_empty(), "sampler collected nothing");
-    assert_eq!(
-        ta.to_ndjson(),
-        tb.to_ndjson(),
-        "telemetry timeline must replay bit-identically"
-    );
-    // The simulator publishes its scheduler queue depth every window.
-    assert!(!ta.series("telemetry.queue_depth").is_empty());
-}
-
-/// The health engine must also be a pure observer: it reads finished
-/// sampler windows and writes only its own alert counters/records, so
-/// arming it cannot perturb traces, deliveries, or the sample series —
-/// and two engine-on runs replay bit-identically, alert log included.
-#[test]
-fn health_engine_does_not_perturb_golden_run() {
-    let (plain, timeline_off) = run_observed(42, Some(250_000), false);
-    let (with_health_a, timeline_a) = run_observed(42, Some(250_000), true);
-    let (with_health_b, timeline_b) = run_observed(42, Some(250_000), true);
-
-    assert_eq!(
-        plain, with_health_a,
-        "health engine on vs off must not change traces or deliveries"
-    );
-    assert_eq!(
-        with_health_a, with_health_b,
-        "engine-on runs must replay identically"
-    );
-    let t_off = timeline_off.expect("sampler armed");
-    let ta = timeline_a.expect("sampler armed");
-    let tb = timeline_b.expect("sampler armed");
-    // Arming the engine adds exactly its own primed `health.alert.*`
-    // counters to the sampled timeline (their `.rate` series); every
-    // *other* sample series is untouched and identical across all three
-    // runs, and engine-on runs replay identically wholesale.
-    let sans_alert_counters = |t: &gryphon_sim::telemetry::Timeline| -> String {
-        t.to_ndjson()
-            .lines()
-            .filter(|l| !l.contains("\"series\":\"health.alert."))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(sans_alert_counters(&t_off), sans_alert_counters(&ta));
     assert_eq!(ta.to_ndjson(), tb.to_ndjson());
     assert_eq!(ta.alerts(), tb.alerts());
-    assert!(t_off.alerts().is_empty(), "engine off records no alerts");
+    assert_eq!(ta.exemplars_ndjson(), tb.exemplars_ndjson());
+    assert_eq!(ta.intervals_ndjson(), tb.intervals_ndjson());
+    assert_eq!(ta.topks_ndjson(), tb.topks_ndjson());
+    // Each window publishes the scheduler's queue depth, and every
+    // observer had something to write.
+    assert!(!ta.series("telemetry.queue_depth").is_empty());
+    assert!(ta.intervals().len() > 0, "no busy intervals collected");
+    assert!(ta.topks().len() > 0, "sketch attributed nothing");
 }
 
 /// Telemetry series merge deterministically in worker-index order: a
@@ -246,158 +201,6 @@ fn sharded_timelines_merge_in_worker_index_order() {
     }
     assert_eq!(merged.to_ndjson(), single.to_ndjson());
     assert_eq!(merged.interval_us(), 1_000);
-}
-
-/// Tail forensics must also be pure observers: arming exemplar capture
-/// and the contention profiler cannot perturb traces or deliveries, the
-/// ordinary sample series stay untouched, and the forensics streams
-/// themselves replay bit-identically across armed runs.
-#[test]
-fn forensics_do_not_perturb_golden_run() {
-    let (plain, timeline_off) = run_observed(42, Some(250_000), false);
-    let ((armed_a, timeline_a), _) = run_instrumented(
-        42,
-        Some(250_000),
-        false,
-        Some(gryphon_sim::ForensicsConfig::default()),
-    );
-    let ((armed_b, timeline_b), _) = run_instrumented(
-        42,
-        Some(250_000),
-        false,
-        Some(gryphon_sim::ForensicsConfig::default()),
-    );
-
-    assert_eq!(
-        plain, armed_a,
-        "forensics on vs off must not change traces or deliveries"
-    );
-    assert_eq!(armed_a, armed_b, "armed runs must replay identically");
-    let t_off = timeline_off.expect("sampler armed");
-    let ta = timeline_a.expect("sampler armed");
-    let tb = timeline_b.expect("sampler armed");
-    // The sampled series are byte-identical with forensics on or off —
-    // forensics append only to their own timeline streams plus the
-    // `forensics.*` drop counters (same carve-out the health engine
-    // gets for its `health.alert.*` counters above).
-    let sans_forensics_counters = |t: &gryphon_sim::telemetry::Timeline| -> String {
-        t.to_ndjson()
-            .lines()
-            .filter(|l| !l.contains("\"series\":\"forensics."))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        sans_forensics_counters(&t_off),
-        sans_forensics_counters(&ta)
-    );
-    assert_eq!(ta.exemplars_ndjson(), tb.exemplars_ndjson());
-    assert_eq!(ta.intervals_ndjson(), tb.intervals_ndjson());
-    // The contention profiler observed real work: every charged busy
-    // interval lands in the timeline.
-    assert!(ta.intervals().len() > 0, "no busy intervals collected");
-    assert_eq!(t_off.intervals().len(), 0, "disarmed run collects none");
-}
-
-/// The population sketch (top-K attribution + lag spectrum, DESIGN.md
-/// §9) is the newest pure observer: arming it cannot perturb traces or
-/// deliveries, every non-sketch sample series is byte-identical with it
-/// on or off, and the topk stream itself replays bit-identically across
-/// armed runs.
-#[test]
-fn sketch_does_not_perturb_golden_run() {
-    let run_sketched = |armed: bool| {
-        let spec = TopologySpec {
-            seed: 42,
-            n_shbs: 2,
-            pubends: 4,
-            ..TopologySpec::default()
-        };
-        let workload = Workload {
-            subs_per_shb: 6,
-            ..Workload::paper_disconnecting(3_000_000, 500_000)
-        };
-        let mut sys = System::build(&spec, &workload);
-        sys.sim.enable_telemetry(250_000);
-        if armed {
-            sys.sim
-                .enable_sketch(gryphon_sim::sketch::SketchConfig::default());
-        }
-        sys.sim.run_until(6_000_000);
-        let traces: Vec<String> = sys
-            .sim
-            .trace_records()
-            .map(|r| format!("{} {}", r.t_us, r.render(sys.sim.node_name(r.node))))
-            .collect();
-        let deliveries: Vec<Vec<Delivery>> = sys
-            .subscribers
-            .iter()
-            .map(|(h, _)| {
-                sys.sim
-                    .node_ref(*h)
-                    .received()
-                    .iter()
-                    .map(|r| (r.pubend.0, r.ts.0, r.kind, r.seq))
-                    .collect()
-            })
-            .collect();
-        let timeline = sys.sim.take_telemetry().expect("sampler armed");
-        (traces, deliveries, timeline)
-    };
-
-    let (traces_off, deliveries_off, t_off) = run_sketched(false);
-    let (traces_a, deliveries_a, ta) = run_sketched(true);
-    let (traces_b, deliveries_b, tb) = run_sketched(true);
-
-    assert_eq!(
-        traces_off, traces_a,
-        "sketch on vs off must not change the trace stream"
-    );
-    assert_eq!(
-        deliveries_off, deliveries_a,
-        "sketch on vs off must not change deliveries"
-    );
-    assert_eq!(traces_a, traces_b, "armed runs must replay identically");
-    assert_eq!(deliveries_a, deliveries_b);
-    // The armed run adds only its own `sketch.*` gauge series; every
-    // other sample series is untouched (same carve-out as the health
-    // engine's counters and the forensics drop counters above).
-    let sans_sketch = |t: &gryphon_sim::telemetry::Timeline| -> String {
-        t.to_ndjson()
-            .lines()
-            .filter(|l| !l.contains("\"series\":\"sketch."))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(sans_sketch(&t_off), sans_sketch(&ta));
-    assert_eq!(ta.to_ndjson(), tb.to_ndjson());
-    // The topk stream itself is deterministic, present only when armed.
-    assert_eq!(ta.topks_ndjson(), tb.topks_ndjson());
-    assert_eq!(t_off.topks().len(), 0, "disarmed run attributes nothing");
-}
-
-/// Forensics memory is bounded even under a pathologically small
-/// config: the interval ring evicts (counting each loss into
-/// `forensics.interval_dropped`) instead of growing, and what reaches
-/// the timeline respects the timeline's own cap.
-#[test]
-fn forensics_stay_bounded_and_count_drops() {
-    let tiny = gryphon_sim::ForensicsConfig {
-        interval_capacity: 8,
-        ..gryphon_sim::ForensicsConfig::default()
-    };
-    let ((golden, timeline), (_, interval_dropped)) =
-        run_instrumented(42, Some(2_000_000), false, Some(tiny));
-    assert!(golden.events > 100);
-    let t = timeline.expect("sampler armed");
-    // With room for only 8 intervals per window the ring must have
-    // evicted, and every eviction is accounted for.
-    assert!(
-        interval_dropped > 0.0,
-        "tiny ring never dropped — bound not exercised"
-    );
-    assert!(t.intervals().len() <= gryphon_sim::telemetry::TIMELINE_INTERVAL_CAP);
-    assert!(t.exemplars().len() <= gryphon_sim::telemetry::TIMELINE_EXEMPLAR_CAP);
 }
 
 #[test]

@@ -16,19 +16,13 @@
 //! * there is no crash injection;
 //! * determinism is not guaranteed.
 //!
-//! # Sharding
+//! # One node per worker
 //!
-//! A *logical* node may be backed by several worker threads
-//! ([`NetBuilder::add_sharded_node`]), each running its own state
-//! machine over a disjoint subset of pubends. Messages addressed to the
-//! logical node are routed by [`NetMsg::pubend_key`]: pubend-scoped
-//! traffic goes to the shard owning `pubend % n` (so everything for one
-//! pubend stays ordered on one thread — each `PubendPipeline` has
-//! exactly one owner), client/interest control traffic is broadcast to
-//! every shard, and anything else lands on shard 0. Cross-pubend work
-//! runs in parallel; per-pubend FIFO order is preserved because
-//! the channels are FIFO per producer and a pubend never changes
-//! shards.
+//! Each registered node runs on a worker thread of its own, with its own
+//! bounded inbox, so a node's messages are handled in the FIFO order each
+//! producer sent them. A node's [`NodeId`] is its registration order and
+//! indexes its worker directly; a send to an id no worker backs is
+//! dropped, as a message to a departed peer would be.
 //!
 //! # Observers
 //!
@@ -38,7 +32,7 @@
 //! callback's observations cost no further synchronisation. Readers from
 //! other threads ([`RunningNet::counter`],
 //! [`RunningNet::metrics_snapshot`], the sampler) therefore wait for at
-//! most one callback per shard they visit. The watchdogs and the
+//! most one callback per worker they visit. The watchdogs and the
 //! exactly-once ledger see every trace event; no trace records are
 //! retained (the ring has capacity zero: this runtime is for throughput,
 //! and the flight recorder that prints a ring lives with the simulator).
@@ -87,8 +81,8 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use gryphon_sim::forensics::{BusyInterval, KIND_DISPATCH, KIND_QUEUE};
 use gryphon_sim::telemetry::{Sampler, Timeline};
 use gryphon_sim::{
-    names, AnyNode, ForensicsConfig, HealthEngine, Lineage, Metrics, Node, NodeCtx, Observers,
-    SketchConfig, TimerKey, TraceEvent, TraceRecord,
+    names, AnyNode, HealthEngine, Lineage, Metrics, Node, NodeCtx, Observers, TimerKey, TraceEvent,
+    TraceRecord,
 };
 use gryphon_types::{NetMsg, NodeId};
 use parking_lot::Mutex;
@@ -129,11 +123,9 @@ pub fn storage_factory(tag: &str) -> Box<dyn gryphon_storage::MediaFactory> {
 /// `queue` interval on its forensics track.
 struct Ev(NodeId, NetMsg, Option<Instant>);
 
-/// What every thread of a net shares, indexed by worker.
+/// What every thread of a net shares, indexed by worker (= node id).
 struct Shared {
     senders: Vec<Sender<Ev>>,
-    /// For each logical node, the workers backing it.
-    logical: Vec<Vec<usize>>,
     /// Each worker's observer stack. The worker holds its lock for the
     /// length of a dispatch; everyone else visits briefly.
     shards: Vec<Mutex<Observers>>,
@@ -152,49 +144,22 @@ impl Shared {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Delivers `msg` to logical node `to` (see the module docs for the
-    /// shard-routing policy). `blocking` selects backpressure (harness
-    /// injection) vs best-effort (node-to-node sends, where a full
-    /// channel behaves like a saturated TCP connection and the
-    /// protocols recover via nacks). Returns how many copies a full
-    /// channel refused.
-    fn deliver(&self, from: NodeId, to: NodeId, msg: NetMsg, blocking: bool) -> usize {
-        let Some(workers) = self.logical.get(to.0 as usize) else {
-            return 0;
+    /// Delivers `msg` to node `to`; an id no worker backs drops it.
+    /// `blocking` selects backpressure (harness injection) vs best-effort
+    /// (node-to-node sends, where a full channel behaves like a
+    /// saturated TCP connection and the protocols recover via nacks).
+    /// Returns whether a full channel refused the message.
+    fn deliver(&self, from: NodeId, to: NodeId, msg: NetMsg, blocking: bool) -> bool {
+        let Some(tx) = self.senders.get(to.0 as usize) else {
+            return false;
         };
-        let n = workers.len();
-        let target = if n == 1 {
-            Some(workers[0])
-        } else {
-            match msg.pubend_key() {
-                Some(p) => Some(workers[p.0 as usize % n]),
-                // Subscription interest and client control traffic is
-                // relevant to every shard (each shard matches it against
-                // its own pubends); duplicate ConnectOk/Ack handling is
-                // idempotent on the client side.
-                None => match &msg {
-                    NetMsg::Client(_) | NetMsg::SubInterest(_) => None,
-                    _ => Some(workers[0]),
-                },
-            }
-        };
-        match target {
-            Some(w) => self.send_to(w, from, msg, blocking),
-            None => workers
-                .iter()
-                .map(|&w| self.send_to(w, from, msg.clone(), blocking))
-                .sum(),
-        }
-    }
-
-    fn send_to(&self, w: usize, from: NodeId, msg: NetMsg, blocking: bool) -> usize {
         let enq = self.profiling.load(Ordering::Relaxed).then(Instant::now);
         let ev = Ev(from, msg, enq);
         if blocking {
-            let _ = self.senders[w].send(ev);
-            return 0;
+            let _ = tx.send(ev);
+            return false;
         }
-        matches!(self.senders[w].try_send(ev), Err(TrySendError::Full(_))) as usize
+        matches!(tx.try_send(ev), Err(TrySendError::Full(_)))
     }
 
     /// Merges the worker shards' metrics — and the sampler's own, when
@@ -238,7 +203,6 @@ impl Shared {
 #[derive(Default)]
 pub struct NetBuilder {
     workers: Vec<(String, AnyNode)>,
-    logical: Vec<Vec<usize>>,
 }
 
 impl NetBuilder {
@@ -247,50 +211,19 @@ impl NetBuilder {
         Self::default()
     }
 
-    /// Registers a node; its logical id is its registration order.
+    /// Registers a node; its id is its registration order.
     pub fn add_node<T: Node + 'static>(&mut self, name: &str, node: T) -> Handle<T> {
-        self.add_sharded_node(name, vec![node])
-    }
-
-    /// Registers a logical node backed by one worker thread per element
-    /// of `shards`. Shard `i` owns every pubend with `p.0 % n == i`; see
-    /// the module docs for the routing policy. All shards share the one
-    /// logical id returned here.
-    pub fn add_sharded_node<T: Node + 'static>(&mut self, name: &str, shards: Vec<T>) -> Handle<T> {
-        assert!(
-            !shards.is_empty(),
-            "a sharded node needs at least one shard"
-        );
-        let n = shards.len();
-        let mut workers = Vec::with_capacity(n);
-        for (i, node) in shards.into_iter().enumerate() {
-            let wname = if n == 1 {
-                name.to_owned()
-            } else {
-                format!("{name}.{i}")
-            };
-            workers.push(self.workers.len());
-            self.workers.push((wname, AnyNode::typed(node)));
-        }
-        let id = NodeId(self.logical.len() as u32);
-        self.logical.push(workers);
+        let id = NodeId(self.workers.len() as u32);
+        self.workers.push((name.to_owned(), AnyNode::typed(node)));
         Handle::new(id)
     }
 
-    /// Spawns one thread per worker and starts them (running `on_start`).
+    /// Spawns one thread per node and starts them (running `on_start`).
     pub fn start(self) -> RunningNet {
         let n = self.workers.len();
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| bounded::<Ev>(65_536)).unzip();
-        // Worker → logical-id map for event attribution.
-        let mut owner = vec![NodeId(0); n];
-        for (lid, workers) in self.logical.iter().enumerate() {
-            for &w in workers {
-                owner[w] = NodeId(lid as u32);
-            }
-        }
         let shared = Arc::new(Shared {
             senders,
-            logical: self.logical,
             // Capacity zero: this runtime retains no trace records.
             shards: (0..n).map(|_| Mutex::new(Observers::new(0))).collect(),
             active_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -302,8 +235,7 @@ impl NetBuilder {
         for (i, ((name, mut node), rx)) in self.workers.into_iter().zip(receivers).enumerate() {
             let stop = Arc::clone(&stop);
             let mut worker = Worker {
-                me: owner[i],
-                index: i,
+                me: NodeId(i as u32),
                 shared: Arc::clone(&shared),
                 timers: BinaryHeap::new(),
                 rng: SmallRng::seed_from_u64(i as u64),
@@ -358,11 +290,9 @@ impl PartialOrd for TimerEntry {
 }
 
 struct Worker {
-    /// Logical id of the node this worker backs (shared by all shards).
-    me: NodeId,
-    /// Worker-thread index: this worker's slot in [`Shared`] and its
+    /// The node this worker backs: its slot in [`Shared`] and its
     /// forensics track id in exported traces.
-    index: usize,
+    me: NodeId,
     shared: Arc<Shared>,
     timers: BinaryHeap<TimerEntry>,
     rng: SmallRng,
@@ -380,13 +310,14 @@ impl Worker {
     }
 
     fn fire_due(&mut self, node: &mut dyn Node) {
-        loop {
-            let due = matches!(self.timers.peek(),
-                Some(e) if e.deadline <= Instant::now());
-            if !due {
+        while self
+            .timers
+            .peek()
+            .is_some_and(|e| e.deadline <= Instant::now())
+        {
+            let Some(TimerEntry { key, .. }) = self.timers.pop() else {
                 break;
-            }
-            let key = self.timers.pop().expect("peeked").key;
+            };
             self.dispatch(None, node, |n, ctx| n.on_timer(key, ctx));
         }
     }
@@ -404,9 +335,10 @@ impl Worker {
         f: impl FnOnce(&mut dyn Node, &mut dyn NodeCtx),
     ) {
         let shared = &*self.shared;
-        let track = self.index as u32;
+        let index = self.me.0 as usize;
+        let track = self.me.0;
         let since_epoch = |t: Instant| t.duration_since(shared.epoch).as_micros() as u64;
-        let mut obs = shared.shards[self.index].lock();
+        let mut obs = shared.shards[index].lock();
         if let Some(t0) = enq {
             let wait = t0.elapsed();
             obs.observe(names::NET_QUEUE_WAIT_US, wait.as_secs_f64() * 1e6);
@@ -434,7 +366,7 @@ impl Worker {
         );
         if let Some(t0) = started {
             let dt = t0.elapsed();
-            shared.active_ns[self.index].fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
+            shared.active_ns[index].fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
             obs.observe(names::TELEMETRY_SERVICE_TIME_US, dt.as_secs_f64() * 1e6);
             obs.interval(BusyInterval {
                 track,
@@ -477,9 +409,8 @@ impl NodeCtx for ThreadCtx<'_> {
         // Best-effort: a full channel drops the message, like a
         // saturated TCP connection with a dead reader; the protocols
         // recover via nacks. Counted, so overload is never silent.
-        let refused = self.shared.deliver(self.me, to, msg, false);
-        if refused > 0 {
-            self.obs.count(names::NET_DROPPED, refused as f64);
+        if self.shared.deliver(self.me, to, msg, false) {
+            self.obs.count(names::NET_DROPPED, 1.0);
         }
     }
 
@@ -642,14 +573,10 @@ impl RunningNet {
             return;
         }
         let interval = interval.max(Duration::from_micros(1));
-        let arm = |obs: &mut Observers| {
-            obs.arm_forensics(&ForensicsConfig::default());
-            obs.arm_sketch(SketchConfig::default());
-        };
         let mut hub = Observers::new(0);
-        arm(&mut hub);
+        hub.arm();
         for shard in &self.shared.shards {
-            arm(&mut shard.lock());
+            shard.lock().arm();
         }
         // Counters primed so the `health.alert.*` family is visible even
         // when nothing fires.
@@ -721,7 +648,6 @@ impl RunningNet {
             metrics: self.shared.metrics_snapshot(telemetry.as_deref()),
             lineage,
             telemetry: timeline,
-            shared: Arc::clone(&self.shared),
         }
     }
 }
@@ -737,33 +663,17 @@ pub struct NetResult {
     /// Wall-clock telemetry timeline, present when
     /// [`RunningNet::start_sampler`] ran during the net's lifetime.
     pub telemetry: Option<Timeline>,
-    shared: Arc<Shared>,
 }
 
 impl NetResult {
-    /// Borrows a node's final state (shard 0 for sharded nodes).
+    /// Borrows a node's final state.
     ///
     /// # Panics
     ///
     /// Panics on a type mismatch (impossible for handles from the same
     /// builder).
     pub fn node<T: Node + 'static>(&self, h: Handle<T>) -> &T {
-        self.shard(h, 0)
-    }
-
-    /// Borrows one shard of a sharded node's final state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a type mismatch or an out-of-range shard index.
-    pub fn shard<T: Node + 'static>(&self, h: Handle<T>, shard: usize) -> &T {
-        let worker = self.shared.logical[h.id().0 as usize][shard];
-        self.workers[worker].downcast_ref()
-    }
-
-    /// Number of worker shards backing logical node `h`.
-    pub fn shard_count<T>(&self, h: Handle<T>) -> usize {
-        self.shared.logical[h.id().0 as usize].len()
+        self.workers[h.id().0 as usize].downcast_ref()
     }
 
     /// Total protocol-watchdog violations across all workers (gap-free
@@ -784,7 +694,7 @@ impl NetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gryphon_types::{InterestChange, PubendId, PublishMsg, SubInterestMsg};
+    use gryphon_types::{InterestChange, SubInterestMsg};
 
     struct Echo {
         got: u64,
@@ -812,14 +722,6 @@ mod tests {
         NetMsg::SubInterest(SubInterestMsg {
             version: 0,
             change: InterestChange::Snapshot(vec![]),
-        })
-    }
-
-    fn publish(p: u32) -> NetMsg {
-        NetMsg::Publish(PublishMsg {
-            pubend: PubendId(p),
-            attrs: Default::default(),
-            payload: Default::default(),
         })
     }
 
@@ -868,34 +770,32 @@ mod tests {
         assert_eq!(result.metrics.series("echo.timer").len(), 1);
     }
 
+    /// Forwards every message it gets to a node id no worker backs.
+    struct Stray;
+
+    impl Node for Stray {
+        fn on_message(&mut self, _: NodeId, msg: NetMsg, ctx: &mut dyn NodeCtx) {
+            ctx.count("stray.got", 1.0);
+            ctx.send(NodeId(99), msg);
+        }
+        fn on_timer(&mut self, _: TimerKey, _: &mut dyn NodeCtx) {}
+    }
+
     #[test]
-    fn sharded_node_routes_by_pubend_and_broadcasts_control() {
+    fn send_to_unbacked_id_is_dropped_and_stop_is_clean() {
         let mut b = NetBuilder::new();
-        let shards: Vec<Echo> = (0..4)
-            .map(|_| Echo {
-                got: 0,
-                timer_fired: false,
-            })
-            .collect();
-        let h = b.add_sharded_node("shards", shards);
+        let a = b.add_node("stray", Stray);
         let net = b.start();
-        // 8 pubends × 3 messages: pubend p lands on shard p % 4.
-        for p in 0..8u32 {
-            for _ in 0..3 {
-                net.inject(h.id(), publish(p));
-            }
+        for _ in 0..10 {
+            net.inject(a.id(), dummy());
         }
-        // Unkeyed control traffic is broadcast to every shard.
-        net.inject(h.id(), dummy());
-        net.run_for(Duration::from_millis(80));
+        // Injection to an unbacked id is dropped the same way.
+        net.inject(NodeId(99), dummy());
+        net.run_for(Duration::from_millis(50));
         let result = net.stop();
-        assert_eq!(result.shard_count(h), 4);
-        for s in 0..4 {
-            // Two pubends × 3 each + 1 broadcast control message.
-            assert_eq!(result.shard(h, s).got, 7, "shard {s}");
-        }
-        // Per-worker metrics merged on stop: 4 shards × 7 messages.
-        assert_eq!(result.metrics.counter("echo.got"), 28.0);
+        assert_eq!(result.metrics.counter("stray.got"), 10.0);
+        // Dropped for want of a receiver, not refused by a full channel.
+        assert_eq!(result.metrics.counter(names::NET_DROPPED), 0.0);
         assert_eq!(result.watchdog_violations(), 0.0);
     }
 

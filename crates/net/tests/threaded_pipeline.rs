@@ -3,8 +3,9 @@
 
 use gryphon::{Broker, BrokerConfig, PublisherClient, SubscriberClient, SubscriberConfig};
 use gryphon_net::{storage_factory, NetBuilder};
+use gryphon_storage::MemFactory;
 use gryphon_types::{NodeId, PubendId, SubscriberId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn publish_to_delivery_over_threads() {
@@ -71,4 +72,114 @@ fn publish_to_delivery_over_threads() {
         "delivery across threads: {} events of {published} published",
         client.events_received()
     );
+}
+
+/// One combined broker (4 pubends, 2 subscribers) on one worker: every
+/// subscriber's delivered `_seq` runs contiguous from 0 per pubend — the
+/// full ground-truth stream in publish order — with no watchdog firing
+/// and no send refused by a full channel.
+#[test]
+fn combined_broker_delivers_every_pubend_contiguously() {
+    const PUBENDS: u32 = 4;
+    const SUBS: u64 = 2;
+    let config = BrokerConfig {
+        phb_commit_interval_us: 500,
+        phb_commit_latency_us: 200,
+        pfs_sync_interval_us: 1_000,
+        pubend_silence_interval_us: 2_000,
+        release_interval_us: 10_000,
+        ..BrokerConfig::default()
+    };
+    let mut builder = NetBuilder::new();
+    let broker = builder.add_node(
+        "broker",
+        Broker::new(0, Box::new(MemFactory::new()), config)
+            .hosting_pubends((0..PUBENDS).map(PubendId))
+            .hosting_subscribers(),
+    );
+    let subs: Vec<_> = (0..SUBS)
+        .map(|s| {
+            builder.add_node(
+                &format!("sub{s}"),
+                SubscriberClient::new(
+                    SubscriberId(s + 1),
+                    broker.id(),
+                    "class = 0",
+                    SubscriberConfig {
+                        ack_interval_us: 5_000,
+                        // No broker traffic flows until the publishers
+                        // start (the constream is empty, so no silences
+                        // either); keep the liveness probe from declaring
+                        // a crash in that window.
+                        probe_interval_us: 10_000_000,
+                        collect: true,
+                        ..SubscriberConfig::default()
+                    },
+                ),
+            )
+        })
+        .collect();
+    let publishers: Vec<_> = (0..PUBENDS)
+        .map(|p| {
+            builder.add_node(
+                &format!("pub{p}"),
+                PublisherClient::new(broker.id(), PubendId(p), 1_000.0)
+                    // Start publishing only after subscribers had time to
+                    // connect, so every delivery stream begins at seq 0.
+                    .starting_at(200_000)
+                    .with_attrs(|_, _| {
+                        let mut a = gryphon_types::Attributes::new();
+                        a.insert("class".into(), 0i64.into());
+                        a
+                    }),
+            )
+        })
+        .collect();
+    let net = builder.start();
+    // Every subscriber's Connect must reach the broker before the
+    // publishers start.
+    let deadline = Instant::now() + Duration::from_millis(150);
+    while net.counter("shb.connects") < SUBS as f64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(
+        net.counter("shb.connects"),
+        SUBS as f64,
+        "the broker must register every subscriber before publishing starts"
+    );
+    net.run_for(Duration::from_millis(700));
+    let result = net.stop();
+    assert_eq!(result.watchdog_violations(), 0.0);
+    assert_eq!(
+        result.metrics.counter(gryphon_sim::names::NET_DROPPED),
+        0.0,
+        "no node-to-node send may hit a full channel at this load"
+    );
+    let published: u64 = publishers.iter().map(|h| result.node(*h).published()).sum();
+    assert!(published > 200, "publishers ran: {published}");
+    for (s, h) in subs.iter().enumerate() {
+        let client = result.node(*h);
+        assert_eq!(client.order_violations(), 0, "sub{s} order");
+        assert_eq!(client.gaps_received(), 0, "sub{s} gaps");
+        assert!(
+            client.events_received() > 50,
+            "sub{s} got {} events",
+            client.events_received()
+        );
+        let mut per_pubend = vec![Vec::new(); PUBENDS as usize];
+        for r in client.received() {
+            if r.kind == "event" {
+                per_pubend[r.pubend.0 as usize].push(r.seq.expect("publisher stamps _seq"));
+            }
+        }
+        for (p, seqs) in per_pubend.iter().enumerate() {
+            assert!(!seqs.is_empty(), "sub{s} got nothing from pubend {p}");
+            for (i, &seq) in seqs.iter().enumerate() {
+                assert_eq!(
+                    seq, i as i64,
+                    "sub{s} pubend {p} diverges from ground truth at position {i}"
+                );
+            }
+        }
+    }
 }

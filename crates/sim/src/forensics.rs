@@ -33,34 +33,21 @@ use gryphon_types::LineageKey;
 /// costly to run per hot-path sample.
 const THRESHOLD_REFRESH: u64 = 64;
 
-/// Tuning for the forensics layer; [`ForensicsConfig::default`] matches
-/// what `apply_sim_defaults` arms.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForensicsConfig {
-    /// Histogram quantile a sample must reach to qualify as a tail
-    /// exemplar (computed over the cumulative distribution, refreshed
-    /// every [`THRESHOLD_REFRESH`] observations per series).
-    pub tail_quantile: f64,
-    /// Minimum cumulative histogram count before a series produces
-    /// exemplars at all — early on, every sample is "the tail".
-    pub min_samples: u64,
-    /// Reservoir bound between sampler windows; beyond it the smallest
-    /// value is displaced (counted as dropped).
-    pub reservoir: usize,
-    /// Busy-interval ring bound (oldest evicted, counted as dropped).
-    pub interval_capacity: usize,
-}
+/// Histogram quantile a sample must reach to qualify as a tail exemplar
+/// (computed over the cumulative distribution, refreshed every
+/// [`THRESHOLD_REFRESH`] observations per series).
+const TAIL_QUANTILE: f64 = 0.99;
 
-impl Default for ForensicsConfig {
-    fn default() -> ForensicsConfig {
-        ForensicsConfig {
-            tail_quantile: 0.99,
-            min_samples: 64,
-            reservoir: 32,
-            interval_capacity: 65_536,
-        }
-    }
-}
+/// Minimum cumulative histogram count before a series produces
+/// exemplars at all — early on, every sample is "the tail".
+const MIN_SAMPLES: u64 = 64;
+
+/// Reservoir bound between sampler windows; beyond it the smallest value
+/// is displaced (counted as dropped).
+const RESERVOIR: usize = 32;
+
+/// Busy-interval ring bound (oldest evicted, counted as dropped).
+pub(crate) const INTERVAL_CAPACITY: usize = 65_536;
 
 /// One histogram observation that landed in the tail, before span
 /// resolution. `Copy` and allocation-free on purpose: offering a sample
@@ -101,13 +88,16 @@ pub struct ExemplarReservoir {
 }
 
 impl ExemplarReservoir {
-    /// An empty reservoir with `cfg`'s quantile/bounds. Capacity is
+    /// An empty reservoir of [`RESERVOIR`] samples. Capacity is
     /// preallocated so offers never allocate.
-    pub fn new(cfg: &ForensicsConfig) -> ExemplarReservoir {
-        let cap = cfg.reservoir.max(1);
+    pub(crate) fn new() -> ExemplarReservoir {
+        ExemplarReservoir::with_capacity(RESERVOIR)
+    }
+
+    fn with_capacity(cap: usize) -> ExemplarReservoir {
         ExemplarReservoir {
-            tail_quantile: cfg.tail_quantile,
-            min_samples: cfg.min_samples,
+            tail_quantile: TAIL_QUANTILE,
+            min_samples: MIN_SAMPLES,
             cap,
             samples: Vec::with_capacity(cap),
             thresholds: Vec::with_capacity(16),
@@ -368,7 +358,7 @@ mod tests {
     #[test]
     fn reservoir_admits_only_the_tail() {
         let m = seeded_metrics();
-        let mut r = ExemplarReservoir::new(&ForensicsConfig::default());
+        let mut r = ExemplarReservoir::new();
         for i in 0..100 {
             r.offer(i, SERIES, 100.0, key(i), &m);
         }
@@ -389,7 +379,7 @@ mod tests {
         for _ in 0..10 {
             m.observe(SERIES, 100.0);
         }
-        let mut r = ExemplarReservoir::new(&ForensicsConfig::default());
+        let mut r = ExemplarReservoir::new();
         r.offer(1, SERIES, 1e9, key(1), &m);
         assert!(r.is_empty(), "cold histogram produces no exemplars");
     }
@@ -400,11 +390,7 @@ mod tests {
     #[test]
     fn reservoir_evicts_under_pressure_and_counts_drops() {
         let m = seeded_metrics();
-        let cfg = ForensicsConfig {
-            reservoir: 4,
-            ..ForensicsConfig::default()
-        };
-        let mut r = ExemplarReservoir::new(&cfg);
+        let mut r = ExemplarReservoir::with_capacity(4);
         // 10 qualifying samples with increasing values into a 4-slot
         // reservoir: the 4 largest survive, 6 are shed.
         for i in 0..10u64 {
@@ -427,12 +413,8 @@ mod tests {
     #[test]
     fn reservoir_absorb_merges_keeping_worst() {
         let m = seeded_metrics();
-        let cfg = ForensicsConfig {
-            reservoir: 2,
-            ..ForensicsConfig::default()
-        };
-        let mut a = ExemplarReservoir::new(&cfg);
-        let mut b = ExemplarReservoir::new(&cfg);
+        let mut a = ExemplarReservoir::with_capacity(2);
+        let mut b = ExemplarReservoir::with_capacity(2);
         a.offer(1, SERIES, 60_000.0, key(1), &m);
         b.offer(2, SERIES, 70_000.0, key(2), &m);
         b.offer(3, SERIES, 80_000.0, key(3), &m);

@@ -64,14 +64,13 @@ pub mod sketch;
 pub mod telemetry;
 pub mod trace;
 
-pub use forensics::{BusyInterval, Exemplar, ExemplarReservoir, ForensicsConfig};
+pub use forensics::{BusyInterval, Exemplar, ExemplarReservoir};
 pub use health::{default_rules, AlertRecord, AlertState, HealthEngine, HealthRule, RuleKind};
 pub use lineage::{LedgerAudit, Lineage, Span};
 pub use metrics::{names, Histogram, HistogramSummary, Metrics, MetricsSnapshot};
 pub use observers::{Observers, Oracle};
 pub use runtime::{AnyNode, Handle, LinkParams, Node, NodeCtx, Sim, TimerKey, CONTROL_NODE};
 pub use sketch::{
-    LagSpectrum, PopulationSketch, SketchConfig, SpaceSaving, SpectrumStats, TopKEntry,
-    TopKSnapshot,
+    LagSpectrum, PopulationSketch, SpaceSaving, SpectrumStats, TopKEntry, TopKSnapshot,
 };
 pub use trace::{DeliveryPath, TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};

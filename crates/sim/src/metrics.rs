@@ -589,17 +589,6 @@ impl Metrics {
         self.counters.keys().map(|s| s.as_str()).collect()
     }
 
-    /// Sums samples of `name` into fixed windows of `window_us`, returning
-    /// `(window_start_us, sum)` — the building block for the paper's
-    /// events-per-second plots.
-    pub fn windowed_sum(&self, name: &str, window_us: u64) -> Vec<(u64, f64)> {
-        let mut out: BTreeMap<u64, f64> = BTreeMap::new();
-        for &(t, v) in self.series(name) {
-            *out.entry((t / window_us) * window_us).or_insert(0.0) += v;
-        }
-        out.into_iter().collect()
-    }
-
     /// Mean of all samples of `name` (`None` when empty).
     pub fn mean(&self, name: &str) -> Option<f64> {
         let s = self.series(name);
@@ -607,17 +596,6 @@ impl Metrics {
             return None;
         }
         Some(s.iter().map(|&(_, v)| v).sum::<f64>() / s.len() as f64)
-    }
-
-    /// Standard deviation of all samples of `name`.
-    pub fn std_dev(&self, name: &str) -> Option<f64> {
-        let s = self.series(name);
-        if s.len() < 2 {
-            return None;
-        }
-        let mean = self.mean(name)?;
-        let var = s.iter().map(|&(_, v)| (v - mean).powi(2)).sum::<f64>() / s.len() as f64;
-        Some(var.sqrt())
     }
 
     /// Folds `other` into `self`: counters add, histograms merge,
@@ -781,23 +759,12 @@ mod tests {
     }
 
     #[test]
-    fn windowed_sum_buckets_by_window_start() {
-        let mut m = Metrics::default();
-        m.record(100, "x", 1.0);
-        m.record(900, "x", 2.0);
-        m.record(1_100, "x", 5.0);
-        let w = m.windowed_sum("x", 1_000);
-        assert_eq!(w, vec![(0, 3.0), (1_000, 5.0)]);
-    }
-
-    #[test]
-    fn mean_and_std_dev() {
+    fn mean_averages_series_samples() {
         let mut m = Metrics::default();
         for (i, v) in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].iter().enumerate() {
             m.record(i as u64, "d", *v);
         }
         assert_eq!(m.mean("d"), Some(5.0));
-        assert!((m.std_dev("d").unwrap() - 2.0).abs() < 1e-9);
         assert_eq!(m.mean("missing"), None);
     }
 

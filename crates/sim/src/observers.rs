@@ -20,13 +20,13 @@
 //! differ in *when* a window closes and in which runtime gauges they set
 //! beforehand, never in what closing does.
 
-use crate::forensics::{BusyInterval, Exemplar, ExemplarReservoir, ForensicsConfig};
+use crate::forensics::{BusyInterval, Exemplar, ExemplarReservoir, INTERVAL_CAPACITY};
 use crate::health::{AlertState, HealthEngine};
 use crate::lineage::{Lineage, Span};
 use crate::metrics::{names, Metrics};
 use crate::ring::Ring;
 use crate::runtime::CONTROL_NODE;
-use crate::sketch::{self, PopulationSketch, SketchConfig, DIM_SUB_BYTES};
+use crate::sketch::{self, PopulationSketch, DIM_SUB_BYTES};
 use crate::telemetry::Sampler;
 use crate::trace::{TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};
 use gryphon_types::LineageKey;
@@ -77,18 +77,22 @@ impl Observers {
         }
     }
 
-    /// Arms tail forensics: the exemplar reservoir on the lineage stage
-    /// histograms and the bounded busy-interval ring. Both drain into the
-    /// timeline when a window closes.
-    pub fn arm_forensics(&mut self, cfg: &ForensicsConfig) {
-        self.lineage.arm_exemplars(ExemplarReservoir::new(cfg));
-        self.intervals = Some(Ring::new(cfg.interval_capacity));
+    /// Arms the windowed observers: tail forensics (the exemplar
+    /// reservoir on the lineage stage histograms and the bounded
+    /// busy-interval ring) and the population sketch (per-entity top-K
+    /// attribution plus the subscriber lag spectrum). All of it drains
+    /// into the timeline when a window closes.
+    pub fn arm(&mut self) {
+        self.lineage.arm_exemplars(ExemplarReservoir::new());
+        self.intervals = Some(Ring::new(INTERVAL_CAPACITY));
+        self.sketch = Some(PopulationSketch::new());
     }
 
-    /// Arms the population sketch: per-entity top-K attribution plus the
-    /// subscriber lag spectrum, drained when a window closes.
-    pub fn arm_sketch(&mut self, cfg: SketchConfig) {
-        self.sketch = Some(PopulationSketch::new(cfg));
+    /// Shrinks the armed busy-interval ring to `capacity`, so a test can
+    /// drive it into eviction.
+    #[cfg(test)]
+    pub(crate) fn set_interval_capacity(&mut self, capacity: usize) {
+        self.intervals = Some(Ring::new(capacity));
     }
 
     /// The metrics registry.

@@ -1,10 +1,9 @@
 //! The discrete-event scheduler, links, timers and fault injection.
 
-use crate::forensics::{BusyInterval, ForensicsConfig, KIND_BUSY};
-use crate::health::{HealthEngine, HealthRule};
+use crate::forensics::{BusyInterval, KIND_BUSY};
+use crate::health::{default_rules, HealthEngine};
 use crate::lineage::{LedgerAudit, Lineage};
 use crate::observers::{Observers, Oracle};
-use crate::sketch::SketchConfig;
 use crate::telemetry::{Sampler, Timeline};
 use crate::trace::{TraceEvent, TraceRecord, DEFAULT_TRACE_CAPACITY};
 use crate::{Metrics, MetricsSnapshot};
@@ -193,13 +192,11 @@ pub struct Sim {
     /// `cfg(debug_assertions)`, like the watchdogs).
     ledger_panic: bool,
     events_processed: u64,
-    /// Windowed telemetry sampler (`None` = disabled). Fires between
-    /// scheduler events, never through them, so enabling it cannot
+    /// Windowed telemetry sampler and the health engine evaluated as
+    /// part of each window close (`None` = disarmed). Fires between
+    /// scheduler events, never through them, so arming it cannot
     /// perturb protocol ordering.
-    telemetry: Option<Sampler>,
-    /// Online health engine (`None` = disabled), evaluated as part of
-    /// each window close.
-    health: Option<HealthEngine>,
+    telemetry: Option<(Sampler, HealthEngine)>,
 }
 
 impl std::fmt::Debug for Sim {
@@ -235,7 +232,6 @@ impl Sim {
             ledger_panic: cfg!(debug_assertions),
             events_processed: 0,
             telemetry: None,
-            health: None,
         }
     }
 
@@ -346,72 +342,48 @@ impl Sim {
         n
     }
 
-    /// Enables the windowed telemetry sampler at a fixed virtual-time
-    /// `interval_us` (see [`crate::telemetry`]). Each due sample fires
+    /// Arms the windows: the telemetry sampler at a fixed virtual-time
+    /// `interval_us` (see [`crate::telemetry`]), the online health engine
+    /// over the [default rules](crate::default_rules), tail forensics and
+    /// the population sketch ([`Observers::arm`]). Each due sample fires
     /// between scheduler events: it publishes the scheduler's
     /// outstanding-event count as the
     /// [`telemetry.queue_depth`](crate::names::TELEMETRY_QUEUE_DEPTH)
-    /// gauge, then closes the window ([`Observers::close_window`]).
-    /// Sampling appends only to metrics — traces and deliveries are
-    /// bit-identical with the sampler on or off.
+    /// gauge, then closes the window ([`Observers::close_window`]), where
+    /// the engine judges the timeline so far. Each rule's
+    /// `health.alert.<rule>` counter is registered at zero here, so
+    /// exports show the armed rule set even when nothing fires. Arming
+    /// appends only to metrics and the timeline — traces and deliveries
+    /// are bit-identical armed or not (an alert transition, which a clean
+    /// run never has, is mirrored into the trace stream).
     pub fn enable_telemetry(&mut self, interval_us: u64) {
-        self.telemetry = Some(Sampler::new(interval_us));
+        let engine = HealthEngine::new(default_rules());
+        engine.prime(self.obs.metrics_mut());
+        self.obs.arm();
+        self.telemetry = Some((Sampler::new(interval_us), engine));
     }
 
     /// The telemetry timeline collected so far (`None` when disabled).
     pub fn telemetry(&self) -> Option<&Timeline> {
-        self.telemetry.as_ref().map(|s| s.timeline())
+        self.telemetry.as_ref().map(|(s, _)| s.timeline())
     }
 
     /// Takes the telemetry timeline out of the sim (disabling further
     /// sampling), e.g. to attach it to a report.
     pub fn take_telemetry(&mut self) -> Option<Timeline> {
-        self.telemetry.take().map(|s| s.into_timeline())
-    }
-
-    /// Arms the online health engine over `rules` (see
-    /// [`crate::health`]). Requires telemetry to be enabled — the engine
-    /// judges the sampler's timeline and is evaluated once per sample
-    /// window. Each rule's `health.alert.<rule>` counter is registered
-    /// at zero immediately so exports show the armed rule set even when
-    /// nothing ever fires. On a clean run the engine emits no trace
-    /// events at all.
-    pub fn enable_health(&mut self, rules: Vec<HealthRule>) {
-        let engine = HealthEngine::new(rules);
-        engine.prime(self.obs.metrics_mut());
-        self.health = Some(engine);
-    }
-
-    /// Arms tail forensics: an exemplar reservoir on the lineage stage
-    /// histograms and a bounded busy-interval recorder fed by modeled
-    /// work and [`NodeCtx::interval`]. Both streams drain into the
-    /// telemetry timeline once per sampler window (so telemetry should be
-    /// enabled too; without it the interval ring simply fills and
-    /// evicts).
-    pub fn enable_forensics(&mut self, cfg: ForensicsConfig) {
-        self.obs.arm_forensics(&cfg);
-    }
-
-    /// Arms the population sketch: per-entity top-K attribution
-    /// ([`NodeCtx::attribute`]) plus the subscriber lag spectrum, in
-    /// O(K) memory per dimension. Drained into top-K snapshots on the
-    /// telemetry timeline once per sampler window (so telemetry should
-    /// be enabled too; without it attributions simply accumulate).
-    pub fn enable_sketch(&mut self, cfg: SketchConfig) {
-        self.obs.arm_sketch(cfg);
+        self.telemetry.take().map(|(s, _)| s.into_timeline())
     }
 
     /// Closes every telemetry window due at or before `upto_us`.
     fn fire_due_samples(&mut self, upto_us: u64) {
-        let Some(sampler) = self.telemetry.as_mut() else {
+        let Some((sampler, health)) = self.telemetry.as_mut() else {
             return;
         };
         while sampler.next_at_us() <= upto_us {
             let at = sampler.next_at_us();
             self.obs
                 .gauge(crate::names::TELEMETRY_QUEUE_DEPTH, self.queue.len() as f64);
-            self.obs
-                .close_window(self.now, at, sampler, self.health.as_mut());
+            self.obs.close_window(self.now, at, sampler, Some(health));
         }
     }
 
@@ -1153,6 +1125,40 @@ mod tests {
         sim.run_to_quiescence();
         assert_eq!(sim.busy_us(a.id()), 20);
         assert_eq!(sim.metrics().series("arrival").len(), 2);
+    }
+
+    /// Forensics memory is bounded even with a pathologically small
+    /// ring: the busy-interval ring evicts (counting each loss into
+    /// `forensics.interval_dropped`) instead of growing, and what reaches
+    /// the timeline respects the timeline's own caps.
+    #[test]
+    fn forensics_stay_bounded_and_count_drops() {
+        let mut sim = Sim::new(0);
+        let a = sim.add_typed_node(
+            "a",
+            Recorder {
+                arrivals: vec![],
+                bounce: false,
+            },
+        );
+        sim.enable_telemetry(1_000_000);
+        sim.obs.set_interval_capacity(8);
+        // 200 charged callbacks, one busy interval each, in one window.
+        for t in 0..200 {
+            sim.inject_ctrl(t, a.id(), dummy_msg());
+        }
+        sim.run_until(2_000_000);
+        let dropped = sim
+            .metrics()
+            .counter(crate::names::FORENSICS_INTERVAL_DROPPED);
+        assert!(
+            dropped > 0.0,
+            "tiny ring never dropped — bound not exercised"
+        );
+        let t = sim.telemetry().expect("sampler armed");
+        assert_eq!(t.intervals().len() as f64 + dropped, 200.0);
+        assert!(t.intervals().len() <= crate::telemetry::TIMELINE_INTERVAL_CAP);
+        assert!(t.exemplars().len() <= crate::telemetry::TIMELINE_EXEMPLAR_CAP);
     }
 
     #[test]

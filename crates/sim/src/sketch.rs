@@ -53,20 +53,9 @@ pub fn intern_dim(s: &str) -> &'static str {
     }
 }
 
-/// Tuning for the population sketch; [`SketchConfig::default`] matches
-/// what `apply_sim_defaults` arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SketchConfig {
-    /// Counters per dimension (the K in top-K). Memory is O(K) per
-    /// dimension regardless of population size.
-    pub k: usize,
-}
-
-impl Default for SketchConfig {
-    fn default() -> SketchConfig {
-        SketchConfig { k: 8 }
-    }
-}
+/// Counters per dimension (the K in top-K). Memory is O(K) per dimension
+/// regardless of population size.
+const K: usize = 8;
 
 /// One tracked entity in a [`SpaceSaving`] sketch (and one element of a
 /// [`TopKSnapshot`]). `count` overestimates the entity's true offered
@@ -411,7 +400,6 @@ pub fn name_culprit(detail: &mut String, series: &str, snaps: &[TopKSnapshot]) {
 /// the worker shards were absorbed in worker-index order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSketch {
-    config: SketchConfig,
     lag: SpaceSaving,
     bytes: SpaceSaving,
     pubends: SpaceSaving,
@@ -420,21 +408,19 @@ pub struct PopulationSketch {
 }
 
 impl PopulationSketch {
-    /// An empty armed sketch with `cfg`'s K.
-    pub fn new(cfg: SketchConfig) -> PopulationSketch {
-        PopulationSketch {
-            config: cfg,
-            lag: SpaceSaving::new(cfg.k),
-            bytes: SpaceSaving::new(cfg.k),
-            pubends: SpaceSaving::new(cfg.k),
-            nacks: SpaceSaving::new(cfg.k),
-            spectrum: LagSpectrum::new(),
-        }
+    /// An empty armed sketch of [`K`] counters per dimension.
+    pub(crate) fn new() -> PopulationSketch {
+        PopulationSketch::with_k(K)
     }
 
-    /// The configuration this sketch was armed with.
-    pub fn config(&self) -> SketchConfig {
-        self.config
+    fn with_k(k: usize) -> PopulationSketch {
+        PopulationSketch {
+            lag: SpaceSaving::new(k),
+            bytes: SpaceSaving::new(k),
+            pubends: SpaceSaving::new(k),
+            nacks: SpaceSaving::new(k),
+            spectrum: LagSpectrum::new(),
+        }
     }
 
     /// Routes one attribution to its dimension. [`DIM_SUB_LAG`] feeds
@@ -681,7 +667,7 @@ mod tests {
 
     #[test]
     fn population_sketch_drains_per_dimension_and_resets() {
-        let mut p = PopulationSketch::new(SketchConfig { k: 4 });
+        let mut p = PopulationSketch::with_k(4);
         assert!(p.is_empty());
         p.attribute(DIM_SUB_LAG, 42, 5_000);
         p.attribute(DIM_SUB_LAG, 7, 10);
@@ -713,7 +699,7 @@ mod tests {
 
     #[test]
     fn name_culprit_names_the_leading_entity() {
-        let mut p = PopulationSketch::new(SketchConfig { k: 4 });
+        let mut p = PopulationSketch::with_k(4);
         p.attribute(DIM_SUB_LAG, 2000, 500_000);
         p.attribute(DIM_SUB_LAG, 7, 0);
         let (snaps, _) = p.drain(1_000_000);
@@ -736,7 +722,7 @@ mod tests {
         assert_eq!(other, "x");
 
         // A zero-weight leader (everyone caught up) names nobody.
-        let mut p = PopulationSketch::new(SketchConfig { k: 4 });
+        let mut p = PopulationSketch::with_k(4);
         p.attribute(DIM_SUB_LAG, 1, 0);
         let (snaps, _) = p.drain(2_000_000);
         let mut quiet = String::from("back within bounds");

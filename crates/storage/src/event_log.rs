@@ -190,11 +190,6 @@ impl EventLog {
         self.by_ts.get(&pubend).map(|m| m.len()).unwrap_or(0)
     }
 
-    /// Timestamp of the newest logged event for `pubend`.
-    pub fn latest_ts(&self, pubend: PubendId) -> Option<Timestamp> {
-        self.by_ts.get(&pubend)?.keys().next_back().copied()
-    }
-
     /// Everything strictly below this timestamp has been chopped.
     pub fn chopped_below_ts(&self, pubend: PubendId) -> Timestamp {
         Timestamp(self.volume.chop_floor(stream_for(pubend)))
@@ -234,7 +229,6 @@ mod tests {
             .read_range(PubendId(0), Timestamp(6), Timestamp(15))
             .unwrap();
         assert_eq!(got.iter().map(|e| e.ts.0).collect::<Vec<_>>(), vec![10, 15]);
-        assert_eq!(log.latest_ts(PubendId(0)), Some(Timestamp(20)));
         assert_eq!(log.live_events(PubendId(0)), 4);
     }
 

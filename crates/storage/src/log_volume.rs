@@ -72,9 +72,6 @@ impl std::fmt::Display for LogIndex {
 pub struct VolumeConfig {
     /// Roll to a new segment once the active one exceeds this size.
     pub segment_bytes: u64,
-    /// Sync after every append (useful for tests; real deployments group
-    /// commit by calling [`LogVolume::sync`] on a policy).
-    pub sync_every_append: bool,
     /// How many sealed segments to keep cached in memory for zero-copy
     /// reads (0 disables caching).
     pub cached_segments: usize,
@@ -84,7 +81,6 @@ impl Default for VolumeConfig {
     fn default() -> Self {
         VolumeConfig {
             segment_bytes: 4 * 1024 * 1024,
-            sync_every_append: false,
             cached_segments: 4,
         }
     }
@@ -434,10 +430,6 @@ impl LogVolume {
         let offset = seg.media.len();
         seg.media.append(&self.frame_buf)?;
         self.stats.total_bytes += self.frame_buf.len() as u64;
-        if self.config.sync_every_append {
-            seg.media.sync()?;
-            self.stats.syncs += 1;
-        }
         Ok((self.active, offset + HEADER_LEN as u64))
     }
 
@@ -740,7 +732,6 @@ mod tests {
         let (_f, mut vol) = mem_volume(VolumeConfig {
             segment_bytes: 256,
             cached_segments: 2,
-            ..VolumeConfig::default()
         });
         let s = StreamId(0);
         let mut idx = Vec::new();
@@ -908,7 +899,6 @@ mod tests {
                 "v",
                 VolumeConfig {
                     segment_bytes: 64,
-                    sync_every_append: true,
                     ..VolumeConfig::default()
                 },
             )
@@ -916,6 +906,7 @@ mod tests {
             for _ in 0..6 {
                 vol.append(StreamId(0), &[9u8; 40]).unwrap();
             }
+            vol.sync().unwrap();
             assert!(vol.segment_count() >= 2);
         }
         f.corrupt_bit("v-00000000.seg", 3);

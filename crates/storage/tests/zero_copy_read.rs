@@ -76,7 +76,6 @@ fn sealed_segment_reads_allocate_nothing() {
             // first SEALED_PREFIX records span many sealed segments.
             segment_bytes: 256,
             cached_segments: 32,
-            ..VolumeConfig::default()
         },
     )
     .unwrap();

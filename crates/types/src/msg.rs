@@ -382,25 +382,6 @@ impl NetMsg {
         }
     }
 
-    /// The pubend this message is about, when it has exactly one — the
-    /// routing key a sharded runtime uses to keep same-pubend messages
-    /// ordered on one worker while spreading pubends across workers.
-    ///
-    /// `None` means the message is not pubend-scoped (subscription
-    /// interest, client control traffic, connection-level server
-    /// replies) and must be handled by a runtime-chosen policy instead
-    /// (broadcast or a designated worker).
-    pub fn pubend_key(&self) -> Option<PubendId> {
-        match self {
-            NetMsg::Publish(p) => Some(p.pubend),
-            NetMsg::Knowledge(k) => Some(k.pubend),
-            NetMsg::Curiosity(c) => Some(c.pubend),
-            NetMsg::Release(r) => Some(r.pubend),
-            NetMsg::Server(ServerMsg::Deliver { msg, .. }) => Some(msg.pubend),
-            NetMsg::SubInterest(_) | NetMsg::Client(_) | NetMsg::Server(_) => None,
-        }
-    }
-
     /// Short tag for logging/metrics.
     pub fn tag(&self) -> &'static str {
         match self {
@@ -495,65 +476,6 @@ mod tests {
         ];
         let tags: HashSet<_> = msgs.iter().map(|m| m.tag()).collect();
         assert_eq!(tags.len(), msgs.len());
-    }
-
-    #[test]
-    fn pubend_key_covers_scoped_and_unscoped_msgs() {
-        let p = PubendId(9);
-        let scoped: Vec<NetMsg> = vec![
-            NetMsg::Publish(PublishMsg {
-                pubend: p,
-                attrs: Default::default(),
-                payload: bytes::Bytes::new(),
-            }),
-            NetMsg::Knowledge(KnowledgeMsg {
-                pubend: p,
-                parts: vec![],
-                nack_response: false,
-                interest_version: 0,
-            }),
-            NetMsg::Curiosity(CuriosityMsg {
-                pubend: p,
-                ranges: vec![],
-                authoritative: false,
-            }),
-            NetMsg::Release(ReleaseMsg {
-                pubend: p,
-                released: Timestamp(0),
-                latest_delivered: Timestamp(0),
-            }),
-            NetMsg::Server(ServerMsg::Deliver {
-                sub: SubscriberId(0),
-                msg: DeliveryMsg {
-                    pubend: p,
-                    kind: DeliveryKind::Silence(Timestamp(1)),
-                },
-            }),
-        ];
-        for m in &scoped {
-            assert_eq!(
-                m.pubend_key(),
-                Some(p),
-                "{} should be pubend-scoped",
-                m.tag()
-            );
-        }
-        let unscoped: Vec<NetMsg> = vec![
-            NetMsg::SubInterest(SubInterestMsg {
-                version: 0,
-                change: InterestChange::Snapshot(vec![]),
-            }),
-            NetMsg::Client(ClientMsg::Disconnect {
-                sub: SubscriberId(0),
-            }),
-            NetMsg::Server(ServerMsg::ConnectErr {
-                sub: SubscriberId(0),
-                reason: "x".into(),
-            }),
-        ];
-        for m in &unscoped {
-            assert_eq!(m.pubend_key(), None, "{} should be unscoped", m.tag());
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ cargo test -q
 echo "== tests (every crate's own suite) =="
 # `cargo test` at the root runs only the root package; the crates' unit
 # tests and their tests/ directories (golden_determinism,
-# churn_equivalence, sharded_runtime, threaded_pipeline, ...) run here,
+# churn_equivalence, threaded_pipeline, ...) run here,
 # the counting-allocator tests among them (core zero_alloc_deliver,
 # matching zero_alloc, sim zero_alloc_observe, storage zero_copy_read,
 # crossbeam lazy_alloc).
@@ -70,7 +70,7 @@ echo "== non-test unwrap/expect: a ratchet =="
 # disk and peer input, on the lines scripts/loc.sh counts (test items
 # and test-only files skipped). The count may fall, never rise: when a
 # site becomes a typed error, lower `max` with it.
-max=54
+max=53
 ratchet_crates=(storage core net streams)
 sites() {
   for c in "${ratchet_crates[@]}"; do scripts/code_lines.sh "$c"; done \

@@ -12,7 +12,7 @@
 use gryphon::SubscriberConfig;
 use gryphon_harness::{Report, System, TopologySpec, Workload};
 use gryphon_sim::telemetry::Timeline;
-use gryphon_sim::{default_rules, AlertState, MetricsSnapshot};
+use gryphon_sim::{AlertState, MetricsSnapshot};
 
 const CRASH_AT_US: u64 = 10_000_000;
 const CRASH_DUR_US: u64 = 2_000_000;
@@ -42,7 +42,6 @@ fn build(crash: bool) -> (Timeline, f64, String) {
     };
     let mut sys = System::build(&spec, &workload);
     sys.sim.enable_telemetry(500_000);
-    sys.sim.enable_health(default_rules());
     if crash {
         sys.sim
             .schedule_crash(sys.shbs[1].id(), CRASH_AT_US, CRASH_DUR_US);
@@ -148,8 +147,14 @@ fn offline_replay_reproduces_online_alert_log() {
     let replayed = gryphon_harness::doctor::replay_health(&timeline);
     assert_eq!(replayed, timeline.alerts(), "replay must match online");
 
-    // Same through the bundle's export formats (what doctor reads).
-    let parsed = Timeline::from_ndjson(&timeline.to_ndjson(), timeline.interval_us()).unwrap();
+    // Same through the bundle's export formats (what doctor reads: the
+    // samples and the top-K snapshots that name each culprit).
+    let parsed = gryphon_harness::doctor::parse_timeline(
+        &timeline.to_ndjson(),
+        &timeline.topks_ndjson(),
+        timeline.interval_us(),
+    )
+    .unwrap();
     let replayed_from_export = gryphon_harness::doctor::replay_health(&parsed);
     assert_eq!(replayed_from_export, timeline.alerts());
 }

@@ -127,7 +127,6 @@ fn under_sim() -> Report {
     let mut sim = Sim::new(7);
     RunOptions {
         sample_interval_us: Some(50_000),
-        health: true,
         ..RunOptions::default()
     }
     .arm(&mut sim);
@@ -262,7 +261,7 @@ fn sim_and_net_bundles_share_files_and_record_keys() {
             .any(|a| a.rule == "entity_dominance" && a.detail.contains("entity 7 ")));
         assert!(!bundle.exemplars.is_empty());
         assert!(!bundle.intervals.is_empty());
-        assert!(!bundle.topks.is_empty());
+        assert!(bundle.timeline.topks().len() > 0);
     }
     let _ = std::fs::remove_dir_all(&root);
 }
