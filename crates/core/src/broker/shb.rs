@@ -19,7 +19,7 @@ use gryphon_types::{
     CheckpointToken, DeliveryKind, DeliveryMsg, EventRef, KnowledgePart, NodeId, PubendId,
     ServerMsg, SubSlot, SubscriberId, SubscriptionSpec, Timestamp,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use super::sub_table::PubendMap;
 
@@ -201,6 +201,10 @@ pub struct Shb {
     pub con: BTreeMap<PubendId, Con>,
     /// Connected subscribers: id → slab index, ascending-id iteration.
     connected: BTreeMap<SubscriberId, u32>,
+    /// Slab indices of the connected subscribers with at least one live
+    /// catchup stream, so the catchup gauges walk the streams, not every
+    /// connection.
+    catchup_slots: BTreeSet<u32>,
     workers: Vec<CtWorker>,
     /// Events delivered (constream + catchup), for counters.
     pub delivered: u64,
@@ -213,6 +217,9 @@ pub struct Shb {
     match_buf: Vec<u32>,
     /// Reusable event buffer (`Arc` clones) for the hot path.
     event_buf: Vec<EventRef>,
+    /// Reusable buffer of the subscribers one constream event reached,
+    /// reported to the observers in one call.
+    delivered_subs: Vec<SubscriberId>,
     gauges: GaugeNames,
 }
 
@@ -253,6 +260,7 @@ impl Shb {
             dirty_released: false,
             con: BTreeMap::new(),
             connected: BTreeMap::new(),
+            catchup_slots: BTreeSet::new(),
             workers: (0..CT_COMMIT_WORKERS)
                 .map(|_| CtWorker::default())
                 .collect(),
@@ -260,6 +268,7 @@ impl Shb {
             pubend_bytes: BTreeMap::new(),
             match_buf: Vec::new(),
             event_buf: Vec::new(),
+            delivered_subs: Vec::new(),
             gauges: GaugeNames::default(),
         };
         shb.load_persistent();
@@ -359,14 +368,45 @@ impl Shb {
         self.connected.len()
     }
 
-    /// Number of catchup streams currently alive.
+    /// Number of catchup streams currently alive (O(subscribers in
+    /// catchup)).
     pub fn catchup_streams(&self) -> usize {
-        self.connected
-            .values()
+        self.catchup_conns().map(|c| c.catchup.len()).sum()
+    }
+
+    /// The connections that have at least one live catchup stream.
+    fn catchup_conns(&self) -> impl Iterator<Item = &Conn> {
+        self.catchup_slots
+            .iter()
             .filter_map(|&i| self.table.get_at(i))
             .filter_map(|(_, st)| st.conn.as_deref())
-            .map(|c| c.catchup.len())
-            .sum()
+    }
+
+    /// The catchup gauges by the full walk over every connected
+    /// subscriber that [`Shb::catchup_slots`] replaced: `(backlog ticks,
+    /// live streams, whether the set holds exactly the slots the walk
+    /// found streams on)` — a stale slot would not change the gauges,
+    /// only bring back the walk's cost. The oracle the set is tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn catchup_gauges_full_walk(&self) -> (u64, usize, bool) {
+        let mut backlog = 0u64;
+        let mut streams = 0usize;
+        let mut slots = BTreeSet::new();
+        for &si in self.connected.values() {
+            let Some(conn) = self.table.get_at(si).and_then(|(_, st)| st.conn.as_deref()) else {
+                continue;
+            };
+            if !conn.catchup.is_empty() {
+                slots.insert(si);
+            }
+            streams += conn.catchup.len();
+            for (p, cu) in conn.catchup.iter() {
+                let cursor = self.con.get(&p).map(|c| c.processed_to).unwrap_or_default();
+                backlog += cursor.saturating_sub(cu.delivered_to);
+            }
+        }
+        (backlog, streams, slots == self.catchup_slots)
     }
 
     /// Number of parked catchup-stream records across all idle
@@ -461,13 +501,14 @@ impl Shb {
         };
         if dh > con.processed_to {
             // Reused buffers end to end — events (`Arc` clones), match
-            // slots, PFS scratch, gauge names — so the steady-state
-            // delivery path allocates nothing (pinned by
-            // core/tests/zero_alloc_deliver.rs).
+            // slots, PFS scratch, the subscribers an event reached, gauge
+            // names — so the steady-state delivery path allocates nothing
+            // (pinned by core/tests/zero_alloc_deliver.rs).
             let mut events = std::mem::take(&mut self.event_buf);
             events.clear();
             events.extend(cache.events_in(con.processed_to, dh).cloned());
             let mut matched = std::mem::take(&mut self.match_buf);
+            let mut reached = std::mem::take(&mut self.delivered_subs);
             for event in &events {
                 ctx.work(config.costs.match_us);
                 self.index
@@ -511,15 +552,23 @@ impl Shb {
                     let wire = delivery_bytes(event);
                     st.stats.bytes_delivered += wire;
                     *self.pubend_bytes.entry(p).or_default() += wire;
-                    ctx.count("shb.delivered", 1.0);
-                    traced!(ctx.count(names::SHB_CONSTREAM_DELIVERED, 1.0));
                     let msg = DeliveryMsg {
                         pubend: p,
                         kind: DeliveryKind::Event(event.clone()),
                     };
-                    deliver(conn, sub, msg, gated, DeliveryPath::Constream, ctx);
+                    deliver(conn, sub, msg, gated, ctx);
+                    reached.push(sub);
+                }
+                // One report per event, whatever its fan-out: the
+                // observers do the per-event work once and the ledger
+                // checks each subscriber.
+                if !reached.is_empty() {
+                    ctx.count(names::SHB_CONSTREAM_DELIVERED, reached.len() as f64);
+                    traced!(ctx.delivered(p, event.ts, DeliveryPath::Constream, &reached));
+                    reached.clear();
                 }
             }
+            self.delivered_subs = reached;
             self.match_buf = matched;
             self.event_buf = events;
             // The constream must advance over a contiguous prefix: the
@@ -538,7 +587,6 @@ impl Shb {
             self.con.insert(p, con);
         }
         let width = max_seen.saturating_sub(con.processed_to) as f64;
-        traced!(ctx.record(names::SHB_DOUBT_WIDTH, width));
         let node = ctx.me().0;
         traced!(ctx.gauge(self.gauges.doubt_width(node, p), width));
         self.update_telemetry_gauges(ctx);
@@ -556,13 +604,7 @@ impl Shb {
     /// zero as streams switch over.
     pub fn catchup_backlog_ticks(&self) -> u64 {
         let mut total = 0u64;
-        for (_, &si) in self.connected.iter() {
-            let Some((_, st)) = self.table.get_at(si) else {
-                continue;
-            };
-            let Some(conn) = st.conn.as_deref() else {
-                continue;
-            };
+        for conn in self.catchup_conns() {
             for (p, cu) in conn.catchup.iter() {
                 let cursor = self.con.get(&p).map(|c| c.processed_to).unwrap_or_default();
                 total += cursor.saturating_sub(cu.delivered_to);
@@ -902,6 +944,11 @@ impl Shb {
         // drained here: the streams above were rebuilt from the durable
         // checkpoint protocol, so the parked positions have served their
         // purpose (observability + bounded idle memory).
+        if conn.catchup.is_empty() {
+            self.catchup_slots.remove(&slot.index());
+        } else {
+            self.catchup_slots.insert(slot.index());
+        }
         let st = self.table.get_mut(slot).expect("registered above");
         let rehydrated = st.parked.len();
         st.parked.clear();
@@ -923,6 +970,7 @@ impl Shb {
         let Some(slot) = self.table.slot_of(sub) else {
             return;
         };
+        self.catchup_slots.remove(&slot.index());
         let Some(st) = self.table.get_mut(slot) else {
             return;
         };
@@ -955,6 +1003,7 @@ impl Shb {
             (format!("bct/{}", sub.0), None),
         ];
         if let Some(slot) = self.table.slot_of(sub) {
+            self.catchup_slots.remove(&slot.index());
             self.index.remove_at(slot.index());
             if let Some(st) = self.table.remove(slot) {
                 for (p, _) in st.released.into_iter() {
@@ -1320,7 +1369,6 @@ impl Shb {
                         kind: DeliveryKind::Gap(lost),
                     },
                     gated,
-                    DeliveryPath::Catchup,
                     ctx,
                 );
                 continue;
@@ -1342,9 +1390,9 @@ impl Shb {
                 st.stats.bytes_delivered += wire;
                 st.stats.catchup_ticks += 1;
                 *self.pubend_bytes.entry(p).or_default() += wire;
-                ctx.count("shb.delivered", 1.0);
-                ctx.count("shb.catchup_delivered", 1.0);
+                ctx.count(names::SHB_CATCHUP_DELIVERED, 1.0);
                 last_event_ts = e.ts;
+                traced!(ctx.delivered(p, e.ts, DeliveryPath::Catchup, &[sub]));
                 deliver(
                     conn,
                     sub,
@@ -1353,7 +1401,6 @@ impl Shb {
                         kind: DeliveryKind::Event(e),
                     },
                     gated,
-                    DeliveryPath::Catchup,
                     ctx,
                 );
             }
@@ -1366,7 +1413,6 @@ impl Shb {
                         kind: DeliveryKind::Silence(dh),
                     },
                     gated,
-                    DeliveryPath::Catchup,
                     ctx,
                 );
             }
@@ -1388,6 +1434,7 @@ impl Shb {
             if conn.catchup.is_empty() {
                 let dur_us = ctx.now_us().saturating_sub(conn.connected_at_us);
                 ctx.record("shb.catchup_duration_ms", dur_us as f64 / 1_000.0);
+                self.catchup_slots.remove(&slot.index());
             }
             return needs;
         }
@@ -1425,6 +1472,7 @@ impl Shb {
     /// is gone; constreams resume from the durable `latestDelivered`.
     pub fn post_restart(&mut self) {
         self.connected.clear();
+        self.catchup_slots.clear();
         for (_, st) in self.table.iter_mut() {
             st.conn = None;
             st.parked.clear();
@@ -1451,35 +1499,23 @@ fn delivery_bytes(e: &gryphon_types::Event) -> u64 {
 /// whose previous delivery has not been acknowledged-and-committed yet.
 ///
 /// This is the single funnel every subscriber-bound event and gap passes
-/// through, so it also emits the lineage ledger's terminal stage events
-/// (`Delivered` / `GapDelivered`). For gated subscribers that is the
-/// queue-accept point, not the later outbox drain — the broker commits
-/// to exactly-once here.
+/// through. It emits the ledger's `GapDelivered`; the callers report
+/// event deliveries through [`NodeCtx::delivered`], once per event. For
+/// gated subscribers both mark the queue-accept point, not the later
+/// outbox drain — the broker commits to exactly-once here.
 fn deliver(
     conn: &mut Conn,
     sub: SubscriberId,
     msg: DeliveryMsg,
     gated: bool,
-    path: DeliveryPath,
     ctx: &mut dyn NodeCtx,
 ) {
-    match &msg.kind {
-        DeliveryKind::Event(e) => {
-            traced!(ctx.trace(TraceEvent::Delivered {
-                pubend: msg.pubend,
-                ts: e.ts,
-                sub,
-                path,
-            }));
-        }
-        DeliveryKind::Gap(upto) => {
-            traced!(ctx.trace(TraceEvent::GapDelivered {
-                pubend: msg.pubend,
-                sub,
-                upto: *upto,
-            }));
-        }
-        DeliveryKind::Silence(_) => {}
+    if let DeliveryKind::Gap(upto) = msg.kind {
+        traced!(ctx.trace(TraceEvent::GapDelivered {
+            pubend: msg.pubend,
+            sub,
+            upto,
+        }));
     }
     if gated {
         conn.outbox.push_back(msg);

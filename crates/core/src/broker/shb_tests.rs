@@ -608,3 +608,81 @@ fn failing_pfs_chop_is_counted_by_the_release_timer() {
     broker.on_release_timer(&mut ctx);
     assert_eq!(ctx.counts.get("shb.chop_err"), Some(&1.0));
 }
+
+/// The catchup gauges walk only the subscribers with a live catchup
+/// stream. Under connect / disconnect / catchup / switchover /
+/// unsubscribe / restart churn over two pubends, they must read what the
+/// full walk over every connected subscriber reads, and the set walked
+/// must hold exactly the subscribers in catchup.
+#[test]
+fn catchup_gauges_match_the_full_walk_under_churn() {
+    use rand::Rng;
+    let (mut shb, config, mut ctx) = fresh_shb();
+    let pubends = [P, PubendId(1)];
+    let mut caches = [KnowledgeStream::new(), KnowledgeStream::new()];
+    let mut hi = [0u64; 2];
+    let mut rng = SmallRng::seed_from_u64(7);
+    let (mut opened, mut switched) = (0, 0);
+    for step in 0..600 {
+        let sub = rng.gen_range(1..=8u64);
+        match rng.gen_range(0..10u32) {
+            // Reconnect from a checkpoint behind the constream (a catchup
+            // stream per pubend it trails), or fresh.
+            0..=2 => {
+                let ct = (rng.gen_range(0..3u32) > 0).then(|| {
+                    CheckpointToken::from_pairs(
+                        pubends.map(|p| (p, Timestamp(rng.gen_range(0..=hi[p.0 as usize])))),
+                    )
+                });
+                opened += connect(&mut shb, &mut ctx, sub, ct, &config).len();
+            }
+            3 => shb.disconnect(SubscriberId(sub), ctx.now_us()),
+            // The constream moves on: every stream's backlog grows.
+            4..=5 => {
+                let i = rng.gen_range(0..2usize);
+                let from = hi[i] + 1;
+                hi[i] += rng.gen_range(1..20u64);
+                for t in (from..=hi[i]).filter(|t| t % 3 == 0) {
+                    let e = Event::builder(pubends[i])
+                        .attr("class", 0i64)
+                        .build_ref(Timestamp(t));
+                    caches[i].set_data(e);
+                }
+                caches[i].set_silence(Timestamp(from), Timestamp(hi[i]));
+                shb.constream_advance(pubends[i], &caches[i], Timestamp(hi[i]), &config, &mut ctx);
+            }
+            // Catchup progress over part or all of the missed interval;
+            // the whole of it switches the stream over.
+            6..=8 => {
+                let Some(slot) = shb.slot_of_sub(SubscriberId(sub)) else {
+                    continue;
+                };
+                for p in shb.catchup_pubends(slot) {
+                    let upto = match rng.gen_range(0..2u32) {
+                        0 => hi[p.0 as usize],
+                        _ => rng.gen_range(0..=hi[p.0 as usize]),
+                    };
+                    let part = gryphon_types::KnowledgePart::Silence {
+                        from: Timestamp(1),
+                        to: Timestamp(upto),
+                    };
+                    shb.distribute_to_catchup(p, &[part]);
+                    if shb.catchup_progress(slot, p, &config, &mut ctx).switched {
+                        switched += 1;
+                    }
+                }
+            }
+            _ if step % 97 == 0 => shb.post_restart(),
+            _ => shb.unsubscribe(SubscriberId(sub)),
+        }
+        assert_eq!(
+            (shb.catchup_backlog_ticks(), shb.catchup_streams(), true),
+            shb.catchup_gauges_full_walk(),
+            "step {step}"
+        );
+    }
+    assert!(
+        opened > 50 && switched > 20,
+        "{opened} opened, {switched} switched"
+    );
+}

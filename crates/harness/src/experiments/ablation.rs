@@ -4,6 +4,7 @@ use crate::report::{fmt_rate, Report, Table};
 use crate::topology::{RunOptions, System, TopologySpec};
 use crate::workload::Workload;
 use gryphon::SubscriberConfig;
+use gryphon_sim::names;
 
 /// §5 summary point 3 — stream consolidation: an SHB whose subscribers
 /// are all served by the constream sustains ≈2× the rate of one where
@@ -58,8 +59,10 @@ pub fn run_consolidation(opts: &RunOptions) -> Report {
         } else {
             f64::NAN
         };
-        let catchup_share = sys.sim.metrics().counter("shb.catchup_delivered")
-            / sys.sim.metrics().counter("shb.delivered").max(1.0);
+        let m = sys.sim.metrics();
+        let catchup = m.counter(names::SHB_CATCHUP_DELIVERED);
+        let catchup_share =
+            catchup / (m.counter(names::SHB_CONSTREAM_DELIVERED) + catchup).max(1.0);
         t.row(&[
             label.into(),
             fmt_rate(delivered),

@@ -81,10 +81,10 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use gryphon_sim::forensics::{BusyInterval, KIND_DISPATCH, KIND_QUEUE};
 use gryphon_sim::telemetry::{Sampler, Timeline};
 use gryphon_sim::{
-    names, AnyNode, HealthEngine, Lineage, Metrics, Node, NodeCtx, Observers, TimerKey, TraceEvent,
-    TraceRecord,
+    names, AnyNode, DeliveryPath, HealthEngine, Lineage, Metrics, Node, NodeCtx, Observers,
+    TimerKey, TraceEvent, TraceRecord,
 };
-use gryphon_types::{NetMsg, NodeId};
+use gryphon_types::{NetMsg, NodeId, PubendId, SubscriberId, Timestamp};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -452,6 +452,20 @@ impl NodeCtx for ThreadCtx<'_> {
             node: self.me,
             event,
         });
+    }
+
+    fn delivered(
+        &mut self,
+        pubend: PubendId,
+        ts: Timestamp,
+        path: DeliveryPath,
+        subs: &[SubscriberId],
+    ) {
+        // As in `trace`: a ledger violation is counted, and surfaces as
+        // `NetResult::ledger_violations`.
+        let now = self.shared.now_us();
+        self.obs
+            .delivered(now, self.me, pubend, ts, path, subs, |_, _| {});
     }
 
     fn interval(&mut self, kind: &'static str, dur_us: u64) {

@@ -13,6 +13,12 @@
 //!      (birth)          (PHB log)    (per child)    (per SHB)   (per sub)
 //! ```
 //!
+//! The SHB reports the last stage once per delivered event, for all the
+//! subscribers it reached
+//! ([`Observers::delivered`](crate::Observers::delivered)): the span,
+//! histogram and lag work runs once, the ledger checks each subscriber.
+//! A `Delivered` record is the one-subscriber case.
+//!
 //! The [`Lineage`] assembler folds that stream into per-span anchors and
 //! per-stage latency histograms (`lineage.stage.*_us`). Stages are
 //! deduplicated *first occurrence wins* — recovery re-forwards and
@@ -285,19 +291,21 @@ impl Lineage {
         self.last_violation = Some(detail);
     }
 
-    /// Observes one stage latency and, when exemplar capture is armed,
-    /// offers the sample to the tail reservoir — after the observation,
-    /// so the cumulative distribution the threshold derives from
-    /// already includes it.
+    /// Observes one stage latency `n` times (once per subscriber a
+    /// delivered event reached) and, when exemplar capture is armed,
+    /// offers the sample once to the tail reservoir — after the
+    /// observation, so the cumulative distribution the threshold derives
+    /// from already includes it.
     fn observe_stage(
         &mut self,
         series: &'static str,
         value: f64,
+        n: u64,
         t: u64,
         key: LineageKey,
         metrics: &mut Metrics,
     ) {
-        metrics.observe(series, value);
+        metrics.observe_n(series, value, n);
         if let Some(r) = self.exemplars.as_mut() {
             r.offer(t, series, value, key, metrics);
         }
@@ -333,6 +341,7 @@ impl Lineage {
                         Some(b) => self.observe_stage(
                             names::LINEAGE_STAGE_LOG_US,
                             t.saturating_sub(b) as f64,
+                            1,
                             t,
                             key,
                             metrics,
@@ -350,6 +359,7 @@ impl Lineage {
                         Some(a) => self.observe_stage(
                             names::LINEAGE_STAGE_IB_FORWARD_US,
                             t.saturating_sub(a) as f64,
+                            1,
                             t,
                             key,
                             metrics,
@@ -368,6 +378,7 @@ impl Lineage {
                         Some(a) => self.observe_stage(
                             names::LINEAGE_STAGE_SHB_INGEST_US,
                             t.saturating_sub(a) as f64,
+                            1,
                             t,
                             key,
                             metrics,
@@ -382,69 +393,8 @@ impl Lineage {
                 sub,
                 path,
             } => {
-                let node = rec.node;
-                let key = LineageKey::new(pubend, ts);
-                let span = self.span_entry(key, metrics);
-                span.deliveries += 1;
-                let birth = span.birth_us;
-                let ingest = span.ingest_us.get(&node).copied();
-                match birth {
-                    Some(b) => self.observe_stage(
-                        names::LINEAGE_STAGE_DELIVER_US,
-                        t.saturating_sub(b) as f64,
-                        t,
-                        key,
-                        metrics,
-                    ),
-                    None => metrics.count(names::LINEAGE_STAGE_ORPHANS, 1.0),
-                }
-                if let Some(i) = ingest {
-                    let stage = match path {
-                        DeliveryPath::Catchup => names::LINEAGE_STAGE_CATCHUP_US,
-                        DeliveryPath::Constream => names::LINEAGE_STAGE_CONSTREAM_US,
-                    };
-                    self.observe_stage(stage, t.saturating_sub(i) as f64, t, key, metrics);
-                }
-                // Lag gauge: how far behind this SHB's doubt horizon the
-                // subscriber runs (deterministically subsampled).
-                if ts.0 % LAG_SAMPLE_TICKS == 0 {
-                    if let Some(&h) = self.doubt.get(&(node, pubend)) {
-                        metrics.record(
-                            t,
-                            names::LINEAGE_LAG_DOUBT_TICKS,
-                            h.0.saturating_sub(ts.0) as f64,
-                        );
-                    }
-                }
-                // Ledger: exactly-once within and across sessions.
-                let sess = self.sessions.entry((sub, pubend)).or_default();
-                sess.max_delivered = sess.max_delivered.max(ts);
-                if self.full_audit {
-                    sess.delivered.insert(ts);
-                }
-                if ts <= sess.resume {
-                    let (resume, cursor) = (sess.resume, sess.cursor);
-                    self.violate(
-                        metrics,
-                        names::LINEAGE_LEDGER_RECONNECT_DUPLICATE,
-                        format!(
-                            "duplicate across reconnect: {key} delivered to {sub} at or below \
-                             its resume checkpoint {resume} (cursor {cursor})"
-                        ),
-                    );
-                } else if ts <= sess.cursor {
-                    let cursor = sess.cursor;
-                    self.violate(
-                        metrics,
-                        names::LINEAGE_LEDGER_DUPLICATE,
-                        format!(
-                            "duplicate delivery: {key} delivered to {sub} but its session \
-                             cursor already reached {cursor}"
-                        ),
-                    );
-                } else {
-                    sess.cursor = ts;
-                }
+                self.delivered_event(t, rec.node, pubend, ts, path, 1, metrics);
+                self.ledger_delivered(pubend, ts, sub, metrics);
             }
             TraceEvent::GapDelivered { pubend, sub, upto } => {
                 let released = self.released.get(&pubend).copied();
@@ -509,6 +459,103 @@ impl Lineage {
         }
     }
 
+    /// The lineage work one delivered event costs once, however many
+    /// subscribers (`n`) it reached: span and `deliveries += n`, the
+    /// deliver and path stage histograms as one weighted observe (or
+    /// `n` orphans), the lag sample and one exemplar offer. Nothing for
+    /// `n == 0`. A `Delivered` record is the `n == 1` case;
+    /// [`Observers::delivered`](crate::Observers::delivered) passes a
+    /// whole event's fan-out.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn delivered_event(
+        &mut self,
+        t: u64,
+        node: NodeId,
+        pubend: PubendId,
+        ts: Timestamp,
+        path: DeliveryPath,
+        n: u64,
+        metrics: &mut Metrics,
+    ) {
+        if n == 0 {
+            return;
+        }
+        let key = LineageKey::new(pubend, ts);
+        let span = self.span_entry(key, metrics);
+        span.deliveries += n;
+        let birth = span.birth_us;
+        let ingest = span.ingest_us.get(&node).copied();
+        match birth {
+            Some(b) => self.observe_stage(
+                names::LINEAGE_STAGE_DELIVER_US,
+                t.saturating_sub(b) as f64,
+                n,
+                t,
+                key,
+                metrics,
+            ),
+            None => metrics.count(names::LINEAGE_STAGE_ORPHANS, n as f64),
+        }
+        if let Some(i) = ingest {
+            let stage = match path {
+                DeliveryPath::Catchup => names::LINEAGE_STAGE_CATCHUP_US,
+                DeliveryPath::Constream => names::LINEAGE_STAGE_CONSTREAM_US,
+            };
+            self.observe_stage(stage, t.saturating_sub(i) as f64, n, t, key, metrics);
+        }
+        // Lag gauge: how far behind this SHB's doubt horizon the
+        // delivered tick runs (deterministically subsampled).
+        if ts.0.is_multiple_of(LAG_SAMPLE_TICKS) {
+            if let Some(&h) = self.doubt.get(&(node, pubend)) {
+                metrics.record(
+                    t,
+                    names::LINEAGE_LAG_DOUBT_TICKS,
+                    h.0.saturating_sub(ts.0) as f64,
+                );
+            }
+        }
+    }
+
+    /// The ledger check of one delivery to `sub`: exactly-once within
+    /// and across sessions.
+    pub(crate) fn ledger_delivered(
+        &mut self,
+        pubend: PubendId,
+        ts: Timestamp,
+        sub: SubscriberId,
+        metrics: &mut Metrics,
+    ) {
+        let key = LineageKey::new(pubend, ts);
+        let sess = self.sessions.entry((sub, pubend)).or_default();
+        sess.max_delivered = sess.max_delivered.max(ts);
+        if self.full_audit {
+            sess.delivered.insert(ts);
+        }
+        if ts <= sess.resume {
+            let (resume, cursor) = (sess.resume, sess.cursor);
+            self.violate(
+                metrics,
+                names::LINEAGE_LEDGER_RECONNECT_DUPLICATE,
+                format!(
+                    "duplicate across reconnect: {key} delivered to {sub} at or below \
+                     its resume checkpoint {resume} (cursor {cursor})"
+                ),
+            );
+        } else if ts <= sess.cursor {
+            let cursor = sess.cursor;
+            self.violate(
+                metrics,
+                names::LINEAGE_LEDGER_DUPLICATE,
+                format!(
+                    "duplicate delivery: {key} delivered to {sub} but its session \
+                     cursor already reached {cursor}"
+                ),
+            );
+        } else {
+            sess.cursor = ts;
+        }
+    }
+
     /// Offline exactly-once audit. The online duplicate counters are
     /// always exact; `missing` needs [`Lineage::set_full_audit`] and
     /// match-all subscriptions — it reports logged ticks inside a
@@ -521,6 +568,12 @@ impl Lineage {
                 let Some(logged) = self.logged.get(&pubend) else {
                     continue;
                 };
+                // A session resumed above everything it was ever
+                // delivered has an empty window (and `range` would panic
+                // on the inverted bounds).
+                if sess.max_delivered <= sess.audit_floor {
+                    continue;
+                }
                 for &ts in logged.range((
                     std::ops::Bound::Excluded(sess.audit_floor),
                     std::ops::Bound::Included(sess.max_delivered),

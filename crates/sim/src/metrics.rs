@@ -15,9 +15,6 @@ pub mod names {
     pub const PHB_LOG_BYTES: &str = "phb.log_bytes";
     /// Counter: events durably logged at the PHB.
     pub const PHB_LOG_EVENTS: &str = "phb.log_events";
-    /// Series: doubt-horizon width in ticks, sampled per SHB whenever
-    /// the horizon moves (`clean − doubt`, §3).
-    pub const SHB_DOUBT_WIDTH: &str = "shb.doubt_width";
     /// Counter: ticks delivered to subscribers via the consolidated
     /// stream (§4.1).
     pub const SHB_CONSTREAM_DELIVERED: &str = "shb.constream_delivered";
@@ -81,12 +78,15 @@ pub mod names {
     /// Counter: lineage spans evicted to bound assembler memory (their
     /// late stage events then count as orphans).
     pub const LINEAGE_SPANS_EVICTED: &str = "lineage.spans_evicted";
-    /// Counter: stage events whose predecessor anchor was unknown
-    /// (evicted span or recovery-path re-emission).
+    /// Counter: stage observations whose predecessor anchor was unknown
+    /// (evicted span, recovery-path re-emission, or an anchor recorded
+    /// by another worker's ledger). A delivered event with no birth
+    /// anchor counts once per subscriber it reached.
     pub const LINEAGE_STAGE_ORPHANS: &str = "lineage.stage_orphans";
-    /// Series: per-delivery lag between the SHB's doubt horizon and the
-    /// delivered tick, in ticks (how far behind the frontier a
-    /// subscriber runs).
+    /// Series: per-delivered-event lag between the SHB's doubt horizon
+    /// and the delivered tick, in ticks (how far behind the frontier the
+    /// consolidated stream runs), one sample per event however many
+    /// subscribers it reached.
     pub const LINEAGE_LAG_DOUBT_TICKS: &str = "lineage.lag.doubt_horizon_ticks";
     /// Series: catchup backlog depth at `CatchupStarted`, in ticks
     /// (constream frontier − resume point).
@@ -228,7 +228,6 @@ pub mod names {
         &[
             PHB_LOG_BYTES,
             PHB_LOG_EVENTS,
-            SHB_DOUBT_WIDTH,
             SHB_CONSTREAM_DELIVERED,
             SHB_CATCHUP_DELIVERED,
             SHB_SWITCHOVER_LATENCY_US,
@@ -324,7 +323,7 @@ fn bucket_upper(i: usize) -> f64 {
 /// within ~19% of the true sample value; exact `min`/`max`/`sum`/`count`
 /// are kept on the side and percentile results are clamped to
 /// `[min, max]`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -348,10 +347,20 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one sample. Negative samples are clamped to 0.
     pub fn observe(&mut self, v: f64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Records `n` samples of the same value `v` at once: count and
+    /// buckets equal `n` single observes, and so does the sum for whole
+    /// numbers below 2^53 (every stage latency is whole µs).
+    pub fn observe_n(&mut self, v: f64, n: u64) {
         let v = if v.is_finite() { v.max(0.0) } else { return };
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += v;
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(v)] += n;
+        self.count += n;
+        self.sum += v * n as f64;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -532,6 +541,12 @@ impl Metrics {
     /// Records one sample into histogram `name`.
     pub fn observe(&mut self, name: &str, value: f64) {
         upsert(&mut self.histograms, name, |h| h.observe(value));
+    }
+
+    /// Records `n` samples of `value` into histogram `name` in one
+    /// lookup (see [`Histogram::observe_n`]).
+    pub(crate) fn observe_n(&mut self, name: &str, value: f64, n: u64) {
+        upsert(&mut self.histograms, name, |h| h.observe_n(value, n));
     }
 
     /// The `q`-quantile of histogram `name` (`None` when absent/empty).

@@ -8,7 +8,7 @@
 //! three entry points:
 //!
 //! * **observe** — `record`, `count`, `observe`, `gauge`, `trace`,
-//!   `interval`, `attribute`: what a node callback reports;
+//!   `delivered`, `interval`, `attribute`: what a node callback reports;
 //! * **absorb** — fold worker shards into this owner, in worker-index
 //!   order;
 //! * **close_window** — the only code that turns what the observers
@@ -28,8 +28,8 @@ use crate::ring::Ring;
 use crate::runtime::CONTROL_NODE;
 use crate::sketch::{self, PopulationSketch, DIM_SUB_BYTES};
 use crate::telemetry::Sampler;
-use crate::trace::{TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};
-use gryphon_types::LineageKey;
+use crate::trace::{DeliveryPath, TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};
+use gryphon_types::{LineageKey, NodeId, PubendId, SubscriberId, Timestamp};
 use std::collections::BTreeMap;
 
 /// Which correctness oracle a trace record tripped.
@@ -190,13 +190,75 @@ impl Observers {
         } else {
             None
         };
+        self.retain(rec);
+        tripped
+    }
+
+    /// Observes one delivered event: `(pubend, ts)` delivered by SHB
+    /// `node` at `t_us` over `path` to each of `subs`, in order. The
+    /// lineage work that concerns the event — span, stage histograms,
+    /// orphan count, lag sample, exemplar offer — runs once; the ledger
+    /// checks every subscriber, as for a `Delivered` record. The
+    /// ring, when it retains records, gets the `Delivered` record of
+    /// each subscriber, so a retained trace reads as if each had been
+    /// traced alone. A subscriber whose delivery trips the ledger is
+    /// handed to `tripped` with its record, right after the ledger
+    /// checked it and the ring took it and before the next subscriber
+    /// is checked — where [`Observers::trace`] would have returned it.
+    /// (The watchdogs read no `Delivered` record.) Without the `trace`
+    /// feature this does nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub fn delivered(
+        &mut self,
+        t_us: u64,
+        node: NodeId,
+        pubend: PubendId,
+        ts: Timestamp,
+        path: DeliveryPath,
+        subs: &[SubscriberId],
+        mut tripped: impl FnMut(&mut Observers, TraceRecord),
+    ) {
+        if !TRACE_ENABLED {
+            return;
+        }
+        let n = subs.len() as u64;
+        self.lineage
+            .delivered_event(t_us, node, pubend, ts, path, n, &mut self.metrics);
+        let retain = self.ring.capacity() > 0;
+        for &sub in subs {
+            let before = self.lineage.violations();
+            self.lineage
+                .ledger_delivered(pubend, ts, sub, &mut self.metrics);
+            let trip = self.lineage.violations() > before;
+            if !retain && !trip {
+                continue;
+            }
+            let rec = TraceRecord {
+                t_us,
+                node,
+                event: TraceEvent::Delivered {
+                    pubend,
+                    ts,
+                    sub,
+                    path,
+                },
+            };
+            if trip {
+                self.retain(rec.clone());
+                tripped(self, rec);
+            } else {
+                self.retain(rec);
+            }
+        }
+    }
+
+    fn retain(&mut self, rec: TraceRecord) {
         // A ring of capacity zero is retention switched off, not a ring
         // that drops everything: nothing to count.
         if self.ring.capacity() > 0 {
             self.ring.push(rec);
             self.count_trace_drops();
         }
-        tripped
     }
 
     /// Records a busy interval (no-op while forensics is disarmed, and

@@ -5,9 +5,9 @@ use crate::health::{default_rules, HealthEngine};
 use crate::lineage::{LedgerAudit, Lineage};
 use crate::observers::{Observers, Oracle};
 use crate::telemetry::{Sampler, Timeline};
-use crate::trace::{TraceEvent, TraceRecord, DEFAULT_TRACE_CAPACITY};
+use crate::trace::{DeliveryPath, TraceEvent, TraceRecord, DEFAULT_TRACE_CAPACITY};
 use crate::{Metrics, MetricsSnapshot};
-use gryphon_types::{NetMsg, NodeId};
+use gryphon_types::{NetMsg, NodeId, PubendId, SubscriberId, Timestamp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::TypeId;
@@ -62,6 +62,29 @@ pub trait NodeCtx {
     /// [`traced!`](crate::traced) so the `trace` feature can compile the
     /// overhead out.
     fn trace(&mut self, _event: crate::trace::TraceEvent) {}
+    /// Reports one delivered event — `(pubend, ts)` sent over `path` to
+    /// each of `subs`, in order — to the lineage assembler and the
+    /// exactly-once ledger, once for the event. Default: one
+    /// [`TraceEvent::Delivered`] per subscriber through
+    /// [`NodeCtx::trace`]; the runtimes do the per-event work once and
+    /// only the ledger check per subscriber. Wrap the call in
+    /// [`traced!`](crate::traced), like `trace`.
+    fn delivered(
+        &mut self,
+        pubend: PubendId,
+        ts: Timestamp,
+        path: DeliveryPath,
+        subs: &[SubscriberId],
+    ) {
+        for &sub in subs {
+            self.trace(TraceEvent::Delivered {
+                pubend,
+                ts,
+                sub,
+                path,
+            });
+        }
+    }
     /// Records a busy interval of `dur_us` ending *now* on this node's
     /// timeline track, tagged with a forensics kind (one of the
     /// `KIND_*` constants in [`crate::forensics`]). Pure observation for
@@ -185,12 +208,9 @@ pub struct Sim {
     /// ledger, forensics, sketch). Pure observers: arming any of them
     /// leaves traces and deliveries bit-identical.
     obs: Observers,
-    /// Directory for flight-recorder post-mortems (`None` = disabled).
-    flight_dir: Option<std::path::PathBuf>,
-    flight_dumps: u32,
-    /// Panic on delivery-ledger violations (default: armed under
-    /// `cfg(debug_assertions)`, like the watchdogs).
-    ledger_panic: bool,
+    /// What an oracle trip sets off: the flight recorder, then the
+    /// armed panics.
+    trip: Tripwire,
     events_processed: u64,
     /// Windowed telemetry sampler and the health engine evaluated as
     /// part of each window close (`None` = disarmed). Fires between
@@ -227,9 +247,11 @@ impl Sim {
             link_busy_until: HashMap::new(),
             rng: SmallRng::seed_from_u64(seed),
             obs,
-            flight_dir: None,
-            flight_dumps: 0,
-            ledger_panic: cfg!(debug_assertions),
+            trip: Tripwire {
+                flight_dir: None,
+                flight_dumps: 0,
+                ledger_panic: cfg!(debug_assertions),
+            },
             events_processed: 0,
             telemetry: None,
         }
@@ -480,7 +502,7 @@ impl Sim {
 
     /// The registered display name of `node`.
     pub fn node_name(&self, node: NodeId) -> &str {
-        self.slot(node).map(|s| s.name.as_str()).unwrap_or("?")
+        node_name(&self.nodes, node)
     }
 
     /// Total events dispatched so far.
@@ -497,78 +519,9 @@ impl Sim {
             node,
             event,
         };
-        let Some((oracle, rec)) = self.obs.trace(rec) else {
-            return;
-        };
-        self.flight_dump(&rec, oracle);
-        // Panics were deferred across the dump; raise them now.
-        if let Some(detail) = self.obs.watchdogs_mut().take_deferred_panic() {
-            panic!("invariant watchdog: {detail}");
+        if let Some((oracle, rec)) = self.obs.trace(rec) {
+            self.trip.tripped(&mut self.obs, &self.nodes, &rec, oracle);
         }
-        if oracle == Oracle::Ledger && self.ledger_panic {
-            let detail = self.obs.lineage().last_violation().unwrap_or("?");
-            panic!("delivery ledger: {detail}");
-        }
-    }
-
-    /// Writes a post-mortem for the violation just observed on `rec`:
-    /// the reason, the offending record, that event's reconstructed
-    /// lineage span, a metrics snapshot (`metrics.csv` rows) and the tail
-    /// of the trace ring, which ends with the offending record. Bounded
-    /// to [`Self::MAX_FLIGHT_DUMPS`] files per run; a disabled recorder
-    /// (`flight_dir == None`) costs one branch. The flight recorder
-    /// lives here, not in [`Observers`]: it prints node names, which
-    /// only the runtime knows.
-    fn flight_dump(&mut self, rec: &TraceRecord, oracle: Oracle) {
-        const TRACE_TAIL: usize = 256;
-        let Some(dir) = self.flight_dir.clone() else {
-            return;
-        };
-        if self.flight_dumps >= Self::MAX_FLIGHT_DUMPS {
-            return;
-        }
-        let seq = self.flight_dumps;
-        self.flight_dumps += 1;
-        self.obs.count(crate::names::LINEAGE_FLIGHT_DUMPS, 1.0);
-        let reason = match oracle {
-            Oracle::Watchdog => format!(
-                "watchdog: {}",
-                self.obs.watchdogs().last_detail().unwrap_or("?")
-            ),
-            Oracle::Ledger => format!(
-                "ledger: {}",
-                self.obs.lineage().last_violation().unwrap_or("?")
-            ),
-        };
-        let mut out = String::new();
-        out.push_str(&format!(
-            "# gryphon flight recorder post-mortem {seq}\n\
-             time_us: {}\nnode: {} ({})\nreason: {reason}\n\
-             offending_event: {:?}\n\n",
-            rec.t_us,
-            rec.node,
-            self.node_name(rec.node),
-            rec.event,
-        ));
-        out.push_str("## lineage of offending event\n");
-        match rec.event.lineage_key() {
-            Some(key) => match self.obs.lineage().span(key) {
-                Some(span) => out.push_str(&span.render(key)),
-                None => out.push_str(&format!("{key}: no span assembled\n")),
-            },
-            None => out.push_str("(event carries no lineage key)\n"),
-        }
-        out.push_str("\n## metrics snapshot\n");
-        out.push_str(&MetricsSnapshot::from_metrics(self.obs.metrics()).to_csv());
-        out.push_str(&format!("\n## trace ring tail (last {TRACE_TAIL})\n"));
-        let tail: Vec<&TraceRecord> = self.obs.trace_records().rev().take(TRACE_TAIL).collect();
-        for r in tail.into_iter().rev() {
-            out.push_str(&format!("{} {} {:?}\n", r.t_us, r.node, r.event));
-        }
-        let path = dir.join(format!("postmortem-{seq}.txt"));
-        // Best-effort: a full disk must not mask the original violation.
-        let _ = std::fs::create_dir_all(&dir);
-        let _ = std::fs::write(&path, out);
     }
 
     /// The retained trace records, oldest first.
@@ -611,7 +564,7 @@ impl Sim {
     /// Arms or disarms panicking on delivery-ledger violations
     /// (default: armed under `cfg(debug_assertions)`).
     pub fn set_ledger_panic(&mut self, panic_on_violation: bool) {
-        self.ledger_panic = panic_on_violation;
+        self.trip.ledger_panic = panic_on_violation;
     }
 
     /// Enables full-audit mode on the ledger (records per-session
@@ -624,12 +577,12 @@ impl Sim {
     /// Directory where the flight recorder writes post-mortems on any
     /// watchdog or ledger violation (`None` disables it, the default).
     pub fn set_flight_dir(&mut self, dir: Option<std::path::PathBuf>) {
-        self.flight_dir = dir;
+        self.trip.flight_dir = dir;
     }
 
     /// Post-mortems written so far this run.
     pub fn flight_dumps(&self) -> u32 {
-        self.flight_dumps
+        self.trip.flight_dumps
     }
 
     /// Exactly-once violations the delivery ledger has flagged.
@@ -640,6 +593,107 @@ impl Sim {
     /// Offline exactly-once audit over everything observed so far.
     pub fn ledger_audit(&self) -> LedgerAudit {
         self.obs.lineage().audit()
+    }
+}
+
+fn node_name(nodes: &[NodeSlot], node: NodeId) -> &str {
+    nodes
+        .get(node.0 as usize)
+        .map(|s| s.name.as_str())
+        .unwrap_or("?")
+}
+
+/// The simulator's answer to an oracle trip: a flight-recorder
+/// post-mortem, then the armed panic. It lives here, not in
+/// [`Observers`]: a post-mortem prints node names, which only the
+/// runtime knows.
+struct Tripwire {
+    /// Directory for flight-recorder post-mortems (`None` = disabled).
+    flight_dir: Option<std::path::PathBuf>,
+    flight_dumps: u32,
+    /// Panic on delivery-ledger violations (default: armed under
+    /// `cfg(debug_assertions)`, like the watchdogs).
+    ledger_panic: bool,
+}
+
+impl Tripwire {
+    /// `rec` just tripped `oracle`: dump, then raise the panics the
+    /// watchdogs deferred across the dump and an armed ledger panic.
+    fn tripped(
+        &mut self,
+        obs: &mut Observers,
+        nodes: &[NodeSlot],
+        rec: &TraceRecord,
+        oracle: Oracle,
+    ) {
+        self.flight_dump(obs, nodes, rec, oracle);
+        if let Some(detail) = obs.watchdogs_mut().take_deferred_panic() {
+            panic!("invariant watchdog: {detail}");
+        }
+        if oracle == Oracle::Ledger && self.ledger_panic {
+            let detail = obs.lineage().last_violation().unwrap_or("?");
+            panic!("delivery ledger: {detail}");
+        }
+    }
+
+    /// Writes a post-mortem for the violation just observed on `rec`:
+    /// the reason, the offending record, that event's reconstructed
+    /// lineage span, a metrics snapshot (`metrics.csv` rows) and the tail
+    /// of the trace ring, which ends with the offending record. Bounded
+    /// to [`Sim::MAX_FLIGHT_DUMPS`] files per run; a disabled recorder
+    /// (`flight_dir == None`) costs one branch.
+    fn flight_dump(
+        &mut self,
+        obs: &mut Observers,
+        nodes: &[NodeSlot],
+        rec: &TraceRecord,
+        oracle: Oracle,
+    ) {
+        const TRACE_TAIL: usize = 256;
+        let Some(dir) = self.flight_dir.clone() else {
+            return;
+        };
+        if self.flight_dumps >= Sim::MAX_FLIGHT_DUMPS {
+            return;
+        }
+        let seq = self.flight_dumps;
+        self.flight_dumps += 1;
+        obs.count(crate::names::LINEAGE_FLIGHT_DUMPS, 1.0);
+        let reason = match oracle {
+            Oracle::Watchdog => {
+                format!("watchdog: {}", obs.watchdogs().last_detail().unwrap_or("?"))
+            }
+            Oracle::Ledger => format!("ledger: {}", obs.lineage().last_violation().unwrap_or("?")),
+        };
+        let mut out = String::new();
+        out.push_str(&format!(
+            "# gryphon flight recorder post-mortem {seq}\n\
+             time_us: {}\nnode: {} ({})\nreason: {reason}\n\
+             offending_event: {:?}\n\n",
+            rec.t_us,
+            rec.node,
+            node_name(nodes, rec.node),
+            rec.event,
+        ));
+        out.push_str("## lineage of offending event\n");
+        match rec.event.lineage_key() {
+            Some(key) => match obs.lineage().span(key) {
+                Some(span) => out.push_str(&span.render(key)),
+                None => out.push_str(&format!("{key}: no span assembled\n")),
+            },
+            None => out.push_str("(event carries no lineage key)\n"),
+        }
+        out.push_str("\n## metrics snapshot\n");
+        out.push_str(&MetricsSnapshot::from_metrics(obs.metrics()).to_csv());
+        out.push_str(&format!("\n## trace ring tail (last {TRACE_TAIL})\n"));
+        let tail: Vec<&TraceRecord> = obs.trace_records().rev().take(TRACE_TAIL).collect();
+        for r in tail.into_iter().rev() {
+            out.push_str(&format!("{} {} {:?}\n", r.t_us, r.node, r.event));
+        }
+        let path = dir.join(format!("postmortem-{seq}.txt"));
+        // Best-effort: a full disk must not mask the original violation.
+        let _ = std::fs::create_dir_all(&dir);
+        let _ = std::fs::write(&path, out);
     }
 }
 
@@ -879,6 +933,21 @@ impl NodeCtx for SimCtx<'_> {
 
     fn trace(&mut self, event: TraceEvent) {
         self.sim.push_trace(self.me, event);
+    }
+
+    fn delivered(
+        &mut self,
+        pubend: PubendId,
+        ts: Timestamp,
+        path: DeliveryPath,
+        subs: &[SubscriberId],
+    ) {
+        let sim = &mut *self.sim;
+        let (trip, nodes) = (&mut sim.trip, &sim.nodes);
+        sim.obs
+            .delivered(sim.now, self.me, pubend, ts, path, subs, |obs, rec| {
+                trip.tripped(obs, nodes, &rec, Oracle::Ledger)
+            });
     }
 
     fn interval(&mut self, kind: &'static str, dur_us: u64) {

@@ -92,4 +92,21 @@ proptest! {
             last = p;
         }
     }
+
+    /// A weighted observe is `n` single observes: count, sum (whole
+    /// numbers, as every stage latency is) and every bucket.
+    #[test]
+    fn observe_n_equals_n_single_observes(
+        batches in prop::collection::vec((0u64..5_000_000, 0u64..70), 1..40),
+    ) {
+        let mut weighted = Histogram::default();
+        let mut single = Histogram::default();
+        for &(v, n) in &batches {
+            weighted.observe_n(v as f64, n);
+            for _ in 0..n {
+                single.observe(v as f64);
+            }
+        }
+        prop_assert_eq!(weighted, single);
+    }
 }

@@ -2,15 +2,17 @@
 //! observation once warm: `crates/core/tests/zero_alloc_deliver.rs` shows
 //! the *broker* allocates nothing per delivery but reports into a stub
 //! context; this is what a real runtime does with those reports. Both
-//! runtimes route `NodeCtx::{count, observe, gauge}` to the one
-//! [`Observers`] owner, which looks a metric up by `&str` and allocates
-//! its name on first sight only.
+//! runtimes route `NodeCtx::{count, observe, gauge, delivered}` to the
+//! one [`Observers`] owner, which looks a metric up by `&str` and
+//! allocates its name on first sight only, and checks a delivery against
+//! a ledger session that exists from the subscriber's first resume on.
 //!
 //! The counter only counts while the measuring thread has set its
 //! thread-local `MEASURING` flag: the allocator is process-wide, and
 //! libtest's own threads allocate whenever they like.
 
-use gryphon_sim::{names, Observers};
+use gryphon_sim::{names, DeliveryPath, Observers, TraceEvent, TraceRecord};
+use gryphon_types::{NodeId, PubendId, SubscriberId, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,37 +63,77 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// What one constream delivery reports (two counters, a stage
-/// histogram) plus a gauge, as a runtime's context forwards it.
-fn one_delivery(obs: &mut Observers, i: u64) {
-    obs.count("shb.delivered", 1.0);
-    obs.count(names::SHB_CONSTREAM_DELIVERED, 1.0);
-    obs.observe(names::LINEAGE_STAGE_CONSTREAM_US, (i % 97) as f64);
-    obs.gauge(names::TELEMETRY_CATCHUP_STREAMS, (i % 5) as f64);
+const SHB: NodeId = NodeId(3);
+const P: PubendId = PubendId(0);
+/// Subscribers one constream event reaches (the `fanout` workload's).
+const FANOUT: u64 = 64;
+const BURST: u64 = 10_000;
+
+/// What one constream step reports for event `ts`, as a runtime's
+/// context forwards it: its delivery count by n, the one
+/// `Observers::delivered` call for all n subscribers, and a gauge.
+fn one_step(obs: &mut Observers, subs: &[SubscriberId], ts: u64) {
+    obs.count(names::SHB_CONSTREAM_DELIVERED, subs.len() as f64);
+    obs.delivered(
+        ts * 10,
+        SHB,
+        P,
+        Timestamp(ts),
+        DeliveryPath::Constream,
+        subs,
+        |_, _| {},
+    );
+    obs.gauge(names::TELEMETRY_CATCHUP_STREAMS, (ts % 5) as f64);
+}
+
+fn trace(obs: &mut Observers, t_us: u64, event: TraceEvent) {
+    obs.trace(TraceRecord {
+        t_us,
+        node: SHB,
+        event,
+    });
 }
 
 #[test]
 fn observations_on_known_names_allocate_nothing() {
     let mut obs = Observers::new(0);
-    // Warm-up: the first sight of each name allocates its key.
-    one_delivery(&mut obs, 0);
+    let subs: Vec<SubscriberId> = (0..FANOUT).map(SubscriberId).collect();
+    // Warm-up: the first sight of each name allocates its key, each
+    // subscriber's ledger session and each event's span are created
+    // once (a span is born upstream, at ingest, before any delivery).
+    for &sub in &subs {
+        let at = Timestamp::ZERO;
+        trace(&mut obs, 0, TraceEvent::SubResumed { sub, pubend: P, at });
+    }
+    for ts in 1..=BURST + 1 {
+        let ts = Timestamp(ts);
+        trace(&mut obs, 1, TraceEvent::ShbIngested { pubend: P, ts });
+    }
+    one_step(&mut obs, &subs, 1);
 
-    const BURST: u64 = 10_000;
     let allocated = allocations_in(|| {
-        for i in 1..=BURST {
-            one_delivery(&mut obs, i);
+        for ts in 2..=BURST + 1 {
+            one_step(&mut obs, &subs, ts);
         }
     });
 
-    assert_eq!(obs.metrics().counter("shb.delivered"), (BURST + 1) as f64);
+    let deliveries = ((BURST + 1) * FANOUT) as f64;
+    let m = obs.metrics();
+    assert_eq!(m.counter(names::SHB_CONSTREAM_DELIVERED), deliveries);
+    // No birth anchor on this worker: every ingest is an orphan, and
+    // every delivery.
     assert_eq!(
-        obs.metrics()
-            .histogram(names::LINEAGE_STAGE_CONSTREAM_US)
-            .map(|h| h.count()),
-        Some(BURST + 1)
+        m.counter(names::LINEAGE_STAGE_ORPHANS),
+        (BURST + 1) as f64 + deliveries
     );
     assert_eq!(
+        m.histogram(names::LINEAGE_STAGE_CONSTREAM_US)
+            .map(|h| h.count() as f64),
+        Some(deliveries)
+    );
+    assert_eq!(obs.lineage().violations(), 0);
+    assert_eq!(
         allocated, 0,
-        "count/observe/gauge on known names allocated on the warm path"
+        "count/delivered/gauge on known names and warm sessions allocated"
     );
 }

@@ -39,6 +39,11 @@ if grep -n 'SubscriptionIndex::new()' crates/core/src/broker/ib.rs; then
   echo "ib.rs keeps one index per child and applies deltas to it; a fresh index per message re-parses every filter (O(N^2) registration)"; exit 1
 fi
 
+echo "== a delivered event is observed once: no per-subscriber Delivered record in the SHB =="
+if grep -n 'TraceEvent::Delivered' crates/core/src/broker/shb.rs; then
+  echo "the SHB reports deliveries through NodeCtx::delivered, once per event; a TraceEvent::Delivered there puts the observers back on the per-delivery path"; exit 1
+fi
+
 echo "== unsafe is allow-listed: two sim downcasts, one CRC call =="
 # Every `unsafe` block, fn, impl, trait or extern in the workspace's
 # program code (src/, examples/, each crate's src/ and benches/; the

@@ -3,7 +3,7 @@
 
 use gryphon::{BrokerConfig, SubscriberConfig};
 use gryphon_harness::{System, TopologySpec, Workload};
-use gryphon_sim::LinkParams;
+use gryphon_sim::{names, LinkParams};
 
 /// Every subscriber of a system received the exact per-class prefix of
 /// published sequence numbers (tail-in-flight tolerated), with no gaps
@@ -201,7 +201,8 @@ fn deterministic_replay_same_seed_same_world() {
         (
             sys.total_events(),
             sys.sim.events_processed(),
-            sys.sim.metrics().counter("shb.delivered"),
+            sys.sim.metrics().counter(names::SHB_CONSTREAM_DELIVERED)
+                + sys.sim.metrics().counter(names::SHB_CATCHUP_DELIVERED),
         )
     };
     assert_eq!(run(99), run(99), "same seed must replay identically");

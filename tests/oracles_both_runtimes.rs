@@ -123,3 +123,68 @@ fn constream_gap_trips_the_watchdog_on_a_net_worker() {
         assert_eq!(result.ledger_violations(), 0);
     }
 }
+
+/// Reports one delivered event to `subs` through one `ctx.delivered`
+/// call on the first message it receives.
+struct BatchPlanter {
+    subs: Vec<SubscriberId>,
+}
+
+impl Node for BatchPlanter {
+    fn on_message(&mut self, _: NodeId, _: NetMsg, ctx: &mut dyn NodeCtx) {
+        let subs = std::mem::take(&mut self.subs);
+        ctx.delivered(P, Timestamp(5), DeliveryPath::Constream, &subs);
+    }
+    fn on_timer(&mut self, _: TimerKey, _: &mut dyn NodeCtx) {}
+}
+
+/// One event reported once, with subscriber 2 listed twice: exactly one
+/// ledger violation, at the second listing.
+fn duplicate_in_one_report() -> BatchPlanter {
+    BatchPlanter {
+        subs: [1, 2, 2, 3].map(SubscriberId).to_vec(),
+    }
+}
+
+/// The simulator checks each subscriber of a batched report in order:
+/// its flight recorder dumps at the duplicate, with the trace tail ending
+/// on the offending subscriber's record, and the ring keeps one
+/// `Delivered` record per subscriber.
+#[test]
+fn duplicate_in_one_delivered_report_trips_the_ledger_under_the_simulator() {
+    let dir = std::env::temp_dir().join(format!("gryphon-oracles-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut sim = Sim::new(1);
+    sim.set_ledger_panic(false);
+    sim.set_flight_dir(Some(dir.clone()));
+    let node = sim.add_node("planter", Box::new(duplicate_in_one_report()));
+    sim.inject_ctrl(0, node, poke());
+    sim.run_to_quiescence();
+    assert_eq!(sim.ledger_violations(), 1);
+    assert_eq!(sim.flight_dumps(), 1);
+
+    let delivered = |sub| TraceEvent::Delivered {
+        pubend: P,
+        ts: Timestamp(5),
+        sub: SubscriberId(sub),
+        path: DeliveryPath::Constream,
+    };
+    let dump = std::fs::read_to_string(dir.join("postmortem-0.txt")).expect("post-mortem");
+    let last = dump.lines().rev().find(|l| !l.is_empty());
+    assert_eq!(last, Some(format!("0 {node} {:?}", delivered(2)).as_str()));
+    let ring: Vec<TraceEvent> = sim.trace_records().map(|r| r.event.clone()).collect();
+    assert_eq!(ring, [1, 2, 2, 3].map(delivered).to_vec());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn duplicate_in_one_delivered_report_trips_the_ledger_on_a_net_worker() {
+    let mut builder = NetBuilder::new();
+    let node = builder.add_node("planter", duplicate_in_one_report());
+    let net = builder.start();
+    net.inject(node.id(), poke());
+    net.run_for(Duration::from_millis(50));
+    let result = net.stop();
+    assert_eq!(result.ledger_violations(), 1);
+    assert!(result.node(node).subs.is_empty(), "the planter ran");
+}
