@@ -86,7 +86,8 @@ pub struct Conn {
     pub outbox: VecDeque<DeliveryMsg>,
     /// A delivery is awaiting its acknowledgment commit (gated only).
     pub in_flight: bool,
-    /// When this connection was established (catchup-duration metric).
+    /// When this connection was established. Nothing reads it; it stays
+    /// because `size_of::<Conn>()` feeds the SHB memory gauges.
     pub connected_at_us: u64,
 }
 
@@ -1432,8 +1433,6 @@ impl Shb {
             }));
             traced!(ctx.observe(names::SHB_SWITCHOVER_LATENCY_US, latency_us as f64));
             if conn.catchup.is_empty() {
-                let dur_us = ctx.now_us().saturating_sub(conn.connected_at_us);
-                ctx.record("shb.catchup_duration_ms", dur_us as f64 / 1_000.0);
                 self.catchup_slots.remove(&slot.index());
             }
             return needs;

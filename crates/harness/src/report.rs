@@ -148,9 +148,10 @@ impl Report {
     pub fn render(&self) -> String {
         let mut out = format!("# experiment: {}\n\n", self.id);
         // Loud and first: a saturated trace ring means the trace tail
-        // below is missing records. (Watchdogs and the lineage ledger
-        // observe on push, before ring eviction, so *their* numbers
-        // remain complete — only the retained records are partial.)
+        // below is missing records. (The oracle — watchdogs and the
+        // lineage ledger — observes on push, before ring eviction, so
+        // *its* numbers remain complete — only the retained records are
+        // partial.)
         let dropped = self
             .metrics
             .as_ref()

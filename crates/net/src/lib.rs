@@ -32,10 +32,14 @@
 //! callback's observations cost no further synchronisation. Readers from
 //! other threads ([`RunningNet::counter`],
 //! [`RunningNet::metrics_snapshot`], the sampler) therefore wait for at
-//! most one callback per worker they visit. The watchdogs and the
-//! exactly-once ledger see every trace event; no trace records are
-//! retained (the ring has capacity zero: this runtime is for throughput,
-//! and the flight recorder that prints a ring lives with the simulator).
+//! most one callback per worker they visit. The correctness oracle (the
+//! exactly-once ledger and the protocol watchdogs) judges every trace
+//! event and only counts, in every build: a violation of either kind
+//! never stops a worker and surfaces as
+//! [`NetResult::watchdog_violations`] or
+//! [`NetResult::ledger_violations`]. No trace records are retained (the
+//! ring has capacity zero: this runtime is for throughput, and the flight
+//! recorder that prints a ring lives with the simulator).
 //!
 //! [`RunningNet::start_sampler`] arms telemetry: a background thread
 //! that, every interval, publishes each worker's channel occupancy
@@ -444,9 +448,7 @@ impl NodeCtx for ThreadCtx<'_> {
     }
 
     fn trace(&mut self, event: TraceEvent) {
-        // An armed watchdog panics inside this call, at the point of
-        // detection; a ledger violation is counted and surfaces as
-        // `NetResult::ledger_violations`.
+        // A violation is counted, never raised (crate docs).
         self.obs.trace(TraceRecord {
             t_us: self.shared.now_us(),
             node: self.me,
@@ -461,8 +463,7 @@ impl NodeCtx for ThreadCtx<'_> {
         path: DeliveryPath,
         subs: &[SubscriberId],
     ) {
-        // As in `trace`: a ledger violation is counted, and surfaces as
-        // `NetResult::ledger_violations`.
+        // As in `trace`: a violation is counted, never raised.
         let now = self.shared.now_us();
         self.obs
             .delivered(now, self.me, pubend, ts, path, subs, |_, _| {});
@@ -693,9 +694,7 @@ impl NetResult {
     /// Total protocol-watchdog violations across all workers (gap-free
     /// constream, monotone doubt, only-once logging).
     pub fn watchdog_violations(&self) -> f64 {
-        self.metrics.counter(names::WATCHDOG_CONSTREAM_GAP)
-            + self.metrics.counter(names::WATCHDOG_DOUBT_REGRESSION)
-            + self.metrics.counter(names::WATCHDOG_DUPLICATE_LOG)
+        self.lineage.watchdog_violations() as f64
     }
 
     /// Exactly-once violations the merged delivery ledger flagged across

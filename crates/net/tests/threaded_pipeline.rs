@@ -53,6 +53,8 @@ fn publish_to_delivery_over_threads() {
     let net = builder.start();
     net.run_for(Duration::from_millis(700));
     let result = net.stop();
+    assert_eq!(result.watchdog_violations(), 0.0);
+    assert_eq!(result.ledger_violations(), 0);
     let client = result.node(sub);
     let published = result.node(publisher).published();
     assert!(published > 500, "publisher ran: {published}");
@@ -76,8 +78,8 @@ fn publish_to_delivery_over_threads() {
 
 /// One combined broker (4 pubends, 2 subscribers) on one worker: every
 /// subscriber's delivered `_seq` runs contiguous from 0 per pubend — the
-/// full ground-truth stream in publish order — with no watchdog firing
-/// and no send refused by a full channel.
+/// full ground-truth stream in publish order — with no oracle violation
+/// of either kind and no send refused by a full channel.
 #[test]
 fn combined_broker_delivers_every_pubend_contiguously() {
     const PUBENDS: u32 = 4;
@@ -150,6 +152,7 @@ fn combined_broker_delivers_every_pubend_contiguously() {
     net.run_for(Duration::from_millis(700));
     let result = net.stop();
     assert_eq!(result.watchdog_violations(), 0.0);
+    assert_eq!(result.ledger_violations(), 0);
     assert_eq!(
         result.metrics.counter(gryphon_sim::names::NET_DROPPED),
         0.0,

@@ -20,13 +20,16 @@
 //! # Observability
 //!
 //! Everything that observes a run — metrics, a bounded ring of structured
-//! [`trace::TraceEvent`]s, the protocol-invariant [`trace::Watchdogs`],
-//! the delivery-lineage ledger, tail forensics, the population sketch —
-//! has one owner, [`Observers`], which both runtimes embed (DESIGN.md
-//! §9). Nodes report through [`NodeCtx`]; instrumentation sites wrap the
-//! call in [`traced!`], so building with `--no-default-features` (the
-//! `trace` feature off) compiles the instrumentation out of every hot
-//! path.
+//! [`trace::TraceEvent`]s, delivery lineage with the correctness oracle
+//! ([`Lineage`]: the exactly-once ledger and the three protocol-invariant
+//! watchdogs, one checker that counts and never panics), tail forensics,
+//! the population sketch — has one owner, [`Observers`], which both
+//! runtimes embed (DESIGN.md §9). What a violation does is the runtime's
+//! call: [`Sim`] dumps a post-mortem and then panics if armed
+//! ([`Sim::set_oracle_panic`]); `gryphon-net` only counts. Nodes report
+//! through [`NodeCtx`]; instrumentation sites wrap the call in
+//! [`traced!`], so building with `--no-default-features` (the `trace`
+//! feature off) compiles the instrumentation out of every hot path.
 //!
 //! # Examples
 //!
@@ -68,9 +71,9 @@ pub use forensics::{BusyInterval, Exemplar, ExemplarReservoir};
 pub use health::{default_rules, AlertRecord, AlertState, HealthEngine, HealthRule, RuleKind};
 pub use lineage::{LedgerAudit, Lineage, Span};
 pub use metrics::{names, Histogram, HistogramSummary, Metrics, MetricsSnapshot};
-pub use observers::{Observers, Oracle};
+pub use observers::Observers;
 pub use runtime::{AnyNode, Handle, LinkParams, Node, NodeCtx, Sim, TimerKey, CONTROL_NODE};
 pub use sketch::{
     LagSpectrum, PopulationSketch, SpaceSaving, SpectrumStats, TopKEntry, TopKSnapshot,
 };
-pub use trace::{DeliveryPath, TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};
+pub use trace::{DeliveryPath, TraceEvent, TraceRecord, TRACE_ENABLED};

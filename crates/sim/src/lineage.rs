@@ -1,5 +1,6 @@
 //! End-to-end delivery lineage: per-event stage spans, latency
-//! attribution, and the exactly-once delivery ledger.
+//! attribution, and the correctness oracle — the exactly-once delivery
+//! ledger and the three protocol-invariant watchdogs.
 //!
 //! ## Span model
 //!
@@ -32,7 +33,7 @@
 //!
 //! The ledger audits exactly-once per `(subscriber, pubend, timestamp)`
 //! across reconnects — the end-to-end property the paper's three local
-//! watchdogs cannot express. [`TraceEvent::SubResumed`] opens a
+//! invariants cannot express. [`TraceEvent::SubResumed`] opens a
 //! *session* at the broker-computed resume checkpoint; within a session
 //! deliveries must be strictly increasing (`lineage.ledger.duplicate`
 //! otherwise), must stay above the resume checkpoint
@@ -43,18 +44,38 @@
 //! ledger additionally records the full delivered/gap sets so
 //! [`Lineage::audit`] can prove **zero missing** deliveries offline.
 //!
+//! ## Watchdogs
+//!
+//! Three invariants from the paper are checked per `(node, pubend)` on
+//! the same records:
+//!
+//! * **gap-free constream** (§4.1): each `ConstreamGapCheck` advance
+//!   starts exactly where the previous one ended
+//!   (`watchdog.constream_gap`);
+//! * **monotone doubt horizon** (§3): `DoubtAdvanced` never regresses
+//!   (`watchdog.doubt_regress`);
+//! * **only-once logging** (§2): the PHB logs each timestamp at most
+//!   once, in ascending order (`watchdog.double_log`).
+//!
+//! The first two reset when a node restarts (recovery legitimately
+//! re-derives delivery state from the persistent `latestDelivered`); the
+//! logging invariant deliberately survives restarts, because
+//! `restart_at` must re-timestamp above everything previously logged.
+//!
 //! ## Violations
 //!
-//! [`Lineage::observe`] never panics: it counts, remembers the detail
-//! string, and leaves arming to the runtime — the simulator dumps a
-//! flight-recorder post-mortem *before* aborting on an armed violation.
+//! Every check ends in one `violate()`: it counts, remembers the counter
+//! and detail string ([`Lineage::last_violation`]), and never panics.
+//! What a trip does is the runtime's call — the simulator dumps a
+//! flight-recorder post-mortem and then panics if armed; the threaded
+//! runtime only counts.
 
 use crate::forensics::ExemplarReservoir;
 use crate::metrics::names;
 use crate::trace::{DeliveryPath, TraceEvent, TraceRecord};
 use crate::Metrics;
 use gryphon_types::{LineageKey, NodeId, PubendId, SubscriberId, Timestamp};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Default bound on live spans (oldest evicted beyond this).
 pub const DEFAULT_MAX_SPANS: usize = 262_144;
@@ -146,6 +167,17 @@ struct Session {
     gaps: Vec<(Timestamp, Timestamp)>,
 }
 
+/// The watchdogs' frontiers of one `(node, pubend)` stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frontier {
+    /// End of the last constream advance; reset on restart.
+    constream: Option<Timestamp>,
+    /// Last doubt horizon; reset on restart.
+    doubt: Option<Timestamp>,
+    /// Highest logged tick; survives restarts.
+    logged: Option<Timestamp>,
+}
+
 /// Offline audit result; see [`Lineage::audit`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LedgerAudit {
@@ -172,10 +204,10 @@ impl LedgerAudit {
     }
 }
 
-/// The lineage assembler + delivery ledger. Feed it every
+/// The lineage assembler and the correctness oracle. Feed it every
 /// [`TraceRecord`] (the runtimes do this on emission, before any ring
 /// eviction); read back spans, stage histograms (written into the
-/// shared [`Metrics`]), and the exactly-once audit.
+/// shared [`Metrics`]), violation counts and the exactly-once audit.
 #[derive(Debug)]
 pub struct Lineage {
     spans: BTreeMap<LineageKey, Span>,
@@ -183,18 +215,16 @@ pub struct Lineage {
     sessions: BTreeMap<(SubscriberId, PubendId), Session>,
     /// Highest `LConverted` boundary per pubend.
     released: BTreeMap<PubendId, Timestamp>,
-    /// Doubt horizon per (SHB node, pubend), for the lag gauge.
-    doubt: BTreeMap<(NodeId, PubendId), Timestamp>,
-    /// Constream frontier per (SHB node, pubend), for backlog depth.
-    constream_to: BTreeMap<(NodeId, PubendId), Timestamp>,
+    /// The watchdogs' frontiers per (node, pubend).
+    frontiers: HashMap<(NodeId, PubendId), Frontier>,
     /// Full-audit only: every durably logged tick per pubend.
     logged: BTreeMap<PubendId, BTreeSet<Timestamp>>,
     full_audit: bool,
-    violations: u64,
+    watchdog_violations: u64,
     duplicates: u64,
     reconnect_duplicates: u64,
     gap_beyond_release: u64,
-    last_violation: Option<String>,
+    last_violation: Option<(&'static str, String)>,
     /// Tail-exemplar reservoir (DESIGN.md §9); `None` until armed via
     /// [`Lineage::arm_exemplars`]. Pure observer: arming it changes no
     /// span, ledger, or histogram state.
@@ -208,11 +238,10 @@ impl Default for Lineage {
             max_spans: DEFAULT_MAX_SPANS,
             sessions: BTreeMap::new(),
             released: BTreeMap::new(),
-            doubt: BTreeMap::new(),
-            constream_to: BTreeMap::new(),
+            frontiers: HashMap::new(),
             logged: BTreeMap::new(),
             full_audit: false,
-            violations: 0,
+            watchdog_violations: 0,
             duplicates: 0,
             reconnect_duplicates: 0,
             gap_beyond_release: 0,
@@ -221,10 +250,6 @@ impl Default for Lineage {
         }
     }
 }
-
-/// Deterministic subsampling period (in ticks) for the per-delivery
-/// doubt-lag gauge, keeping series growth bounded on long runs.
-const LAG_SAMPLE_TICKS: u64 = 32;
 
 impl Lineage {
     /// Enables full-audit mode: record complete delivered/gap sets so
@@ -250,12 +275,18 @@ impl Lineage {
 
     /// Total ledger violations observed online.
     pub fn violations(&self) -> u64 {
-        self.violations
+        self.duplicates + self.reconnect_duplicates + self.gap_beyond_release
     }
 
-    /// Human-readable description of the most recent ledger violation.
-    pub fn last_violation(&self) -> Option<&str> {
-        self.last_violation.as_deref()
+    /// Total protocol-watchdog violations observed online.
+    pub fn watchdog_violations(&self) -> u64 {
+        self.watchdog_violations
+    }
+
+    /// The most recent violation of either kind: the counter it bumped
+    /// (`watchdog.*` or `lineage.ledger.*`) and its description.
+    pub fn last_violation(&self) -> Option<(&'static str, &str)> {
+        self.last_violation.as_ref().map(|(c, d)| (*c, d.as_str()))
     }
 
     /// The span assembled for `key`, if still live.
@@ -279,16 +310,21 @@ impl Lineage {
             .collect()
     }
 
+    /// The one violation path, for every check: counts `counter` and
+    /// remembers it with `detail`. Never panics.
     fn violate(&mut self, metrics: &mut Metrics, counter: &'static str, detail: String) {
-        self.violations += 1;
         match counter {
             names::LINEAGE_LEDGER_DUPLICATE => self.duplicates += 1,
             names::LINEAGE_LEDGER_RECONNECT_DUPLICATE => self.reconnect_duplicates += 1,
             names::LINEAGE_LEDGER_GAP_BEYOND_RELEASE => self.gap_beyond_release += 1,
-            _ => {}
+            _ => self.watchdog_violations += 1,
         }
         metrics.count(counter, 1.0);
-        self.last_violation = Some(detail);
+        self.last_violation = Some((counter, detail));
+    }
+
+    fn frontier(&mut self, node: NodeId, pubend: PubendId) -> &mut Frontier {
+        self.frontiers.entry((node, pubend)).or_default()
     }
 
     /// Observes one stage latency `n` times (once per subscriber a
@@ -319,10 +355,10 @@ impl Lineage {
         self.spans.entry(key).or_default()
     }
 
-    /// Feeds one record through the assembler and ledger. Histograms,
-    /// lag gauges and violation counters land in `metrics`.
+    /// Feeds one record through the assembler and the oracle.
+    /// Histograms and violation counters land in `metrics`.
     pub fn observe(&mut self, rec: &TraceRecord, metrics: &mut Metrics) {
-        let t = rec.t_us;
+        let (t, node) = (rec.t_us, rec.node);
         match rec.event {
             TraceEvent::PubendTimestamped { pubend, ts } => {
                 let span = self.span_entry(LineageKey::new(pubend, ts), metrics);
@@ -330,6 +366,19 @@ impl Lineage {
                 span.birth_us = Some(t);
             }
             TraceEvent::EventLogged { pubend, ts, .. } => {
+                let f = self.frontier(node, pubend);
+                let last = f.logged;
+                f.logged = last.max(Some(ts));
+                if let Some(last) = last.filter(|&last| ts <= last) {
+                    self.violate(
+                        metrics,
+                        names::WATCHDOG_DUPLICATE_LOG,
+                        format!(
+                            "only-once logging violated at {node} {pubend}: logged {ts} \
+                             after {last}"
+                        ),
+                    );
+                }
                 if self.full_audit {
                     self.logged.entry(pubend).or_default().insert(ts);
                 }
@@ -369,7 +418,6 @@ impl Lineage {
                 }
             }
             TraceEvent::ShbIngested { pubend, ts } => {
-                let node = rec.node;
                 let key = LineageKey::new(pubend, ts);
                 let span = self.span_entry(key, metrics);
                 if let std::collections::btree_map::Entry::Vacant(e) = span.ingest_us.entry(node) {
@@ -393,7 +441,7 @@ impl Lineage {
                 sub,
                 path,
             } => {
-                self.delivered_event(t, rec.node, pubend, ts, path, 1, metrics);
+                self.delivered_event(t, node, pubend, ts, path, 1, metrics);
                 self.ledger_delivered(pubend, ts, sub, metrics);
             }
             TraceEvent::GapDelivered { pubend, sub, upto } => {
@@ -438,21 +486,41 @@ impl Lineage {
                 let e = self.released.entry(pubend).or_insert(Timestamp::ZERO);
                 *e = (*e).max(upto);
             }
-            TraceEvent::DoubtAdvanced { pubend, horizon } => {
-                self.doubt.insert((rec.node, pubend), horizon);
-            }
-            TraceEvent::ConstreamGapCheck { pubend, new_to, .. } => {
-                self.constream_to.insert((rec.node, pubend), new_to);
-            }
-            TraceEvent::CatchupStarted { pubend, from, .. } => {
-                // Backlog depth the catchup stream must close before it
-                // can switch over to the consolidated stream.
-                if let Some(&frontier) = self.constream_to.get(&(rec.node, pubend)) {
-                    metrics.record(
-                        t,
-                        names::LINEAGE_LAG_CATCHUP_BACKLOG_TICKS,
-                        frontier.0.saturating_sub(from.0) as f64,
+            TraceEvent::ConstreamGapCheck {
+                pubend,
+                prev,
+                new_to,
+            } => {
+                let last = self.frontier(node, pubend).constream.replace(new_to);
+                if let Some(last) = last.filter(|&last| prev != last) {
+                    self.violate(
+                        metrics,
+                        names::WATCHDOG_CONSTREAM_GAP,
+                        format!(
+                            "constream gap at {node} {pubend}: advance starts at {prev} \
+                             but previous advance ended at {last}"
+                        ),
                     );
+                }
+            }
+            TraceEvent::DoubtAdvanced { pubend, horizon } => {
+                let last = self.frontier(node, pubend).doubt.replace(horizon);
+                if let Some(last) = last.filter(|&last| horizon < last) {
+                    self.violate(
+                        metrics,
+                        names::WATCHDOG_DOUBT_REGRESSION,
+                        format!("doubt horizon regressed at {node} {pubend}: {horizon} < {last}"),
+                    );
+                }
+            }
+            TraceEvent::NodeRestarted => {
+                // Recovery rebuilds delivery state from the persisted
+                // latestDelivered, which may sit below the pre-crash
+                // in-memory frontier: both delivery-side checks restart
+                // from scratch. The log frontier survives (module docs).
+                for (_, f) in self.frontiers.iter_mut().filter(|((n, _), _)| *n == node) {
+                    f.constream = None;
+                    f.doubt = None;
                 }
             }
             _ => {}
@@ -462,7 +530,7 @@ impl Lineage {
     /// The lineage work one delivered event costs once, however many
     /// subscribers (`n`) it reached: span and `deliveries += n`, the
     /// deliver and path stage histograms as one weighted observe (or
-    /// `n` orphans), the lag sample and one exemplar offer. Nothing for
+    /// `n` orphans) and one exemplar offer. Nothing for
     /// `n == 0`. A `Delivered` record is the `n == 1` case;
     /// [`Observers::delivered`](crate::Observers::delivered) passes a
     /// whole event's fan-out.
@@ -502,17 +570,6 @@ impl Lineage {
                 DeliveryPath::Constream => names::LINEAGE_STAGE_CONSTREAM_US,
             };
             self.observe_stage(stage, t.saturating_sub(i) as f64, n, t, key, metrics);
-        }
-        // Lag gauge: how far behind this SHB's doubt horizon the
-        // delivered tick runs (deterministically subsampled).
-        if ts.0.is_multiple_of(LAG_SAMPLE_TICKS) {
-            if let Some(&h) = self.doubt.get(&(node, pubend)) {
-                metrics.record(
-                    t,
-                    names::LINEAGE_LAG_DOUBT_TICKS,
-                    h.0.saturating_sub(ts.0) as f64,
-                );
-            }
         }
     }
 
@@ -598,11 +655,12 @@ impl Lineage {
 
     /// Folds another lineage into `self`. Used by the threaded runtime
     /// to merge per-worker ledgers once, in `stop()`, **in worker-index
-    /// order** so the result is deterministic. Per-pubend sharding means
-    /// span and ledger keys are essentially disjoint across workers;
-    /// where control-traffic broadcast duplicated a session header, the
-    /// owner shard's session (the one that saw deliveries) wins. Tail
-    /// exemplars are window state, not ledger state: they travel through
+    /// order** so the result is deterministic. A worker hosts one node:
+    /// an event's stages land on several workers (anchors merge
+    /// first-wins), the watchdogs' frontiers are disjoint, and where a
+    /// subscriber holds a session on two workers' SHBs the session that
+    /// delivered further wins the cursor state. Tail exemplars are
+    /// window state, not ledger state: they travel through
     /// [`Observers::absorb`](crate::Observers::absorb) instead.
     pub fn merge(&mut self, other: &Lineage) {
         for (&k, s) in &other.spans {
@@ -631,14 +689,7 @@ impl Lineage {
             let e = self.released.entry(p).or_insert(Timestamp::ZERO);
             *e = (*e).max(r);
         }
-        for (&k, &h) in &other.doubt {
-            let e = self.doubt.entry(k).or_insert(Timestamp::ZERO);
-            *e = (*e).max(h);
-        }
-        for (&k, &c) in &other.constream_to {
-            let e = self.constream_to.entry(k).or_insert(Timestamp::ZERO);
-            *e = (*e).max(c);
-        }
+        self.frontiers.extend(&other.frontiers);
         for (&p, set) in &other.logged {
             self.logged
                 .entry(p)
@@ -646,7 +697,7 @@ impl Lineage {
                 .extend(set.iter().copied());
         }
         self.full_audit |= other.full_audit;
-        self.violations += other.violations;
+        self.watchdog_violations += other.watchdog_violations;
         self.duplicates += other.duplicates;
         self.reconnect_duplicates += other.reconnect_duplicates;
         self.gap_beyond_release += other.gap_beyond_release;
@@ -826,7 +877,8 @@ mod tests {
         lin.observe(&rec(4, SHB, deliver(2)), &mut m); // in-session dup
         assert_eq!(lin.violations(), 1);
         assert_eq!(m.counter(names::LINEAGE_LEDGER_DUPLICATE), 1.0);
-        assert!(lin.last_violation().unwrap().contains("duplicate delivery"));
+        let (_, detail) = lin.last_violation().unwrap();
+        assert!(detail.contains("duplicate delivery"));
         // Reconnect from checkpoint t1: redelivering t2 is legitimate...
         lin.observe(
             &rec(
@@ -1003,9 +1055,8 @@ mod tests {
         assert_eq!(lin.audit().missing, 1);
     }
 
-    /// Merging per-worker lineages (disjoint pubend shards plus a
-    /// broadcast-duplicated session header) equals observing the
-    /// combined stream.
+    /// Merging per-worker lineages (disjoint pubends plus a session
+    /// header seen on two workers) equals observing the combined stream.
     #[test]
     fn merge_agrees_with_combined_observation() {
         let p1 = PubendId(1);
@@ -1068,7 +1119,7 @@ mod tests {
         for e in mk_events(P, 100) {
             w0.observe(&e, &mut m0);
         }
-        // Broadcast-duplicated session header on the non-owner shard.
+        // The same session header on the worker that delivers nothing.
         w1.observe(
             &rec(
                 205,
@@ -1093,6 +1144,94 @@ mod tests {
             assert_eq!(merged.span(*k), Some(s), "span {k}");
         }
         assert_eq!(merged.audit(), combined.audit());
+    }
+
+    fn advance(prev: u64, new_to: u64) -> TraceRecord {
+        rec(
+            1,
+            SHB,
+            TraceEvent::ConstreamGapCheck {
+                pubend: P,
+                prev: Timestamp(prev),
+                new_to: Timestamp(new_to),
+            },
+        )
+    }
+
+    #[test]
+    fn constream_watchdog_accepts_contiguous_flags_gap() {
+        let mut lin = Lineage::default();
+        let mut m = Metrics::default();
+        lin.observe(&advance(0, 10), &mut m);
+        lin.observe(&advance(10, 25), &mut m);
+        assert_eq!(lin.watchdog_violations(), 0);
+        lin.observe(&advance(30, 40), &mut m); // hole: 25 → 30
+        assert_eq!(lin.watchdog_violations(), 1);
+        assert_eq!(m.counter(names::WATCHDOG_CONSTREAM_GAP), 1.0);
+        assert_eq!(m.counter(names::WATCHDOG_DOUBT_REGRESSION), 0.0);
+        assert_eq!(lin.violations(), 0, "no ledger violation");
+        let (counter, detail) = lin.last_violation().unwrap();
+        assert_eq!(counter, names::WATCHDOG_CONSTREAM_GAP);
+        assert!(detail.contains("constream gap"));
+    }
+
+    #[test]
+    fn constream_watchdog_resets_on_restart() {
+        let mut lin = Lineage::default();
+        let mut m = Metrics::default();
+        lin.observe(&advance(0, 50), &mut m);
+        lin.observe(&rec(1, SHB, TraceEvent::NodeRestarted), &mut m);
+        // Post-restart the constream restarts from the persisted
+        // latestDelivered (here 20): not a gap.
+        lin.observe(&advance(20, 60), &mut m);
+        assert_eq!(lin.watchdog_violations(), 0);
+    }
+
+    #[test]
+    fn doubt_watchdog_flags_regression() {
+        let mut lin = Lineage::default();
+        let mut m = Metrics::default();
+        let at = |h: u64| {
+            rec(
+                1,
+                SHB,
+                TraceEvent::DoubtAdvanced {
+                    pubend: P,
+                    horizon: Timestamp(h),
+                },
+            )
+        };
+        lin.observe(&at(5), &mut m);
+        lin.observe(&at(5), &mut m); // equal is fine
+        lin.observe(&at(9), &mut m);
+        assert_eq!(lin.watchdog_violations(), 0);
+        lin.observe(&at(4), &mut m);
+        assert_eq!(lin.watchdog_violations(), 1);
+        assert_eq!(m.counter(names::WATCHDOG_DOUBT_REGRESSION), 1.0);
+    }
+
+    #[test]
+    fn log_watchdog_flags_duplicate_and_survives_restart() {
+        let mut lin = Lineage::default();
+        let mut m = Metrics::default();
+        let log = |ts: u64| {
+            rec(
+                1,
+                PHB,
+                TraceEvent::EventLogged {
+                    pubend: P,
+                    ts: Timestamp(ts),
+                    bytes: 418,
+                },
+            )
+        };
+        lin.observe(&log(3), &mut m);
+        lin.observe(&log(7), &mut m);
+        assert_eq!(lin.watchdog_violations(), 0);
+        lin.observe(&rec(1, PHB, TraceEvent::NodeRestarted), &mut m);
+        lin.observe(&log(7), &mut m); // re-logging after restart is the §2 bug
+        assert_eq!(lin.watchdog_violations(), 1);
+        assert_eq!(m.counter(names::WATCHDOG_DUPLICATE_LOG), 1.0);
     }
 
     /// Span eviction keeps the map bounded, deterministically dropping

@@ -83,14 +83,6 @@ pub mod names {
     /// by another worker's ledger). A delivered event with no birth
     /// anchor counts once per subscriber it reached.
     pub const LINEAGE_STAGE_ORPHANS: &str = "lineage.stage_orphans";
-    /// Series: per-delivered-event lag between the SHB's doubt horizon
-    /// and the delivered tick, in ticks (how far behind the frontier the
-    /// consolidated stream runs), one sample per event however many
-    /// subscribers it reached.
-    pub const LINEAGE_LAG_DOUBT_TICKS: &str = "lineage.lag.doubt_horizon_ticks";
-    /// Series: catchup backlog depth at `CatchupStarted`, in ticks
-    /// (constream frontier − resume point).
-    pub const LINEAGE_LAG_CATCHUP_BACKLOG_TICKS: &str = "lineage.lag.catchup_backlog_ticks";
     /// Counter: flight-recorder post-mortem dumps written.
     pub const LINEAGE_FLIGHT_DUMPS: &str = "lineage.flight_dumps";
     /// Counter: messages a broker received but has no handler for
@@ -252,8 +244,6 @@ pub mod names {
             LINEAGE_LEDGER_GAP_BEYOND_RELEASE,
             LINEAGE_SPANS_EVICTED,
             LINEAGE_STAGE_ORPHANS,
-            LINEAGE_LAG_DOUBT_TICKS,
-            LINEAGE_LAG_CATCHUP_BACKLOG_TICKS,
             LINEAGE_FLIGHT_DUMPS,
             BROKER_UNEXPECTED_MSG,
             IB_KNOWLEDGE_BATCH_PARTS,

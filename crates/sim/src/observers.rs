@@ -2,10 +2,10 @@
 //!
 //! A runtime that hosts [`Node`](crate::Node)s embeds an [`Observers`]
 //! and routes the observation half of [`NodeCtx`](crate::NodeCtx) to it.
-//! The owner holds the metrics registry, the trace ring, the invariant
-//! watchdogs, the lineage assembler with its exactly-once ledger and tail
-//! reservoir, the busy-interval ring and the population sketch, and has
-//! three entry points:
+//! The owner holds the metrics registry, the trace ring, the lineage
+//! assembler with the correctness oracle (the exactly-once ledger and
+//! the protocol watchdogs) and its tail reservoir, the busy-interval ring
+//! and the population sketch, and has three entry points:
 //!
 //! * **observe** — `record`, `count`, `observe`, `gauge`, `trace`,
 //!   `delivered`, `interval`, `attribute`: what a node callback reports;
@@ -28,18 +28,9 @@ use crate::ring::Ring;
 use crate::runtime::CONTROL_NODE;
 use crate::sketch::{self, PopulationSketch, DIM_SUB_BYTES};
 use crate::telemetry::Sampler;
-use crate::trace::{DeliveryPath, TraceEvent, TraceRecord, Watchdogs, TRACE_ENABLED};
+use crate::trace::{DeliveryPath, TraceEvent, TraceRecord, TRACE_ENABLED};
 use gryphon_types::{LineageKey, NodeId, PubendId, SubscriberId, Timestamp};
 use std::collections::BTreeMap;
-
-/// Which correctness oracle a trace record tripped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Oracle {
-    /// One of the three protocol-invariant [`Watchdogs`].
-    Watchdog,
-    /// The exactly-once delivery ledger in [`Lineage`].
-    Ledger,
-}
 
 /// The observer stack. See the [module docs](self).
 #[derive(Debug)]
@@ -49,7 +40,6 @@ pub struct Observers {
     /// (stays empty in an owner that absorbs nothing).
     absorbed: Metrics,
     ring: Ring<TraceRecord>,
-    watchdogs: Watchdogs,
     lineage: Lineage,
     /// Contention-profiler ring (`None` = disarmed).
     intervals: Option<Ring<BusyInterval>>,
@@ -62,14 +52,13 @@ pub struct Observers {
 
 impl Observers {
     /// A stack that retains the last `trace_capacity` trace records
-    /// (`0` retains none; the watchdogs and the ledger still see every
-    /// record). Forensics and the sketch start disarmed.
+    /// (`0` retains none; the oracle still judges every record).
+    /// Forensics and the sketch start disarmed.
     pub fn new(trace_capacity: usize) -> Observers {
         Observers {
             metrics: Metrics::default(),
             absorbed: Metrics::default(),
             ring: Ring::new(trace_capacity),
-            watchdogs: Watchdogs::default(),
             lineage: Lineage::default(),
             intervals: None,
             sketch: None,
@@ -106,7 +95,7 @@ impl Observers {
         &mut self.metrics
     }
 
-    /// The lineage assembler and delivery ledger.
+    /// The lineage assembler and the correctness oracle.
     pub fn lineage(&self) -> &Lineage {
         &self.lineage
     }
@@ -119,16 +108,6 @@ impl Observers {
     /// The population sketch, while armed.
     pub fn sketch(&self) -> Option<&PopulationSketch> {
         self.sketch.as_ref()
-    }
-
-    /// The invariant watchdogs.
-    pub fn watchdogs(&self) -> &Watchdogs {
-        &self.watchdogs
-    }
-
-    /// Mutable watchdog access (panic policy).
-    pub fn watchdogs_mut(&mut self) -> &mut Watchdogs {
-        &mut self.watchdogs
     }
 
     /// The retained trace records, oldest first.
@@ -170,26 +149,20 @@ impl Observers {
         self.metrics.set_gauge(name, value);
     }
 
-    /// Feeds one trace record through the watchdogs and the ledger —
-    /// every record, whatever the ring retains — then into the ring.
-    /// Returns the oracle the record tripped, with a copy of the record
-    /// for the runtime's post-mortem. An armed watchdog that is not
-    /// deferring its panic unwinds from here. Without the `trace` feature
-    /// the whole trace stream is compiled out and this does nothing.
-    pub fn trace(&mut self, rec: TraceRecord) -> Option<(Oracle, TraceRecord)> {
+    /// Feeds one trace record through the oracle — every record,
+    /// whatever the ring retains — then into the ring. Returns a copy of
+    /// the record if it tripped a check, for the runtime to act on
+    /// ([`Lineage::last_violation`] names the check); nothing here
+    /// panics. Without the `trace` feature the whole trace stream is
+    /// compiled out and this does nothing.
+    pub fn trace(&mut self, rec: TraceRecord) -> Option<TraceRecord> {
         if !TRACE_ENABLED {
             return None;
         }
-        let (watchdog, ledger) = (self.watchdogs.violations(), self.lineage.violations());
-        self.watchdogs.observe(&rec, &mut self.metrics);
+        let trips = |l: &Lineage| l.violations() + l.watchdog_violations();
+        let before = trips(&self.lineage);
         self.lineage.observe(&rec, &mut self.metrics);
-        let tripped = if self.watchdogs.violations() > watchdog {
-            Some((Oracle::Watchdog, rec.clone()))
-        } else if self.lineage.violations() > ledger {
-            Some((Oracle::Ledger, rec.clone()))
-        } else {
-            None
-        };
+        let tripped = (trips(&self.lineage) > before).then(|| rec.clone());
         self.retain(rec);
         tripped
     }
@@ -197,7 +170,7 @@ impl Observers {
     /// Observes one delivered event: `(pubend, ts)` delivered by SHB
     /// `node` at `t_us` over `path` to each of `subs`, in order. The
     /// lineage work that concerns the event — span, stage histograms,
-    /// orphan count, lag sample, exemplar offer — runs once; the ledger
+    /// orphan count, exemplar offer — runs once; the ledger
     /// checks every subscriber, as for a `Delivered` record. The
     /// ring, when it retains records, gets the `Delivered` record of
     /// each subscriber, so a retained trace reads as if each had been
@@ -205,7 +178,7 @@ impl Observers {
     /// handed to `tripped` with its record, right after the ledger
     /// checked it and the ring took it and before the next subscriber
     /// is checked — where [`Observers::trace`] would have returned it.
-    /// (The watchdogs read no `Delivered` record.) Without the `trace`
+    /// (No watchdog reads a `Delivered` record.) Without the `trace`
     /// feature this does nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn delivered(

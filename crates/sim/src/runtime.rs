@@ -3,7 +3,7 @@
 use crate::forensics::{BusyInterval, KIND_BUSY};
 use crate::health::{default_rules, HealthEngine};
 use crate::lineage::{LedgerAudit, Lineage};
-use crate::observers::{Observers, Oracle};
+use crate::observers::Observers;
 use crate::telemetry::{Sampler, Timeline};
 use crate::trace::{DeliveryPath, TraceEvent, TraceRecord, DEFAULT_TRACE_CAPACITY};
 use crate::{Metrics, MetricsSnapshot};
@@ -204,12 +204,12 @@ pub struct Sim {
     /// Bandwidth serialization: when each directed link frees up.
     link_busy_until: HashMap<(NodeId, NodeId), u64>,
     rng: SmallRng,
-    /// Everything that observes the run (metrics, trace ring, watchdogs,
-    /// ledger, forensics, sketch). Pure observers: arming any of them
+    /// Everything that observes the run (metrics, trace ring, the
+    /// oracle, forensics, sketch). Pure observers: arming any of them
     /// leaves traces and deliveries bit-identical.
     obs: Observers,
     /// What an oracle trip sets off: the flight recorder, then the
-    /// armed panics.
+    /// armed panic.
     trip: Tripwire,
     events_processed: u64,
     /// Windowed telemetry sampler and the health engine evaluated as
@@ -233,10 +233,6 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// Creates an empty simulation with a deterministic seed.
     pub fn new(seed: u64) -> Self {
-        let mut obs = Observers::new(DEFAULT_TRACE_CAPACITY);
-        // Deferred panics let the flight recorder dump a post-mortem
-        // before the process dies.
-        obs.watchdogs_mut().defer_panic = true;
         Sim {
             now: 0,
             seq: 0,
@@ -246,11 +242,11 @@ impl Sim {
             last_arrival: HashMap::new(),
             link_busy_until: HashMap::new(),
             rng: SmallRng::seed_from_u64(seed),
-            obs,
+            obs: Observers::new(DEFAULT_TRACE_CAPACITY),
             trip: Tripwire {
                 flight_dir: None,
                 flight_dumps: 0,
-                ledger_panic: cfg!(debug_assertions),
+                panic: cfg!(debug_assertions),
             },
             events_processed: 0,
             telemetry: None,
@@ -432,8 +428,8 @@ impl Sim {
                 if let Some(slot) = self.nodes.get_mut(node.0 as usize) {
                     slot.up = true;
                 }
-                // Watchdog delivery state for the node resets here, before
-                // `on_restart` rebuilds from persistent storage.
+                // The watchdogs' delivery-side frontiers for the node reset
+                // here, before `on_restart` rebuilds from persistent storage.
                 self.push_trace(node, TraceEvent::NodeRestarted);
                 self.with_node(node, |n, ctx| n.on_restart(ctx));
             }
@@ -519,8 +515,8 @@ impl Sim {
             node,
             event,
         };
-        if let Some((oracle, rec)) = self.obs.trace(rec) {
-            self.trip.tripped(&mut self.obs, &self.nodes, &rec, oracle);
+        if let Some(rec) = self.obs.trace(rec) {
+            self.trip.tripped(&mut self.obs, &self.nodes, &rec);
         }
     }
 
@@ -529,25 +525,28 @@ impl Sim {
         self.obs.trace_records()
     }
 
-    /// Resizes the trace ring (`0` retains nothing; watchdogs still run).
+    /// Resizes the trace ring (`0` retains nothing; the oracle still
+    /// judges every record).
     pub fn set_trace_capacity(&mut self, capacity: usize) {
         self.obs.set_trace_capacity(capacity);
     }
 
-    /// Arms or disarms panicking on watchdog violations (default:
-    /// armed under `cfg(debug_assertions)`).
-    pub fn set_watchdog_panic(&mut self, panic_on_violation: bool) {
-        self.obs.watchdogs_mut().panic_on_violation = panic_on_violation;
+    /// Arms or disarms the panic that follows an oracle trip — a
+    /// protocol watchdog or the delivery ledger — once the flight
+    /// recorder has dumped (default: armed under
+    /// `cfg(debug_assertions)`).
+    pub fn set_oracle_panic(&mut self, armed: bool) {
+        self.trip.panic = armed;
     }
 
-    /// Total invariant violations the watchdogs have flagged.
+    /// Total invariant violations the protocol watchdogs have flagged.
     pub fn watchdog_violations(&self) -> u64 {
-        self.obs.watchdogs().violations()
+        self.obs.lineage().watchdog_violations()
     }
 
-    /// Feeds a synthetic trace event through the buffer and watchdogs as
-    /// if `node` emitted it now — the corruption hook fault-injection
-    /// tests use to prove the watchdogs actually bite.
+    /// Feeds a synthetic trace event through the buffer and the oracle
+    /// as if `node` emitted it now — the corruption hook fault-injection
+    /// tests use to prove the checks actually bite.
     pub fn inject_trace(&mut self, node: NodeId, event: TraceEvent) {
         self.push_trace(node, event);
     }
@@ -556,15 +555,9 @@ impl Sim {
     /// going quiet (a violation storm must not fill the disk).
     pub const MAX_FLIGHT_DUMPS: u32 = 8;
 
-    /// The delivery-lineage assembler/ledger fed by every trace event.
+    /// The delivery-lineage assembler and oracle fed by every trace event.
     pub fn lineage(&self) -> &Lineage {
         self.obs.lineage()
-    }
-
-    /// Arms or disarms panicking on delivery-ledger violations
-    /// (default: armed under `cfg(debug_assertions)`).
-    pub fn set_ledger_panic(&mut self, panic_on_violation: bool) {
-        self.trip.ledger_panic = panic_on_violation;
     }
 
     /// Enables full-audit mode on the ledger (records per-session
@@ -611,33 +604,30 @@ struct Tripwire {
     /// Directory for flight-recorder post-mortems (`None` = disabled).
     flight_dir: Option<std::path::PathBuf>,
     flight_dumps: u32,
-    /// Panic on delivery-ledger violations (default: armed under
-    /// `cfg(debug_assertions)`, like the watchdogs).
-    ledger_panic: bool,
+    /// Panic after the dump (see [`Sim::set_oracle_panic`]).
+    panic: bool,
 }
 
 impl Tripwire {
-    /// `rec` just tripped `oracle`: dump, then raise the panics the
-    /// watchdogs deferred across the dump and an armed ledger panic.
-    fn tripped(
-        &mut self,
-        obs: &mut Observers,
-        nodes: &[NodeSlot],
-        rec: &TraceRecord,
-        oracle: Oracle,
-    ) {
-        self.flight_dump(obs, nodes, rec, oracle);
-        if let Some(detail) = obs.watchdogs_mut().take_deferred_panic() {
-            panic!("invariant watchdog: {detail}");
-        }
-        if oracle == Oracle::Ledger && self.ledger_panic {
-            let detail = obs.lineage().last_violation().unwrap_or("?");
-            panic!("delivery ledger: {detail}");
+    /// `rec` just tripped the oracle: dump, then panic if armed. The
+    /// violation's counter names its kind — `watchdog.*` for a protocol
+    /// watchdog, else the delivery ledger.
+    fn tripped(&mut self, obs: &mut Observers, nodes: &[NodeSlot], rec: &TraceRecord) {
+        let (counter, detail) = obs.lineage().last_violation().unwrap_or(("?", "?"));
+        let (kind, oracle) = if counter.starts_with("watchdog.") {
+            ("watchdog", "invariant watchdog")
+        } else {
+            ("ledger", "delivery ledger")
+        };
+        let detail = detail.to_owned();
+        self.flight_dump(obs, nodes, rec, &format!("{kind}: {detail}"));
+        if self.panic {
+            panic!("{oracle}: {detail}");
         }
     }
 
     /// Writes a post-mortem for the violation just observed on `rec`:
-    /// the reason, the offending record, that event's reconstructed
+    /// the `reason`, the offending record, that event's reconstructed
     /// lineage span, a metrics snapshot (`metrics.csv` rows) and the tail
     /// of the trace ring, which ends with the offending record. Bounded
     /// to [`Sim::MAX_FLIGHT_DUMPS`] files per run; a disabled recorder
@@ -647,7 +637,7 @@ impl Tripwire {
         obs: &mut Observers,
         nodes: &[NodeSlot],
         rec: &TraceRecord,
-        oracle: Oracle,
+        reason: &str,
     ) {
         const TRACE_TAIL: usize = 256;
         let Some(dir) = self.flight_dir.clone() else {
@@ -659,12 +649,6 @@ impl Tripwire {
         let seq = self.flight_dumps;
         self.flight_dumps += 1;
         obs.count(crate::names::LINEAGE_FLIGHT_DUMPS, 1.0);
-        let reason = match oracle {
-            Oracle::Watchdog => {
-                format!("watchdog: {}", obs.watchdogs().last_detail().unwrap_or("?"))
-            }
-            Oracle::Ledger => format!("ledger: {}", obs.lineage().last_violation().unwrap_or("?")),
-        };
         let mut out = String::new();
         out.push_str(&format!(
             "# gryphon flight recorder post-mortem {seq}\n\
@@ -946,7 +930,7 @@ impl NodeCtx for SimCtx<'_> {
         let (trip, nodes) = (&mut sim.trip, &sim.nodes);
         sim.obs
             .delivered(sim.now, self.me, pubend, ts, path, subs, |obs, rec| {
-                trip.tripped(obs, nodes, &rec, Oracle::Ledger)
+                trip.tripped(obs, nodes, &rec)
             });
     }
 

@@ -1,5 +1,5 @@
-//! Structured trace events, the bounded trace ring buffer, and the
-//! runtime invariant watchdogs that consume the trace stream.
+//! Structured trace events, which the bounded trace ring retains and the
+//! correctness oracle consumes.
 //!
 //! ## Why traces and not just counters
 //!
@@ -8,38 +8,29 @@
 //! catchup stream to the consolidated stream, how large PFS backpointer
 //! reads are. Counters aggregate those facts away; the trace stream keeps
 //! the individual transitions (bounded by a ring buffer) so tests and the
-//! `xp --trace` flag can inspect them, and so the watchdogs can check the
-//! paper's safety invariants *continuously during simulation* instead of
-//! only at end-of-run.
+//! `xp --trace` flag can inspect them, and so the correctness oracle can
+//! check the paper's safety invariants *continuously during simulation*
+//! instead of only at end-of-run.
 //!
 //! ## Cost model
 //!
 //! Tracing is compiled out when the `trace` feature of `gryphon-sim` is
 //! disabled: the [`traced!`](crate::traced) macro's expansion becomes
 //! dead code (events are never constructed). With the feature enabled, a
-//! push is an enum move into a bounded ring (`ring::Ring`) plus an
-//! O(1) watchdog lookup.
+//! push is an enum move into a bounded ring (`ring::Ring`) plus the
+//! oracle's O(1) frontier lookup.
 //!
-//! ## Watchdogs
+//! ## The oracle
 //!
-//! Three invariants from the paper are checked online:
-//!
-//! * **gap-free constream** (§4.1): successive constream advances for one
-//!   `(node, pubend)` must be contiguous — each advance starts exactly
-//!   where the previous one ended;
-//! * **monotone doubt horizon** (§3): the doubt horizon never regresses;
-//! * **only-once logging** (§2): the PHB logs each timestamp at most once,
-//!   in ascending order.
-//!
-//! The first two reset when a node restarts (recovery legitimately
-//! re-derives delivery state from the persistent `latestDelivered`); the
-//! logging invariant deliberately survives restarts, because
-//! `restart_at` must re-timestamp above everything previously logged.
-//! Violations bump `watchdog.*` counters and, when
-//! [`Watchdogs::panic_on_violation`] is set (the default under
-//! `cfg(debug_assertions)`), panic with a description.
+//! One checker judges every record: [`Lineage`](crate::Lineage) holds
+//! the exactly-once delivery ledger and the three protocol-invariant
+//! watchdogs (gap-free constream §4.1, monotone doubt horizon §3,
+//! only-once logging §2; see its module docs). It counts `watchdog.*`
+//! and `lineage.ledger.*` violations and never panics; the simulator
+//! dumps a post-mortem and then panics if armed
+//! ([`Sim::set_oracle_panic`](crate::Sim::set_oracle_panic)), the
+//! threaded runtime only counts.
 
-use crate::Metrics;
 use gryphon_types::{NodeId, PubendId, SubscriberId, Timestamp};
 
 /// Whether instrumentation is compiled in: the `trace` feature of
@@ -292,341 +283,3 @@ impl TraceRecord {
 
 /// Default capacity of the simulator's trace ring (records).
 pub const DEFAULT_TRACE_CAPACITY: usize = 16_384;
-
-/// Online invariant checkers fed from the trace stream.
-///
-/// See the [module docs](self) for the three invariants. State is keyed
-/// per `(node, pubend)` so multi-broker topologies are checked
-/// independently per broker.
-#[derive(Debug)]
-pub struct Watchdogs {
-    /// Last constream `new_to` per (node, pubend).
-    constream: std::collections::HashMap<(NodeId, PubendId), Timestamp>,
-    /// Last doubt horizon per (node, pubend).
-    doubt: std::collections::HashMap<(NodeId, PubendId), Timestamp>,
-    /// Highest logged tick per (node, pubend); never reset.
-    logged: std::collections::HashMap<(NodeId, PubendId), Timestamp>,
-    /// Panic on violation (defaults to `cfg!(debug_assertions)`);
-    /// corruption tests disable this to count violations instead.
-    pub panic_on_violation: bool,
-    /// Defer an armed panic to [`Watchdogs::take_deferred_panic`]
-    /// instead of unwinding inside [`Watchdogs::observe`]. The simulator
-    /// sets this so its flight recorder can dump a post-mortem *before*
-    /// the panic fires; the threaded runtime leaves it off (panic at the
-    /// point of detection).
-    pub defer_panic: bool,
-    violations: u64,
-    constream_gaps: u64,
-    doubt_regressions: u64,
-    double_logs: u64,
-    deferred_panic: Option<String>,
-    last_detail: Option<String>,
-}
-
-pub use crate::metrics::names::{
-    WATCHDOG_CONSTREAM_GAP, WATCHDOG_DOUBT_REGRESSION, WATCHDOG_DUPLICATE_LOG,
-};
-
-impl Default for Watchdogs {
-    fn default() -> Self {
-        Watchdogs {
-            constream: std::collections::HashMap::new(),
-            doubt: std::collections::HashMap::new(),
-            logged: std::collections::HashMap::new(),
-            panic_on_violation: cfg!(debug_assertions),
-            defer_panic: false,
-            violations: 0,
-            constream_gaps: 0,
-            doubt_regressions: 0,
-            double_logs: 0,
-            deferred_panic: None,
-            last_detail: None,
-        }
-    }
-}
-
-impl Watchdogs {
-    /// Total violations observed across all three invariants (the
-    /// backward-compatible aggregate; per-kind counts below).
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Gap-free-constream violations.
-    pub fn constream_gaps(&self) -> u64 {
-        self.constream_gaps
-    }
-
-    /// Monotone-doubt-horizon violations.
-    pub fn doubt_regressions(&self) -> u64 {
-        self.doubt_regressions
-    }
-
-    /// Only-once-logging violations.
-    pub fn double_logs(&self) -> u64 {
-        self.double_logs
-    }
-
-    /// Human-readable description of the most recent violation.
-    pub fn last_detail(&self) -> Option<&str> {
-        self.last_detail.as_deref()
-    }
-
-    /// Takes the pending armed-panic message, if [`Watchdogs::defer_panic`]
-    /// held one back during [`Watchdogs::observe`]. The caller is
-    /// expected to panic with it after its own post-mortem handling.
-    pub fn take_deferred_panic(&mut self) -> Option<String> {
-        self.deferred_panic.take()
-    }
-
-    fn violate(&mut self, metrics: &mut Metrics, counter: &str, detail: String) {
-        self.violations += 1;
-        match counter {
-            WATCHDOG_CONSTREAM_GAP => self.constream_gaps += 1,
-            WATCHDOG_DOUBT_REGRESSION => self.doubt_regressions += 1,
-            WATCHDOG_DUPLICATE_LOG => self.double_logs += 1,
-            _ => {}
-        }
-        metrics.count(counter, 1.0);
-        if self.panic_on_violation {
-            if self.defer_panic {
-                self.deferred_panic.get_or_insert_with(|| detail.clone());
-            } else {
-                panic!("invariant watchdog: {detail}");
-            }
-        }
-        self.last_detail = Some(detail);
-    }
-
-    /// Feeds one record through the checkers.
-    pub fn observe(&mut self, rec: &TraceRecord, metrics: &mut Metrics) {
-        match rec.event {
-            TraceEvent::ConstreamGapCheck {
-                pubend,
-                prev,
-                new_to,
-            } => {
-                let key = (rec.node, pubend);
-                if let Some(&last) = self.constream.get(&key) {
-                    if prev != last {
-                        self.violate(
-                            metrics,
-                            WATCHDOG_CONSTREAM_GAP,
-                            format!(
-                                "constream gap at {} {pubend}: advance starts at {prev} \
-                                 but previous advance ended at {last}",
-                                rec.node
-                            ),
-                        );
-                    }
-                }
-                self.constream.insert(key, new_to);
-            }
-            TraceEvent::DoubtAdvanced { pubend, horizon } => {
-                let key = (rec.node, pubend);
-                if let Some(&last) = self.doubt.get(&key) {
-                    if horizon < last {
-                        self.violate(
-                            metrics,
-                            WATCHDOG_DOUBT_REGRESSION,
-                            format!(
-                                "doubt horizon regressed at {} {pubend}: {horizon} < {last}",
-                                rec.node
-                            ),
-                        );
-                    }
-                }
-                self.doubt.insert(key, horizon);
-            }
-            TraceEvent::EventLogged { pubend, ts, .. } => {
-                let key = (rec.node, pubend);
-                if let Some(&last) = self.logged.get(&key) {
-                    if ts <= last {
-                        self.violate(
-                            metrics,
-                            WATCHDOG_DUPLICATE_LOG,
-                            format!(
-                                "only-once logging violated at {} {pubend}: logged {ts} \
-                                 after {last}",
-                                rec.node
-                            ),
-                        );
-                    }
-                }
-                let e = self.logged.entry(key).or_insert(Timestamp::ZERO);
-                *e = (*e).max(ts);
-            }
-            TraceEvent::NodeRestarted => {
-                // Post-restart recovery rebuilds delivery state from the
-                // persisted latestDelivered, which may sit below the
-                // pre-crash in-memory frontier: both delivery-side
-                // checkers restart from scratch. The logging checker
-                // intentionally does NOT reset (see module docs).
-                self.constream.retain(|&(n, _), _| n != rec.node);
-                self.doubt.retain(|&(n, _), _| n != rec.node);
-            }
-            _ => {}
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const N: NodeId = NodeId(3);
-    const P: PubendId = PubendId(0);
-
-    fn rec(event: TraceEvent) -> TraceRecord {
-        TraceRecord {
-            t_us: 1,
-            node: N,
-            event,
-        }
-    }
-
-    fn quiet_watchdogs() -> Watchdogs {
-        Watchdogs {
-            panic_on_violation: false,
-            ..Watchdogs::default()
-        }
-    }
-
-    #[test]
-    fn constream_watchdog_accepts_contiguous_flags_gap() {
-        let mut w = quiet_watchdogs();
-        let mut m = Metrics::default();
-        let adv = |prev: u64, new_to: u64| {
-            rec(TraceEvent::ConstreamGapCheck {
-                pubend: P,
-                prev: Timestamp(prev),
-                new_to: Timestamp(new_to),
-            })
-        };
-        w.observe(&adv(0, 10), &mut m);
-        w.observe(&adv(10, 25), &mut m);
-        assert_eq!(w.violations(), 0);
-        w.observe(&adv(30, 40), &mut m); // hole: 25 → 30
-        assert_eq!(w.violations(), 1);
-        assert_eq!(w.constream_gaps(), 1);
-        assert_eq!(w.doubt_regressions(), 0);
-        assert_eq!(m.counter(WATCHDOG_CONSTREAM_GAP), 1.0);
-        assert!(w.last_detail().unwrap().contains("constream gap"));
-    }
-
-    #[test]
-    fn constream_watchdog_resets_on_restart() {
-        let mut w = quiet_watchdogs();
-        let mut m = Metrics::default();
-        w.observe(
-            &rec(TraceEvent::ConstreamGapCheck {
-                pubend: P,
-                prev: Timestamp(0),
-                new_to: Timestamp(50),
-            }),
-            &mut m,
-        );
-        w.observe(&rec(TraceEvent::NodeRestarted), &mut m);
-        // Post-restart the constream restarts from the persisted
-        // latestDelivered (here 20): not a gap.
-        w.observe(
-            &rec(TraceEvent::ConstreamGapCheck {
-                pubend: P,
-                prev: Timestamp(20),
-                new_to: Timestamp(60),
-            }),
-            &mut m,
-        );
-        assert_eq!(w.violations(), 0);
-    }
-
-    #[test]
-    fn doubt_watchdog_flags_regression() {
-        let mut w = quiet_watchdogs();
-        let mut m = Metrics::default();
-        let at = |h: u64| {
-            rec(TraceEvent::DoubtAdvanced {
-                pubend: P,
-                horizon: Timestamp(h),
-            })
-        };
-        w.observe(&at(5), &mut m);
-        w.observe(&at(5), &mut m); // equal is fine
-        w.observe(&at(9), &mut m);
-        assert_eq!(w.violations(), 0);
-        w.observe(&at(4), &mut m);
-        assert_eq!(w.violations(), 1);
-        assert_eq!(w.doubt_regressions(), 1);
-        assert_eq!(m.counter(WATCHDOG_DOUBT_REGRESSION), 1.0);
-    }
-
-    #[test]
-    fn log_watchdog_flags_duplicate_and_survives_restart() {
-        let mut w = quiet_watchdogs();
-        let mut m = Metrics::default();
-        let log = |ts: u64| {
-            rec(TraceEvent::EventLogged {
-                pubend: P,
-                ts: Timestamp(ts),
-                bytes: 418,
-            })
-        };
-        w.observe(&log(3), &mut m);
-        w.observe(&log(7), &mut m);
-        assert_eq!(w.violations(), 0);
-        w.observe(&rec(TraceEvent::NodeRestarted), &mut m);
-        w.observe(&log(7), &mut m); // re-logging after restart is the §2 bug
-        assert_eq!(w.violations(), 1);
-        assert_eq!(w.double_logs(), 1);
-        assert_eq!(m.counter(WATCHDOG_DUPLICATE_LOG), 1.0);
-    }
-
-    /// With `defer_panic`, an armed violation is held back for the
-    /// caller (the simulator's flight recorder) instead of unwinding
-    /// inside `observe`.
-    #[test]
-    fn armed_watchdog_defers_panic_when_asked() {
-        let mut w = Watchdogs {
-            panic_on_violation: true,
-            defer_panic: true,
-            ..Watchdogs::default()
-        };
-        let mut m = Metrics::default();
-        let at = |h: u64| {
-            rec(TraceEvent::DoubtAdvanced {
-                pubend: P,
-                horizon: Timestamp(h),
-            })
-        };
-        w.observe(&at(9), &mut m);
-        w.observe(&at(2), &mut m); // would panic undeferred
-        assert_eq!(w.violations(), 1);
-        let msg = w.take_deferred_panic().unwrap();
-        assert!(msg.contains("doubt horizon regressed"));
-        assert!(w.take_deferred_panic().is_none(), "taken exactly once");
-    }
-
-    #[test]
-    #[should_panic(expected = "invariant watchdog")]
-    fn watchdog_panics_when_armed() {
-        let mut w = Watchdogs {
-            panic_on_violation: true,
-            ..Watchdogs::default()
-        };
-        let mut m = Metrics::default();
-        w.observe(
-            &rec(TraceEvent::DoubtAdvanced {
-                pubend: P,
-                horizon: Timestamp(9),
-            }),
-            &mut m,
-        );
-        w.observe(
-            &rec(TraceEvent::DoubtAdvanced {
-                pubend: P,
-                horizon: Timestamp(2),
-            }),
-            &mut m,
-        );
-    }
-}

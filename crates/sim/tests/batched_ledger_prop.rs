@@ -85,14 +85,13 @@ fn fresh() -> Observers {
     let mut obs = Observers::new(48);
     obs.lineage_mut().set_full_audit(true);
     // Random horizons regress; the watchdog counts that alike on both
-    // sides, and must not unwind.
-    obs.watchdogs_mut().panic_on_violation = false;
+    // sides.
     obs
 }
 
 fn trace(obs: &mut Observers, trips: &mut Trips, rec: TraceRecord) {
-    if let Some((_, rec)) = obs.trace(rec) {
-        let detail = obs.lineage().last_violation().map(str::to_owned);
+    if let Some(rec) = obs.trace(rec) {
+        let detail = obs.lineage().last_violation().map(|(_, d)| d.to_owned());
         trips.push((rec, detail));
     }
 }
@@ -114,7 +113,7 @@ fn batched(ops: &[Op]) -> (Observers, Trips) {
             }
             Op::Batch(node, pubend, ts, path, subs) => {
                 obs.delivered(t_us, *node, *pubend, *ts, *path, subs, |obs, rec| {
-                    let detail = obs.lineage().last_violation().map(str::to_owned);
+                    let detail = obs.lineage().last_violation().map(|(_, d)| d.to_owned());
                     trips.push((rec, detail));
                 });
             }
@@ -178,7 +177,7 @@ fn state(obs: &Observers) -> State {
             .map(|n| (n.to_owned(), m.histogram(n).cloned().unwrap_or_default()))
             .collect(),
         violations: obs.lineage().violations(),
-        last_violation: obs.lineage().last_violation().map(str::to_owned),
+        last_violation: obs.lineage().last_violation().map(|(_, d)| d.to_owned()),
         audit: obs.lineage().audit(),
         spans: obs
             .lineage()
@@ -222,7 +221,10 @@ fn duplicate_mid_batch_is_reported_at_its_subscriber() {
     let delivered = |obs: &mut Observers, trips: &mut Trips, ts: u64, subs: &[SubscriberId]| {
         let ts = Timestamp(ts);
         obs.delivered(10, shb, p, ts, DeliveryPath::Constream, subs, |obs, rec| {
-            trips.push((rec, obs.lineage().last_violation().map(str::to_owned)))
+            trips.push((
+                rec,
+                obs.lineage().last_violation().map(|(_, d)| d.to_owned()),
+            ))
         });
     };
     delivered(&mut obs, &mut trips, 9, &subs[1..2]);

@@ -23,7 +23,7 @@ echo "== tests (every crate's own suite) =="
 # The harness's unit tests run every experiment in quick mode, which
 # takes over twenty minutes unoptimised, so those alone run in the
 # release profile; its tests/ keep the debug profile, which arms the
-# ledger and watchdog panics.
+# oracle panic.
 cargo test -q --workspace --exclude gryphon-harness --no-fail-fast
 cargo test -q -p gryphon-harness --release --lib
 cargo test -q -p gryphon-harness --test '*' --no-fail-fast
@@ -42,6 +42,14 @@ fi
 echo "== a delivered event is observed once: no per-subscriber Delivered record in the SHB =="
 if grep -n 'TraceEvent::Delivered' crates/core/src/broker/shb.rs; then
   echo "the SHB reports deliveries through NodeCtx::delivered, once per event; a TraceEvent::Delivered there puts the observers back on the per-delivery path"; exit 1
+fi
+
+echo "== one oracle: it counts and remembers, the runtime decides what a trip does =="
+if scripts/code_lines.sh sim | grep -E '^crates/sim/src/(lineage|observers)\.rs:[0-9]+:.*panic!'; then
+  echo "the oracle counts and remembers; the runtime decides what a trip does"; exit 1
+fi
+if grep -rn 'struct Watchdogs' crates/sim/src; then
+  echo "the protocol watchdogs are checks of the one oracle in lineage.rs, not a second checker"; exit 1
 fi
 
 echo "== unsafe is allow-listed: two sim downcasts, one CRC call =="
@@ -100,9 +108,10 @@ cargo test -q -p gryphon-storage --lib prop_tests
 cargo test -q -p gryphon-storage --test file_kill
 cargo test -q -p gryphon --test recovery_answer
 
-echo "== full stack with delivery ledger armed =="
-# Debug profile arms the exactly-once ledger (panic on violation), so a
-# duplicate or phantom delivery anywhere in these runs aborts the test.
+echo "== full stack with the oracle armed =="
+# The debug profile arms the simulator's oracle panic, so a duplicate or
+# phantom delivery, or a protocol-invariant violation, anywhere in these
+# runs aborts the test.
 cargo test -q --test full_stack --test lineage
 
 echo "== run bundles and doctor =="

@@ -145,8 +145,7 @@ fn injected_duplicate_trips_ledger_once_and_dumps_flight_recorder() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut sim = Sim::new(1);
-    sim.set_watchdog_panic(false);
-    sim.set_ledger_panic(false);
+    sim.set_oracle_panic(false);
     sim.set_flight_dir(Some(dir.clone()));
 
     let ts = Timestamp(5_000);
@@ -221,8 +220,7 @@ fn default_flight_dir_arms_built_systems() {
     };
     let mut sys = System::build(&spec, &Workload::default());
 
-    sys.sim.set_watchdog_panic(false);
-    sys.sim.set_ledger_panic(false);
+    sys.sim.set_oracle_panic(false);
     let ts = Timestamp(5_000);
     for _ in 0..2 {
         sys.sim.inject_trace(
@@ -248,8 +246,7 @@ fn default_flight_dir_arms_built_systems() {
 #[test]
 fn delivery_below_resume_checkpoint_is_a_reconnect_duplicate() {
     let mut sim = Sim::new(1);
-    sim.set_watchdog_panic(false);
-    sim.set_ledger_panic(false);
+    sim.set_oracle_panic(false);
     seed_one_delivery(&mut sim, Timestamp(5_000));
     // The subscriber reconnects with a checkpoint at 5 000 …
     sim.inject_trace(
@@ -286,8 +283,7 @@ fn delivery_below_resume_checkpoint_is_a_reconnect_duplicate() {
 #[test]
 fn gap_beyond_release_boundary_is_flagged() {
     let mut sim = Sim::new(1);
-    sim.set_watchdog_panic(false);
-    sim.set_ledger_panic(false);
+    sim.set_oracle_panic(false);
     sim.inject_trace(
         N,
         TraceEvent::LConverted {
@@ -324,7 +320,7 @@ fn gap_beyond_release_boundary_is_flagged() {
 #[should_panic(expected = "delivery ledger")]
 fn armed_ledger_panics_on_duplicate() {
     let mut sim = Sim::new(1);
-    sim.set_ledger_panic(true);
+    sim.set_oracle_panic(true);
     let ts = Timestamp(5_000);
     seed_one_delivery(&mut sim, ts);
     sim.inject_trace(

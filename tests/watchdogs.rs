@@ -39,7 +39,7 @@ fn shb_crash_mid_catchup_keeps_watchdogs_quiet() {
     };
     let mut sys = System::build(&spec, &workload);
     sys.sim.set_trace_capacity(1_000_000);
-    sys.sim.set_watchdog_panic(true);
+    sys.sim.set_oracle_panic(true);
     sys.sim
         .schedule_crash(sys.shbs[0].id(), 9_000_000, 2_000_000);
     sys.sim.run_until(40_000_000);
@@ -106,10 +106,10 @@ fn shb_crash_mid_catchup_keeps_watchdogs_quiet() {
 const N: NodeId = NodeId(42);
 const P: PubendId = PubendId(7);
 
-/// A sim with disarmed watchdog panics, for counting violations.
+/// A sim with the oracle panic disarmed, for counting violations.
 fn quiet_sim() -> Sim {
     let mut sim = Sim::new(1);
-    sim.set_watchdog_panic(false);
+    sim.set_oracle_panic(false);
     sim
 }
 
@@ -259,7 +259,7 @@ fn per_kind_counters_partition_the_total() {
 #[should_panic(expected = "invariant watchdog")]
 fn armed_watchdog_panics_on_violation() {
     let mut sim = Sim::new(1);
-    sim.set_watchdog_panic(true);
+    sim.set_oracle_panic(true);
     sim.inject_trace(
         N,
         TraceEvent::DoubtAdvanced {
@@ -274,4 +274,43 @@ fn armed_watchdog_panics_on_violation() {
             horizon: Timestamp(10),
         },
     );
+}
+
+/// An armed watchdog trip dumps the flight recorder *before* it panics:
+/// the post-mortem of the run that died is on disk, and names the
+/// violation the panic names.
+#[test]
+fn armed_watchdog_dumps_before_it_panics() {
+    let dir = std::env::temp_dir().join(format!("gryphon-watchdog-dump-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut sim = Sim::new(1);
+    sim.set_oracle_panic(true);
+    sim.set_flight_dir(Some(dir.clone()));
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for h in [100u64, 10] {
+            sim.inject_trace(
+                N,
+                TraceEvent::DoubtAdvanced {
+                    pubend: P,
+                    horizon: Timestamp(h),
+                },
+            );
+        }
+    }));
+    let payload = panicked.expect_err("an armed watchdog trip panics");
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert!(
+        msg.starts_with("invariant watchdog: doubt horizon regressed"),
+        "panic message: {msg}"
+    );
+    let dump = std::fs::read_to_string(dir.join("postmortem-0.txt"))
+        .expect("the post-mortem was written before the panic");
+    assert!(
+        dump.contains("\nreason: watchdog: doubt horizon regressed"),
+        "post-mortem: {dump}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
