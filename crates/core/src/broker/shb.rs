@@ -86,9 +86,6 @@ pub struct Conn {
     pub outbox: VecDeque<DeliveryMsg>,
     /// A delivery is awaiting its acknowledgment commit (gated only).
     pub in_flight: bool,
-    /// When this connection was established. Nothing reads it; it stays
-    /// because `size_of::<Conn>()` feeds the SHB memory gauges.
-    pub connected_at_us: u64,
 }
 
 impl Conn {
@@ -853,7 +850,6 @@ impl Shb {
             last_sent: PubendMap::new(),
             outbox: VecDeque::new(),
             in_flight: false,
-            connected_at_us: ctx.now_us(),
         };
         for (&p, pcon) in self.con.iter() {
             let stored_jct = self

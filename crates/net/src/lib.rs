@@ -654,9 +654,11 @@ impl RunningNet {
         // Lineage shards merge in worker-index order — the same
         // deterministic discipline as the metrics merge, so repeated
         // runs of a deterministic workload produce identical ledgers.
+        // The workers are gone: each ledger moves out of its shard, so
+        // the spans are never held twice.
         let mut lineage = Lineage::default();
         for shard in &self.shared.shards {
-            lineage.merge(shard.lock().lineage());
+            lineage.merge(std::mem::take(shard.lock().lineage_mut()));
         }
         NetResult {
             workers,

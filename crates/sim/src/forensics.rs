@@ -253,10 +253,10 @@ impl Exemplar {
             value: s.value,
             pubend: s.key.pubend.0,
             ts: s.key.ts.0,
-            birth_us: span.and_then(|sp| sp.birth_us),
-            log_us: span.and_then(|sp| sp.log_us),
-            forward_us: span.and_then(|sp| sp.forward_us),
-            ingest_us: span.and_then(|sp| sp.ingest_us.values().min().copied()),
+            birth_us: span.and_then(Span::birth_us),
+            log_us: span.and_then(Span::log_us),
+            forward_us: span.and_then(Span::forward_us),
+            ingest_us: span.and_then(Span::earliest_ingest_us),
         }
     }
 
@@ -337,6 +337,7 @@ pub struct BusyInterval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{TraceEvent, TraceRecord};
     use gryphon_types::{PubendId, Timestamp};
 
     fn key(ts: u64) -> LineageKey {
@@ -428,15 +429,27 @@ mod tests {
 
     #[test]
     fn exemplar_resolves_span_anchors_and_renders_stages() {
-        let mut ingest_us = std::collections::BTreeMap::new();
-        ingest_us.insert(gryphon_types::NodeId(3), 1_900);
-        ingest_us.insert(gryphon_types::NodeId(4), 2_400);
-        let span = Span {
-            birth_us: Some(1_000),
-            log_us: Some(1_300),
-            ingest_us,
-            ..Span::default()
-        };
+        let (p, ts) = (PubendId(0), Timestamp(41));
+        let mut lineage = crate::Lineage::default();
+        let mut m = Metrics::default();
+        for (t_us, node, event) in [
+            (1_000, 1, TraceEvent::PubendTimestamped { pubend: p, ts }),
+            (
+                1_300,
+                1,
+                TraceEvent::EventLogged {
+                    pubend: p,
+                    ts,
+                    bytes: 8,
+                },
+            ),
+            (2_400, 4, TraceEvent::ShbIngested { pubend: p, ts }),
+            (1_900, 3, TraceEvent::ShbIngested { pubend: p, ts }),
+        ] {
+            let node = gryphon_types::NodeId(node);
+            lineage.observe(&TraceRecord { t_us, node, event }, &mut m);
+        }
+        let span = lineage.span(key(41)).cloned().unwrap();
         let s = TailSample {
             t_us: 3_000,
             series: "lineage.stage.deliver_us",

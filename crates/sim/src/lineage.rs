@@ -29,6 +29,27 @@
 //! or a recovery path skipped a hop) counts as `lineage.stage_orphans`
 //! instead of polluting a histogram.
 //!
+//! ## Span store
+//!
+//! Spans are the observers' one per-event cost, so they are stored flat:
+//! per pubend, one run of `(tick, Span)` ascending by tick. PHB births
+//! and SHB constream ingests arrive in tick order, so a new span is
+//! appended and a lookup hits the back; an out-of-order first anchor (a
+//! nack response, a catchup of an evicted tick) is binary-searched and
+//! inserted in place. A [`Span`] owns no collection: three anchors, one
+//! inline SHB ingest and the delivery count are 64 B, 72 B with its tick
+//! in the run — at most 128 B of live heap with the run's growth slack,
+//! and one allocation per doubling of a run rather than one per span.
+//! Only the ingests of further SHBs (an IB tree under one ledger) spill
+//! to the heap.
+//!
+//! A ledger holds at most [`DEFAULT_MAX_SPANS`]. A new span beyond that
+//! evicts the oldest: the lowest tick among the runs' fronts, ties to
+//! the lowest pubend, so eviction is deterministic and no pubend loses
+//! its new spans while another keeps its old ones
+//! (`lineage.spans_evicted`). The threaded runtime merges its workers'
+//! ledgers once, at stop, by value ([`Lineage::merge`]).
+//!
 //! ## Delivery ledger
 //!
 //! The ledger audits exactly-once per `(subscriber, pubend, timestamp)`
@@ -75,51 +96,132 @@ use crate::metrics::names;
 use crate::trace::{DeliveryPath, TraceEvent, TraceRecord};
 use crate::Metrics;
 use gryphon_types::{LineageKey, NodeId, PubendId, SubscriberId, Timestamp};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-/// Default bound on live spans (oldest evicted beyond this).
+/// Default bound on live spans per [`Lineage`] (eviction rule in the
+/// [module docs](self)).
 pub const DEFAULT_MAX_SPANS: usize = 262_144;
 
-/// Virtual-µs anchors of one event's life, keyed by [`LineageKey`].
-#[derive(Debug, Clone, Default, PartialEq)]
+/// An anchor slot's "not yet seen": virtual time never reaches it.
+const UNSET: u64 = u64::MAX;
+
+fn anchor(t: u64) -> Option<u64> {
+    (t != UNSET).then_some(t)
+}
+
+/// Virtual-µs anchors of one event's life, keyed by [`LineageKey`]. Owns
+/// no collection: the anchors are inline words, and so is one SHB ingest;
+/// only the ingests of further SHBs (an IB tree observed by one
+/// [`Lineage`]) spill to a boxed slice. The ingests are kept sorted by
+/// node — the inline one is the lowest — so equal spans compare equal
+/// whatever order their ingests arrived in.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// Pubend timestamping time (last occurrence wins — a PHB crash
-    /// re-timestamps unlogged publishes).
-    pub birth_us: Option<u64>,
-    /// Durable PHB log time.
-    pub log_us: Option<u64>,
-    /// First downstream forward by an IB.
-    pub forward_us: Option<u64>,
-    /// First ingest time per SHB node.
-    pub ingest_us: BTreeMap<NodeId, u64>,
+    birth_us: u64,
+    log_us: u64,
+    forward_us: u64,
+    ingest_us: u64,
+    ingest_node: NodeId,
+    more_ingests: Option<Box<[(NodeId, u64)]>>,
     /// Deliveries of this event across all subscribers.
     pub deliveries: u64,
 }
 
+impl Default for Span {
+    fn default() -> Self {
+        Span {
+            birth_us: UNSET,
+            log_us: UNSET,
+            forward_us: UNSET,
+            ingest_us: UNSET,
+            ingest_node: NodeId(0),
+            more_ingests: None,
+            deliveries: 0,
+        }
+    }
+}
+
 impl Span {
+    /// Pubend timestamping time (last occurrence wins — a PHB crash
+    /// re-timestamps unlogged publishes).
+    pub fn birth_us(&self) -> Option<u64> {
+        anchor(self.birth_us)
+    }
+
+    /// Durable PHB log time.
+    pub fn log_us(&self) -> Option<u64> {
+        anchor(self.log_us)
+    }
+
+    /// First downstream forward by an IB.
+    pub fn forward_us(&self) -> Option<u64> {
+        anchor(self.forward_us)
+    }
+
+    /// First ingest time per SHB node, in node order.
+    pub fn ingests(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        let inline = anchor(self.ingest_us).map(|t| (self.ingest_node, t));
+        inline
+            .into_iter()
+            .chain(self.more_ingests.iter().flat_map(|m| m.iter().copied()))
+    }
+
+    /// First ingest time at SHB `node`.
+    pub fn ingest_us(&self, node: NodeId) -> Option<u64> {
+        self.ingests().find(|&(n, _)| n == node).map(|(_, t)| t)
+    }
+
+    /// Earliest ingest time across SHB nodes.
+    pub fn earliest_ingest_us(&self) -> Option<u64> {
+        self.ingests().map(|(_, t)| t).min()
+    }
+
+    /// Records the ingest at `node` unless one is already known there
+    /// (first wins); whether it was new.
+    fn insert_ingest(&mut self, node: NodeId, t: u64) -> bool {
+        if self.ingest_us == UNSET {
+            (self.ingest_node, self.ingest_us) = (node, t);
+            return true;
+        }
+        if self.ingest_us(node).is_some() {
+            return false;
+        }
+        let mut entry = (node, t);
+        if node < self.ingest_node {
+            entry = (self.ingest_node, self.ingest_us);
+            (self.ingest_node, self.ingest_us) = (node, t);
+        }
+        let mut more = self.more_ingests.take().map(Vec::from).unwrap_or_default();
+        let at = more.partition_point(|&(n, _)| n < entry.0);
+        more.insert(at, entry);
+        self.more_ingests = Some(more.into_boxed_slice());
+        true
+    }
+
     /// Whether the span has the full broker-side chain for a delivered
     /// event: birth, durable log, and at least one SHB ingest. (The IB
     /// forward anchor is absent on combined brokers, where the PHB role
     /// hands events to the co-located SHB directly.)
     pub fn chain_complete(&self) -> bool {
-        self.birth_us.is_some() && self.log_us.is_some() && !self.ingest_us.is_empty()
+        self.birth_us != UNSET && self.log_us != UNSET && self.ingest_us != UNSET
     }
 
-    pub(crate) fn merge(&mut self, other: &Span) {
+    pub(crate) fn merge(&mut self, other: Span) {
         // Anchors: first-wins across a merge too, except birth where a
         // later (re-timestamping) anchor should already agree because
         // spans are sharded by pubend; keep self's when present.
-        if self.birth_us.is_none() {
-            self.birth_us = other.birth_us;
+        for (mine, theirs) in [
+            (&mut self.birth_us, other.birth_us),
+            (&mut self.log_us, other.log_us),
+            (&mut self.forward_us, other.forward_us),
+        ] {
+            if *mine == UNSET {
+                *mine = theirs;
+            }
         }
-        if self.log_us.is_none() {
-            self.log_us = other.log_us;
-        }
-        if self.forward_us.is_none() {
-            self.forward_us = other.forward_us;
-        }
-        for (&n, &t) in &other.ingest_us {
-            self.ingest_us.entry(n).or_insert(t);
+        for (n, t) in other.ingests() {
+            self.insert_ingest(n, t);
         }
         self.deliveries += other.deliveries;
     }
@@ -130,11 +232,10 @@ impl Span {
             Some(t) => format!("{t} µs"),
             None => "—".to_owned(),
         };
-        let ingests = if self.ingest_us.is_empty() {
+        let ingests = if self.ingest_us == UNSET {
             "—".to_owned()
         } else {
-            self.ingest_us
-                .iter()
+            self.ingests()
                 .map(|(n, t)| format!("{n}:{t} µs"))
                 .collect::<Vec<_>>()
                 .join(", ")
@@ -142,11 +243,124 @@ impl Span {
         format!(
             "span {key}\n  timestamped: {}\n  logged:      {}\n  forwarded:   {}\n  \
              ingested:    {ingests}\n  deliveries:  {}",
-            fmt(self.birth_us),
-            fmt(self.log_us),
-            fmt(self.forward_us),
+            fmt(self.birth_us()),
+            fmt(self.log_us()),
+            fmt(self.forward_us()),
             self.deliveries,
         )
+    }
+}
+
+/// One pubend's spans, ascending by tick.
+type SpanRun = VecDeque<(Timestamp, Span)>;
+
+/// The live spans: per pubend, a run ascending by tick. PHB births and
+/// SHB constream ingests arrive in tick order, so a new span is almost
+/// always appended, and a lookup almost always hits the back; anything
+/// else binary-searches and inserts in place.
+#[derive(Debug, Default)]
+struct SpanStore {
+    runs: BTreeMap<PubendId, SpanRun>,
+    len: usize,
+}
+
+/// Where `ts` sits in `run`: `Ok` at its index, `Err` where it would go.
+fn locate(run: &SpanRun, ts: Timestamp) -> Result<usize, usize> {
+    match run.back() {
+        Some(&(last, _)) if last == ts => Ok(run.len() - 1),
+        Some(&(last, _)) if last < ts => Err(run.len()),
+        None => Err(0),
+        Some(_) => run.binary_search_by_key(&ts, |&(t, _)| t),
+    }
+}
+
+impl SpanStore {
+    fn get(&self, key: LineageKey) -> Option<&Span> {
+        let run = self.runs.get(&key.pubend)?;
+        locate(run, key.ts).ok().map(|i| &run[i].1)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (LineageKey, &Span)> {
+        self.runs.iter().flat_map(|(&p, run)| {
+            run.iter()
+                .map(move |(ts, span)| (LineageKey::new(p, *ts), span))
+        })
+    }
+
+    /// The span of `key`, created if new. A new span beyond `max` live
+    /// ones first evicts the oldest: the lowest tick among the runs'
+    /// fronts, ties to the lowest pubend.
+    fn entry(&mut self, key: LineageKey, max: usize, metrics: &mut Metrics) -> &mut Span {
+        if self.len >= max && self.get(key).is_none() {
+            self.evict_oldest();
+            metrics.count(names::LINEAGE_SPANS_EVICTED, 1.0);
+        }
+        let run = self.runs.entry(key.pubend).or_default();
+        let i = match locate(run, key.ts) {
+            Ok(i) => i,
+            Err(i) => {
+                run.insert(i, (key.ts, Span::default()));
+                self.len += 1;
+                i
+            }
+        };
+        &mut run[i].1
+    }
+
+    fn evict_oldest(&mut self) {
+        let oldest = self
+            .runs
+            .values_mut()
+            .filter_map(|run| Some((run.front()?.0, run)))
+            .min_by_key(|&(ts, _)| ts);
+        if let Some((_, run)) = oldest {
+            run.pop_front();
+            self.len -= 1;
+        }
+    }
+
+    /// Folds `other` in by value: a pubend only `other` has moves over
+    /// whole; a shared one merges in place, in one pass from the back.
+    fn merge(&mut self, other: SpanStore) {
+        for (p, theirs) in other.runs {
+            match self.runs.get_mut(&p) {
+                Some(mine) if !mine.is_empty() => {
+                    let before = mine.len();
+                    merge_runs(mine, theirs);
+                    self.len += mine.len() - before;
+                }
+                _ => {
+                    self.len += theirs.len();
+                    self.runs.insert(p, theirs);
+                }
+            }
+        }
+    }
+}
+
+/// Merges `theirs` into `mine`, both ascending by tick, without a second
+/// buffer: `mine` grows by the ticks only `theirs` has, then the two are
+/// merged from the back into the gap. Shared ticks merge their spans,
+/// `mine`'s anchors first.
+fn merge_runs(mine: &mut SpanRun, mut theirs: SpanRun) {
+    let fresh = theirs.iter().filter(|e| locate(mine, e.0).is_err()).count();
+    let mut read = mine.len();
+    mine.resize_with(read + fresh, Default::default);
+    let mut write = mine.len();
+    while let Some((ts, span)) = theirs.pop_back() {
+        while read > 0 && mine[read - 1].0 > ts {
+            read -= 1;
+            write -= 1;
+            mine.swap(read, write);
+        }
+        write -= 1;
+        if read > 0 && mine[read - 1].0 == ts {
+            read -= 1;
+            mine[read].1.merge(span);
+            mine.swap(read, write);
+        } else {
+            mine[write] = (ts, span);
+        }
     }
 }
 
@@ -210,7 +424,7 @@ impl LedgerAudit {
 /// shared [`Metrics`]), violation counts and the exactly-once audit.
 #[derive(Debug)]
 pub struct Lineage {
-    spans: BTreeMap<LineageKey, Span>,
+    spans: SpanStore,
     max_spans: usize,
     sessions: BTreeMap<(SubscriberId, PubendId), Session>,
     /// Highest `LConverted` boundary per pubend.
@@ -234,7 +448,7 @@ pub struct Lineage {
 impl Default for Lineage {
     fn default() -> Self {
         Lineage {
-            spans: BTreeMap::new(),
+            spans: SpanStore::default(),
             max_spans: DEFAULT_MAX_SPANS,
             sessions: BTreeMap::new(),
             released: BTreeMap::new(),
@@ -291,11 +505,11 @@ impl Lineage {
 
     /// The span assembled for `key`, if still live.
     pub fn span(&self, key: LineageKey) -> Option<&Span> {
-        self.spans.get(&key)
+        self.spans.get(key)
     }
 
     /// All live spans, ordered by `(pubend, ts)`.
-    pub fn spans(&self) -> impl Iterator<Item = (&LineageKey, &Span)> {
+    pub fn spans(&self) -> impl Iterator<Item = (LineageKey, &Span)> {
         self.spans.iter()
     }
 
@@ -306,7 +520,7 @@ impl Lineage {
         self.spans
             .iter()
             .filter(|(_, s)| s.deliveries > 0 && !s.chain_complete())
-            .map(|(&k, _)| k)
+            .map(|(k, _)| k)
             .collect()
     }
 
@@ -348,11 +562,7 @@ impl Lineage {
     }
 
     fn span_entry(&mut self, key: LineageKey, metrics: &mut Metrics) -> &mut Span {
-        if !self.spans.contains_key(&key) && self.spans.len() >= self.max_spans {
-            self.spans.pop_first();
-            metrics.count(names::LINEAGE_SPANS_EVICTED, 1.0);
-        }
-        self.spans.entry(key).or_default()
+        self.spans.entry(key, self.max_spans, metrics)
     }
 
     /// Feeds one record through the assembler and the oracle.
@@ -363,7 +573,7 @@ impl Lineage {
             TraceEvent::PubendTimestamped { pubend, ts } => {
                 let span = self.span_entry(LineageKey::new(pubend, ts), metrics);
                 // Last wins: a PHB crash re-timestamps unlogged events.
-                span.birth_us = Some(t);
+                span.birth_us = t;
             }
             TraceEvent::EventLogged { pubend, ts, .. } => {
                 let f = self.frontier(node, pubend);
@@ -384,9 +594,9 @@ impl Lineage {
                 }
                 let key = LineageKey::new(pubend, ts);
                 let span = self.span_entry(key, metrics);
-                if span.log_us.is_none() {
-                    span.log_us = Some(t);
-                    match span.birth_us {
+                if span.log_us == UNSET {
+                    span.log_us = t;
+                    match span.birth_us() {
                         Some(b) => self.observe_stage(
                             names::LINEAGE_STAGE_LOG_US,
                             t.saturating_sub(b) as f64,
@@ -402,9 +612,9 @@ impl Lineage {
             TraceEvent::IbForwarded { pubend, ts } => {
                 let key = LineageKey::new(pubend, ts);
                 let span = self.span_entry(key, metrics);
-                if span.forward_us.is_none() {
-                    span.forward_us = Some(t);
-                    match span.log_us.or(span.birth_us) {
+                if span.forward_us == UNSET {
+                    span.forward_us = t;
+                    match span.log_us().or(span.birth_us()) {
                         Some(a) => self.observe_stage(
                             names::LINEAGE_STAGE_IB_FORWARD_US,
                             t.saturating_sub(a) as f64,
@@ -420,9 +630,8 @@ impl Lineage {
             TraceEvent::ShbIngested { pubend, ts } => {
                 let key = LineageKey::new(pubend, ts);
                 let span = self.span_entry(key, metrics);
-                if let std::collections::btree_map::Entry::Vacant(e) = span.ingest_us.entry(node) {
-                    e.insert(t);
-                    match span.forward_us.or(span.log_us).or(span.birth_us) {
+                if span.insert_ingest(node, t) {
+                    match span.forward_us().or(span.log_us()).or(span.birth_us()) {
                         Some(a) => self.observe_stage(
                             names::LINEAGE_STAGE_SHB_INGEST_US,
                             t.saturating_sub(a) as f64,
@@ -551,8 +760,8 @@ impl Lineage {
         let key = LineageKey::new(pubend, ts);
         let span = self.span_entry(key, metrics);
         span.deliveries += n;
-        let birth = span.birth_us;
-        let ingest = span.ingest_us.get(&node).copied();
+        let birth = span.birth_us();
+        let ingest = span.ingest_us(node);
         match birth {
             Some(b) => self.observe_stage(
                 names::LINEAGE_STAGE_DELIVER_US,
@@ -653,25 +862,25 @@ impl Lineage {
         }
     }
 
-    /// Folds another lineage into `self`. Used by the threaded runtime
-    /// to merge per-worker ledgers once, in `stop()`, **in worker-index
-    /// order** so the result is deterministic. A worker hosts one node:
-    /// an event's stages land on several workers (anchors merge
-    /// first-wins), the watchdogs' frontiers are disjoint, and where a
-    /// subscriber holds a session on two workers' SHBs the session that
-    /// delivered further wins the cursor state. Tail exemplars are
-    /// window state, not ledger state: they travel through
+    /// Folds another lineage into `self`, by value: nothing is copied
+    /// that can be moved. Used by the threaded runtime to merge the
+    /// per-worker ledgers once, in `stop()`, **in worker-index order** so
+    /// the result is deterministic. A worker hosts one node: an event's
+    /// stages land on several workers (anchors merge first-wins), the
+    /// watchdogs' frontiers are disjoint, and where a subscriber holds a
+    /// session on two workers' SHBs the session that delivered further
+    /// wins the cursor state. Tail exemplars are window state, not ledger
+    /// state: they travel through
     /// [`Observers::absorb`](crate::Observers::absorb) instead.
-    pub fn merge(&mut self, other: &Lineage) {
-        for (&k, s) in &other.spans {
-            self.spans.entry(k).or_default().merge(s);
-        }
-        for (&k, sess) in &other.sessions {
-            match self.sessions.get_mut(&k) {
-                None => {
-                    self.sessions.insert(k, sess.clone());
+    pub fn merge(&mut self, other: Lineage) {
+        self.spans.merge(other.spans);
+        for (k, sess) in other.sessions {
+            match self.sessions.entry(k) {
+                Entry::Vacant(e) => {
+                    e.insert(sess);
                 }
-                Some(mine) => {
+                Entry::Occupied(mut e) => {
+                    let mine = e.get_mut();
                     // Owner shard (larger cursor/max_delivered) wins the
                     // cursor state; audit sets union.
                     if (sess.max_delivered, sess.cursor) > (mine.max_delivered, mine.cursor) {
@@ -680,21 +889,18 @@ impl Lineage {
                         mine.max_delivered = sess.max_delivered;
                     }
                     mine.audit_floor = mine.audit_floor.min(sess.audit_floor);
-                    mine.delivered.extend(sess.delivered.iter().copied());
-                    mine.gaps.extend_from_slice(&sess.gaps);
+                    mine.delivered.extend(sess.delivered);
+                    mine.gaps.extend(sess.gaps);
                 }
             }
         }
-        for (&p, &r) in &other.released {
+        for (p, r) in other.released {
             let e = self.released.entry(p).or_insert(Timestamp::ZERO);
             *e = (*e).max(r);
         }
-        self.frontiers.extend(&other.frontiers);
-        for (&p, set) in &other.logged {
-            self.logged
-                .entry(p)
-                .or_default()
-                .extend(set.iter().copied());
+        self.frontiers.extend(other.frontiers);
+        for (p, set) in other.logged {
+            self.logged.entry(p).or_default().extend(set);
         }
         self.full_audit |= other.full_audit;
         self.watchdog_violations += other.watchdog_violations;
@@ -702,7 +908,7 @@ impl Lineage {
         self.reconnect_duplicates += other.reconnect_duplicates;
         self.gap_beyond_release += other.gap_beyond_release;
         if self.last_violation.is_none() {
-            self.last_violation = other.last_violation.clone();
+            self.last_violation = other.last_violation;
         }
     }
 }
@@ -820,7 +1026,7 @@ mod tests {
             &mut m,
         );
         assert_eq!(
-            lin.span(LineageKey::new(P, ts)).unwrap().forward_us,
+            lin.span(LineageKey::new(P, ts)).unwrap().forward_us(),
             Some(10),
             "first occurrence wins"
         );
@@ -1136,12 +1342,12 @@ mod tests {
             w1.observe(&e, &mut m0);
         }
         let mut merged = Lineage::default();
-        merged.merge(&w0);
-        merged.merge(&w1);
+        merged.merge(w0);
+        merged.merge(w1);
         assert_eq!(merged.violations(), 0);
-        assert_eq!(merged.spans.len(), combined.spans.len());
+        assert_eq!(merged.spans.len, combined.spans.len);
         for (k, s) in combined.spans() {
-            assert_eq!(merged.span(*k), Some(s), "span {k}");
+            assert_eq!(merged.span(k), Some(s), "span {k}");
         }
         assert_eq!(merged.audit(), combined.audit());
     }
@@ -1256,7 +1462,7 @@ mod tests {
                 &mut m,
             );
         }
-        assert_eq!(lin.spans.len(), 2);
+        assert_eq!(lin.spans.len, 2);
         assert_eq!(m.counter(names::LINEAGE_SPANS_EVICTED), 2.0);
         let keys: Vec<Timestamp> = lin.spans().map(|(k, _)| k.ts).collect();
         assert_eq!(
@@ -1264,5 +1470,62 @@ mod tests {
             vec![Timestamp(3), Timestamp(4)],
             "oldest evicted first"
         );
+    }
+
+    /// At the cap, eviction takes the oldest span of any pubend — the
+    /// lowest tick among the pubends' oldest — not the lowest pubend's.
+    #[test]
+    fn span_eviction_takes_the_oldest_across_pubends() {
+        let mut lin = Lineage {
+            max_spans: 2,
+            ..Lineage::default()
+        };
+        let mut m = Metrics::default();
+        for (p, ts) in [(0, 1), (1, 2), (0, 3), (1, 4)] {
+            let (pubend, ts) = (PubendId(p), Timestamp(ts));
+            lin.observe(
+                &rec(ts.0, PHB, TraceEvent::PubendTimestamped { pubend, ts }),
+                &mut m,
+            );
+        }
+        assert_eq!(m.counter(names::LINEAGE_SPANS_EVICTED), 2.0);
+        let keys: Vec<LineageKey> = lin.spans().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            vec![
+                LineageKey::new(PubendId(0), Timestamp(3)),
+                LineageKey::new(PubendId(1), Timestamp(4)),
+            ]
+        );
+    }
+
+    /// A by-value merge of interleaved ticks on one pubend keeps the run
+    /// ascending, merges the shared tick and keeps the first anchors.
+    #[test]
+    fn merge_interleaves_ticks_of_one_pubend() {
+        let lineage = |node: NodeId, base: u64, ticks: &[u64]| {
+            let mut lin = Lineage::default();
+            for &ts in ticks {
+                let ts = Timestamp(ts);
+                lin.observe(
+                    &rec(base + ts.0, node, TraceEvent::ShbIngested { pubend: P, ts }),
+                    &mut Metrics::default(),
+                );
+            }
+            lin
+        };
+        let mut mine = lineage(SHB, 100, &[1, 3, 5]);
+        mine.merge(lineage(NodeId(4), 200, &[0, 2, 3, 6]));
+        let ticks: Vec<u64> = mine.spans().map(|(k, _)| k.ts.0).collect();
+        assert_eq!(ticks, vec![0, 1, 2, 3, 5, 6]);
+        assert_eq!(mine.spans.len, 6);
+        let shared = mine.span(LineageKey::new(P, Timestamp(3))).unwrap();
+        let ingests: Vec<(NodeId, u64)> = shared.ingests().collect();
+        assert_eq!(ingests, vec![(SHB, 103), (NodeId(4), 203)]);
+        assert_eq!(shared.earliest_ingest_us(), Some(103));
+        // Ingests arriving in the other node order compare equal.
+        let mut other = lineage(NodeId(4), 200, &[3]);
+        other.merge(lineage(SHB, 100, &[3]));
+        assert_eq!(other.span(LineageKey::new(P, Timestamp(3))), Some(shared));
     }
 }

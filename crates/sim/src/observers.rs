@@ -296,7 +296,10 @@ impl Observers {
             let shard = lock(i);
             for &key in &keys {
                 if let Some(span) = shard.lineage.span(key) {
-                    self.window_spans.entry(key).or_default().merge(span);
+                    self.window_spans
+                        .entry(key)
+                        .or_default()
+                        .merge(span.clone());
                 }
             }
         }

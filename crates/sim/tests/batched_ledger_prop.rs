@@ -179,11 +179,7 @@ fn state(obs: &Observers) -> State {
         violations: obs.lineage().violations(),
         last_violation: obs.lineage().last_violation().map(|(_, d)| d.to_owned()),
         audit: obs.lineage().audit(),
-        spans: obs
-            .lineage()
-            .spans()
-            .map(|(&k, s)| (k, s.clone()))
-            .collect(),
+        spans: obs.lineage().spans().map(|(k, s)| (k, s.clone())).collect(),
         ring: obs.trace_records().cloned().collect(),
     }
 }

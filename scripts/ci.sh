@@ -18,8 +18,8 @@ echo "== tests (every crate's own suite) =="
 # tests and their tests/ directories (golden_determinism,
 # churn_equivalence, threaded_pipeline, ...) run here,
 # the counting-allocator tests among them (core zero_alloc_deliver,
-# matching zero_alloc, sim zero_alloc_observe, storage zero_copy_read,
-# crossbeam lazy_alloc).
+# matching zero_alloc, sim zero_alloc_observe, sim span_memory, storage
+# zero_copy_read, crossbeam lazy_alloc).
 # The harness's unit tests run every experiment in quick mode, which
 # takes over twenty minutes unoptimised, so those alone run in the
 # release profile; its tests/ keep the debug profile, which arms the
@@ -50,6 +50,14 @@ if scripts/code_lines.sh sim | grep -E '^crates/sim/src/(lineage|observers)\.rs:
 fi
 if grep -rn 'struct Watchdogs' crates/sim/src; then
   echo "the protocol watchdogs are checks of the one oracle in lineage.rs, not a second checker"; exit 1
+fi
+
+echo "== flat spans: a span owns no collection, and stop moves the ledgers =="
+if awk '/^pub struct Span \{/,/^\}/' crates/sim/src/lineage.rs | grep -nE '(Map|Set)<'; then
+  echo "a span owns no collection; per-event observer memory is flat"; exit 1
+fi
+if grep -nF 'merge(shard.lock().lineage())' crates/net/src/lib.rs; then
+  echo "stop moves worker lineages, never copies them"; exit 1
 fi
 
 echo "== unsafe is allow-listed: two sim downcasts, one CRC call =="
