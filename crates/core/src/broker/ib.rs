@@ -921,10 +921,6 @@ impl Broker {
         // a delta (same version: a parent that kept up skips it).
         self.send_interest_snapshot(ctx);
         self.expire_parked(ctx);
-        ctx.set_timer(
-            self.config.release_interval_us,
-            timer::pack(Kind::Release, self.epoch, 0, 0),
-        );
     }
 
     pub(crate) fn on_cache_trim(&mut self, ctx: &mut dyn NodeCtx) {
@@ -939,7 +935,6 @@ impl Broker {
             }
             pl.route.knowledge.advance_base(limit);
         }
-        ctx.set_timer(1_000_000, timer::pack(Kind::CacheTrim, self.epoch, 0, 0));
     }
 
     pub(crate) fn on_retry_nacks(&mut self, ctx: &mut dyn NodeCtx) {
@@ -967,10 +962,6 @@ impl Broker {
                 );
             }
         }
-        ctx.set_timer(
-            retry.timeout_us,
-            timer::pack(Kind::RetryNacks, self.epoch, 0, 0),
-        );
     }
 }
 

@@ -42,7 +42,9 @@ pub use route::Route;
 pub use shb::{CatchupNeeds, Con, Conn, Shb};
 pub use sub_table::{ParkedStream, PubendMap, SubState, SubscriberTable};
 
-use crate::config::{BrokerConfig, CLIENT_SILENCE_INTERVAL_US, META_PERSIST_INTERVAL_US};
+use crate::config::{
+    BrokerConfig, CACHE_TRIM_INTERVAL_US, CLIENT_SILENCE_INTERVAL_US, META_PERSIST_INTERVAL_US,
+};
 use crate::timer::{self, Kind};
 use gryphon_sim::{names, traced, Node, NodeCtx, TimerKey, TraceEvent};
 use gryphon_storage::{CommitPipeline, EventLog, MediaFactory, VolumeConfig};
@@ -207,39 +209,51 @@ impl Broker {
         self.arm_periodic(ctx);
     }
 
-    fn arm_periodic(&mut self, ctx: &mut dyn NodeCtx) {
-        let e = self.epoch;
-        if !self.phb.declared.is_empty() {
-            ctx.set_timer(
-                self.config.pubend_silence_interval_us,
-                timer::pack(Kind::PhbSilence, e, 0, 0),
-            );
+    /// Arms every periodic timer this broker's roles run.
+    fn arm_periodic(&self, ctx: &mut dyn NodeCtx) {
+        for kind in PERIODIC {
+            self.arm_period(kind, ctx);
         }
-        ctx.set_timer(
-            self.config.release_interval_us,
-            timer::pack(Kind::Release, e, 0, 0),
-        );
-        ctx.set_timer(1_000_000, timer::pack(Kind::CacheTrim, e, 0, 0));
-        ctx.set_timer(
-            RetryPolicy::default().timeout_us,
-            timer::pack(Kind::RetryNacks, e, 0, 0),
-        );
-        if self.shb.hosts_subscribers {
-            ctx.set_timer(
-                self.config.pfs_sync_interval_us,
-                timer::pack(Kind::PfsSync, e, 0, 0),
-            );
-            ctx.set_timer(
-                META_PERSIST_INTERVAL_US,
-                timer::pack(Kind::MetaPersist, e, 0, 0),
-            );
-            ctx.set_timer(
-                CLIENT_SILENCE_INTERVAL_US,
-                timer::pack(Kind::ClientSilence, e, 0, 0),
-            );
+    }
+
+    /// Arms `kind` one period ahead, if it is periodic here.
+    fn arm_period(&self, kind: Kind, ctx: &mut dyn NodeCtx) {
+        if let Some(period) = self.period_us(kind) {
+            ctx.set_timer(period, timer::pack(kind, self.epoch, 0, 0));
+        }
+    }
+
+    /// How often `kind` fires on this broker: `None` for a one-shot
+    /// kind, and for a periodic one this broker's roles do not run
+    /// (pubend silence needs declared pubends; PFS sync, meta persist and
+    /// client silence need hosted subscribers).
+    fn period_us(&self, kind: Kind) -> Option<u64> {
+        let pubends = !self.phb.declared.is_empty();
+        let subscribers = self.shb.hosts_subscribers;
+        match kind {
+            Kind::PhbSilence if pubends => Some(self.config.pubend_silence_interval_us),
+            Kind::Release => Some(self.config.release_interval_us),
+            Kind::CacheTrim => Some(CACHE_TRIM_INTERVAL_US),
+            Kind::RetryNacks => Some(RetryPolicy::default().timeout_us),
+            Kind::PfsSync if subscribers => Some(self.config.pfs_sync_interval_us),
+            Kind::MetaPersist if subscribers => Some(META_PERSIST_INTERVAL_US),
+            Kind::ClientSilence if subscribers => Some(CLIENT_SILENCE_INTERVAL_US),
+            _ => None,
         }
     }
 }
+
+/// The periodic timer kinds, in the order a (re)booting broker arms
+/// them; each re-arms itself after its handler ran.
+const PERIODIC: [Kind; 7] = [
+    Kind::PhbSilence,
+    Kind::Release,
+    Kind::CacheTrim,
+    Kind::RetryNacks,
+    Kind::PfsSync,
+    Kind::MetaPersist,
+    Kind::ClientSilence,
+];
 
 impl Node for Broker {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
@@ -288,35 +302,24 @@ impl Node for Broker {
                     shb.sweep_population(ctx);
                     shb.meta_persist(ctx);
                 }
-                ctx.set_timer(
-                    META_PERSIST_INTERVAL_US,
-                    timer::pack(Kind::MetaPersist, self.epoch, 0, 0),
-                );
             }
             Kind::PfsSync => {
                 if let Some(shb) = self.shb.state.as_mut() {
                     shb.pfs_sync(ctx);
                 }
-                ctx.set_timer(
-                    self.config.pfs_sync_interval_us,
-                    timer::pack(Kind::PfsSync, self.epoch, 0, 0),
-                );
             }
             Kind::RetryNacks => self.on_retry_nacks(ctx),
             Kind::ClientSilence => {
                 if let Some(shb) = self.shb.state.as_mut() {
                     shb.client_silence(ctx);
                 }
-                ctx.set_timer(
-                    CLIENT_SILENCE_INTERVAL_US,
-                    timer::pack(Kind::ClientSilence, self.epoch, 0, 0),
-                );
             }
             Kind::CacheTrim => self.on_cache_trim(ctx),
             Kind::CatchupRead => self.on_catchup_read(PubendId(d.pubend as u32), d.param, ctx),
             Kind::CtCommit => self.on_ct_commit(d.param as usize, ctx),
             Kind::KnowledgeFlush => self.on_knowledge_flush(NodeId(d.param), ctx),
         }
+        self.arm_period(d.kind, ctx);
     }
 
     fn on_restart(&mut self, ctx: &mut dyn NodeCtx) {

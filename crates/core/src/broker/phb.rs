@@ -122,9 +122,5 @@ impl Broker {
                 .unwrap_or_default();
             self.ingest(p, parts, false, 0, ctx);
         }
-        ctx.set_timer(
-            self.config.pubend_silence_interval_us,
-            timer::pack(Kind::PhbSilence, self.epoch, 0, 0),
-        );
     }
 }

@@ -51,6 +51,8 @@ pub const META_PERSIST_INTERVAL_US: u64 = 250_000;
 /// Period for sending silence messages to idle subscribers (keeps their
 /// checkpoint tokens advancing).
 pub const CLIENT_SILENCE_INTERVAL_US: u64 = 100_000;
+/// Period for trimming knowledge caches to the retention window.
+pub const CACHE_TRIM_INTERVAL_US: u64 = 1_000_000;
 /// PFS read buffer size in Q ticks (5000 in the paper's experiments).
 pub const CATCHUP_READ_BUFFER: usize = 5_000;
 /// Modeled base latency of one PFS batch read.

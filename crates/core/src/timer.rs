@@ -5,14 +5,14 @@
 //! crash recovery so periodic timers armed before a crash are recognized
 //! as stale and dropped instead of doubling up.
 
-/// Timer kinds used by [`Broker`](crate::Broker).
+/// Timer kinds used by [`Broker`](crate::Broker), declared in code
+/// order: a kind's code is its position + 1 (so a zero key is never a
+/// broker timer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Pubend batch window closed: snapshot the batch, start the disk
     /// write (param = pubend).
     PhbCommit,
-    /// The in-flight disk write became durable (param = pubend).
-    PhbCommitDone,
     /// Idle-pubend silence emission (all hosted pubends).
     PhbSilence,
     /// Release aggregation + log chopping.
@@ -32,44 +32,36 @@ pub enum Kind {
     /// A checkpoint-commit worker finished its transaction (param =
     /// worker index).
     CtCommit,
+    /// The in-flight disk write became durable (param = pubend).
+    PhbCommitDone,
     /// Flush a child's batched knowledge (param = child node id).
     KnowledgeFlush,
 }
 
 impl Kind {
+    /// Every kind, in code order.
+    pub const ALL: [Kind; 12] = [
+        Kind::PhbCommit,
+        Kind::PhbSilence,
+        Kind::Release,
+        Kind::MetaPersist,
+        Kind::PfsSync,
+        Kind::RetryNacks,
+        Kind::ClientSilence,
+        Kind::CacheTrim,
+        Kind::CatchupRead,
+        Kind::CtCommit,
+        Kind::PhbCommitDone,
+        Kind::KnowledgeFlush,
+    ];
+
     fn code(self) -> u64 {
-        match self {
-            Kind::PhbCommit => 1,
-            Kind::PhbSilence => 2,
-            Kind::Release => 3,
-            Kind::MetaPersist => 4,
-            Kind::PfsSync => 5,
-            Kind::RetryNacks => 6,
-            Kind::ClientSilence => 7,
-            Kind::CacheTrim => 8,
-            Kind::CatchupRead => 9,
-            Kind::CtCommit => 10,
-            Kind::PhbCommitDone => 11,
-            Kind::KnowledgeFlush => 12,
-        }
+        self as u64 + 1
     }
 
     fn from_code(code: u64) -> Option<Kind> {
-        Some(match code {
-            1 => Kind::PhbCommit,
-            2 => Kind::PhbSilence,
-            3 => Kind::Release,
-            4 => Kind::MetaPersist,
-            5 => Kind::PfsSync,
-            6 => Kind::RetryNacks,
-            7 => Kind::ClientSilence,
-            8 => Kind::CacheTrim,
-            9 => Kind::CatchupRead,
-            10 => Kind::CtCommit,
-            11 => Kind::PhbCommitDone,
-            12 => Kind::KnowledgeFlush,
-            _ => return None,
-        })
+        let i = usize::try_from(code.checked_sub(1)?).ok()?;
+        Kind::ALL.get(i).copied()
     }
 }
 
@@ -110,20 +102,8 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        for kind in [
-            Kind::PhbCommit,
-            Kind::PhbCommitDone,
-            Kind::PhbSilence,
-            Kind::Release,
-            Kind::MetaPersist,
-            Kind::PfsSync,
-            Kind::RetryNacks,
-            Kind::ClientSilence,
-            Kind::CacheTrim,
-            Kind::CatchupRead,
-            Kind::CtCommit,
-            Kind::KnowledgeFlush,
-        ] {
+        for (i, kind) in Kind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.code(), i as u64 + 1);
             let key = pack(kind, 7, 65_535, 0xDEAD_BEEF);
             let d = unpack(key).unwrap();
             assert_eq!(d.kind, kind);

@@ -32,8 +32,8 @@ use crate::topology::RunOptions;
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;
 use gryphon_sim::sketch::DIM_SUB_LAG;
-use gryphon_sim::telemetry::Sampler;
-use gryphon_sim::{default_rules, AlertState, HealthEngine, NodeCtx, Observers, TimerKey};
+use gryphon_sim::telemetry::Timeline;
+use gryphon_sim::{AlertState, DeliveryPath, NodeCtx, Observers, TimerKey, TraceEvent};
 use gryphon_storage::MemFactory;
 use gryphon_streams::KnowledgeStream;
 use gryphon_types::{
@@ -65,9 +65,9 @@ struct WorkloadSpec {
 
 /// Direct-drive context: counters, gauges and sketch attributions land
 /// in an [`Observers`] (the owner the runtimes embed, so each census
-/// closes its window exactly as they do); sends, timers and trace events
-/// go nowhere. `me()` is node 1, so the gauge shards match a
-/// single-broker run (`telemetry.shb.*.n1`).
+/// closes its window exactly as they do); sends, timers, trace events and
+/// delivery reports go nowhere, so no oracle runs. `me()` is node 1, so
+/// the gauge shards match a single-broker run (`telemetry.shb.*.n1`).
 struct DriveCtx {
     now_us: u64,
     obs: Observers,
@@ -87,20 +87,17 @@ impl NodeCtx for DriveCtx {
         &mut self.rng
     }
     fn work(&mut self, _cost_us: u64) {}
-    fn record(&mut self, series: &str, value: f64) {
-        self.obs.record(self.now_us, series, value);
+    fn observers(&mut self) -> Option<&mut Observers> {
+        Some(&mut self.obs)
     }
-    fn count(&mut self, counter: &str, delta: f64) {
-        self.obs.count(counter, delta);
-    }
-    fn observe(&mut self, name: &str, value: f64) {
-        self.obs.observe(name, value);
-    }
-    fn gauge(&mut self, name: &str, value: f64) {
-        self.obs.gauge(name, value);
-    }
-    fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        self.obs.attribute(dim, entity, weight);
+    fn trace(&mut self, _event: TraceEvent) {}
+    fn delivered(&mut self, _: PubendId, _: Timestamp, _: DeliveryPath, _: &[SubscriberId]) {}
+}
+
+impl DriveCtx {
+    /// The census timeline so far.
+    fn timeline(&self) -> &Timeline {
+        self.obs.timeline().expect("windows armed")
     }
 }
 
@@ -132,15 +129,7 @@ fn connect_one(
 
 /// One census row: phase label, wall time, and the slab statistics the
 /// phase left behind.
-fn census(
-    table: &mut Table,
-    phase: &str,
-    wall_ms: f64,
-    shb: &mut Shb,
-    ctx: &mut DriveCtx,
-    sampler: &mut Sampler,
-    health: &mut HealthEngine,
-) -> f64 {
+fn census(table: &mut Table, phase: &str, wall_ms: f64, shb: &mut Shb, ctx: &mut DriveCtx) -> f64 {
     // Publish through the broker's own gauge path, then close the
     // timeline window — the bundle carries exactly what a live broker
     // would publish on its meta-persist timer. The population sweep
@@ -150,8 +139,7 @@ fn census(
     shb.sweep_population(ctx);
     shb.update_telemetry_gauges(ctx);
     shb.update_memory_gauges(ctx);
-    ctx.obs
-        .close_window(ctx.now_us, ctx.now_us, sampler, Some(health));
+    ctx.obs.close_window(ctx.now_us, ctx.now_us);
     let bytes = shb.slab_bytes();
     let idle = shb.idle_subs().max(1);
     let per_idle = bytes as f64 / idle as f64;
@@ -182,20 +170,17 @@ pub fn run(opts: &RunOptions) -> Report {
         classes: if quick { 128 } else { 256 },
     };
     let config = BrokerConfig::default();
-    // No trace ring: nothing here emits trace events.
+    // No trace ring: nothing here emits trace events. Every census is
+    // judged by the default rules, as `xp doctor check` replays them
+    // over the bundle.
     let mut obs = Observers::new(0);
-    obs.arm();
-    // Every census is judged by the default rules, as `xp doctor check`
-    // replays them over the bundle.
-    let mut health = HealthEngine::new(default_rules());
-    health.prime(obs.metrics_mut());
+    obs.arm_windows(500_000);
     let mut ctx = DriveCtx {
         now_us: 0,
         obs,
         rng: SmallRng::seed_from_u64(7),
     };
     let slow_sub_mode = opts.slow_sub;
-    let mut sampler = Sampler::new(500_000);
     let mut shb = Shb::open(&MemFactory::new(), "mega");
     let mut t = Table::new(
         format!(
@@ -228,15 +213,7 @@ pub fn run(opts: &RunOptions) -> Report {
         .expect("register");
     }
     let register_ms = start.elapsed().as_secs_f64() * 1e3;
-    let idle_bytes = census(
-        &mut t,
-        "register",
-        register_ms,
-        &mut shb,
-        &mut ctx,
-        &mut sampler,
-        &mut health,
-    );
+    let idle_bytes = census(&mut t, "register", register_ms, &mut shb, &mut ctx);
 
     // Phase 2: a small fraction connects and traffic flows through the
     // constream. Each tick's event matches `connected / classes` of the
@@ -261,15 +238,7 @@ pub fn run(opts: &RunOptions) -> Report {
         "traffic must reach every connected matching subscriber"
     );
     let traffic_ms = start.elapsed().as_secs_f64() * 1e3;
-    census(
-        &mut t,
-        "traffic",
-        traffic_ms,
-        &mut shb,
-        &mut ctx,
-        &mut sampler,
-        &mut health,
-    );
+    census(&mut t, "traffic", traffic_ms, &mut shb, &mut ctx);
 
     // Phase 3: churn — unsubscribe + re-register recycles slab slots
     // (generation bumps keep stale handles dead). Drawn from the idle
@@ -298,15 +267,7 @@ pub fn run(opts: &RunOptions) -> Report {
         spec.subs,
         "churn preserves the population"
     );
-    census(
-        &mut t,
-        "churn",
-        churn_ms,
-        &mut shb,
-        &mut ctx,
-        &mut sampler,
-        &mut health,
-    );
+    census(&mut t, "churn", churn_ms, &mut shb, &mut ctx);
 
     // Phase 4: reconnect storm. A batch of idle subscribers presents an
     // old checkpoint, so each connect opens a PFS catchup stream; the
@@ -347,15 +308,7 @@ pub fn run(opts: &RunOptions) -> Report {
         0,
         "reconnects drain the parked records"
     );
-    census(
-        &mut t,
-        "storm",
-        storm_ms,
-        &mut shb,
-        &mut ctx,
-        &mut sampler,
-        &mut health,
-    );
+    census(&mut t, "storm", storm_ms, &mut shb, &mut ctx);
 
     // Phase 5 (only under `--slow-sub`): plant one slow consumer and
     // prove the attribution path names it. The connected cohort
@@ -379,17 +332,9 @@ pub fn run(opts: &RunOptions) -> Report {
         let slow = SubscriberId(spec.subs);
         connect_one(&mut shb, slow, storm_ct(), &config, &mut ctx);
         let slow_ms = start.elapsed().as_secs_f64() * 1e3;
-        census(
-            &mut t,
-            "slow-sub",
-            slow_ms,
-            &mut shb,
-            &mut ctx,
-            &mut sampler,
-            &mut health,
-        );
+        census(&mut t, "slow-sub", slow_ms, &mut shb, &mut ctx);
         let (leader_entity, lag_us) = {
-            let lag_top = sampler
+            let lag_top = ctx
                 .timeline()
                 .topks()
                 .filter(|s| s.dim == DIM_SUB_LAG)
@@ -409,18 +354,9 @@ pub fn run(opts: &RunOptions) -> Report {
         // quiet, and the alert fires here.
         let start = Instant::now();
         let hold_ms = start.elapsed().as_secs_f64() * 1e3;
-        census(
-            &mut t,
-            "slow-hold",
-            hold_ms,
-            &mut shb,
-            &mut ctx,
-            &mut sampler,
-            &mut health,
-        );
+        census(&mut t, "slow-hold", hold_ms, &mut shb, &mut ctx);
         assert!(
-            sampler
-                .timeline()
+            ctx.timeline()
                 .alerts()
                 .iter()
                 .any(|a| a.rule == "lag_skew" && a.state == AlertState::Firing),
@@ -433,18 +369,9 @@ pub fn run(opts: &RunOptions) -> Report {
         shb.disconnect(slow, ctx.now_us);
         connect_one(&mut shb, slow, None, &config, &mut ctx);
         let recover_ms = start.elapsed().as_secs_f64() * 1e3;
-        census(
-            &mut t,
-            "recovered",
-            recover_ms,
-            &mut shb,
-            &mut ctx,
-            &mut sampler,
-            &mut health,
-        );
+        census(&mut t, "recovered", recover_ms, &mut shb, &mut ctx);
         assert!(
-            sampler
-                .timeline()
+            ctx.timeline()
                 .alerts()
                 .iter()
                 .any(|a| a.rule == "lag_skew" && a.state == AlertState::Cleared),
@@ -495,6 +422,6 @@ pub fn run(opts: &RunOptions) -> Report {
         report.note(n);
     }
     report.attach_metrics(ctx.obs.metrics());
-    report.attach_telemetry(sampler.into_timeline());
+    report.attach_telemetry(ctx.obs.take_timeline().expect("windows armed"));
     report
 }

@@ -24,13 +24,24 @@
 //! indexes its worker directly; a send to an id no worker backs is
 //! dropped, as a message to a departed peer would be.
 //!
+//! # Timers
+//!
+//! A worker keeps its node's timers in the simulator's queue, a
+//! [`gryphon_sim::Agenda`], due in microseconds since the net's epoch:
+//! [`NodeCtx::set_timer`] pushes at call time, and timers due at the same
+//! microsecond fire in the order they were set, as under the simulator.
+//! Between messages the worker sleeps until the earliest timer is due
+//! (at most 20 ms).
+//!
 //! # Observers
 //!
 //! Each worker embeds its own [`Observers`] — the same owner the
 //! simulator embeds (DESIGN.md §9) — behind one lock that the worker
 //! takes **once per dispatch** and holds for the whole callback, so a
-//! callback's observations cost no further synchronisation. Readers from
-//! other threads ([`RunningNet::counter`],
+//! callback's observations cost no further synchronisation. The
+//! dispatch context hands the locked owner out through
+//! [`NodeCtx::observers`]; the trait's provided methods do the rest.
+//! Readers from other threads ([`RunningNet::counter`],
 //! [`RunningNet::metrics_snapshot`], the sampler) therefore wait for at
 //! most one callback per worker they visit. The correctness oracle (the
 //! exactly-once ledger and the protocol watchdogs) judges every trace
@@ -42,11 +53,12 @@
 //! recorder that prints a ring lives with the simulator).
 //!
 //! [`RunningNet::start_sampler`] arms telemetry: a background thread
-//! that, every interval, publishes each worker's channel occupancy
-//! (`telemetry.queue_depth.w<i>`) and busy/idle utilization
-//! (`telemetry.worker_utilization.w<i>`), absorbs the workers' shards
-//! into its own `Observers` in worker-index order, and closes the window
-//! with the simulator's [`Observers::close_window`] — so the
+//! whose own `Observers` opens its windows with the simulator's
+//! [`Observers::arm_windows`] and that, every interval, publishes each
+//! worker's channel occupancy (`telemetry.queue_depth.w<i>`) and
+//! busy/idle utilization (`telemetry.worker_utilization.w<i>`), absorbs
+//! the workers' shards in worker-index order, and closes the window with
+//! the simulator's [`Observers::close_window`] — so the
 //! [`Timeline`] behind [`RunningNet::telemetry`] and
 //! [`NetResult::telemetry`] carries the same streams, alerts included,
 //! as a simulator bundle. Arming also turns on tail forensics, the
@@ -83,16 +95,12 @@
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use gryphon_sim::forensics::{BusyInterval, KIND_DISPATCH, KIND_QUEUE};
-use gryphon_sim::telemetry::{Sampler, Timeline};
-use gryphon_sim::{
-    names, AnyNode, DeliveryPath, HealthEngine, Lineage, Metrics, Node, NodeCtx, Observers,
-    TimerKey, TraceEvent, TraceRecord,
-};
-use gryphon_types::{NetMsg, NodeId, PubendId, SubscriberId, Timestamp};
+use gryphon_sim::telemetry::Timeline;
+use gryphon_sim::{names, Agenda, AnyNode, Lineage, Metrics, Node, NodeCtx, Observers, TimerKey};
+use gryphon_types::{NetMsg, NodeId};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -241,7 +249,7 @@ impl NetBuilder {
             let mut worker = Worker {
                 me: NodeId(i as u32),
                 shared: Arc::clone(&shared),
-                timers: BinaryHeap::new(),
+                timers: Agenda::new(),
                 rng: SmallRng::seed_from_u64(i as u64),
             };
             joins.push(
@@ -276,39 +284,20 @@ impl NetBuilder {
     }
 }
 
-#[derive(PartialEq, Eq)]
-struct TimerEntry {
-    deadline: Instant,
-    key: TimerKey,
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.deadline.cmp(&self.deadline) // min-heap
-    }
-}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 struct Worker {
     /// The node this worker backs: its slot in [`Shared`] and its
     /// forensics track id in exported traces.
     me: NodeId,
     shared: Arc<Shared>,
-    timers: BinaryHeap<TimerEntry>,
+    /// The node's timers, due in µs since the net's epoch.
+    timers: Agenda<TimerKey>,
     rng: SmallRng,
 }
 
 impl Worker {
     fn next_deadline(&self, cap: Duration) -> Duration {
-        match self.timers.peek() {
-            Some(e) => e
-                .deadline
-                .saturating_duration_since(Instant::now())
-                .min(cap),
+        match self.timers.peek_time() {
+            Some(at) => Duration::from_micros(at.saturating_sub(self.shared.now_us())).min(cap),
             None => cap,
         }
     }
@@ -316,10 +305,10 @@ impl Worker {
     fn fire_due(&mut self, node: &mut dyn Node) {
         while self
             .timers
-            .peek()
-            .is_some_and(|e| e.deadline <= Instant::now())
+            .peek_time()
+            .is_some_and(|at| at <= self.shared.now_us())
         {
-            let Some(TimerEntry { key, .. }) = self.timers.pop() else {
+            let Some((_, key)) = self.timers.pop() else {
                 break;
             };
             self.dispatch(None, node, |n, ctx| n.on_timer(key, ctx));
@@ -356,16 +345,14 @@ impl Worker {
         // An `Instant::now()` pair per dispatch is cheap but not free, so
         // the un-sampled hot path skips it entirely.
         let started = shared.profiling.load(Ordering::Relaxed).then(Instant::now);
-        let mut new_timers = Vec::new();
         f(
             node,
             &mut ThreadCtx {
                 me: self.me,
-                track,
                 shared,
+                timers: &mut self.timers,
                 rng: &mut self.rng,
                 obs: &mut obs,
-                new_timers: &mut new_timers,
             },
         );
         if let Some(t0) = started {
@@ -379,13 +366,6 @@ impl Worker {
                 dur_us: dt.as_micros() as u64,
             });
         }
-        drop(obs);
-        for (delay, key) in new_timers {
-            self.timers.push(TimerEntry {
-                deadline: Instant::now() + Duration::from_micros(delay),
-                key,
-            });
-        }
     }
 }
 
@@ -393,11 +373,10 @@ impl Worker {
 /// stack, already locked.
 struct ThreadCtx<'a> {
     me: NodeId,
-    track: u32,
     shared: &'a Shared,
+    timers: &'a mut Agenda<TimerKey>,
     rng: &'a mut SmallRng,
     obs: &'a mut Observers,
-    new_timers: &'a mut Vec<(u64, TimerKey)>,
 }
 
 impl NodeCtx for ThreadCtx<'_> {
@@ -419,7 +398,7 @@ impl NodeCtx for ThreadCtx<'_> {
     }
 
     fn set_timer(&mut self, delay_us: u64, key: TimerKey) {
-        self.new_timers.push((delay_us, key));
+        self.timers.push(self.shared.now_us() + delay_us, key);
     }
 
     fn rng(&mut self) -> &mut SmallRng {
@@ -431,66 +410,16 @@ impl NodeCtx for ThreadCtx<'_> {
         // the work is real and the clock measures it.
     }
 
-    fn record(&mut self, series: &str, value: f64) {
-        self.obs.record(self.shared.now_us(), series, value);
-    }
-
-    fn count(&mut self, counter: &str, delta: f64) {
-        self.obs.count(counter, delta);
-    }
-
-    fn observe(&mut self, name: &str, value: f64) {
-        self.obs.observe(name, value);
-    }
-
-    fn gauge(&mut self, name: &str, value: f64) {
-        self.obs.gauge(name, value);
-    }
-
-    fn trace(&mut self, event: TraceEvent) {
-        // A violation is counted, never raised (crate docs).
-        self.obs.trace(TraceRecord {
-            t_us: self.shared.now_us(),
-            node: self.me,
-            event,
-        });
-    }
-
-    fn delivered(
-        &mut self,
-        pubend: PubendId,
-        ts: Timestamp,
-        path: DeliveryPath,
-        subs: &[SubscriberId],
-    ) {
-        // As in `trace`: a violation is counted, never raised.
-        let now = self.shared.now_us();
-        self.obs
-            .delivered(now, self.me, pubend, ts, path, subs, |_, _| {});
-    }
-
-    fn interval(&mut self, kind: &'static str, dur_us: u64) {
-        let now = self.shared.now_us();
-        self.obs.interval(BusyInterval {
-            track: self.track,
-            kind,
-            start_us: now.saturating_sub(dur_us),
-            dur_us,
-        });
-    }
-
-    fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        self.obs.attribute(dim, entity, weight);
+    /// The oracle's violations are counted, never raised (crate docs).
+    fn observers(&mut self) -> Option<&mut Observers> {
+        Some(self.obs)
     }
 }
 
-/// What the sampler thread owns: the window's owner, into which the
-/// worker shards are absorbed, and the sampler and health engine that
-/// each window close feeds.
+/// What the sampler thread owns: the windows' owner, into which the
+/// worker shards are absorbed.
 struct Telemetry {
     hub: Observers,
-    sampler: Sampler,
-    health: HealthEngine,
     /// Per-worker `active_ns` and the wall clock at the last close.
     last_active: Vec<u64>,
     last_wall: Instant,
@@ -527,8 +456,7 @@ impl Telemetry {
         self.hub
             .absorb(shared.shards.len(), |i| shared.shards[i].lock());
         let t_us = shared.now_us();
-        self.hub
-            .close_window(t_us, t_us, &mut self.sampler, Some(&mut self.health));
+        self.hub.close_window(t_us, t_us);
     }
 }
 
@@ -589,19 +517,13 @@ impl RunningNet {
         }
         let interval = interval.max(Duration::from_micros(1));
         let mut hub = Observers::new(0);
-        hub.arm();
+        hub.arm_windows(interval.as_micros() as u64);
         for shard in &self.shared.shards {
             shard.lock().arm();
         }
-        // Counters primed so the `health.alert.*` family is visible even
-        // when nothing fires.
-        let health = HealthEngine::new(gryphon_sim::default_rules());
-        health.prime(hub.metrics_mut());
         self.shared.profiling.store(true, Ordering::Relaxed);
         let state = Arc::new(Mutex::new(Telemetry {
             hub,
-            sampler: Sampler::new(interval.as_micros() as u64),
-            health,
             last_active: vec![0; self.shared.shards.len()],
             last_wall: Instant::now(),
         }));
@@ -626,7 +548,7 @@ impl RunningNet {
     pub fn telemetry(&self) -> Option<Timeline> {
         self.telemetry
             .as_ref()
-            .map(|t| t.state.lock().sampler.timeline().clone())
+            .and_then(|t| t.state.lock().hub.timeline().cloned())
     }
 
     /// Stops all node threads and returns their final states. When a
@@ -646,10 +568,10 @@ impl RunningNet {
             .drain(..)
             .map(|j| j.join().expect("node thread"))
             .collect();
-        let timeline = telemetry.as_ref().map(|state| {
+        let timeline = telemetry.as_ref().and_then(|state| {
             let mut t = state.lock();
             t.close_window(&self.shared);
-            t.sampler.timeline().clone()
+            t.hub.take_timeline()
         });
         // Lineage shards merge in worker-index order — the same
         // deterministic discipline as the metrics merge, so repeated
@@ -783,6 +705,34 @@ mod tests {
         let result = net.stop();
         assert!(result.node(a).timer_fired, "5 ms timer within 50 ms run");
         assert_eq!(result.metrics.series("echo.timer").len(), 1);
+    }
+
+    /// Sets five zero-delay timers, then a 2 ms one, in one callback.
+    struct Arming {
+        fired: Vec<u64>,
+    }
+
+    impl Node for Arming {
+        fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
+            for k in 1..=5 {
+                ctx.set_timer(0, TimerKey(k));
+            }
+            ctx.set_timer(2_000, TimerKey(6));
+        }
+        fn on_message(&mut self, _: NodeId, _: NetMsg, _: &mut dyn NodeCtx) {}
+        fn on_timer(&mut self, key: TimerKey, _: &mut dyn NodeCtx) {
+            self.fired.push(key.0);
+        }
+    }
+
+    #[test]
+    fn timers_fire_in_arming_order_with_ties_first_in_first_out() {
+        let mut b = NetBuilder::new();
+        let a = b.add_node("a", Arming { fired: Vec::new() });
+        let net = b.start();
+        net.run_for(Duration::from_millis(50));
+        let result = net.stop();
+        assert_eq!(result.node(a).fired, vec![1, 2, 3, 4, 5, 6]);
     }
 
     /// Forwards every message it gets to a node id no worker backs.

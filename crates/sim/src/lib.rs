@@ -17,6 +17,19 @@
 //! The same [`Node`] impls also run on real threads (`gryphon-net`) for
 //! wall-clock benchmarks.
 //!
+//! # Hosting nodes
+//!
+//! What a host writes is small, and the rest is written here once. A
+//! host implements the acting half of [`NodeCtx`] — `now_us`, `me`,
+//! `send`, `set_timer`, `rng`, `work` — plus [`NodeCtx::observers`],
+//! which hands out its [`Observers`]; the observation half has provided
+//! bodies that forward to them. It schedules through an [`Agenda`], the
+//! one `(time, push order)` queue ([`Sim`] keeps its events in one, each
+//! `gryphon-net` worker its timers), arms its windows with
+//! [`Observers::arm_windows`] and closes them with
+//! [`Observers::close_window`]. It stores its nodes as [`AnyNode`]s, so
+//! a [`Handle`] borrows them back.
+//!
 //! # Observability
 //!
 //! Everything that observes a run — metrics, a bounded ring of structured
@@ -47,14 +60,15 @@
 //! }
 //!
 //! let mut sim = Sim::new(42);
-//! let echo = sim.add_node("echo", Box::new(Echo));
-//! let probe = sim.add_node("probe", Box::new(Echo));
+//! let echo = sim.add_typed_node("echo", Echo).id();
+//! let probe = sim.add_typed_node("probe", Echo).id();
 //! sim.connect(echo, probe, 1_000); // 1 ms links both ways
 //! sim.inject_from(0, probe, echo, NetMsg::SubInterest(gryphon_types::SubInterestMsg { version: 0, change: gryphon_types::InterestChange::Snapshot(vec![]) }));
 //! sim.run_until(10_000);
 //! assert!(sim.metrics().series("echoed").len() >= 2); // ping-pongs until time runs out
 //! ```
 
+mod agenda;
 pub mod codec;
 pub mod forensics;
 pub mod health;
@@ -67,6 +81,7 @@ pub mod sketch;
 pub mod telemetry;
 pub mod trace;
 
+pub use agenda::Agenda;
 pub use forensics::{BusyInterval, Exemplar, ExemplarReservoir};
 pub use health::{default_rules, AlertRecord, AlertState, HealthEngine, HealthRule, RuleKind};
 pub use lineage::{LedgerAudit, Lineage, Span};

@@ -1,11 +1,14 @@
 //! The observer stack's one owner (DESIGN.md §9).
 //!
 //! A runtime that hosts [`Node`](crate::Node)s embeds an [`Observers`]
-//! and routes the observation half of [`NodeCtx`](crate::NodeCtx) to it.
-//! The owner holds the metrics registry, the trace ring, the lineage
-//! assembler with the correctness oracle (the exactly-once ledger and
-//! the protocol watchdogs) and its tail reservoir, the busy-interval ring
-//! and the population sketch, and has three entry points:
+//! and hands it out through [`NodeCtx::observers`](crate::NodeCtx::observers);
+//! the trait's provided methods route the observation half of the
+//! context to it. The owner holds the metrics registry, the trace ring,
+//! the lineage assembler with the correctness oracle (the exactly-once
+//! ledger and the protocol watchdogs) and its tail reservoir, the
+//! busy-interval ring, the population sketch and — once
+//! [`Observers::arm_windows`] opens them — the telemetry sampler and the
+//! health engine, and has three entry points:
 //!
 //! * **observe** — `record`, `count`, `observe`, `gauge`, `trace`,
 //!   `delivered`, `interval`, `attribute`: what a node callback reports;
@@ -18,16 +21,17 @@
 //! threaded runtime embeds one per worker plus one on its sampler thread,
 //! which absorbs the workers' and closes the same window. The runtimes
 //! differ in *when* a window closes and in which runtime gauges they set
-//! beforehand, never in what closing does.
+//! beforehand, never in what closing does — nor in how the windows are
+//! armed: [`Observers::arm_windows`] is the one recipe.
 
 use crate::forensics::{BusyInterval, Exemplar, ExemplarReservoir, INTERVAL_CAPACITY};
-use crate::health::{AlertState, HealthEngine};
+use crate::health::{default_rules, AlertState, HealthEngine};
 use crate::lineage::{Lineage, Span};
 use crate::metrics::{names, Metrics};
 use crate::ring::Ring;
 use crate::runtime::CONTROL_NODE;
 use crate::sketch::{self, PopulationSketch, DIM_SUB_BYTES};
-use crate::telemetry::Sampler;
+use crate::telemetry::{Sampler, Timeline};
 use crate::trace::{DeliveryPath, TraceEvent, TraceRecord, TRACE_ENABLED};
 use gryphon_types::{LineageKey, NodeId, PubendId, SubscriberId, Timestamp};
 use std::collections::BTreeMap;
@@ -48,6 +52,9 @@ pub struct Observers {
     /// Spans copied from absorbed shards for the tail samples of the
     /// open window; an owner's own ledger answers for the rest.
     window_spans: BTreeMap<LineageKey, Span>,
+    /// The telemetry sampler and the health engine that judges each
+    /// window it closes (`None` = no windows open).
+    windows: Option<(Sampler, HealthEngine)>,
 }
 
 impl Observers {
@@ -63,6 +70,7 @@ impl Observers {
             intervals: None,
             sketch: None,
             window_spans: BTreeMap::new(),
+            windows: None,
         }
     }
 
@@ -75,6 +83,35 @@ impl Observers {
         self.lineage.arm_exemplars(ExemplarReservoir::new());
         self.intervals = Some(Ring::new(INTERVAL_CAPACITY));
         self.sketch = Some(PopulationSketch::new());
+    }
+
+    /// Opens the windows: [`Observers::arm`], then the health engine over
+    /// the [default rules](crate::default_rules) — each rule's
+    /// `health.alert.<rule>` counter registered at zero in this registry,
+    /// so exports show the armed rule set even when nothing fires — and a
+    /// sampler closing a window every `interval_us`. Worker shards, whose
+    /// windows an absorbing owner closes, take plain `arm()`.
+    pub fn arm_windows(&mut self, interval_us: u64) {
+        self.arm();
+        let health = HealthEngine::new(default_rules());
+        health.prime(&mut self.metrics);
+        self.windows = Some((Sampler::new(interval_us), health));
+    }
+
+    /// When the next window is due (`None` while no windows are open).
+    pub fn next_window_at(&self) -> Option<u64> {
+        self.windows.as_ref().map(|(s, _)| s.next_at_us())
+    }
+
+    /// The timeline the closed windows wrote (`None` while no windows
+    /// are open).
+    pub fn timeline(&self) -> Option<&Timeline> {
+        self.windows.as_ref().map(|(s, _)| s.timeline())
+    }
+
+    /// Ends the windows and takes their timeline out.
+    pub fn take_timeline(&mut self) -> Option<Timeline> {
+        self.windows.take().map(|(s, _)| s.into_timeline())
     }
 
     /// Shrinks the armed busy-interval ring to `capacity`, so a test can
@@ -305,7 +342,8 @@ impl Observers {
         }
     }
 
-    /// Closes the sampler window ending at `at_us`. One fixed order:
+    /// Closes the sampler window ending at `at_us` (a no-op while no
+    /// windows are open). One fixed order:
     ///
     /// 1. drain the sketch and publish its `sketch.*` gauges, so this
     ///    window's sample reflects this window's sweep;
@@ -322,13 +360,10 @@ impl Observers {
     /// Whatever a bounded stage shed is counted into its
     /// `forensics.*_dropped` counter — after the sample, so a window's
     /// drops show in the next window's rates.
-    pub fn close_window(
-        &mut self,
-        now_us: u64,
-        at_us: u64,
-        sampler: &mut Sampler,
-        health: Option<&mut HealthEngine>,
-    ) {
+    pub fn close_window(&mut self, now_us: u64, at_us: u64) {
+        let Some((mut sampler, mut health)) = self.windows.take() else {
+            return;
+        };
         let (snaps, stats) = match self.sketch.as_mut() {
             Some(sk) => sk.drain(at_us),
             None => (Vec::new(), None),
@@ -353,24 +388,22 @@ impl Observers {
             sampler.sample(at_us, &all);
         }
 
-        if let Some(engine) = health {
-            for mut alert in engine.evaluate(at_us, sampler.timeline()) {
-                sketch::name_culprit(&mut alert.detail, &alert.series, &snaps);
-                let firing = alert.state == AlertState::Firing;
-                if firing {
-                    self.count(&format!("health.alert.{}", alert.rule), 1.0);
-                }
-                self.trace(TraceRecord {
-                    t_us: now_us,
-                    node: CONTROL_NODE,
-                    event: TraceEvent::HealthAlert {
-                        rule: alert.rule.clone(),
-                        series: alert.series.clone(),
-                        firing,
-                    },
-                });
-                sampler.timeline_mut().push_alert(alert);
+        for mut alert in health.evaluate(at_us, sampler.timeline()) {
+            sketch::name_culprit(&mut alert.detail, &alert.series, &snaps);
+            let firing = alert.state == AlertState::Firing;
+            if firing {
+                self.count(&format!("health.alert.{}", alert.rule), 1.0);
             }
+            self.trace(TraceRecord {
+                t_us: now_us,
+                node: CONTROL_NODE,
+                event: TraceEvent::HealthAlert {
+                    rule: alert.rule.clone(),
+                    series: alert.series.clone(),
+                    firing,
+                },
+            });
+            sampler.timeline_mut().push_alert(alert);
         }
 
         let mut dropped = 0;
@@ -402,6 +435,7 @@ impl Observers {
             }
             self.count_dropped(names::FORENSICS_INTERVAL_DROPPED, dropped);
         }
+        self.windows = Some((sampler, health));
     }
 
     fn count_dropped(&mut self, counter: &str, dropped: u64) {

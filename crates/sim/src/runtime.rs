@@ -1,18 +1,17 @@
 //! The discrete-event scheduler, links, timers and fault injection.
 
+use crate::agenda::Agenda;
 use crate::forensics::{BusyInterval, KIND_BUSY};
-use crate::health::{default_rules, HealthEngine};
 use crate::lineage::{LedgerAudit, Lineage};
 use crate::observers::Observers;
-use crate::telemetry::{Sampler, Timeline};
+use crate::telemetry::Timeline;
 use crate::trace::{DeliveryPath, TraceEvent, TraceRecord, DEFAULT_TRACE_CAPACITY};
 use crate::{Metrics, MetricsSnapshot};
 use gryphon_types::{NetMsg, NodeId, PubendId, SubscriberId, Timestamp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::any::TypeId;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::any::Any;
+use std::collections::HashMap;
 
 /// Sender id used for messages injected by the harness (not a real node).
 pub const CONTROL_NODE: NodeId = NodeId(u32::MAX);
@@ -30,6 +29,19 @@ pub struct TimerKey(pub u64);
 /// Everything a node can do to the outside world goes through this trait,
 /// which is what lets identical broker code run under the deterministic
 /// simulator and the threaded runtime.
+///
+/// A host writes the acting half — [`now_us`](NodeCtx::now_us),
+/// [`me`](NodeCtx::me), [`send`](NodeCtx::send),
+/// [`set_timer`](NodeCtx::set_timer), [`rng`](NodeCtx::rng),
+/// [`work`](NodeCtx::work) — and hands out its [`Observers`] through
+/// [`observers`](NodeCtx::observers). The observation half (`record`,
+/// `count`, `observe`, `gauge`, `trace`, `delivered`, `interval`,
+/// `attribute`) is written once, here: each provided method forwards to
+/// those observers, or discards when there are none. A host overrides one
+/// only to add to it, as the simulator does for `trace` and `delivered`
+/// (an oracle trip sets off its flight recorder); a wrapper context that
+/// has no observers of its own overrides them to forward to its inner
+/// context.
 pub trait NodeCtx {
     /// Current virtual (or wall) time in microseconds.
     fn now_us(&self) -> u64;
@@ -45,30 +57,59 @@ pub trait NodeCtx {
     /// Accounts `cost_us` of CPU work to this node (drives the paper's
     /// CPU-idle plots; does not delay message processing).
     fn work(&mut self, cost_us: u64);
+    /// The observer stack this context reports to. Default: none, and
+    /// every observation is discarded.
+    fn observers(&mut self) -> Option<&mut Observers> {
+        None
+    }
     /// Appends a sample to a metrics series at the current time.
-    fn record(&mut self, series: &str, value: f64);
+    fn record(&mut self, series: &str, value: f64) {
+        let now = self.now_us();
+        if let Some(obs) = self.observers() {
+            obs.record(now, series, value);
+        }
+    }
     /// Bumps a metrics counter.
-    fn count(&mut self, counter: &str, delta: f64);
+    fn count(&mut self, counter: &str, delta: f64) {
+        if let Some(obs) = self.observers() {
+            obs.count(counter, delta);
+        }
+    }
     /// Records one sample into a metrics histogram (see
-    /// [`crate::metrics::names`] for the registry). Default: discarded.
-    fn observe(&mut self, _name: &str, _value: f64) {}
+    /// [`crate::metrics::names`] for the registry).
+    fn observe(&mut self, name: &str, value: f64) {
+        if let Some(obs) = self.observers() {
+            obs.observe(name, value);
+        }
+    }
     /// Sets a metrics gauge to its current level (telemetry samplers
     /// snapshot gauges each window; see DESIGN.md §9). Publishers that
     /// exist per entity append a shard suffix (`.n<node>`, `.p<pubend>`,
-    /// `.w<worker>`) to the registered base name. Default: discarded.
-    fn gauge(&mut self, _name: &str, _value: f64) {}
-    /// Emits a structured trace event attributed to this node. Default:
-    /// discarded. Instrumentation sites should wrap the call in
+    /// `.w<worker>`) to the registered base name.
+    fn gauge(&mut self, name: &str, value: f64) {
+        if let Some(obs) = self.observers() {
+            obs.gauge(name, value);
+        }
+    }
+    /// Emits a structured trace event attributed to this node, through
+    /// the oracle (a violation is counted, never raised, unless the host
+    /// overrides this). Instrumentation sites should wrap the call in
     /// [`traced!`](crate::traced) so the `trace` feature can compile the
     /// overhead out.
-    fn trace(&mut self, _event: crate::trace::TraceEvent) {}
+    fn trace(&mut self, event: TraceEvent) {
+        let (t_us, node) = (self.now_us(), self.me());
+        if let Some(obs) = self.observers() {
+            obs.trace(TraceRecord { t_us, node, event });
+        }
+    }
     /// Reports one delivered event — `(pubend, ts)` sent over `path` to
     /// each of `subs`, in order — to the lineage assembler and the
-    /// exactly-once ledger, once for the event. Default: one
+    /// exactly-once ledger, once for the event
+    /// ([`Observers::delivered`]: the per-event work once, only the
+    /// ledger check per subscriber). Without observers: one
     /// [`TraceEvent::Delivered`] per subscriber through
-    /// [`NodeCtx::trace`]; the runtimes do the per-event work once and
-    /// only the ledger check per subscriber. Wrap the call in
-    /// [`traced!`](crate::traced), like `trace`.
+    /// [`NodeCtx::trace`]. Wrap the call in [`traced!`](crate::traced),
+    /// like `trace`.
     fn delivered(
         &mut self,
         pubend: PubendId,
@@ -76,6 +117,11 @@ pub trait NodeCtx {
         path: DeliveryPath,
         subs: &[SubscriberId],
     ) {
+        let (now, me) = (self.now_us(), self.me());
+        if let Some(obs) = self.observers() {
+            obs.delivered(now, me, pubend, ts, path, subs, |_, _| {});
+            return;
+        }
         for &sub in subs {
             self.trace(TraceEvent::Delivered {
                 pubend,
@@ -88,16 +134,30 @@ pub trait NodeCtx {
     /// Records a busy interval of `dur_us` ending *now* on this node's
     /// timeline track, tagged with a forensics kind (one of the
     /// `KIND_*` constants in [`crate::forensics`]). Pure observation for
-    /// the exported Perfetto trace — never affects scheduling. Default:
-    /// discarded (also when the contention profiler is disarmed).
-    fn interval(&mut self, _kind: &'static str, _dur_us: u64) {}
+    /// the exported Perfetto trace — never affects scheduling. Discarded
+    /// while the contention profiler is disarmed.
+    fn interval(&mut self, kind: &'static str, dur_us: u64) {
+        let (now, track) = (self.now_us(), self.me().0);
+        if let Some(obs) = self.observers() {
+            obs.interval(BusyInterval {
+                track,
+                kind,
+                start_us: now.saturating_sub(dur_us),
+                dur_us,
+            });
+        }
+    }
     /// Attributes `weight` to `entity` on a population-sketch dimension
     /// (one of the `DIM_*` constants in [`crate::sketch`]): per-entity
     /// heavy-hitter accounting in O(K) memory (DESIGN.md §9). Pure
     /// observation — the armed sketch drains into `topk.ndjson` each
-    /// sampler window and never affects scheduling. Default: discarded
-    /// (also when the sketch is disarmed).
-    fn attribute(&mut self, _dim: &'static str, _entity: u64, _weight: u64) {}
+    /// sampler window and never affects scheduling. Discarded while the
+    /// sketch is disarmed.
+    fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
+        if let Some(obs) = self.observers() {
+            obs.attribute(dim, entity, weight);
+        }
+    }
 }
 
 /// A state machine hosted by a runtime.
@@ -161,29 +221,6 @@ enum EventKind {
     },
 }
 
-struct Scheduled {
-    time: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 struct NodeSlot {
     node: Option<AnyNode>,
     name: String,
@@ -195,8 +232,7 @@ struct NodeSlot {
 /// overview and example.
 pub struct Sim {
     now: u64,
-    seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: Agenda<EventKind>,
     nodes: Vec<NodeSlot>,
     links: HashMap<(NodeId, NodeId), LinkParams>,
     /// FIFO enforcement: last scheduled arrival per directed link.
@@ -205,18 +241,16 @@ pub struct Sim {
     link_busy_until: HashMap<(NodeId, NodeId), u64>,
     rng: SmallRng,
     /// Everything that observes the run (metrics, trace ring, the
-    /// oracle, forensics, sketch). Pure observers: arming any of them
-    /// leaves traces and deliveries bit-identical.
+    /// oracle, forensics, sketch, and the telemetry windows with the
+    /// health engine). Pure observers: arming any of them leaves traces
+    /// and deliveries bit-identical. Windows close between scheduler
+    /// events, never through them, so arming them cannot perturb
+    /// protocol ordering.
     obs: Observers,
     /// What an oracle trip sets off: the flight recorder, then the
     /// armed panic.
     trip: Tripwire,
     events_processed: u64,
-    /// Windowed telemetry sampler and the health engine evaluated as
-    /// part of each window close (`None` = disarmed). Fires between
-    /// scheduler events, never through them, so arming it cannot
-    /// perturb protocol ordering.
-    telemetry: Option<(Sampler, HealthEngine)>,
 }
 
 impl std::fmt::Debug for Sim {
@@ -235,8 +269,7 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: Agenda::new(),
             nodes: Vec::new(),
             links: HashMap::new(),
             last_arrival: HashMap::new(),
@@ -249,26 +282,23 @@ impl Sim {
                 panic: cfg!(debug_assertions),
             },
             events_processed: 0,
-            telemetry: None,
         }
     }
 
-    /// Registers `node` under a human-readable `name`, returning its id.
-    /// `on_start` runs at the current virtual time.
-    pub fn add_node(&mut self, name: &str, node: Box<dyn Node>) -> NodeId {
-        self.add_any(name, AnyNode::erased(node))
-    }
-
-    fn add_any(&mut self, name: &str, node: AnyNode) -> NodeId {
+    /// Registers `node` under a human-readable `name`; `on_start` runs
+    /// at the current virtual time. The returned handle names the node
+    /// ([`Handle::id`]) and borrows it back between events
+    /// ([`Sim::node`], [`Sim::node_ref`]).
+    pub fn add_typed_node<T: Node + 'static>(&mut self, name: &str, node: T) -> Handle<T> {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeSlot {
-            node: Some(node),
+            node: Some(AnyNode::typed(node)),
             name: name.to_owned(),
             up: true,
             busy_us: 0,
         });
         self.with_node(id, |node, ctx| node.on_start(ctx));
-        id
+        Handle::new(id)
     }
 
     /// Creates symmetric links `a ↔ b` with the given one-way latency.
@@ -295,7 +325,7 @@ impl Sim {
     /// Injects `msg` for `to` at absolute virtual time `at_us` (no link
     /// traversal), appearing to come from `from`.
     pub fn inject_from(&mut self, at_us: u64, to: NodeId, from: NodeId, msg: NetMsg) {
-        self.push(at_us, EventKind::Deliver { to, from, msg });
+        self.queue.push(at_us, EventKind::Deliver { to, from, msg });
     }
 
     /// Injects a message whose sender is the harness itself.
@@ -308,33 +338,24 @@ impl Sim {
     /// [`Node::on_restart`]). While down, deliveries and timers for the
     /// node are silently dropped.
     pub fn schedule_crash(&mut self, node: NodeId, at_us: u64, duration_us: u64) {
-        self.push(at_us, EventKind::Crash { node });
-        self.push(at_us + duration_us, EventKind::Restart { node });
-    }
-
-    fn push(&mut self, time: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Scheduled { time, seq, kind }));
+        self.queue.push(at_us, EventKind::Crash { node });
+        self.queue
+            .push(at_us + duration_us, EventKind::Restart { node });
     }
 
     /// Runs until the queue is empty or virtual time would exceed
     /// `until_us`. Returns the number of events processed.
     pub fn run_until(&mut self, until_us: u64) -> u64 {
         let mut n = 0;
-        loop {
-            let head_time = match self.queue.peek() {
-                Some(Reverse(head)) if head.time <= until_us => head.time,
-                _ => break,
-            };
+        while let Some(head_time) = self.queue.peek_time().filter(|&t| t <= until_us) {
             // Telemetry samples due strictly before (or at) the next
             // event fire first, reading state as of that virtual moment
             // without touching the queue.
             self.fire_due_samples(head_time);
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.dispatch(ev.kind);
+            let (time, kind) = self.queue.pop().expect("peeked");
+            debug_assert!(time >= self.now, "time went backwards");
+            self.now = time;
+            self.dispatch(kind);
             n += 1;
         }
         self.fire_due_samples(until_us);
@@ -348,60 +369,50 @@ impl Sim {
     /// use [`Sim::run_until`] there.
     pub fn run_to_quiescence(&mut self) -> u64 {
         let mut n = 0;
-        while let Some(Reverse(head)) = self.queue.peek() {
-            let head_time = head.time;
+        while let Some(head_time) = self.queue.peek_time() {
             self.fire_due_samples(head_time);
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            self.now = ev.time;
-            self.dispatch(ev.kind);
+            let (time, kind) = self.queue.pop().expect("peeked");
+            self.now = time;
+            self.dispatch(kind);
             n += 1;
         }
         self.events_processed += n;
         n
     }
 
-    /// Arms the windows: the telemetry sampler at a fixed virtual-time
-    /// `interval_us` (see [`crate::telemetry`]), the online health engine
-    /// over the [default rules](crate::default_rules), tail forensics and
-    /// the population sketch ([`Observers::arm`]). Each due sample fires
+    /// Arms the windows at a fixed virtual-time `interval_us`
+    /// ([`Observers::arm_windows`]: the telemetry sampler, the online
+    /// health engine over the [default rules](crate::default_rules), tail
+    /// forensics and the population sketch). Each due sample fires
     /// between scheduler events: it publishes the scheduler's
     /// outstanding-event count as the
     /// [`telemetry.queue_depth`](crate::names::TELEMETRY_QUEUE_DEPTH)
     /// gauge, then closes the window ([`Observers::close_window`]), where
-    /// the engine judges the timeline so far. Each rule's
-    /// `health.alert.<rule>` counter is registered at zero here, so
-    /// exports show the armed rule set even when nothing fires. Arming
-    /// appends only to metrics and the timeline — traces and deliveries
-    /// are bit-identical armed or not (an alert transition, which a clean
-    /// run never has, is mirrored into the trace stream).
+    /// the engine judges the timeline so far. Arming appends only to
+    /// metrics and the timeline — traces and deliveries are bit-identical
+    /// armed or not (an alert transition, which a clean run never has, is
+    /// mirrored into the trace stream).
     pub fn enable_telemetry(&mut self, interval_us: u64) {
-        let engine = HealthEngine::new(default_rules());
-        engine.prime(self.obs.metrics_mut());
-        self.obs.arm();
-        self.telemetry = Some((Sampler::new(interval_us), engine));
+        self.obs.arm_windows(interval_us);
     }
 
     /// The telemetry timeline collected so far (`None` when disabled).
     pub fn telemetry(&self) -> Option<&Timeline> {
-        self.telemetry.as_ref().map(|(s, _)| s.timeline())
+        self.obs.timeline()
     }
 
     /// Takes the telemetry timeline out of the sim (disabling further
     /// sampling), e.g. to attach it to a report.
     pub fn take_telemetry(&mut self) -> Option<Timeline> {
-        self.telemetry.take().map(|(s, _)| s.into_timeline())
+        self.obs.take_timeline()
     }
 
     /// Closes every telemetry window due at or before `upto_us`.
     fn fire_due_samples(&mut self, upto_us: u64) {
-        let Some((sampler, health)) = self.telemetry.as_mut() else {
-            return;
-        };
-        while sampler.next_at_us() <= upto_us {
-            let at = sampler.next_at_us();
+        while let Some(at) = self.obs.next_window_at().filter(|&at| at <= upto_us) {
             self.obs
                 .gauge(crate::names::TELEMETRY_QUEUE_DEPTH, self.queue.len() as f64);
-            self.obs.close_window(self.now, at, sampler, Some(health));
+            self.obs.close_window(self.now, at);
         }
     }
 
@@ -438,24 +449,6 @@ impl Sim {
 
     fn slot(&self, id: NodeId) -> Option<&NodeSlot> {
         self.nodes.get(id.0 as usize)
-    }
-
-    fn charge(&mut self, id: NodeId, cost: u64) {
-        if let Some(slot) = self.nodes.get_mut(id.0 as usize) {
-            slot.busy_us += cost;
-        }
-        self.record_interval(id, KIND_BUSY, cost);
-    }
-
-    /// Records a busy interval of `dur_us` ending at the current virtual
-    /// time on `id`'s timeline track. Never touches the event queue.
-    fn record_interval(&mut self, id: NodeId, kind: &'static str, dur_us: u64) {
-        self.obs.interval(BusyInterval {
-            track: id.0,
-            kind,
-            start_us: self.now.saturating_sub(dur_us),
-            dur_us,
-        });
     }
 
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut dyn NodeCtx)) {
@@ -721,55 +714,33 @@ impl<T> std::fmt::Debug for Handle<T> {
     }
 }
 
+/// A hosted node: any [`Node`] whose concrete type can be recovered.
+trait Hosted: Node + Any {}
+impl<T: Node + Any> Hosted for T {}
+
 /// A boxed node that remembers its concrete type, so a [`Handle`] can
 /// borrow it back. Both runtimes store their nodes as this.
-pub struct AnyNode {
-    node: Box<dyn Node>,
-    /// `None` for a node registered type-erased.
-    type_id: Option<TypeId>,
-}
+pub struct AnyNode(Box<dyn Hosted>);
 
 impl AnyNode {
-    /// Wraps a node whose type is already erased.
-    pub fn erased(node: Box<dyn Node>) -> AnyNode {
-        AnyNode {
-            node,
-            type_id: None,
-        }
-    }
-
     /// Wraps a node, remembering that it is a `T`.
     pub fn typed<T: Node + 'static>(node: T) -> AnyNode {
-        AnyNode {
-            node: Box::new(node),
-            type_id: Some(TypeId::of::<T>()),
-        }
+        AnyNode(Box::new(node))
     }
 
     /// The node, for dispatch.
     pub fn as_dyn(&mut self) -> &mut dyn Node {
-        self.node.as_mut()
-    }
-
-    fn check<T: 'static>(&self) {
-        assert_eq!(
-            self.type_id,
-            Some(TypeId::of::<T>()),
-            "handle type mismatch"
-        );
+        self.0.as_mut()
     }
 
     /// Borrows the node as a `T`.
     ///
     /// # Panics
     ///
-    /// Panics unless the node was wrapped by [`AnyNode::typed`] as a `T`.
+    /// Panics unless the node is a `T`.
     pub fn downcast_ref<T: Node + 'static>(&self) -> &T {
-        self.check::<T>();
-        // SAFETY: `type_id` is written only by `typed::<T>`, together
-        // with the box it describes, and neither is replaced afterwards;
-        // the check above proves the box holds exactly a `T`.
-        unsafe { &*(self.node.as_ref() as *const dyn Node as *const T) }
+        let any: &dyn Any = &*self.0;
+        any.downcast_ref().expect("handle type mismatch")
     }
 
     /// Mutably borrows the node as a `T`.
@@ -778,19 +749,12 @@ impl AnyNode {
     ///
     /// As [`AnyNode::downcast_ref`].
     pub fn downcast_mut<T: Node + 'static>(&mut self) -> &mut T {
-        self.check::<T>();
-        // SAFETY: as in `downcast_ref`.
-        unsafe { &mut *(self.node.as_mut() as *mut dyn Node as *mut T) }
+        let any: &mut dyn Any = &mut *self.0;
+        any.downcast_mut().expect("handle type mismatch")
     }
 }
 
 impl Sim {
-    /// Like [`Sim::add_node`] but preserves the concrete type for later
-    /// inspection via [`Sim::node`] / [`Sim::node_ref`].
-    pub fn add_typed_node<T: Node + 'static>(&mut self, name: &str, node: T) -> Handle<T> {
-        Handle::new(self.add_any(name, AnyNode::typed(node)))
-    }
-
     /// Mutable access to a typed node between events.
     ///
     /// # Panics
@@ -876,7 +840,7 @@ impl NodeCtx for SimCtx<'_> {
         let last = self.sim.last_arrival.get(&key).copied().unwrap_or(0);
         let arrival = arrival.max(last);
         self.sim.last_arrival.insert(key, arrival);
-        self.sim.push(
+        self.sim.queue.push(
             arrival,
             EventKind::Deliver {
                 to,
@@ -888,7 +852,9 @@ impl NodeCtx for SimCtx<'_> {
 
     fn set_timer(&mut self, delay_us: u64, key: TimerKey) {
         let at = self.sim.now + delay_us;
-        self.sim.push(at, EventKind::Timer { node: self.me, key });
+        self.sim
+            .queue
+            .push(at, EventKind::Timer { node: self.me, key });
     }
 
     fn rng(&mut self) -> &mut SmallRng {
@@ -896,29 +862,23 @@ impl NodeCtx for SimCtx<'_> {
     }
 
     fn work(&mut self, cost_us: u64) {
-        self.sim.charge(self.me, cost_us);
+        if let Some(slot) = self.sim.nodes.get_mut(self.me.0 as usize) {
+            slot.busy_us += cost_us;
+        }
+        self.interval(KIND_BUSY, cost_us);
     }
 
-    fn record(&mut self, series: &str, value: f64) {
-        self.sim.obs.record(self.sim.now, series, value);
+    fn observers(&mut self) -> Option<&mut Observers> {
+        Some(&mut self.sim.obs)
     }
 
-    fn count(&mut self, counter: &str, delta: f64) {
-        self.sim.obs.count(counter, delta);
-    }
-
-    fn observe(&mut self, name: &str, value: f64) {
-        self.sim.obs.observe(name, value);
-    }
-
-    fn gauge(&mut self, name: &str, value: f64) {
-        self.sim.obs.gauge(name, value);
-    }
-
+    /// The oracle's verdict sets off the tripwire.
     fn trace(&mut self, event: TraceEvent) {
         self.sim.push_trace(self.me, event);
     }
 
+    /// As `trace`: a subscriber that trips the ledger sets off the
+    /// tripwire.
     fn delivered(
         &mut self,
         pubend: PubendId,
@@ -932,14 +892,6 @@ impl NodeCtx for SimCtx<'_> {
             .delivered(sim.now, self.me, pubend, ts, path, subs, |obs, rec| {
                 trip.tripped(obs, nodes, &rec)
             });
-    }
-
-    fn interval(&mut self, kind: &'static str, dur_us: u64) {
-        self.sim.record_interval(self.me, kind, dur_us);
-    }
-
-    fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        self.sim.obs.attribute(dim, entity, weight);
     }
 }
 
@@ -1314,6 +1266,151 @@ mod tests {
             gaps.iter().all(|&g| g >= 200),
             "serialization gaps: {gaps:?}"
         );
+    }
+
+    /// A host that writes only the acting half and hands out its
+    /// observers: the provided methods do the rest.
+    struct StubCtx {
+        obs: Observers,
+        rng: SmallRng,
+    }
+
+    impl StubCtx {
+        fn new() -> StubCtx {
+            StubCtx {
+                obs: Observers::new(16),
+                rng: SmallRng::seed_from_u64(0),
+            }
+        }
+    }
+
+    impl NodeCtx for StubCtx {
+        fn now_us(&self) -> u64 {
+            7
+        }
+        fn me(&self) -> NodeId {
+            NodeId(3)
+        }
+        fn send(&mut self, _: NodeId, _: NetMsg) {}
+        fn set_timer(&mut self, _: u64, _: TimerKey) {}
+        fn rng(&mut self) -> &mut SmallRng {
+            &mut self.rng
+        }
+        fn work(&mut self, _: u64) {}
+        fn observers(&mut self) -> Option<&mut Observers> {
+            Some(&mut self.obs)
+        }
+    }
+
+    /// A wrapper with no observers of its own that overrides only
+    /// `trace`, the way a tracing wrapper forwards to its inner context.
+    struct Wrapper<'a> {
+        inner: &'a mut StubCtx,
+        seen: Vec<TraceEvent>,
+    }
+
+    impl NodeCtx for Wrapper<'_> {
+        fn now_us(&self) -> u64 {
+            self.inner.now_us()
+        }
+        fn me(&self) -> NodeId {
+            self.inner.me()
+        }
+        fn send(&mut self, to: NodeId, msg: NetMsg) {
+            self.inner.send(to, msg);
+        }
+        fn set_timer(&mut self, delay_us: u64, key: TimerKey) {
+            self.inner.set_timer(delay_us, key);
+        }
+        fn rng(&mut self) -> &mut SmallRng {
+            self.inner.rng()
+        }
+        fn work(&mut self, cost_us: u64) {
+            self.inner.work(cost_us);
+        }
+        fn trace(&mut self, event: TraceEvent) {
+            self.seen.push(event.clone());
+            self.inner.trace(event);
+        }
+    }
+
+    fn delivered_event(ts: u64, sub: u64) -> TraceEvent {
+        TraceEvent::Delivered {
+            pubend: PubendId(0),
+            ts: Timestamp(ts),
+            sub: SubscriberId(sub),
+            path: DeliveryPath::Constream,
+        }
+    }
+
+    #[test]
+    fn provided_observation_half_reaches_the_hosts_observers() {
+        use crate::sketch::DIM_SUB_BYTES;
+        let mut ctx = StubCtx::new();
+        ctx.count("c", 2.0);
+        ctx.observe("h", 5.0);
+        ctx.gauge("g", 1.5);
+        ctx.record("s", 4.0);
+        // Disarmed: the interval and the attribution are discarded.
+        ctx.interval(KIND_BUSY, 5);
+        ctx.attribute(DIM_SUB_BYTES, 41, 9);
+        let m = ctx.obs.metrics();
+        assert_eq!(m.counter("c"), 2.0);
+        assert_eq!(m.histogram("h").map(|h| h.count()), Some(1));
+        assert_eq!(m.gauge("g"), Some(1.5));
+        assert_eq!(m.series("s"), &[(7, 4.0)]);
+
+        ctx.obs.arm_windows(1_000);
+        ctx.interval(KIND_BUSY, 5);
+        ctx.attribute(DIM_SUB_BYTES, 42, 9);
+        ctx.obs.close_window(7, 1_000);
+        let t = ctx.obs.timeline().expect("windows armed");
+        let ivs: Vec<&BusyInterval> = t.intervals().collect();
+        assert_eq!(
+            ivs,
+            [&BusyInterval {
+                track: 3,
+                kind: KIND_BUSY,
+                start_us: 2,
+                dur_us: 5,
+            }]
+        );
+        let bytes = t
+            .topks()
+            .find(|s| s.dim == DIM_SUB_BYTES)
+            .expect("attribution drained");
+        let entities: Vec<u64> = bytes.entries.iter().map(|e| e.entity).collect();
+        assert_eq!(entities, [42]);
+
+        if !crate::TRACE_ENABLED {
+            return;
+        }
+        // A traced record goes through the oracle, stamped by the host.
+        ctx.trace(delivered_event(5, 1));
+        ctx.trace(delivered_event(5, 1));
+        assert_eq!(ctx.obs.lineage().violations(), 1);
+        let rec = ctx.obs.trace_records().last().expect("retained");
+        assert_eq!((rec.t_us, rec.node), (7, NodeId(3)));
+        // One delivered report; the ledger checks every subscriber, so
+        // the repeat within it trips once.
+        let subs = [SubscriberId(1), SubscriberId(2), SubscriberId(1)];
+        ctx.delivered(PubendId(0), Timestamp(6), DeliveryPath::Constream, &subs);
+        assert_eq!(ctx.obs.lineage().violations(), 2);
+    }
+
+    #[test]
+    fn default_delivered_traces_once_per_subscriber_without_observers() {
+        let mut inner = StubCtx::new();
+        let mut ctx = Wrapper {
+            inner: &mut inner,
+            seen: Vec::new(),
+        };
+        let subs = [SubscriberId(1), SubscriberId(2)];
+        ctx.delivered(PubendId(0), Timestamp(9), DeliveryPath::Constream, &subs);
+        assert_eq!(ctx.seen, [delivered_event(9, 1), delivered_event(9, 2)]);
+        if crate::TRACE_ENABLED {
+            assert_eq!(inner.obs.trace_records().count(), 2);
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn constream_gap() -> Planter {
 fn duplicate_delivery_trips_the_ledger_under_the_simulator() {
     let mut sim = Sim::new(1);
     sim.set_oracle_panic(false);
-    let node = sim.add_node("planter", Box::new(duplicate_delivery()));
+    let node = sim.add_typed_node("planter", duplicate_delivery()).id();
     sim.inject_ctrl(0, node, poke());
     sim.run_to_quiescence();
     assert_eq!(sim.ledger_violations(), 1);
@@ -93,7 +93,7 @@ fn duplicate_delivery_trips_the_ledger_on_a_net_worker() {
 fn constream_gap_trips_the_watchdog_under_the_simulator() {
     let mut sim = Sim::new(1);
     sim.set_oracle_panic(false);
-    let node = sim.add_node("planter", Box::new(constream_gap()));
+    let node = sim.add_typed_node("planter", constream_gap()).id();
     sim.inject_ctrl(0, node, poke());
     sim.run_to_quiescence();
     assert_eq!(sim.watchdog_violations(), 1);
@@ -148,7 +148,9 @@ fn duplicate_in_one_delivered_report_trips_the_ledger_under_the_simulator() {
     let mut sim = Sim::new(1);
     sim.set_oracle_panic(false);
     sim.set_flight_dir(Some(dir.clone()));
-    let node = sim.add_node("planter", Box::new(duplicate_in_one_report()));
+    let node = sim
+        .add_typed_node("planter", duplicate_in_one_report())
+        .id();
     sim.inject_ctrl(0, node, poke());
     sim.run_to_quiescence();
     assert_eq!(sim.ledger_violations(), 1);

@@ -131,9 +131,9 @@ fn under_sim() -> Report {
     }
     .arm(&mut sim);
     let (phb, shb, client) = nodes();
-    let phb = sim.add_node("phb", Box::new(phb));
-    let shb = sim.add_node("shb", Box::new(shb));
-    let client = sim.add_node("client", Box::new(client));
+    let phb = sim.add_typed_node("phb", phb).id();
+    let shb = sim.add_typed_node("shb", shb).id();
+    let client = sim.add_typed_node("client", client).id();
     sim.connect(phb, shb, 200);
     sim.connect(shb, client, 200);
     for i in 0..EVENTS {
