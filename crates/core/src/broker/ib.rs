@@ -236,8 +236,10 @@ impl Broker {
 
     /// Forwards parts to one child, downgrading data ticks that match no
     /// subscription in the child's subtree to silence (the paper's
-    /// intermediate filtering). Fresh knowledge goes through the
-    /// per-child batcher; nack responses bypass it (recovery latency and
+    /// intermediate filtering). Fresh routed knowledge goes through the
+    /// per-child batcher. A hosted pubend's knowledge leaves in the
+    /// wakeup that made it (its commit or silence tick), and nack
+    /// responses bypass the batcher too (recovery latency and
     /// interest-routing semantics both want them on the wire now).
     pub(crate) fn send_filtered(
         &mut self,
@@ -313,6 +315,21 @@ impl Broker {
                     nack_response: false,
                     interest_version: stamp,
                 }),
+            );
+        } else if hosted {
+            // A hosted pubend's knowledge was made durable (or silent)
+            // in this very wakeup, one part list per pubend: holding it
+            // would merge nothing and only add latency, so it leaves now.
+            let since_us = ctx.now_us();
+            self.send_batch(
+                child,
+                p,
+                PendingBatch {
+                    parts: out,
+                    stamp,
+                    since_us,
+                },
+                ctx,
             );
         } else {
             self.enqueue_knowledge(child, p, out, stamp, ctx);

@@ -12,17 +12,17 @@
 //! [`Node`] dispatch that classifies each message/timer and hands it to
 //! a role. The protocol logic lives in the role modules:
 //!
-//! * [`phb`] — publisher hosting: pubend timestamping, the only-once
-//!   event log, group commit (§2–3);
-//! * [`ib`] — routing: knowledge caching and subtree filtering,
+//! * `phb` — publisher hosting: pubend timestamping, the only-once
+//!   event log, one broker-wide group-commit window (§2–3);
+//! * `ib` — routing: knowledge caching and subtree filtering,
 //!   curiosity/nack consolidation, interest versioning, release
 //!   aggregation (§3, §5.3);
-//! * [`shb_role`] — subscriber hosting: connect parking, catchup
+//! * `shb_role` — subscriber hosting: connect parking, catchup
 //!   driving, PFS reads, client handlers (§4).
 //!
 //! All state scoped to a single pubend — the hosted [`Pubend`], the
 //! [`Route`], per-child release reports — lives in one
-//! [`pipeline::PubendPipeline`] keyed once per pubend, so a pubend's
+//! `pipeline::PubendPipeline` keyed once per pubend, so a pubend's
 //! whole pipeline is created, restored or dropped as one unit (see
 //! `DESIGN.md` §10).
 
@@ -288,9 +288,10 @@ impl Node for Broker {
         if d.epoch != self.epoch {
             return; // stale timer from before a crash
         }
+        ctx.count(d.kind.name(), 1.0);
         match d.kind {
-            Kind::PhbCommit => self.on_phb_commit(PubendId(d.pubend as u32), ctx),
-            Kind::PhbCommitDone => self.on_phb_commit_done(PubendId(d.pubend as u32), ctx),
+            Kind::PhbCommit => self.on_phb_commit(ctx),
+            Kind::PhbCommitDone => self.on_phb_commit_done(ctx),
             Kind::PhbSilence => self.on_phb_silence(ctx),
             Kind::Release => self.on_release_timer(ctx),
             Kind::MetaPersist => {
@@ -334,6 +335,8 @@ impl Node for Broker {
         self.ib.resync = true;
         self.shb.parked.clear();
         self.phb.log = None;
+        self.phb.commit_scheduled = false;
+        self.phb.in_flight.clear();
         self.shb.state = None;
         self.boot(ctx);
         if let Some(shb) = self.shb.state.as_mut() {

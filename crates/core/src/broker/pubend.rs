@@ -27,8 +27,6 @@ pub struct Pubend {
     /// cache pipelines commits, as the paper's SSA setup does), oldest
     /// first.
     committing: std::collections::VecDeque<Vec<EventRef>>,
-    /// A batch-close timer is outstanding.
-    pub commit_scheduled: bool,
     /// Ticks `≤ lost_to` are `L` (released or early-released).
     lost_to: Timestamp,
     /// Events published (monotone counter for stats).
@@ -49,7 +47,6 @@ impl Pubend {
             emitted_to: now_ticks,
             pending: Vec::new(),
             committing: std::collections::VecDeque::new(),
-            commit_scheduled: false,
             lost_to: Timestamp::ZERO,
             published: 0,
             log_bytes: 0,
@@ -72,20 +69,12 @@ impl Pubend {
         event
     }
 
-    /// `true` when a batch-close timer should be armed (a new batch
-    /// exists and no close timer is outstanding; an in-flight write does
-    /// not block the next batch window from opening).
-    pub fn needs_commit(&self) -> bool {
-        !self.pending.is_empty() && !self.commit_scheduled
-    }
-
     /// Batch close: snapshots the accumulating batch as an in-flight
     /// write (writes pipeline; each becomes durable after the device
     /// latency). The caller schedules the durability timer
     /// (`PhbCommitDone`). Returns `false` when there was nothing to
     /// commit.
     pub fn begin_commit(&mut self) -> bool {
-        self.commit_scheduled = false;
         if self.pending.is_empty() {
             return false;
         }
@@ -195,7 +184,6 @@ impl Pubend {
     pub fn restart_at(&mut self, now_ticks: Timestamp) {
         self.pending.clear();
         self.committing.clear();
-        self.commit_scheduled = false;
         self.frontier = self.frontier.max(now_ticks);
         self.emitted_to = self.emitted_to.max(now_ticks);
     }

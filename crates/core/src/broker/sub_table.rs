@@ -233,7 +233,7 @@ pub struct SubState {
     /// [`ParkedStream`]); drained on reconnect.
     pub parked: PubendMap<ParkedStream>,
     /// Attribution counters drained by the periodic slab sweep (see
-    /// [`SubStats`]). Survives disconnection like the cursors do.
+    /// `SubStats`). Survives disconnection like the cursors do.
     pub stats: SubStats,
 }
 

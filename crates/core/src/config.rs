@@ -75,8 +75,9 @@ pub const CT_COMMIT_PER_UPDATE_US: u64 = 500;
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
     // ---- PHB / pubend ----
-    /// Group-commit interval at the pubend: publishes buffered this long
-    /// share one log sync.
+    /// Group-commit window of a PHB: one window per broker, opened by
+    /// the first publish to any of its pubends. Every publish it buffers,
+    /// across all hosted pubends, shares one event-log sync.
     pub phb_commit_interval_us: u64,
     /// Modeled durability latency of one group commit (disk write +
     /// rotation; 44 ms in the paper's SSA-disk setup). Knowledge for an
@@ -100,12 +101,14 @@ pub struct BrokerConfig {
     /// How many ticks of knowledge an intermediate/SHB cache retains for
     /// answering nacks locally.
     pub cache_window_ticks: u64,
-    /// How long the IB may hold a child's accumulated fresh knowledge
-    /// before flushing it downstream as one message (the paper's silence
-    /// consolidation amortizes per-message overhead at the cost of this
-    /// much added knowledge latency). `0` disables batching: every
-    /// knowledge message is forwarded immediately. Nack responses always
-    /// bypass the batcher.
+    /// How long an IB may hold a child's accumulated fresh routed
+    /// knowledge before flushing it downstream as one message (the
+    /// paper's silence consolidation amortizes per-message overhead at
+    /// the cost of this much added knowledge latency). `0` disables
+    /// batching: every knowledge message is forwarded immediately. Nack
+    /// responses always bypass the batcher, and so does a PHB's own
+    /// knowledge, which leaves in the wakeup of the commit (or silence
+    /// tick) that made it.
     pub knowledge_flush_interval_us: u64,
     /// Flush a child's pending knowledge batch for a pubend early once it
     /// holds this many parts (bounds message size and heap growth under

@@ -5,13 +5,16 @@
 //! crash recovery so periodic timers armed before a crash are recognized
 //! as stale and dropped instead of doubling up.
 
+use gryphon_sim::names;
+
 /// Timer kinds used by [`Broker`](crate::Broker), declared in code
 /// order: a kind's code is its position + 1 (so a zero key is never a
 /// broker timer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// Pubend batch window closed: snapshot the batch, start the disk
-    /// write (param = pubend).
+    /// The broker's batch window closed: every hosted pubend with
+    /// pending events snapshots its batch, and one disk write starts for
+    /// all of them (broker-wide; no parameter).
     PhbCommit,
     /// Idle-pubend silence emission (all hosted pubends).
     PhbSilence,
@@ -32,7 +35,8 @@ pub enum Kind {
     /// A checkpoint-commit worker finished its transaction (param =
     /// worker index).
     CtCommit,
-    /// The in-flight disk write became durable (param = pubend).
+    /// The oldest in-flight disk write became durable: one sync for
+    /// every batch its window closed (broker-wide; no parameter).
     PhbCommitDone,
     /// Flush a child's batched knowledge (param = child node id).
     KnowledgeFlush,
@@ -54,6 +58,25 @@ impl Kind {
         Kind::PhbCommitDone,
         Kind::KnowledgeFlush,
     ];
+
+    /// The counter a firing of this kind is counted under
+    /// (`broker.timer.<kind>`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::PhbCommit => names::BROKER_TIMER_PHB_COMMIT,
+            Kind::PhbSilence => names::BROKER_TIMER_PHB_SILENCE,
+            Kind::Release => names::BROKER_TIMER_RELEASE,
+            Kind::MetaPersist => names::BROKER_TIMER_META_PERSIST,
+            Kind::PfsSync => names::BROKER_TIMER_PFS_SYNC,
+            Kind::RetryNacks => names::BROKER_TIMER_RETRY_NACKS,
+            Kind::ClientSilence => names::BROKER_TIMER_CLIENT_SILENCE,
+            Kind::CacheTrim => names::BROKER_TIMER_CACHE_TRIM,
+            Kind::CatchupRead => names::BROKER_TIMER_CATCHUP_READ,
+            Kind::CtCommit => names::BROKER_TIMER_CT_COMMIT,
+            Kind::PhbCommitDone => names::BROKER_TIMER_PHB_COMMIT_DONE,
+            Kind::KnowledgeFlush => names::BROKER_TIMER_KNOWLEDGE_FLUSH,
+        }
+    }
 
     fn code(self) -> u64 {
         self as u64 + 1
@@ -110,6 +133,17 @@ mod tests {
             assert_eq!(d.epoch, 7);
             assert_eq!(d.pubend, 65_535);
             assert_eq!(d.param, 0xDEAD_BEEF);
+        }
+    }
+
+    #[test]
+    fn every_kind_has_its_own_registered_counter() {
+        let mut seen = std::collections::BTreeSet::new();
+        for kind in Kind::ALL {
+            let name = kind.name();
+            assert!(name.starts_with("broker.timer."), "{name}");
+            assert!(names::all().contains(&name), "{name} not registered");
+            assert!(seen.insert(name), "{name} named twice");
         }
     }
 

@@ -15,7 +15,7 @@
 //! 2. **traffic** — a small fraction connects and the constream
 //!    advances through a fully-known cache, proving delivery still
 //!    flows while the idle mass sits in the slab;
-//! 3. **churn** — [`CHURN_PCT`] percent of the population unsubscribes
+//! 3. **churn** — `CHURN_PCT` percent of the population unsubscribes
 //!    and re-registers, recycling slab slots (generation bumps);
 //! 4. **storm** — a reconnect storm: a batch of idle subscribers
 //!    connects with old checkpoints (catchup streams open), drops

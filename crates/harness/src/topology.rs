@@ -33,10 +33,14 @@ pub struct RunOptions {
     /// (`--seed-offset`): two runs of one experiment that differ only in
     /// their RNG stream.
     pub seed_offset: u64,
-    /// Deliberately worsen the broker configuration — tripled PHB commit
-    /// latency and a huge, slow-flushing knowledge batch budget — so
-    /// latency percentiles regress measurably (`--degrade`). Exists to
-    /// give `xp doctor diff` a known-bad bundle to flag in CI.
+    /// Deliberately worsen the broker configuration so latency
+    /// percentiles regress measurably (`--degrade`): the PHB commit
+    /// latency triples, and the knowledge batcher flushes 200× less
+    /// often under a 1 000× larger size cap. The batcher holds only
+    /// knowledge an IB routes — a PHB's own knowledge leaves with its
+    /// commit — so on trees without an intermediate broker the tripled
+    /// commit latency is the whole degradation. Exists to give
+    /// `xp doctor diff` a known-bad bundle to flag in CI.
     pub degrade: bool,
     /// `mega_subs` subscriber population (`--subs`); `None` = built-in
     /// scale (10^6, or 20 000 under `--quick`).

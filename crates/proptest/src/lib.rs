@@ -448,7 +448,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `Vec<S::Value>`; see [`vec`].
+    /// Strategy for `Vec<S::Value>`; see [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -88,6 +88,33 @@ pub mod names {
     /// Counter: messages a broker received but has no handler for
     /// (e.g. server-bound messages misdelivered to a broker).
     pub const BROKER_UNEXPECTED_MSG: &str = "broker.unexpected_msg";
+    // One counter per broker timer kind (`gryphon::timer::Kind::name`),
+    // counted once per firing in the epoch that armed it; stale timers
+    // from before a restart are not counted.
+    /// Counter: broker timer firings — the broker's group-commit window closed.
+    pub const BROKER_TIMER_PHB_COMMIT: &str = "broker.timer.phb_commit";
+    /// Counter: broker timer firings — idle hosted pubends emitted silence.
+    pub const BROKER_TIMER_PHB_SILENCE: &str = "broker.timer.phb_silence";
+    /// Counter: broker timer firings — release aggregation and log chopping ran.
+    pub const BROKER_TIMER_RELEASE: &str = "broker.timer.release";
+    /// Counter: broker timer firings — the SHB persisted its meta table.
+    pub const BROKER_TIMER_META_PERSIST: &str = "broker.timer.meta_persist";
+    /// Counter: broker timer firings — the PFS group commit ran.
+    pub const BROKER_TIMER_PFS_SYNC: &str = "broker.timer.pfs_sync";
+    /// Counter: broker timer firings — timed-out curiosity was re-nacked.
+    pub const BROKER_TIMER_RETRY_NACKS: &str = "broker.timer.retry_nacks";
+    /// Counter: broker timer firings — idle subscribers were sent silence.
+    pub const BROKER_TIMER_CLIENT_SILENCE: &str = "broker.timer.client_silence";
+    /// Counter: broker timer firings — knowledge caches were trimmed.
+    pub const BROKER_TIMER_CACHE_TRIM: &str = "broker.timer.cache_trim";
+    /// Counter: broker timer firings — a modeled PFS batch read completed.
+    pub const BROKER_TIMER_CATCHUP_READ: &str = "broker.timer.catchup_read";
+    /// Counter: broker timer firings — a checkpoint-commit worker finished.
+    pub const BROKER_TIMER_CT_COMMIT: &str = "broker.timer.ct_commit";
+    /// Counter: broker timer firings — an event-log write became durable.
+    pub const BROKER_TIMER_PHB_COMMIT_DONE: &str = "broker.timer.phb_commit_done";
+    /// Counter: broker timer firings — a child's batched routed knowledge was flushed.
+    pub const BROKER_TIMER_KNOWLEDGE_FLUSH: &str = "broker.timer.knowledge_flush";
     /// Histogram: knowledge parts per batched downstream knowledge
     /// message (IB fan-out batching; silence consolidation, §3.2).
     pub const IB_KNOWLEDGE_BATCH_PARTS: &str = "ib.knowledge_batch_parts";
@@ -246,6 +273,18 @@ pub mod names {
             LINEAGE_STAGE_ORPHANS,
             LINEAGE_FLIGHT_DUMPS,
             BROKER_UNEXPECTED_MSG,
+            BROKER_TIMER_PHB_COMMIT,
+            BROKER_TIMER_PHB_SILENCE,
+            BROKER_TIMER_RELEASE,
+            BROKER_TIMER_META_PERSIST,
+            BROKER_TIMER_PFS_SYNC,
+            BROKER_TIMER_RETRY_NACKS,
+            BROKER_TIMER_CLIENT_SILENCE,
+            BROKER_TIMER_CACHE_TRIM,
+            BROKER_TIMER_CATCHUP_READ,
+            BROKER_TIMER_CT_COMMIT,
+            BROKER_TIMER_PHB_COMMIT_DONE,
+            BROKER_TIMER_KNOWLEDGE_FLUSH,
             IB_KNOWLEDGE_BATCH_PARTS,
             IB_KNOWLEDGE_FLUSH_WAIT_US,
             IB_KNOWLEDGE_BATCHES,

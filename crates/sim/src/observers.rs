@@ -1,28 +1,4 @@
-//! The observer stack's one owner (DESIGN.md §9).
-//!
-//! A runtime that hosts [`Node`](crate::Node)s embeds an [`Observers`]
-//! and hands it out through [`NodeCtx::observers`](crate::NodeCtx::observers);
-//! the trait's provided methods route the observation half of the
-//! context to it. The owner holds the metrics registry, the trace ring,
-//! the lineage assembler with the correctness oracle (the exactly-once
-//! ledger and the protocol watchdogs) and its tail reservoir, the
-//! busy-interval ring, the population sketch and — once
-//! [`Observers::arm_windows`] opens them — the telemetry sampler and the
-//! health engine, and has three entry points:
-//!
-//! * **observe** — `record`, `count`, `observe`, `gauge`, `trace`,
-//!   `delivered`, `interval`, `attribute`: what a node callback reports;
-//! * **absorb** — fold worker shards into this owner, in worker-index
-//!   order;
-//! * **close_window** — the only code that turns what the observers
-//!   collected into timeline records, gauges, alerts and drop counters.
-//!
-//! The simulator embeds one and closes a window per due sample. The
-//! threaded runtime embeds one per worker plus one on its sampler thread,
-//! which absorbs the workers' and closes the same window. The runtimes
-//! differ in *when* a window closes and in which runtime gauges they set
-//! beforehand, never in what closing does — nor in how the windows are
-//! armed: [`Observers::arm_windows`] is the one recipe.
+//! The observer stack's one owner, [`Observers`] (DESIGN.md §9).
 
 use crate::forensics::{BusyInterval, Exemplar, ExemplarReservoir, INTERVAL_CAPACITY};
 use crate::health::{default_rules, AlertState, HealthEngine};
@@ -36,7 +12,31 @@ use crate::trace::{DeliveryPath, TraceEvent, TraceRecord, TRACE_ENABLED};
 use gryphon_types::{LineageKey, NodeId, PubendId, SubscriberId, Timestamp};
 use std::collections::BTreeMap;
 
-/// The observer stack. See the [module docs](self).
+/// The observer stack's one owner.
+///
+/// A runtime that hosts [`Node`](crate::Node)s embeds an [`Observers`]
+/// and hands it out through [`NodeCtx::observers`](crate::NodeCtx::observers);
+/// the trait's provided methods route the observation half of the
+/// context to it. The owner holds the metrics registry, the trace ring,
+/// the lineage assembler with the correctness oracle (the exactly-once
+/// ledger and the protocol watchdogs) and its tail reservoir, the
+/// busy-interval ring, the population sketch and — once
+/// [`Observers::arm_windows`] opens them — the telemetry sampler and the
+/// health engine, and has three entry points:
+///
+/// * **observe** — `record`, `count`, `observe`, `gauge`, `trace`,
+///   `delivered`, `interval`, `attribute`: what a node callback reports;
+/// * **absorb** — fold worker shards into this owner, in worker-index
+///   order;
+/// * **close_window** — the only code that turns what the observers
+///   collected into timeline records, gauges, alerts and drop counters.
+///
+/// The simulator embeds one and closes a window per due sample. The
+/// threaded runtime embeds one per worker plus one on its sampler thread,
+/// which absorbs the workers' and closes the same window. The runtimes
+/// differ in *when* a window closes and in which runtime gauges they set
+/// beforehand, never in what closing does — nor in how the windows are
+/// armed: [`Observers::arm_windows`] is the one recipe.
 #[derive(Debug)]
 pub struct Observers {
     metrics: Metrics,

@@ -254,6 +254,10 @@ echo "ok: $(grep -c '"ph":"X"' "$trace") slices, $(grep -c '"ph":"b"' "$trace") 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (-D warnings) =="
+# Broken and private intra-doc links, and ambiguous ones, fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== benches compile =="
 cargo bench --workspace --no-run
 
