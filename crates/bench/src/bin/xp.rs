@@ -31,8 +31,8 @@
 //! * `--seed-offset N` shifts every simulator seed by N (same workload,
 //!   different randomness — for A/B bundles fed to `xp doctor diff`);
 //! * `--degrade` deliberately worsens the broker config: triple PHB
-//!   commit latency, and a 200× slower flush of knowledge an IB routes
-//!   (CI uses it to prove `xp doctor diff` catches real regressions);
+//!   commit latency (CI uses it to prove `xp doctor diff` catches real
+//!   regressions);
 //! * `--slow-sub` plants one slow consumer in `mega_subs`;
 //! * `--subs N` overrides the `mega_subs` durable-subscription
 //!   population (default 10^6, or 20 000 under `--quick`);

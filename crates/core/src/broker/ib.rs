@@ -9,7 +9,6 @@
 
 use super::{now_ticks, Broker};
 use crate::config::NACK_RESPONSE_CHUNK_TICKS;
-use crate::timer::{self, Kind};
 use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
 use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_streams::{push_coalesced, RetryPolicy};
@@ -61,8 +60,6 @@ pub(crate) struct ChildState {
     /// Child interest versions awaiting upstream confirmation:
     /// `(child version, our upward version carrying it)`.
     pub(crate) pending: Vec<(u64, u64)>,
-    /// Fresh knowledge accumulated for this child, awaiting a flush.
-    pub(crate) batcher: KnowledgeBatcher,
 }
 
 impl ChildState {
@@ -119,33 +116,6 @@ impl ChildState {
         self.version = msg.version;
         Some((added, removed))
     }
-}
-
-/// Per-child knowledge batcher: fresh (non-nack) knowledge accumulates
-/// here, with adjacent silence runs coalesced, until a flush timer or the
-/// size threshold sends it downstream as one message per pubend (the
-/// paper's silence consolidation, amortizing per-message overhead).
-#[derive(Default)]
-pub(crate) struct KnowledgeBatcher {
-    /// Pending parts per pubend. A `BTreeMap` so flushes emit in
-    /// ascending pubend order — deterministic regardless of arrival
-    /// interleaving.
-    pub(crate) pending: BTreeMap<PubendId, PendingBatch>,
-    /// Whether a flush timer is currently armed for this child.
-    pub(crate) timer_armed: bool,
-}
-
-/// One pubend's accumulated knowledge for one child.
-pub(crate) struct PendingBatch {
-    /// Coalesced parts, in accumulation order.
-    pub(crate) parts: Vec<KnowledgePart>,
-    /// Interest-version stamp the parts were filtered under. A stamp
-    /// change forces a flush first: merging parts filtered under
-    /// different versions into one message would over- or under-claim
-    /// which subscriptions the filtering honored.
-    pub(crate) stamp: u64,
-    /// Virtual time the batch opened (flush-latency accounting).
-    pub(crate) since_us: u64,
 }
 
 impl Broker {
@@ -236,11 +206,10 @@ impl Broker {
 
     /// Forwards parts to one child, downgrading data ticks that match no
     /// subscription in the child's subtree to silence (the paper's
-    /// intermediate filtering). Fresh routed knowledge goes through the
-    /// per-child batcher. A hosted pubend's knowledge leaves in the
-    /// wakeup that made it (its commit or silence tick), and nack
-    /// responses bypass the batcher too (recovery latency and
-    /// interest-routing semantics both want them on the wire now).
+    /// intermediate filtering), in the wakeup that brought them: hosted,
+    /// routed and nack-response knowledge alike. Knowledge is batched
+    /// once, at its source, by the PHB's commit window; the link to the
+    /// child is FIFO, so nothing sent later can overtake it.
     pub(crate) fn send_filtered(
         &mut self,
         child: NodeId,
@@ -290,150 +259,18 @@ impl Broker {
         if out.is_empty() {
             return;
         }
-        if nack_response {
-            // Flush any batched fresh knowledge for this (child, pubend)
-            // first so the response never arrives under older knowledge
-            // it was meant to follow.
-            self.flush_child_pubend(child, p, ctx);
-            note_ib_forward(p, &out, ctx);
-            ctx.send(
-                child,
-                NetMsg::Knowledge(KnowledgeMsg {
-                    pubend: p,
-                    parts: out,
-                    nack_response: true,
-                    interest_version: stamp,
-                }),
-            );
-        } else if self.config.knowledge_flush_interval_us == 0 {
-            note_ib_forward(p, &out, ctx);
-            ctx.send(
-                child,
-                NetMsg::Knowledge(KnowledgeMsg {
-                    pubend: p,
-                    parts: out,
-                    nack_response: false,
-                    interest_version: stamp,
-                }),
-            );
-        } else if hosted {
-            // A hosted pubend's knowledge was made durable (or silent)
-            // in this very wakeup, one part list per pubend: holding it
-            // would merge nothing and only add latency, so it leaves now.
-            let since_us = ctx.now_us();
-            self.send_batch(
-                child,
-                p,
-                PendingBatch {
-                    parts: out,
-                    stamp,
-                    since_us,
-                },
-                ctx,
-            );
-        } else {
-            self.enqueue_knowledge(child, p, out, stamp, ctx);
+        if !nack_response {
+            traced!(ctx.observe(names::IB_KNOWLEDGE_BATCH_PARTS, out.len() as f64));
+            traced!(ctx.count(names::IB_KNOWLEDGE_BATCHES, 1.0));
         }
-    }
-
-    /// Accumulates filtered fresh knowledge for `child`, flushing early on
-    /// a stamp change or once the batch hits the size threshold; otherwise
-    /// arms the per-child flush timer.
-    fn enqueue_knowledge(
-        &mut self,
-        child: NodeId,
-        p: PubendId,
-        parts: Vec<KnowledgePart>,
-        stamp: u64,
-        ctx: &mut dyn NodeCtx,
-    ) {
-        let stamp_changed = self
-            .ib
-            .child
-            .get(&child)
-            .and_then(|c| c.batcher.pending.get(&p))
-            .is_some_and(|b| b.stamp != stamp);
-        if stamp_changed {
-            self.flush_child_pubend(child, p, ctx);
-        }
-        let now = ctx.now_us();
-        let max_parts = self.config.knowledge_batch_max_parts.max(1);
-        let full = {
-            let state = self.ib.child.entry(child).or_default();
-            let batch = state
-                .batcher
-                .pending
-                .entry(p)
-                .or_insert_with(|| PendingBatch {
-                    parts: Vec::new(),
-                    stamp,
-                    since_us: now,
-                });
-            for part in parts {
-                push_coalesced(&mut batch.parts, part);
-            }
-            batch.parts.len() >= max_parts
-        };
-        if full {
-            self.flush_child_pubend(child, p, ctx);
-            return;
-        }
-        let state = self.ib.child.get_mut(&child).expect("created above");
-        if !state.batcher.timer_armed {
-            state.batcher.timer_armed = true;
-            ctx.set_timer(
-                self.config.knowledge_flush_interval_us,
-                timer::pack(Kind::KnowledgeFlush, self.epoch, 0, child.0),
-            );
-        }
-    }
-
-    /// Flushes one pubend's pending batch for `child`, if any.
-    pub(crate) fn flush_child_pubend(&mut self, child: NodeId, p: PubendId, ctx: &mut dyn NodeCtx) {
-        let Some(batch) = self
-            .ib
-            .child
-            .get_mut(&child)
-            .and_then(|c| c.batcher.pending.remove(&p))
-        else {
-            return;
-        };
-        self.send_batch(child, p, batch, ctx);
-    }
-
-    /// Flush-timer handler: sends everything pending for `child`.
-    pub(crate) fn on_knowledge_flush(&mut self, child: NodeId, ctx: &mut dyn NodeCtx) {
-        let Some(state) = self.ib.child.get_mut(&child) else {
-            return;
-        };
-        state.batcher.timer_armed = false;
-        let pending = std::mem::take(&mut state.batcher.pending);
-        for (p, batch) in pending {
-            self.send_batch(child, p, batch, ctx);
-        }
-    }
-
-    fn send_batch(
-        &mut self,
-        child: NodeId,
-        p: PubendId,
-        batch: PendingBatch,
-        ctx: &mut dyn NodeCtx,
-    ) {
-        traced!(ctx.observe(names::IB_KNOWLEDGE_BATCH_PARTS, batch.parts.len() as f64));
-        traced!(ctx.observe(
-            names::IB_KNOWLEDGE_FLUSH_WAIT_US,
-            ctx.now_us().saturating_sub(batch.since_us) as f64
-        ));
-        traced!(ctx.count(names::IB_KNOWLEDGE_BATCHES, 1.0));
-        note_ib_forward(p, &batch.parts, ctx);
+        note_ib_forward(p, &out, ctx);
         ctx.send(
             child,
             NetMsg::Knowledge(KnowledgeMsg {
                 pubend: p,
-                parts: batch.parts,
-                nack_response: false,
-                interest_version: batch.stamp,
+                parts: out,
+                nack_response,
+                interest_version: stamp,
             }),
         );
     }
@@ -708,23 +545,19 @@ impl Broker {
     }
 
     /// Tells `child` its interest is confirmed without waiting for fresh
-    /// knowledge to carry the stamp: flushes the knowledge batched for it
-    /// (filtered under its older interest — the link is FIFO, so those
-    /// batches must arrive first), then sends a stamp-only knowledge
-    /// message. With no pipeline to stamp on, the next knowledge forwarded
-    /// to `child` carries the stamp instead.
+    /// knowledge to carry the stamp: sends a stamp-only knowledge message.
+    /// Knowledge filtered under the child's older interest already left,
+    /// and the link is FIFO, so it arrives first. With no pipeline to
+    /// stamp on, the next knowledge forwarded to `child` carries the stamp
+    /// instead.
     fn confirm_child(&mut self, child: NodeId, ctx: &mut dyn NodeCtx) {
         let Some(&p) = self.pipelines.keys().min_by_key(|p| p.0) else {
             return;
         };
-        let Some(state) = self.ib.child.get_mut(&child) else {
+        let Some(state) = self.ib.child.get(&child) else {
             return;
         };
         let stamp = state.confirmed.min(state.version);
-        let pending = std::mem::take(&mut state.batcher.pending);
-        for (q, batch) in pending {
-            self.send_batch(child, q, batch, ctx);
-        }
         ctx.send(
             child,
             NetMsg::Knowledge(KnowledgeMsg {
@@ -913,9 +746,9 @@ impl Broker {
                         traced!(ctx.count(names::RELEASE_ADVANCES, 1.0));
                     }
                 }
-            } else if self.parent.is_some() {
+            } else if let Some(parent) = self.parent {
                 ctx.send(
-                    self.parent.expect("checked"),
+                    parent,
                     NetMsg::Release(ReleaseMsg {
                         pubend: p,
                         released,
@@ -982,10 +815,8 @@ impl Broker {
     }
 }
 
-/// Lineage stage: one `IbForwarded` per data part actually put on the
-/// wire toward a child (batched fresh knowledge fires here at flush time,
-/// so the span's forward anchor reflects when bytes left, not when they
-/// were enqueued).
+/// Lineage stage: one `IbForwarded` per data part put on the wire toward
+/// a child, in the wakeup that sends it.
 fn note_ib_forward(p: PubendId, parts: &[KnowledgePart], ctx: &mut dyn NodeCtx) {
     for part in parts {
         if let KnowledgePart::Data(e) = part {

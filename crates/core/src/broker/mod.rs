@@ -318,7 +318,6 @@ impl Node for Broker {
             Kind::CacheTrim => self.on_cache_trim(ctx),
             Kind::CatchupRead => self.on_catchup_read(PubendId(d.pubend as u32), d.param, ctx),
             Kind::CtCommit => self.on_ct_commit(d.param as usize, ctx),
-            Kind::KnowledgeFlush => self.on_knowledge_flush(NodeId(d.param), ctx),
         }
         self.arm_period(d.kind, ctx);
     }

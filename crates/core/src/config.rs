@@ -101,19 +101,6 @@ pub struct BrokerConfig {
     /// How many ticks of knowledge an intermediate/SHB cache retains for
     /// answering nacks locally.
     pub cache_window_ticks: u64,
-    /// How long an IB may hold a child's accumulated fresh routed
-    /// knowledge before flushing it downstream as one message (the
-    /// paper's silence consolidation amortizes per-message overhead at
-    /// the cost of this much added knowledge latency). `0` disables
-    /// batching: every knowledge message is forwarded immediately. Nack
-    /// responses always bypass the batcher, and so does a PHB's own
-    /// knowledge, which leaves in the wakeup of the commit (or silence
-    /// tick) that made it.
-    pub knowledge_flush_interval_us: u64,
-    /// Flush a child's pending knowledge batch for a pubend early once it
-    /// holds this many parts (bounds message size and heap growth under
-    /// bursts).
-    pub knowledge_batch_max_parts: usize,
 
     // ---- SHB ----
     /// PFS group-commit interval: constream advances `latestDelivered`
@@ -136,8 +123,6 @@ impl Default for BrokerConfig {
             max_retain_ticks: None,
             release_interval_us: 250_000,
             cache_window_ticks: 60_000,
-            knowledge_flush_interval_us: 1_000,
-            knowledge_batch_max_parts: 64,
             pfs_sync_interval_us: 5_000,
             catchup_window_ticks: 2_000,
             costs: CostModel::default(),

@@ -38,13 +38,11 @@ pub enum Kind {
     /// The oldest in-flight disk write became durable: one sync for
     /// every batch its window closed (broker-wide; no parameter).
     PhbCommitDone,
-    /// Flush a child's batched knowledge (param = child node id).
-    KnowledgeFlush,
 }
 
 impl Kind {
     /// Every kind, in code order.
-    pub const ALL: [Kind; 12] = [
+    pub const ALL: [Kind; 11] = [
         Kind::PhbCommit,
         Kind::PhbSilence,
         Kind::Release,
@@ -56,7 +54,6 @@ impl Kind {
         Kind::CatchupRead,
         Kind::CtCommit,
         Kind::PhbCommitDone,
-        Kind::KnowledgeFlush,
     ];
 
     /// The counter a firing of this kind is counted under
@@ -74,7 +71,6 @@ impl Kind {
             Kind::CatchupRead => names::BROKER_TIMER_CATCHUP_READ,
             Kind::CtCommit => names::BROKER_TIMER_CT_COMMIT,
             Kind::PhbCommitDone => names::BROKER_TIMER_PHB_COMMIT_DONE,
-            Kind::KnowledgeFlush => names::BROKER_TIMER_KNOWLEDGE_FLUSH,
         }
     }
 

@@ -26,11 +26,7 @@ struct Tree {
 
 /// PHB → intermediate → SHB, one publisher at 200 ev/s.
 fn tree(seed: u64) -> Tree {
-    tree_with(seed, BrokerConfig::default())
-}
-
-/// [`tree`] with every broker on `config`.
-fn tree_with(seed: u64, config: BrokerConfig) -> Tree {
+    let config = BrokerConfig::default();
     let mut sim = Sim::new(seed);
     let phb = sim.add_typed_node(
         "phb",
@@ -178,24 +174,21 @@ fn events(client: &SubscriberClient) -> Vec<(Timestamp, i64)> {
 }
 
 /// A confirmation never overtakes knowledge batched under the older
-/// interest. With a 50 ms flush window a batch filtered without the new
-/// subscription is pending whenever a confirmation goes out; if the
-/// confirmation overtook it, the subscription would start below ticks
-/// that reach it as silence. Each new subscriber must receive exactly the
-/// events a reference subscriber on another branch saw after its start.
+/// interest. Knowledge filtered without the new subscription may still
+/// be on the link when a confirmation goes out; if the confirmation
+/// overtook it, the subscription would start below ticks that reach it
+/// as silence. Per-link FIFO keeps it behind. Each new subscriber must
+/// receive exactly the events a reference subscriber on another branch
+/// saw after its start.
 #[test]
 fn confirmation_is_not_overtaken_by_batched_knowledge() {
-    let config = BrokerConfig {
-        knowledge_flush_interval_us: 50_000,
-        ..BrokerConfig::default()
-    };
-    let mut t = tree_with(37, config.clone());
+    let mut t = tree(37);
     // The reference branch: a second SHB straight under the PHB, whose
     // subscribers hold every class from the start.
     let phb = t.phb.id();
     let side = t.sim.add_typed_node(
         "side",
-        Broker::new(3, Box::new(MemFactory::new()), config).hosting_subscribers(),
+        Broker::new(3, Box::new(MemFactory::new()), BrokerConfig::default()).hosting_subscribers(),
     );
     t.sim.node(side).set_parent(phb);
     t.sim.node(t.phb).add_child(side.id());

@@ -7,7 +7,8 @@
 //! the children in that same wakeup. A stand-in child (`Sink`) records
 //! every knowledge message with its arrival time, which pins both ends
 //! of durability: no event's knowledge may leave before its batch's
-//! write is durable, nor wait past the window that held it.
+//! write is durable, nor wait past the window that held it, nor wait
+//! at an intermediate broker on its way down.
 
 use bytes::Bytes;
 use gryphon::{Broker, BrokerConfig, SubscriberClient, SubscriberConfig};
@@ -148,10 +149,11 @@ struct World {
     config: BrokerConfig,
 }
 
-/// A PHB hosting four pubends with the sink as its child; with
+/// A PHB hosting four pubends with the sink below a chain of `ibs`
+/// intermediate brokers (its child when `ibs` is 0); with
 /// `subscribers`, also an SHB child with that many durable subscribers
 /// to everything.
-fn world(seed: u64, subscribers: u64) -> World {
+fn world(seed: u64, subscribers: u64, ibs: u32) -> World {
     let config = BrokerConfig::default();
     let mut sim = Sim::new(seed);
     let event_log_syncs = Arc::new(AtomicU64::new(0));
@@ -163,9 +165,20 @@ fn world(seed: u64, subscribers: u64) -> World {
         "phb",
         Broker::new(0, Box::new(disk), config.clone()).hosting_pubends((0..PUBENDS).map(PubendId)),
     );
+    let mut parent = phb;
+    for i in 1..=ibs {
+        let ib = sim.add_typed_node(
+            &format!("ib{i}"),
+            Broker::new(10 + i, Box::new(MemFactory::new()), config.clone()),
+        );
+        sim.node(parent).add_child(ib.id());
+        sim.node(ib).set_parent(parent.id());
+        sim.connect(parent.id(), ib.id(), LINK_US);
+        parent = ib;
+    }
     let sink = sim.add_typed_node("sink", Sink::default());
-    sim.node(phb).add_child(sink.id());
-    sim.connect(phb.id(), sink.id(), LINK_US);
+    sim.node(parent).add_child(sink.id());
+    sim.connect(parent.id(), sink.id(), LINK_US);
     let mut subs = Vec::new();
     if subscribers > 0 {
         let shb = sim.add_typed_node(
@@ -220,42 +233,45 @@ impl World {
 
 #[test]
 fn one_window_commits_every_pubend_under_one_sync() {
-    let mut w = world(1, 0);
-    for p in 0..PUBENDS {
-        w.publish(1_000 + 500 * u64::from(p), p, 0);
-    }
-    w.sim.run_until(10_000);
-    let syncs_before = w.event_log_syncs.load(Ordering::Relaxed);
-    w.sim.run_until(100_000);
-    assert_eq!(w.counter("phb.commits"), 1.0);
-    assert_eq!(w.counter("broker.timer.phb_commit"), 1.0);
-    assert_eq!(w.counter("broker.timer.phb_commit_done"), 1.0);
-    assert_eq!(
-        w.event_log_syncs.load(Ordering::Relaxed) - syncs_before,
-        1,
-        "one sync makes the whole window durable"
-    );
-    // The window opened at the first publish; every pubend's knowledge
-    // leaves in the wakeup that made it durable, with no flush wait.
-    let done_us = 1_000 + w.config.phb_commit_interval_us + w.config.phb_commit_latency_us;
-    let data = w.sim.node_ref(w.sink).data();
-    let pubends: BTreeSet<u32> = data.iter().map(|a| a.pubend.0).collect();
-    assert_eq!(pubends, (0..PUBENDS).collect());
-    for a in &data {
+    for ibs in 0..=2 {
+        let mut w = world(1, 0, ibs);
+        for p in 0..PUBENDS {
+            w.publish(1_000 + 500 * u64::from(p), p, 0);
+        }
+        w.sim.run_until(10_000);
+        let syncs_before = w.event_log_syncs.load(Ordering::Relaxed);
+        w.sim.run_until(100_000);
+        assert_eq!(w.counter("phb.commits"), 1.0);
+        assert_eq!(w.counter("broker.timer.phb_commit"), 1.0);
+        assert_eq!(w.counter("broker.timer.phb_commit_done"), 1.0);
         assert_eq!(
-            a.at_us,
-            done_us + LINK_US,
-            "pubend {:?}'s knowledge left late",
-            a.pubend
+            w.event_log_syncs.load(Ordering::Relaxed) - syncs_before,
+            1,
+            "one sync makes the whole window durable"
         );
+        // The window opened at the first publish; every pubend's
+        // knowledge leaves in the wakeup that made it durable, and each
+        // intermediate broker forwards it in the wakeup it arrives: one
+        // link per hop, no wait.
+        let done_us = 1_000 + w.config.phb_commit_interval_us + w.config.phb_commit_latency_us;
+        let hops = u64::from(ibs) + 1;
+        let data = w.sim.node_ref(w.sink).data();
+        let pubends: BTreeSet<u32> = data.iter().map(|a| a.pubend.0).collect();
+        assert_eq!(pubends, (0..PUBENDS).collect(), "{ibs} IBs");
+        for a in &data {
+            assert_eq!(
+                a.at_us,
+                done_us + hops * LINK_US,
+                "pubend {:?}'s knowledge left late through {ibs} IBs",
+                a.pubend
+            );
+        }
     }
-    // A PHB's own knowledge never waits in the batcher.
-    assert_eq!(w.counter("broker.timer.knowledge_flush"), 0.0);
 }
 
 #[test]
 fn an_idle_pubend_keeps_its_silence_while_the_others_commit() {
-    let mut w = world(2, 0);
+    let mut w = world(2, 0, 0);
     // Pubends 0, 1 and 2 publish every millisecond for 300 ms; pubend 3
     // never does.
     for seq in 0..300 {
@@ -293,7 +309,7 @@ fn an_idle_pubend_keeps_its_silence_while_the_others_commit() {
 
 #[test]
 fn phb_crash_with_writes_in_flight_finishes_each_batch_exactly_once() {
-    let mut w = world(3, 2);
+    let mut w = world(3, 2, 0);
     let crash_at = 150_000;
     let down_us = 20_000;
     let restart_at = crash_at + down_us;

@@ -35,12 +35,8 @@ pub struct RunOptions {
     pub seed_offset: u64,
     /// Deliberately worsen the broker configuration so latency
     /// percentiles regress measurably (`--degrade`): the PHB commit
-    /// latency triples, and the knowledge batcher flushes 200× less
-    /// often under a 1 000× larger size cap. The batcher holds only
-    /// knowledge an IB routes — a PHB's own knowledge leaves with its
-    /// commit — so on trees without an intermediate broker the tripled
-    /// commit latency is the whole degradation. Exists to give
-    /// `xp doctor diff` a known-bad bundle to flag in CI.
+    /// latency triples. Exists to give `xp doctor diff` a known-bad
+    /// bundle to flag in CI.
     pub degrade: bool,
     /// `mega_subs` subscriber population (`--subs`); `None` = built-in
     /// scale (10^6, or 20 000 under `--quick`).
@@ -138,8 +134,6 @@ impl System {
         let broker_config = if spec.run.degrade {
             let mut c = spec.broker_config.clone();
             c.phb_commit_latency_us *= 3;
-            c.knowledge_flush_interval_us = c.knowledge_flush_interval_us.max(1) * 200;
-            c.knowledge_batch_max_parts = c.knowledge_batch_max_parts.max(1) * 1_000;
             c
         } else {
             spec.broker_config.clone()

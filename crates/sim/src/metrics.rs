@@ -113,15 +113,12 @@ pub mod names {
     pub const BROKER_TIMER_CT_COMMIT: &str = "broker.timer.ct_commit";
     /// Counter: broker timer firings — an event-log write became durable.
     pub const BROKER_TIMER_PHB_COMMIT_DONE: &str = "broker.timer.phb_commit_done";
-    /// Counter: broker timer firings — a child's batched routed knowledge was flushed.
-    pub const BROKER_TIMER_KNOWLEDGE_FLUSH: &str = "broker.timer.knowledge_flush";
-    /// Histogram: knowledge parts per batched downstream knowledge
-    /// message (IB fan-out batching; silence consolidation, §3.2).
+    /// Histogram: knowledge parts per fresh knowledge message sent to a
+    /// child (silence consolidation, §3.2: adjacent downgrades coalesce).
     pub const IB_KNOWLEDGE_BATCH_PARTS: &str = "ib.knowledge_batch_parts";
-    /// Histogram: virtual µs a flushed knowledge batch waited between
-    /// its first enqueued part and the flush (latency cost of batching).
-    pub const IB_KNOWLEDGE_FLUSH_WAIT_US: &str = "ib.knowledge_flush_wait_us";
-    /// Counter: batched knowledge messages flushed downstream.
+    /// Counter: fresh (not nack-response) knowledge messages sent to
+    /// children. Knowledge is batched once, by the PHB's commit window,
+    /// and every broker forwards it in the wakeup that brings it.
     pub const IB_KNOWLEDGE_BATCHES: &str = "ib.knowledge_batches";
     /// Counter: subscription filters parsed from children's interest
     /// messages. Interest travels as deltas and is applied in place, so
@@ -284,9 +281,7 @@ pub mod names {
             BROKER_TIMER_CATCHUP_READ,
             BROKER_TIMER_CT_COMMIT,
             BROKER_TIMER_PHB_COMMIT_DONE,
-            BROKER_TIMER_KNOWLEDGE_FLUSH,
             IB_KNOWLEDGE_BATCH_PARTS,
-            IB_KNOWLEDGE_FLUSH_WAIT_US,
             IB_KNOWLEDGE_BATCHES,
             IB_INTEREST_FILTERS_PARSED,
             TELEMETRY_QUEUE_DEPTH,

@@ -7,7 +7,7 @@
 //! throughput* of this table, and improves when many waiting updates are
 //! batched into one transaction — so [`MetaTable::commit`] takes a batch
 //! and performs exactly one sync, and [`MetaTable::stage`] is the append
-//! half a [`CommitPipeline`](crate::CommitPipeline) runs before its one
+//! half a [`CommitPipeline`] runs before its one
 //! flush (see [`SharedMetaTable`]).
 //!
 //! The table is one [`LogVolume`] stream, and a batch is exactly **one**

@@ -1,13 +1,12 @@
-//! Silence/lost-run coalescing for batched knowledge fan-out (paper §3.2).
+//! Silence/lost-run coalescing for knowledge fan-out (paper §3.2).
 //!
 //! When an intermediate broker downgrades non-matching data ticks to
-//! silence and accumulates knowledge for a child across several incoming
-//! messages, adjacent silence spans pile up: `S[1,3] S[4,4] S[5,9]` says
+//! silence, adjacent silence spans pile up: `S[1,3] S[4,4] S[5,9]` says
 //! nothing more than `S[1,9]`. [`push_coalesced`] is the single append
-//! point every batching path goes through — it merges a new part into the
-//! tail run when the two are the same kind and adjacent or overlapping, so
-//! a batch's part list stays in the canonical minimal form the paper calls
-//! *silence consolidation*.
+//! point the filtering goes through — it merges a new part into the tail
+//! run when the two are the same kind and adjacent or overlapping, so a
+//! knowledge message's part list stays in the canonical minimal form the
+//! paper calls *silence consolidation*.
 //!
 //! Coalescing is semantically free: applying the coalesced list to a
 //! [`KnowledgeStream`](crate::KnowledgeStream) yields exactly the same

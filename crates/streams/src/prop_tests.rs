@@ -169,7 +169,7 @@ proptest! {
         }
     }
 
-    /// Batcher coalescing preserves apply-semantics: feeding a part
+    /// Coalescing preserves apply-semantics: feeding a part
     /// sequence through `push_coalesced` and applying the (shorter) result
     /// leaves a knowledge stream in exactly the state the originals would
     /// have, tick-for-tick and under `export_range` round-trip.
@@ -178,8 +178,8 @@ proptest! {
         lost_prefix in 0..4u64,
         runs in prop::collection::vec((0..3u64, 0..4u64, any::<bool>()), 0..24),
     ) {
-        // Build an ascending wire-order part sequence the way an IB batch
-        // accumulates them: optional lost prefix, then silence runs and
+        // Build an ascending wire-order part sequence the way an IB's
+        // filtering produces them: optional lost prefix, then silence runs and
         // data ticks marching forward, with deliberate adjacency so there
         // is something to coalesce.
         let mut original: Vec<KnowledgePart> = Vec::new();

@@ -107,7 +107,7 @@ echo "== non-test unwrap/expect: a ratchet =="
 # disk and peer input, on the lines scripts/loc.sh counts (test items
 # and test-only files skipped). The count may fall, never rise: when a
 # site becomes a typed error, lower `max` with it.
-max=53
+max=51
 ratchet_crates=(storage core net streams)
 sites() {
   for c in "${ratchet_crates[@]}"; do scripts/code_lines.sh "$c"; done \
@@ -255,8 +255,9 @@ echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (-D warnings) =="
-# Broken and private intra-doc links, and ambiguous ones, fail here.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+# Broken and private intra-doc links, and ambiguous ones, fail here,
+# in private modules' docs too.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --document-private-items
 
 echo "== benches compile =="
 cargo bench --workspace --no-run
