@@ -18,7 +18,7 @@
 //! series against the checked-in baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gryphon::broker::Shb;
+use gryphon::broker::{ConnectRequest, Shb};
 use gryphon::config::BrokerConfig;
 use gryphon_sim::{NodeCtx, TimerKey};
 use gryphon_storage::MemFactory;
@@ -60,26 +60,15 @@ impl NodeCtx for StubCtx {
     fn count(&mut self, _counter: &str, _delta: f64) {}
 }
 
-fn connect_one(
-    shb: &mut Shb,
-    sub: SubscriberId,
-    ct: Option<CheckpointToken>,
-    config: &BrokerConfig,
-    ctx: &mut StubCtx,
-) {
-    shb.connect(
+fn connect_one(shb: &mut Shb, sub: SubscriberId, ct: Option<CheckpointToken>, ctx: &mut StubCtx) {
+    let req = ConnectRequest {
         sub,
-        CLIENT,
+        client: CLIENT,
         ct,
-        None,
-        false,
-        false,
-        &HashMap::new(),
-        None,
-        config,
-        ctx,
-    )
-    .expect("registered subscription must connect");
+        ..Default::default()
+    };
+    shb.connect(&req, &HashMap::new(), ctx)
+        .expect("registered subscription must connect");
 }
 
 fn bench_shb_scale(c: &mut Criterion) {
@@ -130,7 +119,7 @@ fn bench_shb_scale(c: &mut Criterion) {
             .expect("register");
         }
         for i in 0..CONNECTED {
-            connect_one(&mut shb, SubscriberId(i + 1), None, &config, &mut ctx);
+            connect_one(&mut shb, SubscriberId(i + 1), None, &mut ctx);
         }
 
         // Steady-state delivery: each iteration appends one event to the
@@ -179,12 +168,12 @@ fn bench_shb_scale(c: &mut Criterion) {
             ct.advance(P, Timestamp::ZERO);
             ct
         };
-        connect_one(&mut shb, storm_sub, Some(ct.clone()), &config, &mut ctx);
+        connect_one(&mut shb, storm_sub, Some(ct.clone()), &mut ctx);
         assert_eq!(shb.catchup_streams(), 1, "old checkpoint must open catchup");
         group.bench_with_input(BenchmarkId::new("park_rehydrate", n), &n, |b, _| {
             b.iter(|| {
                 shb.disconnect(storm_sub, 0);
-                connect_one(&mut shb, storm_sub, Some(ct.clone()), &config, &mut ctx);
+                connect_one(&mut shb, storm_sub, Some(ct.clone()), &mut ctx);
                 // NB: not `parked_streams()` — that inspector is O(slab)
                 // and would drown the cycle under test.
                 std::hint::black_box(shb.catchup_streams())

@@ -3,12 +3,13 @@
 //! release aggregation (§3, §5.3).
 //!
 //! Every broker runs this role — a PHB routes its own emissions through
-//! it and an SHB feeds its constream from it — so it owns the broker's
-//! tree wiring (children, per-child state) and the interest-version
-//! plumbing that makes subscription starts causally safe.
+//! it, and on an SHB `ingest` hands each message to the SHB feed (see
+//! `shb_role`) before forwarding it — so it owns the broker's tree wiring
+//! (children, per-child state) and the interest-version plumbing that
+//! makes subscription starts causally safe.
 
 use super::{now_ticks, Broker};
-use crate::config::NACK_RESPONSE_CHUNK_TICKS;
+use crate::config::{NACK_RESPONSE_CHUNK_TICKS, PARKED_CONNECT_TIMEOUT_US};
 use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
 use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_streams::{push_coalesced, RetryPolicy};
@@ -134,42 +135,16 @@ impl Broker {
         if interest_stamp > self.ib.upstream_confirmed {
             self.ib.upstream_confirmed = interest_stamp;
             self.promote_child_confirmations(ctx);
-            self.complete_parked(ctx);
+            let confirmed = self.ib.upstream_confirmed;
+            self.finish_parked(|pc| pc.version <= confirmed, ctx);
         }
         if parts.is_empty() {
             return;
         }
-        {
-            let route = &mut self.pipeline_mut(p).route;
-            for part in &parts {
-                route.absorb(part);
-            }
-        }
         // SHB: constream first (so processed_to is current), then catchup.
-        if self.shb.state.is_some() {
-            // Lineage stage anchor: events enter this SHB's streams now.
-            // Emitted before `constream_advance` so any delivery it
-            // triggers sees the ingest time already recorded.
-            note_shb_ingest(p, &parts, ctx);
-            let holes = {
-                let route = &self
-                    .pipelines
-                    .get(&p)
-                    .expect("pipeline created above")
-                    .route;
-                let shb = self.shb.state.as_mut().expect("checked");
-                shb.constream_advance(p, &route.knowledge, route.max_seen, &self.config, ctx)
-            };
+        if let Some(holes) = self.feed_constream(p, &parts, ctx) {
             self.resolve_for_constream(p, holes, ctx);
-            let touched = self
-                .shb
-                .state
-                .as_mut()
-                .expect("checked")
-                .distribute_to_catchup(p, &parts);
-            for slot in touched {
-                self.drive_catchup(slot, p, ctx);
-            }
+            self.feed_catchup(p, &parts, ctx);
         }
         // Forward downstream.
         if self.ib.children.is_empty() {
@@ -411,35 +386,13 @@ impl Broker {
                 if parts.is_empty() {
                     return; // nothing answerable: stop rather than spin
                 }
-                {
-                    let route = &mut self.pipeline_mut(p).route;
-                    for part in &parts {
-                        route.absorb(part);
-                    }
-                }
                 // Root-hosted self-answer: these parts enter the local
                 // SHB's streams without passing through `ingest`.
-                note_shb_ingest(p, &parts, ctx);
-                holes = {
-                    let route = &self
-                        .pipelines
-                        .get(&p)
-                        .expect("pipeline created above")
-                        .route;
-                    let Some(shb) = self.shb.state.as_mut() else {
-                        return;
-                    };
-                    shb.constream_advance(p, &route.knowledge, route.max_seen, &self.config, ctx)
+                let Some(next) = self.feed_constream(p, &parts, ctx) else {
+                    return;
                 };
-                let touched = self
-                    .shb
-                    .state
-                    .as_mut()
-                    .expect("checked")
-                    .distribute_to_catchup(p, &parts);
-                for slot in touched {
-                    self.drive_catchup(slot, p, ctx);
-                }
+                holes = next;
+                self.feed_catchup(p, &parts, ctx);
             }
             return;
         }
@@ -671,8 +624,7 @@ impl Broker {
             let mut released = Timestamp::MAX;
             let mut latest = Timestamp::MAX;
             let mut constrained = false;
-            {
-                let pl = self.pipelines.get(&p).expect("listed above");
+            if let Some(pl) = self.pipelines.get(&p) {
                 for child in &self.ib.children {
                     match pl.child_release.get(child) {
                         Some(&(r, l)) => {
@@ -726,11 +678,6 @@ impl Broker {
                         upto: lost
                     }));
                     traced!(ctx.count(names::RELEASE_L_CONVERSIONS, 1.0));
-                    if let Some(shb) = self.shb.state.as_mut() {
-                        if shb.meta.put_u64(&format!("lost/{}", p.0), lost.0).is_err() {
-                            ctx.count("shb.meta_err", 1.0);
-                        }
-                    }
                 }
                 // Report forward progress of the aggregated release point
                 // (Tr) — once per distinct value, and never the MAX
@@ -770,7 +717,16 @@ impl Broker {
         // Periodic interest refresh heals a parent that restarted or lost
         // a delta (same version: a parent that kept up skips it).
         self.send_interest_snapshot(ctx);
-        self.expire_parked(ctx);
+        // A parked connect whose confirmation never came (e.g. no parent
+        // traffic) completes with conservative floors rather than never.
+        let now = ctx.now_us();
+        let expired = self.finish_parked(
+            |pc| now.saturating_sub(pc.parked_at_us) > PARKED_CONNECT_TIMEOUT_US,
+            ctx,
+        );
+        if expired > 0 {
+            ctx.count("shb.parked_timeout", expired as f64);
+        }
     }
 
     pub(crate) fn on_cache_trim(&mut self, ctx: &mut dyn NodeCtx) {
@@ -821,19 +777,6 @@ fn note_ib_forward(p: PubendId, parts: &[KnowledgePart], ctx: &mut dyn NodeCtx) 
     for part in parts {
         if let KnowledgePart::Data(e) = part {
             traced!(ctx.trace(TraceEvent::IbForwarded {
-                pubend: p,
-                ts: e.ts
-            }));
-        }
-    }
-}
-
-/// Lineage stage: one `ShbIngested` per data part entering this SHB's
-/// consolidated/catchup streams.
-fn note_shb_ingest(p: PubendId, parts: &[KnowledgePart], ctx: &mut dyn NodeCtx) {
-    for part in parts {
-        if let KnowledgePart::Data(e) = part {
-            traced!(ctx.trace(TraceEvent::ShbIngested {
                 pubend: p,
                 ts: e.ts
             }));

@@ -39,7 +39,7 @@ mod sub_table;
 
 pub use pubend::Pubend;
 pub use route::Route;
-pub use shb::{CatchupNeeds, Con, Conn, Shb};
+pub use shb::{CatchupNeeds, Con, Conn, ConnectRequest, Shb};
 pub use sub_table::{ParkedStream, PubendMap, SubState, SubscriberTable};
 
 use crate::config::{
@@ -177,24 +177,17 @@ impl Broker {
             self.phb.log = Some(CommitPipeline::new(log));
             let declared = self.phb.declared.clone();
             for p in declared {
-                let mut pe = Pubend::new(p, now);
-                // Restore the lost prefix (early release decisions are
-                // irreversible and must survive crashes).
-                if let Some(shb) = &self.shb.state {
-                    if let Some(l) = shb.meta.get_u64(&format!("lost/{}", p.0)) {
-                        pe.restore_lost_to(Timestamp(l));
-                    }
-                }
-                self.pipeline_mut(p).pubend = Some(pe);
+                self.pipeline_mut(p).pubend = Some(Pubend::new(p, now));
             }
         }
         if self.shb.hosts_subscribers {
             self.shb.state = Some(Shb::open(self.factory.as_ref(), &format!("b{}", self.id)));
         }
-        // Every PHB, pure or not, keeps its lost prefix durable in the
-        // event log itself: each release chop's frame carries the chop
-        // boundary as its floor, which recovery returns as
-        // `chopped_below_ts`. Restore from it:
+        // Every PHB keeps its lost prefix (early release decisions are
+        // irreversible and must survive crashes) durable in the event log
+        // itself: each release chop's frame carries the chop boundary as
+        // its floor, which recovery returns as `chopped_below_ts`.
+        // Restore from it:
         if let Some(log) = &self.phb.log {
             for pl in self.pipelines.values_mut() {
                 let Some(pe) = pl.pubend.as_mut() else {
@@ -344,12 +337,8 @@ impl Node for Broker {
         ctx.count("broker.restarts", 1.0);
         // Recovering constreams: open-ended nack from latestDelivered,
         // in ascending pubend order (intrinsic — `con` is a BTreeMap).
-        if self.shb.state.is_some() {
-            let pubends: Vec<(PubendId, Timestamp)> = self
-                .shb
-                .state
-                .as_ref()
-                .expect("checked")
+        if let Some(shb) = &self.shb.state {
+            let pubends: Vec<(PubendId, Timestamp)> = shb
                 .con
                 .iter()
                 .map(|(&p, c)| (p, c.latest_delivered))

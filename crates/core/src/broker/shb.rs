@@ -102,6 +102,29 @@ impl Conn {
     }
 }
 
+/// One client connect as the SHB handles it: the fields of
+/// [`ClientMsg::Connect`](gryphon_types::ClientMsg::Connect) plus the
+/// client node it came from.
+#[derive(Debug, Default)]
+pub struct ConnectRequest {
+    /// The durable subscription.
+    pub sub: SubscriberId,
+    /// The client node to deliver to.
+    pub client: NodeId,
+    /// The checkpoint the client resumes from, if it presents one.
+    pub ct: Option<CheckpointToken>,
+    /// The filter (required on a subscription's first connect).
+    pub spec: Option<SubscriptionSpec>,
+    /// Broker-managed checkpoints (JMS style).
+    pub broker_ct: bool,
+    /// Auto-acknowledge: with `broker_ct`, delivery waits on each commit.
+    pub auto_ack: bool,
+    /// Reconnect-anywhere (a checkpoint from another SHB). `None` derives
+    /// it at connect time; the broker fixes it before parking a connect,
+    /// whose registration then makes the subscription look local.
+    pub anywhere: Option<bool>,
+}
+
 /// What a catchup stream needs from the broker after making progress.
 #[derive(Debug, Default)]
 pub struct CatchupNeeds {
@@ -178,8 +201,7 @@ impl GaugeNames {
 /// The SHB role of a broker.
 pub struct Shb {
     name: String,
-    /// Durable tables: `ld/{p}`, `rel/{sub}/{p}`, `spec/{sub}`,
-    /// `gated/{sub}`, `jct/{sub}/{p}`, `lost/{p}` (PHB side shares it).
+    /// Durable state, keyed as `Key` builds and parses.
     /// Each batch is one [`SharedMetaTable::commit`]: one append, one
     /// flush. The checkpoint-commit workers are modeled latencies on this
     /// broker's one thread, so no two commits ever run at once.
@@ -275,15 +297,10 @@ impl Shb {
 
     fn load_persistent(&mut self) {
         // Subscriptions: slab + matching index share slot assignment.
-        let specs: Vec<(SubscriberId, String)> = self.meta.with(|m| {
-            m.iter_prefix("spec/")
-                .filter_map(|(k, v)| {
-                    let id: u64 = k.strip_prefix("spec/")?.parse().ok()?;
-                    Some((SubscriberId(id), String::from_utf8(v.to_vec()).ok()?))
-                })
-                .collect()
-        });
-        for (sub, expr) in specs {
+        for (key, v) in self.scan("spec/") {
+            let (Key::Spec(sub), Ok(expr)) = (key, String::from_utf8(v)) else {
+                continue;
+            };
             if let Ok(filter) = Filter::parse(&expr) {
                 let slot = self
                     .table
@@ -291,69 +308,48 @@ impl Shb {
                 self.index.insert_at(slot.index(), sub, filter);
             }
         }
-        // Gated / broker-managed flags.
-        let gated: Vec<SubscriberId> = self.meta.with(|m| {
-            m.iter_prefix("gated/")
-                .filter_map(|(k, _)| Some(SubscriberId(k.strip_prefix("gated/")?.parse().ok()?)))
-                .collect()
-        });
-        for sub in gated {
-            if let Some(st) = self.table.slot_of(sub).and_then(|s| self.table.get_mut(s)) {
-                st.gated = true;
-            }
-        }
-        let bct: Vec<SubscriberId> = self.meta.with(|m| {
-            m.iter_prefix("bct/")
-                .filter_map(|(k, _)| Some(SubscriberId(k.strip_prefix("bct/")?.parse().ok()?)))
-                .collect()
-        });
-        for sub in bct {
-            if let Some(st) = self.table.slot_of(sub).and_then(|s| self.table.get_mut(s)) {
-                st.broker_ct = true;
+        // Gated / broker-managed flags, and released(s, p). Entries for
+        // subscribers with no live slot are dropped: they are exactly the
+        // dead (subscriber, pubend) pairs an unsubscribe-era leak would
+        // have left behind, and nothing may hold release back for a
+        // subscription that no longer exists.
+        for (key, v) in [self.scan("gated/"), self.scan("bct/"), self.scan("rel/")].concat() {
+            let (Key::Gated(sub) | Key::Bct(sub) | Key::Rel(sub, _)) = key else {
+                continue;
+            };
+            let Some(st) = self.table.slot_of(sub).and_then(|s| self.table.get_mut(s)) else {
+                continue;
+            };
+            match key {
+                Key::Gated(_) => st.gated = true,
+                Key::Bct(_) => st.broker_ct = true,
+                Key::Rel(_, p) => {
+                    if let Some(t) = ts_of(&v) {
+                        st.released.insert(p, t);
+                    }
+                }
+                _ => {}
             }
         }
         // latestDelivered per pubend.
-        let lds: Vec<(PubendId, Timestamp)> = self.meta.with(|m| {
-            m.iter_prefix("ld/")
-                .filter_map(|(k, v)| {
-                    let p: u32 = k.strip_prefix("ld/")?.parse().ok()?;
-                    Some((
-                        PubendId(p),
-                        Timestamp(u64::from_le_bytes(v.try_into().ok()?)),
-                    ))
-                })
-                .collect()
-        });
-        for (p, t) in lds {
-            self.con.insert(
-                p,
-                Con {
+        for (key, v) in self.scan("ld/") {
+            if let (Key::Ld(p), Some(t)) = (key, ts_of(&v)) {
+                let con = Con {
                     latest_delivered: t,
                     processed_to: t,
-                },
-            );
-        }
-        // released(s, p). Entries for subscribers with no live slot are
-        // dropped: they are exactly the dead (subscriber, pubend) pairs
-        // an unsubscribe-era leak would have left behind, and nothing
-        // may hold release back for a subscription that no longer exists.
-        let rels: Vec<((SubscriberId, PubendId), Timestamp)> = self.meta.with(|m| {
-            m.iter_prefix("rel/")
-                .filter_map(|(k, v)| {
-                    let rest = k.strip_prefix("rel/")?;
-                    let (s, p) = rest.split_once('/')?;
-                    Some((
-                        (SubscriberId(s.parse().ok()?), PubendId(p.parse().ok()?)),
-                        Timestamp(u64::from_le_bytes(v.try_into().ok()?)),
-                    ))
-                })
-                .collect()
-        });
-        for ((sub, p), t) in rels {
-            if let Some(st) = self.table.slot_of(sub).and_then(|s| self.table.get_mut(s)) {
-                st.released.insert(p, t);
+                };
+                self.con.insert(p, con);
             }
         }
+    }
+
+    /// The durable entries under one key kind's `prefix`, parsed.
+    fn scan(&self, prefix: &str) -> Vec<(Key, Vec<u8>)> {
+        self.meta.with(|m| {
+            m.iter_prefix(prefix)
+                .filter_map(|(k, v)| Some((Key::parse(k)?, v.to_vec())))
+                .collect()
+        })
     }
 
     /// Number of durable subscriptions (connected or not).
@@ -709,10 +705,7 @@ impl Shb {
         for (p, con) in self.con.iter_mut() {
             if con.processed_to > con.latest_delivered {
                 con.latest_delivered = con.processed_to;
-                batch.push((
-                    format!("ld/{}", p.0),
-                    Some(con.latest_delivered.0.to_le_bytes().to_vec()),
-                ));
+                batch.push((Key::Ld(*p).build(), ts_value(con.latest_delivered)));
             }
         }
         if !batch.is_empty() && self.meta.commit(&batch).is_err() {
@@ -777,16 +770,16 @@ impl Shb {
             }
         };
         let mut batch = vec![(
-            format!("spec/{}", sub.0),
+            Key::Spec(sub).build(),
             Some(spec.expr().as_bytes().to_vec()),
         )];
         if broker_ct {
-            batch.push((format!("bct/{}", sub.0), Some(vec![1])));
+            batch.push((Key::Bct(sub).build(), Some(vec![1])));
         }
         // Only auto-acknowledge serializes delivery on commits; lazy
         // broker-managed subscribers stream freely.
         if broker_ct && auto_ack {
-            batch.push((format!("gated/{}", sub.0), Some(vec![1])));
+            batch.push((Key::Gated(sub).build(), Some(vec![1])));
         }
         let slot = self.table.insert(sub, spec.clone(), filter.clone());
         self.index.insert_at(slot.index(), sub, filter);
@@ -801,40 +794,43 @@ impl Shb {
         // parked connect.
         for (&p, con) in self.con.iter() {
             st.released.insert(p, con.processed_to);
-            batch.push((
-                format!("rel/{}/{}", sub.0, p.0),
-                Some(con.processed_to.0.to_le_bytes().to_vec()),
-            ));
+            batch.push((Key::Rel(sub, p).build(), ts_value(con.processed_to)));
         }
         let _ = self.meta.commit(&batch);
         Ok(())
     }
 
-    /// Handles a client connect. Returns the catchup plans per pubend
-    /// (the `ConnectOk`/`ConnectErr` has already been sent) or an error
-    /// string.
-    #[allow(clippy::too_many_arguments)]
+    /// Handles a client connect. `floors` raises a fresh subscription's
+    /// start per pubend (see [`ConnectRequest`]'s parked connects).
+    /// Returns the catchup plans per pubend (the `ConnectOk`/`ConnectErr`
+    /// has already been sent) or an error string.
     pub fn connect(
         &mut self,
-        sub: SubscriberId,
-        client: NodeId,
-        ct: Option<CheckpointToken>,
-        spec: Option<SubscriptionSpec>,
-        broker_ct: bool,
-        auto_ack: bool,
-        floors: &std::collections::HashMap<PubendId, Timestamp>,
-        anywhere_override: Option<bool>,
-        config: &BrokerConfig,
+        req: &ConnectRequest,
+        floors: &HashMap<PubendId, Timestamp>,
         ctx: &mut dyn NodeCtx,
     ) -> Result<Vec<(PubendId, CatchupNeeds)>, String> {
+        let ConnectRequest {
+            sub,
+            client,
+            ref ct,
+            ..
+        } = *req;
         // Reconnect-anywhere: a checkpoint presented by a subscription
         // this SHB has never hosted. Its missed interval must be
         // recovered authoritatively and refiltered — this SHB's PFS and
-        // caches know nothing about it. (The broker pre-computes this
-        // for parked connects, whose registration happened at park time.)
-        let anywhere =
-            anywhere_override.unwrap_or_else(|| self.is_new_subscription(sub) && ct.is_some());
-        self.register_spec(sub, client, spec.as_ref(), broker_ct, auto_ack, ctx)?;
+        // caches know nothing about it.
+        let anywhere = req
+            .anywhere
+            .unwrap_or_else(|| self.is_new_subscription(sub) && ct.is_some());
+        self.register_spec(
+            sub,
+            client,
+            req.spec.as_ref(),
+            req.broker_ct,
+            req.auto_ack,
+            ctx,
+        )?;
         let slot = self.table.slot_of(sub).expect("registered above");
 
         // Effective resumption point per pubend: the presented checkpoint,
@@ -852,10 +848,7 @@ impl Shb {
             in_flight: false,
         };
         for (&p, pcon) in self.con.iter() {
-            let stored_jct = self
-                .meta
-                .get_u64(&format!("jct/{}/{}", sub.0, p.0))
-                .map(Timestamp);
+            let stored_jct = self.meta.get_u64(&Key::Jct(sub, p).build()).map(Timestamp);
             // The client's checkpoint may be AHEAD of the recovering
             // constream (it consumed deliveries whose PFS records were
             // not yet durable when the SHB crashed). Never clamp it
@@ -955,7 +948,6 @@ impl Shb {
         if rehydrated > 0 {
             ctx.count("shb.stream_rehydrations", rehydrated as f64);
         }
-        let _ = config;
         Ok(plans)
     }
 
@@ -995,17 +987,17 @@ impl Shb {
     pub fn unsubscribe(&mut self, sub: SubscriberId) {
         self.connected.remove(&sub);
         let mut batch = vec![
-            (format!("spec/{}", sub.0), None),
-            (format!("gated/{}", sub.0), None),
-            (format!("bct/{}", sub.0), None),
+            (Key::Spec(sub).build(), None),
+            (Key::Gated(sub).build(), None),
+            (Key::Bct(sub).build(), None),
         ];
         if let Some(slot) = self.table.slot_of(sub) {
             self.catchup_slots.remove(&slot.index());
             self.index.remove_at(slot.index());
             if let Some(st) = self.table.remove(slot) {
                 for (p, _) in st.released.into_iter() {
-                    batch.push((format!("rel/{}/{}", sub.0, p.0), None));
-                    batch.push((format!("jct/{}/{}", sub.0, p.0), None));
+                    batch.push((Key::Rel(sub, p).build(), None));
+                    batch.push((Key::Jct(sub, p).build(), None));
                 }
             }
         }
@@ -1074,10 +1066,7 @@ impl Shb {
         let mut batch = Vec::new();
         for (sub, ct) in &committing {
             for (p, t) in ct.iter() {
-                batch.push((
-                    format!("jct/{}/{}", sub.0, p.0),
-                    Some(t.0.to_le_bytes().to_vec()),
-                ));
+                batch.push((Key::Jct(*sub, p).build(), ts_value(t)));
             }
         }
         if !batch.is_empty() {
@@ -1152,10 +1141,7 @@ impl Shb {
         let mut batch: Vec<(String, Option<Vec<u8>>)> = Vec::new();
         for (_, st) in self.table.iter() {
             for (p, &t) in st.released.iter() {
-                batch.push((
-                    format!("rel/{}/{}", st.sub.0, p.0),
-                    Some(t.0.to_le_bytes().to_vec()),
-                ));
+                batch.push((Key::Rel(st.sub, p).build(), ts_value(t)));
             }
         }
         if self.meta.commit(&batch).is_err() {
@@ -1481,6 +1467,66 @@ impl Shb {
             con.processed_to = con.latest_delivered;
         }
     }
+}
+
+/// One durable meta key of the SHB. [`Key::build`] writes it and
+/// [`Key::parse`] reads it back: the only place the formats live.
+/// Timestamps are stored as little-endian `u64`s ([`ts_value`]).
+#[derive(Debug, Clone, Copy)]
+enum Key {
+    /// `spec/{sub}`: the subscription's filter expression.
+    Spec(SubscriberId),
+    /// `gated/{sub}`: delivery waits on each checkpoint commit.
+    Gated(SubscriberId),
+    /// `bct/{sub}`: checkpoints are broker-managed.
+    Bct(SubscriberId),
+    /// `rel/{sub}/{p}`: `released(s, p)`.
+    Rel(SubscriberId, PubendId),
+    /// `jct/{sub}/{p}`: the broker-stored checkpoint.
+    Jct(SubscriberId, PubendId),
+    /// `ld/{p}`: `latestDelivered(p)`.
+    Ld(PubendId),
+}
+
+impl Key {
+    fn build(self) -> String {
+        match self {
+            Key::Spec(s) => format!("spec/{}", s.0),
+            Key::Gated(s) => format!("gated/{}", s.0),
+            Key::Bct(s) => format!("bct/{}", s.0),
+            Key::Rel(s, p) => format!("rel/{}/{}", s.0, p.0),
+            Key::Jct(s, p) => format!("jct/{}/{}", s.0, p.0),
+            Key::Ld(p) => format!("ld/{}", p.0),
+        }
+    }
+
+    fn parse(key: &str) -> Option<Key> {
+        let (kind, id) = key.split_once('/')?;
+        let sub = || id.parse().ok().map(SubscriberId);
+        let pair = || {
+            let (s, p) = id.split_once('/')?;
+            Some((SubscriberId(s.parse().ok()?), PubendId(p.parse().ok()?)))
+        };
+        Some(match kind {
+            "spec" => Key::Spec(sub()?),
+            "gated" => Key::Gated(sub()?),
+            "bct" => Key::Bct(sub()?),
+            "rel" => pair().map(|(s, p)| Key::Rel(s, p))?,
+            "jct" => pair().map(|(s, p)| Key::Jct(s, p))?,
+            "ld" => Key::Ld(PubendId(id.parse().ok()?)),
+            _ => return None,
+        })
+    }
+}
+
+/// A timestamp's stored value.
+fn ts_value(t: Timestamp) -> Option<Vec<u8>> {
+    Some(t.0.to_le_bytes().to_vec())
+}
+
+/// A stored timestamp, if `v` is one.
+fn ts_of(v: &[u8]) -> Option<Timestamp> {
+    Some(Timestamp(u64::from_le_bytes(v.try_into().ok()?)))
 }
 
 /// Approximate wire bytes of one event delivery (payload plus a fixed

@@ -3,18 +3,26 @@
 //! filtered event store (§4).
 //!
 //! The detailed SHB state machine lives in [`Shb`] (`shb.rs`); this
-//! module owns its composition into the broker — connect parking until
-//! interest confirmation, catchup driving, PFS read scheduling, and the
-//! client-facing message handlers.
+//! module owns its composition into the broker, one function per step:
+//!
+//! * the feed: `feed_constream` absorbs knowledge into the route and
+//!   advances the constream, returning its holes; `feed_catchup` applies
+//!   the same parts to the catchup streams and drives each one touched.
+//!   `ingest` and a root's self-answer of its own constream holes both
+//!   feed through them, in that order;
+//! * `drive_catchup`: runs one catchup stream, with one switchover branch
+//!   and one read-scheduling branch;
+//! * connects: each [`ConnectRequest`] finishes at once or, when it
+//!   registers a new subscription under a parent, parks until its
+//!   interest is confirmed upstream. `finish_parked` completes parked
+//!   connects on confirmation and on the parking timeout alike;
+//! * PFS read scheduling and the client-facing message handlers.
 
-use super::{Broker, Shb};
+use super::{Broker, ConnectRequest, Shb};
 use crate::config::{CATCHUP_READ_BUFFER, PFS_READ_BASE_US, PFS_READ_PER_RECORD_US};
 use crate::timer::{self, Kind};
 use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
-use gryphon_types::{
-    CheckpointToken, ClientMsg, NodeId, PubendId, SubSlot, SubscriberId, SubscriptionSpec,
-    Timestamp,
-};
+use gryphon_types::{ClientMsg, KnowledgePart, NodeId, PubendId, SubSlot, SubscriberId, Timestamp};
 use std::collections::HashMap;
 
 /// State owned by the SHB role.
@@ -30,22 +38,55 @@ pub(crate) struct ShbRole {
     pub(crate) parked: Vec<ParkedConnect>,
 }
 
-/// A connect waiting for upstream interest confirmation.
+/// A first-time connect waiting for upstream interest confirmation.
 pub(crate) struct ParkedConnect {
-    pub(crate) sub: SubscriberId,
-    pub(crate) client: NodeId,
-    pub(crate) ct: Option<CheckpointToken>,
-    pub(crate) spec: Option<SubscriptionSpec>,
-    pub(crate) broker_ct: bool,
-    pub(crate) auto_ack: bool,
-    /// Reconnect-anywhere (checkpoint from another SHB), captured before
-    /// registration made the subscription look local.
-    pub(crate) anywhere: bool,
+    /// The connect, its reconnect-anywhere flag fixed before the
+    /// registration at park time made the subscription look local.
+    pub(crate) req: ConnectRequest,
+    /// The interest version that carries its filter upstream.
     pub(crate) version: u64,
+    /// When it parked: the clock of the parking timeout.
     pub(crate) parked_at_us: u64,
 }
 
 impl Broker {
+    /// The local-SHB feed, first half: absorbs `parts` into `p`'s route
+    /// and, on an SHB, advances the constream over them. Returns the
+    /// constream's holes, or `None` on a broker without an SHB.
+    pub(crate) fn feed_constream(
+        &mut self,
+        p: PubendId,
+        parts: &[KnowledgePart],
+        ctx: &mut dyn NodeCtx,
+    ) -> Option<Vec<(Timestamp, Timestamp)>> {
+        let route = &mut self.pipelines.entry(p).or_default().route;
+        for part in parts {
+            route.absorb(part);
+        }
+        let shb = self.shb.state.as_mut()?;
+        // Lineage stage anchor: events enter this SHB's streams now.
+        // Emitted before `constream_advance` so any delivery it triggers
+        // sees the ingest time already recorded.
+        note_shb_ingest(p, parts, ctx);
+        Some(shb.constream_advance(p, &route.knowledge, route.max_seen, &self.config, ctx))
+    }
+
+    /// The local-SHB feed, second half: applies `parts` to every catchup
+    /// stream on `p` and drives each stream they touched.
+    pub(crate) fn feed_catchup(
+        &mut self,
+        p: PubendId,
+        parts: &[KnowledgePart],
+        ctx: &mut dyn NodeCtx,
+    ) {
+        let Some(shb) = self.shb.state.as_mut() else {
+            return;
+        };
+        for slot in shb.distribute_to_catchup(p, parts) {
+            self.drive_catchup(slot, p, ctx);
+        }
+    }
+
     /// Resolution path for catchup holes: answer from local authority or
     /// cache (feeding every catchup stream on `p` immediately), push the
     /// rest upstream. `needs_authoritative` (reconnect-anywhere) bypasses
@@ -79,41 +120,32 @@ impl Broker {
         self.nack_upstream(p, upstream, needs_authoritative, ctx);
     }
 
-    /// Runs one catchup stream forward and services its needs.
+    /// Runs one catchup stream forward and services its needs. When the
+    /// first round's holes go to [`Broker::resolve_for_catchup`], local
+    /// answers may unblock delivery at once, so a second round runs; the
+    /// last round's holes go upstream.
     pub(crate) fn drive_catchup(&mut self, slot: SubSlot, p: PubendId, ctx: &mut dyn NodeCtx) {
-        let needs = {
+        let mut want_read = false;
+        for round in 0..2 {
             let Some(shb) = self.shb.state.as_mut() else {
                 return;
             };
             let needs = shb.catchup_progress(slot, p, &self.config, ctx);
             shb.update_telemetry_gauges(ctx);
-            needs
-        };
-        if needs.switched {
-            ctx.count("shb.switchovers", 1.0);
-            return;
-        }
-        if !needs.holes.is_empty() {
-            self.resolve_for_catchup(p, needs.holes.clone(), needs.authoritative, ctx);
-            // Local answers may have unblocked delivery immediately.
-            let again = {
-                let shb = self.shb.state.as_mut().expect("checked");
-                let again = shb.catchup_progress(slot, p, &self.config, ctx);
-                shb.update_telemetry_gauges(ctx);
-                again
-            };
-            if again.switched {
+            if needs.switched {
                 ctx.count("shb.switchovers", 1.0);
                 return;
             }
-            if again.want_read || needs.want_read {
+            want_read |= needs.want_read;
+            if round == 0 && !needs.holes.is_empty() {
+                self.resolve_for_catchup(p, needs.holes, needs.authoritative, ctx);
+                continue;
+            }
+            if want_read {
                 self.schedule_pfs_read(slot, p, ctx);
             }
-            self.nack_upstream(p, again.holes, needs.authoritative, ctx);
+            self.nack_upstream(p, needs.holes, needs.authoritative, ctx);
             return;
-        }
-        if needs.want_read {
-            self.schedule_pfs_read(slot, p, ctx);
         }
     }
 
@@ -156,70 +188,27 @@ impl Broker {
         );
     }
 
-    /// Completes parked first-time connects whose interest version is now
-    /// confirmed upstream. The start floor per pubend is the cache
-    /// high-water mark: every tick at or below it may have been filtered
-    /// without the new subscription.
-    pub(crate) fn complete_parked(&mut self, ctx: &mut dyn NodeCtx) {
+    /// Completes, in parking order, the parked first-time connects that
+    /// `ready` picks, and returns how many it completed. The start floor
+    /// per pubend is the cache high-water mark: every tick at or below it
+    /// may have been filtered without the new subscription.
+    pub(crate) fn finish_parked(
+        &mut self,
+        ready: impl Fn(&ParkedConnect) -> bool,
+        ctx: &mut dyn NodeCtx,
+    ) -> usize {
         if self.shb.parked.is_empty() {
-            return;
+            return 0;
         }
-        let confirmed = self.ib.upstream_confirmed;
-        let mut keep = Vec::new();
-        let mut ready = Vec::new();
-        for pc in self.shb.parked.drain(..) {
-            if pc.version <= confirmed {
-                ready.push(pc);
-            } else {
-                keep.push(pc);
-            }
-        }
+        let (done, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.shb.parked)
+            .into_iter()
+            .partition(ready);
         self.shb.parked = keep;
-        for pc in ready {
+        for pc in &done {
             let floors = self.release_floors();
-            self.finish_connect(
-                pc.sub,
-                pc.client,
-                pc.ct,
-                pc.spec,
-                pc.broker_ct,
-                pc.auto_ack,
-                floors,
-                Some(pc.anywhere),
-                ctx,
-            );
+            self.finish_connect(&pc.req, &floors, ctx);
         }
-    }
-
-    /// Times out parked connects (e.g. no parent traffic): complete with
-    /// conservative floors rather than never.
-    pub(crate) fn expire_parked(&mut self, ctx: &mut dyn NodeCtx) {
-        let now = ctx.now_us();
-        let mut keep = Vec::new();
-        let mut expired = Vec::new();
-        for pc in self.shb.parked.drain(..) {
-            if now.saturating_sub(pc.parked_at_us) > 2_000_000 {
-                expired.push(pc);
-            } else {
-                keep.push(pc);
-            }
-        }
-        self.shb.parked = keep;
-        for pc in expired {
-            ctx.count("shb.parked_timeout", 1.0);
-            let floors = self.release_floors();
-            self.finish_connect(
-                pc.sub,
-                pc.client,
-                pc.ct,
-                pc.spec,
-                pc.broker_ct,
-                pc.auto_ack,
-                floors,
-                Some(pc.anywhere),
-                ctx,
-            );
-        }
+        done.len()
     }
 
     /// Per-pubend connect floors: the cache high-water mark of every
@@ -233,42 +222,21 @@ impl Broker {
 
     /// Runs the actual SHB connect (shared by the direct and parked
     /// paths) and services the resulting catchup plans.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish_connect(
+    fn finish_connect(
         &mut self,
-        sub: SubscriberId,
-        client: NodeId,
-        ct: Option<CheckpointToken>,
-        spec: Option<SubscriptionSpec>,
-        broker_ct: bool,
-        auto_ack: bool,
-        floors: HashMap<PubendId, Timestamp>,
-        anywhere: Option<bool>,
+        req: &ConnectRequest,
+        floors: &HashMap<PubendId, Timestamp>,
         ctx: &mut dyn NodeCtx,
     ) {
-        let plans = {
-            let Some(shb) = self.shb.state.as_mut() else {
-                return;
-            };
-            shb.connect(
-                sub,
-                client,
-                ct,
-                spec,
-                broker_ct,
-                auto_ack,
-                &floors,
-                anywhere,
-                &self.config,
-                ctx,
-            )
+        let Some(shb) = self.shb.state.as_mut() else {
+            return;
         };
-        let Ok(plans) = plans else {
+        let Ok(plans) = shb.connect(req, floors, ctx) else {
             return;
         };
         // Edge boundary: resolve the id → slot mapping once; everything
         // below carries the slot.
-        let Some(slot) = self.shb.state.as_ref().and_then(|s| s.slot_of_sub(sub)) else {
+        let Some(slot) = shb.slot_of_sub(req.sub) else {
             return;
         };
         let had_plans = !plans.is_empty();
@@ -281,9 +249,9 @@ impl Broker {
     }
 
     pub(crate) fn on_client(&mut self, from: NodeId, msg: ClientMsg, ctx: &mut dyn NodeCtx) {
-        if self.shb.state.is_none() {
+        let Some(shb) = self.shb.state.as_mut() else {
             return;
-        }
+        };
         match msg {
             ClientMsg::Connect {
                 sub,
@@ -292,88 +260,61 @@ impl Broker {
                 broker_ct,
                 auto_ack,
             } => {
-                let is_new = self
-                    .shb
-                    .state
-                    .as_ref()
-                    .map(|s| s.is_new_subscription(sub))
-                    .unwrap_or(false);
-                let anywhere = is_new && ct.is_some();
+                let is_new = shb.is_new_subscription(sub);
+                let req = ConnectRequest {
+                    sub,
+                    client: from,
+                    anywhere: Some(is_new && ct.is_some()),
+                    ct,
+                    spec,
+                    broker_ct,
+                    auto_ack,
+                };
                 if is_new && self.parent.is_some() {
                     // Register the filter now (it starts matching and the
                     // interest goes upstream), but hold the attachment
                     // until the interest is confirmed causally upstream —
                     // otherwise the subscription's window could cover
                     // ticks that were filtered without it.
-                    let registered = {
-                        let shb = self.shb.state.as_mut().expect("checked");
-                        shb.register_spec(sub, from, spec.as_ref(), broker_ct, auto_ack, ctx)
-                    };
-                    if registered.is_err() {
+                    let spec = req.spec.as_ref();
+                    if shb
+                        .register_spec(sub, from, spec, broker_ct, auto_ack, ctx)
+                        .is_err()
+                    {
                         return;
                     }
-                    let added = spec.iter().map(|s| (sub, s.clone())).collect();
+                    let added = spec.iter().map(|&s| (sub, s.clone())).collect();
                     let version = self.bump_and_send_interest(added, Vec::new(), ctx);
                     self.shb.parked.push(ParkedConnect {
-                        sub,
-                        client: from,
-                        ct,
-                        spec,
-                        broker_ct,
-                        auto_ack,
-                        anywhere,
+                        req,
                         version,
                         parked_at_us: ctx.now_us(),
                     });
                     ctx.count("shb.parked_connects", 1.0);
                     return;
                 }
-                self.finish_connect(
-                    sub,
-                    from,
-                    ct,
-                    spec,
-                    broker_ct,
-                    auto_ack,
-                    HashMap::new(),
-                    Some(anywhere),
-                    ctx,
-                );
+                self.finish_connect(&req, &HashMap::new(), ctx);
             }
             ClientMsg::Ack { sub, ct } => {
-                let start_worker = {
-                    let shb = self.shb.state.as_mut().expect("checked");
-                    shb.ack(sub, &ct)
-                };
+                let start_worker = shb.ack(sub, &ct);
+                // The acknowledgment may have opened the flow-control
+                // window of this subscriber's catchup streams.
+                let slot = shb.slot_of_sub(sub);
+                let catching_up = slot.map(|s| shb.catchup_pubends(s)).unwrap_or_default();
                 if let Some(w) = start_worker {
                     self.start_ct_commit(w, ctx);
                 }
-                // The acknowledgment may have opened the flow-control
-                // window of this subscriber's catchup streams.
-                let slot = self.shb.state.as_ref().and_then(|s| s.slot_of_sub(sub));
                 if let Some(slot) = slot {
-                    let catching_up = self
-                        .shb
-                        .state
-                        .as_ref()
-                        .map(|s| s.catchup_pubends(slot))
-                        .unwrap_or_default();
                     for p in catching_up {
                         self.drive_catchup(slot, p, ctx);
                     }
                 }
             }
             ClientMsg::Disconnect { sub } => {
-                let now = ctx.now_us();
-                self.shb
-                    .state
-                    .as_mut()
-                    .expect("checked")
-                    .disconnect(sub, now);
+                shb.disconnect(sub, ctx.now_us());
                 ctx.count("shb.disconnects", 1.0);
             }
             ClientMsg::Unsubscribe { sub } => {
-                let shb = self.shb.state.as_mut().expect("checked");
                 let registered = !shb.is_new_subscription(sub);
                 shb.unsubscribe(sub);
                 if registered {
@@ -398,22 +339,14 @@ impl Broker {
     /// A PFS batch read's modeled latency elapsed: apply it and keep the
     /// catchup stream moving.
     pub(crate) fn on_catchup_read(&mut self, p: PubendId, index: u32, ctx: &mut dyn NodeCtx) {
-        let slot = self
-            .shb
-            .state
-            .as_ref()
-            .and_then(|s| s.sub_at_slot(index))
-            .map(|(slot, _)| slot);
-        if let Some(slot) = slot {
-            let applied = self
-                .shb
-                .state
-                .as_mut()
-                .expect("checked")
-                .finish_pfs_read(slot, p);
-            if applied {
-                self.drive_catchup(slot, p, ctx);
-            }
+        let Some(shb) = self.shb.state.as_mut() else {
+            return;
+        };
+        let Some((slot, _)) = shb.sub_at_slot(index) else {
+            return;
+        };
+        if shb.finish_pfs_read(slot, p) {
+            self.drive_catchup(slot, p, ctx);
         }
     }
 
@@ -428,6 +361,19 @@ impl Broker {
             .unwrap_or(false);
         if more {
             self.start_ct_commit(w, ctx);
+        }
+    }
+}
+
+/// Lineage stage: one `ShbIngested` per data part entering this SHB's
+/// consolidated/catchup streams.
+fn note_shb_ingest(p: PubendId, parts: &[KnowledgePart], ctx: &mut dyn NodeCtx) {
+    for part in parts {
+        if let KnowledgePart::Data(e) = part {
+            traced!(ctx.trace(TraceEvent::ShbIngested {
+                pubend: p,
+                ts: e.ts
+            }));
         }
     }
 }

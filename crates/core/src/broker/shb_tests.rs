@@ -1,7 +1,7 @@
 //! Unit tests for the SHB state machine, driven through a capturing
 //! stub context (no simulator).
 
-use super::shb::{CatchupNeeds, Shb};
+use super::shb::{CatchupNeeds, ConnectRequest, Shb};
 use super::Broker;
 use crate::config::{BrokerConfig, CT_COMMIT_BASE_US};
 use gryphon_sim::{Node, NodeCtx, TimerKey};
@@ -176,27 +176,21 @@ fn connect(
     ctx: &mut StubCtx,
     sub: u64,
     ct: Option<CheckpointToken>,
-    config: &BrokerConfig,
 ) -> Vec<(PubendId, CatchupNeeds)> {
-    shb.connect(
-        SubscriberId(sub),
-        CLIENT,
+    let req = ConnectRequest {
+        sub: SubscriberId(sub),
+        client: CLIENT,
         ct,
-        Some(gryphon_types::SubscriptionSpec::new("class = 0")),
-        false,
-        false,
-        &HashMap::new(),
-        None,
-        config,
-        ctx,
-    )
-    .expect("connect")
+        spec: Some(gryphon_types::SubscriptionSpec::new("class = 0")),
+        ..Default::default()
+    };
+    shb.connect(&req, &HashMap::new(), ctx).expect("connect")
 }
 
 #[test]
 fn constream_delivers_matching_events_and_records_pfs() {
     let (mut shb, config, mut ctx) = fresh_shb();
-    connect(&mut shb, &mut ctx, 1, None, &config);
+    connect(&mut shb, &mut ctx, 1, None);
     let (cache, upto) = cache_with(&[5, 9], 12);
     let holes = shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     assert!(holes.is_empty(), "fully known cache has no holes");
@@ -236,7 +230,7 @@ fn constream_reports_holes_up_to_high_water_mark() {
 fn pfs_sync_advances_durable_latest_delivered() {
     let (mut shb, config, mut ctx) = fresh_shb();
     let (cache, upto) = cache_with(&[3], 8);
-    connect(&mut shb, &mut ctx, 1, None, &config);
+    connect(&mut shb, &mut ctx, 1, None);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     assert_eq!(shb.latest_delivered(P), Timestamp::ZERO, "pre-sync");
     shb.pfs_sync(&mut ctx);
@@ -247,8 +241,8 @@ fn pfs_sync_advances_durable_latest_delivered() {
 fn released_is_min_over_subscribers_and_latest_delivered() {
     let (mut shb, config, mut ctx) = fresh_shb();
     let (cache, upto) = cache_with(&[2, 6], 10);
-    connect(&mut shb, &mut ctx, 1, None, &config);
-    connect(&mut shb, &mut ctx, 2, None, &config);
+    connect(&mut shb, &mut ctx, 1, None);
+    connect(&mut shb, &mut ctx, 2, None);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     shb.pfs_sync(&mut ctx);
     // Acks: sub1 → 6, sub2 → 4.
@@ -272,7 +266,7 @@ fn released_is_min_over_subscribers_and_latest_delivered() {
 #[test]
 fn reconnect_with_checkpoint_creates_catchup_and_switches_over() {
     let (mut shb, config, mut ctx) = fresh_shb();
-    connect(&mut shb, &mut ctx, 1, None, &config);
+    connect(&mut shb, &mut ctx, 1, None);
     let (cache, upto) = cache_with(&[5, 9, 15], 20);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     shb.pfs_sync(&mut ctx);
@@ -285,7 +279,6 @@ fn reconnect_with_checkpoint_creates_catchup_and_switches_over() {
         &mut ctx,
         1,
         Some(CheckpointToken::from_pairs([(P, Timestamp(4))])),
-        &config,
     );
     assert_eq!(plans.len(), 1);
     assert!(plans[0].1.want_read, "catchup starts with a PFS read");
@@ -334,7 +327,7 @@ fn reconnect_with_checkpoint_creates_catchup_and_switches_over() {
 fn catchup_delivery_is_paced_by_acknowledgments() {
     let (mut shb, mut config, mut ctx) = fresh_shb();
     config.catchup_window_ticks = 10; // tiny flow-control window
-    connect(&mut shb, &mut ctx, 1, None, &config);
+    connect(&mut shb, &mut ctx, 1, None);
     // 100 ticks of history, all silence except one event at 50.
     let (cache, upto) = cache_with(&[50], 100);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
@@ -346,7 +339,6 @@ fn catchup_delivery_is_paced_by_acknowledgments() {
         &mut ctx,
         1,
         Some(CheckpointToken::from_pairs([(P, Timestamp(1))])),
-        &config,
     );
     // Give the stream full knowledge of the whole span.
     let e = Event::builder(P)
@@ -396,19 +388,15 @@ fn catchup_delivery_is_paced_by_acknowledgments() {
 #[test]
 fn gated_subscriber_serializes_on_commit_workers() {
     let (mut shb, config, mut ctx) = fresh_shb();
-    shb.connect(
-        SubscriberId(1),
-        CLIENT,
-        None,
-        Some(gryphon_types::SubscriptionSpec::new("class = 0")),
-        true, // broker_ct
-        true, // auto_ack ⇒ gated
-        &HashMap::new(),
-        None,
-        &config,
-        &mut ctx,
-    )
-    .unwrap();
+    let req = ConnectRequest {
+        sub: SubscriberId(1),
+        client: CLIENT,
+        spec: Some(gryphon_types::SubscriptionSpec::new("class = 0")),
+        broker_ct: true,
+        auto_ack: true, // with broker_ct ⇒ gated
+        ..Default::default()
+    };
+    shb.connect(&req, &HashMap::new(), &mut ctx).unwrap();
     let (cache, upto) = cache_with(&[3, 5, 7], 10);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     // Only the first event may be in flight.
@@ -445,19 +433,13 @@ fn post_restart_resumes_from_durable_cursor() {
     let mut ctx = StubCtx::new();
     {
         let mut shb = Shb::open(&factory, "t");
-        shb.connect(
-            SubscriberId(1),
-            CLIENT,
-            None,
-            Some(gryphon_types::SubscriptionSpec::new("class = 0")),
-            false,
-            false,
-            &HashMap::new(),
-            None,
-            &config,
-            &mut ctx,
-        )
-        .unwrap();
+        let req = ConnectRequest {
+            sub: SubscriberId(1),
+            client: CLIENT,
+            spec: Some(gryphon_types::SubscriptionSpec::new("class = 0")),
+            ..Default::default()
+        };
+        shb.connect(&req, &HashMap::new(), &mut ctx).unwrap();
         let (cache, upto) = cache_with(&[4, 8], 10);
         shb.constream_advance(P, &cache, upto, &config, &mut ctx);
         shb.pfs_sync(&mut ctx);
@@ -489,8 +471,8 @@ fn post_restart_resumes_from_durable_cursor() {
 fn teardown_frees_released_state_for_dead_pairs() {
     let (mut shb, config, mut ctx) = fresh_shb();
     let (cache, upto) = cache_with(&[2, 6], 10);
-    connect(&mut shb, &mut ctx, 1, None, &config);
-    connect(&mut shb, &mut ctx, 2, None, &config);
+    connect(&mut shb, &mut ctx, 1, None);
+    connect(&mut shb, &mut ctx, 2, None);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     shb.pfs_sync(&mut ctx);
     shb.ack(
@@ -525,7 +507,7 @@ fn teardown_frees_released_state_for_dead_pairs() {
 #[test]
 fn disconnect_parks_catchup_streams_and_reconnect_drains_them() {
     let (mut shb, config, mut ctx) = fresh_shb();
-    connect(&mut shb, &mut ctx, 1, None, &config);
+    connect(&mut shb, &mut ctx, 1, None);
     let (cache, upto) = cache_with(&[5, 9], 20);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     shb.pfs_sync(&mut ctx);
@@ -537,7 +519,6 @@ fn disconnect_parks_catchup_streams_and_reconnect_drains_them() {
         &mut ctx,
         1,
         Some(CheckpointToken::from_pairs([(P, Timestamp(4))])),
-        &config,
     );
     assert_eq!(shb.catchup_streams(), 1);
     shb.disconnect(SubscriberId(1), ctx.now_us());
@@ -550,7 +531,6 @@ fn disconnect_parks_catchup_streams_and_reconnect_drains_them() {
         &mut ctx,
         1,
         Some(CheckpointToken::from_pairs([(P, Timestamp(4))])),
-        &config,
     );
     assert_eq!(shb.parked_streams(), 0);
     assert_eq!(shb.catchup_streams(), 1);
@@ -559,7 +539,7 @@ fn disconnect_parks_catchup_streams_and_reconnect_drains_them() {
 #[test]
 fn client_silence_advances_idle_subscribers() {
     let (mut shb, config, mut ctx) = fresh_shb();
-    connect(&mut shb, &mut ctx, 1, None, &config);
+    connect(&mut shb, &mut ctx, 1, None);
     let mut cache = KnowledgeStream::new();
     cache.set_silence(Timestamp(1), Timestamp(100));
     shb.constream_advance(P, &cache, Timestamp(100), &config, &mut ctx);
@@ -590,7 +570,7 @@ fn failing_pfs_chop_is_counted_by_the_release_timer() {
     };
     {
         let shb = broker.shb_mut().expect("SHB role");
-        connect(shb, &mut ctx, 1, None, &config);
+        connect(shb, &mut ctx, 1, None);
         let (cache, upto) = cache_with(&[2, 6], 10);
         shb.constream_advance(P, &cache, upto, &config, &mut ctx);
         shb.pfs_sync(&mut ctx);
@@ -634,7 +614,7 @@ fn catchup_gauges_match_the_full_walk_under_churn() {
                         pubends.map(|p| (p, Timestamp(rng.gen_range(0..=hi[p.0 as usize])))),
                     )
                 });
-                opened += connect(&mut shb, &mut ctx, sub, ct, &config).len();
+                opened += connect(&mut shb, &mut ctx, sub, ct).len();
             }
             3 => shb.disconnect(SubscriberId(sub), ctx.now_us()),
             // The constream moves on: every stream's backlog grows.

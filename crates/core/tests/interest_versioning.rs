@@ -253,6 +253,100 @@ fn confirmation_is_not_overtaken_by_batched_knowledge() {
     }
 }
 
+/// A first connect whose confirmation cannot arrive — the SHB's uplink is
+/// cut for longer than the parking timeout — completes when the timeout
+/// expires, from the cache high-water mark: nothing arrives during the
+/// cut, so that is where the constream cursor sits. Once the link is
+/// back and the interest has reached the root, the subscriber gets
+/// exactly the events a reference subscriber on another branch gets.
+#[test]
+fn parked_connect_times_out_at_the_cache_high_water_mark() {
+    let mut t = tree(38);
+    let phb = t.phb.id();
+    let side = t.sim.add_typed_node(
+        "side",
+        Broker::new(3, Box::new(MemFactory::new()), BrokerConfig::default()).hosting_subscribers(),
+    );
+    t.sim.node(side).set_parent(phb);
+    t.sim.node(t.phb).add_child(side.id());
+    t.sim.connect(phb, side.id(), 1_000);
+    let reference = t.sim.add_typed_node(
+        "ref",
+        SubscriberClient::new(
+            SubscriberId(100),
+            side.id(),
+            "class = 2",
+            SubscriberConfig {
+                collect: true,
+                ..SubscriberConfig::default()
+            },
+        ),
+    );
+    t.sim.connect(reference.id(), side.id(), 500);
+    t.sim.run_until(1_000_000);
+    let mid = NodeId(1);
+    t.sim.disconnect(mid, t.shb.id());
+    let late = t.sim.add_typed_node(
+        "late",
+        StartOf(
+            SubscriberClient::new(
+                SubscriberId(1),
+                t.shb.id(),
+                "class = 2",
+                SubscriberConfig {
+                    collect: true,
+                    // No re-sent connect while parked: only the timeout
+                    // may complete it.
+                    probe_interval_us: 60_000_000,
+                    ..SubscriberConfig::default()
+                },
+            ),
+            None,
+        ),
+    );
+    t.sim.connect(late.id(), t.shb.id(), 500);
+    // Parked at 1 s; the first release timer past 2 s later expires it.
+    t.sim.run_until(2_900_000);
+    // The reference parked too, at its own SHB, and was confirmed.
+    assert_eq!(t.sim.metrics().counter("shb.parked_connects"), 2.0);
+    assert_eq!(t.sim.metrics().counter("shb.parked_timeout"), 0.0);
+    assert_eq!(t.sim.node_ref(late).1, None, "attached while parked");
+    t.sim.run_until(3_500_000);
+    assert_eq!(t.sim.metrics().counter("shb.parked_timeout"), 1.0);
+    let start = t.sim.node_ref(late).1.expect("attached at the timeout");
+    let cursor = t.sim.node_ref(t.shb).shb().expect("SHB").con[&PubendId(0)].processed_to;
+    assert!(start > Timestamp(900), "started at {start:?}");
+    assert_eq!(start, cursor);
+    t.sim.run_until(4_000_000);
+    t.sim.connect(mid, t.shb.id(), 1_000);
+    t.sim.run_until(12_000_000);
+    // From a second after the link came back, well after the interest
+    // reached the root, nothing may be missing.
+    let settled = Timestamp(5_000);
+    let StartOf(client, _) = t.sim.node_ref(late);
+    assert_eq!(client.order_violations(), 0);
+    assert_eq!(client.gaps_received(), 0);
+    let got: Vec<_> = events(client)
+        .into_iter()
+        .filter(|&(ts, _)| ts > settled)
+        .collect();
+    let last = got.last().expect("events after the link came back").0;
+    let want: Vec<_> = events(t.sim.node_ref(reference))
+        .into_iter()
+        .filter(|&(ts, _)| ts > settled && ts <= last)
+        .collect();
+    assert!(want.len() > 300, "{}", want.len());
+    assert!(
+        got == want,
+        "first {:?}, expected {:?}",
+        got.first(),
+        want.first()
+    );
+    assert_eq!(t.sim.metrics().counter("shb.parked_timeout"), 1.0);
+    assert_eq!(t.sim.ledger_violations(), 0);
+    assert_eq!(t.sim.watchdog_violations(), 0);
+}
+
 /// An intermediate broker restart must not let stale interest filter a
 /// newly joined subscription's events (children refresh their interest;
 /// unknown children are forwarded unfiltered).

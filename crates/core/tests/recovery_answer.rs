@@ -212,3 +212,144 @@ fn torn_uncommitted_tail_leaves_durable_answers_intact() {
         "the unsynced tail cannot be fully durable"
     );
 }
+
+// ----------------------------------------------------------------------
+// The same guarantee through `Broker::boot`: a broker restarted after an
+// early-release L-conversion must answer a nack below the lost prefix
+// with `L`, which the subscriber sees as a gap.
+// ----------------------------------------------------------------------
+
+use gryphon::{Broker, PublisherClient, SubscriberClient, SubscriberConfig};
+use gryphon_sim::{Handle, Sim};
+
+/// The broker that hosts `P` crashes for 0.5 s here.
+const CRASH_AT_US: u64 = 4_000_000;
+const RESTART_AT_US: u64 = 4_500_000;
+/// The subscriber, away since 1 s, comes back 20 ms after the restart:
+/// before the restarted broker's first release timer (250 ms) could
+/// L-convert anything again, so only the restored prefix can answer `L`.
+const RECONNECT_AT_US: u64 = 4_520_000;
+
+fn retaining() -> BrokerConfig {
+    BrokerConfig {
+        max_retain_ticks: Some(1_000),
+        ..BrokerConfig::default()
+    }
+}
+
+/// A collecting subscriber on `shb` that leaves at 1 s and reconnects,
+/// with its checkpoint, at [`RECONNECT_AT_US`].
+fn away_subscriber(sim: &mut Sim, shb: gryphon_types::NodeId) -> Handle<SubscriberClient> {
+    let sub = sim.add_typed_node(
+        "sub",
+        SubscriberClient::new(
+            gryphon_types::SubscriberId(1),
+            shb,
+            "class = 0",
+            SubscriberConfig {
+                collect: true,
+                disconnect_period_us: Some(100_000_000),
+                disconnect_phase_us: Some(1_000_000),
+                disconnect_duration_us: RECONNECT_AT_US - 1_000_000,
+                probe_interval_us: 100_000_000,
+                ..SubscriberConfig::default()
+            },
+        ),
+    );
+    sim.connect(sub.id(), shb, 500);
+    sub
+}
+
+fn publisher(sim: &mut Sim, phb: gryphon_types::NodeId) {
+    let publisher = sim.add_typed_node(
+        "pub",
+        PublisherClient::new(phb, P, 200.0).with_attrs(|seq, _| {
+            let mut a = gryphon_types::Attributes::new();
+            a.insert("class".into(), ((seq as i64) % 4).into());
+            a
+        }),
+    );
+    sim.connect(publisher.id(), phb, 500);
+}
+
+/// Runs the crash and the reconnect, and checks what the subscriber got
+/// after it came back: no event at or below the prefix L-converted
+/// before the crash, and, before anything but silence, a gap inside that
+/// prefix (the catchup stream nacks its missed matches one range at a
+/// time, and each `L` answer covers the range asked).
+fn assert_lost_prefix_answered_lost(
+    mut sim: Sim,
+    phb: Handle<Broker>,
+    sub: Handle<SubscriberClient>,
+) {
+    sim.schedule_crash(phb.id(), CRASH_AT_US, RESTART_AT_US - CRASH_AT_US);
+    sim.run_until(CRASH_AT_US - 1);
+    let lost = sim.node_ref(phb).pubend(P).expect("hosted").lost_to();
+    assert!(lost > Timestamp(1_000), "no prefix L-converted: {lost:?}");
+    sim.run_until(RECONNECT_AT_US - 1);
+    assert_eq!(
+        sim.node_ref(phb).pubend(P).expect("hosted").lost_to(),
+        lost,
+        "the restart did not restore the lost prefix"
+    );
+    sim.run_until(8_000_000);
+    let client = sim.node_ref(sub);
+    let after: Vec<_> = client
+        .received()
+        .iter()
+        .filter(|r| r.at_us >= RECONNECT_AT_US)
+        .collect();
+    assert!(
+        after.iter().all(|r| r.kind != "event" || r.ts > lost),
+        "an event at or below the lost prefix {lost:?} was delivered"
+    );
+    let first = after
+        .iter()
+        .find(|r| r.kind != "silence")
+        .expect("deliveries after the reconnect");
+    assert!(first.kind == "gap" && first.ts <= lost, "{first:?}");
+    assert_eq!(client.order_violations(), 0);
+    assert_eq!(sim.ledger_violations(), 0);
+    assert_eq!(sim.watchdog_violations(), 0);
+}
+
+/// A combined broker (pubend and subscribers on one node): its own SHB's
+/// catchup stream asks the restarted local pubend.
+#[test]
+fn combined_broker_restart_answers_the_lost_prefix_lost() {
+    let mut sim = Sim::new(71);
+    let broker = sim.add_typed_node(
+        "broker",
+        Broker::new(0, Box::new(MemFactory::new()), retaining())
+            .hosting_pubends([P])
+            .hosting_subscribers(),
+    );
+    publisher(&mut sim, broker.id());
+    let sub = away_subscriber(&mut sim, broker.id());
+    assert_lost_prefix_answered_lost(sim, broker, sub);
+}
+
+/// A pure PHB under one SHB. The SHB's cache keeps 200 ticks, so the
+/// catchup stream's nacks below the prefix reach the restarted PHB.
+#[test]
+fn pure_phb_restart_answers_the_lost_prefix_lost() {
+    let mut sim = Sim::new(72);
+    let phb = sim.add_typed_node(
+        "phb",
+        Broker::new(0, Box::new(MemFactory::new()), retaining()).hosting_pubends([P]),
+    );
+    let shb_config = BrokerConfig {
+        cache_window_ticks: 200,
+        ..BrokerConfig::default()
+    };
+    let shb = sim.add_typed_node(
+        "shb",
+        Broker::new(1, Box::new(MemFactory::new()), shb_config).hosting_subscribers(),
+    );
+    sim.node(phb).add_child(shb.id());
+    sim.node(shb).set_parent(phb.id());
+    sim.connect(phb.id(), shb.id(), 1_000);
+    publisher(&mut sim, phb.id());
+    let sub = away_subscriber(&mut sim, shb.id());
+    assert_lost_prefix_answered_lost(sim, phb, sub);
+}

@@ -4,8 +4,7 @@
 //! recount of the slab says, attribute exactly the non-zero window
 //! deltas in slot order, and leave the counters drained (DESIGN.md §9).
 
-use gryphon::broker::Shb;
-use gryphon::config::BrokerConfig;
+use gryphon::broker::{ConnectRequest, Shb};
 use gryphon_sim::sketch::{DIM_SUB_BYTES, DIM_SUB_LAG, DIM_SUB_NACKS};
 use gryphon_sim::{NodeCtx, TimerKey};
 use gryphon_storage::MemFactory;
@@ -86,7 +85,6 @@ proptest! {
 
     #[test]
     fn sweep_matches_a_naive_slab_recount(shapes in shapes()) {
-        let config = BrokerConfig::default();
         let mut shb = Shb::open(&MemFactory::new(), "prop");
         let mut ctx = RecordingCtx::at(1_000_000);
 
@@ -97,7 +95,7 @@ proptest! {
             shb.register_spec(sub, NodeId(9), Some(&SubscriptionSpec::new("class = 0")), false, false, &mut ctx)
                 .expect("register");
             if s.liveness != IDLE {
-                shb.connect(sub, NodeId(9), None, None, false, false, &HashMap::new(), None, &config, &mut ctx)
+                shb.connect(&ConnectRequest { sub, client: NodeId(9), ..Default::default() }, &HashMap::new(), &mut ctx)
                     .expect("connect");
             }
             if s.liveness == PARKED {

@@ -17,7 +17,7 @@
 //! thread-local `MEASURING` flag: the allocator is process-wide, and
 //! libtest's own threads allocate whenever they like.
 
-use gryphon::broker::Shb;
+use gryphon::broker::{ConnectRequest, Shb};
 use gryphon::config::BrokerConfig;
 use gryphon_sim::{NodeCtx, TimerKey};
 use gryphon_storage::MemFactory;
@@ -103,24 +103,18 @@ impl NodeCtx for StubCtx {
     fn count(&mut self, _counter: &str, _delta: f64) {}
 }
 
-fn reconnect_all(shb: &mut Shb, subs: u64, config: &BrokerConfig, ctx: &mut StubCtx) {
+fn reconnect_all(shb: &mut Shb, subs: u64, ctx: &mut StubCtx) {
     for i in 0..subs {
-        shb.connect(
-            SubscriberId(i + 1),
-            CLIENT,
-            None,
-            Some(gryphon_types::SubscriptionSpec::new(format!(
+        let req = ConnectRequest {
+            sub: SubscriberId(i + 1),
+            client: CLIENT,
+            spec: Some(gryphon_types::SubscriptionSpec::new(format!(
                 "class = {}",
                 i % 16
             ))),
-            false,
-            false,
-            &HashMap::new(),
-            None,
-            config,
-            ctx,
-        )
-        .expect("connect");
+            ..Default::default()
+        };
+        shb.connect(&req, &HashMap::new(), ctx).expect("connect");
     }
 }
 
@@ -134,7 +128,7 @@ fn constream_deliver_allocates_nothing_after_warmup() {
     let mut shb = Shb::open(&MemFactory::new(), "t");
     const SUBS: u64 = 48;
     const TICKS: u64 = 200;
-    reconnect_all(&mut shb, SUBS, &config, &mut ctx);
+    reconnect_all(&mut shb, SUBS, &mut ctx);
 
     // A fully known cache: one event per tick, spread across 16 classes,
     // so each event matches SUBS/16 subscribers.
@@ -158,7 +152,7 @@ fn constream_deliver_allocates_nothing_after_warmup() {
     // advance re-processes the same span — deliveries flow again while
     // the PFS writes are idempotent no-ops.
     shb.post_restart();
-    reconnect_all(&mut shb, SUBS, &config, &mut ctx);
+    reconnect_all(&mut shb, SUBS, &mut ctx);
     ctx.sent.clear(); // capacity retained from the warm-up pass
 
     let allocated = allocations_in(|| {

@@ -29,7 +29,7 @@
 
 use crate::report::{Report, Table};
 use crate::topology::RunOptions;
-use gryphon::broker::Shb;
+use gryphon::broker::{ConnectRequest, Shb};
 use gryphon::config::BrokerConfig;
 use gryphon_sim::sketch::DIM_SUB_LAG;
 use gryphon_sim::telemetry::Timeline;
@@ -105,26 +105,15 @@ fn filter_for(i: u64, spec: &WorkloadSpec) -> SubscriptionSpec {
     SubscriptionSpec::new(format!("class = {}", i % spec.classes))
 }
 
-fn connect_one(
-    shb: &mut Shb,
-    sub: SubscriberId,
-    ct: Option<CheckpointToken>,
-    config: &BrokerConfig,
-    ctx: &mut DriveCtx,
-) {
-    shb.connect(
+fn connect_one(shb: &mut Shb, sub: SubscriberId, ct: Option<CheckpointToken>, ctx: &mut DriveCtx) {
+    let req = ConnectRequest {
         sub,
-        CLIENT,
+        client: CLIENT,
         ct,
-        None,
-        false,
-        false,
-        &HashMap::new(),
-        None,
-        config,
-        ctx,
-    )
-    .expect("registered subscription must connect");
+        ..Default::default()
+    };
+    shb.connect(&req, &HashMap::new(), ctx)
+        .expect("registered subscription must connect");
 }
 
 /// One census row: phase label, wall time, and the slab statistics the
@@ -220,7 +209,7 @@ pub fn run(opts: &RunOptions) -> Report {
     // connected batch (plus idle slots, which the deliver loop skips).
     let start = Instant::now();
     for i in 0..spec.connected {
-        connect_one(&mut shb, SubscriberId(i + 1), None, &config, &mut ctx);
+        connect_one(&mut shb, SubscriberId(i + 1), None, &mut ctx);
     }
     let mut cache = KnowledgeStream::new();
     for tick in 1..=spec.ticks {
@@ -284,7 +273,7 @@ pub fn run(opts: &RunOptions) -> Report {
         .map(|k| SubscriberId(spec.connected + k + 1))
         .collect();
     for &sub in &storm_subs {
-        connect_one(&mut shb, sub, storm_ct(), &config, &mut ctx);
+        connect_one(&mut shb, sub, storm_ct(), &mut ctx);
     }
     let streams_open = shb.catchup_streams();
     for &sub in &storm_subs {
@@ -292,7 +281,7 @@ pub fn run(opts: &RunOptions) -> Report {
     }
     let parked_peak = shb.parked_streams();
     for &sub in &storm_subs {
-        connect_one(&mut shb, sub, storm_ct(), &config, &mut ctx);
+        connect_one(&mut shb, sub, storm_ct(), &mut ctx);
     }
     let storm_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
@@ -330,7 +319,7 @@ pub fn run(opts: &RunOptions) -> Report {
             shb.disconnect(sub, ctx.now_us);
         }
         let slow = SubscriberId(spec.subs);
-        connect_one(&mut shb, slow, storm_ct(), &config, &mut ctx);
+        connect_one(&mut shb, slow, storm_ct(), &mut ctx);
         let slow_ms = start.elapsed().as_secs_f64() * 1e3;
         census(&mut t, "slow-sub", slow_ms, &mut shb, &mut ctx);
         let (leader_entity, lag_us) = {
@@ -367,7 +356,7 @@ pub fn run(opts: &RunOptions) -> Report {
         // sweeps a uniform population and the alert clears.
         let start = Instant::now();
         shb.disconnect(slow, ctx.now_us);
-        connect_one(&mut shb, slow, None, &config, &mut ctx);
+        connect_one(&mut shb, slow, None, &mut ctx);
         let recover_ms = start.elapsed().as_secs_f64() * 1e3;
         census(&mut t, "recovered", recover_ms, &mut shb, &mut ctx);
         assert!(

@@ -107,7 +107,7 @@ echo "== non-test unwrap/expect: a ratchet =="
 # disk and peer input, on the lines scripts/loc.sh counts (test items
 # and test-only files skipped). The count may fall, never rise: when a
 # site becomes a typed error, lower `max` with it.
-max=51
+max=38
 ratchet_crates=(storage core net streams)
 sites() {
   for c in "${ratchet_crates[@]}"; do scripts/code_lines.sh "$c"; done \
