@@ -8,8 +8,8 @@
 //!   slab-slot matching → PFS write → delivery to the small connected
 //!   fraction, while `N` idle subscribers sit in the slab;
 //! * `park_rehydrate/N` — one disconnect/reconnect cycle of a
-//!   mid-catchup subscriber: the open stream parks into a compact
-//!   record and rehydrates on the next connect;
+//!   mid-catchup subscriber: the open stream goes with the connection
+//!   and the next connect rebuilds it from the checkpoint;
 //! * `churn_recycle/N` — one unsubscribe + re-register pair: slab slot
 //!   free/reuse (generation bump) plus the matching-index update.
 //!
@@ -158,10 +158,9 @@ fn bench_shb_scale(c: &mut Criterion) {
             "steady traffic must reach every connected matching subscriber"
         );
 
-        // Park/rehydrate: a subscriber mid-catchup (old checkpoint, the
-        // constream is well past it) disconnects and reconnects. The
-        // disconnect demotes the open stream to a parked record; the
-        // reconnect rehydrates it.
+        // Disconnect/reconnect: a subscriber mid-catchup (old checkpoint,
+        // the constream is well past it) disconnects and reconnects. The
+        // disconnect drops the open stream; the reconnect rebuilds it.
         let storm_sub = SubscriberId(CONNECTED + 100);
         let ct = {
             let mut ct = CheckpointToken::new();
@@ -172,15 +171,13 @@ fn bench_shb_scale(c: &mut Criterion) {
         assert_eq!(shb.catchup_streams(), 1, "old checkpoint must open catchup");
         group.bench_with_input(BenchmarkId::new("park_rehydrate", n), &n, |b, _| {
             b.iter(|| {
-                shb.disconnect(storm_sub, 0);
+                shb.disconnect(storm_sub);
                 connect_one(&mut shb, storm_sub, Some(ct.clone()), &mut ctx);
-                // NB: not `parked_streams()` — that inspector is O(slab)
-                // and would drown the cycle under test.
                 std::hint::black_box(shb.catchup_streams())
             });
         });
-        shb.disconnect(storm_sub, 0);
-        assert_eq!(shb.parked_streams(), 1, "cycle must end parked");
+        shb.disconnect(storm_sub);
+        assert_eq!(shb.catchup_streams(), 0, "the disconnect drops the stream");
 
         // Churn: recycle slab slots in the idle region — unsubscribe
         // frees the slot (generation bump), re-register reuses it and

@@ -9,7 +9,7 @@
 //! makes subscription starts causally safe.
 
 use super::{now_ticks, Broker};
-use crate::config::{NACK_RESPONSE_CHUNK_TICKS, PARKED_CONNECT_TIMEOUT_US};
+use crate::config::NACK_RESPONSE_CHUNK_TICKS;
 use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
 use gryphon_sim::{names, traced, NodeCtx, TraceEvent};
 use gryphon_streams::{push_coalesced, RetryPolicy};
@@ -135,8 +135,7 @@ impl Broker {
         if interest_stamp > self.ib.upstream_confirmed {
             self.ib.upstream_confirmed = interest_stamp;
             self.promote_child_confirmations(ctx);
-            let confirmed = self.ib.upstream_confirmed;
-            self.finish_parked(|pc| pc.version <= confirmed, ctx);
+            self.finish_parked(self.ib.upstream_confirmed, ctx);
         }
         if parts.is_empty() {
             return;
@@ -717,16 +716,6 @@ impl Broker {
         // Periodic interest refresh heals a parent that restarted or lost
         // a delta (same version: a parent that kept up skips it).
         self.send_interest_snapshot(ctx);
-        // A parked connect whose confirmation never came (e.g. no parent
-        // traffic) completes with conservative floors rather than never.
-        let now = ctx.now_us();
-        let expired = self.finish_parked(
-            |pc| now.saturating_sub(pc.parked_at_us) > PARKED_CONNECT_TIMEOUT_US,
-            ctx,
-        );
-        if expired > 0 {
-            ctx.count("shb.parked_timeout", expired as f64);
-        }
     }
 
     pub(crate) fn on_cache_trim(&mut self, ctx: &mut dyn NodeCtx) {

@@ -40,7 +40,7 @@ mod sub_table;
 pub use pubend::Pubend;
 pub use route::Route;
 pub use shb::{CatchupNeeds, Con, Conn, ConnectRequest, Shb};
-pub use sub_table::{ParkedStream, PubendMap, SubState, SubscriberTable};
+pub use sub_table::{PubendMap, SubState, SubscriberTable};
 
 use crate::config::{
     BrokerConfig, CACHE_TRIM_INTERVAL_US, CLIENT_SILENCE_INTERVAL_US, META_PERSIST_INTERVAL_US,
@@ -331,9 +331,6 @@ impl Node for Broker {
         self.phb.in_flight.clear();
         self.shb.state = None;
         self.boot(ctx);
-        if let Some(shb) = self.shb.state.as_mut() {
-            shb.post_restart();
-        }
         ctx.count("broker.restarts", 1.0);
         // Recovering constreams: open-ended nack from latestDelivered,
         // in ascending pubend order (intrinsic — `con` is a BTreeMap).

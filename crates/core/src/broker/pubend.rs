@@ -189,8 +189,10 @@ impl Pubend {
     }
 
     /// Authoritatively answers a nack for `[from, to]` (clipped to what
-    /// has been emitted): `L` below the lost prefix, `D` from the log,
-    /// `S` everywhere else.
+    /// has been emitted): `D` from the log, `S` everywhere else, and, when
+    /// the range reaches into the lost prefix, one `L` from `from` to the
+    /// prefix's end — the prefix is authoritative and only grows, so the
+    /// asker learns all of it at once.
     ///
     /// # Errors
     ///
@@ -209,12 +211,11 @@ impl Pubend {
         let mut parts = Vec::new();
         let mut cursor = lo;
         if self.lost_to >= lo {
-            let l_end = self.lost_to.min(hi);
             parts.push(KnowledgePart::Lost {
                 from: lo,
-                to: l_end,
+                to: self.lost_to,
             });
-            cursor = l_end.next();
+            cursor = self.lost_to.next();
         }
         if cursor > hi {
             return Ok(parts);

@@ -51,12 +51,10 @@ impl Route {
         }
         let lost = self.knowledge.lost_to();
         let base = self.knowledge.base();
-        // Region A — the lost prefix is retained across trims: answer L.
+        // Region A — the lost prefix is retained across trims: answer L,
+        // all of it (it is authoritative and only grows).
         if lost >= from {
-            parts.push(KnowledgePart::Lost {
-                from,
-                to: lost.min(to),
-            });
+            parts.push(KnowledgePart::Lost { from, to: lost });
         }
         // Region B — above the lost prefix but inside the trimmed base:
         // the cache no longer remembers these, so they are holes.

@@ -8,7 +8,7 @@
 //! interior path — constream delivery, catchup pumping, PFS reads —
 //! carries a [`SubSlot`] and indexes the slab directly.
 
-use super::sub_table::{ParkedStream, SubscriberTable};
+use super::sub_table::SubscriberTable;
 use crate::config::{BrokerConfig, CT_COMMIT_BASE_US, CT_COMMIT_PER_UPDATE_US, CT_COMMIT_WORKERS};
 use crate::pfs::{Pfs, PfsMode};
 use gryphon_matching::{Filter, MatchScratch, SubscriptionIndex};
@@ -139,22 +139,6 @@ pub struct CatchupNeeds {
     pub authoritative: bool,
 }
 
-/// Aggregate census returned by [`Shb::sweep_population`], covering the
-/// counters that feed no top-K dimension directly (window catchup ticks,
-/// parked population) plus the sweep's own coverage numbers — the
-/// equivalence tests pin these against a naive recount.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SweepSummary {
-    /// Live slab slots visited.
-    pub swept: usize,
-    /// Slots with a live connection (the lag-spectrum population).
-    pub connected: usize,
-    /// Idle slots still carrying a parked-since mark.
-    pub parked: usize,
-    /// Catchup ticks served across the window (drained).
-    pub catchup_ticks: u64,
-}
-
 /// One checkpoint-commit worker (JMS experiment, paper §5.2).
 #[derive(Debug, Default)]
 struct CtWorker {
@@ -212,7 +196,7 @@ pub struct Shb {
     /// assignment is shared with [`Shb::table`].
     pub index: SubscriptionIndex,
     /// The dense per-subscriber slab: spec, filter, `released(s, p)`,
-    /// gated/broker-ct flags, live connection, parked streams.
+    /// gated/broker-ct flags, live connection.
     pub table: SubscriberTable,
     dirty_released: bool,
     /// Per-pubend constream cursors. A `BTreeMap` so every iteration is
@@ -401,12 +385,6 @@ impl Shb {
             }
         }
         (backlog, streams, slots == self.catchup_slots)
-    }
-
-    /// Number of parked catchup-stream records across all idle
-    /// subscribers (O(slab) — inspection only, not a gauge path).
-    pub fn parked_streams(&self) -> usize {
-        self.table.iter().map(|(_, st)| st.parked.len()).sum()
     }
 
     /// Approximate bytes held by the subscriber slab (see
@@ -643,7 +621,7 @@ impl Shb {
     /// * `slowest_subs_by_lag` — connected subscribers only, weighted by
     ///   the age of their oldest live catchup stream (0 when caught up).
     ///   The lag spectrum deliberately excludes idle subscribers: a
-    ///   million parked durables at lag 0 would otherwise drown the one
+    ///   million idle durables at lag 0 would otherwise drown the one
     ///   connected consumer that is actually behind.
     /// * `hottest_subs_by_bytes` / `top_nackers` — per-slot window
     ///   deltas, reset as they drain.
@@ -653,14 +631,11 @@ impl Shb {
     /// byte census, never the delivery path. When the sketch is
     /// disarmed every `attribute` call is a default no-op; either way
     /// the sweep touches no delivery state — pure observation.
-    pub fn sweep_population(&mut self, ctx: &mut dyn NodeCtx) -> SweepSummary {
+    pub fn sweep_population(&mut self, ctx: &mut dyn NodeCtx) {
         use gryphon_sim::sketch::{DIM_PUBEND_BYTES, DIM_SUB_BYTES, DIM_SUB_LAG, DIM_SUB_NACKS};
         let now = ctx.now_us();
-        let mut summary = SweepSummary::default();
         for (_, st) in self.table.iter_mut() {
-            summary.swept += 1;
             if let Some(conn) = st.conn.as_deref() {
-                summary.connected += 1;
                 let lag_us = conn
                     .catchup
                     .iter()
@@ -669,14 +644,11 @@ impl Shb {
                     .map(|t| now.saturating_sub(t))
                     .unwrap_or(0);
                 ctx.attribute(DIM_SUB_LAG, st.sub.0, lag_us);
-            } else if st.stats.parked_since_us > 0 {
-                summary.parked += 1;
             }
             if st.stats.window_is_empty() {
                 continue;
             }
             let w = st.stats.take_window();
-            summary.catchup_ticks += w.catchup_ticks;
             if w.bytes_delivered > 0 {
                 ctx.attribute(DIM_SUB_BYTES, st.sub.0, w.bytes_delivered);
             }
@@ -690,7 +662,6 @@ impl Shb {
                 *bytes = 0;
             }
         }
-        summary
     }
 
     /// PFS group commit: makes queued filtering records durable and
@@ -930,53 +901,30 @@ impl Shb {
             client,
             gryphon_types::NetMsg::Server(ServerMsg::ConnectOk { sub, start }),
         );
-        // Attach. Parked stream records from the previous connection are
-        // drained here: the streams above were rebuilt from the durable
-        // checkpoint protocol, so the parked positions have served their
-        // purpose (observability + bounded idle memory).
+        // Attach.
         if conn.catchup.is_empty() {
             self.catchup_slots.remove(&slot.index());
         } else {
             self.catchup_slots.insert(slot.index());
         }
         let st = self.table.get_mut(slot).expect("registered above");
-        let rehydrated = st.parked.len();
-        st.parked.clear();
-        st.stats.parked_since_us = 0;
         st.conn = Some(Box::new(conn));
         self.connected.insert(sub, slot.index());
-        if rehydrated > 0 {
-            ctx.count("shb.stream_rehydrations", rehydrated as f64);
-        }
         Ok(plans)
     }
 
     /// Handles a graceful disconnect (the subscription stays durable).
-    /// Active catchup streams are demoted to compact [`ParkedStream`]
-    /// records — an idle subscriber must not pin knowledge buffers.
-    pub fn disconnect(&mut self, sub: SubscriberId, now_us: u64) {
+    /// The connection, catchup streams included, is dropped: an idle
+    /// subscription keeps only its durable state, and a reconnect
+    /// rebuilds its streams from the checkpoint protocol.
+    pub fn disconnect(&mut self, sub: SubscriberId) {
         self.connected.remove(&sub);
         let Some(slot) = self.table.slot_of(sub) else {
             return;
         };
         self.catchup_slots.remove(&slot.index());
-        let Some(st) = self.table.get_mut(slot) else {
-            return;
-        };
-        if let Some(conn) = st.conn.take() {
-            // Parked mark for the population sweep; `max(1)` keeps a
-            // disconnect at t=0 distinguishable from "never connected".
-            st.stats.parked_since_us = now_us.max(1);
-            let Conn { catchup, .. } = *conn;
-            for (p, cu) in catchup.into_iter() {
-                st.parked.insert(
-                    p,
-                    ParkedStream {
-                        position: cu.delivered_to,
-                        doubt_floor: cu.pfs_covered_to,
-                    },
-                );
-            }
+        if let Some(st) = self.table.get_mut(slot) {
+            st.conn = None;
         }
     }
 
@@ -1371,7 +1319,6 @@ impl Shb {
                 self.delivered += 1;
                 let wire = delivery_bytes(&e);
                 st.stats.bytes_delivered += wire;
-                st.stats.catchup_ticks += 1;
                 *self.pubend_bytes.entry(p).or_default() += wire;
                 ctx.count(names::SHB_CATCHUP_DELIVERED, 1.0);
                 last_event_ts = e.ts;
@@ -1447,16 +1394,16 @@ impl Shb {
         needs
     }
 
-    /// Restores volatile invariants after the owning broker crashed:
-    /// every connection (and every parked-stream record — they are
-    /// volatile observability state, rebuilt from durable checkpoints)
-    /// is gone; constreams resume from the durable `latestDelivered`.
+    /// Restores volatile invariants after a crash simulated in place:
+    /// every connection is gone; constreams resume from the durable
+    /// `latestDelivered`. A broker restart opens its SHB afresh instead
+    /// (`Shb::open` already starts in this state); this is for tests and
+    /// benches that crash one `Shb` value without reopening it.
     pub fn post_restart(&mut self) {
         self.connected.clear();
         self.catchup_slots.clear();
         for (_, st) in self.table.iter_mut() {
             st.conn = None;
-            st.parked.clear();
         }
         for worker in &mut self.workers {
             worker.queue.clear();

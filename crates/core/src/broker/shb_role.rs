@@ -14,8 +14,10 @@
 //!   and one read-scheduling branch;
 //! * connects: each [`ConnectRequest`] finishes at once or, when it
 //!   registers a new subscription under a parent, parks until its
-//!   interest is confirmed upstream. `finish_parked` completes parked
-//!   connects on confirmation and on the parking timeout alike;
+//!   interest is confirmed upstream. "Parked" means only that: a
+//!   re-sent connect for a parked subscription just redirects its
+//!   `ConnectOk`, and `finish_parked`, on confirmation, is the one place
+//!   a parked connect attaches;
 //! * PFS read scheduling and the client-facing message handlers.
 
 use super::{Broker, ConnectRequest, Shb};
@@ -34,7 +36,7 @@ pub(crate) struct ShbRole {
     /// The SHB state machine (`None` for pure PHB/intermediate brokers).
     pub(crate) state: Option<Shb>,
     /// First-time connects held until their interest is confirmed
-    /// upstream.
+    /// upstream (volatile: a restart drops them).
     pub(crate) parked: Vec<ParkedConnect>,
 }
 
@@ -45,8 +47,6 @@ pub(crate) struct ParkedConnect {
     pub(crate) req: ConnectRequest,
     /// The interest version that carries its filter upstream.
     pub(crate) version: u64,
-    /// When it parked: the clock of the parking timeout.
-    pub(crate) parked_at_us: u64,
 }
 
 impl Broker {
@@ -188,27 +188,22 @@ impl Broker {
         );
     }
 
-    /// Completes, in parking order, the parked first-time connects that
-    /// `ready` picks, and returns how many it completed. The start floor
-    /// per pubend is the cache high-water mark: every tick at or below it
-    /// may have been filtered without the new subscription.
-    pub(crate) fn finish_parked(
-        &mut self,
-        ready: impl Fn(&ParkedConnect) -> bool,
-        ctx: &mut dyn NodeCtx,
-    ) -> usize {
+    /// Completes, in parking order, the parked first-time connects whose
+    /// interest version the parent has `confirmed`. The start floor per
+    /// pubend is the cache high-water mark: every tick at or below it may
+    /// have been filtered without the new subscription.
+    pub(crate) fn finish_parked(&mut self, confirmed: u64, ctx: &mut dyn NodeCtx) {
         if self.shb.parked.is_empty() {
-            return 0;
+            return;
         }
         let (done, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.shb.parked)
             .into_iter()
-            .partition(ready);
+            .partition(|pc| pc.version <= confirmed);
         self.shb.parked = keep;
         for pc in &done {
             let floors = self.release_floors();
             self.finish_connect(&pc.req, &floors, ctx);
         }
-        done.len()
     }
 
     /// Per-pubend connect floors: the cache high-water mark of every
@@ -260,6 +255,12 @@ impl Broker {
                 broker_ct,
                 auto_ack,
             } => {
+                // A parked subscription attaches only on confirmation: a
+                // re-sent connect just redirects its `ConnectOk`.
+                if let Some(pc) = self.shb.parked.iter_mut().find(|pc| pc.req.sub == sub) {
+                    pc.req.client = from;
+                    return;
+                }
                 let is_new = shb.is_new_subscription(sub);
                 let req = ConnectRequest {
                     sub,
@@ -285,11 +286,7 @@ impl Broker {
                     }
                     let added = spec.iter().map(|&s| (sub, s.clone())).collect();
                     let version = self.bump_and_send_interest(added, Vec::new(), ctx);
-                    self.shb.parked.push(ParkedConnect {
-                        req,
-                        version,
-                        parked_at_us: ctx.now_us(),
-                    });
+                    self.shb.parked.push(ParkedConnect { req, version });
                     ctx.count("shb.parked_connects", 1.0);
                     return;
                 }
@@ -311,7 +308,7 @@ impl Broker {
                 }
             }
             ClientMsg::Disconnect { sub } => {
-                shb.disconnect(sub, ctx.now_us());
+                shb.disconnect(sub);
                 ctx.count("shb.disconnects", 1.0);
             }
             ClientMsg::Unsubscribe { sub } => {

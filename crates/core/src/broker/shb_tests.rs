@@ -256,7 +256,7 @@ fn released_is_min_over_subscribers_and_latest_delivered() {
     );
     assert_eq!(shb.released_local(P), Timestamp(4));
     // A disconnected subscriber still holds release back.
-    shb.disconnect(SubscriberId(2), ctx.now_us());
+    shb.disconnect(SubscriberId(2));
     assert_eq!(shb.released_local(P), Timestamp(4));
     // Until it unsubscribes entirely.
     shb.unsubscribe(SubscriberId(2));
@@ -270,7 +270,7 @@ fn reconnect_with_checkpoint_creates_catchup_and_switches_over() {
     let (cache, upto) = cache_with(&[5, 9, 15], 20);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     shb.pfs_sync(&mut ctx);
-    shb.disconnect(SubscriberId(1), ctx.now_us());
+    shb.disconnect(SubscriberId(1));
     ctx.sent.clear();
 
     // Reconnect at ct=4: events 5, 9, 15 must be recovered.
@@ -332,7 +332,7 @@ fn catchup_delivery_is_paced_by_acknowledgments() {
     let (cache, upto) = cache_with(&[50], 100);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     shb.pfs_sync(&mut ctx);
-    shb.disconnect(SubscriberId(1), ctx.now_us());
+    shb.disconnect(SubscriberId(1));
     ctx.sent.clear();
     connect(
         &mut shb,
@@ -505,15 +505,15 @@ fn teardown_frees_released_state_for_dead_pairs() {
 }
 
 #[test]
-fn disconnect_parks_catchup_streams_and_reconnect_drains_them() {
+fn disconnect_drops_catchup_streams_and_reconnect_rebuilds_them() {
     let (mut shb, config, mut ctx) = fresh_shb();
     connect(&mut shb, &mut ctx, 1, None);
     let (cache, upto) = cache_with(&[5, 9], 20);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     shb.pfs_sync(&mut ctx);
-    shb.disconnect(SubscriberId(1), ctx.now_us());
+    shb.disconnect(SubscriberId(1));
     // Reconnect mid-catchup, then disconnect with the stream still open:
-    // it must demote to a compact parked record, not a live stream.
+    // the idle subscription keeps only its durable state.
     connect(
         &mut shb,
         &mut ctx,
@@ -521,18 +521,17 @@ fn disconnect_parks_catchup_streams_and_reconnect_drains_them() {
         Some(CheckpointToken::from_pairs([(P, Timestamp(4))])),
     );
     assert_eq!(shb.catchup_streams(), 1);
-    shb.disconnect(SubscriberId(1), ctx.now_us());
+    shb.disconnect(SubscriberId(1));
     assert_eq!(shb.catchup_streams(), 0, "no live stream while idle");
-    assert_eq!(shb.parked_streams(), 1, "parked record kept instead");
-    // Reconnect rehydrates from the durable checkpoint protocol and
-    // drains the parked record.
+    let (_, st) = shb.table.iter().next().expect("still durable");
+    assert!(st.conn.is_none(), "no connection while idle");
+    // Reconnect rebuilds the stream from the durable checkpoint protocol.
     connect(
         &mut shb,
         &mut ctx,
         1,
         Some(CheckpointToken::from_pairs([(P, Timestamp(4))])),
     );
-    assert_eq!(shb.parked_streams(), 0);
     assert_eq!(shb.catchup_streams(), 1);
 }
 
@@ -616,7 +615,7 @@ fn catchup_gauges_match_the_full_walk_under_churn() {
                 });
                 opened += connect(&mut shb, &mut ctx, sub, ct).len();
             }
-            3 => shb.disconnect(SubscriberId(sub), ctx.now_us()),
+            3 => shb.disconnect(SubscriberId(sub)),
             // The constream moves on: every stream's backlog grows.
             4..=5 => {
                 let i = rng.gen_range(0..2usize);

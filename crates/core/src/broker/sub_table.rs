@@ -10,8 +10,8 @@
 //! * each durable subscription occupies one dense [`SubSlot`]
 //!   (index + free-list generation) holding a [`SubState`] — spec,
 //!   compiled filter, `released(s,p)` cursors, gated/broker-ct flags,
-//!   the live connection (boxed, absent for idle subscribers) and the
-//!   compact parked-stream records;
+//!   and the live connection (boxed, absent for idle subscribers): an
+//!   idle subscription keeps only what it needs durably;
 //! * the only `SubscriberId → slot` hash lookup happens at the edges
 //!   (connect / subscribe / ack ingress); interior paths carry
 //!   [`SubSlot`] and index the slab directly;
@@ -29,8 +29,8 @@ use std::collections::HashMap;
 
 /// A tiny sorted-vec map keyed by [`PubendId`].
 ///
-/// Per-subscriber per-pubend state (release cursors, parked streams,
-/// delivery cursors, catchup streams) is keyed by pubend, and realistic
+/// Per-subscriber per-pubend state (release cursors, delivery cursors,
+/// catchup streams) is keyed by pubend, and realistic
 /// subscribers touch a handful of pubends — a sorted `Vec` beats a hash
 /// map on both bytes and lookup cost at that size, and its iteration
 /// order is intrinsically ascending, so emission paths need no ad-hoc
@@ -146,64 +146,32 @@ impl<T> IntoIterator for PubendMap<T> {
     }
 }
 
-/// Compact record of a catchup stream whose subscriber disconnected:
-/// the constream position it had reached and its doubt floor — nothing
-/// else (DESIGN.md §15).
-///
-/// An idle subscriber must not pin a full catchup stream (knowledge
-/// parts, read buffers); those die with the connection. What survives,
-/// multiplexed per pubend inside the slot, is this 16-byte record. On
-/// reconnect the stream is rehydrated from the checkpoint protocol
-/// exactly as a cold connect would build it — the parked positions are
-/// observability (how far the stream had come) and memory accounting,
-/// *not* resumption state, so ground-truth delivery is provably
-/// unchanged by parking.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParkedStream {
-    /// `delivered_to` of the stream at park time.
-    pub position: Timestamp,
-    /// `pfs_covered_to` of the stream at park time.
-    pub doubt_floor: Timestamp,
-}
-
 /// Per-slot population-attribution counters (DESIGN.md §9).
 ///
 /// Bumped with plain adds on the hot delivery/catchup paths and drained
 /// as window deltas by the SHB's periodic slab sweep, which feeds them
 /// to the population sketch via `NodeCtx::attribute`. Kept `Copy` and
-/// heap-free so a million idle slots pay four words each and
+/// heap-free so a million idle slots pay two words each and
 /// `approx_heap_bytes` is unaffected. Pure observation: nothing reads
 /// these on any decision path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubStats {
     /// Payload bytes delivered (live + catchup) since the last sweep.
     pub bytes_delivered: u64,
-    /// Catchup stream ticks served since the last sweep.
-    pub catchup_ticks: u64,
     /// Checkpoint holes reported (nack-equivalent redelivery demand)
     /// since the last sweep.
     pub nacks: u64,
-    /// Sim time (µs) this subscriber last disconnected; 0 while
-    /// connected (or never yet connected). Lets the sweep attribute
-    /// parked duration without storing a per-window delta.
-    pub parked_since_us: u64,
 }
 
 impl SubStats {
     /// Takes the window deltas, resetting them to zero.
-    /// `parked_since_us` survives — it is a point-in-time mark the
-    /// connect path clears, not a delta.
     pub fn take_window(&mut self) -> SubStats {
-        let out = *self;
-        self.bytes_delivered = 0;
-        self.catchup_ticks = 0;
-        self.nacks = 0;
-        out
+        std::mem::take(self)
     }
 
     /// `true` when every window delta is zero.
     pub fn window_is_empty(&self) -> bool {
-        self.bytes_delivered == 0 && self.catchup_ticks == 0 && self.nacks == 0
+        self.bytes_delivered == 0 && self.nacks == 0
     }
 }
 
@@ -229,9 +197,6 @@ pub struct SubState {
     /// The live connection; `None` for idle subscribers. Boxed so an
     /// idle slot pays one pointer, not the full connection footprint.
     pub conn: Option<Box<Conn>>,
-    /// Parked catchup positions of past connections (see
-    /// [`ParkedStream`]); drained on reconnect.
-    pub parked: PubendMap<ParkedStream>,
     /// Attribution counters drained by the periodic slab sweep (see
     /// `SubStats`). Survives disconnection like the cursors do.
     pub stats: SubStats,
@@ -243,8 +208,7 @@ impl SubState {
     pub fn approx_heap_bytes(&self) -> usize {
         let mut n = self.spec.expr().len()
             + std::mem::size_of_val(self.filter.predicates())
-            + self.released.approx_heap_bytes()
-            + self.parked.approx_heap_bytes();
+            + self.released.approx_heap_bytes();
         if let Some(conn) = &self.conn {
             n += std::mem::size_of::<Conn>() + conn.approx_heap_bytes();
         }
@@ -297,8 +261,8 @@ impl SubscriberTable {
     }
 
     /// Registers `sub`, assigning a slot (replacing spec/filter in place
-    /// if it is already registered — connection, release cursors and
-    /// parked records are preserved). Returns the slot.
+    /// if it is already registered — connection and release cursors are
+    /// preserved). Returns the slot.
     pub fn insert(&mut self, sub: SubscriberId, spec: SubscriptionSpec, filter: Filter) -> SubSlot {
         if let Some(&i) = self.by_id.get(&sub) {
             let st = self.states[i as usize]
@@ -325,7 +289,6 @@ impl SubscriberTable {
             gated: false,
             broker_ct: false,
             conn: None,
-            parked: PubendMap::new(),
             stats: SubStats::default(),
         });
         self.by_id.insert(sub, i);
@@ -400,7 +363,7 @@ impl SubscriberTable {
 
     /// Approximate bytes held by the slab: the dense arrays, the edge
     /// hash, and each live state's heap (spec text, compiled filter,
-    /// release cursors, parked records, live connections). Feeds the
+    /// release cursors, live connections). Feeds the
     /// `telemetry.shb.slab_bytes` / `telemetry.shb.bytes_per_idle_sub`
     /// gauges (DESIGN.md §15). An estimate, not an exact heap census —
     /// its job is to make regressions visible, and it errs low.

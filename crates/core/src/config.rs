@@ -53,10 +53,6 @@ pub const META_PERSIST_INTERVAL_US: u64 = 250_000;
 pub const CLIENT_SILENCE_INTERVAL_US: u64 = 100_000;
 /// Period for trimming knowledge caches to the retention window.
 pub const CACHE_TRIM_INTERVAL_US: u64 = 1_000_000;
-/// How long a first-time connect stays parked waiting for its interest
-/// to be confirmed upstream before it completes anyway, with the cache
-/// high-water floors (checked on each release timer).
-pub const PARKED_CONNECT_TIMEOUT_US: u64 = 2_000_000;
 /// PFS read buffer size in Q ticks (5000 in the paper's experiments).
 pub const CATCHUP_READ_BUFFER: usize = 5_000;
 /// Modeled base latency of one PFS batch read.

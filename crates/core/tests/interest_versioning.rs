@@ -143,8 +143,9 @@ fn burst_of_new_subscriptions_all_start_cleanly() {
     }
 }
 
-/// Remembers where a subscriber's first connect started it.
-struct StartOf(SubscriberClient, Option<Timestamp>);
+/// Remembers every `ConnectOk` a subscriber got: when, and where it
+/// started the subscriber.
+struct StartOf(SubscriberClient, Vec<(u64, Timestamp)>);
 
 impl Node for StartOf {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
@@ -153,7 +154,7 @@ impl Node for StartOf {
 
     fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut dyn NodeCtx) {
         if let NetMsg::Server(ServerMsg::ConnectOk { start, .. }) = &msg {
-            self.1.get_or_insert(start.get(PubendId(0)));
+            self.1.push((ctx.now_us(), start.get(PubendId(0))));
         }
         self.0.on_message(from, msg, ctx);
     }
@@ -227,7 +228,7 @@ fn confirmation_is_not_overtaken_by_batched_knowledge() {
                         ..SubscriberConfig::default()
                     },
                 ),
-                None,
+                Vec::new(),
             ),
         );
         t.sim.connect(sub.id(), t.shb.id(), 500);
@@ -235,8 +236,8 @@ fn confirmation_is_not_overtaken_by_batched_knowledge() {
     }
     t.sim.run_until(5_000_000);
     for (class, sub) in subs.into_iter().enumerate() {
-        let StartOf(client, start) = t.sim.node_ref(sub);
-        let start = start.expect("connected");
+        let StartOf(client, oks) = t.sim.node_ref(sub);
+        let start = oks.first().expect("connected").1;
         let got = events(client);
         let last = got.last().expect("events delivered").0;
         let want: Vec<_> = events(t.sim.node_ref(reference[class]))
@@ -253,14 +254,18 @@ fn confirmation_is_not_overtaken_by_batched_knowledge() {
     }
 }
 
-/// A first connect whose confirmation cannot arrive — the SHB's uplink is
-/// cut for longer than the parking timeout — completes when the timeout
-/// expires, from the cache high-water mark: nothing arrives during the
-/// cut, so that is where the constream cursor sits. Once the link is
-/// back and the interest has reached the root, the subscriber gets
-/// exactly the events a reference subscriber on another branch gets.
-#[test]
-fn parked_connect_times_out_at_the_cache_high_water_mark() {
+/// The SHB's uplink is cut from 1 s to 4 s.
+const CUT_AT_US: u64 = 1_000_000;
+const HEAL_AT_US: u64 = 4_000_000;
+
+/// A first connect whose confirmation cannot arrive — the SHB's uplink
+/// is cut — stays parked until the link is back and its interest is
+/// confirmed, however often the client re-sends it: it attaches exactly
+/// once, and from its start on it gets exactly the events a reference
+/// subscriber on another branch gets. Attaching any earlier would start
+/// it across ticks filtered upstream without its filter, and those reach
+/// it as silence, not as a gap.
+fn parked_connect_waits_out_a_cut_uplink(probe_interval_us: u64) {
     let mut t = tree(38);
     let phb = t.phb.id();
     let side = t.sim.add_typed_node(
@@ -283,7 +288,7 @@ fn parked_connect_times_out_at_the_cache_high_water_mark() {
         ),
     );
     t.sim.connect(reference.id(), side.id(), 500);
-    t.sim.run_until(1_000_000);
+    t.sim.run_until(CUT_AT_US);
     let mid = NodeId(1);
     t.sim.disconnect(mid, t.shb.id());
     let late = t.sim.add_typed_node(
@@ -295,56 +300,57 @@ fn parked_connect_times_out_at_the_cache_high_water_mark() {
                 "class = 2",
                 SubscriberConfig {
                     collect: true,
-                    // No re-sent connect while parked: only the timeout
-                    // may complete it.
-                    probe_interval_us: 60_000_000,
+                    probe_interval_us,
                     ..SubscriberConfig::default()
                 },
             ),
-            None,
+            Vec::new(),
         ),
     );
     t.sim.connect(late.id(), t.shb.id(), 500);
-    // Parked at 1 s; the first release timer past 2 s later expires it.
-    t.sim.run_until(2_900_000);
-    // The reference parked too, at its own SHB, and was confirmed.
-    assert_eq!(t.sim.metrics().counter("shb.parked_connects"), 2.0);
-    assert_eq!(t.sim.metrics().counter("shb.parked_timeout"), 0.0);
-    assert_eq!(t.sim.node_ref(late).1, None, "attached while parked");
-    t.sim.run_until(3_500_000);
-    assert_eq!(t.sim.metrics().counter("shb.parked_timeout"), 1.0);
-    let start = t.sim.node_ref(late).1.expect("attached at the timeout");
-    let cursor = t.sim.node_ref(t.shb).shb().expect("SHB").con[&PubendId(0)].processed_to;
-    assert!(start > Timestamp(900), "started at {start:?}");
-    assert_eq!(start, cursor);
-    t.sim.run_until(4_000_000);
+    t.sim.run_until(HEAL_AT_US);
     t.sim.connect(mid, t.shb.id(), 1_000);
     t.sim.run_until(12_000_000);
-    // From a second after the link came back, well after the interest
-    // reached the root, nothing may be missing.
-    let settled = Timestamp(5_000);
-    let StartOf(client, _) = t.sim.node_ref(late);
+    // The reference parked too, at its own SHB; re-sent connects of the
+    // late one did not park it again.
+    assert_eq!(t.sim.metrics().counter("shb.parked_connects"), 2.0);
+    let StartOf(client, oks) = t.sim.node_ref(late);
+    let &[(ok_at_us, start)] = oks.as_slice() else {
+        panic!("expected exactly one ConnectOk, got {oks:?}");
+    };
+    assert!(
+        ok_at_us > HEAL_AT_US,
+        "attached at {ok_at_us} µs, during the cut"
+    );
     assert_eq!(client.order_violations(), 0);
     assert_eq!(client.gaps_received(), 0);
-    let got: Vec<_> = events(client)
-        .into_iter()
-        .filter(|&(ts, _)| ts > settled)
-        .collect();
+    let got = events(client);
     let last = got.last().expect("events after the link came back").0;
     let want: Vec<_> = events(t.sim.node_ref(reference))
         .into_iter()
-        .filter(|&(ts, _)| ts > settled && ts <= last)
+        .filter(|&(ts, _)| ts > start && ts <= last)
         .collect();
     assert!(want.len() > 300, "{}", want.len());
     assert!(
         got == want,
-        "first {:?}, expected {:?}",
+        "started at {start:?}: first {:?}, expected {:?}",
         got.first(),
         want.first()
     );
-    assert_eq!(t.sim.metrics().counter("shb.parked_timeout"), 1.0);
     assert_eq!(t.sim.ledger_violations(), 0);
     assert_eq!(t.sim.watchdog_violations(), 0);
+}
+
+#[test]
+fn parked_connect_waits_out_a_cut_uplink_at_the_default_probe() {
+    parked_connect_waits_out_a_cut_uplink(SubscriberConfig::default().probe_interval_us);
+}
+
+/// Shorter than the cut: the client re-sends its connect every half
+/// second while it is parked.
+#[test]
+fn parked_connect_waits_out_a_cut_uplink_through_resent_connects() {
+    parked_connect_waits_out_a_cut_uplink(500_000);
 }
 
 /// An intermediate broker restart must not let stale interest filter a
@@ -417,8 +423,8 @@ fn event_seqs(client: &SubscriberClient) -> Vec<i64> {
 
 /// Registration is O(Δ) per hop and one round trip: 2 000 first
 /// connects through PHB → intermediate → SHB each parse their filter
-/// exactly once per hop, none of them waits out the parking timeout, and
-/// the periodic interest refresh of already-applied versions parses
+/// exactly once per hop, all of them attach within a second, and the
+/// periodic interest refresh of already-applied versions parses
 /// nothing.
 #[test]
 fn registration_parses_each_filter_once_per_hop() {
@@ -452,7 +458,6 @@ fn registration_parses_each_filter_once_per_hop() {
     }
     let m = t.sim.metrics();
     assert_eq!(m.counter("shb.parked_connects"), SUBS as f64);
-    assert_eq!(m.counter("shb.parked_timeout"), 0.0);
     // Two hops parse interest: the intermediate (from the SHB) and the
     // PHB (from the intermediate).
     let parsed = m.counter(gryphon_sim::names::IB_INTEREST_FILTERS_PARSED);
@@ -466,14 +471,13 @@ fn registration_parses_each_filter_once_per_hop() {
         parsed,
         "a refresh of an applied version re-parsed filters"
     );
-    assert_eq!(m.counter("shb.parked_timeout"), 0.0);
 }
 
 /// The root PHB crashes between two first connects. The later connect's
 /// delta reaches a root that has forgotten the intermediate's interest,
 /// so the root ignores it as a gap; the intermediate's refresh snapshot
 /// heals the root, which then confirms at once. The later subscriber's
-/// stream is hole-free and its connect did not time out.
+/// stream is hole-free.
 #[test]
 fn root_restart_between_first_connects_heals_by_snapshot() {
     let mut t = tree(34);
@@ -506,7 +510,6 @@ fn root_restart_between_first_connects_heals_by_snapshot() {
     );
     t.sim.connect(late.id(), t.shb.id(), 500);
     t.sim.run_until(15_000_000);
-    assert_eq!(t.sim.metrics().counter("shb.parked_timeout"), 0.0);
     let client = t.sim.node_ref(late);
     assert_eq!(client.order_violations(), 0);
     assert_eq!(client.gaps_received(), 0);

@@ -275,8 +275,8 @@ fn publisher(sim: &mut Sim, phb: gryphon_types::NodeId) {
 /// Runs the crash and the reconnect, and checks what the subscriber got
 /// after it came back: no event at or below the prefix L-converted
 /// before the crash, and, before anything but silence, a gap inside that
-/// prefix (the catchup stream nacks its missed matches one range at a
-/// time, and each `L` answer covers the range asked).
+/// prefix — the only gap: the catchup stream nacks its missed matches one
+/// range at a time, but the first `L` answer carries the whole prefix.
 fn assert_lost_prefix_answered_lost(
     mut sim: Sim,
     phb: Handle<Broker>,
@@ -308,6 +308,7 @@ fn assert_lost_prefix_answered_lost(
         .find(|r| r.kind != "silence")
         .expect("deliveries after the reconnect");
     assert!(first.kind == "gap" && first.ts <= lost, "{first:?}");
+    assert_eq!(client.gaps_received(), 1);
     assert_eq!(client.order_violations(), 0);
     assert_eq!(sim.ledger_violations(), 0);
     assert_eq!(sim.watchdog_violations(), 0);

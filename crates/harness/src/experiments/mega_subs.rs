@@ -5,7 +5,7 @@
 //! almost all of them *idle* at any moment. What bounds that scale is
 //! not throughput but bytes-per-idle-subscription in the SHB: the slab
 //! must hold a disconnected durable subscription in a compact record
-//! (spec + filter + release cursors + parked stream positions), not a
+//! (spec + filter + release cursors: its durable state only), not a
 //! live connection. This workload direct-drives one [`Shb`] (no
 //! simulator — pfs_micro-style) through four phases and reports the
 //! census after each:
@@ -18,9 +18,10 @@
 //! 3. **churn** — `CHURN_PCT` percent of the population unsubscribes
 //!    and re-registers, recycling slab slots (generation bumps);
 //! 4. **storm** — a reconnect storm: a batch of idle subscribers
-//!    connects with old checkpoints (catchup streams open), drops
-//!    (streams park into compact records), and reconnects (parked
-//!    records drain, counted by `shb.stream_rehydrations`).
+//!    connects with old checkpoints (catchup streams open), drops (the
+//!    streams go with the connections, and the slab is back to its
+//!    size before the connects), and reconnects (the streams are
+//!    rebuilt from the checkpoints).
 //!
 //! The headline figure is `telemetry.shb.bytes_per_idle_sub`, published
 //! exactly as the broker publishes it (through
@@ -138,7 +139,6 @@ fn census(table: &mut Table, phase: &str, wall_ms: f64, shb: &mut Shb, ctx: &mut
         shb.sub_count().to_string(),
         shb.connected_count().to_string(),
         shb.catchup_streams().to_string(),
-        shb.parked_streams().to_string(),
         format!("{:.1}", bytes as f64 / 1e6),
         format!("{per_idle:.0}"),
     ]);
@@ -182,7 +182,6 @@ pub fn run(opts: &RunOptions) -> Report {
             "subs",
             "connected",
             "catchup",
-            "parked",
             "slab (MB)",
             "B/idle sub",
         ],
@@ -260,9 +259,9 @@ pub fn run(opts: &RunOptions) -> Report {
 
     // Phase 4: reconnect storm. A batch of idle subscribers presents an
     // old checkpoint, so each connect opens a PFS catchup stream; the
-    // drop parks every stream into a compact record; the reconnect
-    // drains the parked records (counted as rehydrations) and rebuilds
-    // the streams from the checkpoint protocol.
+    // drop takes every stream with its connection, leaving only durable
+    // state; the reconnect rebuilds the streams from the checkpoint
+    // protocol.
     let storm_ct = || {
         let mut ct = CheckpointToken::new();
         ct.advance(P, Timestamp::ZERO);
@@ -272,14 +271,15 @@ pub fn run(opts: &RunOptions) -> Report {
     let storm_subs: Vec<SubscriberId> = (0..spec.storm)
         .map(|k| SubscriberId(spec.connected + k + 1))
         .collect();
+    let idle_slab = shb.slab_bytes();
     for &sub in &storm_subs {
         connect_one(&mut shb, sub, storm_ct(), &mut ctx);
     }
     let streams_open = shb.catchup_streams();
     for &sub in &storm_subs {
-        shb.disconnect(sub, ctx.now_us);
+        shb.disconnect(sub);
     }
-    let parked_peak = shb.parked_streams();
+    let dropped_slab = shb.slab_bytes();
     for &sub in &storm_subs {
         connect_one(&mut shb, sub, storm_ct(), &mut ctx);
     }
@@ -289,13 +289,13 @@ pub fn run(opts: &RunOptions) -> Report {
         "storm connects open catchup streams"
     );
     assert_eq!(
-        parked_peak as u64, spec.storm,
-        "disconnects park every stream"
+        dropped_slab, idle_slab,
+        "disconnects leave only the durable state the connects found"
     );
     assert_eq!(
-        shb.parked_streams(),
-        0,
-        "reconnects drain the parked records"
+        shb.catchup_streams() as u64,
+        spec.storm,
+        "reconnects rebuild every stream"
     );
     census(&mut t, "storm", storm_ms, &mut shb, &mut ctx);
 
@@ -313,10 +313,10 @@ pub fn run(opts: &RunOptions) -> Report {
         const KEEP: u64 = 16;
         let start = Instant::now();
         for i in KEEP..spec.connected {
-            shb.disconnect(SubscriberId(i + 1), ctx.now_us);
+            shb.disconnect(SubscriberId(i + 1));
         }
         for &sub in &storm_subs {
-            shb.disconnect(sub, ctx.now_us);
+            shb.disconnect(sub);
         }
         let slow = SubscriberId(spec.subs);
         connect_one(&mut shb, slow, storm_ct(), &mut ctx);
@@ -355,7 +355,7 @@ pub fn run(opts: &RunOptions) -> Report {
         // Recovery: the laggard reconnects caught-up; the next census
         // sweeps a uniform population and the alert clears.
         let start = Instant::now();
-        shb.disconnect(slow, ctx.now_us);
+        shb.disconnect(slow);
         connect_one(&mut shb, slow, None, &mut ctx);
         let recover_ms = start.elapsed().as_secs_f64() * 1e3;
         census(&mut t, "recovered", recover_ms, &mut shb, &mut ctx);
@@ -383,7 +383,6 @@ pub fn run(opts: &RunOptions) -> Report {
         spec.subs
     );
 
-    let rehydrations = ctx.obs.metrics().counter("shb.stream_rehydrations");
     let mut report = Report::new("mega_subs");
     report.table(t);
     report.note(format!(
@@ -398,9 +397,8 @@ pub fn run(opts: &RunOptions) -> Report {
         spec.subs - spec.connected
     ));
     report.note(format!(
-        "storm: {} catchup streams opened, {} parked on disconnect, {rehydrations:.0} parked \
-         records rehydrated on reconnect",
-        streams_open, parked_peak
+        "storm: {streams_open} catchup streams opened; slab {idle_slab} B before the connects, \
+         {dropped_slab} B after the disconnects; every stream rebuilt on reconnect"
     ));
     report.note(format!(
         "population sketch: {sketch_bytes} B of attribution state for {} subscribers (O(K) \

@@ -1,8 +1,9 @@
 //! Churn-equivalence for the slab-resident subscriber table (ISSUE 7).
 //!
-//! The SHB refactor moved all per-subscriber state into a dense slab
-//! keyed by `SubSlot`, with parked-stream records for idle subscribers
-//! and slot recycling on unsubscribe. These tests prove the observable
+//! The SHB keeps all per-subscriber state in a dense slab keyed by
+//! `SubSlot`, holds only durable state for idle subscribers (a
+//! disconnect drops the connection and its catchup streams) and
+//! recycles slots on unsubscribe. These tests prove the observable
 //! protocol is unchanged under churn-heavy reconnection:
 //!
 //! * a churn-heavy run replays bit-identically (traces + deliveries) —
@@ -12,15 +13,18 @@
 //!   timestamp order, exactly once (consecutive publisher sequences in
 //!   its class residue — no holes, no duplicates), with the delivery
 //!   ledger and every watchdog clean;
-//! * a reconnect-storm property test parks and rehydrates catchup
-//!   streams under randomized storms (bandwidth-starved clients, so the
-//!   second storm always lands mid-catchup) and asserts ledger-clean
+//! * a reconnect-storm property test drops and rebuilds catchup streams
+//!   under randomized storms (bandwidth-starved clients, so the second
+//!   storm always lands mid-catchup) and asserts ledger-clean
 //!   exactly-once delivery with `health.alert.*` quiet outside the
 //!   storm transient.
 
 use gryphon::SubscriberConfig;
 use gryphon_harness::{System, TopologySpec, Workload};
+use gryphon_sim::TraceEvent;
+use gryphon_types::{PubendId, SubscriberId};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 /// One delivered event: `(pubend, ts, publisher seq)`.
 type Delivery = (u32, u64, i64);
@@ -34,7 +38,9 @@ struct RunOut {
     order_violations: u64,
     watchdogs: u64,
     ledger: u64,
-    rehydrations: f64,
+    /// Catchup streams that ended without a switchover (see
+    /// [`streams_dropped_mid_catchup`]).
+    dropped_mid_catchup: usize,
     alerts: Vec<gryphon_sim::AlertRecord>,
 }
 
@@ -69,13 +75,44 @@ fn collect_run(mut sys: System, until_us: u64, observe: bool) -> RunOut {
         order_violations: sys.total_order_violations(),
         watchdogs: sys.sim.watchdog_violations(),
         ledger: sys.sim.ledger_violations(),
-        rehydrations: sys.sim.metrics().counter("shb.stream_rehydrations"),
+        dropped_mid_catchup: streams_dropped_mid_catchup(&sys),
         alerts: sys
             .sim
             .take_telemetry()
             .map(|t| t.alerts().to_vec())
             .unwrap_or_default(),
     }
+}
+
+/// Catchup streams a disconnect dropped, read off the trace ring: a
+/// `CatchupStarted` with no `Switchover` for that (sub, pubend) before
+/// the sub's next `CatchupStarted` — the next connect's, which starts
+/// its streams all at one instant. Counts only what the ring retained.
+fn streams_dropped_mid_catchup(sys: &System) -> usize {
+    // Per subscriber: when its last connect started catchup, and the
+    // pubends whose stream from that connect has not switched over.
+    let mut open: HashMap<SubscriberId, (u64, BTreeSet<PubendId>)> = HashMap::new();
+    let mut dropped = 0;
+    for r in sys.sim.trace_records() {
+        match r.event {
+            TraceEvent::CatchupStarted { sub, pubend, .. } => {
+                let (started_us, pubends) = open.entry(sub).or_default();
+                if *started_us != r.t_us {
+                    dropped += pubends.len();
+                    pubends.clear();
+                    *started_us = r.t_us;
+                }
+                pubends.insert(pubend);
+            }
+            TraceEvent::Switchover { sub, pubend, .. } => {
+                if let Some((_, pubends)) = open.get_mut(&sub) {
+                    pubends.remove(&pubend);
+                }
+            }
+            _ => {}
+        }
+    }
+    dropped
 }
 
 /// The churn-heavy scenario: 2 SHBs × 8 subscribers, every subscriber
@@ -170,9 +207,10 @@ fn churn_deliveries_match_filter_semantics_exactly_once() {
 /// client link and a tight catchup flow-control window (300 ticks), so
 /// catchup is paced by real client consumption. The long down window
 /// piles up more backlog than the up window can drain, so the second
-/// storm always lands mid-catchup: streams park into compact records
-/// and rehydrate on the reconnect. The run ends with a long quiet tail
-/// so catchup completes and any health alert has cleared.
+/// storm always lands mid-catchup: the disconnects drop open streams and
+/// the reconnects rebuild them. The run ends with a long quiet tail so
+/// catchup completes and any health alert has cleared. The trace ring
+/// retains every record, so no dropped stream goes uncounted.
 fn run_storm(seed: u64, subs: usize, storm_at_us: u64, down_us: u64) -> RunOut {
     let spec = TopologySpec {
         seed,
@@ -198,7 +236,9 @@ fn run_storm(seed: u64, subs: usize, storm_at_us: u64, down_us: u64) -> RunOut {
         },
         ..Workload::default()
     };
-    collect_run(System::build(&spec, &workload), 9_000_000, true)
+    let mut sys = System::build(&spec, &workload);
+    sys.sim.set_trace_capacity(usize::MAX);
+    collect_run(sys, 9_000_000, true)
 }
 
 proptest! {
@@ -207,11 +247,11 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Satellite (d): park/rehydrate N random subscribers under churn —
-    /// ledger-clean exactly-once delivery, `health.alert.*` quiet
-    /// outside the storm transient.
+    /// Drop and rebuild the catchup streams of N random subscribers
+    /// under churn — ledger-clean exactly-once delivery,
+    /// `health.alert.*` quiet outside the storm transient.
     #[test]
-    fn reconnect_storm_parks_rehydrates_and_stays_exactly_once(
+    fn reconnect_storm_drops_rebuilds_and_stays_exactly_once(
         seed in 0u64..1_000,
         subs in 6usize..=10,
         storm_at_us in 700_000u64..=900_000,
@@ -228,9 +268,8 @@ proptest! {
         );
         assert_deliveries_match_filters(&out, subs, 4);
         prop_assert!(
-            out.rehydrations >= 1.0,
-            "the second storm must land mid-catchup and park streams (rehydrations = {})",
-            out.rehydrations
+            out.dropped_mid_catchup >= 1,
+            "the second storm must land mid-catchup and drop open streams"
         );
         // Health stays quiet outside the storm transient: nothing fires
         // before the first storm, and whatever fires during it clears

@@ -154,7 +154,7 @@ pub mod names {
     pub const TELEMETRY_CATCHUP_STREAMS: &str = "telemetry.catchup_streams";
     /// Gauge: approximate heap bytes of an SHB's `SubscriberTable` slab
     /// (all per-subscriber state: specs, filters, release cursors,
-    /// parked-stream records, live connections), published under a
+    /// live connections), published under a
     /// `.n<node>` shard suffix; shard-local slabs add on merge.
     pub const TELEMETRY_SHB_SLAB_BYTES: &str = "telemetry.shb.slab_bytes";
     /// Gauge: `SubscriberTable::approx_bytes()` divided by the number of

@@ -76,6 +76,14 @@ if for c in crates/*/; do scripts/code_lines.sh "$(basename "$c")"; done \
   echo "one owner arms the windows"; exit 1
 fi
 
+echo "== parked means one thing: a first connect awaiting its confirmation =="
+# A parked connect attaches only when its interest is confirmed upstream
+# (no timeout), and an idle subscription keeps only its durable state (no
+# parked catchup-stream records to rehydrate).
+if grep -rnE 'ParkedStream|PARKED_CONNECT_TIMEOUT_US|stream_rehydrations' crates/core/src; then
+  echo "a parked connect waits for its confirmation, and a disconnect drops its streams"; exit 1
+fi
+
 echo "== unsafe is allow-listed: one CRC call =="
 # Every `unsafe` block, fn, impl, trait or extern in the workspace's
 # program code (src/, examples/, each crate's src/ and benches/; the
